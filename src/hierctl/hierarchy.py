@@ -20,11 +20,15 @@ so a passing inclusion is conclusive but a failing one may only reflect a
 missing interleaving. Failures therefore enter a refutation loop: difference
 sequences are enumerated in length-lexicographic order, decomposed into
 string tuples, and each tuple is confirmed or refuted by an exact
-emptiness test on small regular constructions. A confirmed tuple yields
-``violated``; exhausting the difference language yields ``holds`` (every
-genuine violating tuple leaves at least one difference sequence, because
-the synchronized products accept all interleavings); running out of budget
-yields ``inconclusive``.
+emptiness test on small regular constructions. The sequences come from an
+on-the-fly product of the left automaton with the subset construction of
+the right one (``iter_difference_words``), expanded only as far as the
+sequences examined need; no difference automaton is built. A confirmed
+tuple yields ``violated``; exhausting the difference language yields
+``holds`` (every genuine violating tuple leaves at least one difference
+sequence, because the synchronized products accept all interleavings);
+running out of budget, counted in sequences examined, yields
+``inconclusive``.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .automata import (Alphabet, Automaton, PreconditionError, ProjectionSpec,
-                       all_marked, append_event, determinize, difference,
-                       empty_language, includes, intersect, inverse_project,
-                       is_empty, iter_marked_words, merge_alphabets,
+                       all_marked, append_event, determinize, empty_language,
+                       includes, intersect, inverse_project, is_empty,
+                       iter_difference_words, merge_alphabets,
                        parallel_compose, prefix_close, project, right_quotient,
                        trim, widen_alphabet, with_initial, word_automaton)
 from .checks import (SynthReport, check_controllability, check_nonconflicting,
@@ -219,10 +223,10 @@ def _common_pair(a: Automaton, b: Automaton) -> tuple[Automaton, Automaton]:
     return widen_alphabet(a, common), widen_alphabet(b, common)
 
 
-def _refutation_loop(diff: Automaton, budget: int, decompose, confirm,
-                     kind: str) -> Verdict:
+def _refutation_loop(words, budget: int, decompose, confirm) -> Verdict:
     """Phase two and three of a consistency check.
 
+    `words` yields the difference sequences in length-lexicographic order,
     `decompose` maps a difference sequence to a hashable string tuple,
     `confirm` returns a Witness for a genuine violation or None for a
     spurious (interleaving-only) difference.
@@ -230,7 +234,7 @@ def _refutation_loop(diff: Automaton, budget: int, decompose, confirm,
     seen: set = set()
     spurious = 0
     examined = 0
-    for word in iter_marked_words(diff):
+    for word in words:
         examined += 1
         if examined > budget:
             return Verdict.make_inconclusive(
@@ -278,8 +282,8 @@ def check_oc(g: Automaton, budget: int = DEFAULT_BUDGET) -> Verdict:
                            "no representatives of t and t' share an observation")
         return None
 
-    return _refutation_loop(trim(difference(la, ra)), budget,
-                            decompose_sequence, confirm, "oc")
+    return _refutation_loop(iter_difference_words(la, ra), budget,
+                            decompose_sequence, confirm)
 
 
 def check_moc(g: Automaton, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -302,8 +306,8 @@ def check_moc(g: Automaton, budget: int = DEFAULT_BUDGET) -> Verdict:
                            "no representative of t' shares the observation of s")
         return None
 
-    return _refutation_loop(trim(difference(la, ra)), budget,
-                            decompose_sequence, confirm, "moc")
+    return _refutation_loop(iter_difference_words(la, ra), budget,
+                            decompose_sequence, confirm)
 
 
 def moc_structurally_guaranteed(alphabet: Alphabet) -> bool:
@@ -419,9 +423,9 @@ def _loc_for_event(ctx: HierarchyContext, e: str, budget: int) -> Verdict:
                 "no observation-equivalent low-level continuations reach e")
         return None
 
-    return _refutation_loop(trim(difference(left, right)), budget,
+    return _refutation_loop(iter_difference_words(left, right), budget,
                             lambda w: decompose_sequence(w, "quad"),
-                            confirm, "loc")
+                            confirm)
 
 
 def check_loc(g: Automaton, budget: int = DEFAULT_BUDGET) -> Verdict:

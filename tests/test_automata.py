@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hierctl.automata import (AutomataError, Automaton, ProjectionSpec,
                               all_marked, complement, determinize, difference,
                               enumerate_bounded, includes, intersect,
                               inverse_project, is_empty, is_prefix_closed,
+                              iter_difference_words, iter_marked_words,
                               language_equal, marked_saturate,
                               parallel_compose, prefix_close, project,
                               right_quotient, sigma_star, trim, union,
                               word_automaton)
+from hierctl.gadgets import GeneratorParams, random_plant
+from hierctl.hierarchy import _common_pair, build_context
+from hierctl.relations import relabel_pair, sync_pair_compose
 
 from conftest import make_alphabet, tree
 
@@ -128,6 +134,32 @@ def test_difference_and_quotient():
     assert sorted(enumerate_bounded(d, 3)) == [(), ("a", "b")]
     q = right_quotient(a, word_automaton(("b",), AB))
     assert enumerate_bounded(q, 3) == [("a",)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_automata(), random_automata())
+@example(tree(words("a", "ab"), AB), tree(words("a", "ab"), AB))      # empty
+@example(tree(words("", "ab", "ba", "b"), AB), tree(words("b"), AB))  # finite
+@example(sigma_star(AB), tree(words("", "a", "ba"), AB))            # infinite
+def test_difference_words_match_trimmed_difference(a, b):
+    first = list(islice(iter_difference_words(a, b), 50))
+    assert first == list(islice(iter_marked_words(trim(difference(a, b))), 50))
+
+
+def test_difference_words_start_length_lex_first_not_at_inclusion_witness():
+    # The OC pair of check_oc on this plant: the inclusion witness is
+    # shortest, but the first difference word in length-lex order (pair
+    # events ordered with "e0:-" before "-:e0") is another one.
+    ctx = build_context(random_plant(GeneratorParams(32, 5, 0.35, seed=2)))
+    left = sync_pair_compose(ctx.abstraction, ctx.abstraction, ctx.shared)
+    right = relabel_pair(
+        sync_pair_compose(ctx.plant, ctx.plant, ctx.alphabet.observable),
+        "both")
+    la, ra = _common_pair(left.automaton, right.automaton)
+    first = next(iter_difference_words(la, ra))
+    assert first == ("e2:e2", "e4:e4", "e0:-", "e3:e3")
+    assert includes(la, ra).witness.strings["word"] == (
+        "e2:e2", "e4:e4", "-:e0", "e3:e3")
 
 
 def test_prefix_close_and_saturate():

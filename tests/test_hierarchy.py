@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from hierctl import oracle
 from hierctl.automata import (all_marked, enumerate_bounded, language_equal,
                               project)
 from hierctl.gadgets import GeneratorParams, random_plant, random_sublanguage
@@ -67,6 +68,28 @@ class TestConsistencyChecks:
             rep = lemma_moc_implies_oc(g, budget=2000)
             if rep["moc"].holds:
                 assert not rep["oc"].violated, f"seed={seed}"
+
+
+class TestRefutationRegressions:
+    """Verdicts whose difference automaton is too large to build in time."""
+
+    def test_oc_violated_at_second_sequence(self):
+        g = random_plant(GeneratorParams(32, 5, 0.35, seed=9))
+        v = check_oc(g, 2000)
+        assert v.violated
+        assert v.detail == {"examined": 2}
+        t, tp = v.witness.strings["t"], v.witness.strings["t_prime"]
+        assert (t, tp) == (("e3", "e0", "e0", "e4", "e0"), ("e3",))
+        # exact replay: the bounded oracle_oc misses it even at bound 6
+        shared = build_context(g).shared
+        assert [x for x in t if x in shared] == [x for x in tp if x in shared]
+        assert not oracle._exists_oc_pair(oracle._gen_rec(g), t, tp)
+
+    def test_oc_violated_on_large_difference(self):
+        g = random_plant(GeneratorParams(24, 4, 0.4, seed=3))
+        v = check_oc(g)
+        assert v.violated
+        assert v.witness.strings["sequence"] == ("e3:-", "e1:-")
 
 
 class TestModular:
