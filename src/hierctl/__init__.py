@@ -5,9 +5,9 @@ from .automata import (Alphabet, AlphabetMismatchError, AutomataError,
                        Automaton, Event, PreconditionError, ProjectionSpec,
                        all_marked, determinize, difference, enumerate_bounded,
                        includes, intersect, inverse_project, is_empty,
-                       is_nonblocking, is_prefix_closed, iter_marked_words,
-                       language_equal, parallel_compose, prefix_close,
-                       project, right_quotient, sigma_star, trim, union,
+                       is_prefix_closed, iter_marked_words, language_equal,
+                       parallel_compose, prefix_close, project,
+                       right_quotient, sigma_star, trim, union,
                        word_automaton)
 from .checks import (SynthReport, check_controllability, check_nonconflicting,
                      check_normality, check_observability,

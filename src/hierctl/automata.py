@@ -352,11 +352,6 @@ def is_prefix_closed(a: Automaton) -> bool:
     return includes(prefix_close(a), a).holds
 
 
-def is_nonblocking(a: Automaton) -> bool:
-    a = eliminate_silent(a)
-    return reachable_states(a) <= coreachable_states(a)
-
-
 def is_empty(a: Automaton) -> bool:
     a = eliminate_silent(a)
     return not (reachable_states(a) & a.marked)

@@ -27,11 +27,6 @@ def _closure_dfa(a: Automaton) -> tuple[Automaton, str]:
     return complete(determinize(prefix_close(trim(a))))
 
 
-def _plant_dfa(g: Automaton) -> Automaton:
-    """Partial DFA of the generated language L(g)."""
-    return determinize(g)
-
-
 def _one_step(dfa: Automaton, q: str, e: str) -> str | None:
     t = dfa.succ[q].get(e)
     return t[0] if t else None
@@ -49,7 +44,7 @@ def check_controllability(k: Automaton, g: Automaton) -> Verdict:
     require_same_alphabet(k, g)
     _require_inclusion(k, g, "specification K must satisfy K ⊆ L_m(G)")
     kd, dead = _closure_dfa(k)
-    gd = _plant_dfa(g)
+    gd = determinize(g)
     unc = sorted(g.alphabet.uncontrollable, key=g.alphabet.names.index)
 
     start = (next(iter(kd.initial)), next(iter(gd.initial)))
@@ -98,7 +93,7 @@ def _observability_engine(k: Automaton, c: Automaton, g: Automaton,
     require_same_alphabet(c, g)
     kd, kdead = _closure_dfa(k)
     cd, cdead = _closure_dfa(c)
-    gd = _plant_dfa(g)
+    gd = determinize(g)
     alphabet = g.alphabet
     obs = alphabet.observable
     events = sorted(set(events), key=alphabet.names.index)

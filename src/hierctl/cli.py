@@ -148,19 +148,19 @@ def _cmd_check(args) -> int:
 def _cmd_synth(args) -> int:
     if args.kind == "supn":
         k, g = map(_load, args.files[:2])
-        g = _plant_language(g)
+        g = all_marked(g)
         k = prefix_close(trim(_spec_for(k, g)))
-        result = sup_normal_closed(_intersect_spec(k, g), g)
+        result = sup_normal_closed(intersect(k, g), g)
         report = {"command": "synth", "kind": "supn",
                   "result_states": len(result.states)}
         lines = [f"supn: {len(result.states)} states"]
     else:
         k, c, g = map(_load, args.files[:3])
-        g = _plant_language(g)
+        g = all_marked(g)
         k = prefix_close(trim(_spec_for(k, g)))
         c = prefix_close(trim(_spec_for(c, g)))
-        result, rep = sup_relobs_closed(_intersect_spec(k, g),
-                                        _intersect_spec(c, g), g)
+        result, rep = sup_relobs_closed(intersect(k, g), intersect(c, g),
+                                        g)
         report = {"command": "synth", "kind": "suprelobs",
                   "result_states": len(result.states), "report": rep}
         lines = [f"suprelobs: {len(result.states)} states, "
@@ -170,14 +170,6 @@ def _cmd_synth(args) -> int:
     _emit(args, report, lines)
     _write_out(args, result)
     return 0
-
-
-def _plant_language(g: Automaton) -> Automaton:
-    return all_marked(g)
-
-
-def _intersect_spec(k: Automaton, g: Automaton) -> Automaton:
-    return intersect(k, g)
 
 
 def _cmd_hier(args) -> int:

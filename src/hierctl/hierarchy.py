@@ -20,7 +20,8 @@ so a passing inclusion is conclusive but a failing one may only reflect a
 missing interleaving. Failures therefore enter a refutation loop: difference
 sequences are enumerated in length-lexicographic order, decomposed into
 string tuples, and each tuple is confirmed or refuted by an exact
-emptiness test on small regular constructions. The sequences come from an
+existence search over the plant's states for representatives of those
+strings (no automaton is built per tuple). The sequences come from an
 on-the-fly product of the left automaton with the subset construction of
 the right one (``iter_difference_words``), expanded only as far as the
 sequences examined need; no difference automaton is built. A confirmed
@@ -39,10 +40,10 @@ from functools import cached_property
 
 from .automata import (Alphabet, Automaton, PreconditionError, ProjectionSpec,
                        all_marked, append_event, determinize, empty_language,
-                       includes, intersect, inverse_project, is_empty,
-                       iter_difference_words, merge_alphabets,
-                       parallel_compose, prefix_close, project, right_quotient,
-                       trim, widen_alphabet, with_initial, word_automaton)
+                       includes, intersect, iter_difference_words,
+                       merge_alphabets, parallel_compose, prefix_close,
+                       project, right_quotient, trim, widen_alphabet,
+                       with_initial)
 from .checks import (SynthReport, check_controllability, check_nonconflicting,
                      check_normality, check_observability,
                      check_relative_observability, sup_normal_closed,
@@ -255,10 +256,106 @@ def _refutation_loop(words, budget: int, decompose, confirm) -> Verdict:
                "spurious interleaving")
 
 
-def _restricted_language(ctx: HierarchyContext, t: tuple) -> Automaton:
-    """Recognizer of P(Q⁻¹(t) ∩ L) over the observable sub-alphabet."""
-    tw = word_automaton(t, ctx.q.target_alphabet)
-    return project(intersect(inverse_project(tw, ctx.q), ctx.plant), ctx.p)
+# Confirmation searches. Each decides one existence question about fixed
+# strings by a depth-first search over the plant (every state marked), so a
+# refuted difference sequence costs no automaton construction.
+
+def _reaches(starts, step, goal) -> bool:
+    """Is a node satisfying `goal` reachable from `starts` along `step`?"""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        node = stack.pop()
+        if goal(node):
+            return True
+        for nxt in step(node):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
+
+
+def _moves(ctx: HierarchyContext, q: str, word: tuple, i: int):
+    """Plant steps (event, target, index) from q that keep following `word`.
+
+    A high-level event must be word[i] and advances the index; a low-level
+    event leaves it alone.
+    """
+    hi = ctx.alphabet.highlevel
+    for e, targets in ctx.plant.succ[q].items():
+        if e not in hi:
+            j = i
+        elif i < len(word) and word[i] == e:
+            j = i + 1
+        else:
+            continue
+        for r in targets:
+            yield e, r, j
+
+
+def _pair_reaches(ctx: HierarchyContext, starts, t: tuple, tp: tuple,
+                  goal) -> bool:
+    """Search over two plant paths with equal observations.
+
+    A node (p, i, q, j) has the left path at p after spelling t[:i] at the
+    high level and the right path at q after spelling tp[:j]. Observable
+    events move both paths together, unobservable ones move one path.
+    """
+    obs = ctx.alphabet.observable
+
+    def step(node):
+        p, i, q, j = node
+        right = list(_moves(ctx, q, tp, j))
+        for e, pn, ni in _moves(ctx, p, t, i):
+            if e not in obs:
+                yield pn, ni, q, j
+                continue
+            for f, qn, nj in right:
+                if f == e:
+                    yield pn, ni, qn, nj
+        for f, qn, nj in right:
+            if f not in obs:
+                yield p, i, qn, nj
+
+    return _reaches(starts, step, goal)
+
+
+def _oc_pair_exists(ctx: HierarchyContext, t: tuple, tp: tuple) -> bool:
+    """∃ s, s' ∈ L with Q(s) = t, Q(s') = tp and P(s) = P(s')."""
+    init = ctx.plant.initial
+    return _pair_reaches(ctx, {(p, 0, q, 0) for p in init for q in init},
+                         t, tp, lambda n: n[1] == len(t) and n[3] == len(tp))
+
+
+def _moc_mate_exists(ctx: HierarchyContext, observed: tuple,
+                     tp: tuple) -> bool:
+    """∃ s' ∈ L with P(s') = observed and Q(s') = tp."""
+    obs = ctx.alphabet.observable
+
+    def step(node):
+        q, k, j = node
+        for e, qn, nj in _moves(ctx, q, tp, j):
+            if e not in obs:
+                yield qn, k, nj
+            elif k < len(observed) and observed[k] == e:
+                yield qn, k + 1, nj
+
+    return _reaches({(q, 0, 0) for q in ctx.plant.initial}, step,
+                    lambda n: n[1] == len(observed) and n[2] == len(tp))
+
+
+def _loc_continuations_exist(ctx: HierarchyContext, s: tuple, sp: tuple,
+                             e: str) -> bool:
+    """∃ low-level u, u' with P(u) = P(u') and sue, s'u'e ∈ L.
+
+    Both paths follow the empty high-level string, so only low-level events
+    move them; the goal is e enabled on both sides.
+    """
+    plant = ctx.plant
+    starts = {(p, 0, q, 0) for p in plant.run(s) for q in plant.run(sp)}
+    return _pair_reaches(ctx, starts, (), (),
+                         lambda n: e in plant.succ[n[0]]
+                         and e in plant.succ[n[2]])
 
 
 def check_oc(g: Automaton, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -275,9 +372,7 @@ def check_oc(g: Automaton, budget: int = DEFAULT_BUDGET) -> Verdict:
 
     def confirm(tup, word):
         t, tp = tup
-        joint = intersect(_restricted_language(ctx, t),
-                          _restricted_language(ctx, tp))
-        if is_empty(joint):
+        if not _oc_pair_exists(ctx, t, tp):
             return Witness("oc", {"t": t, "t_prime": tp, "sequence": word},
                            "no representatives of t and t' share an observation")
         return None
@@ -300,8 +395,7 @@ def check_moc(g: Automaton, budget: int = DEFAULT_BUDGET) -> Verdict:
 
     def confirm(tup, word):
         s, tp = tup
-        probe = word_automaton(ctx.p.apply(s), ctx.p.target_alphabet)
-        if is_empty(intersect(probe, _restricted_language(ctx, tp))):
+        if not _moc_mate_exists(ctx, ctx.p.apply(s), tp):
             return Witness("moc", {"s": s, "t_prime": tp, "sequence": word},
                            "no representative of t' shares the observation of s")
         return None
@@ -402,22 +496,9 @@ def _loc_for_event(ctx: HierarchyContext, e: str, budget: int) -> Verdict:
     if v.holds:
         return Verdict.make_holds()
 
-    low = frozenset(ctx.alphabet.lowlevel)
-
-    def continuations(s: tuple) -> Automaton:
-        """P-image of {u low-level : sue ∈ L}."""
-        start = ctx.plant.run(s)
-        trans = frozenset((src, lbl, dst) for (src, lbl, dst)
-                          in ctx.plant.transitions if lbl in low)
-        marked = frozenset(q for q in ctx.plant.states
-                           if ctx.plant.succ[q].get(e))
-        probe = Automaton(ctx.alphabet, ctx.plant.states, trans,
-                          frozenset(start), marked)
-        return project(probe, ctx.p)
-
     def confirm(tup, word):
         s, _, sp, _ = tup
-        if is_empty(intersect(continuations(s), continuations(sp))):
+        if not _loc_continuations_exist(ctx, s, sp, e):
             return Witness(
                 "loc", {"s": s, "s_prime": sp, "e": (e,), "sequence": word},
                 "no observation-equivalent low-level continuations reach e")

@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from hierctl import oracle
-from hierctl.automata import (all_marked, enumerate_bounded, language_equal,
-                              project)
-from hierctl.gadgets import GeneratorParams, random_plant, random_sublanguage
-from hierctl.hierarchy import (PreconditionError, build_context,
+from hierctl.automata import (Automaton, all_marked, enumerate_bounded,
+                              intersect, inverse_project, is_empty,
+                              language_equal, project, word_automaton)
+from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
+                             gadget_oc, random_nfa, random_plant,
+                             random_sublanguage)
+from hierctl.hierarchy import (PreconditionError, _loc_continuations_exist,
+                               _moc_mate_exists, _oc_pair_exists,
+                               build_context,
                                check_lcc, check_loc, check_moc,
                                check_moc_modular, check_observer, check_oc,
                                conform_spec, hier_synth_normal,
@@ -71,7 +79,7 @@ class TestConsistencyChecks:
 
 
 class TestRefutationRegressions:
-    """Verdicts whose difference automaton is too large to build in time."""
+    """Pinned refutation-loop verdicts, witnesses and details."""
 
     def test_oc_violated_at_second_sequence(self):
         g = random_plant(GeneratorParams(32, 5, 0.35, seed=9))
@@ -90,6 +98,113 @@ class TestRefutationRegressions:
         v = check_oc(g)
         assert v.violated
         assert v.witness.strings["sequence"] == ("e3:-", "e1:-")
+
+    @staticmethod
+    def _gadget(seed: int) -> Automaton:
+        return gadget_moc(random_nfa(GeneratorParams(
+            2 + seed % 3, 2 + seed % 2, 0.35, seed=seed)))
+
+    def test_universal_moc_gadget_refutes_whole_budget(self):
+        v = check_moc(self._gadget(8), 3000)
+        assert v.inconclusive
+        assert v.detail["refuted"] == 3000
+
+    def test_moc_gadget_violated_at_first_sequence(self):
+        v = check_moc(self._gadget(5), 3000)
+        assert v.violated
+        assert v.detail == {"examined": 1}
+        assert v.witness.strings == {"s": ("#", "a0"), "t_prime": ("a0",),
+                                     "sequence": ("#:-", "a0:a0")}
+
+
+# The automaton constructions the confirmation searches replaced; they are
+# the reference the searches must agree with.
+
+def _restricted_language(ctx, t):
+    """Recognizer of P(Q⁻¹(t) ∩ L) over the observable sub-alphabet."""
+    tw = word_automaton(t, ctx.q.target_alphabet)
+    return project(intersect(inverse_project(tw, ctx.q), ctx.plant), ctx.p)
+
+
+def _reference_oc(ctx, t, tp):
+    return not is_empty(intersect(_restricted_language(ctx, t),
+                                  _restricted_language(ctx, tp)))
+
+
+def _reference_moc(ctx, s, tp):
+    probe = word_automaton(ctx.p.apply(s), ctx.p.target_alphabet)
+    return not is_empty(intersect(probe, _restricted_language(ctx, tp)))
+
+
+def _reference_loc(ctx, s, sp, e):
+    plant = ctx.plant
+    low = ctx.alphabet.lowlevel
+    trans = frozenset(t for t in plant.transitions if t[1] in low)
+    enabled = frozenset(q for q in plant.states if plant.succ[q].get(e))
+
+    def continuations(w):
+        probe = Automaton(ctx.alphabet, plant.states, trans,
+                          frozenset(plant.run(w)), enabled)
+        return project(probe, ctx.p)
+
+    return not is_empty(intersect(continuations(s), continuations(sp)))
+
+
+def _agreement_plants():
+    for seed in range(6):
+        yield random_plant(GeneratorParams(
+            states=3 + seed % 4, events=3 + seed % 2,
+            transition_density=0.4, deterministic=seed % 2 == 0,
+            seed=seed + 700))
+    for seed in range(4):
+        a = random_nfa(GeneratorParams(2 + seed % 3, 2 + seed % 2, 0.35,
+                                       seed=seed))
+        yield gadget_oc(a)
+        yield gadget_moc(a)
+        yield gadget_loc(a)
+
+
+class TestConfirmationSearches:
+    """The exact searches agree with the automaton constructions they
+    replaced and with the independent oracle searches."""
+
+    def test_searches_agree_with_constructions_and_oracle(self):
+        rng = random.Random(0)
+        outcomes = {"oc": set(), "moc": set(), "loc": set()}
+        outside = 0
+        for g in _agreement_plants():
+            ctx = build_context(g)
+            gl = ctx.plant
+            hi = sorted(ctx.alphabet.highlevel)
+            words = enumerate_bounded(gl, 3)
+            # every high-level string up to length 2, in Q(L) or not
+            ts = sorted({ctx.q.apply(w) for w in words}
+                        | {w for n in range(3)
+                           for w in itertools.product(hi, repeat=n)})
+            outside += sum(not oracle._q_extends(gl, t) for t in ts)
+            events = sorted(ctx.alphabet.highlevel)
+            for _ in range(25):
+                t, tp = rng.choice(ts), rng.choice(ts)
+                got = _oc_pair_exists(ctx, t, tp)
+                assert got == _reference_oc(ctx, t, tp), (g, t, tp)
+                assert got == oracle._exists_oc_pair(gl, t, tp), (g, t, tp)
+                outcomes["oc"].add(got)
+
+                s = rng.choice(words)
+                got = _moc_mate_exists(ctx, ctx.p.apply(s), tp)
+                assert got == _reference_moc(ctx, s, tp), (g, s, tp)
+                assert got == oracle._exists_moc_mate(
+                    gl, ctx.p.apply(s), tp), (g, s, tp)
+                outcomes["moc"].add(got)
+
+                sp, e = rng.choice(words), rng.choice(events)
+                got = _loc_continuations_exist(ctx, s, sp, e)
+                assert got == _reference_loc(ctx, s, sp, e), (g, s, sp, e)
+                assert got == oracle._loc_continuations_meet(
+                    gl, s, sp, e), (g, s, sp, e)
+                outcomes["loc"].add(got)
+        assert outside > 0
+        assert all(o == {True, False} for o in outcomes.values()), outcomes
 
 
 class TestModular:
