@@ -27,9 +27,8 @@ from .oracle import (PROPERTY_ORACLES, OracleReport, oracle_controllability,
                      oracle_normality, oracle_observability, oracle_observer,
                      oracle_oc, oracle_relative_observability,
                      oracle_sup_normal, oracle_sup_relobs)
-from .relations import (PairAutomaton, PairEvent, QuadAutomaton, QuadEvent,
-                        build_quad, decompose_pairs, decompose_sequence,
-                        pair_alphabet, quad_alphabet, relabel_pair,
+from .relations import (build_quad, decompose_pairs, decompose_sequence,
+                        label_name, pair_alphabet, quad_alphabet, relabel_pair,
                         sync_pair_compose)
 from .saut import SautParseError, parse_automaton, serialize_automaton
 from .verdicts import HOLDS, INCONCLUSIVE, VIOLATED, Verdict, Witness

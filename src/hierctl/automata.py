@@ -35,7 +35,10 @@ class PreconditionError(AutomataError):
 
 @dataclass(frozen=True)
 class Event:
-    name: str
+    """A named event; pair and quadruple events are named by a tuple of
+    base event names with None for an erased component."""
+
+    name: str | tuple
     controllable: bool = True
     observable: bool = True
     highlevel: bool = True
@@ -54,7 +57,11 @@ class Alphabet:
     def __post_init__(self):
         seen = set()
         for ev in self.events:
-            if not ev.name or any(ch.isspace() for ch in ev.name):
+            if isinstance(ev.name, tuple):
+                if all(x is None for x in ev.name):
+                    raise AutomataError(
+                        f"fully erased label {ev.name!r} is silent, not an event")
+            elif not ev.name or any(ch.isspace() for ch in ev.name):
                 raise AutomataError(f"bad event name {ev.name!r}")
             if ev.name in seen:
                 raise AutomataError(f"duplicate event {ev.name!r}")

@@ -14,11 +14,10 @@ from collections import deque
 from dataclasses import dataclass
 
 from .automata import (Automaton, PreconditionError, ProjectionSpec, all_marked,
-                       complete, determinize, difference, eliminate_silent,
-                       includes, intersect, inverse_project, is_prefix_closed,
-                       marked_saturate, parallel_compose, prefix_close, project,
-                       reachable_states, require_same_alphabet, trim,
-                       with_initial)
+                       complete, determinize, difference, includes, intersect,
+                       inverse_project, is_prefix_closed, marked_saturate,
+                       parallel_compose, prefix_close, project,
+                       require_same_alphabet, trim)
 from .verdicts import Verdict, Witness
 
 

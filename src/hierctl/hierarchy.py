@@ -44,13 +44,11 @@ from .automata import (Alphabet, Automaton, PreconditionError, ProjectionSpec,
                        merge_alphabets, parallel_compose, prefix_close,
                        project, right_quotient, trim, widen_alphabet,
                        with_initial)
-from .checks import (SynthReport, check_controllability, check_nonconflicting,
-                     check_normality, check_observability,
-                     check_relative_observability, sup_normal_closed,
+from .checks import (check_controllability, check_nonconflicting,
+                     check_normality, check_observability, sup_normal_closed,
                      sup_relobs_closed)
-from .relations import (PairAutomaton, QuadEvent, build_quad,
-                        decompose_sequence, quad_alphabet, relabel_pair,
-                        sync_pair_compose)
+from .relations import (build_quad, decompose_sequence, label_name,
+                        quad_alphabet, relabel_pair, sync_pair_compose)
 from .verdicts import Verdict, Witness
 
 DEFAULT_BUDGET = 10000
@@ -358,50 +356,53 @@ def _loc_continuations_exist(ctx: HierarchyContext, s: tuple, sp: tuple,
                          and e in plant.succ[n[2]])
 
 
-def check_oc(g: Automaton, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Observation consistency of the plant abstraction."""
-    ctx = build_context(g)
-    left = sync_pair_compose(ctx.abstraction, ctx.abstraction, ctx.shared)
+def _pair_consistency(ctx: HierarchyContext, kind: str, left: Automaton,
+                      left_keep: frozenset, key: str, exists, note: str,
+                      budget: int) -> Verdict:
+    """Shared body of OC and MOC: is L_m(left) included in the
+    P-synchronized self-product of the plant, with left components outside
+    `left_keep` and right components outside Σhi erased?
+
+    Each difference pair (x, t') is decided exactly by `exists(x, t')`; a
+    false answer gives a `kind` witness that names x by `key`.
+    """
     right = relabel_pair(
         sync_pair_compose(ctx.plant, ctx.plant, ctx.alphabet.observable),
-        "both")
-    la, ra = _common_pair(left.automaton, right.automaton)
-    v = includes(la, ra, kind="oc")
-    if v.holds:
+        left_keep, ctx.alphabet.highlevel)
+    la, ra = _common_pair(left, right)
+    if includes(la, ra).holds:
         return Verdict.make_holds()
 
     def confirm(tup, word):
-        t, tp = tup
-        if not _oc_pair_exists(ctx, t, tp):
-            return Witness("oc", {"t": t, "t_prime": tp, "sequence": word},
-                           "no representatives of t and t' share an observation")
-        return None
+        x, tp = tup
+        if exists(x, tp):
+            return None
+        return Witness(kind, {key: x, "t_prime": tp,
+                              "sequence": tuple(map(label_name, word))}, note)
 
     return _refutation_loop(iter_difference_words(la, ra), budget,
                             decompose_sequence, confirm)
+
+
+def check_oc(g: Automaton, budget: int = DEFAULT_BUDGET) -> Verdict:
+    """Observation consistency of the plant abstraction."""
+    ctx = build_context(g)
+    return _pair_consistency(
+        ctx, "oc", sync_pair_compose(ctx.abstraction, ctx.abstraction,
+                                     ctx.shared),
+        ctx.alphabet.highlevel, "t",
+        lambda t, tp: _oc_pair_exists(ctx, t, tp),
+        "no representatives of t and t' share an observation", budget)
 
 
 def check_moc(g: Automaton, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Modified observation consistency of the plant abstraction."""
     ctx = build_context(g)
-    left = sync_pair_compose(ctx.plant, ctx.abstraction, ctx.shared)
-    right = relabel_pair(
-        sync_pair_compose(ctx.plant, ctx.plant, ctx.alphabet.observable),
-        "right")
-    la, ra = _common_pair(left.automaton, right.automaton)
-    v = includes(la, ra, kind="moc")
-    if v.holds:
-        return Verdict.make_holds()
-
-    def confirm(tup, word):
-        s, tp = tup
-        if not _moc_mate_exists(ctx, ctx.p.apply(s), tp):
-            return Witness("moc", {"s": s, "t_prime": tp, "sequence": word},
-                           "no representative of t' shares the observation of s")
-        return None
-
-    return _refutation_loop(iter_difference_words(la, ra), budget,
-                            decompose_sequence, confirm)
+    return _pair_consistency(
+        ctx, "moc", sync_pair_compose(ctx.plant, ctx.abstraction, ctx.shared),
+        frozenset(ctx.alphabet.names), "s",
+        lambda s, tp: _moc_mate_exists(ctx, ctx.p.apply(s), tp),
+        "no representative of t' shares the observation of s", budget)
 
 
 def moc_structurally_guaranteed(alphabet: Alphabet) -> bool:
@@ -425,7 +426,6 @@ def _tracked_product(alphabet: Alphabet, trackers) -> Automaton:
     component consumes its coordinate letter (or stays put on an erased
     coordinate). Every state is marked.
     """
-    decoded = {n: QuadEvent.parse(n).parts for n in alphabet.names}
     if any(not d.states for d, _ in trackers):
         return empty_language(alphabet)
     init = tuple(next(iter(d.initial)) for d, _ in trackers)
@@ -435,12 +435,11 @@ def _tracked_product(alphabet: Alphabet, trackers) -> Automaton:
     queue = deque([init])
     while queue:
         cur = queue.popleft()
-        for name in alphabet.names:
-            parts = decoded[name]
+        for lbl in alphabet.names:
             nxt = []
             ok = True
             for (d, coord), q in zip(trackers, cur):
-                letter = parts[coord]
+                letter = lbl[coord]
                 if letter is None:
                     nxt.append(q)
                     continue
@@ -456,7 +455,7 @@ def _tracked_product(alphabet: Alphabet, trackers) -> Automaton:
                 names[nxt] = "(" + "|".join(nxt) + ")"
                 order.append(nxt)
                 queue.append(nxt)
-            trans.add((names[cur], name, names[nxt]))
+            trans.add((names[cur], lbl, names[nxt]))
     states = tuple(names[s] for s in order)
     return Automaton(alphabet, states, frozenset(trans),
                      frozenset({names[init]}), frozenset(states))
@@ -470,11 +469,11 @@ def _loc_divisor(ctx: HierarchyContext, alphabet: Alphabet, e: str) -> Automaton
         if a in base.highlevel:
             continue
         if a in base.observable:
-            loops.append(QuadEvent.of(a, None, a, None).name)
+            loops.append((a, None, a, None))
         else:
-            loops.append(QuadEvent.of(a, None, None, None).name)
-            loops.append(QuadEvent.of(None, None, a, None).name)
-    marker = QuadEvent.of(e, None, e, None).name
+            loops.append((a, None, None, None))
+            loops.append((None, None, a, None))
+    marker = (e, None, e, None)
     trans = {("d0", lbl, "d0") for lbl in loops} | {("d0", marker, "d1")}
     return Automaton(alphabet, ("d0", "d1"), frozenset(trans),
                      frozenset({"d0"}), frozenset({"d1"}))
@@ -483,10 +482,9 @@ def _loc_divisor(ctx: HierarchyContext, alphabet: Alphabet, e: str) -> Automaton
 def _loc_for_event(ctx: HierarchyContext, e: str, budget: int) -> Verdict:
     alphabet = quad_alphabet(ctx.alphabet, loc_events=(e,))
     hq = build_quad(ctx.plant, alphabet)
-    marker = QuadEvent.of(None, e, None, e).name
     ql_d = determinize(ctx.abstraction)
     comp24 = _tracked_product(alphabet, [(ql_d, 1), (ql_d, 3)])
-    left = intersect(append_event(hq.automaton, marker), comp24)
+    left = intersect(append_event(hq, (None, e, None, e)), comp24)
 
     gd = determinize(ctx.plant)
     dividend = _tracked_product(alphabet, [(gd, 0), (gd, 2)])
@@ -500,12 +498,13 @@ def _loc_for_event(ctx: HierarchyContext, e: str, budget: int) -> Verdict:
         s, _, sp, _ = tup
         if not _loc_continuations_exist(ctx, s, sp, e):
             return Witness(
-                "loc", {"s": s, "s_prime": sp, "e": (e,), "sequence": word},
+                "loc", {"s": s, "s_prime": sp, "e": (e,),
+                        "sequence": tuple(map(label_name, word))},
                 "no observation-equivalent low-level continuations reach e")
         return None
 
     return _refutation_loop(iter_difference_words(left, right), budget,
-                            lambda w: decompose_sequence(w, "quad"),
+                            lambda w: decompose_sequence(w, 4),
                             confirm)
 
 

@@ -1,10 +1,12 @@
-"""Pair-event machinery: synchronized pair composition, component
-relabelings, and the quadruple automaton used by the LOC decision procedure.
+"""Pair and quadruple events: synchronized pair composition, component
+erasure, and the quadruple automaton used by the LOC decision procedure.
 
-Pair events are first-class alphabet members of ordinary automata, so the
-whole regular-language toolbox (inclusion, difference, enumeration) applies
-to them unchanged. A pair event renders as "l:r" with "-" for an erased
-component; a quadruple event is a pair of pairs, rendered "a:b|c:d".
+A pair event is the tuple (l, r) and a quadruple event the tuple
+(a, b, c, d) of base event names, with None for an erased component. These
+tuples are the alphabet members and transition labels of ordinary automata,
+so the whole regular-language toolbox (inclusion, difference, enumeration)
+applies to them unchanged, and no label is ever parsed. `label_name`
+renders a label for display in witnesses only.
 
 Sequence-level versus pair-level semantics is the central trap here: an
 accepted *sequence* of pair events determines one string pair by
@@ -17,102 +19,19 @@ questions go through `decompose_pairs` or the realizability confirmation in
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
 
 from .automata import (Alphabet, Automaton, AutomataError, Event,
                        eliminate_silent, iter_marked_words, merge_alphabets)
 
-EPS_MARK = "-"
 
+def label_name(label: tuple) -> str:
+    """Display name of a label: "l:r" or "a:b|c:d", "-" for an erased part.
 
-@dataclass(frozen=True)
-class PairEvent:
-    left: str | None
-    right: str | None
-
-    def __post_init__(self):
-        if self.left is None and self.right is None:
-            raise AutomataError("fully erased pair events are silent, not events")
-
-    @property
-    def name(self) -> str:
-        return f"{self.left or EPS_MARK}:{self.right or EPS_MARK}"
-
-    @staticmethod
-    def parse(name: str) -> "PairEvent":
-        l, _, r = name.partition(":")
-        return PairEvent(None if l == EPS_MARK else l,
-                         None if r == EPS_MARK else r)
-
-
-@dataclass(frozen=True)
-class QuadEvent:
-    """Quadruple event as a pair of pairs; components may each be erased."""
-
-    first: PairEvent | None
-    second: PairEvent | None
-
-    @property
-    def parts(self) -> tuple:
-        a = self.first.left if self.first else None
-        b = self.first.right if self.first else None
-        c = self.second.left if self.second else None
-        d = self.second.right if self.second else None
-        return (a, b, c, d)
-
-    @property
-    def name(self) -> str:
-        a, b, c, d = self.parts
-        return "{}:{}|{}:{}".format(a or EPS_MARK, b or EPS_MARK,
-                                    c or EPS_MARK, d or EPS_MARK)
-
-    @staticmethod
-    def of(a, b, c, d) -> "QuadEvent":
-        first = PairEvent(a, b) if (a or b) else None
-        second = PairEvent(c, d) if (c or d) else None
-        if first is None and second is None:
-            raise AutomataError("fully erased quadruple")
-        return QuadEvent(first, second)
-
-    @staticmethod
-    def parse(name: str) -> "QuadEvent":
-        fst, _, snd = name.partition("|")
-        a, _, b = fst.partition(":")
-        c, _, d = snd.partition(":")
-        conv = lambda x: None if x == EPS_MARK else x
-        return QuadEvent.of(conv(a), conv(b), conv(c), conv(d))
-
-
-@dataclass(frozen=True)
-class PairAutomaton:
-    """Automaton over pair events plus its two component alphabets."""
-
-    automaton: Automaton
-    left: Alphabet
-    right: Alphabet
-
-    @cached_property
-    def decoded(self) -> dict:
-        return {name: PairEvent.parse(name)
-                for name in self.automaton.alphabet.names}
-
-
-@dataclass(frozen=True)
-class QuadAutomaton:
-    """Automaton over quadruple events plus the base alphabet."""
-
-    automaton: Automaton
-    base: Alphabet
-
-    @cached_property
-    def decoded(self) -> dict:
-        return {name: QuadEvent.parse(name)
-                for name in self.automaton.alphabet.names}
-
-
-def _pair_event(name: str | None, other: str | None) -> Event:
-    return Event(PairEvent(name, other).name)
+    Display only: the name is ambiguous when event names contain ":", "|"
+    or "-", so nothing parses it back.
+    """
+    parts = ["-" if x is None else x for x in label]
+    return "|".join(":".join(parts[i:i + 2]) for i in range(0, len(parts), 2))
 
 
 def pair_alphabet(a: Alphabet, b: Alphabet, sync: frozenset) -> Alphabet:
@@ -122,16 +41,16 @@ def pair_alphabet(a: Alphabet, b: Alphabet, sync: frozenset) -> Alphabet:
     for e in common.names:
         if e in sync:
             if e in a and e in b:
-                events.append(Event(PairEvent(e, e).name))
+                events.append(Event((e, e)))
         else:
             if e in a:
-                events.append(Event(PairEvent(e, None).name))
+                events.append(Event((e, None)))
             if e in b:
-                events.append(Event(PairEvent(None, e).name))
+                events.append(Event((None, e)))
     return Alphabet(tuple(events))
 
 
-def sync_pair_compose(a: Automaton, b: Automaton, sync) -> PairAutomaton:
+def sync_pair_compose(a: Automaton, b: Automaton, sync) -> Automaton:
     """Pair product synchronizing only on `sync`.
 
     Accepted sequences decompose to exactly the pairs (w, w') in
@@ -158,91 +77,70 @@ def sync_pair_compose(a: Automaton, b: Automaton, sync) -> PairAutomaton:
             queue.append(pq)
     while queue:
         p, q = queue.popleft()
-        moves = []
-        for e in common.names:
-            if e in sync:
-                if e in a.alphabet and e in b.alphabet:
-                    for pn in a.succ[p].get(e, ()):
-                        for qn in b.succ[q].get(e, ()):
-                            moves.append((PairEvent(e, e).name, (pn, qn)))
-            else:
-                if e in a.alphabet:
-                    for pn in a.succ[p].get(e, ()):
-                        moves.append((PairEvent(e, None).name, (pn, q)))
-                if e in b.alphabet:
-                    for qn in b.succ[q].get(e, ()):
-                        moves.append((PairEvent(None, e).name, (p, qn)))
-        for lbl, nxt in moves:
-            if nxt not in names:
-                names[nxt] = f"({nxt[0]}|{nxt[1]})"
-                order.append(nxt)
-                queue.append(nxt)
-            trans.add((names[(p, q)], lbl, names[nxt]))
+        # an erased component stays put, a named one must move
+        for lbl in alphabet.names:
+            l, r = lbl
+            for pn in (p,) if l is None else a.succ[p].get(l, ()):
+                for qn in (q,) if r is None else b.succ[q].get(r, ()):
+                    nxt = (pn, qn)
+                    if nxt not in names:
+                        names[nxt] = f"({pn}|{qn})"
+                        order.append(nxt)
+                        queue.append(nxt)
+                    trans.add((names[(p, q)], lbl, names[nxt]))
     marked = frozenset(names[(p, q)] for (p, q) in order
                        if p in a.marked and q in b.marked)
-    aut = Automaton(alphabet, tuple(names[s] for s in order), frozenset(trans),
-                    frozenset(names[s] for s in start), marked)
-    return PairAutomaton(aut, a.alphabet, b.alphabet)
+    return Automaton(alphabet, tuple(names[s] for s in order), frozenset(trans),
+                     frozenset(names[s] for s in start), marked)
 
 
-def relabel_pair(p: PairAutomaton, mode: str) -> PairAutomaton:
-    """Erase non-high-level letters component-wise.
+def relabel_pair(p: Automaton, left_keep, right_keep) -> Automaton:
+    """Erase left components outside `left_keep` and right ones outside
+    `right_keep`.
 
-    mode "both" applies the high-level projection to both components; mode
-    "right" only to the right one. Pairs erased to (ε,ε) become silent and
-    are eliminated.
+    Pairs erased to (ε,ε) become silent and are eliminated. Pairs with the
+    same image share one label object.
     """
-    if mode not in ("both", "right"):
-        raise AutomataError(f"unknown relabel mode {mode!r}")
-    left_keep = p.left.highlevel if mode == "both" else frozenset(p.left.names)
-    right_keep = p.right.highlevel
-
-    def image(name: str) -> str | None:
-        pe = p.decoded[name]
-        l = pe.left if (pe.left and pe.left in left_keep) else None
-        r = pe.right if (pe.right and pe.right in right_keep) else None
-        if l is None and r is None:
-            return None
-        return PairEvent(l, r).name
-
-    new_names = []
-    seen = set()
-    for name in p.automaton.alphabet.names:
-        img = image(name)
-        if img is not None and img not in seen:
-            seen.add(img)
-            new_names.append(img)
-    alphabet = Alphabet(tuple(Event(n) for n in new_names))
-    trans = frozenset((src, image(lbl), dst)
-                      for (src, lbl, dst) in p.automaton.transitions)
-    aut = eliminate_silent(Automaton(alphabet, p.automaton.states, trans,
-                                     p.automaton.initial, p.automaton.marked))
-    new_left = p.left.restrict(p.left.highlevel) if mode == "both" else p.left
-    return PairAutomaton(aut, new_left, p.right.restrict(p.right.highlevel))
+    image: dict = {}
+    shared: dict = {}
+    for l, r in p.alphabet.names:
+        img = (l if l in left_keep else None, r if r in right_keep else None)
+        if img != (None, None):
+            image[(l, r)] = shared.setdefault(img, img)
+    alphabet = Alphabet(tuple(Event(lbl) for lbl in shared))
+    trans = frozenset((src, image.get(lbl), dst)
+                      for (src, lbl, dst) in p.transitions)
+    return eliminate_silent(Automaton(alphabet, p.states, trans, p.initial,
+                                      p.marked))
 
 
-def decompose_sequence(word, kind: str = "pair") -> tuple:
-    """Component-wise concatenation of a pair/quad event-name sequence."""
-    if kind == "pair":
-        comps: tuple = ((), ())
-        for name in word:
-            pe = PairEvent.parse(name)
-            comps = (comps[0] + ((pe.left,) if pe.left else ()),
-                     comps[1] + ((pe.right,) if pe.right else ()))
-        return comps
-    out = [(), (), (), ()]
-    for name in word:
-        qe = QuadEvent.parse(name)
-        for i, x in enumerate(qe.parts):
-            if x is not None:
-                out[i] = out[i] + (x,)
-    return tuple(out)
+def decompose_sequence(word, width: int = 2) -> tuple:
+    """Component-wise concatenation of pair (width 2) or quadruple
+    (width 4) labels."""
+    return tuple(tuple(lbl[i] for lbl in word if lbl[i] is not None)
+                 for i in range(width))
 
 
-def decompose_pairs(p: PairAutomaton, bound: int) -> list:
+def decompose_pairs(p: Automaton, bound: int) -> list:
     """Deduplicated string pairs from accepted sequences of length <= bound."""
-    pairs = {decompose_sequence(w) for w in iter_marked_words(p.automaton, bound)}
+    pairs = {decompose_sequence(w) for w in iter_marked_words(p, bound)}
     return sorted(pairs)
+
+
+def _quad_labels(base: Alphabet) -> dict:
+    """Base event -> its quadruple labels, one per transition-rule group."""
+    obs, hi = base.observable, base.highlevel
+    out = {}
+    for a in base.names:
+        if a in obs and a in hi:
+            out[a] = ((a, a, a, a),)
+        elif a in obs:
+            out[a] = ((a, None, a, None),)
+        elif a in hi:
+            out[a] = ((a, a, None, None), (None, None, a, a))
+        else:
+            out[a] = ((a, None, None, None), (None, None, a, None))
+    return out
 
 
 def quad_alphabet(base: Alphabet, loc_events=()) -> Alphabet:
@@ -252,26 +150,14 @@ def quad_alphabet(base: Alphabet, loc_events=()) -> Alphabet:
     marker quadruples (ε,e,ε,e) and (e,ε,e,ε) for each event in `loc_events`
     (the controllable high-level events whose LOC instances are checked).
     """
-    obs, hi = base.observable, base.highlevel
-    events: list[str] = []
-    for a in base.names:
-        if a in obs and a in hi:
-            events.append(QuadEvent.of(a, a, a, a).name)
-        elif a in obs:
-            events.append(QuadEvent.of(a, None, a, None).name)
-        elif a in hi:
-            events.append(QuadEvent.of(a, a, None, None).name)
-            events.append(QuadEvent.of(None, None, a, a).name)
-        else:
-            events.append(QuadEvent.of(a, None, None, None).name)
-            events.append(QuadEvent.of(None, None, a, None).name)
+    labels = [lbl for group in _quad_labels(base).values() for lbl in group]
     for e in loc_events:
-        events.append(QuadEvent.of(None, e, None, e).name)
-        events.append(QuadEvent.of(e, None, e, None).name)
-    return Alphabet(tuple(Event(n) for n in events))
+        labels.append((None, e, None, e))
+        labels.append((e, None, e, None))
+    return Alphabet(tuple(Event(lbl) for lbl in labels))
 
 
-def build_quad(g: Automaton, alphabet: Alphabet | None = None) -> QuadAutomaton:
+def build_quad(g: Automaton, alphabet: Alphabet | None = None) -> Automaton:
     """The verifier automaton H over state space Q^4.
 
     Accepted quadruple sequences decompose to exactly the tuples
@@ -282,36 +168,38 @@ def build_quad(g: Automaton, alphabet: Alphabet | None = None) -> QuadAutomaton:
     if alphabet is None:
         alphabet = quad_alphabet(base)
     obs, hi = base.observable, base.highlevel
+    labels = _quad_labels(base)
 
     def rules(p, q, r, s):
-        # each yields (quad-name, next-state) mirroring the four rule groups
+        # each yields (label, next-state) mirroring the four rule groups
         for a in base.names:
+            lbl = labels[a]
             if a in obs and a in hi:
                 for pn in g.succ[p].get(a, ()):
                     for qn in g.succ[q].get(a, ()):
                         for rn in g.succ[r].get(a, ()):
                             for sn in g.succ[s].get(a, ()):
-                                yield QuadEvent.of(a, a, a, a).name, (pn, qn, rn, sn)
+                                yield lbl[0], (pn, qn, rn, sn)
             elif a in obs:
                 for pn in g.succ[p].get(a, ()):
                     for rn in g.succ[r].get(a, ()):
                         for qn in g.succ[q].get(a, ()) + (q,):
                             for sn in g.succ[s].get(a, ()) + (s,):
-                                yield QuadEvent.of(a, None, a, None).name, (pn, qn, rn, sn)
+                                yield lbl[0], (pn, qn, rn, sn)
             elif a in hi:
                 for pn in g.succ[p].get(a, ()):
                     for qn in g.succ[q].get(a, ()):
-                        yield QuadEvent.of(a, a, None, None).name, (pn, qn, r, s)
+                        yield lbl[0], (pn, qn, r, s)
                 for rn in g.succ[r].get(a, ()):
                     for sn in g.succ[s].get(a, ()):
-                        yield QuadEvent.of(None, None, a, a).name, (p, q, rn, sn)
+                        yield lbl[1], (p, q, rn, sn)
             else:
                 for pn in g.succ[p].get(a, ()):
                     for qn in g.succ[q].get(a, ()) + (q,):
-                        yield QuadEvent.of(a, None, None, None).name, (pn, qn, r, s)
+                        yield lbl[0], (pn, qn, r, s)
                 for rn in g.succ[r].get(a, ()):
                     for sn in g.succ[s].get(a, ()) + (s,):
-                        yield QuadEvent.of(None, None, a, None).name, (p, q, rn, sn)
+                        yield lbl[1], (p, q, rn, sn)
 
     init = [(p, q, r, s)
             for p in g.sorted_states(g.initial) for q in g.sorted_states(g.initial)
@@ -332,6 +220,5 @@ def build_quad(g: Automaton, alphabet: Alphabet | None = None) -> QuadAutomaton:
                 queue.append(nxt)
             trans.add((names[st], lbl, names[nxt]))
     marked = frozenset(names[st] for st in order if all(x in g.marked for x in st))
-    aut = Automaton(alphabet, tuple(names[st] for st in order), frozenset(trans),
-                    frozenset(names[st] for st in init), marked)
-    return QuadAutomaton(aut, base)
+    return Automaton(alphabet, tuple(names[st] for st in order), frozenset(trans),
+                     frozenset(names[st] for st in init), marked)

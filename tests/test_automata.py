@@ -149,17 +149,17 @@ def test_difference_words_match_trimmed_difference(a, b):
 def test_difference_words_start_length_lex_first_not_at_inclusion_witness():
     # The OC pair of check_oc on this plant: the inclusion witness is
     # shortest, but the first difference word in length-lex order (pair
-    # events ordered with "e0:-" before "-:e0") is another one.
+    # events ordered with ("e0", None) before (None, "e0")) is another one.
     ctx = build_context(random_plant(GeneratorParams(32, 5, 0.35, seed=2)))
     left = sync_pair_compose(ctx.abstraction, ctx.abstraction, ctx.shared)
     right = relabel_pair(
         sync_pair_compose(ctx.plant, ctx.plant, ctx.alphabet.observable),
-        "both")
-    la, ra = _common_pair(left.automaton, right.automaton)
+        ctx.alphabet.highlevel, ctx.alphabet.highlevel)
+    la, ra = _common_pair(left, right)
     first = next(iter_difference_words(la, ra))
-    assert first == ("e2:e2", "e4:e4", "e0:-", "e3:e3")
+    assert first == (("e2", "e2"), ("e4", "e4"), ("e0", None), ("e3", "e3"))
     assert includes(la, ra).witness.strings["word"] == (
-        "e2:e2", "e4:e4", "-:e0", "e3:e3")
+        ("e2", "e2"), ("e4", "e4"), (None, "e0"), ("e3", "e3"))
 
 
 def test_prefix_close_and_saturate():

@@ -6,9 +6,10 @@ import random
 import pytest
 
 from hierctl import oracle
-from hierctl.automata import (Automaton, all_marked, enumerate_bounded,
-                              intersect, inverse_project, is_empty,
-                              language_equal, project, word_automaton)
+from hierctl.automata import (Alphabet, Automaton, Event, all_marked,
+                              enumerate_bounded, intersect, inverse_project,
+                              is_empty, language_equal, project,
+                              word_automaton)
 from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
                              gadget_oc, random_nfa, random_plant,
                              random_sublanguage)
@@ -115,6 +116,64 @@ class TestRefutationRegressions:
         assert v.detail == {"examined": 1}
         assert v.witness.strings == {"s": ("#", "a0"), "t_prime": ("a0",),
                                      "sequence": ("#:-", "a0:a0")}
+
+
+# Event names built from the characters of the pair/quad display layout,
+# and state names built from those of product and subset state names.
+ODD_EVENTS = ({"b": "p|q"}, {"b": "x:y"}, {"b": "-"}, {"a": "a:-"},
+              {"a": "(x,y)"}, {"c": "{b}'"}, {"c": "c|-:d"},
+              {"a": "a:-", "b": "p|q", "c": "c|-:d"},
+              {"a": "-", "b": "x:y", "c": "{b}'"},
+              {"a": "(x,y)", "b": "-", "c": "x:y"})
+ODD_STATES = {"n0": "{n0,x}|(n0)", "n1": "(n1)", "n2": "n2|n3",
+              "n3": "{n3}", "n5": "n5,'", "n6": "-:-"}
+
+
+def _renamed(g: Automaton, events: dict, states: dict) -> Automaton:
+    ev = lambda x: events.get(x, x)
+    st = lambda q: states.get(q, q)
+    alphabet = Alphabet(tuple(Event(ev(e.name), *e.flags)
+                              for e in g.alphabet.events))
+    return Automaton(alphabet, tuple(map(st, g.states)),
+                     frozenset((st(p), ev(x), st(q))
+                               for (p, x, q) in g.transitions),
+                     frozenset(map(st, g.initial)),
+                     frozenset(map(st, g.marked)))
+
+
+class TestOddNames:
+    """Verdicts and witnesses do not depend on how events and states are
+    named, even when names look like pair or quad labels."""
+
+    CHECKS = {"oc": (check_oc, oracle.oracle_oc),
+              "moc": (check_moc, oracle.oracle_moc),
+              "loc": (check_loc, oracle.oracle_loc)}
+
+    @pytest.mark.parametrize("states", [{}, ODD_STATES],
+                             ids=["plain-states", "odd-states"])
+    @pytest.mark.parametrize("events", ODD_EVENTS,
+                             ids=lambda m: ",".join(map(str, m.values())))
+    def test_renamed_plant_keeps_verdicts_and_witnesses(self, ex1_plant,
+                                                        events, states):
+        g = _renamed(ex1_plant, events, states)
+
+        def rename_label(name):
+            # the original names a, b, c hold no ':', '|' or '-'
+            return "|".join(":".join(events.get(x, x) for x in pair.split(":"))
+                            for pair in name.split("|"))
+
+        for prop, (check, oracle_check) in self.CHECKS.items():
+            want, got = check(ex1_plant), check(g)
+            assert got.outcome == want.outcome, prop
+            assert got.detail == want.detail, prop
+            assert oracle_check(g, 6).ok == got.holds, prop
+            if want.witness is None:
+                assert got.witness is None, prop
+                continue
+            expected = {k: tuple(map(rename_label, v)) if k == "sequence"
+                        else tuple(events.get(x, x) for x in v)
+                        for k, v in want.witness.strings.items()}
+            assert got.witness.strings == expected, prop
 
 
 # The automaton constructions the confirmation searches replaced; they are
