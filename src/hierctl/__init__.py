@@ -7,8 +7,7 @@ from .automata import (Alphabet, AlphabetMismatchError, AutomataError,
                        includes, intersect, inverse_project, is_empty,
                        is_prefix_closed, iter_marked_words, language_equal,
                        parallel_compose, prefix_close, project,
-                       right_quotient, sigma_star, trim, union,
-                       word_automaton)
+                       right_quotient, sigma_star, trim, word_automaton)
 from .checks import (SynthReport, check_controllability, check_nonconflicting,
                      check_normality, check_observability,
                      check_relative_observability, sup_normal_closed,

@@ -7,8 +7,14 @@ cross-automaton operations assume silent-free inputs and enforce it
 themselves.
 
 All values are immutable; every operation is a pure function of its inputs.
-Generated state ids are derived deterministically from input ids, so equal
-inputs give byte-identical outputs.
+A state id is any hashable value. Automata built by name (parsed files,
+gadgets, the small builders) keep their names, and the operations that only
+filter or re-mark states keep the ids they receive. Every product and subset
+construction goes through `explore`, which numbers the reachable states
+0..n-1 in breadth-first discovery order (start states first, then targets in
+alphabet order); its state keys are hashed but never formatted into names, so
+distinct keys never share a state, and equal inputs give byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -95,10 +101,6 @@ class Alphabet:
         return frozenset(e.name for e in self.events if e.observable)
 
     @cached_property
-    def unobservable(self) -> frozenset:
-        return frozenset(e.name for e in self.events if not e.observable)
-
-    @cached_property
     def highlevel(self) -> frozenset:
         return frozenset(e.name for e in self.events if e.highlevel)
 
@@ -138,10 +140,6 @@ class ProjectionSpec:
         if extra:
             raise AutomataError(f"kept events not in source: {sorted(extra)}")
 
-    @staticmethod
-    def of(source: Alphabet, kept: Iterable[str]) -> "ProjectionSpec":
-        return ProjectionSpec(source, frozenset(kept))
-
     @cached_property
     def target_alphabet(self) -> Alphabet:
         return self.source.restrict(self.kept)
@@ -155,7 +153,7 @@ class Automaton:
     """NFA with initial/marked state sets; label None is the silent move."""
 
     alphabet: Alphabet
-    states: tuple[str, ...]
+    states: tuple   # hashable ids: names, or 0..n-1 from `explore`
     transitions: frozenset
     initial: frozenset
     marked: frozenset
@@ -365,49 +363,65 @@ def is_empty(a: Automaton) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# determinization, completion, complement
+# the construction kernel, determinization, completion
 
-def _subset_name(a: Automaton, subset: frozenset) -> str:
-    return "{" + ",".join(a.sorted_states(subset)) + "}"
+def explore(alphabet: Alphabet, starts: Iterable, moves, marked) -> Automaton:
+    """Reachable part of an implicitly given automaton over `alphabet`.
+
+    Keys are any hashable values (states, pairs, subsets, quadruples).
+    `starts` lists the start keys, `moves(key)` yields (label, key) steps and
+    `marked(key)` tells whether a key is marked. States are numbered 0..n-1
+    in breadth-first discovery order: the distinct start keys in the order
+    given, then each new target in the order `moves` yields it. Keys are
+    never named, so two distinct keys never share a state.
+    """
+    # Each state is one int object, shared by every tuple and set that holds
+    # it: ints above 256 are not cached, and a copy per mention costs memory.
+    index: dict = {}
+    keys: list = []
+
+    def number(key) -> int:
+        i = index.get(key)
+        if i is None:
+            i = index[key] = len(keys)
+            keys.append(key)
+        return i
+
+    initial = frozenset(map(number, starts))
+    trans = set()
+    for key in keys:  # `keys` grows while it is read: the BFS queue
+        src = index[key]
+        for lbl, nxt in moves(key):
+            trans.add((src, lbl, number(nxt)))
+    states = tuple(index.values())
+    return Automaton(alphabet, states, frozenset(trans), initial,
+                     frozenset(i for i, key in zip(states, keys)
+                               if marked(key)))
 
 
 def determinize(a: Automaton) -> Automaton:
     """Subset construction preserving both L and L_m (partial DFA)."""
     a = eliminate_silent(a)
-    start = frozenset(a.initial)
-    if not start:
-        return Automaton(a.alphabet, (), frozenset(), frozenset(), frozenset())
-    names = {start: _subset_name(a, start)}
-    order = [start]
-    trans = set()
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
+
+    def moves(cur):
         for e in a.alphabet.names:
             nxt = a.step(cur, e)
-            if not nxt:
-                continue
-            if nxt not in names:
-                names[nxt] = _subset_name(a, nxt)
-                order.append(nxt)
-                queue.append(nxt)
-            trans.add((names[cur], e, names[nxt]))
-    marked = frozenset(names[s] for s in order if s & a.marked)
-    return Automaton(a.alphabet, tuple(names[s] for s in order),
-                     frozenset(trans), frozenset({names[start]}), marked)
+            if nxt:
+                yield e, nxt
+
+    start = frozenset(a.initial)
+    return explore(a.alphabet, [start] if start else [], moves,
+                   lambda cur: not a.marked.isdisjoint(cur))
 
 
-def _fresh_state(base: str, taken: Iterable[str]) -> str:
-    taken = set(taken)
-    name = base
-    while name in taken:
-        name += "'"
-    return name
+def _unused_id(a: Automaton) -> int:
+    """A state id that `a` lacks: one past its largest integer id."""
+    return 1 + max((s for s in a.states if isinstance(s, int)), default=-1)
 
 
-def complete(a: Automaton) -> tuple[Automaton, str]:
+def complete(a: Automaton) -> tuple[Automaton, int]:
     """Total transition function via a fresh dead state; returns (aut, dead)."""
-    dead = _fresh_state("(dead)", a.states)
+    dead = _unused_id(a)
     trans = set(a.transitions)
     for q in a.states:
         for e in a.alphabet.names:
@@ -418,11 +432,6 @@ def complete(a: Automaton) -> tuple[Automaton, str]:
     out = Automaton(a.alphabet, a.states + (dead,), frozenset(trans),
                     a.initial or frozenset({dead}), a.marked)
     return out, dead
-
-
-def complement(a: Automaton) -> Automaton:
-    d, dead = complete(determinize(a))
-    return replace(d, marked=frozenset(d.states) - d.marked)
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +524,6 @@ def inverse_project(a: Automaton, spec: ProjectionSpec) -> Automaton:
 # ---------------------------------------------------------------------------
 # products and boolean operations
 
-def _pair_name(p: str, q: str) -> str:
-    return f"({p}|{q})"
-
-
 def parallel_compose(a: Automaton, b: Automaton) -> Automaton:
     """Synchronous composition; shared events synchronize, private interleave."""
     alphabet = merge_alphabets(a.alphabet, b.alphabet)
@@ -527,57 +532,29 @@ def parallel_compose(a: Automaton, b: Automaton) -> Automaton:
     in_a = set(a.alphabet.names)
     in_b = set(b.alphabet.names)
 
-    start = [(p, q) for p in a.sorted_states(a.initial)
-             for q in b.sorted_states(b.initial)]
-    names = {}
-    order = []
-    trans = set()
-    queue = deque()
-    for pq in start:
-        if pq not in names:
-            names[pq] = _pair_name(*pq)
-            order.append(pq)
-            queue.append(pq)
-    while queue:
-        p, q = queue.popleft()
+    def moves(pq):
+        p, q = pq
         for e in alphabet.names:
             if e in in_a and e in in_b:
-                nexts = [(pn, qn) for pn in a.succ[p].get(e, ())
-                         for qn in b.succ[q].get(e, ())]
+                for pn in a.succ[p].get(e, ()):
+                    for qn in b.succ[q].get(e, ()):
+                        yield e, (pn, qn)
             elif e in in_a:
-                nexts = [(pn, q) for pn in a.succ[p].get(e, ())]
+                for pn in a.succ[p].get(e, ()):
+                    yield e, (pn, q)
             else:
-                nexts = [(p, qn) for qn in b.succ[q].get(e, ())]
-            for nxt in nexts:
-                if nxt not in names:
-                    names[nxt] = _pair_name(*nxt)
-                    order.append(nxt)
-                    queue.append(nxt)
-                trans.add((names[(p, q)], e, names[nxt]))
-    marked = frozenset(names[(p, q)] for (p, q) in order
-                       if p in a.marked and q in b.marked)
-    return Automaton(alphabet, tuple(names[pq] for pq in order),
-                     frozenset(trans), frozenset(names[pq] for pq in start),
-                     marked)
+                for qn in b.succ[q].get(e, ()):
+                    yield e, (p, qn)
+
+    return explore(alphabet,
+                   [(p, q) for p in a.sorted_states(a.initial)
+                    for q in b.sorted_states(b.initial)],
+                   moves, lambda pq: pq[0] in a.marked and pq[1] in b.marked)
 
 
 def intersect(a: Automaton, b: Automaton) -> Automaton:
     require_same_alphabet(a, b)
     return parallel_compose(a, b)
-
-
-def union(a: Automaton, b: Automaton) -> Automaton:
-    require_same_alphabet(a, b)
-    a = eliminate_silent(a)
-    b = eliminate_silent(b)
-    states = tuple(f"l({s})" for s in a.states) + tuple(f"r({s})" for s in b.states)
-    trans = {(f"l({s})", e, f"l({t})") for (s, e, t) in a.transitions} | \
-            {(f"r({s})", e, f"r({t})") for (s, e, t) in b.transitions}
-    return Automaton(a.alphabet, states, frozenset(trans),
-                     frozenset(f"l({s})" for s in a.initial) |
-                     frozenset(f"r({s})" for s in b.initial),
-                     frozenset(f"l({s})" for s in a.marked) |
-                     frozenset(f"r({s})" for s in b.marked))
 
 
 def difference(a: Automaton, b: Automaton) -> Automaton:
@@ -587,39 +564,19 @@ def difference(a: Automaton, b: Automaton) -> Automaton:
     b = eliminate_silent(b)
     b0 = frozenset(b.initial)
 
-    def name(qa, bs):
-        return _pair_name(qa, _subset_name(b, bs))
-
-    names = {}
-    order = []
-    trans = set()
-    queue = deque()
-    for qa in a.sorted_states(a.initial):
-        key = (qa, b0)
-        if key not in names:
-            names[key] = name(*key)
-            order.append(key)
-            queue.append(key)
-    while queue:
-        qa, bs = queue.popleft()
+    def moves(node):
+        qa, bs = node
         for e in a.alphabet.names:
             targets = a.succ[qa].get(e)
             if not targets:
                 continue
             nbs = b.step(bs, e)
             for qn in targets:
-                key = (qn, nbs)
-                if key not in names:
-                    names[key] = name(*key)
-                    order.append(key)
-                    queue.append(key)
-                trans.add((names[(qa, bs)], e, names[key]))
-    marked = frozenset(names[(qa, bs)] for (qa, bs) in order
-                       if qa in a.marked and not (bs & b.marked))
-    return Automaton(a.alphabet, tuple(names[k] for k in order),
-                     frozenset(trans),
-                     frozenset(names[(qa, b0)] for qa in a.initial),
-                     marked)
+                yield e, (qn, nbs)
+
+    return explore(a.alphabet, [(qa, b0) for qa in a.sorted_states(a.initial)],
+                   moves, lambda node: node[0] in a.marked
+                   and b.marked.isdisjoint(node[1]))
 
 
 def right_quotient(a: Automaton, d: Automaton) -> Automaton:
@@ -684,7 +641,7 @@ def append_event(a: Automaton, event: str) -> Automaton:
     if event not in a.alphabet:
         raise AutomataError(f"unknown event {event!r}")
     a = eliminate_silent(a)
-    fin = _fresh_state("(fin)", a.states)
+    fin = _unused_id(a)
     trans = set(a.transitions)
     for q in a.marked:
         trans.add((q, event, fin))
@@ -697,7 +654,7 @@ def marked_saturate(a: Automaton) -> Automaton:
     d = determinize(a)
     if not d.states:
         return d
-    sink = _fresh_state("(sat)", d.states)
+    sink = _unused_id(d)
     trans = set()
     for (src, e, dst) in d.transitions:
         if src in d.marked:

@@ -21,12 +21,12 @@ from .automata import (Automaton, PreconditionError, ProjectionSpec, all_marked,
 from .verdicts import Verdict, Witness
 
 
-def _closure_dfa(a: Automaton) -> tuple[Automaton, str]:
+def _closure_dfa(a: Automaton) -> tuple[Automaton, int]:
     """Completed DFA of the prefix closure of L_m(a); returns (dfa, dead)."""
     return complete(determinize(prefix_close(trim(a))))
 
 
-def _one_step(dfa: Automaton, q: str, e: str) -> str | None:
+def _one_step(dfa: Automaton, q: int, e: str) -> int | None:
     t = dfa.succ[q].get(e)
     return t[0] if t else None
 

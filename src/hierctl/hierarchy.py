@@ -40,7 +40,7 @@ from functools import cached_property
 
 from .automata import (Alphabet, Automaton, PreconditionError, ProjectionSpec,
                        all_marked, append_event, determinize, empty_language,
-                       includes, intersect, iter_difference_words,
+                       explore, includes, intersect, iter_difference_words,
                        merge_alphabets, parallel_compose, prefix_close,
                        project, right_quotient, trim, widen_alphabet,
                        with_initial)
@@ -59,8 +59,9 @@ class HierarchyContext:
     """A plant plus the derived projections and abstraction.
 
     `plant` recognizes the generated language L (every state marked);
-    `abstraction` recognizes Q(L) over the high-level sub-alphabet. The
-    square P_hi ∘ Q = Q_o ∘ P commutes by construction.
+    `abstraction` recognizes Q(L) over the high-level sub-alphabet.
+    `shared` = Σhi ∩ Σo is what both P_hi ∘ Q and Q_o ∘ P keep, so that
+    square commutes by construction.
     """
 
     plant: Automaton
@@ -80,14 +81,6 @@ class HierarchyContext:
     @cached_property
     def shared(self) -> frozenset:
         return self.alphabet.highlevel & self.alphabet.observable
-
-    @cached_property
-    def p_hi(self) -> ProjectionSpec:
-        return ProjectionSpec(self.q.target_alphabet, self.shared)
-
-    @cached_property
-    def q_o(self) -> ProjectionSpec:
-        return ProjectionSpec(self.p.target_alphabet, self.shared)
 
     @cached_property
     def abstraction(self) -> Automaton:
@@ -173,7 +166,7 @@ def check_observer(g: Automaton) -> Verdict:
     return Verdict.make_holds()
 
 
-def _low_reach(gd: Automaton, start: str, events: frozenset) -> set:
+def _low_reach(gd: Automaton, start: int, events: frozenset) -> set:
     seen = {start}
     stack = [start]
     while stack:
@@ -428,16 +421,10 @@ def _tracked_product(alphabet: Alphabet, trackers) -> Automaton:
     """
     if any(not d.states for d, _ in trackers):
         return empty_language(alphabet)
-    init = tuple(next(iter(d.initial)) for d, _ in trackers)
-    names = {init: "(" + "|".join(init) + ")"}
-    order = [init]
-    trans = set()
-    queue = deque([init])
-    while queue:
-        cur = queue.popleft()
+
+    def moves(cur):
         for lbl in alphabet.names:
             nxt = []
-            ok = True
             for (d, coord), q in zip(trackers, cur):
                 letter = lbl[coord]
                 if letter is None:
@@ -445,20 +432,13 @@ def _tracked_product(alphabet: Alphabet, trackers) -> Automaton:
                     continue
                 step = d.succ[q].get(letter)
                 if not step:
-                    ok = False
                     break
                 nxt.append(step[0])
-            if not ok:
-                continue
-            nxt = tuple(nxt)
-            if nxt not in names:
-                names[nxt] = "(" + "|".join(nxt) + ")"
-                order.append(nxt)
-                queue.append(nxt)
-            trans.add((names[cur], lbl, names[nxt]))
-    states = tuple(names[s] for s in order)
-    return Automaton(alphabet, states, frozenset(trans),
-                     frozenset({names[init]}), frozenset(states))
+            else:
+                yield lbl, tuple(nxt)
+
+    init = tuple(next(iter(d.initial)) for d, _ in trackers)
+    return explore(alphabet, [init], moves, lambda cur: True)
 
 
 def _loc_divisor(ctx: HierarchyContext, alphabet: Alphabet, e: str) -> Automaton:

@@ -18,10 +18,11 @@ questions go through `decompose_pairs` or the realizability confirmation in
 
 from __future__ import annotations
 
-from collections import deque
+import itertools
 
 from .automata import (Alphabet, Automaton, AutomataError, Event,
-                       eliminate_silent, iter_marked_words, merge_alphabets)
+                       eliminate_silent, explore, iter_marked_words,
+                       merge_alphabets)
 
 
 def label_name(label: tuple) -> str:
@@ -66,32 +67,19 @@ def sync_pair_compose(a: Automaton, b: Automaton, sync) -> Automaton:
     b = eliminate_silent(b)
     alphabet = pair_alphabet(a.alphabet, b.alphabet, sync)
 
-    start = [(p, q) for p in a.sorted_states(a.initial)
-             for q in b.sorted_states(b.initial)]
-    names, order, trans = {}, [], set()
-    queue = deque()
-    for pq in start:
-        if pq not in names:
-            names[pq] = f"({pq[0]}|{pq[1]})"
-            order.append(pq)
-            queue.append(pq)
-    while queue:
-        p, q = queue.popleft()
+    def moves(pq):
+        p, q = pq
         # an erased component stays put, a named one must move
         for lbl in alphabet.names:
             l, r = lbl
             for pn in (p,) if l is None else a.succ[p].get(l, ()):
                 for qn in (q,) if r is None else b.succ[q].get(r, ()):
-                    nxt = (pn, qn)
-                    if nxt not in names:
-                        names[nxt] = f"({pn}|{qn})"
-                        order.append(nxt)
-                        queue.append(nxt)
-                    trans.add((names[(p, q)], lbl, names[nxt]))
-    marked = frozenset(names[(p, q)] for (p, q) in order
-                       if p in a.marked and q in b.marked)
-    return Automaton(alphabet, tuple(names[s] for s in order), frozenset(trans),
-                     frozenset(names[s] for s in start), marked)
+                    yield lbl, (pn, qn)
+
+    return explore(alphabet,
+                   [(p, q) for p in a.sorted_states(a.initial)
+                    for q in b.sorted_states(b.initial)],
+                   moves, lambda pq: pq[0] in a.marked and pq[1] in b.marked)
 
 
 def relabel_pair(p: Automaton, left_keep, right_keep) -> Automaton:
@@ -170,8 +158,9 @@ def build_quad(g: Automaton, alphabet: Alphabet | None = None) -> Automaton:
     obs, hi = base.observable, base.highlevel
     labels = _quad_labels(base)
 
-    def rules(p, q, r, s):
+    def moves(st):
         # each yields (label, next-state) mirroring the four rule groups
+        p, q, r, s = st
         for a in base.names:
             lbl = labels[a]
             if a in obs and a in hi:
@@ -201,24 +190,6 @@ def build_quad(g: Automaton, alphabet: Alphabet | None = None) -> Automaton:
                     for sn in g.succ[s].get(a, ()) + (s,):
                         yield lbl[1], (p, q, rn, sn)
 
-    init = [(p, q, r, s)
-            for p in g.sorted_states(g.initial) for q in g.sorted_states(g.initial)
-            for r in g.sorted_states(g.initial) for s in g.sorted_states(g.initial)]
-    names, order, trans = {}, [], set()
-    queue = deque()
-    for st in init:
-        if st not in names:
-            names[st] = "({}|{}|{}|{})".format(*st)
-            order.append(st)
-            queue.append(st)
-    while queue:
-        st = queue.popleft()
-        for lbl, nxt in rules(*st):
-            if nxt not in names:
-                names[nxt] = "({}|{}|{}|{})".format(*nxt)
-                order.append(nxt)
-                queue.append(nxt)
-            trans.add((names[st], lbl, names[nxt]))
-    marked = frozenset(names[st] for st in order if all(x in g.marked for x in st))
-    return Automaton(alphabet, tuple(names[st] for st in order), frozenset(trans),
-                     frozenset(names[st] for st in init), marked)
+    init = g.sorted_states(g.initial)
+    return explore(alphabet, itertools.product(init, repeat=4), moves,
+                   lambda st: all(x in g.marked for x in st))

@@ -7,13 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hierctl.automata import (AutomataError, Automaton, ProjectionSpec,
-                              all_marked, complement, determinize, difference,
-                              enumerate_bounded, includes, intersect,
-                              inverse_project, is_empty, is_prefix_closed,
+                              all_marked, append_event, complete,
+                              determinize, difference, enumerate_bounded,
+                              includes, inverse_project, is_prefix_closed,
                               iter_difference_words, iter_marked_words,
                               language_equal, marked_saturate,
                               parallel_compose, prefix_close, project,
-                              right_quotient, sigma_star, trim, union,
+                              right_quotient, sigma_star, trim,
                               word_automaton)
 from hierctl.gadgets import GeneratorParams, random_plant
 from hierctl.hierarchy import _common_pair, build_context
@@ -88,24 +88,24 @@ def test_inclusion_witness_is_shortest():
     assert v.witness.strings["word"] == ("a", "a")
 
 
-def test_complement_partitions_sigma_star():
-    a = tree(words("a", "ba"), AB)
-    c = complement(a)
-    assert is_empty(intersect_over_common(a, c))
-    assert language_equal(union_over_common(a, c), sigma_star(AB))
-
-
-def intersect_over_common(a, b):
-    return intersect(determinize_pad(a), determinize_pad(b))
-
-
-def union_over_common(a, b):
-    return union(determinize_pad(a), determinize_pad(b))
-
-
-def determinize_pad(a):
-    from hierctl.automata import complete
-    return complete(determinize(a))[0]
+def test_new_states_avoid_sparse_kernel_ids():
+    # Over the alphabet (b, a) the product numbers (p,p) 0, the dead end
+    # (r,r) 1 and (q,q) 2; trim drops 1 and keeps the sparse ids (0, 2).
+    ba = make_alphabet("ba")
+    a = Automaton(ba, ("p", "q", "r"),
+                  frozenset({("p", "b", "r"), ("p", "a", "q")}),
+                  frozenset({"p"}), frozenset({"q"}))
+    t = trim(parallel_compose(a, a))
+    assert t.states == (0, 2)
+    c, dead = complete(t)
+    assert c.states == (0, 2, dead) and dead not in t.states
+    assert language_equal(c, t)
+    assert all(e in c.succ[q] for q in c.states for e in ba.names)
+    fin = append_event(t, "b")
+    assert len(fin.states) == 3
+    assert enumerate_bounded(fin, 3) == [("a", "b")]
+    sat = marked_saturate(t)
+    assert enumerate_bounded(sat, 2) == [("a",), ("a", "b"), ("a", "a")]
 
 
 def test_project_and_inverse_project():

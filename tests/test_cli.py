@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -128,6 +131,30 @@ class TestGadgetAndRandom:
         _, out1 = run(capsys, "random", "--seed", "5", "--states", "6")
         _, out2 = run(capsys, "random", "--seed", "5", "--states", "6")
         assert out1 == out2 and "state" in out1
+
+
+class TestDeterminism:
+    """Identical invocations give identical output, whatever order the
+    string hash seed gives Python's sets of strings."""
+
+    @pytest.mark.parametrize("argv", [
+        ("synth", "supn", SPEC, PLANT),
+        ("hier", "synth-normal", PLANT, SPEC),
+    ], ids=["synth-supn", "hier-synth-normal"])
+    def test_output_is_independent_of_hash_seed(self, argv):
+        src = str(DATA.parent / "src")
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, (src, os.environ.get("PYTHONPATH")))))
+            proc = subprocess.run(
+                [sys.executable, "-m", "hierctl.cli", "--json", *argv],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode in (0, 1), proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["command"].startswith(argv[0])
 
 
 class TestErrors:

@@ -7,9 +7,9 @@ import pytest
 
 from hierctl import oracle
 from hierctl.automata import (Alphabet, Automaton, Event, all_marked,
-                              enumerate_bounded, intersect, inverse_project,
-                              is_empty, language_equal, project,
-                              word_automaton)
+                              determinize, enumerate_bounded, intersect,
+                              inverse_project, is_empty, language_equal,
+                              parallel_compose, project, word_automaton)
 from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
                              gadget_oc, random_nfa, random_plant,
                              random_sublanguage)
@@ -174,6 +174,60 @@ class TestOddNames:
                         else tuple(events.get(x, x) for x in v)
                         for k, v in want.witness.strings.items()}
             assert got.witness.strings == expected, prop
+
+
+class TestStateCollisions:
+    """Product and subset states are numbered, never named, so a state
+    whose name spells a subset or pair of other names is a state of its
+    own."""
+
+    CHECKS = {"observer": (check_observer, oracle.oracle_observer),
+              "lcc": (check_lcc, oracle.oracle_lcc),
+              "oc": (check_oc, oracle.oracle_oc),
+              "moc": (check_moc, oracle.oracle_moc),
+              "loc": (check_loc, oracle.oracle_loc)}
+
+    @staticmethod
+    def _plant(third: str) -> Automaton:
+        # {p, q} is the subset after "a"; the state `third` is reached by "b"
+        al = make_alphabet("ab", controllable="a", observable="a",
+                           highlevel="a")
+        return all_marked(Automaton(
+            al, ("p", "q", third),
+            frozenset({("p", "a", "p"), ("p", "a", "q"), ("p", "b", third)}),
+            frozenset({"p"}), frozenset()))
+
+    @pytest.mark.parametrize("prop", CHECKS)
+    def test_subset_named_state_keeps_verdicts(self, prop):
+        check, oracle_check = self.CHECKS[prop]
+        want, got = check(self._plant("r")), check(self._plant("p,q"))
+        assert got.outcome == want.outcome
+        assert got.detail == want.detail
+        assert got.witness == want.witness
+        assert oracle_check(self._plant("p,q"), 6).ok == got.holds
+
+    def test_outcomes_of_the_plain_plant(self):
+        g = self._plant("r")
+        assert [self.CHECKS[p][0](g).outcome for p in
+                ("observer", "lcc", "loc")] == ["violated", "holds",
+                                                "violated"]
+
+    def test_determinize_keeps_every_subset(self):
+        d = determinize(self._plant("p,q"))
+        assert len(d.states) == 3
+        assert language_equal(d, self._plant("p,q"))
+
+    def test_parallel_compose_keeps_every_pair(self):
+        left = all_marked(Automaton(make_alphabet("a"), ("x|y", "x"),
+                                    frozenset({("x|y", "a", "x")}),
+                                    frozenset({"x|y"}), frozenset()))
+        right = all_marked(Automaton(make_alphabet("b"), ("z", "y|z"),
+                                     frozenset({("z", "b", "y|z")}),
+                                     frozenset({"z"}), frozenset()))
+        prod = parallel_compose(left, right)
+        assert len(prod.states) == 4
+        assert enumerate_bounded(prod, 2) == [(), ("a",), ("b",), ("a", "b"),
+                                              ("b", "a")]
 
 
 # The automaton constructions the confirmation searches replaced; they are

@@ -7,24 +7,54 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hierctl"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hierctl"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
-def unused_imports(source: str) -> list:
-    """Names bound by `from ... import` that the module never uses."""
-    tree = ast.parse(source)
-    bound = [alias.asname or alias.name
-             for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) and node.module != "__future__"
-             for alias in node.names]
+def used_names(tree: ast.AST) -> set:
+    """Every name a tree reads, as a variable or as an attribute."""
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
-    return [name for name in bound if name not in used]
+    return used
+
+
+def imported_names(tree: ast.AST) -> list:
+    """Names bound by `from ... import` (the `__future__` ones excepted)."""
+    return [alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names]
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by `from ... import` that the module never uses."""
+    tree = ast.parse(source)
+    used = used_names(tree)
+    return [name for name in imported_names(tree) if name not in used]
+
+
+def dead_definitions(defining, using, exported) -> list:
+    """Non-dunder functions, methods and classes (properties included)
+    defined in the `defining` sources that no `using` source names and that
+    are not in `exported`."""
+    defined = {node.name
+               for tree in map(ast.parse, defining)
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and not (node.name.startswith("__")
+                        and node.name.endswith("__"))}
+    used = set().union(*(used_names(ast.parse(s)) for s in using))
+    return sorted(defined - used - set(exported))
+
+
+def _sources(directory: Path) -> list:
+    return [p.read_text(encoding="utf-8") for p in sorted(directory.glob("*.py"))]
 
 
 def test_unused_imports_are_found():
@@ -34,3 +64,19 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_dead_definitions_are_found():
+    module = ("def f(): pass\ndef g(): pass\nclass C:\n"
+              "    def __init__(self): pass\n    def h(self): pass\n"
+              "    def k(self): pass\n")
+    assert dead_definitions([module], [module, "g()\nx.h\n"], {"C"}) == [
+        "f", "k"]
+
+
+def test_no_dead_definitions():
+    exported = imported_names(ast.parse(
+        (SRC / "__init__.py").read_text(encoding="utf-8")))
+    using = _sources(SRC) + _sources(ROOT / "tests") + \
+        _sources(ROOT / "perfbench")
+    assert dead_definitions(_sources(SRC), using, exported) == []
