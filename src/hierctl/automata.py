@@ -399,6 +399,49 @@ def explore(alphabet: Alphabet, starts: Iterable, moves, marked) -> Automaton:
                                if marked(key)))
 
 
+class _Memo(dict):
+    """A dict that fills each missing key with `fill(key)` on first read."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class _MarkedMemo(_Memo):
+    """The keys for which `fill` is true, each decided once."""
+
+    __contains__ = dict.__getitem__
+
+    def isdisjoint(self, keys) -> bool:
+        return not any(map(self.__getitem__, keys))
+
+
+class Implicit:
+    """The (alphabet, starts, moves, marked) that `explore` takes, read as
+    an automaton: `succ[key]` calls `moves(key)` and `key in marked` calls
+    `marked(key)`, each once per key. It offers what `iter_difference_words`
+    reads of an `Automaton`; `moves` must yield no silent (None) label."""
+
+    has_silent = False
+    step = Automaton.step
+
+    def __init__(self, alphabet: Alphabet, starts: Iterable, moves, marked):
+        def succ(key) -> dict:
+            out: dict = {}
+            for lbl, nxt in moves(key):
+                out.setdefault(lbl, {})[nxt] = None
+            return {lbl: tuple(ts) for lbl, ts in out.items()}
+
+        self.alphabet = alphabet
+        self.initial = frozenset(starts)
+        self.succ = _Memo(succ)
+        self.marked = _MarkedMemo(marked)
+
+
 def determinize(a: Automaton) -> Automaton:
     """Subset construction preserving both L and L_m (partial DFA)."""
     a = eliminate_silent(a)
@@ -437,6 +480,17 @@ def complete(a: Automaton) -> tuple[Automaton, int]:
 # ---------------------------------------------------------------------------
 # inclusion
 
+def path_word(parent: dict, key) -> tuple:
+    """The word that a search's parent map {key: (previous key, event)},
+    with None at the start keys, spells from a start key to `key`."""
+    word = []
+    while parent[key] is not None:
+        key, e = parent[key]
+        word.append(e)
+    word.reverse()
+    return tuple(word)
+
+
 def includes(a: Automaton, b: Automaton, kind: str = "inclusion"):
     """Marked-language inclusion L_m(a) ⊆ L_m(b).
 
@@ -456,15 +510,10 @@ def includes(a: Automaton, b: Automaton, kind: str = "inclusion"):
     def bad(qa, bs):
         return qa in a.marked and not (bs & b.marked)
 
-    parent: dict = {}
-    queue = deque()
-    for qa in a.sorted_states(a.initial):
-        key = (qa, b0)
-        if key not in parent:
-            parent[key] = None
-            if bad(qa, b0):
-                return Verdict.make_violated(Witness(kind, {"word": ()}))
-            queue.append(key)
+    parent = dict.fromkeys((qa, b0) for qa in a.sorted_states(a.initial))
+    if any(bad(*key) for key in parent):
+        return Verdict.make_violated(Witness(kind, {"word": ()}))
+    queue = deque(parent)
     while queue:
         qa, bs = queue.popleft()
         for e in a.alphabet.names:
@@ -478,14 +527,8 @@ def includes(a: Automaton, b: Automaton, kind: str = "inclusion"):
                     continue
                 parent[key] = ((qa, bs), e)
                 if bad(qn, nbs):
-                    word = []
-                    k = key
-                    while parent[k] is not None:
-                        k, ev = parent[k]
-                        word.append(ev)
-                    word.reverse()
                     return Verdict.make_violated(
-                        Witness(kind, {"word": tuple(word)}))
+                        Witness(kind, {"word": path_word(parent, key)}))
                 queue.append(key)
     return Verdict.make_holds()
 
@@ -632,23 +675,6 @@ def sigma_star(alphabet: Alphabet) -> Automaton:
     return Automaton(alphabet, ("q0",), trans, frozenset({"q0"}), frozenset({"q0"}))
 
 
-def empty_language(alphabet: Alphabet) -> Automaton:
-    return Automaton(alphabet, ("q0",), frozenset(), frozenset({"q0"}), frozenset())
-
-
-def append_event(a: Automaton, event: str) -> Automaton:
-    """Automaton for L_m(a)·event."""
-    if event not in a.alphabet:
-        raise AutomataError(f"unknown event {event!r}")
-    a = eliminate_silent(a)
-    fin = _unused_id(a)
-    trans = set(a.transitions)
-    for q in a.marked:
-        trans.add((q, event, fin))
-    return Automaton(a.alphabet, a.states + (fin,), frozenset(trans),
-                     a.initial, frozenset({fin}))
-
-
 def marked_saturate(a: Automaton) -> Automaton:
     """Automaton for L_m(a)·Σ*: anything after a marked prefix stays marked."""
     d = determinize(a)
@@ -700,6 +726,8 @@ def iter_difference_words(a: Automaton, b: Automaton) -> Iterator[Word]:
     state. A forward search decides it; a positive answer spreads back
     along the recorded predecessor edges, and an exhausted search proves
     every node it visited dead, so each node is expanded at most once.
+    An `Implicit` operand is expanded only as far as the search reads it.
+    Nothing is yielded exactly when L_m(a) ⊆ L_m(b).
     """
     require_same_alphabet(a, b)
     a = eliminate_silent(a)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .automata import (Automaton, PreconditionError, ProjectionSpec, all_marked,
                        complete, determinize, difference, includes, intersect,
                        inverse_project, is_prefix_closed, marked_saturate,
-                       parallel_compose, prefix_close, project,
+                       parallel_compose, path_word, prefix_close, project,
                        require_same_alphabet, trim)
 from .verdicts import Verdict, Witness
 
@@ -56,7 +56,7 @@ def check_controllability(k: Automaton, g: Automaton) -> Verdict:
         for e in unc:
             gn = _one_step(gd, gq, e)
             if gn is not None and _one_step(kd, kq, e) == dead:
-                word = _rebuild(parent, (kq, gq))
+                word = path_word(parent, (kq, gq))
                 return Verdict.make_violated(Witness(
                     "controllability", {"s": word, "e": (e,), "se": word + (e,)},
                     "s ∈ K̄, e uncontrollable, se ∈ L(G) but se ∉ K̄"))
@@ -70,15 +70,6 @@ def check_controllability(k: Automaton, g: Automaton) -> Verdict:
                 parent[nxt] = ((kq, gq), e)
                 queue.append(nxt)
     return Verdict.make_holds()
-
-
-def _rebuild(parent: dict, key) -> tuple:
-    word = []
-    while parent[key] is not None:
-        key, e = parent[key]
-        word.append(e)
-    word.reverse()
-    return tuple(word)
 
 
 def _observability_engine(k: Automaton, c: Automaton, g: Automaton,

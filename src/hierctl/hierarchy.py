@@ -15,40 +15,40 @@ its abstraction Q(L):
   indistinguishable low-level continuations.
 
 Each checker reduces its property to a regular-language inclusion between
-automata over pair (or quadruple) events. The inclusion is sequence-level,
-so a passing inclusion is conclusive but a failing one may only reflect a
-missing interleaving. Failures therefore enter a refutation loop: difference
-sequences are enumerated in length-lexicographic order, decomposed into
-string tuples, and each tuple is confirmed or refuted by an exact
-existence search over the plant's states for representatives of those
-strings (no automaton is built per tuple). The sequences come from an
-on-the-fly product of the left automaton with the subset construction of
-the right one (``iter_difference_words``), expanded only as far as the
-sequences examined need; no difference automaton is built. A confirmed
-tuple yields ``violated``; exhausting the difference language yields
-``holds`` (every genuine violating tuple leaves at least one difference
-sequence, because the synchronized products accept all interleavings);
-running out of budget, counted in sequences examined, yields
-``inconclusive``.
+automata over pair (or quadruple) events and decides it by one lazy
+difference search (``iter_difference_words``): an on-the-fly product of the
+left side with the subset construction of the right one, expanded only as
+far as the sequences examined need. LOC's two sides are implicit products
+too, never built as automata. A search that yields no sequence is the
+inclusion holding: ``holds``. The inclusion is sequence-level, so a
+difference sequence may only reflect a missing interleaving: each one, in
+length-lexicographic order, is decomposed into a string tuple, and the tuple
+is confirmed or refuted by an exact existence search over the plant's states.
+A confirmed tuple yields ``violated``; exhausting the difference language
+yields ``holds`` (every genuine violating tuple leaves at least one
+difference sequence, because the synchronized products accept all
+interleavings); running out of budget, counted in sequences examined,
+yields ``inconclusive``.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
-from .automata import (Alphabet, Automaton, PreconditionError, ProjectionSpec,
-                       all_marked, append_event, determinize, empty_language,
-                       explore, includes, intersect, iter_difference_words,
-                       merge_alphabets, parallel_compose, prefix_close,
-                       project, right_quotient, trim, widen_alphabet,
+from .automata import (Alphabet, Automaton, Implicit, PreconditionError,
+                       ProjectionSpec, all_marked, determinize, includes,
+                       iter_difference_words, merge_alphabets,
+                       parallel_compose, path_word,
+                       prefix_close, project, trim, widen_alphabet,
                        with_initial)
 from .checks import (check_controllability, check_nonconflicting,
                      check_normality, check_observability, sup_normal_closed,
                      sup_relobs_closed)
-from .relations import (build_quad, decompose_sequence, label_name,
-                        quad_alphabet, relabel_pair, sync_pair_compose)
+from .relations import (decompose_sequence, label_name, quad_alphabet,
+                        quad_moves, relabel_pair, sync_pair_compose)
 from .verdicts import Verdict, Witness
 
 DEFAULT_BUDGET = 10000
@@ -123,13 +123,7 @@ def _abstraction_pairs(ctx: HierarchyContext):
     while queue:
         cur = queue.popleft()
         s, x = cur
-        word = []
-        k = cur
-        while parent[k] is not None:
-            k, e = parent[k]
-            word.append(e)
-        word.reverse()
-        out.append((tuple(word), s, x))
+        out.append((path_word(parent, cur), s, x))
         for e in ctx.alphabet.names:
             sn = gd.succ[s].get(e)
             if not sn:
@@ -216,12 +210,13 @@ def _common_pair(a: Automaton, b: Automaton) -> tuple[Automaton, Automaton]:
 
 
 def _refutation_loop(words, budget: int, decompose, confirm) -> Verdict:
-    """Phase two and three of a consistency check.
+    """Decide a consistency check from its difference sequences.
 
     `words` yields the difference sequences in length-lexicographic order,
     `decompose` maps a difference sequence to a hashable string tuple,
     `confirm` returns a Witness for a genuine violation or None for a
-    spurious (interleaving-only) difference.
+    spurious (interleaving-only) difference. No sequence at all is the
+    inclusion holding, a bare "holds".
     """
     seen: set = set()
     spurious = 0
@@ -241,6 +236,8 @@ def _refutation_loop(words, budget: int, decompose, confirm) -> Verdict:
         if witness is not None:
             return Verdict.make_violated(witness, examined=examined)
         spurious += 1
+    if not examined:
+        return Verdict.make_holds()
     return Verdict.make_holds(
         refuted=spurious,
         reason="difference language exhausted; every sequence was a "
@@ -335,17 +332,13 @@ def _moc_mate_exists(ctx: HierarchyContext, observed: tuple,
                     lambda n: n[1] == len(observed) and n[2] == len(tp))
 
 
-def _loc_continuations_exist(ctx: HierarchyContext, s: tuple, sp: tuple,
-                             e: str) -> bool:
-    """∃ low-level u, u' with P(u) = P(u') and sue, s'u'e ∈ L.
-
-    Both paths follow the empty high-level string, so only low-level events
-    move them; the goal is e enabled on both sides.
-    """
+def _continuations_meet(ctx: HierarchyContext, left, right, e: str) -> bool:
+    """∃ low-level u, u' with P(u) = P(u') leading from a state in `left`
+    and one in `right` to states that enable e: with the states after s
+    and s', ∃ u, u' with sue, s'u'e ∈ L."""
     plant = ctx.plant
-    starts = {(p, 0, q, 0) for p in plant.run(s) for q in plant.run(sp)}
-    return _pair_reaches(ctx, starts, (), (),
-                         lambda n: e in plant.succ[n[0]]
+    return _pair_reaches(ctx, {(p, 0, q, 0) for p in left for q in right},
+                         (), (), lambda n: e in plant.succ[n[0]]
                          and e in plant.succ[n[2]])
 
 
@@ -363,8 +356,6 @@ def _pair_consistency(ctx: HierarchyContext, kind: str, left: Automaton,
         sync_pair_compose(ctx.plant, ctx.plant, ctx.alphabet.observable),
         left_keep, ctx.alphabet.highlevel)
     la, ra = _common_pair(left, right)
-    if includes(la, ra).holds:
-        return Verdict.make_holds()
 
     def confirm(tup, word):
         x, tp = tup
@@ -412,80 +403,72 @@ def lemma_moc_implies_oc(g: Automaton, budget: int = DEFAULT_BUDGET) -> dict:
 # ---------------------------------------------------------------------------
 # local observation consistency
 
-def _tracked_product(alphabet: Alphabet, trackers) -> Automaton:
-    """Product automaton whose i-th component follows one quadruple coordinate.
+def _track(d: Automaton, x: int, letter) -> int | None:
+    """The DFA `d` after `letter` from x: x on an erased (None) letter, None
+    when `d` cannot move."""
+    if letter is None:
+        return x
+    nxt = d.succ[x].get(letter)
+    return nxt[0] if nxt else None
 
-    `trackers` is a list of (dfa, coordinate); on a quadruple event each
-    component consumes its coordinate letter (or stays put on an erased
-    coordinate). Every state is marked.
+
+def _loc_shared(ctx: HierarchyContext) -> tuple:
+    """What every event's LOC operands share: a memo of the verifier's
+    moves (every plant state is marked, so every quadruple is) and the
+    abstraction DFA."""
+    return (Implicit(quad_alphabet(ctx.alphabet),
+                     itertools.product(ctx.plant.initial, repeat=4),
+                     quad_moves(ctx.plant), lambda st: True),
+            determinize(ctx.abstraction))
+
+
+def _loc_operands(ctx: HierarchyContext, shared: tuple, e: str) -> tuple:
+    """The implicit left and right sides of LOC's inclusion for event e.
+
+    Left: the verifier's sequences with coordinates 1 and 3 in Q(L) (the
+    abstraction DFA `hd` tracks them), then (ε, e, ε, e). Right: sequences
+    with coordinates 0 and 2 in L (tracked as plant state sets), marked
+    where both sides continue to e: the right quotient by (ue, ε, u'e, ε),
+    P(u) = P(u').
     """
-    if any(not d.states for d, _ in trackers):
-        return empty_language(alphabet)
-
-    def moves(cur):
-        for lbl in alphabet.names:
-            nxt = []
-            for (d, coord), q in zip(trackers, cur):
-                letter = lbl[coord]
-                if letter is None:
-                    nxt.append(q)
-                    continue
-                step = d.succ[q].get(letter)
-                if not step:
-                    break
-                nxt.append(step[0])
-            else:
-                yield lbl, tuple(nxt)
-
-    init = tuple(next(iter(d.initial)) for d, _ in trackers)
-    return explore(alphabet, [init], moves, lambda cur: True)
-
-
-def _loc_divisor(ctx: HierarchyContext, alphabet: Alphabet, e: str) -> Automaton:
-    """Quadruple suffixes (ue, ε, u'e, ε) with u, u' low-level, P(u)=P(u')."""
-    base = ctx.alphabet
-    loops = []
-    for a in base.names:
-        if a in base.highlevel:
-            continue
-        if a in base.observable:
-            loops.append((a, None, a, None))
-        else:
-            loops.append((a, None, None, None))
-            loops.append((None, None, a, None))
-    marker = (e, None, e, None)
-    trans = {("d0", lbl, "d0") for lbl in loops} | {("d0", marker, "d1")}
-    return Automaton(alphabet, ("d0", "d1"), frozenset(trans),
-                     frozenset({"d0"}), frozenset({"d1"}))
-
-
-def _loc_for_event(ctx: HierarchyContext, e: str, budget: int) -> Verdict:
+    quad, hd = shared
+    plant = ctx.plant
     alphabet = quad_alphabet(ctx.alphabet, loc_events=(e,))
-    hq = build_quad(ctx.plant, alphabet)
-    ql_d = determinize(ctx.abstraction)
-    comp24 = _tracked_product(alphabet, [(ql_d, 1), (ql_d, 3)])
-    left = intersect(append_event(hq, (None, e, None, e)), comp24)
 
-    gd = determinize(ctx.plant)
-    dividend = _tracked_product(alphabet, [(gd, 0), (gd, 2)])
-    right = right_quotient(dividend, _loc_divisor(ctx, alphabet, e))
+    def left_moves(key):
+        if key is None:  # after the final step
+            return
+        st, x1, x3 = key
+        for lbl, targets in quad.succ[st].items():
+            y1, y3 = _track(hd, x1, lbl[1]), _track(hd, x3, lbl[3])
+            if y1 is not None and y3 is not None:
+                for t in targets:
+                    yield lbl, (t, y1, y3)
+        if e in hd.succ[x1] and e in hd.succ[x3]:
+            yield (None, e, None, e), None
 
-    v = includes(left, right, kind="loc")
-    if v.holds:
-        return Verdict.make_holds()
+    def right_moves(key):
+        s0, s2 = key
+        for lbl in alphabet.names:
+            y0 = s0 if lbl[0] is None else plant.step(s0, lbl[0])
+            y2 = s2 if lbl[2] is None else plant.step(s2, lbl[2])
+            if y0 and y2:
+                yield lbl, (y0, y2)
 
-    def confirm(tup, word):
-        s, _, sp, _ = tup
-        if not _loc_continuations_exist(ctx, s, sp, e):
-            return Witness(
-                "loc", {"s": s, "s_prime": sp, "e": (e,),
-                        "sequence": tuple(map(label_name, word))},
-                "no observation-equivalent low-level continuations reach e")
+    return (Implicit(alphabet, [(st, x, x) for st in quad.initial
+                                for x in hd.initial],
+                     left_moves, lambda key: key is None),
+            Implicit(alphabet, [(plant.initial, plant.initial)], right_moves,
+                     lambda key: _continuations_meet(ctx, *key, e)))
+
+
+def _loc_confirm(ctx: HierarchyContext, e: str, tup, word):
+    s, _, sp, _ = tup
+    if _continuations_meet(ctx, ctx.plant.run(s), ctx.plant.run(sp), e):
         return None
-
-    return _refutation_loop(iter_difference_words(left, right), budget,
-                            lambda w: decompose_sequence(w, 4),
-                            confirm)
+    return Witness("loc", {"s": s, "s_prime": sp, "e": (e,),
+                           "sequence": tuple(map(label_name, word))},
+                   "no observation-equivalent low-level continuations reach e")
 
 
 def check_loc(g: Automaton, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -493,9 +476,12 @@ def check_loc(g: Automaton, budget: int = DEFAULT_BUDGET) -> Verdict:
     ctx = build_context(g)
     events = sorted(ctx.alphabet.highlevel & ctx.alphabet.controllable,
                     key=ctx.alphabet.names.index)
+    shared = _loc_shared(ctx)
     pending = None
     for e in events:
-        v = _loc_for_event(ctx, e, budget)
+        v = _refutation_loop(
+            iter_difference_words(*_loc_operands(ctx, shared, e)), budget,
+            lambda w: decompose_sequence(w, 4), partial(_loc_confirm, ctx, e))
         if v.violated:
             return v
         if v.inconclusive and pending is None:

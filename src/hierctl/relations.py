@@ -145,21 +145,14 @@ def quad_alphabet(base: Alphabet, loc_events=()) -> Alphabet:
     return Alphabet(tuple(Event(lbl) for lbl in labels))
 
 
-def build_quad(g: Automaton, alphabet: Alphabet | None = None) -> Automaton:
-    """The verifier automaton H over state space Q^4.
-
-    Accepted quadruple sequences decompose to exactly the tuples
-    (s, Q(s), s', Q(s')) with s, s' in L_m(g) and P(s) = P(s').
-    """
-    g = eliminate_silent(g)
+def quad_moves(g: Automaton):
+    """`moves(key)` of the verifier H over the silent-free `g`: a key is a
+    quadruple of states, one step per transition-rule group."""
     base = g.alphabet
-    if alphabet is None:
-        alphabet = quad_alphabet(base)
     obs, hi = base.observable, base.highlevel
     labels = _quad_labels(base)
 
     def moves(st):
-        # each yields (label, next-state) mirroring the four rule groups
         p, q, r, s = st
         for a in base.names:
             lbl = labels[a]
@@ -190,6 +183,17 @@ def build_quad(g: Automaton, alphabet: Alphabet | None = None) -> Automaton:
                     for sn in g.succ[s].get(a, ()) + (s,):
                         yield lbl[1], (p, q, rn, sn)
 
+    return moves
+
+
+def build_quad(g: Automaton) -> Automaton:
+    """The verifier automaton H over state space Q^4.
+
+    Accepted quadruple sequences decompose to exactly the tuples
+    (s, Q(s), s', Q(s')) with s, s' in L_m(g) and P(s) = P(s').
+    """
+    g = eliminate_silent(g)
     init = g.sorted_states(g.initial)
-    return explore(alphabet, itertools.product(init, repeat=4), moves,
+    return explore(quad_alphabet(g.alphabet),
+                   itertools.product(init, repeat=4), quad_moves(g),
                    lambda st: all(x in g.marked for x in st))

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hierctl.automata import (AutomataError, Automaton, ProjectionSpec,
-                              all_marked, append_event, complete,
+from hierctl.automata import (AutomataError, Automaton, Implicit,
+                              ProjectionSpec, all_marked, complete,
                               determinize, difference, enumerate_bounded,
-                              includes, inverse_project, is_prefix_closed,
-                              iter_difference_words, iter_marked_words,
-                              language_equal, marked_saturate,
-                              parallel_compose, prefix_close, project,
-                              right_quotient, sigma_star, trim,
+                              explore, includes, inverse_project,
+                              is_prefix_closed, iter_difference_words,
+                              iter_marked_words, language_equal,
+                              marked_saturate, parallel_compose, prefix_close,
+                              project, right_quotient, sigma_star, trim,
                               word_automaton)
 from hierctl.gadgets import GeneratorParams, random_plant
 from hierctl.hierarchy import _common_pair, build_context
@@ -101,9 +101,6 @@ def test_new_states_avoid_sparse_kernel_ids():
     assert c.states == (0, 2, dead) and dead not in t.states
     assert language_equal(c, t)
     assert all(e in c.succ[q] for q in c.states for e in ba.names)
-    fin = append_event(t, "b")
-    assert len(fin.states) == 3
-    assert enumerate_bounded(fin, 3) == [("a", "b")]
     sat = marked_saturate(t)
     assert enumerate_bounded(sat, 2) == [("a",), ("a", "b"), ("a", "a")]
 
@@ -144,6 +141,50 @@ def test_difference_and_quotient():
 def test_difference_words_match_trimmed_difference(a, b):
     first = list(islice(iter_difference_words(a, b), 50))
     assert first == list(islice(iter_marked_words(trim(difference(a, b))), 50))
+
+
+def _implicit(a: Automaton) -> Implicit:
+    """`a` handed over as (alphabet, starts, moves, marked)."""
+    return Implicit(a.alphabet, a.initial,
+                    lambda q: ((lbl, t) for lbl, ts in a.succ[q].items()
+                               for t in ts),
+                    a.marked.__contains__)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_automata(), random_automata())
+@example(tree(words("a", "ab"), AB), tree(words("a", "ab"), AB))      # empty
+@example(sigma_star(AB), tree(words("", "a", "ba"), AB))            # infinite
+def test_difference_words_are_empty_exactly_when_included(a, b):
+    first = list(islice(iter_difference_words(a, b), 50))
+    assert (not first) == includes(a, b).holds
+    # an implicit operand on either side yields the same words
+    assert list(islice(iter_difference_words(_implicit(a), _implicit(b)),
+                       50)) == first
+    assert list(islice(iter_difference_words(a, _implicit(b)), 50)) == first
+
+
+def test_implicit_expands_each_state_once_and_only_where_read():
+    calls = []
+
+    def moves(n):
+        # the chain 0 -a-> 1 -a-> ... -a-> 9, and b back to 0
+        calls.append(n)
+        if n < 9:
+            yield "a", n + 1
+            yield "a", n + 1
+        yield "b", 0
+
+    imp = Implicit(AB, [0], moves, lambda n: n == 1)
+    assert imp.succ[0] == {"a": (1,), "b": (0,)}
+    assert imp.succ[0] is imp.succ[0]
+    assert calls == [0]
+    assert 1 in imp.marked and 2 not in imp.marked
+    assert not imp.marked.isdisjoint({2, 1}) and imp.marked.isdisjoint({2})
+    nothing = explore(AB, ["p"], lambda q: [("a", "p"), ("b", "p")],
+                      lambda q: False)
+    assert next(iter_difference_words(imp, nothing)) == ("a",)
+    assert max(calls) < 9
 
 
 def test_difference_words_start_length_lex_first_not_at_inclusion_witness():

@@ -2,18 +2,22 @@ from __future__ import annotations
 
 import itertools
 import random
+from itertools import islice
 
 import pytest
 
 from hierctl import oracle
 from hierctl.automata import (Alphabet, Automaton, Event, all_marked,
-                              determinize, enumerate_bounded, intersect,
-                              inverse_project, is_empty, language_equal,
-                              parallel_compose, project, word_automaton)
+                              determinize, enumerate_bounded, explore,
+                              intersect, inverse_project, is_empty,
+                              iter_difference_words, language_equal,
+                              parallel_compose, project, right_quotient,
+                              widen_alphabet, word_automaton)
 from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
                              gadget_oc, random_nfa, random_plant,
                              random_sublanguage)
-from hierctl.hierarchy import (PreconditionError, _loc_continuations_exist,
+from hierctl.hierarchy import (PreconditionError, _continuations_meet,
+                               _loc_operands, _loc_shared,
                                _moc_mate_exists, _oc_pair_exists,
                                build_context,
                                check_lcc, check_loc, check_moc,
@@ -22,6 +26,8 @@ from hierctl.hierarchy import (PreconditionError, _loc_continuations_exist,
                                hier_synth_relobs, hier_verify,
                                lemma_distribute_q, lemma_moc_implies_oc,
                                moc_structurally_guaranteed)
+
+from hierctl.relations import build_quad, quad_alphabet
 
 from conftest import make_alphabet, tree
 
@@ -311,13 +317,214 @@ class TestConfirmationSearches:
                 outcomes["moc"].add(got)
 
                 sp, e = rng.choice(words), rng.choice(events)
-                got = _loc_continuations_exist(ctx, s, sp, e)
+                got = _continuations_meet(ctx, gl.run(s), gl.run(sp), e)
                 assert got == _reference_loc(ctx, s, sp, e), (g, s, sp, e)
                 assert got == oracle._loc_continuations_meet(
                     gl, s, sp, e), (g, s, sp, e)
                 outcomes["loc"].add(got)
         assert outside > 0
         assert all(o == {True, False} for o in outcomes.values()), outcomes
+
+
+# The materialized LOC construction that the lazy operands replaced; it is
+# the reference they must agree with.
+
+def _reference_append(a, label):
+    """L_m(a)·label, for `a` numbered by `explore`."""
+    fin = len(a.states)
+    return Automaton(a.alphabet, a.states + (fin,),
+                     a.transitions | {(q, label, fin) for q in a.marked},
+                     a.initial, frozenset({fin}))
+
+
+def _reference_tracked(alphabet, trackers):
+    """All-marked product whose i-th component, a (dfa, coordinate) of
+    `trackers`, follows that quadruple coordinate."""
+    if any(not d.states for d, _ in trackers):
+        return Automaton(alphabet, ("q0",), frozenset(), frozenset({"q0"}),
+                         frozenset())
+
+    def moves(cur):
+        for lbl in alphabet.names:
+            nxt = []
+            for (d, coord), q in zip(trackers, cur):
+                if lbl[coord] is None:
+                    nxt.append(q)
+                elif lbl[coord] in d.succ[q]:
+                    nxt.append(d.succ[q][lbl[coord]][0])
+                else:
+                    break
+            else:
+                yield lbl, tuple(nxt)
+
+    init = tuple(next(iter(d.initial)) for d, _ in trackers)
+    return explore(alphabet, [init], moves, lambda cur: True)
+
+
+def _reference_divisor(ctx, alphabet, e):
+    """Quadruple suffixes (ue, ε, u'e, ε), u, u' low-level, P(u) = P(u')."""
+    base = ctx.alphabet
+    loops = []
+    for a in base.names:
+        if a in base.highlevel:
+            continue
+        if a in base.observable:
+            loops.append((a, None, a, None))
+        else:
+            loops += [(a, None, None, None), (None, None, a, None)]
+    trans = {("d0", lbl, "d0") for lbl in loops}
+    trans.add(("d0", (e, None, e, None), "d1"))
+    return Automaton(alphabet, ("d0", "d1"), frozenset(trans),
+                     frozenset({"d0"}), frozenset({"d1"}))
+
+
+def _reference_loc_operands(ctx, e):
+    alphabet = quad_alphabet(ctx.alphabet, loc_events=(e,))
+    hd = determinize(ctx.abstraction)
+    left = intersect(
+        _reference_append(widen_alphabet(build_quad(ctx.plant), alphabet),
+                          (None, e, None, e)),
+        _reference_tracked(alphabet, [(hd, 1), (hd, 3)]))
+    gd = determinize(ctx.plant)
+    right = right_quotient(_reference_tracked(alphabet, [(gd, 0), (gd, 2)]),
+                           _reference_divisor(ctx, alphabet, e))
+    return left, right
+
+
+def _loc_plants():
+    for seed in range(10):
+        yield random_plant(GeneratorParams(
+            states=3 + seed % 4, events=3 + seed % 3,
+            transition_density=0.4, deterministic=seed % 2 == 0,
+            seed=seed + 500))
+    for seed in range(6):
+        yield gadget_loc(random_nfa(GeneratorParams(
+            2 + seed % 3, 2 + seed % 2, 0.35, seed=seed)))
+
+
+class TestLazyLoc:
+    """The implicit LOC operands pose the inclusion the materialized
+    construction posed, and nothing large is built any more."""
+
+    def test_lazy_operands_yield_the_reference_difference_words(self):
+        found = {True: 0, False: 0}
+        for g in _loc_plants():
+            ctx = build_context(g)
+            shared = _loc_shared(ctx)
+            for e in sorted(ctx.alphabet.highlevel
+                            & ctx.alphabet.controllable):
+                lazy = _loc_operands(ctx, shared, e)
+                want = list(islice(iter_difference_words(
+                    *_reference_loc_operands(ctx, e)), 50))
+                assert list(islice(iter_difference_words(*lazy), 50)) \
+                    == want, (g, e)
+                found[bool(want)] += 1
+        assert found[True] >= 5 and found[False] >= 5, found
+
+    def test_loc_builds_no_large_product(self, monkeypatch):
+        # The materialized construction built a 52,294-state product here.
+        g = random_plant(GeneratorParams(8, 5, 0.4, seed=17))
+        ctx = build_context(g)
+        bound = max(len(determinize(ctx.plant).states),
+                    len(determinize(ctx.abstraction).states))
+        sizes = []
+        post_init = Automaton.__post_init__
+
+        def recording(self):
+            sizes.append(len(self.states))
+            post_init(self)
+
+        monkeypatch.setattr(Automaton, "__post_init__", recording)
+        assert check_loc(g, 2000).violated
+        assert sizes and max(sizes) <= bound
+
+
+def _replays_loc_violation(g, w) -> bool:
+    """The witness names s, s' ∈ L with P(s) = P(s'), Q(s)e and Q(s')e in
+    Q(L), and no observation-equivalent low-level continuations to e."""
+    gl = oracle._gen_rec(g)
+    al = gl.alphabet
+    s, sp, (e,) = w["s"], w["s_prime"], w["e"]
+    return (bool(gl.run(s)) and bool(gl.run(sp))
+            and oracle._p_of(al, s) == oracle._p_of(al, sp)
+            and oracle._q_extends(gl, oracle._q_of(al, s) + (e,))
+            and oracle._q_extends(gl, oracle._q_of(al, sp) + (e,))
+            and not oracle._loc_continuations_meet(gl, s, sp, e))
+
+
+class TestLocRegressions:
+    """Pinned LOC verdicts, witnesses and details of the benchmark plants."""
+
+    # population-1 plants that ran past 25 s while the LOC product was
+    # materialized; the first difference sequence is already a violation
+    FORMER_OVERRUNS = {
+        1000: {"s": ("e3", "e1", "e3"), "s_prime": ("e3", "e3"),
+               "e": ("e3",),
+               "sequence": ("e3:e3|e3:e3", "e1:e1|-:-", "e3:e3|e3:e3",
+                            "-:e3|-:e3")},
+        1011: {"s": ("e1", "e4", "e1", "e2", "e2", "e1"),
+               "s_prime": ("e1", "e4", "e1", "e2", "e2", "e1"),
+               "e": ("e1",),
+               "sequence": ("e1:e1|e1:e1", "e4:e4|e4:e4", "e1:e1|e1:e1",
+                            "e2:e2|e2:e2", "e2:e2|e2:e2", "e1:e1|e1:e1",
+                            "-:e1|-:e1")}}
+
+    @pytest.mark.parametrize("seed", sorted(FORMER_OVERRUNS))
+    def test_former_overruns_decide(self, seed):
+        g = random_plant(GeneratorParams(32, 5, 0.35, seed=seed))
+        v = check_loc(g, 2000)
+        assert v.violated
+        assert v.detail == {"examined": 1}
+        assert v.witness.strings == self.FORMER_OVERRUNS[seed]
+        assert _replays_loc_violation(g, v.witness.strings)
+        if seed == 1000:
+            assert not oracle.oracle_loc(g, 3).ok
+
+    def test_n8_s17_violated_at_first_sequence(self):
+        v = check_loc(random_plant(GeneratorParams(8, 5, 0.4, seed=17)), 2000)
+        assert v.violated
+        assert v.detail == {"examined": 1}
+        assert v.witness.strings == {
+            "s": ("e3", "e4", "e1", "e1", "e1", "e0", "e3"),
+            "s_prime": ("e3", "e4", "e1", "e1", "e1", "e3"),
+            "e": ("e2",),
+            "sequence": ("e3:e3|-:-", "-:-|e3:e3", "e4:e4|e4:e4",
+                         "e1:-|e1:-", "e1:-|e1:-", "e1:-|e1:-", "e0:-|-:-",
+                         "e3:e3|-:-", "-:-|e3:e3", "-:e2|-:e2")}
+
+    def test_n16_s10_holds_without_a_difference_sequence(self):
+        v = check_loc(random_plant(GeneratorParams(16, 5, 0.35, seed=10)),
+                      2000)
+        assert v.holds
+        assert v.detail == {}
+
+
+class TestDegeneratePlants:
+    """An empty difference search is a bare "holds" on plants with no
+    states, no initial state, or no moves."""
+
+    AL = make_alphabet("abc", controllable="ab", observable="ac",
+                       highlevel="ab")
+    PLANTS = {
+        "no-states": Automaton(AL, (), frozenset(), frozenset(), frozenset()),
+        "no-initial": Automaton(AL, ("p", "q"),
+                                frozenset({("p", "a", "q"), ("q", "c", "p")}),
+                                frozenset(), frozenset({"p"})),
+        "no-moves": Automaton(AL, ("p", "q"), frozenset(), frozenset({"p"}),
+                              frozenset({"p", "q"})),
+    }
+    CHECKS = {"oc": (check_oc, oracle.oracle_oc),
+              "moc": (check_moc, oracle.oracle_moc),
+              "loc": (check_loc, oracle.oracle_loc)}
+
+    @pytest.mark.parametrize("prop", CHECKS)
+    @pytest.mark.parametrize("plant", PLANTS)
+    def test_holds_bare_and_agrees_with_oracle(self, plant, prop):
+        check, oracle_check = self.CHECKS[prop]
+        v = check(self.PLANTS[plant])
+        assert v.holds
+        assert v.detail == {}
+        assert oracle_check(self.PLANTS[plant], 4).ok
 
 
 class TestModular:
