@@ -363,7 +363,7 @@ def is_empty(a: Automaton) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the construction kernel, determinization, completion
+# the construction kernel and determinization
 
 def explore(alphabet: Alphabet, starts: Iterable, moves, marked) -> Automaton:
     """Reachable part of an implicitly given automaton over `alphabet`.
@@ -455,26 +455,6 @@ def determinize(a: Automaton) -> Automaton:
     start = frozenset(a.initial)
     return explore(a.alphabet, [start] if start else [], moves,
                    lambda cur: not a.marked.isdisjoint(cur))
-
-
-def _unused_id(a: Automaton) -> int:
-    """A state id that `a` lacks: one past its largest integer id."""
-    return 1 + max((s for s in a.states if isinstance(s, int)), default=-1)
-
-
-def complete(a: Automaton) -> tuple[Automaton, int]:
-    """Total transition function via a fresh dead state; returns (aut, dead)."""
-    dead = _unused_id(a)
-    trans = set(a.transitions)
-    for q in a.states:
-        for e in a.alphabet.names:
-            if e not in a.succ[q]:
-                trans.add((q, e, dead))
-    for e in a.alphabet.names:
-        trans.add((dead, e, dead))
-    out = Automaton(a.alphabet, a.states + (dead,), frozenset(trans),
-                    a.initial or frozenset({dead}), a.marked)
-    return out, dead
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +660,7 @@ def marked_saturate(a: Automaton) -> Automaton:
     d = determinize(a)
     if not d.states:
         return d
-    sink = _unused_id(d)
+    sink = len(d.states)   # `determinize` numbers its states 0..n-1
     trans = set()
     for (src, e, dst) in d.transitions:
         if src in d.marked:

@@ -1,11 +1,11 @@
 """Classical supervisory-control property checks and supremal synthesis.
 
-The observability-style checks share one engine: the specification closure
-is dead-state completed so that "still inside K̄" is a state predicate, the
-completed recognizer is paired with the plant, and the two copies are
-synchronized on the observable events. A violation is then a reachable
-product state with a suitably enabled/disabled event, found by breadth-first
-search, which makes witnesses shortest and deterministic.
+The checks read DFAs as plain tables {state: {event: target}}. In the table
+of a specification closure K̄ a missing entry means "outside K̄", so no dead
+state is added. The observability-style checks share one breadth-first
+search over pairs of strings with equal observations; its parent map spells
+shortest, deterministic witnesses. The search resumes after an entry of K̄
+is deleted, so `sup_relobs_closed` runs all its removal rounds as one search.
 """
 
 from __future__ import annotations
@@ -14,21 +14,24 @@ from collections import deque
 from dataclasses import dataclass
 
 from .automata import (Automaton, PreconditionError, ProjectionSpec, all_marked,
-                       complete, determinize, difference, includes, intersect,
+                       determinize, difference, includes, intersect,
                        inverse_project, is_prefix_closed, marked_saturate,
                        parallel_compose, path_word, prefix_close, project,
                        require_same_alphabet, trim)
 from .verdicts import Verdict, Witness
 
 
-def _closure_dfa(a: Automaton) -> tuple[Automaton, int]:
-    """Completed DFA of the prefix closure of L_m(a); returns (dfa, dead)."""
-    return complete(determinize(prefix_close(trim(a))))
+def _dfa_table(d: Automaton) -> tuple[dict, object]:
+    """{state: {event: target}} of a DFA, and its initial state or None."""
+    table: dict = {q: {} for q in d.states}
+    for (src, e, dst) in d.transitions:
+        table[src][e] = dst
+    return table, next(iter(d.initial), None)
 
 
-def _one_step(dfa: Automaton, q: int, e: str) -> int | None:
-    t = dfa.succ[q].get(e)
-    return t[0] if t else None
+def _closure_table(a: Automaton) -> tuple[dict, object]:
+    """Partial DFA table of the prefix closure of L_m(a)."""
+    return _dfa_table(determinize(prefix_close(trim(a))))
 
 
 def _require_inclusion(small: Automaton, big: Automaton, what: str) -> None:
@@ -42,107 +45,122 @@ def check_controllability(k: Automaton, g: Automaton) -> Verdict:
     """K̄ Σu ∩ L(G) ⊆ K̄."""
     require_same_alphabet(k, g)
     _require_inclusion(k, g, "specification K must satisfy K ⊆ L_m(G)")
-    kd, dead = _closure_dfa(k)
-    gd = determinize(g)
+    kt, k0 = _closure_table(k)
+    gt, g0 = _dfa_table(determinize(g))
     unc = sorted(g.alphabet.uncontrollable, key=g.alphabet.names.index)
-
-    start = (next(iter(kd.initial)), next(iter(gd.initial)))
-    parent: dict = {start: None}
-    queue = deque([start])
+    parent: dict = {} if k0 is None else {(k0, g0): None}
+    queue = deque(parent)
     while queue:
-        kq, gq = queue.popleft()
-        if kq == dead:
-            continue
+        kq, gq = cur = queue.popleft()
+        kk, gg = kt[kq], gt[gq]
         for e in unc:
-            gn = _one_step(gd, gq, e)
-            if gn is not None and _one_step(kd, kq, e) == dead:
-                word = path_word(parent, (kq, gq))
+            if e in gg and e not in kk:
+                word = path_word(parent, cur)
                 return Verdict.make_violated(Witness(
                     "controllability", {"s": word, "e": (e,), "se": word + (e,)},
                     "s ∈ K̄, e uncontrollable, se ∈ L(G) but se ∉ K̄"))
         for e in g.alphabet.names:
-            gn = _one_step(gd, gq, e)
-            kn = _one_step(kd, kq, e)
-            if gn is None or kn == dead:
-                continue
-            nxt = (kn, gn)
-            if nxt not in parent:
-                parent[nxt] = ((kq, gq), e)
-                queue.append(nxt)
+            if e in kk:   # then se ∈ K̄ ⊆ L(G)
+                nxt = (kk[e], gg[e])
+                if nxt not in parent:
+                    parent[nxt] = (cur, e)
+                    queue.append(nxt)
     return Verdict.make_holds()
+
+
+class _PairSearch:
+    """Breadth-first search for (s, s') with P(s) = P(s'), s ∈ K̄, s' ∈ C̄
+    and an event e in `events` with se ∈ K̄, s'e ∈ L(G) and s'e ∉ K̄.
+
+    A node is (k, g, k', c', g'): the K̄ and G states after s and the K̄,
+    C̄ and G states after s', with k' None once s' has left K̄. It needs
+    K̄ ⊆ C̄ ⊆ L(G). No node with s ∉ K̄ or s' ∉ C̄ is generated: K̄ and C̄
+    are prefix-closed, so no extension of such a pair violates. `order`
+    lists the nodes in discovery order; the first len(front) of them have
+    been dequeued and the rest are the queue.
+
+    `delete(q, e)` drops an entry of the K̄ table. That changes the
+    violation test and the moves of exactly the nodes that hold q, so a
+    fresh search over the smaller table would repeat this one up to the
+    first dequeued node holding q. `delete` cuts the queue and the parent
+    map back to what was discovered when that node was dequeued, and
+    `next_violation` goes on from there.
+    """
+
+    def __init__(self, kt: dict, k0, ct: dict, c0, gt: dict, g0,
+                 alphabet, events):
+        self.kt, self.ct, self.gt = kt, ct, gt
+        self.events = sorted(set(events), key=alphabet.names.index)
+        self.steps = [(e, e in alphabet.observable, ("b", e), ("l", e), ("r", e))
+                      for e in alphabet.names]
+        self.parent: dict = {} if k0 is None else {(k0, g0, k0, c0, g0): None}
+        self.order = list(self.parent)
+        self.front: list = []   # front[i]: len(order) when order[i] was dequeued
+
+    def next_violation(self):
+        """The next violating (node, e) in dequeue order, or None."""
+        kt, ct, gt, parent, order = self.kt, self.ct, self.gt, self.parent, self.order
+        events, steps, front, outside = self.events, self.steps, self.front, {}
+        while len(front) < len(order):
+            node = order[len(front)]
+            front.append(len(order))
+            k1, g1, k2, c2, g2 = node
+            kk1, gg2 = kt[k1], gt[g2]
+            kk2 = outside if k2 is None else kt[k2]
+            for e in events:
+                if e in kk1 and e in gg2 and e not in kk2:
+                    return node, e
+            gg1, cc2 = gt[g1], ct[c2]
+            for e, observable, both, left, right in steps:
+                k1n, c2n = kk1.get(e), cc2.get(e)
+                if observable:
+                    if k1n is not None and c2n is not None:
+                        nxt = (k1n, gg1[e], kk2.get(e), c2n, gg2[e])
+                        if nxt not in parent:
+                            parent[nxt] = (node, both)
+                            order.append(nxt)
+                    continue
+                if k1n is not None:
+                    nxt = (k1n, gg1[e], k2, c2, g2)
+                    if nxt not in parent:
+                        parent[nxt] = (node, left)
+                        order.append(nxt)
+                if c2n is not None:
+                    nxt = (k1, g1, kk2.get(e), c2n, gg2[e])
+                    if nxt not in parent:
+                        parent[nxt] = (node, right)
+                        order.append(nxt)
+        return None
+
+    def delete(self, q, e) -> None:
+        """Drop the K̄ entry (q, e) and cut the search back to the first
+        dequeued node that holds q."""
+        del self.kt[q][e]
+        j = next(i for i, node in enumerate(self.order)
+                 if node[0] == q or node[2] == q)
+        n = self.front[j]
+        for _ in range(len(self.order) - n):
+            self.parent.popitem()
+        del self.order[n:], self.front[j:]
 
 
 def _observability_engine(k: Automaton, c: Automaton, g: Automaton,
                           events, kind: str) -> Verdict:
-    """Shared verifier for observability and relative observability.
-
-    Searches pairs (s, s') with P(s) = P(s') for an event e in `events`
-    with se ∈ K̄, s' ∈ C̄, s'e ∈ L(G), s'e ∉ K̄.
-    """
-    require_same_alphabet(k, g)
-    require_same_alphabet(c, g)
-    kd, kdead = _closure_dfa(k)
-    cd, cdead = _closure_dfa(c)
-    gd = determinize(g)
-    alphabet = g.alphabet
-    obs = alphabet.observable
-    events = sorted(set(events), key=alphabet.names.index)
-
-    k0 = next(iter(kd.initial))
-    c0 = next(iter(cd.initial))
-    g0 = next(iter(gd.initial))
-    start = ((k0, g0), (k0, c0, g0))
-    parent: dict = {start: None}
-    queue = deque([start])
-
-    def violation(left, right):
-        (k1, g1), (k2, c2, g2) = left, right
-        if c2 == cdead:
-            return None
-        for e in events:
-            if _one_step(kd, k1, e) == kdead or k1 == kdead:
-                continue  # se ∉ K̄
-            if _one_step(gd, g2, e) is None:
-                continue  # s'e ∉ L(G)
-            if _one_step(kd, k2, e) == kdead:
-                return e
-        return None
-
-    while queue:
-        cur = queue.popleft()
-        (k1, g1), (k2, c2, g2) = cur
-        e = violation(*cur)
-        if e is not None:
-            s, sp = _rebuild_pair(parent, cur)
-            return Verdict.make_violated(Witness(
-                kind,
-                {"s": s, "s_prime": sp, "e": (e,),
-                 "se": s + (e,), "s_prime_e": sp + (e,)},
-                "P(s)=P(s'), se ∈ K̄, s' ∈ C̄, s'e ∈ L(G), s'e ∉ K̄"))
-        for e in alphabet.names:
-            moves = []
-            if e in obs:
-                g1n = _one_step(gd, g1, e)
-                g2n = _one_step(gd, g2, e)
-                if g1n is not None and g2n is not None:
-                    moves.append((("b", e),
-                                  ((_one_step(kd, k1, e), g1n),
-                                   (_one_step(kd, k2, e), _one_step(cd, c2, e), g2n))))
-            else:
-                g1n = _one_step(gd, g1, e)
-                if g1n is not None:
-                    moves.append((("l", e),
-                                  ((_one_step(kd, k1, e), g1n), (k2, c2, g2))))
-                g2n = _one_step(gd, g2, e)
-                if g2n is not None:
-                    moves.append((("r", e),
-                                  ((k1, g1),
-                                   (_one_step(kd, k2, e), _one_step(cd, c2, e), g2n))))
-            for tag, nxt in moves:
-                if nxt not in parent:
-                    parent[nxt] = (cur, tag)
-                    queue.append(nxt)
-    return Verdict.make_holds()
+    """One pair search over K̄, C̄ and G; the callers checked the alphabets."""
+    kt, k0 = _closure_table(k)
+    ct, c0 = (kt, k0) if c is k else _closure_table(c)
+    search = _PairSearch(kt, k0, ct, c0, *_dfa_table(determinize(g)),
+                         g.alphabet, events)
+    found = search.next_violation()
+    if found is None:
+        return Verdict.make_holds()
+    node, e = found
+    s, sp = _rebuild_pair(search.parent, node)
+    return Verdict.make_violated(Witness(
+        kind,
+        {"s": s, "s_prime": sp, "e": (e,),
+         "se": s + (e,), "s_prime_e": sp + (e,)},
+        "P(s)=P(s'), se ∈ K̄, s' ∈ C̄, s'e ∈ L(G), s'e ∉ K̄"))
 
 
 def _rebuild_pair(parent: dict, key) -> tuple[tuple, tuple]:
@@ -230,26 +248,30 @@ def _observer_refinement(g: Automaton) -> Automaton:
     """DFA over Σ whose state after s depends only on P(s) (all marked)."""
     p = ProjectionSpec(g.alphabet, g.alphabet.observable)
     obs = determinize(project(all_marked(g), p))
-    lift_trans = set()
-    for (src, e, dst) in obs.transitions:
-        lift_trans.add((src, e, dst))
-    for q in obs.states:
-        for e in g.alphabet.names:
-            if e not in g.alphabet.observable:
-                lift_trans.add((q, e, q))
-    return Automaton(g.alphabet, obs.states, frozenset(lift_trans),
+    loops = {(q, e, q) for q in obs.states for e in g.alphabet.names
+             if e not in g.alphabet.observable}
+    return Automaton(g.alphabet, obs.states, obs.transitions | loops,
                      obs.initial, frozenset(obs.states))
 
 
 def sup_relobs_closed(k: Automaton, c: Automaton, g: Automaton,
                       max_iters: int = 1000) -> tuple[Automaton, SynthReport]:
-    """Supremal-candidate relatively observable sublanguage, prefix-closed K.
+    """Greedy relatively observable sublanguage of prefix-closed K ⊆ C.
 
-    Fixpoint: verify C-observability of the current candidate, delete the
-    offending event transition at the product state reached by the witness
-    (the product is refined by the observation subset automaton so strings
-    with equal observations share a state), trim, repeat. On convergence the
-    result is C-observable; supremality is audited externally at desk scale.
+    The candidate is the refined product R = K̄ × G × observer, in which
+    the observer's state after s depends only on P(s). Each round runs the
+    C-observability search of `check_relative_observability` on R and
+    deletes the transition (q, e) of the violation it finds, q being the
+    state that s reaches in R. Deleting (q, e) changes only what the
+    search's nodes holding q see, so the next round's search would repeat
+    this one up to the first dequeued node holding q; it resumes there
+    (`_PairSearch.delete`) and so deletes exactly what a fresh check of
+    the trimmed candidate would. R is trimmed once, at the end.
+
+    The result is that greedy fixpoint: C-observable on convergence, not
+    proven supremal; `oracle_sup_relobs` audits it on acyclic instances.
+    A violation found in round `max_iters` is still deleted, so a capped
+    run reports rounds=max_iters and removed_transitions=max_iters + 1.
     """
     require_same_alphabet(k, g)
     require_same_alphabet(c, g)
@@ -261,22 +283,20 @@ def sup_relobs_closed(k: Automaton, c: Automaton, g: Automaton,
     refined = parallel_compose(
         parallel_compose(determinize(prefix_close(trim(k))), determinize(all_marked(g))),
         _observer_refinement(g))
-    current = trim(refined)
-    removed = 0
-    for rounds in range(max_iters + 1):
-        if not current.states:
-            return current, SynthReport(True, rounds, removed)
-        v = check_relative_observability(current, c, g)
-        if v.holds:
-            return current, SynthReport(True, rounds, removed)
-        s, e = v.witness.strings["s"], v.witness.strings["e"][0]
-        cur = current.run(s)
-        assert len(cur) == 1
-        (q,) = cur
-        tgt = current.succ[q][e][0]
-        current = trim(Automaton(
-            current.alphabet, current.states,
-            current.transitions - {(q, e, tgt)},
-            current.initial, current.marked))
-        removed += 1
-    return current, SynthReport(False, max_iters, removed)
+    kt, k0 = _dfa_table(refined)
+    search = _PairSearch(kt, k0, *_closure_table(c), *_dfa_table(determinize(g)),
+                         g.alphabet, g.alphabet.names)
+    removed = set()
+    converged, rounds = False, max_iters
+    for i in range(max_iters + 1):
+        found = search.next_violation()
+        if found is None:
+            converged, rounds = True, i
+            break
+        (q, *_), e = found
+        removed.add((q, e, kt[q][e]))
+        search.delete(q, e)
+    result = trim(Automaton(refined.alphabet, refined.states,
+                            refined.transitions - removed,
+                            refined.initial, refined.marked))
+    return result, SynthReport(converged, rounds, len(removed))

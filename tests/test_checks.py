@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from hierctl.automata import (ProjectionSpec, all_marked, enumerate_bounded,
-                              language_equal, prefix_close, project)
-from hierctl.checks import (check_controllability, check_nonconflicting,
+from hierctl.automata import (Automaton, ProjectionSpec, all_marked,
+                              determinize, enumerate_bounded, intersect,
+                              language_equal, parallel_compose, prefix_close,
+                              project, trim)
+from hierctl.checks import (SynthReport, _observer_refinement,
+                            check_controllability, check_nonconflicting,
                             check_normality, check_observability,
                             check_relative_observability, sup_normal_closed,
                             sup_relobs_closed)
@@ -14,7 +17,7 @@ from hierctl.oracle import (oracle_controllability, oracle_normality,
                             oracle_observability, oracle_sup_normal,
                             oracle_sup_relobs)
 
-from conftest import make_alphabet, tree
+from conftest import load, make_alphabet, tree
 
 
 def _spec(plant, words, alphabet):
@@ -191,3 +194,112 @@ class TestSupRelobs:
             expected = oracle_sup_relobs(k, k, ctx.plant, bound=6)
             got = set(enumerate_bounded(s, 6))
             assert got == set(expected), f"seed={seed}"
+
+    def test_agrees_with_one_check_per_round(self):
+        rounds, capped = [], 0
+        for name, k, c, g in _sup_relobs_instances():
+            for max_iters in (0, 1, 2, 1000):
+                got, rep = sup_relobs_closed(k, c, g, max_iters)
+                want, want_rep = _reference_sup_relobs(k, c, g, max_iters)
+                where = f"{name} max_iters={max_iters}"
+                assert got.states == want.states, where
+                assert got.transitions == want.transitions, where
+                assert got.initial == want.initial, where
+                assert got.marked == want.marked, where
+                assert rep == want_rep, where
+                if not rep.converged:
+                    capped += 1
+                    assert rep.rounds == max_iters, where
+                    assert rep.removed_transitions == max_iters + 1, where
+                if max_iters == 1000:
+                    rounds.append(rep.rounds)
+        assert max(rounds) >= 5
+        assert capped >= 10
+
+    def test_cost_does_not_grow_with_rounds(self, monkeypatch):
+        k, c, g = _rounds_instance()
+        built = []
+        post_init = Automaton.__post_init__
+
+        def counting(self):
+            built.append(None)
+            post_init(self)
+
+        monkeypatch.setattr(Automaton, "__post_init__", counting)
+        _, rep = sup_relobs_closed(k, c, g)
+        full = len(built)
+        built.clear()
+        _, capped = sup_relobs_closed(k, c, g, max_iters=0)
+        assert rep.converged and rep.rounds >= 10
+        assert not capped.converged
+        assert full == len(built)
+
+
+def _reference_sup_relobs(k, c, g, max_iters):
+    """The removal loop as one full C-observability check per round."""
+    refined = parallel_compose(
+        parallel_compose(determinize(prefix_close(trim(k))),
+                         determinize(all_marked(g))),
+        _observer_refinement(g))
+    current = trim(refined)
+    removed = 0
+    for rounds in range(max_iters + 1):
+        if not current.states:
+            return current, SynthReport(True, rounds, removed)
+        v = check_relative_observability(current, c, g)
+        if v.holds:
+            return current, SynthReport(True, rounds, removed)
+        s, e = v.witness.strings["s"], v.witness.strings["e"][0]
+        (q,) = current.run(s)
+        tgt = current.succ[q][e][0]
+        current = trim(Automaton(
+            current.alphabet, current.states,
+            current.transitions - {(q, e, tgt)},
+            current.initial, current.marked))
+        removed += 1
+    return current, SynthReport(False, max_iters, removed)
+
+
+def _random_levels_params(seed):
+    return GeneratorParams(states=4 + seed % 7, events=3 + seed % 3,
+                           transition_density=0.35 + 0.05 * (seed % 4),
+                           deterministic=seed % 5 != 0, seed=seed + 300)
+
+
+def _nested_specs(g, seed):
+    """Prefix-closed C ⊆ L(G) and K ⊆ C."""
+    c = prefix_close(random_sublanguage(g, 0.15, seed + 5))
+    k = prefix_close(trim(intersect(c, random_sublanguage(g, 0.2, seed + 9))))
+    return k, c
+
+
+def _rounds_instance():
+    """An instance whose fixpoint takes 26 rounds."""
+    g = build_context(random_plant(_random_levels_params(25))).plant
+    k, _ = _nested_specs(g, 25)
+    return k, k, g
+
+
+def _sup_relobs_instances():
+    for seed in range(20):
+        g = random_plant(GeneratorParams(states=4, seed=seed + 50))
+        ctx = build_context(g)
+        k = prefix_close(random_sublanguage(ctx.plant, 0.3, seed + 1))
+        yield f"fixpoint-{seed}", k, k, ctx.plant
+    for seed in range(25):
+        params = GeneratorParams(states=4 + seed % 2, events=2 + seed % 2,
+                                 transition_density=0.5, acyclic=True,
+                                 seed=seed + 7000)
+        ctx = build_context(random_plant(params))
+        k = prefix_close(random_sublanguage(ctx.plant, 0.3, seed))
+        yield f"acyclic-{seed}", k, k, ctx.plant
+    for seed in range(30):
+        ctx = build_context(random_plant(_random_levels_params(seed)))
+        for level, g in (("plant", ctx.plant), ("abstraction", ctx.abstraction)):
+            k, c = _nested_specs(g, seed)
+            yield f"{level}-{seed}", k, k, g
+            yield f"{level}-{seed}-ambient", k, c, g
+    g = all_marked(load("relobs-plant.saut"))
+    k = prefix_close(trim(conform_spec(load("relobs-spec.saut"), g.alphabet)))
+    c = prefix_close(trim(conform_spec(load("relobs-ambient.saut"), g.alphabet)))
+    yield "data-relobs", intersect(k, g), intersect(c, g), g

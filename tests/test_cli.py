@@ -140,7 +140,10 @@ class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("synth", "supn", SPEC, PLANT),
         ("hier", "synth-normal", PLANT, SPEC),
-    ], ids=["synth-supn", "hier-synth-normal"])
+        ("synth", "suprelobs", RSPEC, RAMBIENT, RPLANT),
+        ("hier", "synth-relobs", PLANT, SPEC),
+    ], ids=["synth-supn", "hier-synth-normal", "synth-suprelobs",
+            "hier-synth-relobs"])
     def test_output_is_independent_of_hash_seed(self, argv):
         src = str(DATA.parent / "src")
         outs = []
