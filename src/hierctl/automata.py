@@ -703,72 +703,103 @@ def iter_difference_words(a: Automaton, b: Automaton) -> Iterator[Word]:
     (state of `a`, subset of `b`) are expanded on first use. `trim` is
     replaced by a liveness test: a node is live when it reaches a bad node,
     one whose `a` state is marked and whose `b` subset holds no marked
-    state. A forward search decides it; a positive answer spreads back
-    along the recorded predecessor edges, and an exhausted search proves
-    every node it visited dead, so each node is expanded at most once.
-    An `Implicit` operand is expanded only as far as the search reads it.
-    Nothing is yielded exactly when L_m(a) ⊆ L_m(b).
+    state. One depth-first search over strongly connected components
+    (Tarjan's) decides it, and every node it visits is decided once, so
+    it scans each node's targets at most once: a live or bad target
+    makes every node still on the component stack live (each reaches the
+    search path, which reaches that target), and a component finished
+    without one is dead. A node's targets are all checked for a live or bad
+    one before the search descends, into the smallest `b` subsets first.
+    They are not stored: dead nodes keep nothing, and only the live nodes
+    that the word search expands keep a successor map. An `Implicit`
+    operand is expanded only as far as the search reads it. Nothing is
+    yielded exactly when L_m(a) ⊆ L_m(b).
     """
     require_same_alphabet(a, b)
     a = eliminate_silent(a)
     b = eliminate_silent(b)
     b_step: dict = {}   # (b-subset, event) -> b-subset
-    succ: dict = {}     # node -> event -> tuple of nodes
-    pred: dict = {}     # node -> nodes with an edge into it
-    live: set = set()
-    dead: set = set()
+    succ: dict = {}     # live node -> event -> tuple of nodes
+    # node -> LIVE, DEAD, or its search number while the search holds it
+    status: dict = {}
+    LIVE, DEAD = -1, -2
 
     def bad(node) -> bool:
         qa, bs = node
         return qa in a.marked and b.marked.isdisjoint(bs)
+
+    def step(bs: frozenset, e) -> frozenset:
+        nbs = b_step.get((bs, e))
+        if nbs is None:
+            nbs = b_step[(bs, e)] = b.step(bs, e)
+        return nbs
+
+    def targets(node) -> list:
+        # smallest `b` subsets first: a bad node's holds no marked state,
+        # and trying them first keeps the search from wandering through
+        # large subsets while a bad node is a few steps away
+        qa, bs = node
+        steps = sorted(((step(bs, e), ts) for e, ts in a.succ[qa].items()),
+                       key=lambda st: len(st[0]))
+        return [(qn, nbs) for nbs, ts in steps for qn in ts]
 
     def expand(node) -> dict:
         out = succ.get(node)
         if out is None:
             qa, bs = node
             out = succ[node] = {}
-            for e, targets in a.succ[qa].items():
-                nbs = b_step.get((bs, e))
-                if nbs is None:
-                    nbs = b_step[(bs, e)] = b.step(bs, e)
-                nodes = out[e] = tuple((qn, nbs) for qn in targets)
-                for n in nodes:
-                    pred.setdefault(n, []).append(node)
+            for e, ts in a.succ[qa].items():
+                nbs = step(bs, e)
+                out[e] = tuple((qn, nbs) for qn in ts)
         return out
 
-    def spread(node) -> None:
-        live.add(node)
-        stack = [node]
-        while stack:
-            for p in pred.get(stack.pop(), ()):
-                if p not in live:
-                    live.add(p)
-                    stack.append(p)
-
     def is_live(node) -> bool:
-        if node in live:
-            return True
-        if node in dead:
-            return False
+        s = status.get(node)
+        if s is not None:
+            return s == LIVE
         if bad(node):
-            spread(node)
+            status[node] = LIVE
             return True
-        seen = {node}
-        stack = [node]
-        while stack:
-            for targets in expand(stack.pop()).values():
-                for t in targets:
-                    if t in seen or t in dead:
-                        continue
-                    if t in live or bad(t):
-                        # every node on the search path to t is a
-                        # predecessor-chain ancestor of t, node included
-                        spread(t)
-                        return True
-                    seen.add(t)
-                    stack.append(t)
-        dead.update(seen)
-        return False
+        stack = []   # visited nodes whose component is not finished
+        path = []    # [node, its unread targets, lowlink] down to `node`
+        count = 0
+        while True:
+            # enter `node`, which is neither decided nor bad
+            status[node] = count
+            stack.append(node)
+            ts = targets(node)
+            for t in ts:
+                s = status.get(t)
+                if s == LIVE or (s is None and bad(t)):
+                    for n in stack:
+                        status[n] = LIVE
+                    return True
+            path.append([node, iter(ts), count])
+            count += 1
+            while path:
+                frame = path[-1]
+                for t in frame[1]:
+                    s = status.get(t)
+                    if s is None:
+                        node = t
+                        break
+                    if 0 <= s < frame[2]:   # on the stack: same component
+                        frame[2] = s
+                else:
+                    path.pop()
+                    top, _, low = frame
+                    if low == status[top]:   # a finished, dead component
+                        while True:
+                            n = stack.pop()
+                            status[n] = DEAD
+                            if n is top:
+                                break
+                    elif low < path[-1][2]:
+                        path[-1][2] = low
+                    continue
+                break
+            else:
+                return False
 
     # live subset -> (accepting, ((event, next live subset), ...))
     moves: dict = {}

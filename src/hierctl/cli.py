@@ -293,6 +293,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parsing leaves the parser as it was, and `prog` is fixed.
+_PARSER = _build_parser()
+
+
 def _expected_files(args) -> int | None:
     if args.command != "check":
         return None
@@ -301,8 +305,7 @@ def _expected_files(args) -> int | None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     want = _expected_files(args)
     if want is not None and len(args.files) != want:
         print(f"error: 'check {args.property}' takes exactly {want} file(s)",

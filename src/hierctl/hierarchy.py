@@ -148,9 +148,10 @@ def check_observer(g: Automaton) -> Verdict:
     """
     ctx = build_context(g)
     gd, hd, pairs = _abstraction_pairs(ctx)
+    proj = project(gd, ctx.q)   # silent elimination does not read `initial`
     for s, gs, xs in pairs:
         cont_hi = with_initial(hd, {xs})
-        cont_lo = project(with_initial(gd, {gs}), ctx.q)
+        cont_lo = with_initial(proj, {gs})
         v = includes(cont_hi, cont_lo, kind="observer")
         if not v.holds:
             t_rest = v.witness.strings["word"]

@@ -129,11 +129,30 @@ def test_difference_and_quotient():
     assert enumerate_bounded(q, 3) == [("a",)]
 
 
+def a_graph(edges: str, marked: str) -> Automaton:
+    """An automaton over AB with a-edges only, such as "sp pq qp": its
+    states in order of first mention, the first one initial. A state's
+    targets are sorted in that order, so a search reads them in it."""
+    pairs = edges.split()
+    states = tuple(dict.fromkeys("".join(pairs)))
+    return Automaton(AB, states, frozenset((x, "a", y) for x, y in pairs),
+                     frozenset(states[:1]), frozenset(marked))
+
+
+NOTHING = tree((), AB)
+
+
 @settings(max_examples=150, deadline=None)
 @given(random_automata(), random_automata())
 @example(tree(words("a", "ab"), AB), tree(words("a", "ab"), AB))      # empty
 @example(tree(words("", "ab", "ba", "b"), AB), tree(words("b"), AB))  # finite
 @example(sigma_star(AB), tree(words("", "a", "ba"), AB))            # infinite
+# the live cycle p-q is left for the dead end d before it meets m
+@example(a_graph("sp pd pq qp qm", "m"), NOTHING)
+# the dead cycle x-y is finished below s before s meets m through t
+@example(a_graph("sx st xy yx tm", "m"), NOTHING)
+# q and r reach m only through r's back edge to p, and finish first
+@example(a_graph("sp pq pt qr rp tm", "m"), NOTHING)
 def test_difference_words_match_trimmed_difference(a, b):
     first = list(islice(iter_difference_words(a, b), 50))
     assert first == list(islice(iter_marked_words(trim(difference(a, b))), 50))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from hierctl import cli
 from hierctl.cli import main
 from hierctl.saut import parse_automaton
 
@@ -172,3 +174,31 @@ class TestErrors:
     def test_bad_property_exits_two_from_argparse(self, capsys):
         with pytest.raises(SystemExit):
             main(["check", "nonsense", PLANT])
+
+
+class TestParser:
+    def test_main_builds_no_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for _ in range(2):
+            assert main(["random", "--seed", "5", "--states", "4"]) == 0
+        assert main(["check", "oc", PLANT]) == 0
+        assert built == []
+
+    def test_usage_error_matches_a_fresh_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(["check"])
+        assert capsys.readouterr().err == err
+        assert err.startswith("usage: hierctl check ")
+        assert err.endswith("hierctl check: error: the following arguments "
+                            "are required: property, FILE\n")

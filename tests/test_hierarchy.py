@@ -1,8 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +22,8 @@ from hierctl.automata import (Alphabet, Automaton, Event, all_marked,
 from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
                              gadget_oc, random_nfa, random_plant,
                              random_sublanguage)
-from hierctl.hierarchy import (PreconditionError, _continuations_meet,
-                               _loc_operands, _loc_shared,
+from hierctl.hierarchy import (PreconditionError, _common_pair,
+                               _continuations_meet, _loc_operands, _loc_shared,
                                _moc_mate_exists, _oc_pair_exists,
                                build_context,
                                check_lcc, check_loc, check_moc,
@@ -27,7 +33,8 @@ from hierctl.hierarchy import (PreconditionError, _continuations_meet,
                                lemma_distribute_q, lemma_moc_implies_oc,
                                moc_structurally_guaranteed)
 
-from hierctl.relations import build_quad, quad_alphabet
+from hierctl.relations import (build_quad, quad_alphabet, relabel_pair,
+                               sync_pair_compose)
 
 from conftest import make_alphabet, tree
 
@@ -85,8 +92,90 @@ class TestConsistencyChecks:
                 assert not rep["oc"].violated, f"seed={seed}"
 
 
+class _Asked(frozenset):
+    """A marked-state set that records each state it is asked about: the
+    difference search asks once per bad-node test."""
+
+    def __contains__(self, q):
+        self.asked.append(q)
+        return frozenset.__contains__(self, q)
+
+
+def _counting_marked(a: Automaton) -> tuple:
+    """`a` with an `_Asked` marked set, and the list it records into."""
+    marked = _Asked(a.marked)
+    marked.asked = []
+    return replace(a, marked=marked), marked.asked
+
+
+def _oc_operands(g: Automaton) -> tuple:
+    """The two sides of check_oc's inclusion."""
+    ctx = build_context(g)
+    left = sync_pair_compose(ctx.abstraction, ctx.abstraction, ctx.shared)
+    right = relabel_pair(
+        sync_pair_compose(ctx.plant, ctx.plant, ctx.alphabet.observable),
+        ctx.alphabet.highlevel, ctx.alphabet.highlevel)
+    return _common_pair(left, right)
+
+
+# OC is violated at its first difference sequence here, but a depth-first
+# liveness search can wander deep into the right side's subsets first.
+WANDER_PLANT = GeneratorParams(16, 5, 0.35, seed=1000)
+# bad-node tests up to that first sequence; wandering takes over 100,000
+WANDER_BOUND = 10_000
+
+
+def _oc_wander_probe() -> list:
+    """check_oc on WANDER_PLANT, and the bad-node tests its difference
+    search makes up to the first sequence."""
+    g = random_plant(WANDER_PLANT)
+    v = check_oc(g, 2000)
+    la, ra = _oc_operands(g)
+    la, asked = _counting_marked(la)
+    next(iter_difference_words(la, ra))
+    return [v.outcome, v.detail, len(asked)]
+
+
 class TestRefutationRegressions:
     """Pinned refutation-loop verdicts, witnesses and details."""
+
+    @pytest.mark.parametrize("hash_seed", ["2", "3"])
+    def test_oc_search_work_is_independent_of_hash_seed(self, hash_seed):
+        # Under these string hash seeds a fresh search per liveness query
+        # took over 5 s here, making over 120,000 bad-node tests; the test
+        # below fixes the order that decides it. One component search that
+        # tries the smallest right subsets first makes about 2,700.
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (
+                       str(tests.parent / "src"), str(tests),
+                       os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import json, test_hierarchy as t; "
+             "print(json.dumps(t._oc_wander_probe()))"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outcome, detail, asked = json.loads(proc.stdout)
+        assert outcome == "violated" and detail == {"examined": 1}
+        assert asked <= WANDER_BOUND
+
+    def test_oc_search_work_is_independent_of_successor_order(self):
+        # The hash seed does not fix the order in which the search reads a
+        # state's events: that follows set iteration, and tuples holding
+        # None hash differently in each process before Python 3.12. So
+        # force orders: the alphabet's, its reverse, and per-state shuffles.
+        la, ra = _oc_operands(random_plant(WANDER_PLANT))
+        names = la.alphabet.names
+        rng = random.Random(0)
+        orders = [lambda q: names, lambda q: names[::-1]] + \
+            [lambda q: rng.sample(names, len(names))] * 4
+        for order in orders:
+            a, asked = _counting_marked(la)
+            # the cached successor map, its events in the forced order
+            a.__dict__["succ"] = {q: {e: m[e] for e in order(q) if e in m}
+                                  for q, m in la.succ.items()}
+            assert next(iter_difference_words(a, ra))
+            assert len(asked) <= WANDER_BOUND
 
     def test_oc_violated_at_second_sequence(self):
         g = random_plant(GeneratorParams(32, 5, 0.35, seed=9))
@@ -420,6 +509,17 @@ class TestLazyLoc:
                     == want, (g, e)
                 found[bool(want)] += 1
         assert found[True] >= 5 and found[False] >= 5, found
+
+    def test_liveness_tests_each_node_a_few_times(self):
+        # Every node the search visits is tested, so the distinct left
+        # states asked about are at most the product nodes visited. A fresh
+        # search per liveness query tested each about 4.3 times here; one
+        # component search tests each about 1.25 times.
+        ctx = build_context(random_plant(GeneratorParams(8, 5, 0.4, seed=17)))
+        left, right = _reference_loc_operands(ctx, "e2")
+        left, asked = _counting_marked(left)
+        assert next(iter_difference_words(left, right))
+        assert len(asked) <= 2 * len(set(asked))
 
     def test_loc_builds_no_large_product(self, monkeypatch):
         # The materialized construction built a 52,294-state product here.
