@@ -143,6 +143,16 @@ class GeneratorParams:
     acyclic: bool = False
     seed: int = 0
 
+    def __post_init__(self):
+        if self.states < 1:
+            raise PreconditionError("states must be >= 1")
+        if self.events < 0:
+            raise PreconditionError("events must be >= 0")
+        for name in ("transition_density", "controllable_density",
+                     "observable_density", "highlevel_density"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise PreconditionError(f"{name} must be a probability")
+
 
 def random_alphabet(params: GeneratorParams) -> Alphabet:
     rng = random.Random(params.seed ^ 0x5EED)

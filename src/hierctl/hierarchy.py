@@ -23,8 +23,10 @@ too, never built as automata. A search that yields no sequence is the
 inclusion holding: ``holds``. The inclusion is sequence-level, so a
 difference sequence may only reflect a missing interleaving: each one, in
 length-lexicographic order, is decomposed into a string tuple, and the tuple
-is confirmed or refuted by an exact existence search over the plant's states.
-A confirmed tuple yields ``violated``; exhausting the difference language
+is confirmed or refuted exactly against the plant's states: OC and LOC by a
+depth-first existence search per tuple, MOC by one table of plant state
+sets per check, keyed by prefix pairs, that all its tuples share. A
+confirmed tuple yields ``violated``; exhausting the difference language
 yields ``holds`` (every genuine violating tuple leaves at least one
 difference sequence, because the synchronized products accept all
 interleavings); running out of budget, counted in sequences examined,
@@ -210,6 +212,11 @@ def _common_pair(a: Automaton, b: Automaton) -> tuple[Automaton, Automaton]:
     return widen_alphabet(a, common), widen_alphabet(b, common)
 
 
+def _require_budget(budget: int) -> None:
+    if budget < 0:
+        raise PreconditionError("budget must be >= 0")
+
+
 def _refutation_loop(words, budget: int, decompose, confirm) -> Verdict:
     """Decide a consistency check from its difference sequences.
 
@@ -246,8 +253,10 @@ def _refutation_loop(words, budget: int, decompose, confirm) -> Verdict:
 
 
 # Confirmation searches. Each decides one existence question about fixed
-# strings by a depth-first search over the plant (every state marked), so a
-# refuted difference sequence costs no automaton construction.
+# strings over the plant (every state marked), so a refuted difference
+# sequence costs no automaton construction. OC and LOC run a depth-first
+# search per question; MOC's questions share one table per check, since
+# its length-lexicographic candidates share most of their prefixes.
 
 def _reaches(starts, step, goal) -> bool:
     """Is a node satisfying `goal` reachable from `starts` along `step`?"""
@@ -316,21 +325,69 @@ def _oc_pair_exists(ctx: HierarchyContext, t: tuple, tp: tuple) -> bool:
                          t, tp, lambda n: n[1] == len(t) and n[3] == len(tp))
 
 
-def _moc_mate_exists(ctx: HierarchyContext, observed: tuple,
-                     tp: tuple) -> bool:
-    """∃ s' ∈ L with P(s') = observed and Q(s') = tp."""
-    obs = ctx.alphabet.observable
+def _moc_mate_table(ctx: HierarchyContext):
+    """`exists(o, t)`: ∃ s' ∈ L with P(s') = o and Q(s') = t.
 
-    def step(node):
-        q, k, j = node
-        for e, qn, nj in _moves(ctx, q, tp, j):
-            if e not in obs:
-                yield qn, k, nj
-            elif k < len(observed) and observed[k] == e:
-                yield qn, k + 1, nj
+    The answers share one table of cells. Cell (o, t) holds the plant
+    states reached by some s' with P(s') = o and Q(s') = t, closed under
+    the silent events (outside Σo ∪ Σhi). It is the closure of three
+    steps: an event of Σo ∩ Σhi from cell (o[:-1], t[:-1]) when o and t
+    end in it, one of Σo ∖ Σhi from (o[:-1], t) and one of Σhi ∖ Σo from
+    (o, t[:-1]). A query fills only the cells it needs, from an explicit
+    stack, and stops at filled ones; the length-lexicographic candidates
+    of one check share most of their prefixes, so most cells are filled
+    by earlier queries.
+    """
+    plant = ctx.plant
+    obs, hi = ctx.alphabet.observable, ctx.alphabet.highlevel
+    silent = {q: tuple({r for e, ts in plant.succ[q].items()
+                        if e not in obs and e not in hi for r in ts})
+              for q in plant.states}
 
-    return _reaches({(q, 0, 0) for q in ctx.plant.initial}, step,
-                    lambda n: n[1] == len(observed) and n[2] == len(tp))
+    def close(states) -> frozenset:
+        seen = set(states)
+        stack = list(seen)
+        while stack:
+            for r in silent[stack.pop()]:
+                if r not in seen:
+                    seen.add(r)
+                    stack.append(r)
+        return frozenset(seen)
+
+    cells = {((), ()): close(plant.initial)}
+
+    def exists(o: tuple, t: tuple) -> bool:
+        query = (o, t)
+        # a frame (key, None) lists the key's steps; (key, steps) fills the
+        # key once the predecessors it lacked are filled
+        stack = [(query, None)]
+        while stack:
+            key, steps = stack.pop()
+            if steps is None:
+                if key in cells:   # filled, maybe after it was pushed
+                    continue
+                o, t = key
+                steps = []   # (predecessor cell, event)
+                if o:
+                    e = o[-1]
+                    if e not in hi:
+                        steps.append(((o[:-1], t), e))
+                    elif t and t[-1] == e:
+                        steps.append(((o[:-1], t[:-1]), e))
+                if t and t[-1] not in obs:
+                    steps.append(((o, t[:-1]), t[-1]))
+                missing = [(k, None) for k, _ in steps if k not in cells]
+                if missing:
+                    stack.append((key, steps))
+                    stack += missing
+                    continue
+            reached = set()
+            for k, e in steps:
+                reached |= plant.step(cells[k], e)
+            cells[key] = close(reached)
+        return bool(cells[query])
+
+    return exists
 
 
 def _continuations_meet(ctx: HierarchyContext, left, right, e: str) -> bool:
@@ -371,6 +428,7 @@ def _pair_consistency(ctx: HierarchyContext, kind: str, left: Automaton,
 
 def check_oc(g: Automaton, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Observation consistency of the plant abstraction."""
+    _require_budget(budget)
     ctx = build_context(g)
     return _pair_consistency(
         ctx, "oc", sync_pair_compose(ctx.abstraction, ctx.abstraction,
@@ -382,11 +440,13 @@ def check_oc(g: Automaton, budget: int = DEFAULT_BUDGET) -> Verdict:
 
 def check_moc(g: Automaton, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Modified observation consistency of the plant abstraction."""
+    _require_budget(budget)
     ctx = build_context(g)
+    mate_exists = _moc_mate_table(ctx)
     return _pair_consistency(
         ctx, "moc", sync_pair_compose(ctx.plant, ctx.abstraction, ctx.shared),
         frozenset(ctx.alphabet.names), "s",
-        lambda s, tp: _moc_mate_exists(ctx, ctx.p.apply(s), tp),
+        lambda s, tp: mate_exists(ctx.p.apply(s), tp),
         "no representative of t' shares the observation of s", budget)
 
 
@@ -474,6 +534,7 @@ def _loc_confirm(ctx: HierarchyContext, e: str, tup, word):
 
 def check_loc(g: Automaton, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Local observation consistency, decided per controllable high event."""
+    _require_budget(budget)
     ctx = build_context(g)
     events = sorted(ctx.alphabet.highlevel & ctx.alphabet.controllable,
                     key=ctx.alphabet.names.index)

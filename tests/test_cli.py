@@ -171,6 +171,17 @@ class TestErrors:
         f.write_text("event a c o hi\nbogus line\n")
         assert main(["check", "oc", str(f)]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ("random", "--states", "0"), ("random", "--events", "-1"),
+        ("random", "--density", "1.5"),
+        ("--budget", "-5", "check", "moc", PLANT),
+        ("--budget", "-1", "hier", "verify", PLANT, SPEC)])
+    def test_bad_generator_or_budget_exits_three(self, capsys, argv):
+        assert main(list(argv)) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_bad_property_exits_two_from_argparse(self, capsys):
         with pytest.raises(SystemExit):
             main(["check", "nonsense", PLANT])

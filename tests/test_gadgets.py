@@ -107,6 +107,28 @@ class TestReductions:
 
 
 class TestGenerators:
+    @pytest.mark.parametrize("bad", [
+        {"states": 0}, {"states": -2}, {"events": -1},
+        {"transition_density": 1.5}, {"controllable_density": -0.1},
+        {"observable_density": 2.0}, {"highlevel_density": -1.0}])
+    def test_bad_params_are_precondition_errors(self, bad):
+        with pytest.raises(PreconditionError):
+            GeneratorParams(**bad)
+
+    def test_edge_params_are_accepted(self):
+        g = random_plant(GeneratorParams(
+            states=1, events=0, transition_density=1.0,
+            controllable_density=0.0, observable_density=1.0,
+            highlevel_density=0.0))
+        assert len(g.states) == 1 and not g.alphabet.names
+
+    @pytest.mark.parametrize("check", [check_oc, check_moc, check_loc])
+    def test_negative_budget_is_a_precondition_error(self, check):
+        g = gadget_loc(_nfa(0))
+        with pytest.raises(PreconditionError):
+            check(g, -5)
+        assert not check(g, 0).violated
+
     def test_random_plant_is_deterministic_and_reproducible(self):
         p = GeneratorParams(seed=7)
         g1 = random_plant(p)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from hierctl import oracle
+from hierctl import hierarchy, oracle
 from hierctl.automata import (Alphabet, Automaton, Event, all_marked,
                               determinize, enumerate_bounded, explore,
                               intersect, inverse_project, is_empty,
@@ -24,7 +24,7 @@ from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
                              random_sublanguage)
 from hierctl.hierarchy import (PreconditionError, _common_pair,
                                _continuations_meet, _loc_operands, _loc_shared,
-                               _moc_mate_exists, _oc_pair_exists,
+                               _moc_mate_table, _oc_pair_exists,
                                build_context,
                                check_lcc, check_loc, check_moc,
                                check_moc_modular, check_observer, check_oc,
@@ -391,6 +391,9 @@ class TestConfirmationSearches:
                            for w in itertools.product(hi, repeat=n)})
             outside += sum(not oracle._q_extends(gl, t) for t in ts)
             events = sorted(ctx.alphabet.highlevel)
+            # one table per plant, as in check_moc: later queries read the
+            # cells that earlier ones filled
+            mate_exists = _moc_mate_table(ctx)
             for _ in range(25):
                 t, tp = rng.choice(ts), rng.choice(ts)
                 got = _oc_pair_exists(ctx, t, tp)
@@ -399,7 +402,7 @@ class TestConfirmationSearches:
                 outcomes["oc"].add(got)
 
                 s = rng.choice(words)
-                got = _moc_mate_exists(ctx, ctx.p.apply(s), tp)
+                got = mate_exists(ctx.p.apply(s), tp)
                 assert got == _reference_moc(ctx, s, tp), (g, s, tp)
                 assert got == oracle._exists_moc_mate(
                     gl, ctx.p.apply(s), tp), (g, s, tp)
@@ -413,6 +416,44 @@ class TestConfirmationSearches:
                 outcomes["loc"].add(got)
         assert outside > 0
         assert all(o == {True, False} for o in outcomes.values()), outcomes
+
+    def test_moc_cells_close_under_silent_events(self):
+        # a: observable and high-level, b: observable only, u: neither
+        al = make_alphabet("abu", observable="ab", highlevel="a")
+        g = tree([("a", "u", "b")], al)
+        mate_exists = _moc_mate_table(build_context(g))
+        assert mate_exists(("a", "b"), ("a",))
+        assert not mate_exists(("a", "b"), ())
+        assert not mate_exists(("b",), ())
+
+    def test_long_moc_query_needs_no_recursion(self):
+        # every cell of a 5,000-letter diagonal is filled from the one
+        # before it; a recursive fill would pass the recursion limit
+        al = make_alphabet("a")   # observable and high-level
+        g = Automaton(al, ("q",), frozenset({("q", "a", "q")}),
+                      frozenset({"q"}), frozenset({"q"}))
+        word = ("a",) * 5000
+        assert _moc_mate_table(build_context(g))(word, word)
+
+    def test_moc_gadget_reads_few_successor_maps(self, monkeypatch):
+        # A fresh plant search per candidate read 40,550 successor maps
+        # here; the shared table reads about 7,700.
+        reads = []
+
+        class Counting(dict):
+            def __getitem__(self, q):
+                reads.append(q)
+                return dict.__getitem__(self, q)
+
+        def counting_context(g):
+            ctx = build_context(g)
+            ctx.plant.__dict__["succ"] = Counting(ctx.plant.succ)
+            return ctx
+
+        monkeypatch.setattr(hierarchy, "build_context", counting_context)
+        v = check_moc(TestRefutationRegressions._gadget(8), 3000)
+        assert v.inconclusive and v.detail["refuted"] == 3000
+        assert len(reads) <= 10_000
 
 
 # The materialized LOC construction that the lazy operands replaced; it is
