@@ -50,7 +50,7 @@ from .checks import (check_controllability, check_nonconflicting,
                      check_normality, check_observability, sup_normal_closed,
                      sup_relobs_closed)
 from .relations import (decompose_sequence, label_name, quad_alphabet,
-                        quad_moves, relabel_pair, sync_pair_compose)
+                        relabel_pair, sync_pair_compose, verifier_moves)
 from .verdicts import Verdict, Witness
 
 DEFAULT_BUDGET = 10000
@@ -475,32 +475,39 @@ def _track(d: Automaton, x: int, letter) -> int | None:
 
 def _loc_shared(ctx: HierarchyContext) -> tuple:
     """What every event's LOC operands share: a memo of the verifier's
-    moves (every plant state is marked, so every quadruple is) and the
-    abstraction DFA."""
+    moves over plant-state pairs (p, r) (every plant state is marked, so
+    every pair is) and the abstraction DFA.
+
+    The pairs accept the sequences `build_quad`'s quadruples (p, q, r, s)
+    accept, because q can always copy p and s copy r: the starts include
+    q = p and s = r, and q may take every transition p takes (it must on
+    Σhi events), as s may for r. A label's components 1 and 3 are fixed by
+    its base event, so q and s never restrict a sequence."""
     return (Implicit(quad_alphabet(ctx.alphabet),
-                     itertools.product(ctx.plant.initial, repeat=4),
-                     quad_moves(ctx.plant), lambda st: True),
+                     itertools.product(ctx.plant.initial, repeat=2),
+                     verifier_moves(ctx.plant), lambda pr: True),
             determinize(ctx.abstraction))
 
 
 def _loc_operands(ctx: HierarchyContext, shared: tuple, e: str) -> tuple:
     """The implicit left and right sides of LOC's inclusion for event e.
 
-    Left: the verifier's sequences with coordinates 1 and 3 in Q(L) (the
-    abstraction DFA `hd` tracks them), then (ε, e, ε, e). Right: sequences
+    Left, over keys ((p, r), x1, x3): the verifier's sequences with
+    coordinates 1 and 3 in Q(L) (the abstraction DFA `hd` tracks them as
+    x1 and x3, reading labels only), then (ε, e, ε, e). Right: sequences
     with coordinates 0 and 2 in L (tracked as plant state sets), marked
     where both sides continue to e: the right quotient by (ue, ε, u'e, ε),
     P(u) = P(u').
     """
-    quad, hd = shared
+    verifier, hd = shared
     plant = ctx.plant
     alphabet = quad_alphabet(ctx.alphabet, loc_events=(e,))
 
     def left_moves(key):
         if key is None:  # after the final step
             return
-        st, x1, x3 = key
-        for lbl, targets in quad.succ[st].items():
+        pr, x1, x3 = key
+        for lbl, targets in verifier.succ[pr].items():
             y1, y3 = _track(hd, x1, lbl[1]), _track(hd, x3, lbl[3])
             if y1 is not None and y3 is not None:
                 for t in targets:
@@ -516,7 +523,7 @@ def _loc_operands(ctx: HierarchyContext, shared: tuple, e: str) -> tuple:
             if y0 and y2:
                 yield lbl, (y0, y2)
 
-    return (Implicit(alphabet, [(st, x, x) for st in quad.initial
+    return (Implicit(alphabet, [(pr, x, x) for pr in verifier.initial
                                 for x in hd.initial],
                      left_moves, lambda key: key is None),
             Implicit(alphabet, [(plant.initial, plant.initial)], right_moves,

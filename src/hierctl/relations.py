@@ -1,5 +1,6 @@
 """Pair and quadruple events: synchronized pair composition, component
-erasure, and the quadruple automaton used by the LOC decision procedure.
+erasure, and the LOC verifier: its moves over plant-state pairs, which the
+LOC check explores, and the reference quadruple automaton `build_quad`.
 
 A pair event is the tuple (l, r) and a quadruple event the tuple
 (a, b, c, d) of base event names, with None for an erased component. These
@@ -145,9 +146,41 @@ def quad_alphabet(base: Alphabet, loc_events=()) -> Alphabet:
     return Alphabet(tuple(Event(lbl) for lbl in labels))
 
 
-def quad_moves(g: Automaton):
-    """`moves(key)` of the verifier H over the silent-free `g`: a key is a
-    quadruple of states, one step per transition-rule group."""
+def verifier_moves(g: Automaton):
+    """`moves(key)` of the LOC verifier over the silent-free `g` on keys
+    (p, r), coordinates 0 and 2 of `build_quad`'s quadruples (1 and 3 add
+    no sequence: see `hierarchy._loc_shared`). Labels come in the order
+    `build_quad`'s moves yield them."""
+    base = g.alphabet
+    obs = base.observable
+    labels = _quad_labels(base)
+
+    def moves(pr):
+        p, r = pr
+        for a in base.names:
+            lbl = labels[a]
+            if a in obs:
+                for pn in g.succ[p].get(a, ()):
+                    for rn in g.succ[r].get(a, ()):
+                        yield lbl[0], (pn, rn)
+            else:
+                for pn in g.succ[p].get(a, ()):
+                    yield lbl[0], (pn, r)
+                for rn in g.succ[r].get(a, ()):
+                    yield lbl[1], (p, rn)
+
+    return moves
+
+
+def build_quad(g: Automaton) -> Automaton:
+    """The verifier automaton H over state space Q^4, one step per
+    transition-rule group: the reference for `verifier_moves`, which LOC
+    runs over, and a layer-trace target.
+
+    Accepted quadruple sequences decompose to exactly the tuples
+    (s, Q(s), s', Q(s')) with s, s' in L_m(g) and P(s) = P(s').
+    """
+    g = eliminate_silent(g)
     base = g.alphabet
     obs, hi = base.observable, base.highlevel
     labels = _quad_labels(base)
@@ -183,17 +216,7 @@ def quad_moves(g: Automaton):
                     for sn in g.succ[s].get(a, ()) + (s,):
                         yield lbl[1], (p, q, rn, sn)
 
-    return moves
-
-
-def build_quad(g: Automaton) -> Automaton:
-    """The verifier automaton H over state space Q^4.
-
-    Accepted quadruple sequences decompose to exactly the tuples
-    (s, Q(s), s', Q(s')) with s, s' in L_m(g) and P(s) = P(s').
-    """
-    g = eliminate_silent(g)
     init = g.sorted_states(g.initial)
-    return explore(quad_alphabet(g.alphabet),
-                   itertools.product(init, repeat=4), quad_moves(g),
+    return explore(quad_alphabet(base),
+                   itertools.product(init, repeat=4), moves,
                    lambda st: all(x in g.marked for x in st))

@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from hierctl.automata import Alphabet, Automaton
+from hierctl.gadgets import (GeneratorParams, gadget_loc, random_nfa,
+                             random_plant)
 from hierctl.saut import parse_automaton
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -37,6 +39,18 @@ def tree(words, alphabet) -> Automaton:
     states = tuple(name[p] for p in sorted(prefixes, key=lambda p: (len(p), p)))
     return Automaton(alphabet, states, frozenset(trans),
                      frozenset({name[()]}), frozenset(name[tuple(w)] for w in words))
+
+
+def loc_plants():
+    """Small random plants, then `gadget_loc` plants, for LOC tests."""
+    for seed in range(10):
+        yield random_plant(GeneratorParams(
+            states=3 + seed % 4, events=3 + seed % 3,
+            transition_density=0.4, deterministic=seed % 2 == 0,
+            seed=seed + 500))
+    for seed in range(6):
+        yield gadget_loc(random_nfa(GeneratorParams(
+            2 + seed % 3, 2 + seed % 2, 0.35, seed=seed)))
 
 
 @pytest.fixture

@@ -36,7 +36,7 @@ from hierctl.hierarchy import (PreconditionError, _common_pair,
 from hierctl.relations import (build_quad, quad_alphabet, relabel_pair,
                                sync_pair_compose)
 
-from conftest import make_alphabet, tree
+from conftest import loc_plants, make_alphabet, tree
 
 
 class TestConsistencyChecks:
@@ -521,24 +521,13 @@ def _reference_loc_operands(ctx, e):
     return left, right
 
 
-def _loc_plants():
-    for seed in range(10):
-        yield random_plant(GeneratorParams(
-            states=3 + seed % 4, events=3 + seed % 3,
-            transition_density=0.4, deterministic=seed % 2 == 0,
-            seed=seed + 500))
-    for seed in range(6):
-        yield gadget_loc(random_nfa(GeneratorParams(
-            2 + seed % 3, 2 + seed % 2, 0.35, seed=seed)))
-
-
 class TestLazyLoc:
     """The implicit LOC operands pose the inclusion the materialized
     construction posed, and nothing large is built any more."""
 
     def test_lazy_operands_yield_the_reference_difference_words(self):
         found = {True: 0, False: 0}
-        for g in _loc_plants():
+        for g in loc_plants():
             ctx = build_context(g)
             shared = _loc_shared(ctx)
             for e in sorted(ctx.alphabet.highlevel
@@ -561,6 +550,26 @@ class TestLazyLoc:
         left, asked = _counting_marked(left)
         assert next(iter_difference_words(left, right))
         assert len(asked) <= 2 * len(set(asked))
+
+    @pytest.mark.parametrize("params, outcome, detail", [
+        (GeneratorParams(16, 5, 0.35, seed=10), "holds", {}),
+        (GeneratorParams(8, 5, 0.4, seed=17), "violated", {"examined": 1}),
+    ], ids=["n16-s10-holds", "n8-s17-violated"])
+    def test_verifier_expands_few_keys(self, monkeypatch, params, outcome,
+                                       detail):
+        # Quadruple keys expanded 3,918 (holds) and 1,303 (violated) here;
+        # plant-state pairs expand 71 and 55.
+        kept = []
+
+        def keeping(ctx):
+            kept.append(_loc_shared(ctx))
+            return kept[-1]
+
+        monkeypatch.setattr(hierarchy, "_loc_shared", keeping)
+        v = check_loc(random_plant(params), 2000)
+        assert (v.outcome, v.detail) == (outcome, detail)
+        verifier, _ = kept[0]
+        assert len(verifier.succ) <= 300
 
     def test_loc_builds_no_large_product(self, monkeypatch):
         # The materialized construction built a 52,294-state product here.
