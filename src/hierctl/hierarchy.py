@@ -36,7 +36,6 @@ yields ``inconclusive``.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -61,7 +60,8 @@ class HierarchyContext:
     """A plant plus the derived projections and abstraction.
 
     `plant` recognizes the generated language L (every state marked);
-    `abstraction` recognizes Q(L) over the high-level sub-alphabet.
+    `abstraction` recognizes Q(L) over the high-level sub-alphabet;
+    `dfa` and `abstraction_dfa` determinize them, once per context.
     `shared` = Σhi ∩ Σo is what both P_hi ∘ Q and Q_o ∘ P keep, so that
     square commutes by construction.
     """
@@ -88,8 +88,22 @@ class HierarchyContext:
     def abstraction(self) -> Automaton:
         return project(self.plant, self.q)
 
+    @cached_property
+    def dfa(self) -> Automaton:
+        return determinize(self.plant)
 
-def build_context(g: Automaton) -> HierarchyContext:
+    @cached_property
+    def abstraction_dfa(self) -> Automaton:
+        return determinize(self.abstraction)
+
+
+Plant = Automaton | HierarchyContext
+
+
+def build_context(g: Plant) -> HierarchyContext:
+    """The context of plant `g`; a context is returned unchanged."""
+    if isinstance(g, HierarchyContext):
+        return g
     return HierarchyContext(all_marked(g))
 
 
@@ -106,60 +120,40 @@ def conform_spec(k: Automaton, reference: Alphabet) -> Automaton:
 # ---------------------------------------------------------------------------
 # observer property and local control consistency
 
-def _abstraction_pairs(ctx: HierarchyContext):
-    """Reachable (plant-subset, abstraction-subset) pairs with access strings.
-
-    Yields (s, S, X) where S is the determinized-plant state after s and X
-    the determinized-abstraction state after Q(s); iteration is breadth
-    first, so the first witness found is shortest.
-    """
-    gd = determinize(ctx.plant)
-    hd = determinize(ctx.abstraction)
-    if not gd.states:
-        return gd, hd, []
-    hi = ctx.alphabet.highlevel
-    start = (next(iter(gd.initial)), next(iter(hd.initial)))
-    parent: dict = {start: None}
-    queue = deque([start])
-    out = []
-    while queue:
-        cur = queue.popleft()
-        s, x = cur
-        out.append((path_word(parent, cur), s, x))
-        for e in ctx.alphabet.names:
-            sn = gd.succ[s].get(e)
-            if not sn:
-                continue
-            xn = hd.succ[x].get(e) if e in hi else (x,)
-            if not xn:
-                continue
-            nxt = (sn[0], xn[0])
-            if nxt not in parent:
-                parent[nxt] = (cur, e)
-                queue.append(nxt)
-    return gd, hd, out
-
-
-def check_observer(g: Automaton) -> Verdict:
+def check_observer(g: Plant) -> Verdict:
     """Is the abstraction projection Q an observer for the plant language?
 
     For every plant string s and high-level continuation t with
     Q(s)t ∈ Q(L) there must be a low-level continuation u with su ∈ L and
     Q(su) = Q(s)t. Decided exactly per reachable state pair of the
-    determinized plant and abstraction.
+    determinized plant and abstraction, each checked as a breadth-first
+    search reaches it. `g` is a plant or its `build_context(plant)`.
     """
     ctx = build_context(g)
-    gd, hd, pairs = _abstraction_pairs(ctx)
+    gd, hd = ctx.dfa, ctx.abstraction_dfa
     proj = project(gd, ctx.q)   # silent elimination does not read `initial`
-    for s, gs, xs in pairs:
-        cont_hi = with_initial(hd, {xs})
-        cont_lo = with_initial(proj, {gs})
-        v = includes(cont_hi, cont_lo, kind="observer")
+    hi = ctx.alphabet.highlevel
+    parent: dict = dict.fromkeys(itertools.product(gd.initial, hd.initial))
+    queue = list(parent)
+    for cur in queue:   # `queue` grows while it is read: breadth first
+        gs, xs = cur
+        v = includes(with_initial(hd, {xs}), with_initial(proj, {gs}),
+                     kind="observer")
         if not v.holds:
-            t_rest = v.witness.strings["word"]
+            s = path_word(parent, cur)
             return Verdict.make_violated(Witness(
-                "observer", {"s": s, "t": ctx.q.apply(s) + t_rest},
+                "observer",
+                {"s": s, "t": ctx.q.apply(s) + v.witness.strings["word"]},
                 "t ∈ Q(L) but no low-level continuation of s projects onto it"))
+        for e in ctx.alphabet.names:
+            sn = gd.succ[gs].get(e)
+            if not sn:
+                continue
+            # se ∈ L puts Q(s)e in Q(L), so the abstraction DFA moves too
+            nxt = (sn[0], hd.succ[xs][e][0] if e in hi else xs)
+            if nxt not in parent:
+                parent[nxt] = (cur, e)
+                queue.append(nxt)
     return Verdict.make_holds()
 
 
@@ -175,32 +169,36 @@ def _low_reach(gd: Automaton, start: int, events: frozenset) -> set:
     return seen
 
 
-def check_lcc(g: Automaton) -> Verdict:
+def check_lcc(g: Plant) -> Verdict:
     """Local control consistency of the abstraction projection.
 
     For every plant string s and uncontrollable high-level event e with
     Q(s)e ∈ Q(L): if some low-level path from s reaches e, then some purely
-    uncontrollable low-level path does too.
+    uncontrollable low-level path does too. Such a path puts Q(s)e in Q(L),
+    so the determinized plant's states are checked alone, in breadth-first
+    order. `g` is a plant or its `build_context(plant)`.
     """
     ctx = build_context(g)
-    gd, hd, pairs = _abstraction_pairs(ctx)
+    gd = ctx.dfa
     low = frozenset(ctx.alphabet.lowlevel)
     low_unc = low & ctx.alphabet.uncontrollable
     targets = sorted(ctx.alphabet.highlevel & ctx.alphabet.uncontrollable,
                      key=ctx.alphabet.names.index)
-    for s, gs, xs in pairs:
+    parent: dict = dict.fromkeys(gd.initial)
+    for gs in gd.states:
         reach_all = _low_reach(gd, gs, low)
         reach_unc = _low_reach(gd, gs, low_unc)
         for e in targets:
-            if e not in hd.succ[xs]:
-                continue
             via_any = any(e in gd.succ[q] for q in reach_all)
             via_unc = any(e in gd.succ[q] for q in reach_unc)
             if via_any and not via_unc:
                 return Verdict.make_violated(Witness(
-                    "lcc", {"s": s, "e": (e,)},
+                    "lcc", {"s": path_word(parent, gs), "e": (e,)},
                     "e is reachable from s by low-level events but not by "
                     "uncontrollable ones"))
+        for e in ctx.alphabet.names:
+            for q in gd.succ[gs].get(e, ()):
+                parent.setdefault(q, (gs, e))
     return Verdict.make_holds()
 
 
@@ -426,8 +424,9 @@ def _pair_consistency(ctx: HierarchyContext, kind: str, left: Automaton,
                             decompose_sequence, confirm)
 
 
-def check_oc(g: Automaton, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Observation consistency of the plant abstraction."""
+def check_oc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
+    """Observation consistency of the plant abstraction;
+    `g` is a plant or its `build_context(plant)`."""
     _require_budget(budget)
     ctx = build_context(g)
     return _pair_consistency(
@@ -438,8 +437,9 @@ def check_oc(g: Automaton, budget: int = DEFAULT_BUDGET) -> Verdict:
         "no representatives of t and t' share an observation", budget)
 
 
-def check_moc(g: Automaton, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Modified observation consistency of the plant abstraction."""
+def check_moc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
+    """Modified observation consistency of the plant abstraction;
+    `g` is a plant or its `build_context(plant)`."""
     _require_budget(budget)
     ctx = build_context(g)
     mate_exists = _moc_mate_table(ctx)
@@ -456,9 +456,10 @@ def moc_structurally_guaranteed(alphabet: Alphabet) -> bool:
             or alphabet.highlevel <= alphabet.observable)
 
 
-def lemma_moc_implies_oc(g: Automaton, budget: int = DEFAULT_BUDGET) -> dict:
+def lemma_moc_implies_oc(g: Plant, budget: int = DEFAULT_BUDGET) -> dict:
     """Both consistency verdicts; MOC holding entails OC holding."""
-    return {"moc": check_moc(g, budget), "oc": check_oc(g, budget)}
+    ctx = build_context(g)
+    return {"moc": check_moc(ctx, budget), "oc": check_oc(ctx, budget)}
 
 
 # ---------------------------------------------------------------------------
@@ -473,34 +474,31 @@ def _track(d: Automaton, x: int, letter) -> int | None:
     return nxt[0] if nxt else None
 
 
-def _loc_shared(ctx: HierarchyContext) -> tuple:
+def _loc_shared(ctx: HierarchyContext) -> Implicit:
     """What every event's LOC operands share: a memo of the verifier's
-    moves over plant-state pairs (p, r) (every plant state is marked, so
-    every pair is) and the abstraction DFA.
+    moves over plant-state pairs (p, r), all marked like the plant states.
 
     The pairs accept the sequences `build_quad`'s quadruples (p, q, r, s)
     accept, because q can always copy p and s copy r: the starts include
     q = p and s = r, and q may take every transition p takes (it must on
     Σhi events), as s may for r. A label's components 1 and 3 are fixed by
     its base event, so q and s never restrict a sequence."""
-    return (Implicit(quad_alphabet(ctx.alphabet),
-                     itertools.product(ctx.plant.initial, repeat=2),
-                     verifier_moves(ctx.plant), lambda pr: True),
-            determinize(ctx.abstraction))
+    return Implicit(quad_alphabet(ctx.alphabet),
+                    itertools.product(ctx.plant.initial, repeat=2),
+                    verifier_moves(ctx.plant), lambda pr: True)
 
 
-def _loc_operands(ctx: HierarchyContext, shared: tuple, e: str) -> tuple:
+def _loc_operands(ctx: HierarchyContext, verifier: Implicit, e: str) -> tuple:
     """The implicit left and right sides of LOC's inclusion for event e.
 
     Left, over keys ((p, r), x1, x3): the verifier's sequences with
-    coordinates 1 and 3 in Q(L) (the abstraction DFA `hd` tracks them as
+    coordinates 1 and 3 in Q(L) (`ctx.abstraction_dfa` tracks them as
     x1 and x3, reading labels only), then (ε, e, ε, e). Right: sequences
     with coordinates 0 and 2 in L (tracked as plant state sets), marked
     where both sides continue to e: the right quotient by (ue, ε, u'e, ε),
     P(u) = P(u').
     """
-    verifier, hd = shared
-    plant = ctx.plant
+    plant, hd = ctx.plant, ctx.abstraction_dfa
     alphabet = quad_alphabet(ctx.alphabet, loc_events=(e,))
 
     def left_moves(key):
@@ -539,17 +537,18 @@ def _loc_confirm(ctx: HierarchyContext, e: str, tup, word):
                    "no observation-equivalent low-level continuations reach e")
 
 
-def check_loc(g: Automaton, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Local observation consistency, decided per controllable high event."""
+def check_loc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
+    """Local observation consistency, decided per controllable high event;
+    `g` is a plant or its `build_context(plant)`."""
     _require_budget(budget)
     ctx = build_context(g)
     events = sorted(ctx.alphabet.highlevel & ctx.alphabet.controllable,
                     key=ctx.alphabet.names.index)
-    shared = _loc_shared(ctx)
+    verifier = _loc_shared(ctx)
     pending = None
     for e in events:
         v = _refutation_loop(
-            iter_difference_words(*_loc_operands(ctx, shared, e)), budget,
+            iter_difference_words(*_loc_operands(ctx, verifier, e)), budget,
             lambda w: decompose_sequence(w, 4), partial(_loc_confirm, ctx, e))
         if v.violated:
             return v
@@ -652,11 +651,11 @@ def hier_verify(g: Automaton, k: Automaton,
 
     report: dict = {
         "hypotheses": {
-            "observer": check_observer(g),
-            "lcc": check_lcc(g),
-            "oc": check_oc(g, budget),
-            "moc": check_moc(g, budget),
-            "loc": check_loc(g, budget),
+            "observer": check_observer(ctx),
+            "lcc": check_lcc(ctx),
+            "oc": check_oc(ctx, budget),
+            "moc": check_moc(ctx, budget),
+            "loc": check_loc(ctx, budget),
             "nonconflicting": check_nonconflicting(kbar, ctx.abstraction),
         },
         "properties": {},
@@ -691,7 +690,7 @@ def hier_synth_normal(g: Automaton, k: Automaton,
         "low": low, "high": high, "lifted": lifted,
         "low_in_lift": fwd, "lift_in_low": bwd,
         "equal": fwd.holds and bwd.holds,
-        "moc": check_moc(g, budget),
+        "moc": check_moc(ctx, budget),
     }
 
 
@@ -717,5 +716,5 @@ def hier_synth_relobs(g: Automaton, k: Automaton,
         "low": low, "high": high, "lifted": lifted,
         "low_in_lift": fwd, "lift_in_low": bwd,
         "high_report": rep_hi, "low_report": rep_lo,
-        "moc": check_moc(g, budget),
+        "moc": check_moc(ctx, budget),
     }

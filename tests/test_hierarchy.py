@@ -22,10 +22,10 @@ from hierctl.automata import (Alphabet, Automaton, Event, all_marked,
 from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
                              gadget_oc, random_nfa, random_plant,
                              random_sublanguage)
-from hierctl.hierarchy import (PreconditionError, _common_pair,
-                               _continuations_meet, _loc_operands, _loc_shared,
-                               _moc_mate_table, _oc_pair_exists,
-                               build_context,
+from hierctl.hierarchy import (HierarchyContext, PreconditionError,
+                               _common_pair, _continuations_meet,
+                               _loc_operands, _loc_shared, _moc_mate_table,
+                               _oc_pair_exists, build_context,
                                check_lcc, check_loc, check_moc,
                                check_moc_modular, check_observer, check_oc,
                                conform_spec, hier_synth_normal,
@@ -295,11 +295,14 @@ class TestStateCollisions:
     @pytest.mark.parametrize("prop", CHECKS)
     def test_subset_named_state_keeps_verdicts(self, prop):
         check, oracle_check = self.CHECKS[prop]
-        want, got = check(self._plant("r")), check(self._plant("p,q"))
+        g = self._plant("p,q")
+        want, got = check(self._plant("r")), check(g)
         assert got.outcome == want.outcome
         assert got.detail == want.detail
         assert got.witness == want.witness
-        assert oracle_check(self._plant("p,q"), 6).ok == got.holds
+        # a checker given the plant's context decides as given the plant
+        assert check(build_context(g)).to_json() == got.to_json()
+        assert oracle_check(g, 6).ok == got.holds
 
     def test_outcomes_of_the_plain_plant(self):
         g = self._plant("r")
@@ -529,10 +532,10 @@ class TestLazyLoc:
         found = {True: 0, False: 0}
         for g in loc_plants():
             ctx = build_context(g)
-            shared = _loc_shared(ctx)
+            verifier = _loc_shared(ctx)
             for e in sorted(ctx.alphabet.highlevel
                             & ctx.alphabet.controllable):
-                lazy = _loc_operands(ctx, shared, e)
+                lazy = _loc_operands(ctx, verifier, e)
                 want = list(islice(iter_difference_words(
                     *_reference_loc_operands(ctx, e)), 50))
                 assert list(islice(iter_difference_words(*lazy), 50)) \
@@ -568,7 +571,7 @@ class TestLazyLoc:
         monkeypatch.setattr(hierarchy, "_loc_shared", keeping)
         v = check_loc(random_plant(params), 2000)
         assert (v.outcome, v.detail) == (outcome, detail)
-        verifier, _ = kept[0]
+        verifier = kept[0]
         assert len(verifier.succ) <= 300
 
     def test_loc_builds_no_large_product(self, monkeypatch):
@@ -577,16 +580,72 @@ class TestLazyLoc:
         ctx = build_context(g)
         bound = max(len(determinize(ctx.plant).states),
                     len(determinize(ctx.abstraction).states))
-        sizes = []
-        post_init = Automaton.__post_init__
-
-        def recording(self):
-            sizes.append(len(self.states))
-            post_init(self)
-
-        monkeypatch.setattr(Automaton, "__post_init__", recording)
+        sizes = _recorded_sizes(monkeypatch)
         assert check_loc(g, 2000).violated
         assert sizes and max(sizes) <= bound
+
+
+def _recorded_sizes(monkeypatch) -> list:
+    """The state count of every Automaton built from now on."""
+    sizes = []
+    post_init = Automaton.__post_init__
+
+    def recording(self):
+        sizes.append(len(self.states))
+        post_init(self)
+
+    monkeypatch.setattr(Automaton, "__post_init__", recording)
+    return sizes
+
+
+class TestOneContext:
+    """A context's derived automata are built once and shared by the checks
+    given it; LCC reads only the plant DFA."""
+
+    def test_lcc_builds_no_abstraction_dfa(self, monkeypatch):
+        # The plant determinizes to 10 states, the abstraction to 52.
+        g = random_plant(GeneratorParams(12, 5, 0.4, seed=149))
+        ctx = build_context(g)
+        bound = max(len(ctx.plant.states), len(determinize(ctx.plant).states))
+        sizes = _recorded_sizes(monkeypatch)
+        assert check_lcc(g).holds
+        assert sizes and max(sizes) <= bound
+
+    def test_verify_builds_one_context(self, monkeypatch, ex1_plant,
+                                       ex1_spec):
+        # One context per checker made 6 contexts and 5 determinizations.
+        calls = {"determinize": 0, "context": 0}
+        determinize_, init = hierarchy.determinize, HierarchyContext.__init__
+
+        def counting_determinize(a):
+            calls["determinize"] += 1
+            return determinize_(a)
+
+        def counting_init(self, *args):
+            calls["context"] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(hierarchy, "determinize", counting_determinize)
+        monkeypatch.setattr(HierarchyContext, "__init__", counting_init)
+        hier_verify(ex1_plant, ex1_spec)
+        assert calls["context"] == 1
+        assert calls["determinize"] <= 2
+
+    # First witnesses: a check that visits states in another order (the
+    # one-step observer test, say) can keep every verdict but change these.
+    @pytest.mark.parametrize("check, params, strings", [
+        (check_observer, GeneratorParams(8, 5, 0.4, seed=16),
+         {"s": ("e0", "e4", "e1", "e1", "e1"),
+          "t": ("e0", "e4", "e1", "e1", "e1", "e1", "e0")}),
+        (check_observer, GeneratorParams(16, 5, 0.35, seed=1),
+         {"s": ("e0",), "t": ("e0", "e2", "e0")}),
+        (check_lcc, GeneratorParams(64, 5, 0.6, seed=1),
+         {"s": ("e0", "e0"), "e": ("e2",)}),
+    ], ids=["observer-n8-s16", "observer-n16-s1", "lcc-n64-s1"])
+    def test_first_witness(self, check, params, strings):
+        v = check(random_plant(params))
+        assert v.violated
+        assert v.witness.strings == strings
 
 
 def _replays_loc_violation(g, w) -> bool:

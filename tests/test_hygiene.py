@@ -80,3 +80,25 @@ def test_no_dead_definitions():
     using = _sources(SRC) + _sources(ROOT / "tests") + \
         _sources(ROOT / "perfbench")
     assert dead_definitions(_sources(SRC), using, exported) == []
+
+
+def long_prose_lines(text: str, width: int = 79) -> list:
+    """Numbers of the lines longer than `width` columns outside ``` code
+    fences."""
+    long, fenced = [], False
+    for number, line in enumerate(text.splitlines(), 1):
+        if line.startswith("```"):
+            fenced = not fenced
+        elif not fenced and len(line) > width:
+            long.append(number)
+    return long
+
+
+def test_long_prose_lines_are_found():
+    text = "ok\n```\n" + "x" * 90 + "\n```\n" + "Σ" * 80 + "\n" + "Σ" * 79
+    assert long_prose_lines(text) == [5]
+
+
+def test_readme_prose_fits_79_columns():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert long_prose_lines(readme) == []
