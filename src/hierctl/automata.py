@@ -15,16 +15,63 @@ construction goes through `explore`, which numbers the reachable states
 alphabet order); its state keys are hashed but never formatted into names, so
 distinct keys never share a state, and equal inputs give byte-identical
 outputs.
+
+Subset constructions (`determinize`, `marked_saturate`, `iter_marked_words`,
+`includes`, `difference`, and the right side of `iter_difference_words`)
+hold a subset as an int bitmask over `state_index`. A step ORs the `rows` of
+the set bits, "meets a marked state" is `m & marked_mask`, and the subset's
+size is `m.bit_count()`. A mask maps one-to-one onto the frozenset of its
+states and the searches only hash it, so numbering, words, witnesses and
+search work are those of a frozenset construction. (A mask is as wide as its
+automaton is large, where a frozenset is as large as the subset.) An
+`Automaton` builds its tables (`state_index`, `succ`, `rows`, `has_silent`)
+on first read, once per transition relation: the copies that `_derived`
+makes for `with_initial`, `widen_alphabet`, `prefix_close` and
+`right_quotient` share them.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import partial
 from typing import Iterable, Iterator
 
 Word = tuple[str, ...]
+
+
+class _lazy:
+    """`functools.cached_property` without its lock, which Python 3.11
+    takes on every read of an unset value: the first read stores
+    `func(obj)` in the instance, where later reads find it first."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
+class _table(_lazy):
+    """A `_lazy` table that depends on the states and transitions only.
+    `_derived` copies keep both and share one `_tables` dict, so each table
+    is built once however many copies read it."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        tables = obj._tables
+        if self.name not in tables:
+            tables[self.name] = self.func(obj)
+        value = obj.__dict__[self.name] = tables[self.name]
+        return value
 
 
 class AutomataError(ValueError):
@@ -80,31 +127,31 @@ class Alphabet:
         return Alphabet(tuple(
             Event(n, n in c, n in o, n in h) for n in names))
 
-    @cached_property
+    @_lazy
     def names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.events)
 
-    @cached_property
+    @_lazy
     def by_name(self) -> dict:
         return {e.name: e for e in self.events}
 
-    @cached_property
+    @_lazy
     def controllable(self) -> frozenset:
         return frozenset(e.name for e in self.events if e.controllable)
 
-    @cached_property
+    @_lazy
     def uncontrollable(self) -> frozenset:
         return frozenset(e.name for e in self.events if not e.controllable)
 
-    @cached_property
+    @_lazy
     def observable(self) -> frozenset:
         return frozenset(e.name for e in self.events if e.observable)
 
-    @cached_property
+    @_lazy
     def highlevel(self) -> frozenset:
         return frozenset(e.name for e in self.events if e.highlevel)
 
-    @cached_property
+    @_lazy
     def lowlevel(self) -> frozenset:
         return frozenset(e.name for e in self.events if not e.highlevel)
 
@@ -140,7 +187,7 @@ class ProjectionSpec:
         if extra:
             raise AutomataError(f"kept events not in source: {sorted(extra)}")
 
-    @cached_property
+    @_lazy
     def target_alphabet(self) -> Alphabet:
         return self.source.restrict(self.kept)
 
@@ -178,11 +225,15 @@ class Automaton:
                          frozenset(tuple(t) for t in transitions),
                          frozenset(initial), frozenset(marked))
 
-    @cached_property
+    @_lazy
+    def _tables(self) -> dict:
+        return {}
+
+    @_table
     def state_index(self) -> dict:
         return {s: i for i, s in enumerate(self.states)}
 
-    @cached_property
+    @_table
     def succ(self) -> dict:
         """state -> label -> sorted tuple of targets."""
         out: dict = {s: {} for s in self.states}
@@ -193,9 +244,36 @@ class Automaton:
                     for lbl, ts in m.items()}
                 for s, m in out.items()}
 
-    @property
+    @_table
+    def rows(self) -> list:
+        """state index -> label -> bitmask of the targets' indices. Only
+        the subset constructions read it: a mask is as wide as the
+        automaton is large, so a large automaton that no construction
+        steps as subsets never builds it."""
+        idx = self.state_index
+        rows: list = [{} for _ in self.states]
+        for (src, lbl, dst) in self.transitions:
+            row = rows[idx[src]]
+            row[lbl] = row.get(lbl, 0) | 1 << idx[dst]
+        return rows
+
+    @_table
     def has_silent(self) -> bool:
         return any(lbl is None for (_, lbl, _) in self.transitions)
+
+    @_lazy
+    def start_mask(self) -> int:
+        idx = self.state_index
+        return sum(1 << idx[s] for s in self.initial)
+
+    @_lazy
+    def marked_mask(self) -> int:
+        idx = self.state_index
+        return sum(1 << idx[s] for s in self.marked)
+
+    def meets_marked(self, m: int) -> bool:
+        """Does the subset bitmask `m` hold a marked state?"""
+        return bool(m & self.marked_mask)
 
     @property
     def is_deterministic(self) -> bool:
@@ -254,11 +332,19 @@ def widen_alphabet(a: Automaton, alphabet: Alphabet) -> Automaton:
     for e in a.alphabet.events:
         if e.name not in alphabet or alphabet.by_name[e.name].flags != e.flags:
             raise AlphabetMismatchError(f"event {e.name!r} missing or flagged differently")
-    return replace(a, alphabet=alphabet)
+    return _derived(a, alphabet=alphabet)
 
 
 def with_initial(a: Automaton, states: Iterable[str]) -> Automaton:
-    return replace(a, initial=frozenset(states))
+    return _derived(a, initial=frozenset(states))
+
+
+def _derived(a: Automaton, **changes) -> Automaton:
+    """`a` with some of alphabet, initial and marked replaced; the copy
+    shares `a`'s tables, which depend on the states and transitions only."""
+    out = replace(a, **changes)
+    out.__dict__["_tables"] = a._tables
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +436,7 @@ def all_marked(a: Automaton) -> Automaton:
 def prefix_close(a: Automaton) -> Automaton:
     """Mark every state on an accepting path; L_m becomes the prefix closure."""
     a = eliminate_silent(a)
-    return replace(a, marked=coreachable_states(a))
+    return _derived(a, marked=coreachable_states(a))
 
 
 def is_prefix_closed(a: Automaton) -> bool:
@@ -416,18 +502,36 @@ class _MarkedMemo(_Memo):
 
     __contains__ = dict.__getitem__
 
-    def isdisjoint(self, keys) -> bool:
-        return not any(map(self.__getitem__, keys))
+
+def bits(m: int) -> Iterator[int]:
+    """The indices of the set bits of `m`."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _union(rows, m: int) -> dict:
+    """label -> bitmask of the targets of the subset `m`: the OR of the
+    rows of its states."""
+    if not m & (m - 1):   # at most one state
+        return rows[m.bit_length() - 1] if m else {}
+    out: dict = {}
+    for i in bits(m):
+        for lbl, t in rows[i].items():
+            out[lbl] = out.get(lbl, 0) | t
+    return out
 
 
 class Implicit:
     """The (alphabet, starts, moves, marked) that `explore` takes, read as
     an automaton: `succ[key]` calls `moves(key)` and `key in marked` calls
-    `marked(key)`, each once per key. It offers what `iter_difference_words`
-    reads of an `Automaton`; `moves` must yield no silent (None) label."""
+    `marked(key)`, each once per key. Keys are numbered as the subset
+    steps read them, so `start_mask`, `rows` and `meets_marked` stand for
+    those of an `Automaton`. It offers what `iter_difference_words` reads
+    of an `Automaton`; `moves` must yield no silent (None) label."""
 
     has_silent = False
-    step = Automaton.step
 
     def __init__(self, alphabet: Alphabet, starts: Iterable, moves, marked):
         def succ(key) -> dict:
@@ -436,25 +540,63 @@ class Implicit:
                 out.setdefault(lbl, {})[nxt] = None
             return {lbl: tuple(ts) for lbl, ts in out.items()}
 
+        index: dict = {}
+        keys = self._keys = []
+
+        def bit(key) -> int:
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(keys)
+                keys.append(key)
+            return 1 << i
+
+        def row(i: int) -> dict:
+            return {lbl: sum(map(bit, ts))
+                    for lbl, ts in self.succ[keys[i]].items()}
+
         self.alphabet = alphabet
         self.initial = frozenset(starts)
         self.succ = _Memo(succ)
         self.marked = _MarkedMemo(marked)
+        self.rows = _Memo(row)
+        self._bit = bit
+
+    @_lazy
+    def start_mask(self) -> int:
+        return sum(map(self._bit, self.initial))
+
+    def meets_marked(self, m: int) -> bool:
+        """Does the subset bitmask `m` hold a marked key? Keys are decided
+        in turn, up to the first marked one."""
+        return any(self.marked[self._keys[i]] for i in bits(m))
+
+
+def _subset_dfa(a: Automaton, saturate: bool) -> Automaton:
+    a = eliminate_silent(a)
+    rows, names, marked = a.rows, a.alphabet.names, a.marked_mask
+
+    def moves(m):
+        if saturate and m & marked:
+            return
+        row = _union(rows, m)
+        for e in names:
+            t = row.get(e)
+            if t:
+                yield e, t
+
+    start = a.start_mask
+    return explore(a.alphabet, [start] if start else [], moves,
+                   marked.__and__)
 
 
 def determinize(a: Automaton) -> Automaton:
-    """Subset construction preserving both L and L_m (partial DFA)."""
-    a = eliminate_silent(a)
+    """Subset construction preserving both L and L_m (partial DFA).
 
-    def moves(cur):
-        for e in a.alphabet.names:
-            nxt = a.step(cur, e)
-            if nxt:
-                yield e, nxt
-
-    start = frozenset(a.initial)
-    return explore(a.alphabet, [start] if start else [], moves,
-                   lambda cur: not a.marked.isdisjoint(cur))
+    A subset is an int bitmask over `a.state_index`; its step ORs the
+    `rows` of its states, and it is marked when it meets `marked_mask`.
+    `explore` only hashes the masks, and they map one-to-one onto the
+    subsets, so the numbering is that of a frozenset construction."""
+    return _subset_dfa(a, saturate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +627,14 @@ def includes(a: Automaton, b: Automaton, kind: str = "inclusion"):
     require_same_alphabet(a, b)
     a = eliminate_silent(a)
     b = eliminate_silent(b)
-    b0 = frozenset(b.initial)
+    b_row = _Memo(partial(_union, b.rows))
+    meets = b.meets_marked
 
     def bad(qa, bs):
-        return qa in a.marked and not (bs & b.marked)
+        return qa in a.marked and not meets(bs)
 
-    parent = dict.fromkeys((qa, b0) for qa in a.sorted_states(a.initial))
+    parent = dict.fromkeys((qa, b.start_mask)
+                           for qa in a.sorted_states(a.initial))
     if any(bad(*key) for key in parent):
         return Verdict.make_violated(Witness(kind, {"word": ()}))
     queue = deque(parent)
@@ -500,7 +644,7 @@ def includes(a: Automaton, b: Automaton, kind: str = "inclusion"):
             targets = a.succ[qa].get(e)
             if not targets:
                 continue
-            nbs = b.step(bs, e)
+            nbs = b_row[bs].get(e, 0)
             for qn in targets:
                 key = (qn, nbs)
                 if key in parent:
@@ -585,21 +729,24 @@ def difference(a: Automaton, b: Automaton) -> Automaton:
     require_same_alphabet(a, b)
     a = eliminate_silent(a)
     b = eliminate_silent(b)
-    b0 = frozenset(b.initial)
+    b_row = _Memo(partial(_union, b.rows))
+    meets = b.meets_marked
 
     def moves(node):
         qa, bs = node
+        row = b_row[bs]
         for e in a.alphabet.names:
             targets = a.succ[qa].get(e)
             if not targets:
                 continue
-            nbs = b.step(bs, e)
+            nbs = row.get(e, 0)
             for qn in targets:
                 yield e, (qn, nbs)
 
-    return explore(a.alphabet, [(qa, b0) for qa in a.sorted_states(a.initial)],
+    return explore(a.alphabet,
+                   [(qa, b.start_mask) for qa in a.sorted_states(a.initial)],
                    moves, lambda node: node[0] in a.marked
-                   and b.marked.isdisjoint(node[1]))
+                   and not meets(node[1]))
 
 
 def right_quotient(a: Automaton, d: Automaton) -> Automaton:
@@ -633,7 +780,7 @@ def right_quotient(a: Automaton, d: Automaton) -> Automaton:
                 stack.append(prev)
     good = frozenset(q for q in a.states
                      if any((q, i) in seen for i in d.initial))
-    return replace(a, marked=good)
+    return _derived(a, marked=good)
 
 
 # ---------------------------------------------------------------------------
@@ -656,16 +803,16 @@ def sigma_star(alphabet: Alphabet) -> Automaton:
 
 
 def marked_saturate(a: Automaton) -> Automaton:
-    """Automaton for L_m(a)·Σ*: anything after a marked prefix stays marked."""
-    d = determinize(a)
+    """Automaton for L_m(a)·Σ*: anything after a marked prefix stays marked.
+
+    The subset construction of `a` stops at a marked subset, since every
+    word after it is in the language: each marked subset and a new sink
+    move to the sink on every event."""
+    d = _subset_dfa(a, saturate=True)
     if not d.states:
         return d
-    sink = len(d.states)   # `determinize` numbers its states 0..n-1
-    trans = set()
-    for (src, e, dst) in d.transitions:
-        if src in d.marked:
-            continue
-        trans.add((src, e, dst))
+    sink = len(d.states)   # `explore` numbers its states 0..n-1
+    trans = set(d.transitions)
     for q in set(d.marked) | {sink}:
         for e in d.alphabet.names:
             trans.add((q, e, sink))
@@ -679,18 +826,20 @@ def marked_saturate(a: Automaton) -> Automaton:
 def iter_marked_words(a: Automaton, bound: int | None = None) -> Iterator[Word]:
     """Yield L_m(a) in length-lexicographic order (alphabet order for ties)."""
     a = eliminate_silent(a)
-    start = frozenset(a.initial)
-    if not start:
+    if not a.start_mask:
         return
-    queue = deque([((), start)])
+    row = _Memo(partial(_union, a.rows))   # subset -> event -> subset
+    marked = a.marked_mask
+    queue = deque([((), a.start_mask)])
     while queue:
         word, cur = queue.popleft()
-        if cur & a.marked:
+        if cur & marked:
             yield word
         if bound is not None and len(word) >= bound:
             continue
+        steps = row[cur]
         for e in a.alphabet.names:
-            nxt = a.step(cur, e)
+            nxt = steps.get(e)
             if nxt:
                 queue.append((word + (e,), nxt))
 
@@ -700,12 +849,12 @@ def iter_difference_words(a: Automaton, b: Automaton) -> Iterator[Word]:
 
     Yields exactly the words of ``iter_marked_words(trim(difference(a, b)))``
     in the same order, without building either automaton. Product nodes
-    (state of `a`, subset of `b`) are expanded on first use. `trim` is
-    replaced by a liveness test: a node is live when it reaches a bad node,
-    one whose `a` state is marked and whose `b` subset holds no marked
-    state. One depth-first search over strongly connected components
-    (Tarjan's) decides it, and every node it visits is decided once, so
-    it scans each node's targets at most once: a live or bad target
+    (state of `a`, subset of `b`) are expanded on first use.
+    `trim` is replaced by a liveness test: a node is live when it reaches
+    a bad node, one whose `a` state is marked and whose `b` subset holds
+    no marked state. One depth-first search over strongly connected
+    components (Tarjan's) decides it, and every node it visits is decided
+    once, so it scans each node's targets at most once: a live or bad target
     makes every node still on the component stack live (each reaches the
     search path, which reaches that target), and a component finished
     without one is dead. A node's targets are all checked for a live or bad
@@ -718,7 +867,8 @@ def iter_difference_words(a: Automaton, b: Automaton) -> Iterator[Word]:
     require_same_alphabet(a, b)
     a = eliminate_silent(a)
     b = eliminate_silent(b)
-    b_step: dict = {}   # (b-subset, event) -> b-subset
+    b_row = _Memo(partial(_union, b.rows))   # b-subset -> event -> b-subset
+    meets = b.meets_marked
     succ: dict = {}     # live node -> event -> tuple of nodes
     # node -> LIVE, DEAD, or its search number while the search holds it
     status: dict = {}
@@ -726,30 +876,27 @@ def iter_difference_words(a: Automaton, b: Automaton) -> Iterator[Word]:
 
     def bad(node) -> bool:
         qa, bs = node
-        return qa in a.marked and b.marked.isdisjoint(bs)
-
-    def step(bs: frozenset, e) -> frozenset:
-        nbs = b_step.get((bs, e))
-        if nbs is None:
-            nbs = b_step[(bs, e)] = b.step(bs, e)
-        return nbs
+        return qa in a.marked and not meets(bs)
 
     def targets(node) -> list:
         # smallest `b` subsets first: a bad node's holds no marked state,
         # and trying them first keeps the search from wandering through
         # large subsets while a bad node is a few steps away
         qa, bs = node
-        steps = sorted(((step(bs, e), ts) for e, ts in a.succ[qa].items()),
-                       key=lambda st: len(st[0]))
+        row = b_row[bs]
+        steps = sorted(((row.get(e, 0), ts)
+                        for e, ts in a.succ[qa].items()),
+                       key=lambda st: st[0].bit_count())
         return [(qn, nbs) for nbs, ts in steps for qn in ts]
 
     def expand(node) -> dict:
         out = succ.get(node)
         if out is None:
             qa, bs = node
+            row = b_row[bs]
             out = succ[node] = {}
             for e, ts in a.succ[qa].items():
-                nbs = step(bs, e)
+                nbs = row.get(e, 0)
                 out[e] = tuple((qn, nbs) for qn in ts)
         return out
 
@@ -813,7 +960,7 @@ def iter_difference_words(a: Automaton, b: Automaton) -> Iterator[Word]:
                 out.append((e, nxt))
         return any(bad(n) for n in cur), tuple(out)
 
-    b0 = frozenset(b.initial)
+    b0 = b.start_mask
     start = frozenset((qa, b0) for qa in a.initial if is_live((qa, b0)))
     if not start:
         return

@@ -25,7 +25,7 @@ difference sequence may only reflect a missing interleaving: each one, in
 length-lexicographic order, is decomposed into a string tuple, and the tuple
 is confirmed or refuted exactly against the plant's states: OC and LOC by a
 depth-first existence search per tuple, MOC by one table of plant state
-sets per check, keyed by prefix pairs, that all its tuples share. A
+sets per check, keyed by interned prefix pairs, that all its tuples share. A
 confirmed tuple yields ``violated``; exhausting the difference language
 yields ``holds`` (every genuine violating tuple leaves at least one
 difference sequence, because the synchronized products accept all
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .automata import (Alphabet, Automaton, Implicit, PreconditionError,
-                       ProjectionSpec, all_marked, determinize, includes,
+                       ProjectionSpec, all_marked, bits, determinize, includes,
                        iter_difference_words, merge_alphabets,
                        parallel_compose, path_word,
                        prefix_close, project, trim, widen_alphabet,
@@ -327,35 +327,84 @@ def _moc_mate_table(ctx: HierarchyContext):
     """`exists(o, t)`: ∃ s' ∈ L with P(s') = o and Q(s') = t.
 
     The answers share one table of cells. Cell (o, t) holds the plant
-    states reached by some s' with P(s') = o and Q(s') = t, closed under
-    the silent events (outside Σo ∪ Σhi). It is the closure of three
+    states reached by some s' with P(s') = o and Q(s') = t, as a bitmask
+    over `state_index`, closed under the silent events (outside Σo ∪ Σhi),
+    which `reach` precomputes per state. It is the closure of three
     steps: an event of Σo ∩ Σhi from cell (o[:-1], t[:-1]) when o and t
     end in it, one of Σo ∖ Σhi from (o[:-1], t) and one of Σhi ∖ Σo from
     (o, t[:-1]). A query fills only the cells it needs, from an explicit
     stack, and stops at filled ones; the length-lexicographic candidates
     of one check share most of their prefixes, so most cells are filled
-    by earlier queries.
+    by earlier queries. Cells are keyed by interned prefix ids, each
+    prefix being its parent's id plus a letter, so a key costs two ints
+    whatever the length of o and t.
     """
-    plant = ctx.plant
+    rows = ctx.plant.rows
     obs, hi = ctx.alphabet.observable, ctx.alphabet.highlevel
-    silent = {q: tuple({r for e, ts in plant.succ[q].items()
-                        if e not in obs and e not in hi for r in ts})
-              for q in plant.states}
+    silent = []   # state index -> bitmask of its silent-event targets
+    for row in rows:
+        m = 0
+        for e, t in row.items():
+            if e not in obs and e not in hi:
+                m |= t
+        silent.append(m)
+    reach = []   # state index -> bitmask of the states its silent paths reach
+    for i in range(len(rows)):
+        seen = todo = 1 << i
+        while todo:
+            new = 0
+            for j in bits(todo):
+                new |= silent[j]
+            todo = new & ~seen
+            seen |= todo
+        reach.append(seen)
 
-    def close(states) -> frozenset:
-        seen = set(states)
-        stack = list(seen)
-        while stack:
-            for r in silent[stack.pop()]:
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        return frozenset(seen)
+    def close(m: int) -> int:
+        out = 0
+        for i in bits(m):
+            out |= reach[i]
+        return out
 
-    cells = {((), ()): close(plant.initial)}
+    after: dict = {}   # (cell, event) -> the closure of the cell's e-step
+
+    def step(m: int, e: str) -> int:
+        out = after.get((m, e))
+        if out is None:
+            out = 0
+            for i in bits(m):
+                out |= rows[i].get(e, 0)
+            out = after[(m, e)] = close(out)
+        return out
+
+    letter = {e: k for k, e in enumerate(ctx.alphabet.names)}
+    # parent id * |Σ| + letter -> id, where id 0 is the empty prefix
+    ids: dict = {}
+    parent = [None]      # id -> parent id
+    last = [None]        # id -> last letter
+    queried = {(): 0}    # word -> id, for the words queried so far
+
+    def intern(word: tuple) -> int:
+        i = queried.get(word)
+        if i is None:
+            # most candidates extend an earlier one by a letter
+            i = queried.get(word[:-1])
+            rest = word[-1:] if i is not None else word
+            i = i or 0
+            for e in rest:
+                key = i * len(letter) + letter[e]
+                j = ids.get(key)
+                if j is None:
+                    j = ids[key] = len(parent)
+                    parent.append(i)
+                    last.append(e)
+                i = j
+            queried[word] = i
+        return i
+
+    cells = {(0, 0): close(ctx.plant.start_mask)}
 
     def exists(o: tuple, t: tuple) -> bool:
-        query = (o, t)
+        query = (intern(o), intern(t))
         # a frame (key, None) lists the key's steps; (key, steps) fills the
         # key once the predecessors it lacked are filled
         stack = [(query, None)]
@@ -367,22 +416,22 @@ def _moc_mate_table(ctx: HierarchyContext):
                 o, t = key
                 steps = []   # (predecessor cell, event)
                 if o:
-                    e = o[-1]
+                    e = last[o]
                     if e not in hi:
-                        steps.append(((o[:-1], t), e))
-                    elif t and t[-1] == e:
-                        steps.append(((o[:-1], t[:-1]), e))
-                if t and t[-1] not in obs:
-                    steps.append(((o, t[:-1]), t[-1]))
+                        steps.append(((parent[o], t), e))
+                    elif t and last[t] == e:
+                        steps.append(((parent[o], parent[t]), e))
+                if t and last[t] not in obs:
+                    steps.append(((o, parent[t]), last[t]))
                 missing = [(k, None) for k, _ in steps if k not in cells]
                 if missing:
                     stack.append((key, steps))
                     stack += missing
                     continue
-            reached = set()
+            reached = 0   # closures of the steps: their union is closed
             for k, e in steps:
-                reached |= plant.step(cells[k], e)
-            cells[key] = close(reached)
+                reached |= step(cells[k], e)
+            cells[key] = reached
         return bool(cells[query])
 
     return exists

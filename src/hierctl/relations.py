@@ -20,6 +20,8 @@ questions go through `decompose_pairs` or the realizability confirmation in
 from __future__ import annotations
 
 import itertools
+from functools import partial
+from operator import is_not
 
 from .automata import (Alphabet, Automaton, AutomataError, Event,
                        eliminate_silent, explore, iter_marked_words,
@@ -103,11 +105,15 @@ def relabel_pair(p: Automaton, left_keep, right_keep) -> Automaton:
                                       p.marked))
 
 
+_is_event = partial(is_not, None)   # a component that is not erased
+
+
 def decompose_sequence(word, width: int = 2) -> tuple:
     """Component-wise concatenation of pair (width 2) or quadruple
     (width 4) labels."""
-    return tuple(tuple(lbl[i] for lbl in word if lbl[i] is not None)
-                 for i in range(width))
+    if not word:
+        return ((),) * width
+    return tuple(tuple(filter(_is_event, column)) for column in zip(*word))
 
 
 def decompose_pairs(p: Automaton, bound: int) -> list:

@@ -6,7 +6,7 @@ import pytest
 
 from hierctl.automata import Alphabet, Automaton
 from hierctl.gadgets import (GeneratorParams, gadget_loc, random_nfa,
-                             random_plant)
+                             random_plant, random_sublanguage)
 from hierctl.saut import parse_automaton
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -51,6 +51,27 @@ def loc_plants():
     for seed in range(6):
         yield gadget_loc(random_nfa(GeneratorParams(
             2 + seed % 3, 2 + seed % 2, 0.35, seed=seed)))
+
+
+def cli_big_inputs(seed: int) -> tuple:
+    """(plant, ambient C, spec K) with K ⊆ C ⊆ L(G), all prefix-closed:
+    an input of the synthesis and spec-check operations of the `cli-mix`
+    benchmark workload (perfbench/workloads.py)."""
+    g = random_plant(GeneratorParams(64, 5, 0.4, seed=seed))
+    c = random_sublanguage(g, 0.1, seed + 1000)
+    k = random_sublanguage(c, 0.2, seed + 2000)
+    return g, c, k
+
+
+def cli_big_seeds(count: int = 12) -> list:
+    """The first `count` seeds, from 0 up, whose `cli_big_inputs` plant
+    has at least 32 states, as the workload picks them."""
+    seeds, seed = [], 0
+    while len(seeds) < count:
+        if len(cli_big_inputs(seed)[0].states) >= 32:
+            seeds.append(seed)
+        seed += 1
+    return seeds
 
 
 @pytest.fixture

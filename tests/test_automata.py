@@ -195,7 +195,9 @@ def test_implicit_expands_each_state_once_and_only_where_read():
     assert imp.succ[0] is imp.succ[0]
     assert calls == [0]
     assert 1 in imp.marked and 2 not in imp.marked
-    assert not imp.marked.isdisjoint({2, 1}) and imp.marked.isdisjoint({2})
+    # keys are numbered as the subset steps read them: 0, then 1
+    assert imp.start_mask == 0b1 and imp.rows[0] == {"a": 0b10, "b": 0b1}
+    assert imp.meets_marked(0b11) and not imp.meets_marked(0b1)
     nothing = explore(AB, ["p"], lambda q: [("a", "p"), ("b", "p")],
                       lambda q: False)
     assert next(iter_difference_words(imp, nothing)) == ("a",)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
@@ -438,9 +440,27 @@ class TestConfirmationSearches:
         word = ("a",) * 5000
         assert _moc_mate_table(build_context(g))(word, word)
 
+    def test_long_moc_query_keeps_little_memory(self):
+        # Cells keyed by their two prefix tuples held about n² pointers:
+        # a 202 MB peak for this query. Interned prefix ids keep it linear.
+        al = make_alphabet("a")
+        g = Automaton(al, ("q",), frozenset({("q", "a", "q")}),
+                      frozenset({"q"}), frozenset({"q"}))
+        word = ("a",) * 5000
+        mate_exists = _moc_mate_table(build_context(g))
+        tracemalloc.start()
+        try:
+            assert mate_exists(word, word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000
+
     def test_moc_gadget_reads_few_successor_maps(self, monkeypatch):
         # A fresh plant search per candidate read 40,550 successor maps
-        # here; the shared table reads about 7,700.
+        # here; the shared table read about 7,700, and none since its cells
+        # are bitmasks stepped along the plant's `rows` (524 reads remain,
+        # outside the table).
         reads = []
 
         class Counting(dict):
@@ -630,6 +650,27 @@ class TestOneContext:
         hier_verify(ex1_plant, ex1_spec)
         assert calls["context"] == 1
         assert calls["determinize"] <= 2
+
+    def test_observer_builds_each_table_once(self, monkeypatch):
+        # The observer check runs an inclusion per state pair (26 here) on
+        # copies of the abstraction DFA and of the projected plant DFA
+        # with another initial state. Each copy rebuilt its successor map.
+        ctx = build_context(random_plant(GeneratorParams(12, 4, 0.35,
+                                                         seed=9)))
+        builds = collections.Counter()   # (table, transitions) -> builds
+        for name in ("state_index", "succ", "rows"):
+            table = vars(Automaton)[name]
+
+            def counting(a, build=table.func, name=name):
+                builds[name, id(a.transitions)] += 1
+                return build(a)
+
+            monkeypatch.setattr(table, "func", counting)
+        assert check_observer(ctx).holds
+        hd = ctx.abstraction_dfa
+        assert builds["succ", id(hd.transitions)] == 1
+        assert set(builds.values()) == {1}
+        assert {name for name, _ in builds} == {"state_index", "succ", "rows"}
 
     # First witnesses: a check that visits states in another order (the
     # one-step observer test, say) can keep every verdict but change these.

@@ -102,3 +102,40 @@ def test_long_prose_lines_are_found():
 def test_readme_prose_fits_79_columns():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert long_prose_lines(readme) == []
+
+
+def replace_calls(source: str, allowed: str) -> list:
+    """Lines of the `dataclasses.replace` calls outside the functions named
+    `allowed`, under whatever name the module imports it."""
+    tree = ast.parse(source)
+    names = {alias.asname or alias.name
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and node.module == "dataclasses"
+             for alias in node.names if alias.name == "replace"}
+    inside = {id(n)
+              for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == allowed
+              for n in ast.walk(node)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in inside
+            and (isinstance(node.func, ast.Name) and node.func.id in names
+                 or isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "replace"
+                 and isinstance(node.func.value, ast.Name)
+                 and node.func.value.id == "dataclasses")]
+
+
+def test_replace_calls_are_found():
+    module = ("import dataclasses\nfrom dataclasses import replace as r\n"
+              "def ok(a):\n    return r(a)\n"
+              "def bad(a):\n    return dataclasses.replace(r(a))\n"
+              "def fine(s):\n    return s.replace('x', 'y')\n")
+    assert replace_calls(module, "ok") == [6, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_automata_are_copied_only_by_derived(path):
+    # A copy made elsewhere would not share the tables of its source
+    # (`automata._derived`), so it would build them again.
+    assert replace_calls(path.read_text(encoding="utf-8"), "_derived") == []

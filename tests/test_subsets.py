@@ -1,0 +1,251 @@
+"""The bitmask subset constructions against frozenset references.
+
+The references below are the subset constructions as they were written
+over frozensets of states. A bitmask maps one-to-one onto such a set and
+`explore` only hashes its keys, so the kernel must give identical automata,
+witnesses and words; only `marked_saturate` builds fewer states.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from itertools import islice
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hierctl import checks
+from hierctl.automata import (Automaton, Implicit, ProjectionSpec,
+                              all_marked, determinize, difference,
+                              eliminate_silent, explore, includes,
+                              intersect, inverse_project,
+                              iter_difference_words, iter_marked_words,
+                              language_equal, marked_saturate, path_word,
+                              prefix_close, project, trim)
+from hierctl.checks import sup_normal_closed
+from hierctl.cli import main
+from hierctl.gadgets import GeneratorParams, random_plant, random_sublanguage
+from hierctl.saut import serialize_automaton
+from hierctl.verdicts import Verdict, Witness
+
+from conftest import cli_big_inputs, cli_big_seeds, make_alphabet
+
+AB = make_alphabet("ab")
+
+
+def _step(a: Automaton, states: frozenset, e) -> frozenset:
+    out = set()
+    for q in states:
+        out.update(a.succ[q].get(e, ()))
+    return frozenset(out)
+
+
+def ref_determinize(a: Automaton) -> Automaton:
+    a = eliminate_silent(a)
+
+    def moves(cur):
+        for e in a.alphabet.names:
+            nxt = _step(a, cur, e)
+            if nxt:
+                yield e, nxt
+
+    start = frozenset(a.initial)
+    return explore(a.alphabet, [start] if start else [], moves,
+                   lambda cur: not a.marked.isdisjoint(cur))
+
+
+def ref_includes(a: Automaton, b: Automaton) -> Verdict:
+    a, b = eliminate_silent(a), eliminate_silent(b)
+    b0 = frozenset(b.initial)
+
+    def bad(qa, bs):
+        return qa in a.marked and not (bs & b.marked)
+
+    parent = dict.fromkeys((qa, b0) for qa in a.sorted_states(a.initial))
+    if any(bad(*key) for key in parent):
+        return Verdict.make_violated(Witness("inclusion", {"word": ()}))
+    queue = deque(parent)
+    while queue:
+        qa, bs = queue.popleft()
+        for e in a.alphabet.names:
+            targets = a.succ[qa].get(e)
+            if not targets:
+                continue
+            nbs = _step(b, bs, e)
+            for qn in targets:
+                key = (qn, nbs)
+                if key in parent:
+                    continue
+                parent[key] = ((qa, bs), e)
+                if bad(qn, nbs):
+                    return Verdict.make_violated(Witness(
+                        "inclusion", {"word": path_word(parent, key)}))
+                queue.append(key)
+    return Verdict.make_holds()
+
+
+def ref_difference(a: Automaton, b: Automaton) -> Automaton:
+    a, b = eliminate_silent(a), eliminate_silent(b)
+    b0 = frozenset(b.initial)
+
+    def moves(node):
+        qa, bs = node
+        for e in a.alphabet.names:
+            for qn in a.succ[qa].get(e, ()):
+                yield e, (qn, _step(b, bs, e))
+
+    return explore(a.alphabet, [(qa, b0) for qa in a.sorted_states(a.initial)],
+                   moves, lambda node: node[0] in a.marked
+                   and b.marked.isdisjoint(node[1]))
+
+
+def ref_marked_saturate(a: Automaton) -> Automaton:
+    d = ref_determinize(a)
+    if not d.states:
+        return d
+    sink = len(d.states)
+    trans = {t for t in d.transitions if t[0] not in d.marked}
+    for q in set(d.marked) | {sink}:
+        for e in d.alphabet.names:
+            trans.add((q, e, sink))
+    return Automaton(d.alphabet, d.states + (sink,), frozenset(trans),
+                     d.initial, d.marked | {sink})
+
+
+def ref_sup_normal_closed(b: Automaton, m: Automaton) -> Automaton:
+    p = ProjectionSpec(b.alphabet, b.alphabet.observable)
+    bad = ref_marked_saturate(inverse_project(project(ref_difference(m, b),
+                                                      p), p))
+    return trim(prefix_close(ref_difference(b, bad)))
+
+
+@st.composite
+def nfas(draw, max_states=5):
+    """Automata over AB with silent moves, any initial and marked sets
+    (the empty ones included) and nondeterminism."""
+    n = draw(st.integers(1, max_states))
+    states = tuple(f"q{i}" for i in range(n))
+    labels = ("a", "b", None)
+    trans = draw(st.frozensets(st.tuples(st.sampled_from(states),
+                                         st.sampled_from(labels),
+                                         st.sampled_from(states)),
+                               max_size=3 * n))
+    initial = draw(st.frozensets(st.sampled_from(states)))
+    marked = draw(st.frozensets(st.sampled_from(states)))
+    return Automaton(AB, states, trans, initial, marked)
+
+
+EMPTY_INITIAL = Automaton(AB, ("p",), frozenset({("p", "a", "p")}),
+                          frozenset(), frozenset({"p"}))
+NONE_MARKED = Automaton(AB, ("p", "q"), frozenset({("p", "a", "q"),
+                                                   ("q", "b", "p")}),
+                        frozenset({"p"}), frozenset())
+SILENT = Automaton(AB, ("p", "q", "r"),
+                   frozenset({("p", None, "q"), ("q", "a", "r"),
+                              ("r", None, "p"), ("p", "b", "p")}),
+                   frozenset({"p"}), frozenset({"r"}))
+
+
+def _same(got: Automaton, want: Automaton) -> None:
+    assert (got.states, got.transitions, got.initial, got.marked) == \
+        (want.states, want.transitions, want.initial, want.marked)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfas())
+@example(EMPTY_INITIAL)
+@example(NONE_MARKED)
+@example(SILENT)
+def test_determinize_matches_reference(a):
+    _same(determinize(a), ref_determinize(a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfas(), nfas())
+@example(EMPTY_INITIAL, SILENT)
+@example(SILENT, EMPTY_INITIAL)
+@example(SILENT, NONE_MARKED)
+@example(NONE_MARKED, SILENT)
+def test_difference_and_inclusion_match_reference(a, b):
+    _same(difference(a, b), ref_difference(a, b))
+    assert includes(a, b).to_json() == ref_includes(a, b).to_json()
+
+
+def _implicit(a: Automaton) -> Implicit:
+    a = eliminate_silent(a)
+    return Implicit(a.alphabet, a.initial,
+                    lambda q: ((lbl, t) for lbl, ts in a.succ[q].items()
+                               for t in ts),
+                    a.marked.__contains__)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nfas(), nfas())
+@example(SILENT, EMPTY_INITIAL)
+@example(SILENT, NONE_MARKED)
+def test_implicit_right_side_gives_the_reference_words(a, b):
+    want = list(islice(iter_marked_words(trim(ref_difference(a, b))), 50))
+    assert list(islice(iter_difference_words(a, _implicit(b)), 50)) == want
+    assert list(islice(iter_difference_words(a, b), 50)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfas())
+@example(EMPTY_INITIAL)
+@example(NONE_MARKED)
+@example(SILENT)
+def test_marked_saturate_matches_reference_language(a):
+    got, want = marked_saturate(a), ref_marked_saturate(a)
+    assert language_equal(got, want)
+    assert len(got.states) <= len(want.states)
+
+
+def _closed_pairs():
+    """Prefix-closed B ⊆ M: random plants and random sublanguages."""
+    for seed in range(100):
+        m = all_marked(random_plant(GeneratorParams(
+            states=4 + seed % 9, events=2 + seed % 4,
+            transition_density=0.3 + 0.05 * (seed % 5),
+            deterministic=seed % 3 != 0, seed=seed + 900)))
+        yield prefix_close(random_sublanguage(m, 0.3, seed)), m
+
+
+def _cli_big_pairs():
+    """(B, M) as `synth supn` poses them on the big cli-mix inputs."""
+    for seed in cli_big_seeds():
+        g, _, k = cli_big_inputs(seed)
+        m = all_marked(g)
+        yield intersect(prefix_close(trim(k)), m), m
+
+
+def test_sup_normal_closed_is_byte_identical_to_reference():
+    pairs = list(_closed_pairs()) + list(_cli_big_pairs())
+    assert len(pairs) == 112
+    changed = 0
+    for b, m in pairs:
+        got, want = sup_normal_closed(b, m), ref_sup_normal_closed(b, m)
+        _same(got, want)
+        assert serialize_automaton(got) == serialize_automaton(want)
+        changed += not language_equal(got, b)
+    assert changed > 10   # many instances remove words
+
+
+def test_supn_saturation_builds_few_subsets(tmp_path, monkeypatch, capsys):
+    # `synth supn` on the fourteenth big cli-mix input: the saturation's
+    # subset construction built 4,409 states when it expanded past the
+    # marked subsets; everything after one is the sink, so 8 do.
+    g, _, k = cli_big_inputs(14)
+    gp, kp = tmp_path / "g.saut", tmp_path / "k.saut"
+    gp.write_text(serialize_automaton(g), encoding="utf-8")
+    kp.write_text(serialize_automaton(k), encoding="utf-8")
+    sizes = []
+
+    def recording(a):
+        out = marked_saturate(a)
+        sizes.append(len(out.states))
+        return out
+
+    monkeypatch.setattr(checks, "marked_saturate", recording)
+    assert main(["--json", "synth", "supn", str(kp), str(gp)]) == 0
+    assert '"result_states"' in capsys.readouterr().out
+    assert len(sizes) == 1 and sizes[0] <= 50
