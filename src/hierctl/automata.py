@@ -27,14 +27,24 @@ automaton is large, where a frozenset is as large as the subset.) An
 `Automaton` builds its tables (`state_index`, `succ`, `rows`, `has_silent`)
 on first read, once per transition relation: the copies that `_derived`
 makes for `with_initial`, `widen_alphabet`, `prefix_close` and
-`right_quotient` share them.
+`right_quotient` share them, and check only the initial and marked states
+they change.
+
+Two search shapes are written once. `_difference_product(a, b)` is the
+product of `a` with the subset construction of `b`: its start nodes, its
+steps in alphabet order and its bad-node test. `includes`, `difference` and
+`iter_difference_words` each search it, so a change to its right-subset
+layer is made in one place. `closure(starts, step)` is every "all that is
+reachable" set: silent closures, (co)reachable states, the pair search of
+`right_quotient`, and the plant reaches of `hierarchy`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import partial
+from itertools import chain
 from typing import Iterable, Iterator
 
 Word = tuple[str, ...]
@@ -341,37 +351,42 @@ def with_initial(a: Automaton, states: Iterable[str]) -> Automaton:
 
 def _derived(a: Automaton, **changes) -> Automaton:
     """`a` with some of alphabet, initial and marked replaced; the copy
-    shares `a`'s tables, which depend on the states and transitions only."""
-    out = replace(a, **changes)
-    out.__dict__["_tables"] = a._tables
+    shares `a`'s tables, which depend on the states and transitions only.
+    It checks only what changes: the new initial and marked states against
+    the shared `state_index` (callers check a new alphabet)."""
+    index = a.state_index
+    for s in chain(changes.get("initial", ()), changes.get("marked", ())):
+        if s not in index:
+            raise AutomataError(f"undeclared state {s!r}")
+    out = object.__new__(Automaton)   # no `__post_init__` walk
+    out.__dict__.update({f.name: getattr(a, f.name) for f in fields(a)},
+                        **changes, _tables=a._tables)
     return out
 
 
 # ---------------------------------------------------------------------------
 # silent elimination, reachability, trimming
 
+def closure(starts: Iterable, step) -> set:
+    """Everything reachable from `starts` (included) along `step(node)`,
+    an iterable of next nodes."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for nxt in step(stack.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
 def eliminate_silent(a: Automaton) -> Automaton:
     if not a.has_silent:
         return a
-    silent_succ: dict = {s: set() for s in a.states}
-    for (src, lbl, dst) in a.transitions:
-        if lbl is None:
-            silent_succ[src].add(dst)
-    closures = {}
-    for q in a.states:
-        seen = {q}
-        stack = [q]
-        while stack:
-            p = stack.pop()
-            for r in silent_succ[p]:
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        closures[q] = seen
     trans = set()
     marked = set()
     for q in a.states:
-        cl = closures[q]
+        cl = closure((q,), lambda p: a.succ[p].get(None, ()))
         if cl & a.marked:
             marked.add(q)
         for p in cl:
@@ -385,16 +400,9 @@ def eliminate_silent(a: Automaton) -> Automaton:
 
 
 def reachable_states(a: Automaton) -> frozenset:
-    seen = set(a.initial)
-    stack = list(a.initial)
-    while stack:
-        q = stack.pop()
-        for targets in a.succ[q].values():
-            for t in targets:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-    return frozenset(seen)
+    succ = a.succ
+    return frozenset(closure(
+        a.initial, lambda q: chain.from_iterable(succ[q].values())))
 
 
 def coreachable_states(a: Automaton, goal: frozenset | None = None) -> frozenset:
@@ -402,15 +410,7 @@ def coreachable_states(a: Automaton, goal: frozenset | None = None) -> frozenset
     pred: dict = {s: set() for s in a.states}
     for (src, _, dst) in a.transitions:
         pred[dst].add(src)
-    seen = set(goal)
-    stack = list(goal)
-    while stack:
-        q = stack.pop()
-        for p in pred[q]:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return frozenset(seen)
+    return frozenset(closure(goal, pred.__getitem__))
 
 
 def trim(a: Automaton) -> Automaton:
@@ -526,12 +526,14 @@ def _union(rows, m: int) -> dict:
 class Implicit:
     """The (alphabet, starts, moves, marked) that `explore` takes, read as
     an automaton: `succ[key]` calls `moves(key)` and `key in marked` calls
-    `marked(key)`, each once per key. Keys are numbered as the subset
-    steps read them, so `start_mask`, `rows` and `meets_marked` stand for
-    those of an `Automaton`. It offers what `iter_difference_words` reads
-    of an `Automaton`; `moves` must yield no silent (None) label."""
+    `marked(key)`, each once per key. Keys are numbered as they are read,
+    the start keys first in the order given, so `state_index`,
+    `sorted_states`, `start_mask`, `rows` and `meets_marked` stand for those
+    of an `Automaton`. It offers what `iter_difference_words` reads of an
+    `Automaton`; `moves` must yield no silent (None) label."""
 
     has_silent = False
+    sorted_states = Automaton.sorted_states
 
     def __init__(self, alphabet: Alphabet, starts: Iterable, moves, marked):
         def succ(key) -> dict:
@@ -555,15 +557,12 @@ class Implicit:
                     for lbl, ts in self.succ[keys[i]].items()}
 
         self.alphabet = alphabet
-        self.initial = frozenset(starts)
+        self.initial = tuple(dict.fromkeys(starts))
+        self.start_mask = sum(map(bit, self.initial))
+        self.state_index = index
         self.succ = _Memo(succ)
         self.marked = _MarkedMemo(marked)
         self.rows = _Memo(row)
-        self._bit = bit
-
-    @_lazy
-    def start_mask(self) -> int:
-        return sum(map(self._bit, self.initial))
 
     def meets_marked(self, m: int) -> bool:
         """Does the subset bitmask `m` hold a marked key? Keys are decided
@@ -613,47 +612,65 @@ def path_word(parent: dict, key) -> tuple:
     return tuple(word)
 
 
-def includes(a: Automaton, b: Automaton, kind: str = "inclusion"):
-    """Marked-language inclusion L_m(a) ⊆ L_m(b).
-
-    On-the-fly product of `a` with the subset construction of `b`; a failure
-    yields a shortest witness word. It need not be the length-lexicographically
-    first one: breadth-first ties between product nodes reached by different
-    words are broken by queue position, so use `iter_difference_words` for
-    the first word.
-    """
-    from .verdicts import Verdict, Witness
-
+def _difference_product(a: Automaton, b: Automaton) -> tuple:
+    """(starts, moves, bad) of the product of `a` with the subset
+    construction of `b`, the one product that `includes`, `difference` and
+    `iter_difference_words` search. A node is (state of `a`, bitmask subset
+    of `b`); the starts follow `a.sorted_states`, `moves(node)` yields
+    (event, node) in alphabet order, and `bad(node)` is true when the `a`
+    state is marked and the `b` subset holds no marked state."""
     require_same_alphabet(a, b)
     a = eliminate_silent(a)
     b = eliminate_silent(b)
-    b_row = _Memo(partial(_union, b.rows))
+    b_row = _Memo(partial(_union, b.rows))   # b-subset -> event -> b-subset
+    succ, names, marked = a.succ, a.alphabet.names, a.marked
     meets = b.meets_marked
 
-    def bad(qa, bs):
-        return qa in a.marked and not meets(bs)
+    def moves(node):
+        qa, bs = node
+        steps = succ[qa]
+        if not steps:
+            return
+        row = b_row[bs]
+        for e in names:
+            targets = steps.get(e)
+            if targets:
+                nbs = row.get(e, 0)
+                for qn in targets:
+                    yield e, (qn, nbs)
 
-    parent = dict.fromkeys((qa, b.start_mask)
-                           for qa in a.sorted_states(a.initial))
-    if any(bad(*key) for key in parent):
+    def bad(node) -> bool:
+        return node[0] in marked and not meets(node[1])
+
+    b0 = b.start_mask
+    return [(qa, b0) for qa in a.sorted_states(a.initial)], moves, bad
+
+
+def includes(a: Automaton, b: Automaton, kind: str = "inclusion"):
+    """Marked-language inclusion L_m(a) ⊆ L_m(b).
+
+    Breadth-first search of `_difference_product(a, b)`; a failure yields a
+    shortest witness word. It need not be the length-lexicographically
+    first one: ties between product nodes reached by different words are
+    broken by queue position (each node's steps in alphabet order), so use
+    `iter_difference_words` for the first word.
+    """
+    from .verdicts import Verdict, Witness
+
+    starts, moves, bad = _difference_product(a, b)
+    parent = dict.fromkeys(starts)
+    if any(map(bad, parent)):
         return Verdict.make_violated(Witness(kind, {"word": ()}))
-    queue = deque(parent)
-    while queue:
-        qa, bs = queue.popleft()
-        for e in a.alphabet.names:
-            targets = a.succ[qa].get(e)
-            if not targets:
+    queue = list(parent)
+    for node in queue:   # `queue` grows while it is read: breadth first
+        for e, nxt in moves(node):
+            if nxt in parent:
                 continue
-            nbs = b_row[bs].get(e, 0)
-            for qn in targets:
-                key = (qn, nbs)
-                if key in parent:
-                    continue
-                parent[key] = ((qa, bs), e)
-                if bad(qn, nbs):
-                    return Verdict.make_violated(
-                        Witness(kind, {"word": path_word(parent, key)}))
-                queue.append(key)
+            parent[nxt] = (node, e)
+            if bad(nxt):
+                return Verdict.make_violated(
+                    Witness(kind, {"word": path_word(parent, nxt)}))
+            queue.append(nxt)
     return Verdict.make_holds()
 
 
@@ -725,28 +742,10 @@ def intersect(a: Automaton, b: Automaton) -> Automaton:
 
 
 def difference(a: Automaton, b: Automaton) -> Automaton:
-    """Automaton marking L_m(a) − L_m(b) (lazy complement of b)."""
-    require_same_alphabet(a, b)
-    a = eliminate_silent(a)
-    b = eliminate_silent(b)
-    b_row = _Memo(partial(_union, b.rows))
-    meets = b.meets_marked
-
-    def moves(node):
-        qa, bs = node
-        row = b_row[bs]
-        for e in a.alphabet.names:
-            targets = a.succ[qa].get(e)
-            if not targets:
-                continue
-            nbs = row.get(e, 0)
-            for qn in targets:
-                yield e, (qn, nbs)
-
-    return explore(a.alphabet,
-                   [(qa, b.start_mask) for qa in a.sorted_states(a.initial)],
-                   moves, lambda node: node[0] in a.marked
-                   and not meets(node[1]))
+    """Automaton marking L_m(a) − L_m(b): `_difference_product(a, b)` built
+    by `explore`, its bad nodes marked, each node's steps in alphabet
+    order."""
+    return explore(a.alphabet, *_difference_product(a, b))
 
 
 def right_quotient(a: Automaton, d: Automaton) -> Automaton:
@@ -769,15 +768,8 @@ def right_quotient(a: Automaton, d: Automaton) -> Automaton:
         for (pa, qa) in a_edges:
             for (pd, qd) in d_edges:
                 pred.setdefault((qa, qd), set()).add((pa, pd))
-    goal = [(qa, qd) for qa in a.marked for qd in d.marked]
-    seen = set(goal)
-    stack = list(goal)
-    while stack:
-        pair = stack.pop()
-        for prev in pred.get(pair, ()):
-            if prev not in seen:
-                seen.add(prev)
-                stack.append(prev)
+    seen = closure(((qa, qd) for qa in a.marked for qd in d.marked),
+                   lambda pair: pred.get(pair, ()))
     good = frozenset(q for q in a.states
                      if any((q, i) in seen for i in d.initial))
     return _derived(a, marked=good)
@@ -862,42 +854,30 @@ def iter_difference_words(a: Automaton, b: Automaton) -> Iterator[Word]:
     They are not stored: dead nodes keep nothing, and only the live nodes
     that the word search expands keep a successor map. An `Implicit`
     operand is expanded only as far as the search reads it. Nothing is
-    yielded exactly when L_m(a) ⊆ L_m(b).
+    yielded exactly when L_m(a) ⊆ L_m(b). The nodes and steps are those
+    of `_difference_product(a, b)`, in alphabet order; the descent's sort by
+    subset size is stable, so ties stay in alphabet order and the search
+    does the same work in every process.
     """
-    require_same_alphabet(a, b)
-    a = eliminate_silent(a)
-    b = eliminate_silent(b)
-    b_row = _Memo(partial(_union, b.rows))   # b-subset -> event -> b-subset
-    meets = b.meets_marked
-    succ: dict = {}     # live node -> event -> tuple of nodes
+    starts, moves, bad = _difference_product(a, b)
+    succ: dict = {}     # live node -> event -> list of nodes
     # node -> LIVE, DEAD, or its search number while the search holds it
     status: dict = {}
     LIVE, DEAD = -1, -2
-
-    def bad(node) -> bool:
-        qa, bs = node
-        return qa in a.marked and not meets(bs)
 
     def targets(node) -> list:
         # smallest `b` subsets first: a bad node's holds no marked state,
         # and trying them first keeps the search from wandering through
         # large subsets while a bad node is a few steps away
-        qa, bs = node
-        row = b_row[bs]
-        steps = sorted(((row.get(e, 0), ts)
-                        for e, ts in a.succ[qa].items()),
-                       key=lambda st: st[0].bit_count())
-        return [(qn, nbs) for nbs, ts in steps for qn in ts]
+        return [n for _, n in sorted(moves(node),
+                                     key=lambda st: st[1][1].bit_count())]
 
     def expand(node) -> dict:
         out = succ.get(node)
         if out is None:
-            qa, bs = node
-            row = b_row[bs]
             out = succ[node] = {}
-            for e, ts in a.succ[qa].items():
-                nbs = row.get(e, 0)
-                out[e] = tuple((qn, nbs) for qn in ts)
+            for e, n in moves(node):
+                out.setdefault(e, []).append(n)
         return out
 
     def is_live(node) -> bool:
@@ -949,7 +929,7 @@ def iter_difference_words(a: Automaton, b: Automaton) -> Iterator[Word]:
                 return False
 
     # live subset -> (accepting, ((event, next live subset), ...))
-    moves: dict = {}
+    subset_moves: dict = {}
 
     def moves_of(cur: frozenset) -> tuple:
         out = []
@@ -960,16 +940,15 @@ def iter_difference_words(a: Automaton, b: Automaton) -> Iterator[Word]:
                 out.append((e, nxt))
         return any(bad(n) for n in cur), tuple(out)
 
-    b0 = b.start_mask
-    start = frozenset((qa, b0) for qa in a.initial if is_live((qa, b0)))
+    start = frozenset(filter(is_live, starts))
     if not start:
         return
     queue = deque([((), start)])
     while queue:
         word, cur = queue.popleft()
-        entry = moves.get(cur)
+        entry = subset_moves.get(cur)
         if entry is None:
-            entry = moves[cur] = moves_of(cur)
+            entry = subset_moves[cur] = moves_of(cur)
         accepting, steps = entry
         if accepting:
             yield word

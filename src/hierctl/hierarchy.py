@@ -40,11 +40,10 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .automata import (Alphabet, Automaton, Implicit, PreconditionError,
-                       ProjectionSpec, all_marked, bits, determinize, includes,
-                       iter_difference_words, merge_alphabets,
-                       parallel_compose, path_word,
-                       prefix_close, project, trim, widen_alphabet,
-                       with_initial)
+                       ProjectionSpec, all_marked, bits, closure, determinize,
+                       includes, iter_difference_words, merge_alphabets,
+                       parallel_compose, path_word, prefix_close, project,
+                       trim, widen_alphabet, with_initial)
 from .checks import (check_controllability, check_nonconflicting,
                      check_normality, check_observability, sup_normal_closed,
                      sup_relobs_closed)
@@ -158,15 +157,8 @@ def check_observer(g: Plant) -> Verdict:
 
 
 def _low_reach(gd: Automaton, start: int, events: frozenset) -> set:
-    seen = {start}
-    stack = [start]
-    while stack:
-        q = stack.pop()
-        for e, targets in gd.succ[q].items():
-            if e in events and targets[0] not in seen:
-                seen.add(targets[0])
-                stack.append(targets[0])
-    return seen
+    return closure((start,), lambda q: (ts[0] for e, ts in gd.succ[q].items()
+                                        if e in events))
 
 
 def check_lcc(g: Plant) -> Verdict:
@@ -341,23 +333,14 @@ def _moc_mate_table(ctx: HierarchyContext):
     """
     rows = ctx.plant.rows
     obs, hi = ctx.alphabet.observable, ctx.alphabet.highlevel
-    silent = []   # state index -> bitmask of its silent-event targets
-    for row in rows:
-        m = 0
-        for e, t in row.items():
-            if e not in obs and e not in hi:
-                m |= t
-        silent.append(m)
-    reach = []   # state index -> bitmask of the states its silent paths reach
-    for i in range(len(rows)):
-        seen = todo = 1 << i
-        while todo:
-            new = 0
-            for j in bits(todo):
-                new |= silent[j]
-            todo = new & ~seen
-            seen |= todo
-        reach.append(seen)
+
+    def silent(i: int):   # the indices of i's silent-event targets
+        return (j for e, t in rows[i].items()
+                if e not in obs and e not in hi for j in bits(t))
+
+    # state index -> bitmask of the states its silent paths reach
+    reach = [sum(1 << j for j in closure((i,), silent))
+             for i in range(len(rows))]
 
     def close(m: int) -> int:
         out = 0

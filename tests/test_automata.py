@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -14,7 +15,7 @@ from hierctl.automata import (AutomataError, Automaton, Implicit,
                               language_equal, marked_saturate,
                               parallel_compose, prefix_close, project,
                               right_quotient, sigma_star, trim,
-                              word_automaton)
+                              with_initial, word_automaton)
 from hierctl.gadgets import GeneratorParams, random_plant
 from hierctl.hierarchy import _common_pair, build_context
 from hierctl.relations import relabel_pair, sync_pair_compose
@@ -254,3 +255,35 @@ def test_alphabet_mismatch_is_an_error():
     other = tree(words("c"), make_alphabet("c"))
     with pytest.raises(AutomataError):
         includes(tree(words("a"), AB), other)
+
+
+def _chain(n: int) -> Automaton:
+    """The path 0 -a-> 1 -a-> ... -a-> n-1, with n-1 marked."""
+    return explore(AB, [0], lambda q: [("a", q + 1)] if q < n - 1 else [],
+                   lambda q: q == n - 1)
+
+
+def test_derived_copies_check_only_what_they_change(monkeypatch):
+    # A copy shares its source's states and transitions, so walking them
+    # again (Automaton.__post_init__) would only repeat the source's check.
+    a = _chain(5000)
+    assert a.start_mask == 1 and a.marked_mask == 1 << 4999
+    posts = []
+    monkeypatch.setattr(Automaton, "__post_init__",
+                        lambda self: posts.append(self))
+    b = with_initial(a, {4998})
+    closed = prefix_close(a)
+    assert posts == []
+    assert b == replace(a, initial=frozenset({4998})) and b.succ is a.succ
+    # per-copy values are read afresh, not carried over from the source
+    assert b.start_mask == 1 << 4998 and b.marked_mask == a.marked_mask
+    assert closed.marked_mask == (1 << 5000) - 1
+    assert list(iter_marked_words(b)) == [("a",)]
+
+
+def test_derived_copies_reject_undeclared_states():
+    a = _chain(3)
+    with pytest.raises(AutomataError, match="undeclared state 3"):
+        with_initial(a, {0, 3})
+    with pytest.raises(AutomataError, match="undeclared state 'x'"):
+        with_initial(a, ["x"])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import json
 import os
@@ -138,15 +139,39 @@ def _oc_wander_probe() -> list:
     return [v.outcome, v.detail, len(asked)]
 
 
+@functools.cache
+def _forced_order_work() -> tuple:
+    """The bad-node tests of the same search with each state's successor
+    map forced into an order: the alphabet's, its reverse, and per-state
+    shuffles. The hash seed does not fix the order in which a `succ` map
+    holds its events: that follows set iteration, and tuples holding None
+    hash differently in each process before Python 3.12."""
+    la, ra = _oc_operands(random_plant(WANDER_PLANT))
+    names = la.alphabet.names
+    rng = random.Random(0)
+    orders = [lambda q: names, lambda q: names[::-1]] + \
+        [lambda q: rng.sample(names, len(names))] * 4
+    work = []
+    for order in orders:
+        a, asked = _counting_marked(la)
+        # the cached successor map, its events in the forced order
+        a.__dict__["succ"] = {q: {e: m[e] for e in order(q) if e in m}
+                              for q, m in la.succ.items()}
+        assert next(iter_difference_words(a, ra))
+        work.append(len(asked))
+    return tuple(work)
+
+
 class TestRefutationRegressions:
     """Pinned refutation-loop verdicts, witnesses and details."""
 
     @pytest.mark.parametrize("hash_seed", ["2", "3"])
     def test_oc_search_work_is_independent_of_hash_seed(self, hash_seed):
         # Under these string hash seeds a fresh search per liveness query
-        # took over 5 s here, making over 120,000 bad-node tests; the test
-        # below fixes the order that decides it. One component search that
-        # tries the smallest right subsets first makes about 2,700.
+        # took over 5 s here, making over 120,000 bad-node tests. One
+        # component search that tries the smallest right subsets first
+        # makes about 2,700, and exactly as many in every process once it
+        # reads each node's steps in alphabet order.
         tests = Path(__file__).resolve().parent
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                    PYTHONPATH=os.pathsep.join(filter(None, (
@@ -160,24 +185,12 @@ class TestRefutationRegressions:
         outcome, detail, asked = json.loads(proc.stdout)
         assert outcome == "violated" and detail == {"examined": 1}
         assert asked <= WANDER_BOUND
+        # the same work as this process makes under every forced order
+        assert set(_forced_order_work()) == {asked}
 
     def test_oc_search_work_is_independent_of_successor_order(self):
-        # The hash seed does not fix the order in which the search reads a
-        # state's events: that follows set iteration, and tuples holding
-        # None hash differently in each process before Python 3.12. So
-        # force orders: the alphabet's, its reverse, and per-state shuffles.
-        la, ra = _oc_operands(random_plant(WANDER_PLANT))
-        names = la.alphabet.names
-        rng = random.Random(0)
-        orders = [lambda q: names, lambda q: names[::-1]] + \
-            [lambda q: rng.sample(names, len(names))] * 4
-        for order in orders:
-            a, asked = _counting_marked(la)
-            # the cached successor map, its events in the forced order
-            a.__dict__["succ"] = {q: {e: m[e] for e in order(q) if e in m}
-                                  for q, m in la.succ.items()}
-            assert next(iter_difference_words(a, ra))
-            assert len(asked) <= WANDER_BOUND
+        work = _forced_order_work()
+        assert len(set(work)) == 1 and work[0] <= WANDER_BOUND
 
     def test_oc_violated_at_second_sequence(self):
         g = random_plant(GeneratorParams(32, 5, 0.35, seed=9))

@@ -104,6 +104,14 @@ def test_readme_prose_fits_79_columns():
     assert long_prose_lines(readme) == []
 
 
+def nodes_inside(tree: ast.AST, allowed) -> set:
+    """Ids of the nodes inside the functions named in `allowed`."""
+    return {id(n)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in allowed
+            for n in ast.walk(node)}
+
+
 def replace_calls(source: str, allowed: str) -> list:
     """Lines of the `dataclasses.replace` calls outside the functions named
     `allowed`, under whatever name the module imports it."""
@@ -113,10 +121,7 @@ def replace_calls(source: str, allowed: str) -> list:
              if isinstance(node, ast.ImportFrom)
              and node.module == "dataclasses"
              for alias in node.names if alias.name == "replace"}
-    inside = {id(n)
-              for node in ast.walk(tree)
-              if isinstance(node, ast.FunctionDef) and node.name == allowed
-              for n in ast.walk(node)}
+    inside = nodes_inside(tree, {allowed})
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Call) and id(node) not in inside
             and (isinstance(node.func, ast.Name) and node.func.id in names
@@ -139,3 +144,40 @@ def test_automata_are_copied_only_by_derived(path):
     # A copy made elsewhere would not share the tables of its source
     # (`automata._derived`), so it would build them again.
     assert replace_calls(path.read_text(encoding="utf-8"), "_derived") == []
+
+
+def uses_outside(source: str, name: str, allowed: set) -> list:
+    """Lines that use the module-level function `name` outside the
+    functions named in `allowed`, under whatever name the module imports
+    it, or as an attribute."""
+    tree = ast.parse(source)
+    names = {name} | {alias.asname or alias.name
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom)
+                      for alias in node.names if alias.name == name}
+    inside = nodes_inside(tree, allowed)
+    return [node.lineno for node in ast.walk(tree)
+            if id(node) not in inside
+            and (isinstance(node, ast.Name) and node.id in names
+                 or isinstance(node, ast.Attribute) and node.attr == name)]
+
+
+def test_uses_outside_are_found():
+    module = ("from m import f as g\nimport m\n"
+              "def ok(a):\n    return partial(f, a), g(a)\n"
+              "def bad(a):\n    return m.f(a)\n"
+              "def worse(a):\n    return [g(x) for x in a], f\n")
+    assert uses_outside(module, "f", {"ok"}) == [6, 8, 8]
+
+
+# The product of a left automaton with the subset construction of a right
+# one is built in one place, so a change to its right-subset layer is made
+# once: the subset constructions and `_difference_product` alone union the
+# rows of a subset.
+UNION_USERS = {"_subset_dfa", "iter_marked_words", "_difference_product"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_subset_steps_are_taken_only_by_the_kernels(path):
+    assert uses_outside(path.read_text(encoding="utf-8"), "_union",
+                        UNION_USERS) == []
