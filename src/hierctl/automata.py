@@ -17,8 +17,8 @@ distinct keys never share a state, and equal inputs give byte-identical
 outputs.
 
 Subset constructions (`determinize`, `marked_saturate`, `iter_marked_words`,
-`includes`, `difference`, and the right side of `iter_difference_words`)
-hold a subset as an int bitmask over `state_index`. A step ORs the `rows` of
+`includes`, `difference`, and both phases of `iter_difference_words`) hold
+a subset as an int bitmask over `state_index`. A step ORs the `rows` of
 the set bits, "meets a marked state" is `m & marked_mask`, and the subset's
 size is `m.bit_count()`. A mask maps one-to-one onto the frozenset of its
 states and the searches only hash it, so numbering, words, witnesses and
@@ -30,13 +30,15 @@ makes for `with_initial`, `widen_alphabet`, `prefix_close` and
 `right_quotient` share them, and check only the initial and marked states
 they change.
 
-Two search shapes are written once. `_difference_product(a, b)` is the
+Three search shapes are written once. `_difference_product(a, b)` is the
 product of `a` with the subset construction of `b`: its start nodes, its
 steps in alphabet order and its bad-node test. `includes`, `difference` and
 `iter_difference_words` each search it, so a change to its right-subset
-layer is made in one place. `closure(starts, step)` is every "all that is
-reachable" set: silent closures, (co)reachable states, the pair search of
-`right_quotient`, and the plant reaches of `hierarchy`.
+layer is made in one place. `iter_marked_words` is the one
+length-lexicographic enumerator; `iter_difference_words` runs it over an
+`Implicit` view of the product's live nodes. `closure(starts, step)` is
+every "all that is reachable" set: silent closures, (co)reachable states,
+the pair search of `right_quotient`, and the plant reaches of `hierarchy`.
 """
 
 from __future__ import annotations
@@ -529,8 +531,9 @@ class Implicit:
     `marked(key)`, each once per key. Keys are numbered as they are read,
     the start keys first in the order given, so `state_index`,
     `sorted_states`, `start_mask`, `rows` and `meets_marked` stand for those
-    of an `Automaton`. It offers what `iter_difference_words` reads of an
-    `Automaton`; `moves` must yield no silent (None) label."""
+    of an `Automaton`. It offers what `iter_difference_words` and
+    `iter_marked_words` read of an `Automaton`; `moves` must yield no
+    silent (None) label."""
 
     has_silent = False
     sorted_states = Automaton.sorted_states
@@ -815,52 +818,55 @@ def marked_saturate(a: Automaton) -> Automaton:
 # ---------------------------------------------------------------------------
 # bounded enumeration
 
-def iter_marked_words(a: Automaton, bound: int | None = None) -> Iterator[Word]:
-    """Yield L_m(a) in length-lexicographic order (alphabet order for ties)."""
+def iter_marked_words(a: Automaton | Implicit,
+                      bound: int | None = None) -> Iterator[Word]:
+    """Yield L_m(a) in length-lexicographic order (alphabet order for ties).
+
+    The one such enumerator: a breadth-first search over the bitmask subsets
+    of `a`, an `Automaton` or an `Implicit`, that steps each subset once."""
     a = eliminate_silent(a)
     if not a.start_mask:
         return
-    row = _Memo(partial(_union, a.rows))   # subset -> event -> subset
-    marked = a.marked_mask
+    rows, names, meets = a.rows, a.alphabet.names, a.meets_marked
+
+    def entry(m: int) -> tuple:
+        row = _union(rows, m)
+        return meets(m), tuple((e, row[e]) for e in names if row.get(e))
+
+    memo = _Memo(entry)   # subset -> (accepting, ((event, subset), ...))
     queue = deque([((), a.start_mask)])
     while queue:
         word, cur = queue.popleft()
-        if cur & marked:
+        accepting, steps = memo[cur]
+        if accepting:
             yield word
-        if bound is not None and len(word) >= bound:
-            continue
-        steps = row[cur]
-        for e in a.alphabet.names:
-            nxt = steps.get(e)
-            if nxt:
-                queue.append((word + (e,), nxt))
+        if bound is None or len(word) < bound:
+            queue.extend((word + (e,), nxt) for e, nxt in steps)
 
 
-def iter_difference_words(a: Automaton, b: Automaton) -> Iterator[Word]:
+def iter_difference_words(a: Automaton | Implicit,
+                          b: Automaton | Implicit) -> Iterator[Word]:
     """Yield L_m(a) − L_m(b) in length-lexicographic order.
 
     Yields exactly the words of ``iter_marked_words(trim(difference(a, b)))``
-    in the same order, without building either automaton. Product nodes
-    (state of `a`, subset of `b`) are expanded on first use.
-    `trim` is replaced by a liveness test: a node is live when it reaches
-    a bad node, one whose `a` state is marked and whose `b` subset holds
-    no marked state. One depth-first search over strongly connected
-    components (Tarjan's) decides it, and every node it visits is decided
-    once, so it scans each node's targets at most once: a live or bad target
-    makes every node still on the component stack live (each reaches the
-    search path, which reaches that target), and a component finished
-    without one is dead. A node's targets are all checked for a live or bad
-    one before the search descends, into the smallest `b` subsets first.
-    They are not stored: dead nodes keep nothing, and only the live nodes
-    that the word search expands keep a successor map. An `Implicit`
-    operand is expanded only as far as the search reads it. Nothing is
-    yielded exactly when L_m(a) ⊆ L_m(b). The nodes and steps are those
-    of `_difference_product(a, b)`, in alphabet order; the descent's sort by
-    subset size is stable, so ties stay in alphabet order and the search
-    does the same work in every process.
+    in the same order, without building either automaton: it runs
+    `iter_marked_words` over an `Implicit` view of the live nodes of
+    `_difference_product(a, b)`, which keeps a successor map for the live
+    nodes the word search expands and nothing for dead ones. A node (state
+    of `a`, bitmask subset of `b`) is live when it reaches a bad node, one
+    whose `a` state is marked and whose `b` subset holds no marked state.
+    One depth-first search over strongly connected components (Tarjan's)
+    decides it, and every node it visits is decided once, so it scans each
+    node's targets at most once: a live or bad target makes every node
+    still on the component stack live (each reaches the search path, which
+    reaches that target), and a component finished without one is dead. A
+    node's targets are all checked for a live or bad one before the search
+    descends, into the smallest `b` subsets first; the sort is stable, so
+    ties stay in alphabet order and the search does the same work in every
+    process. An `Implicit` operand is expanded only as far as the search
+    reads it. Nothing is yielded exactly when L_m(a) ⊆ L_m(b).
     """
     starts, moves, bad = _difference_product(a, b)
-    succ: dict = {}     # live node -> event -> list of nodes
     # node -> LIVE, DEAD, or its search number while the search holds it
     status: dict = {}
     LIVE, DEAD = -1, -2
@@ -871,14 +877,6 @@ def iter_difference_words(a: Automaton, b: Automaton) -> Iterator[Word]:
         # large subsets while a bad node is a few steps away
         return [n for _, n in sorted(moves(node),
                                      key=lambda st: st[1][1].bit_count())]
-
-    def expand(node) -> dict:
-        out = succ.get(node)
-        if out is None:
-            out = succ[node] = {}
-            for e, n in moves(node):
-                out.setdefault(e, []).append(n)
-        return out
 
     def is_live(node) -> bool:
         s = status.get(node)
@@ -928,32 +926,11 @@ def iter_difference_words(a: Automaton, b: Automaton) -> Iterator[Word]:
             else:
                 return False
 
-    # live subset -> (accepting, ((event, next live subset), ...))
-    subset_moves: dict = {}
+    def live_moves(node):
+        return ((e, n) for e, n in moves(node) if is_live(n))
 
-    def moves_of(cur: frozenset) -> tuple:
-        out = []
-        for e in a.alphabet.names:
-            nxt = frozenset(t for n in cur for t in expand(n).get(e, ())
-                            if is_live(t))
-            if nxt:
-                out.append((e, nxt))
-        return any(bad(n) for n in cur), tuple(out)
-
-    start = frozenset(filter(is_live, starts))
-    if not start:
-        return
-    queue = deque([((), start)])
-    while queue:
-        word, cur = queue.popleft()
-        entry = subset_moves.get(cur)
-        if entry is None:
-            entry = subset_moves[cur] = moves_of(cur)
-        accepting, steps = entry
-        if accepting:
-            yield word
-        for e, nxt in steps:
-            queue.append((word + (e,), nxt))
+    yield from iter_marked_words(
+        Implicit(a.alphabet, filter(is_live, starts), live_moves, bad))
 
 
 def enumerate_bounded(a: Automaton, bound: int, *, generated: bool = False) -> list[Word]:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hierctl import hierarchy, oracle
+from hierctl import automata, hierarchy, oracle
 from hierctl.automata import (Alphabet, Automaton, Event, all_marked,
                               determinize, enumerate_bounded, explore,
                               intersect, inverse_project, is_empty,
@@ -36,8 +36,8 @@ from hierctl.hierarchy import (HierarchyContext, PreconditionError,
                                lemma_distribute_q, lemma_moc_implies_oc,
                                moc_structurally_guaranteed)
 
-from hierctl.relations import (build_quad, quad_alphabet, relabel_pair,
-                               sync_pair_compose)
+from hierctl.relations import (build_quad, label_name, quad_alphabet,
+                               relabel_pair, sync_pair_compose)
 
 from conftest import loc_plants, make_alphabet, tree
 
@@ -203,6 +203,25 @@ class TestRefutationRegressions:
         shared = build_context(g).shared
         assert [x for x in t if x in shared] == [x for x in tp if x in shared]
         assert not oracle._exists_oc_pair(oracle._gen_rec(g), t, tp)
+
+    def test_refutation_reads_its_words_from_iter_marked_words(
+            self, monkeypatch):
+        # The difference search ends in the one word enumerator, so a
+        # layer trace that wraps it counts every sequence a check examines.
+        yielded = []
+        enumerate_words = automata.iter_marked_words
+
+        def counting(*args):
+            for word in enumerate_words(*args):
+                yielded.append(word)
+                yield word
+
+        monkeypatch.setattr(automata, "iter_marked_words", counting)
+        v = check_oc(random_plant(GeneratorParams(32, 5, 0.35, seed=9)), 2000)
+        assert v.violated and v.detail == {"examined": 2}
+        assert len(yielded) == 2
+        assert tuple(map(label_name, yielded[-1])) == \
+            v.witness.strings["sequence"]
 
     def test_oc_violated_on_large_difference(self):
         g = random_plant(GeneratorParams(24, 4, 0.4, seed=3))
@@ -671,10 +690,13 @@ class TestOneContext:
         ctx = build_context(random_plant(GeneratorParams(12, 4, 0.35,
                                                          seed=9)))
         builds = collections.Counter()   # (table, transitions) -> builds
+        # every counted relation stays alive, so no later one reuses its id
+        counted = []
         for name in ("state_index", "succ", "rows"):
             table = vars(Automaton)[name]
 
             def counting(a, build=table.func, name=name):
+                counted.append(a.transitions)
                 builds[name, id(a.transitions)] += 1
                 return build(a)
 

@@ -77,6 +77,16 @@ class TestCrossValidation:
         for seed, g in self._plants(13000):
             assert check_observer(g).holds == oracle_observer(g, BOUND).ok
             assert check_lcc(g).holds == oracle_lcc(g, BOUND).ok
+        # The plants above seldom violate LCC; these small ones do (16 of
+        # 200, each within five letters), so a low-level reach that can be
+        # read only once, for the first target event, gives wrong verdicts.
+        violated = 0
+        for seed in range(200):
+            g = random_plant(GeneratorParams(4, 4, 0.3, seed=seed))
+            holds = check_lcc(g).holds
+            assert holds == oracle_lcc(g, 5).ok, f"seed={seed}"
+            violated += not holds
+        assert violated == 16
 
 
 class TestWitnessSemantics:

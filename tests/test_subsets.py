@@ -189,6 +189,20 @@ def test_implicit_right_side_gives_the_reference_words(a, b):
     assert list(islice(iter_difference_words(a, b), 50)) == want
 
 
+@settings(max_examples=150, deadline=None)
+@given(nfas())
+@example(EMPTY_INITIAL)
+@example(NONE_MARKED)
+@example(SILENT)
+def test_implicit_gives_the_automaton_marked_words(a):
+    # trimmed, so that a finite language ends the unbounded enumeration
+    t = trim(eliminate_silent(a))
+    want = list(islice(iter_marked_words(t), 50))
+    assert list(islice(iter_marked_words(_implicit(t)), 50)) == want
+    assert list(iter_marked_words(_implicit(a), 4)) == \
+        list(iter_marked_words(a, 4))
+
+
 @settings(max_examples=200, deadline=None)
 @given(nfas())
 @example(EMPTY_INITIAL)
