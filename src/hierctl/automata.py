@@ -30,15 +30,20 @@ makes for `with_initial`, `widen_alphabet`, `prefix_close` and
 `right_quotient` share them, and check only the initial and marked states
 they change.
 
-Three search shapes are written once. `_difference_product(a, b)` is the
+Five search shapes are written once. `_difference_product(a, b)` is the
 product of `a` with the subset construction of `b`: its start nodes, its
 steps in alphabet order and its bad-node test. `includes`, `difference` and
 `iter_difference_words` each search it, so a change to its right-subset
-layer is made in one place. `iter_marked_words` is the one
-length-lexicographic enumerator; `iter_difference_words` runs it over an
-`Implicit` view of the product's live nodes. `closure(starts, step)` is
-every "all that is reachable" set: silent closures, (co)reachable states,
-the pair search of `right_quotient`, and the plant reaches of `hierarchy`.
+layer is made in one place. `pair_product(alphabet, a, b, labels)` is every
+product of two automata stepped by a label table (`parallel_compose`, the
+pair products of `relations`, LOC's verifier through `pair_moves`).
+`first_path(starts, moves, test)` is every breadth-first witness search:
+`includes`, the observer, LCC and controllability checks.
+`iter_marked_words` is the one length-lexicographic enumerator;
+`iter_difference_words` runs it over an `Implicit` view of the product's
+live nodes. `closure(starts, step)` is every "all that is reachable" set:
+silent closures, (co)reachable states, the pair search of `right_quotient`,
+and the plant reaches of `hierarchy`.
 """
 
 from __future__ import annotations
@@ -532,8 +537,9 @@ class Implicit:
     the start keys first in the order given, so `state_index`,
     `sorted_states`, `start_mask`, `rows` and `meets_marked` stand for those
     of an `Automaton`. It offers what `iter_difference_words` and
-    `iter_marked_words` read of an `Automaton`; `moves` must yield no
-    silent (None) label."""
+    `iter_marked_words` read of an `Automaton`. `moves` must yield no silent
+    (None) label, and every key must reach a marked key, or an unbounded
+    `iter_marked_words` of a finite language does not end."""
 
     has_silent = False
     sorted_states = Automaton.sorted_states
@@ -560,6 +566,7 @@ class Implicit:
                     for lbl, ts in self.succ[keys[i]].items()}
 
         self.alphabet = alphabet
+        self._tables: dict = {}
         self.initial = tuple(dict.fromkeys(starts))
         self.start_mask = sum(map(bit, self.initial))
         self.state_index = index
@@ -615,17 +622,43 @@ def path_word(parent: dict, key) -> tuple:
     return tuple(word)
 
 
+def first_path(starts: Iterable, moves, test):
+    """(word, value) for the first node of a breadth-first search whose
+    `test(node)` is a truthy value, or None. Nodes are discovered in the
+    order `explore` numbers keys (the distinct `starts` as given, then each
+    node's (event, node) steps as `moves(node)` yields them) and tested
+    once, when discovered; `word` spells the path that discovered the node,
+    a shortest one, and () for a start."""
+    parent = dict.fromkeys(starts)
+    for node in parent:
+        value = test(node)
+        if value:
+            return (), value
+    queue = list(parent)
+    for node in queue:   # `queue` grows while it is read: breadth first
+        for e, nxt in moves(node):
+            if nxt not in parent:
+                parent[nxt] = (node, e)
+                value = test(nxt)
+                if value:
+                    return path_word(parent, nxt), value
+                queue.append(nxt)
+    return None
+
+
 def _difference_product(a: Automaton, b: Automaton) -> tuple:
     """(starts, moves, bad) of the product of `a` with the subset
     construction of `b`, the one product that `includes`, `difference` and
     `iter_difference_words` search. A node is (state of `a`, bitmask subset
     of `b`); the starts follow `a.sorted_states`, `moves(node)` yields
     (event, node) in alphabet order, and `bad(node)` is true when the `a`
-    state is marked and the `b` subset holds no marked state."""
+    state is marked and the `b` subset holds no marked state. `b`'s subset
+    steps are memoized in its `_tables`, which its `_derived` copies share."""
     require_same_alphabet(a, b)
     a = eliminate_silent(a)
     b = eliminate_silent(b)
-    b_row = _Memo(partial(_union, b.rows))   # b-subset -> event -> b-subset
+    b_row = b._tables.setdefault(   # b-subset -> event -> b-subset
+        "subset_steps", _Memo(partial(_union, b.rows)))
     succ, names, marked = a.succ, a.alphabet.names, a.marked
     meets = b.meets_marked
 
@@ -652,29 +685,18 @@ def _difference_product(a: Automaton, b: Automaton) -> tuple:
 def includes(a: Automaton, b: Automaton, kind: str = "inclusion"):
     """Marked-language inclusion L_m(a) ⊆ L_m(b).
 
-    Breadth-first search of `_difference_product(a, b)`; a failure yields a
-    shortest witness word. It need not be the length-lexicographically
-    first one: ties between product nodes reached by different words are
-    broken by queue position (each node's steps in alphabet order), so use
-    `iter_difference_words` for the first word.
+    `first_path` over `_difference_product(a, b)` for a bad node; a failure
+    yields a shortest witness word. It need not be the
+    length-lexicographically first one: ties between product nodes reached
+    by different words are broken by queue position (each node's steps in
+    alphabet order), so use `iter_difference_words` for the first word.
     """
     from .verdicts import Verdict, Witness
 
-    starts, moves, bad = _difference_product(a, b)
-    parent = dict.fromkeys(starts)
-    if any(map(bad, parent)):
-        return Verdict.make_violated(Witness(kind, {"word": ()}))
-    queue = list(parent)
-    for node in queue:   # `queue` grows while it is read: breadth first
-        for e, nxt in moves(node):
-            if nxt in parent:
-                continue
-            parent[nxt] = (node, e)
-            if bad(nxt):
-                return Verdict.make_violated(
-                    Witness(kind, {"word": path_word(parent, nxt)}))
-            queue.append(nxt)
-    return Verdict.make_holds()
+    found = first_path(*_difference_product(a, b))
+    if found is None:
+        return Verdict.make_holds()
+    return Verdict.make_violated(Witness(kind, {"word": found[0]}))
 
 
 def language_equal(a: Automaton, b: Automaton) -> bool:
@@ -711,32 +733,42 @@ def inverse_project(a: Automaton, spec: ProjectionSpec) -> Automaton:
 # ---------------------------------------------------------------------------
 # products and boolean operations
 
-def parallel_compose(a: Automaton, b: Automaton) -> Automaton:
-    """Synchronous composition; shared events synchronize, private interleave."""
-    alphabet = merge_alphabets(a.alphabet, b.alphabet)
-    a = eliminate_silent(a)
-    b = eliminate_silent(b)
-    in_a = set(a.alphabet.names)
-    in_b = set(b.alphabet.names)
+def pair_moves(a: Automaton, b: Automaton, labels):
+    """`moves((p, q))` of a product of the silent-free `a` and `b`: `labels`
+    lists (label, left event or None, right event or None) in alphabet
+    order, and a label moves each side on its event, a None side not."""
+    a_succ, b_succ = a.succ, b.succ
 
     def moves(pq):
         p, q = pq
-        for e in alphabet.names:
-            if e in in_a and e in in_b:
-                for pn in a.succ[p].get(e, ()):
-                    for qn in b.succ[q].get(e, ()):
-                        yield e, (pn, qn)
-            elif e in in_a:
-                for pn in a.succ[p].get(e, ()):
-                    yield e, (pn, q)
-            else:
-                for qn in b.succ[q].get(e, ()):
-                    yield e, (p, qn)
+        p_steps, q_steps = a_succ[p], b_succ[q]
+        for lbl, left, right in labels:
+            for pn in (p,) if left is None else p_steps.get(left, ()):
+                for qn in (q,) if right is None else q_steps.get(right, ()):
+                    yield lbl, (pn, qn)
 
+    return moves
+
+
+def pair_product(alphabet: Alphabet, a: Automaton, b: Automaton,
+                 labels) -> Automaton:
+    """The product over `alphabet` of `a` and `b` stepped by `pair_moves`,
+    from their initial pairs in state order, marked where both are."""
+    a = eliminate_silent(a)
+    b = eliminate_silent(b)
     return explore(alphabet,
                    [(p, q) for p in a.sorted_states(a.initial)
                     for q in b.sorted_states(b.initial)],
-                   moves, lambda pq: pq[0] in a.marked and pq[1] in b.marked)
+                   pair_moves(a, b, labels),
+                   lambda pq: pq[0] in a.marked and pq[1] in b.marked)
+
+
+def parallel_compose(a: Automaton, b: Automaton) -> Automaton:
+    """Synchronous composition; shared events synchronize, private interleave."""
+    alphabet = merge_alphabets(a.alphabet, b.alphabet)
+    return pair_product(alphabet, a, b, [
+        (e, e if e in a.alphabet else None, e if e in b.alphabet else None)
+        for e in alphabet.names])
 
 
 def intersect(a: Automaton, b: Automaton) -> Automaton:
@@ -823,15 +855,20 @@ def iter_marked_words(a: Automaton | Implicit,
     """Yield L_m(a) in length-lexicographic order (alphabet order for ties).
 
     The one such enumerator: a breadth-first search over the bitmask subsets
-    of `a`, an `Automaton` or an `Implicit`, that steps each subset once."""
+    of `a`, an `Automaton` or an `Implicit`, that steps each subset once.
+    It drops an `Automaton`'s steps into subsets with no co-reachable state,
+    so a finite language ends it; an `Implicit`'s keys all reach one."""
     a = eliminate_silent(a)
-    if not a.start_mask:
+    live = -1 if isinstance(a, Implicit) else sum(
+        1 << a.state_index[q] for q in coreachable_states(a))
+    if not a.start_mask & live:
         return
     rows, names, meets = a.rows, a.alphabet.names, a.meets_marked
 
     def entry(m: int) -> tuple:
         row = _union(rows, m)
-        return meets(m), tuple((e, row[e]) for e in names if row.get(e))
+        return meets(m), tuple((e, row[e]) for e in names
+                               if row.get(e, 0) & live)
 
     memo = _Memo(entry)   # subset -> (accepting, ((event, subset), ...))
     queue = deque([((), a.start_mask)])

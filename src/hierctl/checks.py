@@ -2,22 +2,23 @@
 
 The checks read DFAs as plain tables {state: {event: target}}. In the table
 of a specification closure K̄ a missing entry means "outside K̄", so no dead
-state is added. The observability-style checks share one breadth-first
-search over pairs of strings with equal observations; its parent map spells
-shortest, deterministic witnesses. The search resumes after an entry of K̄
-is deleted, so `sup_relobs_closed` runs all its removal rounds as one search.
+state is added. Controllability is one `automata.first_path` search over
+(K̄, G) state pairs. The observability-style checks share one breadth-first
+search over pairs of strings with equal observations; `path_word` spells
+its shortest, deterministic witnesses from its parent map. That search
+resumes after an entry of K̄ is deleted, so `sup_relobs_closed` runs all
+its removal rounds as one search.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .automata import (Automaton, PreconditionError, ProjectionSpec, all_marked,
-                       determinize, difference, includes, intersect,
-                       inverse_project, is_prefix_closed, marked_saturate,
-                       parallel_compose, path_word, prefix_close, project,
-                       require_same_alphabet, trim)
+                       determinize, difference, first_path, includes,
+                       intersect, inverse_project, is_prefix_closed,
+                       marked_saturate, parallel_compose, path_word,
+                       prefix_close, project, require_same_alphabet, trim)
 from .verdicts import Verdict, Witness
 
 
@@ -48,24 +49,23 @@ def check_controllability(k: Automaton, g: Automaton) -> Verdict:
     kt, k0 = _closure_table(k)
     gt, g0 = _dfa_table(determinize(g))
     unc = sorted(g.alphabet.uncontrollable, key=g.alphabet.names.index)
-    parent: dict = {} if k0 is None else {(k0, g0): None}
-    queue = deque(parent)
-    while queue:
-        kq, gq = cur = queue.popleft()
-        kk, gg = kt[kq], gt[gq]
-        for e in unc:
-            if e in gg and e not in kk:
-                word = path_word(parent, cur)
-                return Verdict.make_violated(Witness(
-                    "controllability", {"s": word, "e": (e,), "se": word + (e,)},
-                    "s ∈ K̄, e uncontrollable, se ∈ L(G) but se ∉ K̄"))
-        for e in g.alphabet.names:
-            if e in kk:   # then se ∈ K̄ ⊆ L(G)
-                nxt = (kk[e], gg[e])
-                if nxt not in parent:
-                    parent[nxt] = (cur, e)
-                    queue.append(nxt)
-    return Verdict.make_holds()
+    names = g.alphabet.names
+
+    def moves(node):   # se ∈ K̄ ⊆ L(G)
+        kk, gg = kt[node[0]], gt[node[1]]
+        return ((e, (kk[e], gg[e])) for e in names if e in kk)
+
+    def escape(node):   # the first uncontrollable e with se ∈ L(G) − K̄
+        kk, gg = kt[node[0]], gt[node[1]]
+        return next((e for e in unc if e in gg and e not in kk), None)
+
+    found = first_path([] if k0 is None else [(k0, g0)], moves, escape)
+    if found is None:
+        return Verdict.make_holds()
+    word, e = found
+    return Verdict.make_violated(Witness(
+        "controllability", {"s": word, "e": (e,), "se": word + (e,)},
+        "s ∈ K̄, e uncontrollable, se ∈ L(G) but se ∉ K̄"))
 
 
 class _PairSearch:
@@ -155,26 +155,14 @@ def _observability_engine(k: Automaton, c: Automaton, g: Automaton,
     if found is None:
         return Verdict.make_holds()
     node, e = found
-    s, sp = _rebuild_pair(search.parent, node)
+    steps = path_word(search.parent, node)   # ("b" | "l" | "r", event)
+    s = tuple(x for side, x in steps if side != "r")
+    sp = tuple(x for side, x in steps if side != "l")
     return Verdict.make_violated(Witness(
         kind,
         {"s": s, "s_prime": sp, "e": (e,),
          "se": s + (e,), "s_prime_e": sp + (e,)},
         "P(s)=P(s'), se ∈ K̄, s' ∈ C̄, s'e ∈ L(G), s'e ∉ K̄"))
-
-
-def _rebuild_pair(parent: dict, key) -> tuple[tuple, tuple]:
-    s: list = []
-    sp: list = []
-    while parent[key] is not None:
-        key, (side, e) = parent[key]
-        if side in ("b", "l"):
-            s.append(e)
-        if side in ("b", "r"):
-            sp.append(e)
-    s.reverse()
-    sp.reverse()
-    return tuple(s), tuple(sp)
 
 
 def check_observability(k: Automaton, g: Automaton) -> Verdict:

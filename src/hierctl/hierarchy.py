@@ -41,9 +41,10 @@ from functools import cached_property, partial
 
 from .automata import (Alphabet, Automaton, Implicit, PreconditionError,
                        ProjectionSpec, all_marked, bits, closure, determinize,
-                       includes, iter_difference_words, merge_alphabets,
-                       parallel_compose, path_word, prefix_close, project,
-                       trim, widen_alphabet, with_initial)
+                       first_path, includes, iter_difference_words,
+                       merge_alphabets, pair_moves, parallel_compose,
+                       prefix_close, project, trim, widen_alphabet,
+                       with_initial)
 from .checks import (check_controllability, check_nonconflicting,
                      check_normality, check_observability, sup_normal_closed,
                      sup_relobs_closed)
@@ -132,28 +133,21 @@ def check_observer(g: Plant) -> Verdict:
     gd, hd = ctx.dfa, ctx.abstraction_dfa
     proj = project(gd, ctx.q)   # silent elimination does not read `initial`
     hi = ctx.alphabet.highlevel
-    parent: dict = dict.fromkeys(itertools.product(gd.initial, hd.initial))
-    queue = list(parent)
-    for cur in queue:   # `queue` grows while it is read: breadth first
-        gs, xs = cur
-        v = includes(with_initial(hd, {xs}), with_initial(proj, {gs}),
-                     kind="observer")
-        if not v.holds:
-            s = path_word(parent, cur)
-            return Verdict.make_violated(Witness(
-                "observer",
-                {"s": s, "t": ctx.q.apply(s) + v.witness.strings["word"]},
-                "t ∈ Q(L) but no low-level continuation of s projects onto it"))
-        for e in ctx.alphabet.names:
-            sn = gd.succ[gs].get(e)
-            if not sn:
-                continue
-            # se ∈ L puts Q(s)e in Q(L), so the abstraction DFA moves too
-            nxt = (sn[0], hd.succ[xs][e][0] if e in hi else xs)
-            if nxt not in parent:
-                parent[nxt] = (cur, e)
-                queue.append(nxt)
-    return Verdict.make_holds()
+
+    def failure(pair):   # the witness of a failing per-pair inclusion
+        gs, xs = pair
+        return includes(with_initial(hd, {xs}), with_initial(proj, {gs})).witness
+
+    # se ∈ L puts Q(s)e in Q(L), so the abstraction DFA moves on Σhi too
+    labels = [(e, e, e if e in hi else None) for e in ctx.alphabet.names]
+    found = first_path(itertools.product(gd.initial, hd.initial),
+                       pair_moves(gd, hd, labels), failure)
+    if found is None:
+        return Verdict.make_holds()
+    s, witness = found
+    return Verdict.make_violated(Witness(
+        "observer", {"s": s, "t": ctx.q.apply(s) + witness.strings["word"]},
+        "t ∈ Q(L) but no low-level continuation of s projects onto it"))
 
 
 def _low_reach(gd: Automaton, start: int, events: frozenset) -> set:
@@ -176,22 +170,23 @@ def check_lcc(g: Plant) -> Verdict:
     low_unc = low & ctx.alphabet.uncontrollable
     targets = sorted(ctx.alphabet.highlevel & ctx.alphabet.uncontrollable,
                      key=ctx.alphabet.names.index)
-    parent: dict = dict.fromkeys(gd.initial)
-    for gs in gd.states:
+    names = ctx.alphabet.names
+
+    def escape(gs):   # a target e reached at low level, not uncontrollably
         reach_all = _low_reach(gd, gs, low)
         reach_unc = _low_reach(gd, gs, low_unc)
-        for e in targets:
-            via_any = any(e in gd.succ[q] for q in reach_all)
-            via_unc = any(e in gd.succ[q] for q in reach_unc)
-            if via_any and not via_unc:
-                return Verdict.make_violated(Witness(
-                    "lcc", {"s": path_word(parent, gs), "e": (e,)},
-                    "e is reachable from s by low-level events but not by "
-                    "uncontrollable ones"))
-        for e in ctx.alphabet.names:
-            for q in gd.succ[gs].get(e, ()):
-                parent.setdefault(q, (gs, e))
-    return Verdict.make_holds()
+        return next((e for e in targets
+                     if any(e in gd.succ[q] for q in reach_all)
+                     and not any(e in gd.succ[q] for q in reach_unc)), None)
+
+    found = first_path(gd.initial, lambda gs: (
+        (e, q) for e in names for q in gd.succ[gs].get(e, ())), escape)
+    if found is None:
+        return Verdict.make_holds()
+    s, e = found
+    return Verdict.make_violated(Witness(
+        "lcc", {"s": s, "e": (e,)}, "e is reachable from s by low-level "
+        "events but not by uncontrollable ones"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Pair and quadruple events: synchronized pair composition, component
 erasure, and the LOC verifier: its moves over plant-state pairs, which the
 LOC check explores, and the reference quadruple automaton `build_quad`.
+The pair composition and the verifier's moves are label tables over
+`automata.pair_product` and `pair_moves`.
 
 A pair event is the tuple (l, r) and a quadruple event the tuple
 (a, b, c, d) of base event names, with None for an erased component. These
@@ -25,7 +27,7 @@ from operator import is_not
 
 from .automata import (Alphabet, Automaton, AutomataError, Event,
                        eliminate_silent, explore, iter_marked_words,
-                       merge_alphabets)
+                       merge_alphabets, pair_moves, pair_product)
 
 
 def label_name(label: tuple) -> str:
@@ -66,23 +68,8 @@ def sync_pair_compose(a: Automaton, b: Automaton, sync) -> Automaton:
     missing = sync - set(common.names)
     if missing:
         raise AutomataError(f"sync events not in the common alphabet: {sorted(missing)}")
-    a = eliminate_silent(a)
-    b = eliminate_silent(b)
     alphabet = pair_alphabet(a.alphabet, b.alphabet, sync)
-
-    def moves(pq):
-        p, q = pq
-        # an erased component stays put, a named one must move
-        for lbl in alphabet.names:
-            l, r = lbl
-            for pn in (p,) if l is None else a.succ[p].get(l, ()):
-                for qn in (q,) if r is None else b.succ[q].get(r, ()):
-                    yield lbl, (pn, qn)
-
-    return explore(alphabet,
-                   [(p, q) for p in a.sorted_states(a.initial)
-                    for q in b.sorted_states(b.initial)],
-                   moves, lambda pq: pq[0] in a.marked and pq[1] in b.marked)
+    return pair_product(alphabet, a, b, [(lbl, *lbl) for lbl in alphabet.names])
 
 
 def relabel_pair(p: Automaton, left_keep, right_keep) -> Automaton:
@@ -157,25 +144,13 @@ def verifier_moves(g: Automaton):
     (p, r), coordinates 0 and 2 of `build_quad`'s quadruples (1 and 3 add
     no sequence: see `hierarchy._loc_shared`). Labels come in the order
     `build_quad`'s moves yield them."""
-    base = g.alphabet
-    obs = base.observable
-    labels = _quad_labels(base)
-
-    def moves(pr):
-        p, r = pr
-        for a in base.names:
-            lbl = labels[a]
-            if a in obs:
-                for pn in g.succ[p].get(a, ()):
-                    for rn in g.succ[r].get(a, ()):
-                        yield lbl[0], (pn, rn)
-            else:
-                for pn in g.succ[p].get(a, ()):
-                    yield lbl[0], (pn, r)
-                for rn in g.succ[r].get(a, ()):
-                    yield lbl[1], (p, rn)
-
-    return moves
+    quads, obs = _quad_labels(g.alphabet), g.alphabet.observable
+    labels = []
+    for a in g.alphabet.names:
+        lbl = quads[a]
+        labels += ([(lbl[0], a, a)] if a in obs
+                   else [(lbl[0], a, None), (lbl[1], None, a)])
+    return pair_moves(g, g, labels)
 
 
 def build_quad(g: Automaton) -> Automaton:

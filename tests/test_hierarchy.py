@@ -707,6 +707,24 @@ class TestOneContext:
         assert set(builds.values()) == {1}
         assert {name for name, _ in builds} == {"state_index", "succ", "rows"}
 
+    def test_observer_pairs_share_one_subset_step_memo(self, monkeypatch):
+        # One inclusion per state pair, each from a copy of the projected
+        # plant DFA with another initial state. With a memo per inclusion
+        # the subset steps were taken 1,018 times; the copies share 129.
+        ctx = build_context(random_plant(GeneratorParams(32, 5, 0.5,
+                                                         seed=2)))
+        ctx.dfa, ctx.abstraction_dfa   # built before the count starts
+        unions = []
+        union = automata._union
+
+        def counting(rows, m):
+            unions.append(m)
+            return union(rows, m)
+
+        monkeypatch.setattr(automata, "_union", counting)
+        assert check_observer(ctx).violated
+        assert 0 < len(unions) <= 200
+
     # First witnesses: a check that visits states in another order (the
     # one-step observer test, say) can keep every verdict but change these.
     @pytest.mark.parametrize("check, params, strings", [

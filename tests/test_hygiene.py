@@ -181,3 +181,15 @@ UNION_USERS = {"_subset_dfa", "iter_marked_words", "_difference_product"}
 def test_subset_steps_are_taken_only_by_the_kernels(path):
     assert uses_outside(path.read_text(encoding="utf-8"), "_union",
                         UNION_USERS) == []
+
+
+# Every witness of a breadth-first search is spelled by `first_path`; the
+# resumable pair search of the observability checks is the one other
+# search, and no module keeps a parent map of its own.
+PATH_WORD_USERS = {"first_path", "_observability_engine"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_parent_maps_are_spelled_only_by_first_path(path):
+    assert uses_outside(path.read_text(encoding="utf-8"), "path_word",
+                        PATH_WORD_USERS) == []
