@@ -19,25 +19,30 @@ automata over pair (or quadruple) events and decides it by one lazy
 difference search (``iter_difference_words``): an on-the-fly product of the
 left side with the subset construction of the right one, expanded only as
 far as the sequences examined need. LOC's two sides are implicit products
-too, never built as automata. A search that yields no sequence is the
-inclusion holding: ``holds``. The inclusion is sequence-level, so a
-difference sequence may only reflect a missing interleaving: each one, in
-length-lexicographic order, is decomposed into a string tuple, and the tuple
-is confirmed or refuted exactly against the plant's states: OC and LOC by a
-depth-first existence search per tuple, MOC by one table of plant state
-sets per check, keyed by interned prefix pairs, that all its tuples share. A
-confirmed tuple yields ``violated``; exhausting the difference language
-yields ``holds`` (every genuine violating tuple leaves at least one
-difference sequence, because the synchronized products accept all
-interleavings); running out of budget, counted in sequences examined,
-yields ``inconclusive``.
+too, never built as automata. The inclusion is sequence-level, but a left-
+only and a right-only pair event commute, so the interleavings of one
+string pair are one trace: OC and MOC read their left side in lexicographic
+normal form (``relations.normal_forms``), one sequence per string pair. A
+search that yields no sequence is the inclusion holding: ``holds``. For OC
+and MOC that is every normal form lying in the right side, which realizes
+every string pair. Otherwise a difference sequence may only reflect a
+missing interleaving: each one, in length-lexicographic order, is
+decomposed into a string tuple, and the tuple is confirmed or refuted
+exactly against the plant's states: OC and MOC by one table per check,
+keyed by interned prefix pairs, that all its tuples share, LOC by a
+depth-first existence search per tuple. A confirmed tuple yields
+``violated``; exhausting the difference language yields ``holds`` (every
+genuine violating tuple leaves a difference sequence, its normal form,
+because the synchronized products accept all interleavings); running out
+of budget, counted in sequences examined (tuples, for OC and MOC), yields
+``inconclusive``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 from .automata import (Alphabet, Automaton, Implicit, PreconditionError,
                        ProjectionSpec, all_marked, bits, closure, determinize,
@@ -48,8 +53,9 @@ from .automata import (Alphabet, Automaton, Implicit, PreconditionError,
 from .checks import (check_controllability, check_nonconflicting,
                      check_normality, check_observability, sup_normal_closed,
                      sup_relobs_closed)
-from .relations import (decompose_sequence, label_name, quad_alphabet,
-                        relabel_pair, sync_pair_compose, verifier_moves)
+from .relations import (decompose_sequence, label_name, normal_forms,
+                        quad_alphabet, relabel_pair, sync_pair_compose,
+                        verifier_moves)
 from .verdicts import Verdict, Witness
 
 DEFAULT_BUDGET = 10000
@@ -209,7 +215,9 @@ def _refutation_loop(words, budget: int, decompose, confirm) -> Verdict:
     `decompose` maps a difference sequence to a hashable string tuple,
     `confirm` returns a Witness for a genuine violation or None for a
     spurious (interleaving-only) difference. No sequence at all is the
-    inclusion holding, a bare "holds".
+    inclusion holding, a bare "holds". OC's and MOC's sequences are normal
+    forms, each of a tuple of its own, so their budget counts tuples, and
+    only LOC's interleavings need `seen`.
     """
     seen: set = set()
     spurious = 0
@@ -237,125 +245,31 @@ def _refutation_loop(words, budget: int, decompose, confirm) -> Verdict:
                "spurious interleaving")
 
 
-# Confirmation searches. Each decides one existence question about fixed
-# strings over the plant (every state marked), so a refuted difference
-# sequence costs no automaton construction. OC and LOC run a depth-first
-# search per question; MOC's questions share one table per check, since
-# its length-lexicographic candidates share most of their prefixes.
+# Confirmation tables. Each refutation candidate asks one existence
+# question about fixed strings over the plant (every state marked), so a
+# refuted difference sequence costs no automaton construction. A check's
+# length-lexicographic candidates share most of their prefixes, so its
+# questions share one table, filled from the plant's `rows`; LOC asks about
+# state sets and runs a depth-first search per question.
 
-def _reaches(starts, step, goal) -> bool:
-    """Is a node satisfying `goal` reachable from `starts` along `step`?"""
-    seen = set(starts)
-    stack = list(seen)
-    while stack:
-        node = stack.pop()
-        if goal(node):
-            return True
-        for nxt in step(node):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
+def _prefix_table(names, start: int, alone: tuple, step):
+    """`exists(u, v)`: is cell (u, v) of a table over string pairs nonempty?
 
-
-def _moves(ctx: HierarchyContext, q: str, word: tuple, i: int):
-    """Plant steps (event, target, index) from q that keep following `word`.
-
-    A high-level event must be word[i] and advances the index; a low-level
-    event leaves it alone.
+    A cell is a bitmask, `start` at (ε, ε), and cell (u, v) is the union of
+    up to three steps, each `step(cell, side, e)`: by u's last letter e
+    from (u[:-1], v) (side 0) when e is in `alone[0]`, by v's last letter
+    from (u, v[:-1]) (side 1) when it is in `alone[1]`, and by both from
+    (u[:-1], v[:-1]) (side 2) when u ends in e outside `alone[0]` and v in
+    e too. `step` returns a closed cell, so the union is closed; it is
+    memoized per (cell, side, e). A query fills only the cells it needs,
+    from an explicit stack, and stops at filled ones. Cells are keyed by
+    interned prefix ids over `names`, each prefix being its parent's id
+    plus a letter, so a key costs two ints whatever the length of u and v.
     """
-    hi = ctx.alphabet.highlevel
-    for e, targets in ctx.plant.succ[q].items():
-        if e not in hi:
-            j = i
-        elif i < len(word) and word[i] == e:
-            j = i + 1
-        else:
-            continue
-        for r in targets:
-            yield e, r, j
-
-
-def _pair_reaches(ctx: HierarchyContext, starts, t: tuple, tp: tuple,
-                  goal) -> bool:
-    """Search over two plant paths with equal observations.
-
-    A node (p, i, q, j) has the left path at p after spelling t[:i] at the
-    high level and the right path at q after spelling tp[:j]. Observable
-    events move both paths together, unobservable ones move one path.
-    """
-    obs = ctx.alphabet.observable
-
-    def step(node):
-        p, i, q, j = node
-        right = list(_moves(ctx, q, tp, j))
-        for e, pn, ni in _moves(ctx, p, t, i):
-            if e not in obs:
-                yield pn, ni, q, j
-                continue
-            for f, qn, nj in right:
-                if f == e:
-                    yield pn, ni, qn, nj
-        for f, qn, nj in right:
-            if f not in obs:
-                yield p, i, qn, nj
-
-    return _reaches(starts, step, goal)
-
-
-def _oc_pair_exists(ctx: HierarchyContext, t: tuple, tp: tuple) -> bool:
-    """∃ s, s' ∈ L with Q(s) = t, Q(s') = tp and P(s) = P(s')."""
-    init = ctx.plant.initial
-    return _pair_reaches(ctx, {(p, 0, q, 0) for p in init for q in init},
-                         t, tp, lambda n: n[1] == len(t) and n[3] == len(tp))
-
-
-def _moc_mate_table(ctx: HierarchyContext):
-    """`exists(o, t)`: ∃ s' ∈ L with P(s') = o and Q(s') = t.
-
-    The answers share one table of cells. Cell (o, t) holds the plant
-    states reached by some s' with P(s') = o and Q(s') = t, as a bitmask
-    over `state_index`, closed under the silent events (outside Σo ∪ Σhi),
-    which `reach` precomputes per state. It is the closure of three
-    steps: an event of Σo ∩ Σhi from cell (o[:-1], t[:-1]) when o and t
-    end in it, one of Σo ∖ Σhi from (o[:-1], t) and one of Σhi ∖ Σo from
-    (o, t[:-1]). A query fills only the cells it needs, from an explicit
-    stack, and stops at filled ones; the length-lexicographic candidates
-    of one check share most of their prefixes, so most cells are filled
-    by earlier queries. Cells are keyed by interned prefix ids, each
-    prefix being its parent's id plus a letter, so a key costs two ints
-    whatever the length of o and t.
-    """
-    rows = ctx.plant.rows
-    obs, hi = ctx.alphabet.observable, ctx.alphabet.highlevel
-
-    def silent(i: int):   # the indices of i's silent-event targets
-        return (j for e, t in rows[i].items()
-                if e not in obs and e not in hi for j in bits(t))
-
-    # state index -> bitmask of the states its silent paths reach
-    reach = [sum(1 << j for j in closure((i,), silent))
-             for i in range(len(rows))]
-
-    def close(m: int) -> int:
-        out = 0
-        for i in bits(m):
-            out |= reach[i]
-        return out
-
-    after: dict = {}   # (cell, event) -> the closure of the cell's e-step
-
-    def step(m: int, e: str) -> int:
-        out = after.get((m, e))
-        if out is None:
-            out = 0
-            for i in bits(m):
-                out |= rows[i].get(e, 0)
-            out = after[(m, e)] = close(out)
-        return out
-
-    letter = {e: k for k, e in enumerate(ctx.alphabet.names)}
-    # parent id * |Σ| + letter -> id, where id 0 is the empty prefix
+    alone_u, alone_v = alone
+    after = cache(step)   # (cell, side, e) -> the next cell
+    letter = {e: k for k, e in enumerate(names)}
+    # parent id * |names| + letter -> id, where id 0 is the empty prefix
     ids: dict = {}
     parent = [None]      # id -> parent id
     last = [None]        # id -> last letter
@@ -379,10 +293,10 @@ def _moc_mate_table(ctx: HierarchyContext):
             queried[word] = i
         return i
 
-    cells = {(0, 0): close(ctx.plant.start_mask)}
+    cells = {(0, 0): start}
 
-    def exists(o: tuple, t: tuple) -> bool:
-        query = (intern(o), intern(t))
+    def exists(u: tuple, v: tuple) -> bool:
+        query = (intern(u), intern(v))
         # a frame (key, None) lists the key's steps; (key, steps) fills the
         # key once the predecessors it lacked are filled
         stack = [(query, None)]
@@ -391,64 +305,190 @@ def _moc_mate_table(ctx: HierarchyContext):
             if steps is None:
                 if key in cells:   # filled, maybe after it was pushed
                     continue
-                o, t = key
-                steps = []   # (predecessor cell, event)
-                if o:
-                    e = last[o]
-                    if e not in hi:
-                        steps.append(((parent[o], t), e))
-                    elif t and last[t] == e:
-                        steps.append(((parent[o], parent[t]), e))
-                if t and last[t] not in obs:
-                    steps.append(((o, parent[t]), last[t]))
-                missing = [(k, None) for k, _ in steps if k not in cells]
+                u, v = key
+                steps = []   # (predecessor cell, side, event)
+                if u:
+                    e = last[u]
+                    if e in alone_u:
+                        steps.append(((parent[u], v), 0, e))
+                    elif v and last[v] == e:
+                        steps.append(((parent[u], parent[v]), 2, e))
+                if v and last[v] in alone_v:
+                    steps.append(((u, parent[v]), 1, last[v]))
+                missing = [(k, None) for k, _, _ in steps if k not in cells]
                 if missing:
                     stack.append((key, steps))
                     stack += missing
                     continue
-            reached = 0   # closures of the steps: their union is closed
-            for k, e in steps:
-                reached |= step(cells[k], e)
+            reached = 0
+            for k, side, e in steps:
+                reached |= after(cells[k], side, e)
             cells[key] = reached
         return bool(cells[query])
 
     return exists
 
 
+def _moc_mate_table(ctx: HierarchyContext):
+    """`exists(o, t)`: ∃ s' ∈ L with P(s') = o and Q(s') = t.
+
+    A `_prefix_table` whose cell (o, t) holds the plant states reached by
+    some s' with P(s') = o and Q(s') = t, as a bitmask over `state_index`,
+    closed under the silent events (outside Σo ∪ Σhi), which `reach`
+    precomputes per state. Its steps are an event of Σo ∖ Σhi from
+    (o[:-1], t), one of Σhi ∖ Σo from (o, t[:-1]) and one of Σo ∩ Σhi from
+    (o[:-1], t[:-1]) when o and t end in it.
+    """
+    rows = ctx.plant.rows
+    names = ctx.alphabet.names
+    obs, hi = ctx.alphabet.observable, ctx.alphabet.highlevel
+
+    def silent(i: int):   # the indices of i's silent-event targets
+        return (j for e, t in rows[i].items()
+                if e not in obs and e not in hi for j in bits(t))
+
+    # state index -> bitmask of the states its silent paths reach
+    reach = [sum(1 << j for j in closure((i,), silent))
+             for i in range(len(rows))]
+
+    def close(m: int) -> int:
+        out = 0
+        for i in bits(m):
+            out |= reach[i]
+        return out
+
+    def step(m: int, side: int, e: str) -> int:
+        out = 0
+        for i in bits(m):
+            out |= rows[i].get(e, 0)
+        return close(out)
+
+    return _prefix_table(names, close(ctx.plant.start_mask),
+                         (frozenset(names) - hi, frozenset(names) - obs), step)
+
+
+def _oc_pair_table(ctx: HierarchyContext):
+    """`exists(t, t')`: ∃ s, s' ∈ L with Q(s) = t, Q(s') = t' and
+    P(s) = P(s').
+
+    A `_prefix_table` whose cell (t, t') holds the plant-state pairs (p, q)
+    reached by some such s and s' spelling t and t' at the high level, as a
+    bitmask over the indices p·n + q. Each cell is closed under the
+    low-level moves: an unobservable event of one path, or an event of
+    Σo ∖ Σhi of both. Its steps are an event of Σhi ∖ Σo of the left path
+    from (t[:-1], t'), one of the right path from (t, t'[:-1]), and one of
+    Σhi ∩ Σo of both from (t[:-1], t'[:-1]) when t and t' end in it.
+    """
+    rows = ctx.plant.rows
+    n = len(rows)
+    names = ctx.alphabet.names
+    obs, hi = ctx.alphabet.observable, ctx.alphabet.highlevel
+    # a state set as the pairs it forms with state 0; times a state set Y,
+    # the pairs of the two sets (the shifts of Y are n bits apart)
+    column = cache(lambda m: sum(1 << (p * n) for p in bits(m)))
+
+    def pairs(m: int, side: int, e: str) -> int:
+        """The pairs of `m` after e, which moves the left path (side 0),
+        the right one (1) or both (2)."""
+        out = 0
+        for i in bits(m):
+            p, q = divmod(i, n)
+            left = 1 << p if side == 1 else rows[p].get(e, 0)
+            right = 1 << q if side == 0 else rows[q].get(e, 0)
+            out |= column(left) * right
+        return out
+
+    low = [e for e in names if e not in hi]
+
+    @cache
+    def nearby(i: int) -> int:   # the pairs one low-level move reaches
+        m, out = 1 << i, 0
+        for e in low:
+            out |= (pairs(m, 2, e) if e in obs
+                    else pairs(m, 0, e) | pairs(m, 1, e))
+        return out
+
+    def close(m: int) -> int:
+        todo = m
+        while todo:
+            new = 0
+            for i in bits(todo):
+                new |= nearby(i)
+            todo = new & ~m
+            m |= todo
+        return m
+
+    start = ctx.plant.start_mask
+    alone = frozenset(names) - obs
+    return _prefix_table(names, close(column(start) * start), (alone, alone),
+                         lambda m, side, e: close(pairs(m, side, e)))
+
+
 def _continuations_meet(ctx: HierarchyContext, left, right, e: str) -> bool:
     """∃ low-level u, u' with P(u) = P(u') leading from a state in `left`
     and one in `right` to states that enable e: with the states after s
-    and s', ∃ u, u' with sue, s'u'e ∈ L."""
-    plant = ctx.plant
-    return _pair_reaches(ctx, {(p, 0, q, 0) for p in left for q in right},
-                         (), (), lambda n: e in plant.succ[n[0]]
-                         and e in plant.succ[n[2]])
+    and s', ∃ u, u' with sue, s'u'e ∈ L. A depth-first search over pairs
+    of plant states: an observable event moves both, an unobservable one
+    either."""
+    succ = ctx.plant.succ
+    obs, hi = ctx.alphabet.observable, ctx.alphabet.highlevel
+
+    def step(p, q):
+        right = [(f, qn) for f, ts in succ[q].items() if f not in hi
+                 for qn in ts]
+        for f, ts in succ[p].items():
+            if f in hi:
+                continue
+            for pn in ts:
+                if f not in obs:
+                    yield pn, q
+                    continue
+                for g, qn in right:
+                    if g == f:
+                        yield pn, qn
+        for f, qn in right:
+            if f not in obs:
+                yield p, qn
+
+    seen = set(itertools.product(left, right))
+    stack = list(seen)
+    while stack:
+        p, q = stack.pop()
+        if e in succ[p] and e in succ[q]:
+            return True
+        for nxt in step(p, q):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
 
 
 def _pair_consistency(ctx: HierarchyContext, kind: str, left: Automaton,
-                      left_keep: frozenset, key: str, exists, note: str,
+                      left_keep: frozenset, key: str, table, note: str,
                       budget: int) -> Verdict:
     """Shared body of OC and MOC: is L_m(left) included in the
     P-synchronized self-product of the plant, with left components outside
-    `left_keep` and right components outside Σhi erased?
+    `left_keep` and right components outside Σhi erased? The left side is
+    read in normal form.
 
-    Each difference pair (x, t') is decided exactly by `exists(x, t')`; a
-    false answer gives a `kind` witness that names x by `key`.
+    Each difference pair (x, t') is decided exactly by `table()(x, t')`;
+    a false answer gives a `kind` witness that names x by `key`.
     """
     right = relabel_pair(
         sync_pair_compose(ctx.plant, ctx.plant, ctx.alphabet.observable),
         left_keep, ctx.alphabet.highlevel)
     la, ra = _common_pair(left, right)
+    table = cache(table)   # built at the first difference pair
 
     def confirm(tup, word):
         x, tp = tup
-        if exists(x, tp):
+        if table()(x, tp):
             return None
         return Witness(kind, {key: x, "t_prime": tp,
                               "sequence": tuple(map(label_name, word))}, note)
 
-    return _refutation_loop(iter_difference_words(la, ra), budget,
-                            decompose_sequence, confirm)
+    return _refutation_loop(iter_difference_words(normal_forms(la), ra),
+                            budget, decompose_sequence, confirm)
 
 
 def check_oc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -459,8 +499,7 @@ def check_oc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
     return _pair_consistency(
         ctx, "oc", sync_pair_compose(ctx.abstraction, ctx.abstraction,
                                      ctx.shared),
-        ctx.alphabet.highlevel, "t",
-        lambda t, tp: _oc_pair_exists(ctx, t, tp),
+        ctx.alphabet.highlevel, "t", partial(_oc_pair_table, ctx),
         "no representatives of t and t' share an observation", budget)
 
 
@@ -469,11 +508,14 @@ def check_moc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
     `g` is a plant or its `build_context(plant)`."""
     _require_budget(budget)
     ctx = build_context(g)
-    mate_exists = _moc_mate_table(ctx)
+
+    def table():
+        mate_exists = _moc_mate_table(ctx)
+        return lambda s, tp: mate_exists(ctx.p.apply(s), tp)
+
     return _pair_consistency(
         ctx, "moc", sync_pair_compose(ctx.plant, ctx.abstraction, ctx.shared),
-        frozenset(ctx.alphabet.names), "s",
-        lambda s, tp: mate_exists(ctx.p.apply(s), tp),
+        frozenset(ctx.alphabet.names), "s", table,
         "no representative of t' shares the observation of s", budget)
 
 

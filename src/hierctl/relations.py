@@ -16,7 +16,9 @@ accepted *sequence* of pair events determines one string pair by
 component-wise concatenation, but one string pair usually has many
 interleavings. Inclusion over these automata is sequence-level; pair-level
 questions go through `decompose_pairs` or the realizability confirmation in
-`hierarchy`.
+`hierarchy`. `normal_forms` keeps one interleaving per string pair of a
+synchronized product, its lexicographic normal form, so that a
+sequence-level search reads each pair once.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import itertools
 from functools import partial
 from operator import is_not
 
-from .automata import (Alphabet, Automaton, AutomataError, Event,
+from .automata import (Alphabet, Automaton, AutomataError, Event, Implicit,
                        eliminate_silent, explore, iter_marked_words,
                        merge_alphabets, pair_moves, pair_product)
 
@@ -101,6 +103,91 @@ def decompose_sequence(word, width: int = 2) -> tuple:
     if not word:
         return ((),) * width
     return tuple(tuple(filter(_is_event, column)) for column in zip(*word))
+
+
+def normal_form_monitor(names) -> tuple[dict, dict]:
+    """(steps, rank): the monitor of lexicographic normal forms over the
+    pair labels `names`, ranked in that order, and each label's (side,
+    rank among the labels of its side), side 1 for a left-only label, -1
+    for a right-only one and 0 for a shared one. `steps` maps a state to
+    label -> next state, a missing label being refused.
+
+    A left-only label (l, None) commutes with a right-only one (None, r),
+    and a shared label (both sides) with nothing, so the sequences that
+    decompose to one string tuple are the interleavings of its one-sided
+    runs. The least of them in rank order is its normal form: a sequence is
+    one unless a one-sided run holds a label ranked above the next label of
+    the other side (Anisimov & Knuth). State 0 is the reset; a run of the
+    left side counts the right-only labels ranked below its highest label
+    as state c > 0, a right run counts left-only ones as -c < 0, and a run
+    that counts none is the reset. A shared label resets the state; a label
+    of the other side is refused when it is one of those counted, and
+    otherwise starts a run."""
+    rank, below = {}, {}   # below: the other side's labels ranked below it
+    count = {1: 0, -1: 0}
+    for lbl in names:
+        s = (lbl[1] is None) - (lbl[0] is None)
+        rank[lbl] = s, count[s] if s else 0
+        if s:
+            below[lbl] = count[-s]
+            count[s] += 1
+    steps: dict = {}
+    for m in range(-count[1], count[-1] + 1):
+        row = steps[m] = {}
+        for lbl, (s, r) in rank.items():
+            if not s:
+                row[lbl] = 0
+            elif m * s >= 0 or r >= abs(m):
+                row[lbl] = s * max(m * s, below[lbl])
+    return steps, rank
+
+
+def normal_forms(a: Automaton) -> Automaton | Implicit:
+    """`a`, a pair automaton, restricted to the sequences in lexicographic
+    normal form (`normal_form_monitor` over its alphabet order). Keys are
+    (state of `a`, monitor state), marked where the state of `a` is.
+
+    A synchronous pair product (`sync_pair_compose`) accepts every
+    interleaving of each string pair it holds, so it keeps one sequence per
+    pair. Its one-sided moves leave the other side's state, and so the
+    other side's labels, as they are: the labels that can end a run are
+    those that its first state enables. A key keeps only the part of its
+    count that they can meet, which merges keys that accept the same
+    sequences. (For another pair automaton, dropping counts only accepts
+    more sequences: every normal form is still kept.) Without labels of
+    both sides nothing commutes, and `a` is returned as it is."""
+    a = eliminate_silent(a)
+    steps, rank = normal_form_monitor(a.alphabet.names)
+    if len(steps) == 1:
+        return a
+    succ, marked = a.succ, a.marked
+    meets: dict = {}   # state -> side -> the ranks of the other side's
+    #                    labels it enables, as a bitmask
+
+    def lasting(q, m: int) -> int:
+        if not m:
+            return 0
+        ranks = meets.get(q)
+        if ranks is None:
+            ranks = meets[q] = {1: 0, -1: 0}
+            for lbl in succ[q]:
+                s, r = rank[lbl]
+                if s:
+                    ranks[-s] |= 1 << r
+        s = 1 if m > 0 else -1
+        return s * (ranks[s] & ((1 << abs(m)) - 1)).bit_length()
+
+    def moves(key):
+        q, m = key
+        row = steps[m]
+        for lbl, targets in succ[q].items():
+            n = row.get(lbl)
+            if n is not None:
+                for t in targets:
+                    yield lbl, (t, lasting(t, n))
+
+    return Implicit(a.alphabet, [(q, 0) for q in a.sorted_states(a.initial)],
+                    moves, lambda key: key[0] in marked)
 
 
 def decompose_pairs(p: Automaton, bound: int) -> list:

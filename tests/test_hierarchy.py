@@ -16,19 +16,19 @@ from pathlib import Path
 import pytest
 
 from hierctl import automata, hierarchy, oracle
-from hierctl.automata import (Alphabet, Automaton, Event, all_marked,
+from hierctl.automata import (Alphabet, Automaton, Event, all_marked, closure,
                               determinize, enumerate_bounded, explore,
                               intersect, inverse_project, is_empty,
                               iter_difference_words, language_equal,
                               parallel_compose, project, right_quotient,
                               widen_alphabet, word_automaton)
 from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
-                             gadget_oc, random_nfa, random_plant,
-                             random_sublanguage)
+                             gadget_oc, is_universal, random_nfa,
+                             random_plant, random_sublanguage)
 from hierctl.hierarchy import (HierarchyContext, PreconditionError,
                                _common_pair, _continuations_meet,
                                _loc_operands, _loc_shared, _moc_mate_table,
-                               _oc_pair_exists, build_context,
+                               _oc_pair_table, build_context,
                                check_lcc, check_loc, check_moc,
                                check_moc_modular, check_observer, check_oc,
                                conform_spec, hier_synth_normal,
@@ -36,8 +36,8 @@ from hierctl.hierarchy import (HierarchyContext, PreconditionError,
                                lemma_distribute_q, lemma_moc_implies_oc,
                                moc_structurally_guaranteed)
 
-from hierctl.relations import (build_quad, label_name, quad_alphabet,
-                               relabel_pair, sync_pair_compose)
+from hierctl.relations import (build_quad, decompose_sequence, label_name,
+                               quad_alphabet, relabel_pair, sync_pair_compose)
 
 from conftest import loc_plants, make_alphabet, tree
 
@@ -162,6 +162,44 @@ def _forced_order_work() -> tuple:
     return tuple(work)
 
 
+def _probe(call: str, hash_seed: str):
+    """The JSON value of `call`, an expression over this module's names,
+    evaluated in a fresh interpreter under PYTHONHASHSEED=`hash_seed`."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(filter(None, (
+                   str(tests.parent / "src"), str(tests),
+                   os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, test_hierarchy as t; "
+         "print(json.dumps(eval(sys.argv[1], vars(t))))", call],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# plants/n8-s3 and plants/n32-s3 of the benchmark: OC on the first and MOC
+# on the second refute a whole budget of 2,000 tuples
+N8_S3 = GeneratorParams(8, 5, 0.4, seed=3)
+N32_S3 = GeneratorParams(32, 5, 0.35, seed=3)
+
+
+def _succ_reads(check: str, params) -> list:
+    """[outcome, detail, plant successor maps read] of the check at budget
+    2,000 on `random_plant(params)`."""
+    ctx = build_context(random_plant(params))
+    reads = []
+
+    class Counting(dict):
+        def __getitem__(self, q):
+            reads.append(q)
+            return dict.__getitem__(self, q)
+
+    ctx.plant.__dict__["succ"] = Counting(ctx.plant.succ)
+    v = getattr(hierarchy, "check_" + check)(ctx, 2000)
+    return [v.outcome, v.detail, len(reads)]
+
+
 class TestRefutationRegressions:
     """Pinned refutation-loop verdicts, witnesses and details."""
 
@@ -172,21 +210,37 @@ class TestRefutationRegressions:
         # component search that tries the smallest right subsets first
         # makes about 2,700, and exactly as many in every process once it
         # reads each node's steps in alphabet order.
-        tests = Path(__file__).resolve().parent
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(filter(None, (
-                       str(tests.parent / "src"), str(tests),
-                       os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import json, test_hierarchy as t; "
-             "print(json.dumps(t._oc_wander_probe()))"],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        outcome, detail, asked = json.loads(proc.stdout)
+        outcome, detail, asked = _probe("_oc_wander_probe()", hash_seed)
         assert outcome == "violated" and detail == {"examined": 1}
         assert asked <= WANDER_BOUND
         # the same work as this process makes under every forced order
         assert set(_forced_order_work()) == {asked}
+
+    def test_oc_confirmation_work_is_independent_of_hash_seed(self):
+        # A depth-first search per tuple read the plant's successor maps in
+        # the order they hold their events, which follows the string hash
+        # seed: 3,788 and 5,082 reads under these two. The prefix-pair
+        # table steps the plant's `rows` in state order.
+        reads = [_probe("_succ_reads('oc', N8_S3)", seed)
+                 for seed in ("0", "1")]
+        assert reads[0] == reads[1] == _succ_reads("oc", N8_S3)
+
+    @pytest.mark.parametrize("check, params", [("oc", N8_S3), ("moc", N32_S3)],
+                             ids=["oc", "moc"])
+    def test_examined_sequences_hold_distinct_tuples(self, monkeypatch,
+                                                     check, params):
+        # One sequence per tuple, its normal form: OC here examined 2,000
+        # interleavings of 202 tuples, and MOC 2,000 of 55.
+        tuples = []
+
+        def recording(word):
+            tuples.append(decompose_sequence(word))
+            return tuples[-1]
+
+        monkeypatch.setattr(hierarchy, "decompose_sequence", recording)
+        v = getattr(hierarchy, "check_" + check)(random_plant(params), 2000)
+        assert v.inconclusive and v.detail["refuted"] == 2000
+        assert len(set(tuples)) == len(tuples) == 2000
 
     def test_oc_search_work_is_independent_of_successor_order(self):
         work = _forced_order_work()
@@ -230,17 +284,22 @@ class TestRefutationRegressions:
         assert v.witness.strings["sequence"] == ("e3:-", "e1:-")
 
     @staticmethod
-    def _gadget(seed: int) -> Automaton:
-        return gadget_moc(random_nfa(GeneratorParams(
-            2 + seed % 3, 2 + seed % 2, 0.35, seed=seed)))
+    def _nfa(seed: int) -> Automaton:
+        return random_nfa(GeneratorParams(2 + seed % 3, 2 + seed % 2, 0.35,
+                                          seed=seed))
 
-    def test_universal_moc_gadget_refutes_whole_budget(self):
-        v = check_moc(self._gadget(8), 3000)
-        assert v.inconclusive
-        assert v.detail["refuted"] == 3000
+    def test_universal_moc_gadget_holds(self):
+        # Every normal form of the left operand lies in the right one, so
+        # the difference search yields nothing: a bare holds. Reading every
+        # interleaving, the check refuted 3,000 sequences of a few pairs
+        # and was inconclusive.
+        a = self._nfa(8)
+        assert is_universal(a)
+        v = check_moc(gadget_moc(a), 3000)
+        assert v.holds and v.detail == {}
 
     def test_moc_gadget_violated_at_first_sequence(self):
-        v = check_moc(self._gadget(5), 3000)
+        v = check_moc(gadget_moc(self._nfa(5)), 3000)
         assert v.violated
         assert v.detail == {"examined": 1}
         assert v.witness.strings == {"s": ("#", "a0"), "t_prime": ("a0",),
@@ -376,6 +435,44 @@ def _reference_oc(ctx, t, tp):
                                   _restricted_language(ctx, tp)))
 
 
+def _oc_pair_exists(ctx, t, tp):
+    """∃ s, s' ∈ L with Q(s) = t, Q(s') = tp and P(s) = P(s'): the
+    search over nodes (p, i, q, j) that OC ran per tuple before its
+    prefix-pair table. The left path is at p after spelling t[:i] at the
+    high level, the right one at q after tp[:j]; an observable event moves
+    both, an unobservable one either."""
+    hi, obs = ctx.alphabet.highlevel, ctx.alphabet.observable
+
+    def moves(q, word, i):
+        for e, targets in ctx.plant.succ[q].items():
+            if e not in hi:
+                j = i
+            elif i < len(word) and word[i] == e:
+                j = i + 1
+            else:
+                continue
+            for r in targets:
+                yield e, r, j
+
+    def step(node):
+        p, i, q, j = node
+        right = list(moves(q, tp, j))
+        for e, pn, ni in moves(p, t, i):
+            if e not in obs:
+                yield pn, ni, q, j
+                continue
+            for f, qn, nj in right:
+                if f == e:
+                    yield pn, ni, qn, nj
+        for f, qn, nj in right:
+            if f not in obs:
+                yield p, i, qn, nj
+
+    init = ctx.plant.initial
+    reached = closure({(p, 0, q, 0) for p in init for q in init}, step)
+    return any(i == len(t) and j == len(tp) for _, i, _, j in reached)
+
+
 def _reference_moc(ctx, s, tp):
     probe = word_automaton(ctx.p.apply(s), ctx.p.target_alphabet)
     return not is_empty(intersect(probe, _restricted_language(ctx, tp)))
@@ -428,12 +525,14 @@ class TestConfirmationSearches:
                            for w in itertools.product(hi, repeat=n)})
             outside += sum(not oracle._q_extends(gl, t) for t in ts)
             events = sorted(ctx.alphabet.highlevel)
-            # one table per plant, as in check_moc: later queries read the
-            # cells that earlier ones filled
+            # one table per plant, as in check_oc and check_moc: later
+            # queries read the cells that earlier ones filled
+            pair_exists = _oc_pair_table(ctx)
             mate_exists = _moc_mate_table(ctx)
             for _ in range(25):
                 t, tp = rng.choice(ts), rng.choice(ts)
-                got = _oc_pair_exists(ctx, t, tp)
+                got = pair_exists(t, tp)
+                assert got == _oc_pair_exists(ctx, t, tp), (g, t, tp)
                 assert got == _reference_oc(ctx, t, tp), (g, t, tp)
                 assert got == oracle._exists_oc_pair(gl, t, tp), (g, t, tp)
                 outcomes["oc"].add(got)
@@ -488,27 +587,22 @@ class TestConfirmationSearches:
             tracemalloc.stop()
         assert peak < 20_000_000
 
-    def test_moc_gadget_reads_few_successor_maps(self, monkeypatch):
-        # A fresh plant search per candidate read 40,550 successor maps
-        # here; the shared table read about 7,700, and none since its cells
-        # are bitmasks stepped along the plant's `rows` (524 reads remain,
-        # outside the table).
-        reads = []
+    def test_moc_refutations_read_few_successor_maps(self):
+        # A fresh plant search per candidate read 40,550 successor maps on
+        # a universal MOC gadget at budget 3,000; the shared table read
+        # about 7,700, and none since its cells are bitmasks stepped along
+        # the plant's `rows`. The reads left are outside the table.
+        outcome, detail, reads = _succ_reads("moc", N32_S3)
+        assert outcome == "inconclusive" and detail["refuted"] == 2000
+        assert reads <= 10_000
 
-        class Counting(dict):
-            def __getitem__(self, q):
-                reads.append(q)
-                return dict.__getitem__(self, q)
-
-        def counting_context(g):
-            ctx = build_context(g)
-            ctx.plant.__dict__["succ"] = Counting(ctx.plant.succ)
-            return ctx
-
-        monkeypatch.setattr(hierarchy, "build_context", counting_context)
-        v = check_moc(TestRefutationRegressions._gadget(8), 3000)
-        assert v.inconclusive and v.detail["refuted"] == 3000
-        assert len(reads) <= 10_000
+    def test_oc_refutations_read_few_successor_maps(self):
+        # A depth-first search per tuple read 3,466-5,082 successor maps
+        # here, varying with the hash seed; the prefix-pair table reads
+        # none.
+        outcome, detail, reads = _succ_reads("oc", N8_S3)
+        assert outcome == "inconclusive" and detail["refuted"] == 2000
+        assert reads <= 500
 
 
 # The materialized LOC construction that the lazy operands replaced; it is

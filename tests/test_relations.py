@@ -6,11 +6,12 @@ import pytest
 
 from hierctl.automata import (Alphabet, AutomataError, Automaton, Event,
                               all_marked, enumerate_bounded, explore,
-                              language_equal)
-from hierctl.gadgets import GeneratorParams, random_plant
+                              iter_marked_words, language_equal)
+from hierctl.gadgets import GeneratorParams, random_nfa, random_plant
 from hierctl.relations import (build_quad, decompose_pairs, decompose_sequence,
-                               label_name, quad_alphabet, relabel_pair,
-                               sync_pair_compose, verifier_moves)
+                               label_name, normal_form_monitor, normal_forms,
+                               quad_alphabet, relabel_pair, sync_pair_compose,
+                               verifier_moves)
 
 from conftest import loc_plants, make_alphabet, tree
 
@@ -51,6 +52,85 @@ def test_sync_pair_compose_accepts_all_interleavings():
     seqs = set(enumerate_bounded(p, 2))
     assert ((("b", None), (None, "b")) in seqs
             and ((None, "b"), ("b", None)) in seqs)
+
+
+# Left-only, right-only and shared labels with the sides' ranks interleaved.
+PAIR_LABELS = (("a", None), (None, "b"), ("c", "c"), (None, "a"), ("b", None))
+
+
+def _commutation_classes(words) -> dict:
+    """word -> the least word of its class under swaps of adjacent
+    left-only and right-only labels, in `PAIR_LABELS` order."""
+    rank = {lbl: i for i, lbl in enumerate(PAIR_LABELS)}
+    side = {lbl: (lbl[1] is None) - (lbl[0] is None) for lbl in PAIR_LABELS}
+    home = {w: w for w in words}   # union-find over one length's words
+
+    def find(w):
+        while home[w] != w:
+            home[w] = home[home[w]]
+            w = home[w]
+        return w
+
+    for w in words:
+        for i in range(len(w) - 1):
+            if side[w[i]] * side[w[i + 1]] < 0:
+                v = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+                home[find(v)] = find(w)
+    least: dict = {}
+    for w in words:
+        r = find(w)
+        if r not in least or [rank[x] for x in w] < [rank[x] for x in least[r]]:
+            least[r] = w
+    return {w: least[find(w)] for w in words}
+
+
+def test_monitor_accepts_exactly_the_least_word_of_each_class():
+    steps, _ = normal_form_monitor(PAIR_LABELS)
+    # the coarse monitor: the reset, two left-run and two right-run counts
+    assert sorted(steps) == [-2, -1, 0, 1, 2]
+    normal = 0
+    for n in range(7):
+        words = list(itertools.product(PAIR_LABELS, repeat=n))
+        least = _commutation_classes(words)
+        for w in words:
+            m = 0
+            for lbl in w:
+                m = steps[m].get(lbl)
+                if m is None:
+                    break
+            assert (m is not None) == (least[w] == w), w
+            normal += least[w] == w
+    assert normal < sum(len(PAIR_LABELS) ** n for n in range(7))
+
+
+def _assert_first_sequence_per_pair(p, bound: int) -> None:
+    """`normal_forms(p)` keeps one sequence per string pair of `p`: the
+    first of its interleavings in length-lexicographic order."""
+    seqs = list(iter_marked_words(normal_forms(p), bound))
+    pairs = [decompose_sequence(w) for w in seqs]
+    assert len(pairs) == len(set(pairs))
+    assert sorted(pairs) == decompose_pairs(p, bound)
+    first: dict = {}
+    for w in iter_marked_words(p, bound):
+        first.setdefault(decompose_sequence(w), w)
+    assert seqs == sorted(first.values(),
+                          key=lambda w: (len(w), [p.alphabet.names.index(x)
+                                                  for x in w]))
+
+
+def test_normal_forms_keep_one_sequence_per_string_pair():
+    al = make_alphabet("abc")
+    a = tree([("a", "c", "b"), ("b", "a")], al)
+    b = tree([("b", "c"), ("a", "b", "b")], al)
+    _assert_first_sequence_per_pair(sync_pair_compose(a, b, {"c"}), 8)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_normal_forms_of_generated_products(seed):
+    a = random_nfa(GeneratorParams(3, 3, 0.4, seed=seed))
+    b = random_nfa(GeneratorParams(2, 3, 0.5, seed=seed + 100))
+    sync = {"a0"} if seed % 2 else {"a0", "a2"}
+    _assert_first_sequence_per_pair(sync_pair_compose(a, b, sync), 6)
 
 
 def test_relabel_erases_low_level_components():
