@@ -27,10 +27,11 @@ search that yields no sequence is the inclusion holding: ``holds``. For OC
 and MOC that is every normal form lying in the right side, which realizes
 every string pair. Otherwise a difference sequence may only reflect a
 missing interleaving: each one, in length-lexicographic order, is
-decomposed into a string tuple, and the tuple is confirmed or refuted
-exactly against the plant's states: OC and MOC by one table per check,
-keyed by interned prefix pairs, that all its tuples share, LOC by a
-depth-first existence search per tuple. A confirmed tuple yields
+decomposed into a string tuple, and OC and MOC confirm or refute the tuple
+exactly against the plant's states, by one table per check, keyed by
+interned prefix pairs, that all its tuples share. LOC's right side is
+marked exactly where its tuples' continuations meet, so its first
+difference sequence is already a violation. A confirmed tuple yields
 ``violated``; exhausting the difference language yields ``holds`` (every
 genuine violating tuple leaves a difference sequence, its normal form,
 because the synchronized products accept all interleavings); running out
@@ -101,6 +102,11 @@ class HierarchyContext:
     @cached_property
     def abstraction_dfa(self) -> Automaton:
         return determinize(self.abstraction)
+
+    @cached_property
+    def plant_pairs(self) -> tuple:
+        """`_plant_pairs(self)`, which OC's table and LOC share."""
+        return _plant_pairs(self)
 
 
 Plant = Automaton | HierarchyContext
@@ -212,14 +218,13 @@ def _refutation_loop(words, budget: int, decompose, confirm) -> Verdict:
     """Decide a consistency check from its difference sequences.
 
     `words` yields the difference sequences in length-lexicographic order,
-    `decompose` maps a difference sequence to a hashable string tuple,
-    `confirm` returns a Witness for a genuine violation or None for a
-    spurious (interleaving-only) difference. No sequence at all is the
-    inclusion holding, a bare "holds". OC's and MOC's sequences are normal
-    forms, each of a tuple of its own, so their budget counts tuples, and
-    only LOC's interleavings need `seen`.
+    `decompose` maps a difference sequence to a string tuple, `confirm`
+    returns a Witness for a genuine violation or None for a spurious
+    (interleaving-only) difference. No sequence at all is the inclusion
+    holding, a bare "holds". OC's and MOC's sequences are normal forms,
+    each of a tuple of its own, so their budget counts tuples; LOC's first
+    sequence is its witness.
     """
-    seen: set = set()
     spurious = 0
     examined = 0
     for word in words:
@@ -229,11 +234,7 @@ def _refutation_loop(words, budget: int, decompose, confirm) -> Verdict:
                 budget={"difference_sequences": budget},
                 reason="difference enumeration budget exhausted",
                 refuted=spurious)
-        tup = decompose(word)
-        if tup in seen:
-            continue
-        seen.add(tup)
-        witness = confirm(tup, word)
+        witness = confirm(decompose(word), word)
         if witness is not None:
             return Verdict.make_violated(witness, examined=examined)
         spurious += 1
@@ -245,12 +246,13 @@ def _refutation_loop(words, budget: int, decompose, confirm) -> Verdict:
                "spurious interleaving")
 
 
-# Confirmation tables. Each refutation candidate asks one existence
-# question about fixed strings over the plant (every state marked), so a
-# refuted difference sequence costs no automaton construction. A check's
-# length-lexicographic candidates share most of their prefixes, so its
-# questions share one table, filled from the plant's `rows`; LOC asks about
-# state sets and runs a depth-first search per question.
+# Confirmation tables. Each OC or MOC refutation candidate asks one
+# existence question about fixed strings over the plant (every state
+# marked), so a refuted difference sequence costs no automaton
+# construction. A check's length-lexicographic candidates share most of
+# their prefixes, so its questions share one table, filled from the plant's
+# `rows`. OC's cells and LOC's right side close plant-state pairs under the
+# low-level moves of `_plant_pairs`.
 
 def _prefix_table(names, start: int, alone: tuple, step):
     """`exists(u, v)`: is cell (u, v) of a table over string pairs nonempty?
@@ -367,29 +369,24 @@ def _moc_mate_table(ctx: HierarchyContext):
                          (frozenset(names) - hi, frozenset(names) - obs), step)
 
 
-def _oc_pair_table(ctx: HierarchyContext):
-    """`exists(t, t')`: ∃ s, s' ∈ L with Q(s) = t, Q(s') = t' and
-    P(s) = P(s').
+def _plant_pairs(ctx: HierarchyContext) -> tuple:
+    """(column, pairs, close) over the plant-state pairs (p, q), each the
+    bit p·n + q of a bitmask, n the number of plant states.
 
-    A `_prefix_table` whose cell (t, t') holds the plant-state pairs (p, q)
-    reached by some such s and s' spelling t and t' at the high level, as a
-    bitmask over the indices p·n + q. Each cell is closed under the
-    low-level moves: an unobservable event of one path, or an event of
-    Σo ∖ Σhi of both. Its steps are an event of Σhi ∖ Σo of the left path
-    from (t[:-1], t'), one of the right path from (t, t'[:-1]), and one of
-    Σhi ∩ Σo of both from (t[:-1], t'[:-1]) when t and t' end in it.
+    `column(m)` is the state set `m` as the pairs it forms with state 0;
+    times a state set Y, the pairs of the two sets (the shifts of Y are n
+    bits apart). `pairs(m, side, e)` is the pairs of `m` after e, which
+    moves the left path (side 0), the right one (1) or both (2).
+    `close(m)` closes `m` under the low-level moves, which are defined here
+    alone: an unobservable event of one path, or an event of Σo ∖ Σhi of
+    both. Each pair's one-move neighbours are memoized.
     """
     rows = ctx.plant.rows
     n = len(rows)
-    names = ctx.alphabet.names
     obs, hi = ctx.alphabet.observable, ctx.alphabet.highlevel
-    # a state set as the pairs it forms with state 0; times a state set Y,
-    # the pairs of the two sets (the shifts of Y are n bits apart)
     column = cache(lambda m: sum(1 << (p * n) for p in bits(m)))
 
     def pairs(m: int, side: int, e: str) -> int:
-        """The pairs of `m` after e, which moves the left path (side 0),
-        the right one (1) or both (2)."""
         out = 0
         for i in bits(m):
             p, q = divmod(i, n)
@@ -398,7 +395,7 @@ def _oc_pair_table(ctx: HierarchyContext):
             out |= column(left) * right
         return out
 
-    low = [e for e in names if e not in hi]
+    low = [e for e in ctx.alphabet.names if e not in hi]
 
     @cache
     def nearby(i: int) -> int:   # the pairs one low-level move reaches
@@ -418,49 +415,39 @@ def _oc_pair_table(ctx: HierarchyContext):
             m |= todo
         return m
 
+    return column, pairs, close
+
+
+def _oc_pair_table(ctx: HierarchyContext):
+    """`exists(t, t')`: ∃ s, s' ∈ L with Q(s) = t, Q(s') = t' and
+    P(s) = P(s').
+
+    A `_prefix_table` whose cell (t, t') holds the plant-state pairs (p, q)
+    reached by some such s and s' spelling t and t' at the high level, as a
+    `_plant_pairs` bitmask closed under the low-level moves. Its steps are
+    an event of Σhi ∖ Σo of the left path from (t[:-1], t'), one of the
+    right path from (t, t'[:-1]), and one of Σhi ∩ Σo of both from
+    (t[:-1], t'[:-1]) when t and t' end in it.
+    """
+    column, pairs, close = ctx.plant_pairs
+    names = ctx.alphabet.names
     start = ctx.plant.start_mask
-    alone = frozenset(names) - obs
+    alone = frozenset(names) - ctx.alphabet.observable
     return _prefix_table(names, close(column(start) * start), (alone, alone),
                          lambda m, side, e: close(pairs(m, side, e)))
 
 
-def _continuations_meet(ctx: HierarchyContext, left, right, e: str) -> bool:
-    """∃ low-level u, u' with P(u) = P(u') leading from a state in `left`
-    and one in `right` to states that enable e: with the states after s
-    and s', ∃ u, u' with sue, s'u'e ∈ L. A depth-first search over pairs
-    of plant states: an observable event moves both, an unobservable one
-    either."""
-    succ = ctx.plant.succ
-    obs, hi = ctx.alphabet.observable, ctx.alphabet.highlevel
-
-    def step(p, q):
-        right = [(f, qn) for f, ts in succ[q].items() if f not in hi
-                 for qn in ts]
-        for f, ts in succ[p].items():
-            if f in hi:
-                continue
-            for pn in ts:
-                if f not in obs:
-                    yield pn, q
-                    continue
-                for g, qn in right:
-                    if g == f:
-                        yield pn, qn
-        for f, qn in right:
-            if f not in obs:
-                yield p, qn
-
-    seen = set(itertools.product(left, right))
-    stack = list(seen)
-    while stack:
-        p, q = stack.pop()
-        if e in succ[p] and e in succ[q]:
-            return True
-        for nxt in step(p, q):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
+def _continuations_meet(ctx: HierarchyContext, e: str):
+    """`meet((p, q))`: ∃ low-level u, u' with P(u) = P(u') leading from
+    plant states p and q to states that enable e. With p and q after s and
+    s', that is ∃ u, u' with sue, s'u'e ∈ L. The `_plant_pairs` closure of
+    (p, q) meets the pairs of states that both enable e."""
+    column, _, close = ctx.plant_pairs
+    index, n = ctx.plant.state_index, len(ctx.plant.states)
+    enable = sum(1 << i for i, row in enumerate(ctx.plant.rows) if e in row)
+    both = column(enable) * enable
+    return lambda pq: bool(
+        close(1 << (index[pq[0]] * n + index[pq[1]])) & both)
 
 
 def _pair_consistency(ctx: HierarchyContext, kind: str, left: Automaton,
@@ -562,10 +549,13 @@ def _loc_operands(ctx: HierarchyContext, verifier: Implicit, e: str) -> tuple:
 
     Left, over keys ((p, r), x1, x3): the verifier's sequences with
     coordinates 1 and 3 in Q(L) (`ctx.abstraction_dfa` tracks them as
-    x1 and x3, reading labels only), then (ε, e, ε, e). Right: sequences
-    with coordinates 0 and 2 in L (tracked as plant state sets), marked
-    where both sides continue to e: the right quotient by (ue, ε, u'e, ε),
-    P(u) = P(u').
+    x1 and x3, reading labels only), then (ε, e, ε, e). Right, over
+    plant-state pairs (p, r) that coordinates 0 and 2 move: sequences with
+    coordinates 0 and 2 in L, marked where both sides continue to e
+    (`_continuations_meet`): the right quotient by (ue, ε, u'e, ε),
+    P(u) = P(u'). The difference search's subset of right keys after a
+    sequence is run(s) × run(s'), so a left sequence outside the right
+    side is a violation: LOC's first difference sequence is its witness.
     """
     plant, hd = ctx.plant, ctx.abstraction_dfa
     alphabet = quad_alphabet(ctx.alphabet, loc_events=(e,))
@@ -582,25 +572,20 @@ def _loc_operands(ctx: HierarchyContext, verifier: Implicit, e: str) -> tuple:
         if e in hd.succ[x1] and e in hd.succ[x3]:
             yield (None, e, None, e), None
 
-    def right_moves(key):
-        s0, s2 = key
-        for lbl in alphabet.names:
-            y0 = s0 if lbl[0] is None else plant.step(s0, lbl[0])
-            y2 = s2 if lbl[2] is None else plant.step(s2, lbl[2])
-            if y0 and y2:
-                yield lbl, (y0, y2)
-
     return (Implicit(alphabet, [(pr, x, x) for pr in verifier.initial
                                 for x in hd.initial],
                      left_moves, lambda key: key is None),
-            Implicit(alphabet, [(plant.initial, plant.initial)], right_moves,
-                     lambda key: _continuations_meet(ctx, *key, e)))
+            Implicit(alphabet, itertools.product(
+                         plant.sorted_states(plant.initial), repeat=2),
+                     pair_moves(plant, plant, [(lbl, lbl[0], lbl[2])
+                                               for lbl in alphabet.names]),
+                     _continuations_meet(ctx, e)))
 
 
-def _loc_confirm(ctx: HierarchyContext, e: str, tup, word):
+def _loc_confirm(e: str, tup, word) -> Witness:
+    """The witness of a LOC difference sequence, each being a violation
+    (see `_loc_operands`)."""
     s, _, sp, _ = tup
-    if _continuations_meet(ctx, ctx.plant.run(s), ctx.plant.run(sp), e):
-        return None
     return Witness("loc", {"s": s, "s_prime": sp, "e": (e,),
                            "sequence": tuple(map(label_name, word))},
                    "no observation-equivalent low-level continuations reach e")
@@ -618,7 +603,7 @@ def check_loc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
     for e in events:
         v = _refutation_loop(
             iter_difference_words(*_loc_operands(ctx, verifier, e)), budget,
-            lambda w: decompose_sequence(w, 4), partial(_loc_confirm, ctx, e))
+            lambda w: decompose_sequence(w, 4), partial(_loc_confirm, e))
         if v.violated:
             return v
         if v.inconclusive and pending is None:

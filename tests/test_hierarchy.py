@@ -182,6 +182,8 @@ def _probe(call: str, hash_seed: str):
 # on the second refute a whole budget of 2,000 tuples
 N8_S3 = GeneratorParams(8, 5, 0.4, seed=3)
 N32_S3 = GeneratorParams(32, 5, 0.35, seed=3)
+# LOC holds here without a difference sequence
+N16_S10 = GeneratorParams(16, 5, 0.35, seed=10)
 
 
 def _succ_reads(check: str, params) -> list:
@@ -216,14 +218,21 @@ class TestRefutationRegressions:
         # the same work as this process makes under every forced order
         assert set(_forced_order_work()) == {asked}
 
-    def test_oc_confirmation_work_is_independent_of_hash_seed(self):
-        # A depth-first search per tuple read the plant's successor maps in
-        # the order they hold their events, which follows the string hash
-        # seed: 3,788 and 5,082 reads under these two. The prefix-pair
-        # table steps the plant's `rows` in state order.
-        reads = [_probe("_succ_reads('oc', N8_S3)", seed)
+    @pytest.mark.parametrize("check, params", [("oc", N8_S3),
+                                               ("loc", N16_S10)],
+                             ids=["oc", "loc"])
+    def test_oc_confirmation_work_is_independent_of_hash_seed(self, check,
+                                                              params):
+        # A depth-first search over plant states read the plant's successor
+        # maps in the order they hold their events, which follows the
+        # string hash seed: OC read 3,788 and 5,082 under these two, and LOC
+        # 1,440 and 1,494. OC's prefix-pair table steps the plant's `rows`
+        # in state order, and LOC's right side steps plant-state pairs in
+        # alphabet order and closes them as the table does.
+        reads = [_probe(f"_succ_reads({check!r}, {params!r})", seed)
                  for seed in ("0", "1")]
-        assert reads[0] == reads[1] == _succ_reads("oc", N8_S3)
+        assert reads[0] == reads[1] == _succ_reads(check, params)
+        assert reads[0][2] <= 500
 
     @pytest.mark.parametrize("check, params", [("oc", N8_S3), ("moc", N32_S3)],
                              ids=["oc", "moc"])
@@ -545,7 +554,9 @@ class TestConfirmationSearches:
                 outcomes["moc"].add(got)
 
                 sp, e = rng.choice(words), rng.choice(events)
-                got = _continuations_meet(ctx, gl.run(s), gl.run(sp), e)
+                meet = _continuations_meet(ctx, e)
+                got = any(map(meet, itertools.product(gl.run(s),
+                                                      gl.run(sp))))
                 assert got == _reference_loc(ctx, s, sp, e), (g, s, sp, e)
                 assert got == oracle._loc_continuations_meet(
                     gl, s, sp, e), (g, s, sp, e)
@@ -688,6 +699,26 @@ class TestLazyLoc:
                     == want, (g, e)
                 found[bool(want)] += 1
         assert found[True] >= 5 and found[False] >= 5, found
+
+    def test_every_difference_sequence_is_a_violation(self):
+        # The right side is marked exactly where the continuations of its
+        # pair keys meet, so no LOC difference sequence is spurious and
+        # check_loc decides at its first one without a confirmation.
+        events = 0
+        for g in itertools.chain(loc_plants(), _agreement_plants()):
+            ctx = build_context(g)
+            verifier = _loc_shared(ctx)
+            for e in sorted(ctx.alphabet.highlevel
+                            & ctx.alphabet.controllable):
+                words = list(islice(iter_difference_words(
+                    *_loc_operands(ctx, verifier, e)), 20))
+                events += bool(words)
+                for w in words:
+                    s, _, sp, _ = decompose_sequence(w, 4)
+                    assert not _reference_loc(ctx, s, sp, e), (g, e, w)
+                    assert not oracle._loc_continuations_meet(
+                        ctx.plant, s, sp, e), (g, e, w)
+        assert events >= 5, events
 
     def test_liveness_tests_each_node_a_few_times(self):
         # Every node the search visits is tested, so the distinct left
