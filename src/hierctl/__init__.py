@@ -4,10 +4,11 @@ discrete-event systems under partial observation."""
 from .automata import (Alphabet, AlphabetMismatchError, AutomataError,
                        Automaton, Event, PreconditionError, ProjectionSpec,
                        all_marked, determinize, difference, enumerate_bounded,
-                       includes, intersect, inverse_project, is_empty,
-                       is_prefix_closed, iter_marked_words, language_equal,
-                       parallel_compose, prefix_close, project,
-                       right_quotient, sigma_star, trim, word_automaton)
+                       included, includes, intersect, inverse_project,
+                       is_empty, is_prefix_closed, iter_marked_words,
+                       language_equal, parallel_compose, prefix_close,
+                       project, right_quotient, sigma_star, trim,
+                       word_automaton)
 from .checks import (SynthReport, check_controllability, check_nonconflicting,
                      check_normality, check_observability,
                      check_relative_observability, sup_normal_closed,

@@ -17,33 +17,37 @@ distinct keys never share a state, and equal inputs give byte-identical
 outputs.
 
 Subset constructions (`determinize`, `marked_saturate`, `iter_marked_words`,
-`includes`, `difference`, and both phases of `iter_difference_words`) hold
-a subset as an int bitmask over `state_index`. A step ORs the `rows` of
-the set bits, "meets a marked state" is `m & marked_mask`, and the subset's
-size is `m.bit_count()`. A mask maps one-to-one onto the frozenset of its
-states and the searches only hash it, so numbering, words, witnesses and
-search work are those of a frozenset construction. (A mask is as wide as its
-automaton is large, where a frozenset is as large as the subset.) An
-`Automaton` builds its tables (`state_index`, `succ`, `rows`, `has_silent`)
-on first read, once per transition relation: the copies that `_derived`
-makes for `with_initial`, `widen_alphabet`, `prefix_close` and
-`right_quotient` share them, and check only the initial and marked states
-they change.
+`includes`, `included`, `difference`, and both phases of
+`iter_difference_words`) hold a subset as an int bitmask over
+`state_index`. A step ORs the `rows` of the set bits, "meets a marked
+state" is `m & marked_mask`, and the subset's size is `m.bit_count()`. A
+mask maps one-to-one onto the frozenset of its states and the searches only
+hash it, so numbering, words, witnesses and search work are those of a
+frozenset construction. (A mask is as wide as its automaton is large, where
+a frozenset is as large as the subset.) An `Automaton` builds its tables
+(`state_index`, `succ`, `rows`, `has_silent`) on first read, once per
+transition relation: the copies that `_derived` makes for `with_initial`,
+`widen_alphabet`, `prefix_close` and `right_quotient` share them, and check
+only the initial and marked states they change.
 
 Five search shapes are written once. `_difference_product(a, b)` is the
 product of `a` with the subset construction of `b`: its start nodes, its
-steps in alphabet order and its bad-node test. `includes`, `difference` and
-`iter_difference_words` each search it, so a change to its right-subset
-layer is made in one place. `pair_product(alphabet, a, b, labels)` is every
-product of two automata stepped by a label table (`parallel_compose`, the
-pair products of `relations`, LOC's verifier through `pair_moves`).
-`first_path(starts, moves, test)` is every breadth-first witness search:
-`includes`, the observer, LCC and controllability checks.
-`iter_marked_words` is the one length-lexicographic enumerator;
-`iter_difference_words` runs it over an `Implicit` view of the product's
-live nodes. `closure(starts, step)` is every "all that is reachable" set:
-silent closures, (co)reachable states, the pair search of `right_quotient`,
-and the plant reaches of `hierarchy`.
+steps in alphabet order and its bad-node test. `includes`, `included`,
+`difference` and `iter_difference_words` each search it, so a change to its
+right-subset layer is made in one place. `includes` finds a shortest
+witness; `included` answers the boolean alone by an antichain search, which
+skips a node whose `b` subset contains one already reached with the same
+`a` state. The right operand `b` is an `Automaton`, an `Implicit` (keys
+numbered as they are read) or `LazyRows` (states numbered already).
+`pair_product(alphabet, a, b, labels)` is every product of two automata
+stepped by a label table (`parallel_compose`, the pair products of
+`relations`, LOC's verifier through `pair_moves`). `first_path(starts,
+moves, test)` is every breadth-first witness search: `includes`, the
+observer, LCC and controllability checks. `iter_marked_words` is the one
+length-lexicographic enumerator; `iter_difference_words` runs it over an
+`Implicit` view of the product's live nodes. `closure(starts, step)` is
+every "all that is reachable" set: silent closures, (co)reachable states,
+the pair search of `right_quotient`, and the plant reaches of `hierarchy`.
 """
 
 from __future__ import annotations
@@ -447,7 +451,7 @@ def prefix_close(a: Automaton) -> Automaton:
 
 
 def is_prefix_closed(a: Automaton) -> bool:
-    return includes(prefix_close(a), a).holds
+    return included(prefix_close(a), a)
 
 
 def is_empty(a: Automaton) -> bool:
@@ -580,6 +584,27 @@ class Implicit:
         return any(self.marked[self._keys[i]] for i in bits(m))
 
 
+class LazyRows:
+    """A silent-free automaton over states 0..n-1 given by its subset rows:
+    `row(i)` maps each label to the bitmask of state i's targets, and is
+    read once per state, when a subset step first needs it. The start and
+    marked states are bitmasks. It offers what `_difference_product` reads
+    of its right operand, so a product whose states are numbered already
+    (plant-state pairs p·n + q, say) steps subsets of them without building
+    an automaton or numbering keys, as `Implicit` does."""
+
+    has_silent = False
+    meets_marked = Automaton.meets_marked
+
+    def __init__(self, alphabet: Alphabet, start_mask: int, row,
+                 marked_mask: int):
+        self.alphabet = alphabet
+        self._tables: dict = {}
+        self.start_mask = start_mask
+        self.marked_mask = marked_mask
+        self.rows = _Memo(row)
+
+
 def _subset_dfa(a: Automaton, saturate: bool) -> Automaton:
     a = eliminate_silent(a)
     rows, names, marked = a.rows, a.alphabet.names, a.marked_mask
@@ -646,14 +671,16 @@ def first_path(starts: Iterable, moves, test):
     return None
 
 
-def _difference_product(a: Automaton, b: Automaton) -> tuple:
+def _difference_product(a: Automaton,
+                        b: Automaton | Implicit | LazyRows) -> tuple:
     """(starts, moves, bad) of the product of `a` with the subset
-    construction of `b`, the one product that `includes`, `difference` and
-    `iter_difference_words` search. A node is (state of `a`, bitmask subset
-    of `b`); the starts follow `a.sorted_states`, `moves(node)` yields
-    (event, node) in alphabet order, and `bad(node)` is true when the `a`
-    state is marked and the `b` subset holds no marked state. `b`'s subset
-    steps are memoized in its `_tables`, which its `_derived` copies share."""
+    construction of `b`, the one product that `includes`, `included`,
+    `difference` and `iter_difference_words` search. A node is (state of
+    `a`, bitmask subset of `b`); the starts follow `a.sorted_states`,
+    `moves(node)` yields (event, node) in alphabet order, and `bad(node)`
+    is true when the `a` state is marked and the `b` subset holds no marked
+    state. `b`'s subset steps are memoized in its `_tables`, which its
+    `_derived` copies share."""
     require_same_alphabet(a, b)
     a = eliminate_silent(a)
     b = eliminate_silent(b)
@@ -699,8 +726,46 @@ def includes(a: Automaton, b: Automaton, kind: str = "inclusion"):
     return Verdict.make_violated(Witness(kind, {"word": found[0]}))
 
 
+def included(a: Automaton, b: Automaton | Implicit | LazyRows) -> bool:
+    """L_m(a) ⊆ L_m(b), without a witness: a breadth-first search of
+    `_difference_product(a, b)` that stops at its first bad node.
+
+    It keeps an antichain: per state q of `a`, the ⊆-minimal `b` subsets
+    reached with it. A node (q, B′) is skipped once some (q, B) with
+    B ⊆ B′ is reached, and is not expanded if such a (q, B) is reached
+    after it: the subset step is monotone, so a word that leads (q, B′) to
+    a bad node leads (q, B) to one too (De Wulf, Doyen, Henzinger &
+    Raskin, CAV 2006). Each node's steps are read in `moves` order, so the
+    search does the same work in every process. `includes` keeps the plain
+    search, since pruning could change which shortest witness it finds."""
+    starts, moves, bad = _difference_product(a, b)
+    minimal: dict = {}   # state of `a` -> its ⊆-minimal `b` subsets
+    queue = []
+
+    def reach(node) -> bool:
+        """False if `node` is bad; else queue it unless it is covered."""
+        q, m = node
+        kept = minimal.setdefault(q, [])
+        if any(k & m == k for k in kept):
+            return True
+        if bad(node):
+            return False
+        kept[:] = [k for k in kept if k & m != m]
+        kept.append(m)
+        queue.append(node)
+        return True
+
+    if not all(map(reach, starts)):
+        return False
+    for node in queue:   # `queue` grows while it is read: breadth first
+        if node[1] in minimal[node[0]]:   # not displaced by a smaller one
+            if not all(reach(nxt) for _, nxt in moves(node)):
+                return False
+    return True
+
+
 def language_equal(a: Automaton, b: Automaton) -> bool:
-    return includes(a, b).holds and includes(b, a).holds
+    return included(a, b) and included(b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +947,8 @@ def iter_marked_words(a: Automaton | Implicit,
 
 
 def iter_difference_words(a: Automaton | Implicit,
-                          b: Automaton | Implicit) -> Iterator[Word]:
+                          b: Automaton | Implicit | LazyRows
+                          ) -> Iterator[Word]:
     """Yield L_m(a) − L_m(b) in length-lexicographic order.
 
     Yields exactly the words of ``iter_marked_words(trim(difference(a, b)))``

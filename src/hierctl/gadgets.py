@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .automata import (Alphabet, Automaton, AutomataError, Event,
-                       PreconditionError, all_marked, includes, sigma_star)
+                       PreconditionError, all_marked, included, sigma_star)
 
 MARKER_AT = "@"
 MARKER_HASH = "#"
@@ -38,7 +38,7 @@ def _fresh(name: str, taken) -> str:
 
 def is_universal(a: Automaton) -> bool:
     """Does `a` generate all of Σ*?"""
-    return includes(sigma_star(a.alphabet), all_marked(a)).holds
+    return included(sigma_star(a.alphabet), all_marked(a))
 
 
 def gadget_oc(a: Automaton) -> Automaton:

@@ -15,13 +15,21 @@ its abstraction Q(L):
   indistinguishable low-level continuations.
 
 Each checker reduces its property to a regular-language inclusion between
-automata over pair (or quadruple) events and decides it by one lazy
-difference search (``iter_difference_words``): an on-the-fly product of the
-left side with the subset construction of the right one, expanded only as
-far as the sequences examined need. LOC's two sides are implicit products
-too, never built as automata. The inclusion is sequence-level, but a left-
-only and a right-only pair event commute, so the interleavings of one
-string pair are one trace: OC and MOC read their left side in lexicographic
+automata over pair (or quadruple) events, none of them built whole. LOC's
+two sides are implicit products. OC's and MOC's right side, the
+P-synchronized self-product of the plant with some components erased, is
+`LazyRows` over plant-state pairs, each pair's row built when a subset step
+first reads it.
+
+OC and MOC reach "holds" first by one antichain inclusion
+(``automata.included``) of their plain left side in the right one, which
+needs no normal form and no sequence. Where it fails, and for LOC, the
+inclusion is decided by one lazy difference search
+(``iter_difference_words``): an on-the-fly product of the left side with
+the subset construction of the right one, expanded only as far as the
+sequences examined need. The inclusion is sequence-level, but a left-only
+and a right-only pair event commute, so the interleavings of one string
+pair are one trace: there OC and MOC read their left side in lexicographic
 normal form (``relations.normal_forms``), one sequence per string pair. A
 search that yields no sequence is the inclusion holding: ``holds``. For OC
 and MOC that is every normal form lying in the right side, which realizes
@@ -45,17 +53,17 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 
-from .automata import (Alphabet, Automaton, Implicit, PreconditionError,
-                       ProjectionSpec, all_marked, bits, closure, determinize,
-                       first_path, includes, iter_difference_words,
-                       merge_alphabets, pair_moves, parallel_compose,
-                       prefix_close, project, trim, widen_alphabet,
-                       with_initial)
+from .automata import (Alphabet, Automaton, Event, Implicit, LazyRows,
+                       PreconditionError, ProjectionSpec, all_marked, bits,
+                       closure, determinize, first_path, included, includes,
+                       iter_difference_words, merge_alphabets, pair_moves,
+                       parallel_compose, prefix_close, project, trim,
+                       widen_alphabet, with_initial)
 from .checks import (check_controllability, check_nonconflicting,
                      check_normality, check_observability, sup_normal_closed,
                      sup_relobs_closed)
 from .relations import (decompose_sequence, label_name, normal_forms,
-                        quad_alphabet, relabel_pair, sync_pair_compose,
+                        pair_alphabet, quad_alphabet, sync_pair_compose,
                         verifier_moves)
 from .verdicts import Verdict, Witness
 
@@ -105,7 +113,8 @@ class HierarchyContext:
 
     @cached_property
     def plant_pairs(self) -> tuple:
-        """`_plant_pairs(self)`, which OC's table and LOC share."""
+        """`_plant_pairs(self)`, which OC's table, LOC and the right sides
+        of OC and MOC share."""
         return _plant_pairs(self)
 
 
@@ -203,11 +212,6 @@ def check_lcc(g: Plant) -> Verdict:
 
 # ---------------------------------------------------------------------------
 # the three consistency checkers
-
-def _common_pair(a: Automaton, b: Automaton) -> tuple[Automaton, Automaton]:
-    common = merge_alphabets(a.alphabet, b.alphabet)
-    return widen_alphabet(a, common), widen_alphabet(b, common)
-
 
 def _require_budget(budget: int) -> None:
     if budget < 0:
@@ -370,16 +374,18 @@ def _moc_mate_table(ctx: HierarchyContext):
 
 
 def _plant_pairs(ctx: HierarchyContext) -> tuple:
-    """(column, pairs, close) over the plant-state pairs (p, q), each the
-    bit p·n + q of a bitmask, n the number of plant states.
+    """(column, pairs, closing, close) over the plant-state pairs (p, q),
+    each the bit p·n + q of a bitmask, n the number of plant states.
 
     `column(m)` is the state set `m` as the pairs it forms with state 0;
     times a state set Y, the pairs of the two sets (the shifts of Y are n
     bits apart). `pairs(m, side, e)` is the pairs of `m` after e, which
     moves the left path (side 0), the right one (1) or both (2).
-    `close(m)` closes `m` under the low-level moves, which are defined here
-    alone: an unobservable event of one path, or an event of Σo ∖ Σhi of
-    both. Each pair's one-move neighbours are memoized.
+    `closing(moves)` is the function that closes a bitmask under `moves`, a
+    tuple of (side, e) steps, one function per tuple, each memoizing every
+    pair's one-move neighbours. `close` closes under the low-level moves,
+    which are defined here alone: an unobservable event of one path, or an
+    event of Σo ∖ Σhi of both.
     """
     rows = ctx.plant.rows
     n = len(rows)
@@ -395,27 +401,30 @@ def _plant_pairs(ctx: HierarchyContext) -> tuple:
             out |= column(left) * right
         return out
 
-    low = [e for e in ctx.alphabet.names if e not in hi]
-
     @cache
-    def nearby(i: int) -> int:   # the pairs one low-level move reaches
-        m, out = 1 << i, 0
-        for e in low:
-            out |= (pairs(m, 2, e) if e in obs
-                    else pairs(m, 0, e) | pairs(m, 1, e))
-        return out
+    def closing(moves: tuple):
+        @cache
+        def nearby(i: int) -> int:   # the pairs one move reaches
+            m, out = 1 << i, 0
+            for side, e in moves:
+                out |= pairs(m, side, e)
+            return out
 
-    def close(m: int) -> int:
-        todo = m
-        while todo:
-            new = 0
-            for i in bits(todo):
-                new |= nearby(i)
-            todo = new & ~m
-            m |= todo
-        return m
+        def close(m: int) -> int:
+            todo = m
+            while todo:
+                new = 0
+                for i in bits(todo):
+                    new |= nearby(i)
+                todo = new & ~m
+                m |= todo
+            return m
 
-    return column, pairs, close
+        return close
+
+    low = tuple((side, e) for e in ctx.alphabet.names if e not in hi
+                for side in ((2,) if e in obs else (0, 1)))
+    return column, pairs, closing, closing(low)
 
 
 def _oc_pair_table(ctx: HierarchyContext):
@@ -429,7 +438,7 @@ def _oc_pair_table(ctx: HierarchyContext):
     right path from (t, t'[:-1]), and one of Σhi ∩ Σo of both from
     (t[:-1], t'[:-1]) when t and t' end in it.
     """
-    column, pairs, close = ctx.plant_pairs
+    column, pairs, _, close = ctx.plant_pairs
     names = ctx.alphabet.names
     start = ctx.plant.start_mask
     alone = frozenset(names) - ctx.alphabet.observable
@@ -442,7 +451,7 @@ def _continuations_meet(ctx: HierarchyContext, e: str):
     plant states p and q to states that enable e. With p and q after s and
     s', that is ∃ u, u' with sue, s'u'e ∈ L. The `_plant_pairs` closure of
     (p, q) meets the pairs of states that both enable e."""
-    column, _, close = ctx.plant_pairs
+    column, _, _, close = ctx.plant_pairs
     index, n = ctx.plant.state_index, len(ctx.plant.states)
     enable = sum(1 << i for i, row in enumerate(ctx.plant.rows) if e in row)
     both = column(enable) * enable
@@ -450,21 +459,81 @@ def _continuations_meet(ctx: HierarchyContext, e: str):
         close(1 << (index[pq[0]] * n + index[pq[1]])) & both)
 
 
-def _pair_consistency(ctx: HierarchyContext, kind: str, left: Automaton,
-                      left_keep: frozenset, key: str, table, note: str,
-                      budget: int) -> Verdict:
-    """Shared body of OC and MOC: is L_m(left) included in the
-    P-synchronized self-product of the plant, with left components outside
-    `left_keep` and right components outside Σhi erased? The left side is
-    read in normal form.
+def _pair_operands(ctx: HierarchyContext, kind: str) -> tuple:
+    """The two sides of OC's (`kind` "oc") or MOC's ("moc") inclusion, over
+    one alphabet. The left side is the synchronized pair product of the
+    abstraction with itself (OC) or of the plant with the abstraction
+    (MOC), synchronized on Σhi ∩ Σo.
 
-    Each difference pair (x, t') is decided exactly by `table()(x, t')`;
-    a false answer gives a `kind` witness that names x by `key`.
+    The right side is `relabel_pair(sync_pair_compose(plant, plant, Σo),
+    keep, Σhi)`, keep being Σhi for OC and Σ for MOC, as `LazyRows` over
+    the plant-state pairs, each the `_plant_pairs` bit p·n + q: it builds
+    neither automaton, and a pair's row is built when a subset step first
+    needs it. Its labels are those `relabel_pair` gives, in its order. A
+    pair label erased to (ε, ε) is a silent move: for OC the low-level
+    moves of `_plant_pairs`, for MOC a right-only move on Σuo ∖ Σhi. The
+    start pairs and each row's targets are closed under them, so the pairs
+    reached after a sequence form a closed set, and a pair is marked where
+    both of its states are.
     """
-    right = relabel_pair(
-        sync_pair_compose(ctx.plant, ctx.plant, ctx.alphabet.observable),
-        left_keep, ctx.alphabet.highlevel)
-    la, ra = _common_pair(left, right)
+    plant, al = ctx.plant, ctx.alphabet
+    if kind == "oc":
+        left = sync_pair_compose(ctx.abstraction, ctx.abstraction, ctx.shared)
+        keep = al.highlevel
+    else:
+        left = sync_pair_compose(plant, ctx.abstraction, ctx.shared)
+        keep = frozenset(al.names)
+    steps: dict = {}   # label -> the (side, event) moves it stands for
+    silent = []
+    for l, r in pair_alphabet(al, al, al.observable).names:
+        move = (2, l) if l == r else (0, l) if r is None else (1, r)
+        label = (l if l in keep else None, r if r in al.highlevel else None)
+        if label == (None, None):
+            silent.append(move)
+        else:
+            steps.setdefault(label, []).append(move)
+    column, pairs, closing, _ = ctx.plant_pairs
+    close = closing(tuple(silent))
+
+    def row(i: int) -> dict:
+        out = {}
+        for label, moves in steps.items():
+            t = 0
+            for side, e in moves:
+                t |= pairs(1 << i, side, e)
+            if t:
+                out[label] = close(t)
+        return out
+
+    start, marked = plant.start_mask, plant.marked_mask
+    alphabet = merge_alphabets(left.alphabet,
+                               Alphabet(tuple(map(Event, steps))))
+    return (widen_alphabet(left, alphabet),
+            LazyRows(alphabet, close(column(start) * start), row,
+                     column(marked) * marked))
+
+
+def _pair_consistency(ctx: HierarchyContext, kind: str, key: str, table,
+                      note: str, budget: int) -> Verdict:
+    """Shared body of OC and MOC: is every sequence of the left side of
+    `_pair_operands(ctx, kind)`, read in normal form, in its right side?
+
+    The plain inclusion (`included`) is tried first: its antichain search
+    needs no normal forms, and the normal forms are some of the left
+    side's sequences, so when it holds the check holds, a bare "holds".
+    Otherwise the difference search reads the left side in normal form,
+    and each difference pair (x, t') is decided exactly by
+    `table()(x, t')`; a false answer gives a `kind` witness that names x by
+    `key`. The plain inclusion can fail where every normal form is in: an
+    event of Σo ∖ Σhi moves both paths of the right side, but its label
+    shows one side or none, so the right side need not hold every
+    interleaving of its string pairs. Then the normal-form search yields
+    nothing and gives the bare "holds" itself, as on the MOC gadgets of
+    universal NFAs.
+    """
+    la, ra = _pair_operands(ctx, kind)
+    if included(la, ra):
+        return Verdict.make_holds()
     table = cache(table)   # built at the first difference pair
 
     def confirm(tup, word):
@@ -484,9 +553,7 @@ def check_oc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
     _require_budget(budget)
     ctx = build_context(g)
     return _pair_consistency(
-        ctx, "oc", sync_pair_compose(ctx.abstraction, ctx.abstraction,
-                                     ctx.shared),
-        ctx.alphabet.highlevel, "t", partial(_oc_pair_table, ctx),
+        ctx, "oc", "t", partial(_oc_pair_table, ctx),
         "no representatives of t and t' share an observation", budget)
 
 
@@ -501,8 +568,7 @@ def check_moc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
         return lambda s, tp: mate_exists(ctx.p.apply(s), tp)
 
     return _pair_consistency(
-        ctx, "moc", sync_pair_compose(ctx.plant, ctx.abstraction, ctx.shared),
-        frozenset(ctx.alphabet.names), "s", table,
+        ctx, "moc", "s", table,
         "no representative of t' shares the observation of s", budget)
 
 

@@ -4,9 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from hierctl.automata import Alphabet, Automaton
-from hierctl.gadgets import (GeneratorParams, gadget_loc, random_nfa,
-                             random_plant, random_sublanguage)
+from hierctl.automata import Alphabet, Automaton, widen_alphabet
+from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
+                             gadget_oc, random_nfa, random_plant,
+                             random_sublanguage)
+from hierctl.hierarchy import _pair_operands, build_context
+from hierctl.relations import relabel_pair, sync_pair_compose
 from hierctl.saut import parse_automaton
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -51,6 +54,36 @@ def loc_plants():
     for seed in range(6):
         yield gadget_loc(random_nfa(GeneratorParams(
             2 + seed % 3, 2 + seed % 2, 0.35, seed=seed)))
+
+
+def agreement_plants():
+    """Small random plants, then the three gadgets of small NFAs, for the
+    tests that hold the checks' searches to their references."""
+    for seed in range(6):
+        yield random_plant(GeneratorParams(
+            states=3 + seed % 4, events=3 + seed % 2,
+            transition_density=0.4, deterministic=seed % 2 == 0,
+            seed=seed + 700))
+    for seed in range(4):
+        a = random_nfa(GeneratorParams(2 + seed % 3, 2 + seed % 2, 0.35,
+                                       seed=seed))
+        yield gadget_oc(a)
+        yield gadget_moc(a)
+        yield gadget_loc(a)
+
+
+def pair_operands(g: Automaton, kind: str) -> tuple:
+    """The left side of check_oc's (`kind` "oc") or check_moc's ("moc")
+    inclusion, and its right side built as an automaton: the reference for
+    the implicit right side of `hierarchy._pair_operands`."""
+    ctx = build_context(g)
+    left, _ = _pair_operands(ctx, kind)
+    al = ctx.alphabet
+    right = relabel_pair(sync_pair_compose(ctx.plant, ctx.plant,
+                                           al.observable),
+                         al.highlevel if kind == "oc" else al.names,
+                         al.highlevel)
+    return left, widen_alphabet(right, left.alphabet)
 
 
 def cli_big_inputs(seed: int) -> tuple:

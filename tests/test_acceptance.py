@@ -13,8 +13,8 @@ import time
 import pytest
 
 from hierctl.automata import (Alphabet, Automaton, Event, all_marked,
-                              enumerate_bounded, includes, parallel_compose,
-                              prefix_close, trim)
+                              enumerate_bounded, included, includes,
+                              parallel_compose, prefix_close, trim)
 from hierctl.checks import (check_observability, check_relative_observability,
                             sup_normal_closed, sup_relobs_closed)
 from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
@@ -22,7 +22,8 @@ from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
                              random_plant, random_sublanguage)
 from hierctl.hierarchy import (build_context, check_loc, check_moc,
                                check_moc_modular, check_oc, conform_spec,
-                               hier_synth_normal, lemma_distribute_q)
+                               hier_synth_normal, lemma_distribute_q,
+                               moc_structurally_guaranteed)
 from hierctl.oracle import (_exists_moc_mate, _exists_oc_pair, _gen_rec,
                             _loc_continuations_meet, _p_of, _proj, _q_extends,
                             _q_of, oracle_loc, oracle_moc, oracle_oc,
@@ -392,3 +393,51 @@ def test_criterion_10_gadget_languages_exact():
         assert got_loc == expect_loc, f"seed={seed} loc"
     _passline(10, "all three gadget languages exact to length 5 against "
                   "independent reconstruction")
+
+
+def _preservation(ctx, kbar) -> tuple:
+    """(supN low = lift, sup-relobs low ⊆ lift) for the prefix-closed
+    high-level specification `kbar`."""
+    low = sup_normal_closed(parallel_compose(ctx.plant, kbar), ctx.plant)
+    high = sup_normal_closed(parallel_compose(ctx.abstraction, kbar),
+                             ctx.abstraction)
+    lift = parallel_compose(ctx.plant, high)
+    b_hi = parallel_compose(ctx.abstraction, kbar)
+    b_lo = parallel_compose(ctx.plant, kbar)
+    high, rep_hi = sup_relobs_closed(b_hi, b_hi, ctx.abstraction)
+    low_relobs, rep_lo = sup_relobs_closed(b_lo, b_lo, ctx.plant)
+    assert rep_hi.converged and rep_lo.converged
+    return (included(low, lift) and included(lift, low),
+            included(low_relobs, parallel_compose(ctx.plant, high)))
+
+
+def test_criterion_11_moc_licenses_the_supremal_results():
+    # Criteria 7 and 8 test the results on nested alphabets, where MOC is
+    # forced. Here the alphabets are incomparable and MOC is decided by the
+    # engine: each "holds" must license both results, and the violations
+    # that break them show that a false "holds" would be caught.
+    holds = 0
+    broken = {"supn": 0, "relobs": 0}
+    for i in range(600):
+        g = random_plant(GeneratorParams(3 + i % 4, 3 + i % 3, 0.4,
+                                         seed=5000 + i))
+        ctx = build_context(g)
+        if moc_structurally_guaranteed(ctx.alphabet):
+            continue
+        v = check_moc(ctx, 2000)
+        if v.inconclusive:
+            continue
+        spec = random_sublanguage(ctx.abstraction, 0.3, seed=7000 + i)
+        supn, relobs = _preservation(ctx, prefix_close(trim(spec)))
+        if v.holds:
+            assert supn and relobs, f"plant={i}"
+            holds += 1
+        else:
+            broken["supn"] += not supn
+            broken["relobs"] += not relobs
+    assert holds >= 100
+    assert broken["supn"] > 0 and broken["relobs"] > 0
+    _passline(11, f"supN low = lift and sup-relobs low ⊆ lift on all "
+                  f"{holds} engine-decided MOC holds; of the violations, "
+                  f"{broken['supn']} break supN and {broken['relobs']} "
+                  "sup-relobs")

@@ -17,10 +17,8 @@ from hierctl.automata import (AutomataError, Automaton, Implicit,
                               right_quotient, sigma_star, trim,
                               with_initial, word_automaton)
 from hierctl.gadgets import GeneratorParams, random_plant
-from hierctl.hierarchy import _common_pair, build_context
-from hierctl.relations import relabel_pair, sync_pair_compose
 
-from conftest import make_alphabet, tree
+from conftest import make_alphabet, pair_operands, tree
 
 AB = make_alphabet("ab")
 
@@ -209,12 +207,8 @@ def test_difference_words_start_length_lex_first_not_at_inclusion_witness():
     # The OC pair of check_oc on this plant: the inclusion witness is
     # shortest, but the first difference word in length-lex order (pair
     # events ordered with ("e0", None) before (None, "e0")) is another one.
-    ctx = build_context(random_plant(GeneratorParams(32, 5, 0.35, seed=2)))
-    left = sync_pair_compose(ctx.abstraction, ctx.abstraction, ctx.shared)
-    right = relabel_pair(
-        sync_pair_compose(ctx.plant, ctx.plant, ctx.alphabet.observable),
-        ctx.alphabet.highlevel, ctx.alphabet.highlevel)
-    la, ra = _common_pair(left, right)
+    la, ra = pair_operands(random_plant(GeneratorParams(32, 5, 0.35, seed=2)),
+                           "oc")
     first = next(iter_difference_words(la, ra))
     assert first == (("e2", "e2"), ("e4", "e4"), ("e0", None), ("e3", "e3"))
     assert includes(la, ra).witness.strings["word"] == (

@@ -22,11 +22,10 @@ from hierctl.automata import (Alphabet, Automaton, Event, all_marked, closure,
                               iter_difference_words, language_equal,
                               parallel_compose, project, right_quotient,
                               widen_alphabet, word_automaton)
-from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
-                             gadget_oc, is_universal, random_nfa,
-                             random_plant, random_sublanguage)
+from hierctl.gadgets import (GeneratorParams, gadget_moc, is_universal,
+                             random_nfa, random_plant, random_sublanguage)
 from hierctl.hierarchy import (HierarchyContext, PreconditionError,
-                               _common_pair, _continuations_meet,
+                               _continuations_meet,
                                _loc_operands, _loc_shared, _moc_mate_table,
                                _oc_pair_table, build_context,
                                check_lcc, check_loc, check_moc,
@@ -37,9 +36,10 @@ from hierctl.hierarchy import (HierarchyContext, PreconditionError,
                                moc_structurally_guaranteed)
 
 from hierctl.relations import (build_quad, decompose_sequence, label_name,
-                               quad_alphabet, relabel_pair, sync_pair_compose)
+                               quad_alphabet)
 
-from conftest import loc_plants, make_alphabet, tree
+from conftest import (agreement_plants, loc_plants, make_alphabet,
+                      pair_operands, tree)
 
 
 class TestConsistencyChecks:
@@ -112,13 +112,9 @@ def _counting_marked(a: Automaton) -> tuple:
 
 
 def _oc_operands(g: Automaton) -> tuple:
-    """The two sides of check_oc's inclusion."""
-    ctx = build_context(g)
-    left = sync_pair_compose(ctx.abstraction, ctx.abstraction, ctx.shared)
-    right = relabel_pair(
-        sync_pair_compose(ctx.plant, ctx.plant, ctx.alphabet.observable),
-        ctx.alphabet.highlevel, ctx.alphabet.highlevel)
-    return _common_pair(left, right)
+    """The two sides of check_oc's inclusion, the right one built as an
+    automaton."""
+    return pair_operands(g, "oc")
 
 
 # OC is violated at its first difference sequence here, but a depth-first
@@ -200,6 +196,53 @@ def _succ_reads(check: str, params) -> list:
     ctx.plant.__dict__["succ"] = Counting(ctx.plant.succ)
     v = getattr(hierarchy, "check_" + check)(ctx, 2000)
     return [v.outcome, v.detail, len(reads)]
+
+
+# OC holds on both; the frontier plant took 535,417 product-node expansions
+# and 12.7 s when OC proved "holds" by the normal-form liveness search alone
+N32_S4 = GeneratorParams(32, 5, 0.35, seed=4)
+N128_S1 = GeneratorParams(128, 5, 0.35, seed=1)
+
+
+def _expansions(check: str, params) -> list:
+    """[outcome, detail, product nodes expanded] of the check at budget
+    2,000 on `random_plant(params)`: the nodes whose steps a search of
+    `_difference_product` read, in the antichain inclusion or the
+    difference search."""
+    expanded = [0]
+    product = automata._difference_product
+
+    def counting(a, b):
+        starts, moves, bad = product(a, b)
+
+        def counted(node):
+            expanded[0] += 1
+            return moves(node)
+
+        return starts, counted, bad
+
+    automata._difference_product = counting
+    try:
+        v = getattr(hierarchy, "check_" + check)(random_plant(params), 2000)
+    finally:
+        automata._difference_product = product
+    return [v.outcome, v.detail, expanded[0]]
+
+
+class TestAntichainInclusion:
+    """OC and MOC prove "holds" by one antichain inclusion over plain
+    operands, before any normal-form search."""
+
+    def test_frontier_oc_holds_within_a_node_bound(self):
+        outcome, detail, expanded = _expansions("oc", N128_S1)
+        assert (outcome, detail) == ("holds", {})
+        assert expanded <= 40_000
+
+    def test_precheck_work_is_independent_of_hash_seed(self):
+        work = [_probe(f"_expansions('oc', {N32_S4!r})", seed)
+                for seed in ("0", "1")]
+        assert work[0] == work[1] == _expansions("oc", N32_S4)
+        assert work[0][:2] == ["holds", {}]
 
 
 class TestRefutationRegressions:
@@ -501,20 +544,6 @@ def _reference_loc(ctx, s, sp, e):
     return not is_empty(intersect(continuations(s), continuations(sp)))
 
 
-def _agreement_plants():
-    for seed in range(6):
-        yield random_plant(GeneratorParams(
-            states=3 + seed % 4, events=3 + seed % 2,
-            transition_density=0.4, deterministic=seed % 2 == 0,
-            seed=seed + 700))
-    for seed in range(4):
-        a = random_nfa(GeneratorParams(2 + seed % 3, 2 + seed % 2, 0.35,
-                                       seed=seed))
-        yield gadget_oc(a)
-        yield gadget_moc(a)
-        yield gadget_loc(a)
-
-
 class TestConfirmationSearches:
     """The exact searches agree with the automaton constructions they
     replaced and with the independent oracle searches."""
@@ -523,7 +552,7 @@ class TestConfirmationSearches:
         rng = random.Random(0)
         outcomes = {"oc": set(), "moc": set(), "loc": set()}
         outside = 0
-        for g in _agreement_plants():
+        for g in agreement_plants():
             ctx = build_context(g)
             gl = ctx.plant
             hi = sorted(ctx.alphabet.highlevel)
@@ -705,7 +734,7 @@ class TestLazyLoc:
         # pair keys meet, so no LOC difference sequence is spurious and
         # check_loc decides at its first one without a confirmation.
         events = 0
-        for g in itertools.chain(loc_plants(), _agreement_plants()):
+        for g in itertools.chain(loc_plants(), agreement_plants()):
             ctx = build_context(g)
             verifier = _loc_shared(ctx)
             for e in sorted(ctx.alphabet.highlevel

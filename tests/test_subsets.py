@@ -15,9 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hierctl import checks
-from hierctl.automata import (Automaton, Implicit, ProjectionSpec,
+from hierctl.automata import (Automaton, Implicit, LazyRows, ProjectionSpec,
                               all_marked, determinize, difference,
-                              eliminate_silent, explore, includes,
+                              eliminate_silent, explore, included, includes,
                               intersect, inverse_project,
                               iter_difference_words, iter_marked_words,
                               language_equal, marked_saturate, path_word,
@@ -25,10 +25,13 @@ from hierctl.automata import (Automaton, Implicit, ProjectionSpec,
 from hierctl.checks import sup_normal_closed
 from hierctl.cli import main
 from hierctl.gadgets import GeneratorParams, random_plant, random_sublanguage
+from hierctl.hierarchy import _pair_operands, build_context
+from hierctl.relations import normal_forms
 from hierctl.saut import serialize_automaton
 from hierctl.verdicts import Verdict, Witness
 
-from conftest import cli_big_inputs, cli_big_seeds, make_alphabet
+from conftest import (agreement_plants, cli_big_inputs, cli_big_seeds,
+                      make_alphabet, pair_operands)
 
 AB = make_alphabet("ab")
 
@@ -179,6 +182,12 @@ def _implicit(a: Automaton) -> Implicit:
                     a.marked.__contains__)
 
 
+def _lazy_rows(a: Automaton) -> LazyRows:
+    a = eliminate_silent(a)
+    return LazyRows(a.alphabet, a.start_mask, a.rows.__getitem__,
+                    a.marked_mask)
+
+
 @settings(max_examples=150, deadline=None)
 @given(nfas(), nfas())
 @example(SILENT, EMPTY_INITIAL)
@@ -186,7 +195,45 @@ def _implicit(a: Automaton) -> Implicit:
 def test_implicit_right_side_gives_the_reference_words(a, b):
     want = list(islice(iter_marked_words(trim(ref_difference(a, b))), 50))
     assert list(islice(iter_difference_words(a, _implicit(b)), 50)) == want
+    assert list(islice(iter_difference_words(a, _lazy_rows(b)), 50)) == want
     assert list(islice(iter_difference_words(a, b), 50)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(nfas(), nfas())
+@example(EMPTY_INITIAL, SILENT)
+@example(SILENT, EMPTY_INITIAL)
+@example(SILENT, NONE_MARKED)
+@example(NONE_MARKED, SILENT)
+def test_antichain_inclusion_matches_the_witness_search(a, b):
+    want = includes(a, b).holds
+    assert included(a, b) == want
+    assert included(a, _implicit(b)) == want
+    assert included(a, _lazy_rows(b)) == want
+
+
+def test_lazy_pair_right_sides_give_the_reference_words():
+    # OC's and MOC's right side over plant-state pairs poses the inclusion
+    # that relabel_pair(sync_pair_compose(plant, plant, Σo), ...) posed
+    found = {True: 0, False: 0}
+    for g in agreement_plants():
+        ctx = build_context(g)
+        for kind in ("oc", "moc"):
+            la, ra = _pair_operands(ctx, kind)
+            _, ref = pair_operands(g, kind)
+            assert ra.alphabet == ref.alphabet
+            words = []
+            for left in (la, normal_forms(la)):
+                want = list(islice(iter_difference_words(left, ref), 20))
+                assert list(islice(iter_difference_words(left, ra),
+                                   20)) == want, (g, kind)
+                words.append(want)
+            # check_oc's and check_moc's pre-check: a plain inclusion that
+            # holds leaves no normal form outside the right side either
+            assert included(la, ra) == (not words[0])
+            assert words[0] or not words[1]
+            found[bool(words[0])] += 1
+    assert found[True] >= 5 and found[False] >= 5, found
 
 
 @settings(max_examples=150, deadline=None)
