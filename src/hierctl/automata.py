@@ -679,13 +679,11 @@ def _difference_product(a: Automaton,
     `a`, bitmask subset of `b`); the starts follow `a.sorted_states`,
     `moves(node)` yields (event, node) in alphabet order, and `bad(node)`
     is true when the `a` state is marked and the `b` subset holds no marked
-    state. `b`'s subset steps are memoized in its `_tables`, which its
-    `_derived` copies share."""
+    state. `b`'s subset steps are its `subset_steps`."""
     require_same_alphabet(a, b)
     a = eliminate_silent(a)
     b = eliminate_silent(b)
-    b_row = b._tables.setdefault(   # b-subset -> event -> b-subset
-        "subset_steps", _Memo(partial(_union, b.rows)))
+    b_row = subset_steps(b)
     succ, names, marked = a.succ, a.alphabet.names, a.marked
     meets = b.meets_marked
 
@@ -707,6 +705,12 @@ def _difference_product(a: Automaton,
 
     b0 = b.start_mask
     return [(qa, b0) for qa in a.sorted_states(a.initial)], moves, bad
+
+
+def subset_steps(b: Automaton | Implicit | LazyRows) -> _Memo:
+    """b-subset -> event -> b-subset, the subset steps of the silent-free
+    `b`, memoized in its `_tables`, which its `_derived` copies share."""
+    return b._tables.setdefault("subset_steps", _Memo(partial(_union, b.rows)))
 
 
 def includes(a: Automaton, b: Automaton, kind: str = "inclusion"):

@@ -118,16 +118,16 @@ def _cmd_check(args) -> int:
         v = (check_observer if prop == "observer" else check_lcc)(g)
         inputs = (g,)
     elif prop == "nonconflicting":
-        a, b = map(_load, args.files[:2])
+        a, b = map(_load, args.files)
         v = check_nonconflicting(a, b)
         inputs = (a, b)
     elif prop == "relobs":
-        k, c, g = map(_load, args.files[:3])
+        k, c, g = map(_load, args.files)
         k, c = _spec_for(k, g), _spec_for(c, g)
         v = check_relative_observability(k, c, g)
         inputs = (k, c, g)
     else:
-        k, g = map(_load, args.files[:2])
+        k, g = map(_load, args.files)
         k = _spec_for(k, g)
         fn = {"controllability": check_controllability,
               "observability": check_observability,
@@ -147,7 +147,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_synth(args) -> int:
     if args.kind == "supn":
-        k, g = map(_load, args.files[:2])
+        k, g = map(_load, args.files)
         g = all_marked(g)
         k = prefix_close(trim(_spec_for(k, g)))
         result = sup_normal_closed(intersect(k, g), g)
@@ -155,7 +155,7 @@ def _cmd_synth(args) -> int:
                   "result_states": len(result.states)}
         lines = [f"supn: {len(result.states)} states"]
     else:
-        k, c, g = map(_load, args.files[:3])
+        k, c, g = map(_load, args.files)
         g = all_marked(g)
         k = prefix_close(trim(_spec_for(k, g)))
         c = prefix_close(trim(_spec_for(c, g)))
@@ -297,18 +297,23 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
-def _expected_files(args) -> int | None:
-    if args.command != "check":
-        return None
-    return {"relobs": 3, "nonconflicting": 2, "controllability": 2,
+def _expected_files(args) -> tuple | None:
+    """(subcommand, files it takes) for the commands whose file count
+    their positional `nargs` leaves open, or None."""
+    if args.command == "check":
+        return f"check {args.property}", {
+            "relobs": 3, "nonconflicting": 2, "controllability": 2,
             "observability": 2, "normality": 2}.get(args.property, 1)
+    if args.command == "synth":
+        return f"synth {args.kind}", 2 if args.kind == "supn" else 3
+    return None
 
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    want = _expected_files(args)
-    if want is not None and len(args.files) != want:
-        print(f"error: 'check {args.property}' takes exactly {want} file(s)",
+    expected = _expected_files(args)
+    if expected is not None and len(args.files) != expected[1]:
+        print(f"error: '{expected[0]}' takes exactly {expected[1]} file(s)",
               file=sys.stderr)
         return EXIT_ERROR
     try:

@@ -36,15 +36,16 @@ and MOC that is every normal form lying in the right side, which realizes
 every string pair. Otherwise a difference sequence may only reflect a
 missing interleaving: each one, in length-lexicographic order, is
 decomposed into a string tuple, and OC and MOC confirm or refute the tuple
-exactly against the plant's states, by one table per check, keyed by
-interned prefix pairs, that all its tuples share. LOC's right side is
-marked exactly where its tuples' continuations meet, so its first
-difference sequence is already a violation. A confirmed tuple yields
-``violated``; exhausting the difference language yields ``holds`` (every
-genuine violating tuple leaves a difference sequence, its normal form,
-because the synchronized products accept all interleavings); running out
-of budget, counted in sequences examined (tuples, for OC and MOC), yields
-``inconclusive``.
+exactly by asking their right side whether it accepts any interleaving of
+it: one table per check, keyed by interned prefix pairs, that all its
+tuples share and that steps the right side's subsets with the memo the
+difference search fills. LOC's right side is marked exactly where its
+tuples' continuations meet, so its first difference sequence is already a
+violation. A confirmed tuple yields ``violated``; exhausting the
+difference language yields ``holds`` (every genuine violating tuple leaves
+a difference sequence, its normal form, because the synchronized products
+accept all interleavings); running out of budget, counted in sequences
+examined (tuples, for OC and MOC), yields ``inconclusive``.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ from .automata import (Alphabet, Automaton, Event, Implicit, LazyRows,
                        PreconditionError, ProjectionSpec, all_marked, bits,
                        closure, determinize, first_path, included, includes,
                        iter_difference_words, merge_alphabets, pair_moves,
-                       parallel_compose, prefix_close, project, trim,
-                       widen_alphabet, with_initial)
+                       parallel_compose, prefix_close, project, subset_steps,
+                       trim, widen_alphabet, with_initial)
 from .checks import (check_controllability, check_nonconflicting,
                      check_normality, check_observability, sup_normal_closed,
                      sup_relobs_closed)
@@ -113,8 +114,8 @@ class HierarchyContext:
 
     @cached_property
     def plant_pairs(self) -> tuple:
-        """`_plant_pairs(self)`, which OC's table, LOC and the right sides
-        of OC and MOC share."""
+        """`_plant_pairs(self)`, which LOC and the right sides of OC and
+        MOC share."""
         return _plant_pairs(self)
 
 
@@ -250,32 +251,40 @@ def _refutation_loop(words, budget: int, decompose, confirm) -> Verdict:
                "spurious interleaving")
 
 
-# Confirmation tables. Each OC or MOC refutation candidate asks one
-# existence question about fixed strings over the plant (every state
-# marked), so a refuted difference sequence costs no automaton
-# construction. A check's length-lexicographic candidates share most of
-# their prefixes, so its questions share one table, filled from the plant's
-# `rows`. OC's cells and LOC's right side close plant-state pairs under the
-# low-level moves of `_plant_pairs`.
+# Confirmation. Each OC or MOC refutation candidate asks whether the right
+# operand accepts some interleaving of its string tuple, so a refuted
+# difference sequence costs no automaton construction. A check's
+# length-lexicographic candidates share most of their prefixes, so its
+# questions share one table, stepped by the subset steps that the
+# difference search fills for the same right operand.
 
-def _prefix_table(names, start: int, alone: tuple, step):
-    """`exists(u, v)`: is cell (u, v) of a table over string pairs nonempty?
+def _interleaving_table(la: Automaton, ra: LazyRows):
+    """`exists(u, v)`: does `ra` accept some interleaving of the string
+    pair (u, v) over the pair labels of `la`?
 
-    A cell is a bitmask, `start` at (ε, ε), and cell (u, v) is the union of
-    up to three steps, each `step(cell, side, e)`: by u's last letter e
-    from (u[:-1], v) (side 0) when e is in `alone[0]`, by v's last letter
-    from (u, v[:-1]) (side 1) when it is in `alone[1]`, and by both from
-    (u[:-1], v[:-1]) (side 2) when u ends in e outside `alone[0]` and v in
-    e too. `step` returns a closed cell, so the union is closed; it is
-    memoized per (cell, side, e). A query fills only the cells it needs,
-    from an explicit stack, and stops at filled ones. Cells are keyed by
-    interned prefix ids over `names`, each prefix being its parent's id
-    plus a letter, so a key costs two ints whatever the length of u and v.
+    A cell is the subset of `ra`, a bitmask, that the interleavings of a
+    pair reach: `ra.start_mask` at (ε, ε), and cell (u, v) the union of up
+    to three `subset_steps(ra)` steps, each where `la` has the label, e
+    being the last letter of u or v: by (e, None) from (u[:-1], v), by
+    (None, e) from (u, v[:-1]) and by (e, e) from (u[:-1], v[:-1]). A
+    query fills only the cells it needs, from an explicit stack, and stops
+    at filled ones. Cells are keyed by interned prefix ids, each prefix
+    being its parent's id plus a letter, so a key costs two ints whatever
+    the length of u and v.
     """
-    alone_u, alone_v = alone
-    after = cache(step)   # (cell, side, e) -> the next cell
-    letter = {e: k for k, e in enumerate(names)}
-    # parent id * |names| + letter -> id, where id 0 is the empty prefix
+    after = subset_steps(ra)   # cell -> label -> cell
+    # letter -> its label (e, None), (None, e) or (e, e) where `la` has it
+    left, right, both = {}, {}, {}
+    for label in la.alphabet.names:
+        l, r = label
+        if r is None:
+            left[l] = label
+        elif l is None:
+            right[r] = label
+        else:
+            both[l] = label
+    letter = {e: k for k, e in enumerate({**left, **right, **both})}
+    # parent id * |letters| + letter -> id, where id 0 is the empty prefix
     ids: dict = {}
     parent = [None]      # id -> parent id
     last = [None]        # id -> last letter
@@ -299,7 +308,7 @@ def _prefix_table(names, start: int, alone: tuple, step):
             queried[word] = i
         return i
 
-    cells = {(0, 0): start}
+    cells = {(0, 0): ra.start_mask}
 
     def exists(u: tuple, v: tuple) -> bool:
         query = (intern(u), intern(v))
@@ -312,65 +321,26 @@ def _prefix_table(names, start: int, alone: tuple, step):
                 if key in cells:   # filled, maybe after it was pushed
                     continue
                 u, v = key
-                steps = []   # (predecessor cell, side, event)
-                if u:
-                    e = last[u]
-                    if e in alone_u:
-                        steps.append(((parent[u], v), 0, e))
-                    elif v and last[v] == e:
-                        steps.append(((parent[u], parent[v]), 2, e))
-                if v and last[v] in alone_v:
-                    steps.append(((u, parent[v]), 1, last[v]))
-                missing = [(k, None) for k, _, _ in steps if k not in cells]
+                e, f = last[u], last[v]
+                steps = []   # (predecessor key, label)
+                if e in left:
+                    steps.append(((parent[u], v), left[e]))
+                if f in right:
+                    steps.append(((u, parent[v]), right[f]))
+                if e == f and e in both:
+                    steps.append(((parent[u], parent[v]), both[e]))
+                missing = [(k, None) for k, _ in steps if k not in cells]
                 if missing:
                     stack.append((key, steps))
                     stack += missing
                     continue
             reached = 0
-            for k, side, e in steps:
-                reached |= after(cells[k], side, e)
+            for k, label in steps:
+                reached |= after[cells[k]].get(label, 0)
             cells[key] = reached
-        return bool(cells[query])
+        return ra.meets_marked(cells[query])
 
     return exists
-
-
-def _moc_mate_table(ctx: HierarchyContext):
-    """`exists(o, t)`: ∃ s' ∈ L with P(s') = o and Q(s') = t.
-
-    A `_prefix_table` whose cell (o, t) holds the plant states reached by
-    some s' with P(s') = o and Q(s') = t, as a bitmask over `state_index`,
-    closed under the silent events (outside Σo ∪ Σhi), which `reach`
-    precomputes per state. Its steps are an event of Σo ∖ Σhi from
-    (o[:-1], t), one of Σhi ∖ Σo from (o, t[:-1]) and one of Σo ∩ Σhi from
-    (o[:-1], t[:-1]) when o and t end in it.
-    """
-    rows = ctx.plant.rows
-    names = ctx.alphabet.names
-    obs, hi = ctx.alphabet.observable, ctx.alphabet.highlevel
-
-    def silent(i: int):   # the indices of i's silent-event targets
-        return (j for e, t in rows[i].items()
-                if e not in obs and e not in hi for j in bits(t))
-
-    # state index -> bitmask of the states its silent paths reach
-    reach = [sum(1 << j for j in closure((i,), silent))
-             for i in range(len(rows))]
-
-    def close(m: int) -> int:
-        out = 0
-        for i in bits(m):
-            out |= reach[i]
-        return out
-
-    def step(m: int, side: int, e: str) -> int:
-        out = 0
-        for i in bits(m):
-            out |= rows[i].get(e, 0)
-        return close(out)
-
-    return _prefix_table(names, close(ctx.plant.start_mask),
-                         (frozenset(names) - hi, frozenset(names) - obs), step)
 
 
 def _plant_pairs(ctx: HierarchyContext) -> tuple:
@@ -384,8 +354,9 @@ def _plant_pairs(ctx: HierarchyContext) -> tuple:
     `closing(moves)` is the function that closes a bitmask under `moves`, a
     tuple of (side, e) steps, one function per tuple, each memoizing every
     pair's one-move neighbours. `close` closes under the low-level moves,
-    which are defined here alone: an unobservable event of one path, or an
-    event of Σo ∖ Σhi of both.
+    an unobservable event of one path or an event of Σo ∖ Σhi of both, for
+    LOC's `_continuations_meet`; OC's right side erases the same moves
+    (`_pair_operands`).
     """
     rows = ctx.plant.rows
     n = len(rows)
@@ -425,25 +396,6 @@ def _plant_pairs(ctx: HierarchyContext) -> tuple:
     low = tuple((side, e) for e in ctx.alphabet.names if e not in hi
                 for side in ((2,) if e in obs else (0, 1)))
     return column, pairs, closing, closing(low)
-
-
-def _oc_pair_table(ctx: HierarchyContext):
-    """`exists(t, t')`: ∃ s, s' ∈ L with Q(s) = t, Q(s') = t' and
-    P(s) = P(s').
-
-    A `_prefix_table` whose cell (t, t') holds the plant-state pairs (p, q)
-    reached by some such s and s' spelling t and t' at the high level, as a
-    `_plant_pairs` bitmask closed under the low-level moves. Its steps are
-    an event of Σhi ∖ Σo of the left path from (t[:-1], t'), one of the
-    right path from (t, t'[:-1]), and one of Σhi ∩ Σo of both from
-    (t[:-1], t'[:-1]) when t and t' end in it.
-    """
-    column, pairs, _, close = ctx.plant_pairs
-    names = ctx.alphabet.names
-    start = ctx.plant.start_mask
-    alone = frozenset(names) - ctx.alphabet.observable
-    return _prefix_table(names, close(column(start) * start), (alone, alone),
-                         lambda m, side, e: close(pairs(m, side, e)))
 
 
 def _continuations_meet(ctx: HierarchyContext, e: str):
@@ -513,7 +465,7 @@ def _pair_operands(ctx: HierarchyContext, kind: str) -> tuple:
                      column(marked) * marked))
 
 
-def _pair_consistency(ctx: HierarchyContext, kind: str, key: str, table,
+def _pair_consistency(ctx: HierarchyContext, kind: str, key: str,
                       note: str, budget: int) -> Verdict:
     """Shared body of OC and MOC: is every sequence of the left side of
     `_pair_operands(ctx, kind)`, read in normal form, in its right side?
@@ -522,23 +474,24 @@ def _pair_consistency(ctx: HierarchyContext, kind: str, key: str, table,
     needs no normal forms, and the normal forms are some of the left
     side's sequences, so when it holds the check holds, a bare "holds".
     Otherwise the difference search reads the left side in normal form,
-    and each difference pair (x, t') is decided exactly by
-    `table()(x, t')`; a false answer gives a `kind` witness that names x by
-    `key`. The plain inclusion can fail where every normal form is in: an
-    event of Σo ∖ Σhi moves both paths of the right side, but its label
-    shows one side or none, so the right side need not hold every
-    interleaving of its string pairs. Then the normal-form search yields
-    nothing and gives the bare "holds" itself, as on the MOC gadgets of
-    universal NFAs.
+    and each difference tuple (x, t') is decided exactly by asking the
+    right side whether it accepts any interleaving of it
+    (`_interleaving_table`); a false answer gives a `kind` witness that
+    names x by `key`. The plain inclusion can fail where every normal form
+    is in: an event of Σo ∖ Σhi moves both paths of the right side, but its
+    label shows one side or none, so the right side need not hold every
+    interleaving of its string pairs. Then every tuple is confirmed, the
+    normal-form search yields nothing and gives the bare "holds" itself,
+    as on the MOC gadgets of universal NFAs.
     """
     la, ra = _pair_operands(ctx, kind)
     if included(la, ra):
         return Verdict.make_holds()
-    table = cache(table)   # built at the first difference pair
+    exists = _interleaving_table(la, ra)
 
     def confirm(tup, word):
         x, tp = tup
-        if table()(x, tp):
+        if exists(x, tp):
             return None
         return Witness(kind, {key: x, "t_prime": tp,
                               "sequence": tuple(map(label_name, word))}, note)
@@ -551,9 +504,8 @@ def check_oc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Observation consistency of the plant abstraction;
     `g` is a plant or its `build_context(plant)`."""
     _require_budget(budget)
-    ctx = build_context(g)
     return _pair_consistency(
-        ctx, "oc", "t", partial(_oc_pair_table, ctx),
+        build_context(g), "oc", "t",
         "no representatives of t and t' share an observation", budget)
 
 
@@ -561,14 +513,8 @@ def check_moc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Modified observation consistency of the plant abstraction;
     `g` is a plant or its `build_context(plant)`."""
     _require_budget(budget)
-    ctx = build_context(g)
-
-    def table():
-        mate_exists = _moc_mate_table(ctx)
-        return lambda s, tp: mate_exists(ctx.p.apply(s), tp)
-
     return _pair_consistency(
-        ctx, "moc", "s", table,
+        build_context(g), "moc", "s",
         "no representative of t' shares the observation of s", budget)
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .automata import Automaton, all_marked, eliminate_silent, trim
+from .automata import (Automaton, PreconditionError, all_marked,
+                       eliminate_silent, trim)
 
 Word = tuple
 
@@ -51,6 +52,8 @@ def _gen_rec(a: Automaton) -> Automaton:
 
 def _bounded_words(a: Automaton, bound: int) -> list:
     """Generated words of `a` up to the bound, length-lexicographic."""
+    if bound < 0:
+        raise PreconditionError("oracle bound must be >= 0")
     out = []
     frontier = [((), frozenset(a.initial))]
     if not a.initial:
@@ -144,6 +147,8 @@ def oracle_normality(k: Automaton, g: Automaton, bound: int) -> OracleReport:
 
 def oracle_nonconflicting(a: Automaton, b: Automaton, bound: int) -> OracleReport:
     """Reachable joint closure states must stay co-reachable to joint marking."""
+    if bound < 0:
+        raise PreconditionError("oracle bound must be >= 0")
     at, bt = _closure_rec(a), _closure_rec(b)
     in_a = set(at.alphabet.names)
     in_b = set(bt.alphabet.names)

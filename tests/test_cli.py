@@ -175,12 +175,25 @@ class TestErrors:
         ("random", "--states", "0"), ("random", "--events", "-1"),
         ("random", "--density", "1.5"),
         ("--budget", "-5", "check", "moc", PLANT),
-        ("--budget", "-1", "hier", "verify", PLANT, SPEC)])
+        ("--budget", "-1", "hier", "verify", PLANT, SPEC),
+        ("--oracle-bound", "-1", "check", "oc", PLANT)])
     def test_bad_generator_or_budget_exits_three(self, capsys, argv):
         assert main(list(argv)) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, want", [
+        (("synth", "supn", PLANT), "'synth supn' takes exactly 2 file(s)"),
+        (("synth", "suprelobs", SPEC, PLANT),
+         "'synth suprelobs' takes exactly 3 file(s)"),
+        (("check", "relobs", SPEC, PLANT),
+         "'check relobs' takes exactly 3 file(s)")])
+    def test_wrong_file_count_exits_three(self, capsys, argv, want):
+        # 1 means "violated", so a usage error must not raise through main
+        assert main(list(argv)) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {want}\n"
 
     def test_bad_property_exits_two_from_argparse(self, capsys):
         with pytest.raises(SystemExit):

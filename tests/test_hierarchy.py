@@ -25,9 +25,9 @@ from hierctl.automata import (Alphabet, Automaton, Event, all_marked, closure,
 from hierctl.gadgets import (GeneratorParams, gadget_moc, is_universal,
                              random_nfa, random_plant, random_sublanguage)
 from hierctl.hierarchy import (HierarchyContext, PreconditionError,
-                               _continuations_meet,
-                               _loc_operands, _loc_shared, _moc_mate_table,
-                               _oc_pair_table, build_context,
+                               _continuations_meet, _interleaving_table,
+                               _loc_operands, _loc_shared, _pair_operands,
+                               build_context,
                                check_lcc, check_loc, check_moc,
                                check_moc_modular, check_observer, check_oc,
                                conform_spec, hier_synth_normal,
@@ -269,9 +269,10 @@ class TestRefutationRegressions:
         # A depth-first search over plant states read the plant's successor
         # maps in the order they hold their events, which follows the
         # string hash seed: OC read 3,788 and 5,082 under these two, and LOC
-        # 1,440 and 1,494. OC's prefix-pair table steps the plant's `rows`
-        # in state order, and LOC's right side steps plant-state pairs in
-        # alphabet order and closes them as the table does.
+        # 1,440 and 1,494. OC's interleaving table steps subsets of its
+        # right side, whose rows step the plant's `rows` in state order, and
+        # LOC's right side steps plant-state pairs in alphabet order and
+        # closes them under the same low-level moves.
         reads = [_probe(f"_succ_reads({check!r}, {params!r})", seed)
                  for seed in ("0", "1")]
         assert reads[0] == reads[1] == _succ_reads(check, params)
@@ -490,7 +491,7 @@ def _reference_oc(ctx, t, tp):
 def _oc_pair_exists(ctx, t, tp):
     """∃ s, s' ∈ L with Q(s) = t, Q(s') = tp and P(s) = P(s'): the
     search over nodes (p, i, q, j) that OC ran per tuple before its
-    prefix-pair table. The left path is at p after spelling t[:i] at the
+    confirmation table. The left path is at p after spelling t[:i] at the
     high level, the right one at q after tp[:j]; an observable event moves
     both, an unobservable one either."""
     hi, obs = ctx.alphabet.highlevel, ctx.alphabet.observable
@@ -544,6 +545,35 @@ def _reference_loc(ctx, s, sp, e):
     return not is_empty(intersect(continuations(s), continuations(sp)))
 
 
+def _table(ctx, kind):
+    """The interleaving table of check_oc's (`kind` "oc") or check_moc's
+    ("moc") operands."""
+    return _interleaving_table(*_pair_operands(ctx, kind))
+
+
+def _accepts_interleaving(ref, u, v, labels) -> bool:
+    """Does `ref` accept some sequence over the pair `labels` that
+    decomposes into (u, v)? A depth-first search over those sequences that
+    drops a prefix once `ref` cannot read it."""
+    stack = [(u, v, frozenset(ref.initial))]
+    while stack:
+        u, v, states = stack.pop()
+        if not u and not v and states & ref.marked:
+            return True
+        steps = []   # (label, rest of u, rest of v)
+        if u:
+            steps.append(((u[0], None), u[1:], v))
+        if v:
+            steps.append(((None, v[0]), u, v[1:]))
+        if u and v and u[0] == v[0]:
+            steps.append(((u[0], u[0]), u[1:], v[1:]))
+        for label, ru, rv in steps:
+            nxt = ref.step(states, label) if label in labels else None
+            if nxt:
+                stack.append((ru, rv, nxt))
+    return False
+
+
 class TestConfirmationSearches:
     """The exact searches agree with the automaton constructions they
     replaced and with the independent oracle searches."""
@@ -565,8 +595,8 @@ class TestConfirmationSearches:
             events = sorted(ctx.alphabet.highlevel)
             # one table per plant, as in check_oc and check_moc: later
             # queries read the cells that earlier ones filled
-            pair_exists = _oc_pair_table(ctx)
-            mate_exists = _moc_mate_table(ctx)
+            pair_exists = _table(ctx, "oc")
+            mate_exists = _table(ctx, "moc")
             for _ in range(25):
                 t, tp = rng.choice(ts), rng.choice(ts)
                 got = pair_exists(t, tp)
@@ -576,7 +606,7 @@ class TestConfirmationSearches:
                 outcomes["oc"].add(got)
 
                 s = rng.choice(words)
-                got = mate_exists(ctx.p.apply(s), tp)
+                got = mate_exists(s, tp)
                 assert got == _reference_moc(ctx, s, tp), (g, s, tp)
                 assert got == oracle._exists_moc_mate(
                     gl, ctx.p.apply(s), tp), (g, s, tp)
@@ -593,13 +623,51 @@ class TestConfirmationSearches:
         assert outside > 0
         assert all(o == {True, False} for o in outcomes.values()), outcomes
 
+    @pytest.mark.parametrize("kind", ["oc", "moc"])
+    def test_table_asks_the_right_side_for_an_interleaving(self, kind):
+        # Every pair (u, v) with |u| + |v| <= 6, u in the left language
+        # (Q(L) for OC, L for MOC) and v in Q(L): the table answers
+        # whether the reference right side accepts an interleaving.
+        answers = collections.Counter()
+        for g in agreement_plants():
+            ctx = build_context(g)
+            la, ref = pair_operands(g, kind)
+            labels = frozenset(la.alphabet.names)
+            exists = _table(ctx, kind)
+            vs = collections.defaultdict(list)   # length -> words of Q(L)
+            for v in enumerate_bounded(ctx.abstraction, 6):
+                vs[len(v)].append(v)
+            left = ctx.abstraction if kind == "oc" else ctx.plant
+            for u in enumerate_bounded(left, 6):
+                for v in itertools.chain(*(vs[k] for k in range(7 - len(u)))):
+                    want = _accepts_interleaving(ref, u, v, labels)
+                    assert exists(u, v) == want, (g, u, v)
+                    answers[want] += 1
+        assert answers[True] > 1000 and answers[False] > 1000, answers
+
+    def test_moc_table_reads_every_interleaving(self):
+        # b: observable only, h: high-level only. s = b and s' = h b give
+        # (s, t') = (b, h). The right side shows b, which moves both paths,
+        # as (b, ε), so it accepts (ε, h)(b, ε) but not the normal form
+        # (b, ε)(ε, h): the gap that keeps the plain inclusion from proving
+        # MOC on the gadgets of universal NFAs.
+        al = make_alphabet("bh", observable="b", highlevel="h")
+        g = tree([("b",), ("h", "b")], al)
+        _, ref = pair_operands(g, "moc")
+        assert ref.accepts_marked([(None, "h"), ("b", None)])
+        assert not ref.accepts_marked([("b", None), (None, "h")])
+        mate_exists = _table(build_context(g), "moc")
+        assert mate_exists(("b",), ("h",))
+        assert not mate_exists(("b",), ("h", "h"))
+        assert check_moc(g).holds
+
     def test_moc_cells_close_under_silent_events(self):
         # a: observable and high-level, b: observable only, u: neither
         al = make_alphabet("abu", observable="ab", highlevel="a")
         g = tree([("a", "u", "b")], al)
-        mate_exists = _moc_mate_table(build_context(g))
-        assert mate_exists(("a", "b"), ("a",))
-        assert not mate_exists(("a", "b"), ())
+        mate_exists = _table(build_context(g), "moc")
+        assert mate_exists(("a", "u", "b"), ("a",))
+        assert not mate_exists(("a", "u", "b"), ())
         assert not mate_exists(("b",), ())
 
     def test_long_moc_query_needs_no_recursion(self):
@@ -609,7 +677,7 @@ class TestConfirmationSearches:
         g = Automaton(al, ("q",), frozenset({("q", "a", "q")}),
                       frozenset({"q"}), frozenset({"q"}))
         word = ("a",) * 5000
-        assert _moc_mate_table(build_context(g))(word, word)
+        assert _table(build_context(g), "moc")(word, word)
 
     def test_long_moc_query_keeps_little_memory(self):
         # Cells keyed by their two prefix tuples held about n² pointers:
@@ -618,7 +686,7 @@ class TestConfirmationSearches:
         g = Automaton(al, ("q",), frozenset({("q", "a", "q")}),
                       frozenset({"q"}), frozenset({"q"}))
         word = ("a",) * 5000
-        mate_exists = _moc_mate_table(build_context(g))
+        mate_exists = _table(build_context(g), "moc")
         tracemalloc.start()
         try:
             assert mate_exists(word, word)
@@ -638,7 +706,7 @@ class TestConfirmationSearches:
 
     def test_oc_refutations_read_few_successor_maps(self):
         # A depth-first search per tuple read 3,466-5,082 successor maps
-        # here, varying with the hash seed; the prefix-pair table reads
+        # here, varying with the hash seed; the interleaving table reads
         # none.
         outcome, detail, reads = _succ_reads("oc", N8_S3)
         assert outcome == "inconclusive" and detail["refuted"] == 2000

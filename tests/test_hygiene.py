@@ -82,6 +82,36 @@ def test_no_dead_definitions():
     assert dead_definitions(_sources(SRC), using, exported) == []
 
 
+def private_definitions(sources) -> set:
+    """Module-level functions and classes whose names start with one
+    underscore."""
+    return {node.name
+            for tree in map(ast.parse, sources) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")}
+
+
+def unused_private_definitions(sources) -> list:
+    """Private module-level definitions of `sources` that none of them
+    names, so that only code outside them (tests, say) could use them."""
+    used = set().union(*(used_names(ast.parse(s)) for s in sources))
+    return sorted(private_definitions(sources) - used)
+
+
+def test_unused_private_definitions_are_found():
+    module = ("def _f(): pass\ndef _g(): pass\nclass _C:\n"
+              "    def _h(self): pass\ndef __dir__(): pass\nx = _g\n")
+    assert unused_private_definitions([module, "_h = 1\n"]) == ["_C", "_f"]
+
+
+def test_private_definitions_are_used_by_the_package():
+    # A helper that only tests use belongs in the tests.
+    sources = _sources(SRC)
+    assert len(private_definitions(sources)) > 50
+    assert unused_private_definitions(sources) == []
+
+
 def long_prose_lines(text: str, width: int = 79) -> list:
     """Numbers of the lines longer than `width` columns outside ``` code
     fences."""
@@ -172,9 +202,9 @@ def test_uses_outside_are_found():
 
 # The product of a left automaton with the subset construction of a right
 # one is built in one place, so a change to its right-subset layer is made
-# once: the subset constructions and `_difference_product` alone union the
-# rows of a subset.
-UNION_USERS = {"_subset_dfa", "iter_marked_words", "_difference_product"}
+# once: the subset constructions and `subset_steps`, the memo that
+# `_difference_product` reads, alone union the rows of a subset.
+UNION_USERS = {"_subset_dfa", "iter_marked_words", "subset_steps"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

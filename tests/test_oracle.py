@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import inspect
+
+import pytest
+
+from hierctl.automata import PreconditionError
 from hierctl.gadgets import GeneratorParams, random_plant
 from hierctl.hierarchy import (check_lcc, check_loc, check_moc,
                                check_observer, check_oc)
@@ -15,6 +20,15 @@ def test_registry_covers_all_checkers():
     assert set(PROPERTY_ORACLES) == {
         "controllability", "observability", "relobs", "normality",
         "nonconflicting", "oc", "moc", "loc", "observer", "lcc"}
+
+
+@pytest.mark.parametrize("prop", sorted(PROPERTY_ORACLES))
+def test_negative_bound_is_refused(prop, ex1_plant):
+    # a bound of -1 once enumerated no word and reported no violation
+    oracle = PROPERTY_ORACLES[prop]
+    inputs = [ex1_plant] * (len(inspect.signature(oracle).parameters) - 1)
+    with pytest.raises(PreconditionError, match="bound"):
+        oracle(*inputs, -1)
 
 
 class TestAnchors:
