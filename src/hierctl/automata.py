@@ -16,9 +16,9 @@ alphabet order); its state keys are hashed but never formatted into names, so
 distinct keys never share a state, and equal inputs give byte-identical
 outputs.
 
-Subset constructions (`determinize`, `marked_saturate`, `iter_marked_words`,
-`includes`, `included`, `difference`, and both phases of
-`iter_difference_words`) hold a subset as an int bitmask over
+Subset constructions (`determinize`, `marked_saturate`,
+`iter_marked_words`, `first_marked_word`, `includes`, `included`,
+`difference`, and `live_difference`) hold a subset as an int bitmask over
 `state_index`. A step ORs the `rows` of the set bits, "meets a marked
 state" is `m & marked_mask`, and the subset's size is `m.bit_count()`. A
 mask maps one-to-one onto the frozenset of its states and the searches only
@@ -33,7 +33,7 @@ only the initial and marked states they change.
 Five search shapes are written once. `_difference_product(a, b)` is the
 product of `a` with the subset construction of `b`: its start nodes, its
 steps in alphabet order and its bad-node test. `includes`, `included`,
-`difference` and `iter_difference_words` each search it, so a change to its
+`difference` and `live_difference` each search it, so a change to its
 right-subset layer is made in one place. `includes` finds a shortest
 witness; `included` answers the boolean alone by an antichain search, which
 skips a node whose `b` subset contains one already reached with the same
@@ -42,12 +42,14 @@ numbered as they are read) or `LazyRows` (states numbered already).
 `pair_product(alphabet, a, b, labels)` is every product of two automata
 stepped by a label table (`parallel_compose`, the pair products of
 `relations`, LOC's verifier through `pair_moves`). `first_path(starts,
-moves, test)` is every breadth-first witness search: `includes`, the
-observer, LCC and controllability checks. `iter_marked_words` is the one
-length-lexicographic enumerator; `iter_difference_words` runs it over an
-`Implicit` view of the product's live nodes. `closure(starts, step)` is
-every "all that is reachable" set: silent closures, (co)reachable states,
-the pair search of `right_quotient`, and the plant reaches of `hierarchy`.
+moves, test)` is every breadth-first witness search: `includes`,
+`first_marked_word`, the observer, LCC and controllability checks.
+`iter_marked_words` is the one length-lexicographic enumerator:
+`iter_difference_words` runs it over `live_difference`, and LOC, which
+needs one word, takes it by `first_marked_word` over the view's subsets.
+`closure(starts, step)` is every "all that is reachable" set: silent
+closures, (co)reachable states, the pair search of `right_quotient`, and
+the plant reaches of `hierarchy`.
 """
 
 from __future__ import annotations
@@ -540,8 +542,8 @@ class Implicit:
     `marked(key)`, each once per key. Keys are numbered as they are read,
     the start keys first in the order given, so `state_index`,
     `sorted_states`, `start_mask`, `rows` and `meets_marked` stand for those
-    of an `Automaton`. It offers what `iter_difference_words` and
-    `iter_marked_words` read of an `Automaton`. `moves` must yield no silent
+    of an `Automaton`. It offers what `live_difference` and the word
+    searches read of an `Automaton`. `moves` must yield no silent
     (None) label, and every key must reach a marked key, or an unbounded
     `iter_marked_words` of a finite language does not end."""
 
@@ -675,7 +677,7 @@ def _difference_product(a: Automaton,
                         b: Automaton | Implicit | LazyRows) -> tuple:
     """(starts, moves, bad) of the product of `a` with the subset
     construction of `b`, the one product that `includes`, `included`,
-    `difference` and `iter_difference_words` search. A node is (state of
+    `difference` and `live_difference` search. A node is (state of
     `a`, bitmask subset of `b`); the starts follow `a.sorted_states`,
     `moves(node)` yields (event, node) in alphabet order, and `bad(node)`
     is true when the `a` state is marked and the `b` subset holds no marked
@@ -950,28 +952,44 @@ def iter_marked_words(a: Automaton | Implicit,
             queue.extend((word + (e,), nxt) for e, nxt in steps)
 
 
-def iter_difference_words(a: Automaton | Implicit,
-                          b: Automaton | Implicit | LazyRows
-                          ) -> Iterator[Word]:
-    """Yield L_m(a) − L_m(b) in length-lexicographic order.
+def first_marked_word(a: Automaton | Implicit) -> Word | None:
+    """The first word `iter_marked_words(a)` yields, or None, by
+    `first_path` over the bitmask subsets of `a` stepped through
+    `subset_steps(a)`: each subset is queued once, not every prefix. Steps
+    in alphabet order discover the subsets in the length-lexicographic
+    order of their discovering words, so the first marked one discovered
+    is reached by the first word."""
+    a = eliminate_silent(a)
+    after, names = subset_steps(a), a.alphabet.names
 
-    Yields exactly the words of ``iter_marked_words(trim(difference(a, b)))``
-    in the same order, without building either automaton: it runs
-    `iter_marked_words` over an `Implicit` view of the live nodes of
-    `_difference_product(a, b)`, which keeps a successor map for the live
-    nodes the word search expands and nothing for dead ones. A node (state
-    of `a`, bitmask subset of `b`) is live when it reaches a bad node, one
-    whose `a` state is marked and whose `b` subset holds no marked state.
-    One depth-first search over strongly connected components (Tarjan's)
-    decides it, and every node it visits is decided once, so it scans each
-    node's targets at most once: a live or bad target makes every node
-    still on the component stack live (each reaches the search path, which
-    reaches that target), and a component finished without one is dead. A
-    node's targets are all checked for a live or bad one before the search
-    descends, into the smallest `b` subsets first; the sort is stable, so
-    ties stay in alphabet order and the search does the same work in every
-    process. An `Implicit` operand is expanded only as far as the search
-    reads it. Nothing is yielded exactly when L_m(a) ⊆ L_m(b).
+    def moves(m: int):
+        row = after[m]
+        return ((e, row[e]) for e in names if e in row)
+
+    found = first_path([a.start_mask] if a.start_mask else [], moves,
+                       a.meets_marked)
+    return None if found is None else found[0]
+
+
+def live_difference(a: Automaton | Implicit,
+                    b: Automaton | Implicit | LazyRows) -> Implicit:
+    """L_m(a) − L_m(b) as an `Implicit` view of the live nodes of
+    `_difference_product(a, b)`, marked at its bad nodes: the marked words
+    of ``trim(difference(a, b))``, without building either automaton. The
+    view keeps a successor map for the live nodes a word search expands and
+    nothing for dead ones. A node (state of `a`, bitmask subset of `b`) is
+    live when it reaches a bad node, one whose `a` state is marked and
+    whose `b` subset holds no marked state. One depth-first search over
+    strongly connected components (Tarjan's) decides it, and every node it
+    visits is decided once, so it scans each node's targets at most once: a
+    live or bad target makes every node still on the component stack live
+    (each reaches the search path, which reaches that target), and a
+    component finished without one is dead. A node's targets are all
+    checked for a live or bad one before the search descends, into the
+    smallest `b` subsets first; the sort is stable, so ties stay in
+    alphabet order and the search does the same work in every process. An
+    `Implicit` operand is expanded only as far as the search reads it. The
+    view has no marked word exactly when L_m(a) ⊆ L_m(b).
     """
     starts, moves, bad = _difference_product(a, b)
     # node -> LIVE, DEAD, or its search number while the search holds it
@@ -1036,8 +1054,16 @@ def iter_difference_words(a: Automaton | Implicit,
     def live_moves(node):
         return ((e, n) for e, n in moves(node) if is_live(n))
 
-    yield from iter_marked_words(
-        Implicit(a.alphabet, filter(is_live, starts), live_moves, bad))
+    return Implicit(a.alphabet, filter(is_live, starts), live_moves, bad)
+
+
+def iter_difference_words(a: Automaton | Implicit,
+                          b: Automaton | Implicit | LazyRows
+                          ) -> Iterator[Word]:
+    """Yield L_m(a) − L_m(b) in length-lexicographic order:
+    `iter_marked_words` over `live_difference(a, b)`. Nothing is yielded
+    exactly when L_m(a) ⊆ L_m(b)."""
+    yield from iter_marked_words(live_difference(a, b))
 
 
 def enumerate_bounded(a: Automaton, bound: int, *, generated: bool = False) -> list[Word]:

@@ -15,8 +15,9 @@ its abstraction Q(L):
   indistinguishable low-level continuations.
 
 Each checker reduces its property to a regular-language inclusion between
-automata over pair (or quadruple) events, none of them built whole. LOC's
-two sides are implicit products. OC's and MOC's right side, the
+automata over pair (or quadruple) events, none of them built. LOC's two
+sides and OC's and MOC's left side are `Implicit` products, each key's
+moves read when a search first steps it. OC's and MOC's right side, the
 P-synchronized self-product of the plant with some components erased, is
 `LazyRows` over plant-state pairs, each pair's row built when a subset step
 first reads it.
@@ -24,28 +25,29 @@ first reads it.
 OC and MOC reach "holds" first by one antichain inclusion
 (``automata.included``) of their plain left side in the right one, which
 needs no normal form and no sequence. Where it fails, and for LOC, the
-inclusion is decided by one lazy difference search
-(``iter_difference_words``): an on-the-fly product of the left side with
-the subset construction of the right one, expanded only as far as the
-sequences examined need. The inclusion is sequence-level, but a left-only
-and a right-only pair event commute, so the interleavings of one string
-pair are one trace: there OC and MOC read their left side in lexicographic
-normal form (``relations.normal_forms``), one sequence per string pair. A
-search that yields no sequence is the inclusion holding: ``holds``. For OC
-and MOC that is every normal form lying in the right side, which realizes
-every string pair. Otherwise a difference sequence may only reflect a
-missing interleaving: each one, in length-lexicographic order, is
-decomposed into a string tuple, and OC and MOC confirm or refute the tuple
-exactly by asking their right side whether it accepts any interleaving of
-it: one table per check, keyed by interned prefix pairs, that all its
-tuples share and that steps the right side's subsets with the memo the
-difference search fills. LOC's right side is marked exactly where its
-tuples' continuations meet, so its first difference sequence is already a
-violation. A confirmed tuple yields ``violated``; exhausting the
-difference language yields ``holds`` (every genuine violating tuple leaves
-a difference sequence, its normal form, because the synchronized products
-accept all interleavings); running out of budget, counted in sequences
-examined (tuples, for OC and MOC), yields ``inconclusive``.
+inclusion is decided by one lazy difference search (``live_difference``):
+an on-the-fly product of the left side with the subset construction of the
+right one, expanded only as far as the sequences examined need. The
+inclusion is sequence-level, but a left-only and a right-only pair event
+commute, so the interleavings of one string pair are one trace: there OC
+and MOC read their left side in lexicographic normal form
+(``relations.normal_forms``), one sequence per string pair. A search that
+yields no sequence is the inclusion holding: ``holds``. For OC and MOC that
+is every normal form lying in the right side, which realizes every string
+pair. Otherwise a difference sequence may only reflect a missing
+interleaving: each one, in length-lexicographic order, is decomposed into a
+string tuple, and OC and MOC confirm or refute the tuple exactly by asking
+their right side whether it accepts any interleaving of it: one table per
+check, keyed by interned prefix pairs, that all its tuples share and that
+steps the right side's subsets with the memo the difference search fills.
+LOC's right side is marked exactly where its tuples' continuations meet, so
+its first difference sequence is already a violation, and LOC reads only
+that one (``first_marked_word``). A confirmed tuple yields ``violated``;
+exhausting the difference language yields ``holds`` (every genuine
+violating tuple leaves a difference sequence, its normal form, because the
+synchronized products accept all interleavings); running out of budget,
+counted in sequences examined (tuples, for OC and MOC), yields
+``inconclusive``.
 """
 
 from __future__ import annotations
@@ -56,16 +58,16 @@ from functools import cache, cached_property, partial
 
 from .automata import (Alphabet, Automaton, Event, Implicit, LazyRows,
                        PreconditionError, ProjectionSpec, all_marked, bits,
-                       closure, determinize, first_path, included, includes,
-                       iter_difference_words, merge_alphabets, pair_moves,
+                       closure, determinize, first_marked_word, first_path,
+                       included, includes, iter_difference_words,
+                       live_difference, merge_alphabets, pair_moves,
                        parallel_compose, prefix_close, project, subset_steps,
                        trim, widen_alphabet, with_initial)
 from .checks import (check_controllability, check_nonconflicting,
                      check_normality, check_observability, sup_normal_closed,
                      sup_relobs_closed)
 from .relations import (decompose_sequence, label_name, normal_forms,
-                        pair_alphabet, quad_alphabet, sync_pair_compose,
-                        verifier_moves)
+                        pair_alphabet, quad_alphabet, verifier_moves)
 from .verdicts import Verdict, Witness
 
 DEFAULT_BUDGET = 10000
@@ -114,8 +116,8 @@ class HierarchyContext:
 
     @cached_property
     def plant_pairs(self) -> tuple:
-        """`_plant_pairs(self)`, which LOC and the right sides of OC and
-        MOC share."""
+        """`_plant_pairs(self)`: the pair steps, closures and low-level
+        moves that LOC and the right sides of OC and MOC share."""
         return _plant_pairs(self)
 
 
@@ -258,7 +260,7 @@ def _refutation_loop(words, budget: int, decompose, confirm) -> Verdict:
 # questions share one table, stepped by the subset steps that the
 # difference search fills for the same right operand.
 
-def _interleaving_table(la: Automaton, ra: LazyRows):
+def _interleaving_table(la: Implicit, ra: LazyRows):
     """`exists(u, v)`: does `ra` accept some interleaving of the string
     pair (u, v) over the pair labels of `la`?
 
@@ -344,41 +346,41 @@ def _interleaving_table(la: Automaton, ra: LazyRows):
 
 
 def _plant_pairs(ctx: HierarchyContext) -> tuple:
-    """(column, pairs, closing, close) over the plant-state pairs (p, q),
+    """(column, step, closing, low) over the plant-state pairs (p, q),
     each the bit p·n + q of a bitmask, n the number of plant states.
 
     `column(m)` is the state set `m` as the pairs it forms with state 0;
     times a state set Y, the pairs of the two sets (the shifts of Y are n
-    bits apart). `pairs(m, side, e)` is the pairs of `m` after e, which
-    moves the left path (side 0), the right one (1) or both (2).
+    bits apart). `step(i, side, e)` is the pairs that pair i reaches by e,
+    which moves the left path (side 0), the right one (1) or both (2): a
+    shifted column, a shifted row, or one column-times-row product.
     `closing(moves)` is the function that closes a bitmask under `moves`, a
     tuple of (side, e) steps, one function per tuple, each memoizing every
-    pair's one-move neighbours. `close` closes under the low-level moves,
-    an unobservable event of one path or an event of Σo ∖ Σhi of both, for
-    LOC's `_continuations_meet`; OC's right side erases the same moves
-    (`_pair_operands`).
+    pair's one-move neighbours. `low` is the low-level moves, an
+    unobservable event of one path or an event of Σo ∖ Σhi of both, in
+    alphabet order: LOC's `_continuations_meet` closes under them, and OC's
+    right side erases them, MOC's their right-path part (`_pair_operands`).
     """
     rows = ctx.plant.rows
     n = len(rows)
     obs, hi = ctx.alphabet.observable, ctx.alphabet.highlevel
     column = cache(lambda m: sum(1 << (p * n) for p in bits(m)))
 
-    def pairs(m: int, side: int, e: str) -> int:
-        out = 0
-        for i in bits(m):
-            p, q = divmod(i, n)
-            left = 1 << p if side == 1 else rows[p].get(e, 0)
-            right = 1 << q if side == 0 else rows[q].get(e, 0)
-            out |= column(left) * right
-        return out
+    def step(i: int, side: int, e: str) -> int:
+        p, q = divmod(i, n)
+        if side == 0:
+            return column(rows[p].get(e, 0)) << q
+        if side == 1:
+            return rows[q].get(e, 0) << (p * n)
+        return column(rows[p].get(e, 0)) * rows[q].get(e, 0)
 
     @cache
     def closing(moves: tuple):
         @cache
         def nearby(i: int) -> int:   # the pairs one move reaches
-            m, out = 1 << i, 0
+            out = 0
             for side, e in moves:
-                out |= pairs(m, side, e)
+                out |= step(i, side, e)
             return out
 
         def close(m: int) -> int:
@@ -395,7 +397,7 @@ def _plant_pairs(ctx: HierarchyContext) -> tuple:
 
     low = tuple((side, e) for e in ctx.alphabet.names if e not in hi
                 for side in ((2,) if e in obs else (0, 1)))
-    return column, pairs, closing, closing(low)
+    return column, step, closing, low
 
 
 def _continuations_meet(ctx: HierarchyContext, e: str):
@@ -403,7 +405,8 @@ def _continuations_meet(ctx: HierarchyContext, e: str):
     plant states p and q to states that enable e. With p and q after s and
     s', that is ∃ u, u' with sue, s'u'e ∈ L. The `_plant_pairs` closure of
     (p, q) meets the pairs of states that both enable e."""
-    column, _, _, close = ctx.plant_pairs
+    column, _, closing, low = ctx.plant_pairs
+    close = closing(low)
     index, n = ctx.plant.state_index, len(ctx.plant.states)
     enable = sum(1 << i for i, row in enumerate(ctx.plant.rows) if e in row)
     both = column(enable) * enable
@@ -413,54 +416,52 @@ def _continuations_meet(ctx: HierarchyContext, e: str):
 
 def _pair_operands(ctx: HierarchyContext, kind: str) -> tuple:
     """The two sides of OC's (`kind` "oc") or MOC's ("moc") inclusion, over
-    one alphabet. The left side is the synchronized pair product of the
-    abstraction with itself (OC) or of the plant with the abstraction
-    (MOC), synchronized on Σhi ∩ Σo.
+    one alphabet, neither built: each is read as far as a search steps it.
 
-    The right side is `relabel_pair(sync_pair_compose(plant, plant, Σo),
-    keep, Σhi)`, keep being Σhi for OC and Σ for MOC, as `LazyRows` over
-    the plant-state pairs, each the `_plant_pairs` bit p·n + q: it builds
-    neither automaton, and a pair's row is built when a subset step first
-    needs it. Its labels are those `relabel_pair` gives, in its order. A
-    pair label erased to (ε, ε) is a silent move: for OC the low-level
-    moves of `_plant_pairs`, for MOC a right-only move on Σuo ∖ Σhi. The
+    The left side is `sync_pair_compose(x, abstraction, Σhi ∩ Σo)`, x the
+    abstraction (OC) or the plant (MOC), as an `Implicit` over state pairs,
+    whose successor memo the antichain inclusion and the normal-form search
+    share. The right side is `relabel_pair(sync_pair_compose(plant, plant,
+    Σo), keep, Σhi)`, keep being Σhi for OC and Σ for MOC, as `LazyRows`
+    over the plant-state pairs, each the `_plant_pairs` bit p·n + q, a
+    pair's row built when a subset step first needs it. Its labels are
+    those `relabel_pair` gives, in its order. A pair label erased to
+    (ε, ε) is a silent move: for OC the low-level moves of `_plant_pairs`,
+    for MOC their right-path part, a right-only move on Σuo ∖ Σhi. The
     start pairs and each row's targets are closed under them, so the pairs
     reached after a sequence form a closed set, and a pair is marked where
     both of its states are.
     """
     plant, al = ctx.plant, ctx.alphabet
-    if kind == "oc":
-        left = sync_pair_compose(ctx.abstraction, ctx.abstraction, ctx.shared)
-        keep = al.highlevel
-    else:
-        left = sync_pair_compose(plant, ctx.abstraction, ctx.shared)
-        keep = frozenset(al.names)
+    x, y = (ctx.abstraction if kind == "oc" else plant), ctx.abstraction
+    keep = al.highlevel if kind == "oc" else frozenset(al.names)
+    column, step, closing, low = ctx.plant_pairs
+    close = closing(low if kind == "oc" else
+                    tuple(m for m in low if m[0] == 1))
     steps: dict = {}   # label -> the (side, event) moves it stands for
-    silent = []
     for l, r in pair_alphabet(al, al, al.observable).names:
-        move = (2, l) if l == r else (0, l) if r is None else (1, r)
         label = (l if l in keep else None, r if r in al.highlevel else None)
-        if label == (None, None):
-            silent.append(move)
-        else:
+        if label != (None, None):
+            move = (2, l) if l == r else (0, l) if r is None else (1, r)
             steps.setdefault(label, []).append(move)
-    column, pairs, closing, _ = ctx.plant_pairs
-    close = closing(tuple(silent))
 
     def row(i: int) -> dict:
         out = {}
         for label, moves in steps.items():
             t = 0
             for side, e in moves:
-                t |= pairs(1 << i, side, e)
+                t |= step(i, side, e)
             if t:
                 out[label] = close(t)
         return out
 
+    pairs = pair_alphabet(x.alphabet, y.alphabet, ctx.shared)
+    alphabet = merge_alphabets(pairs, Alphabet(tuple(map(Event, steps))))
     start, marked = plant.start_mask, plant.marked_mask
-    alphabet = merge_alphabets(left.alphabet,
-                               Alphabet(tuple(map(Event, steps))))
-    return (widen_alphabet(left, alphabet),
+    return (Implicit(alphabet, itertools.product(x.sorted_states(x.initial),
+                                                 y.sorted_states(y.initial)),
+                     pair_moves(x, y, [(lbl, *lbl) for lbl in pairs.names]),
+                     lambda pq: pq[0] in x.marked and pq[1] in y.marked),
             LazyRows(alphabet, close(column(start) * start), row,
                      column(marked) * marked))
 
@@ -613,8 +614,10 @@ def check_loc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
     verifier = _loc_shared(ctx)
     pending = None
     for e in events:
+        word = first_marked_word(
+            live_difference(*_loc_operands(ctx, verifier, e)))
         v = _refutation_loop(
-            iter_difference_words(*_loc_operands(ctx, verifier, e)), budget,
+            () if word is None else (word,), budget,
             lambda w: decompose_sequence(w, 4), partial(_loc_confirm, e))
         if v.violated:
             return v

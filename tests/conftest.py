@@ -73,17 +73,19 @@ def agreement_plants():
 
 
 def pair_operands(g: Automaton, kind: str) -> tuple:
-    """The left side of check_oc's (`kind` "oc") or check_moc's ("moc")
-    inclusion, and its right side built as an automaton: the reference for
-    the implicit right side of `hierarchy._pair_operands`."""
+    """The two sides of check_oc's (`kind` "oc") or check_moc's ("moc")
+    inclusion, each built as an automaton: the reference for the implicit
+    left and right sides of `hierarchy._pair_operands`."""
     ctx = build_context(g)
-    left, _ = _pair_operands(ctx, kind)
+    alphabet = _pair_operands(ctx, kind)[0].alphabet
     al = ctx.alphabet
+    left = sync_pair_compose(ctx.abstraction if kind == "oc" else ctx.plant,
+                             ctx.abstraction, ctx.shared)
     right = relabel_pair(sync_pair_compose(ctx.plant, ctx.plant,
                                            al.observable),
                          al.highlevel if kind == "oc" else al.names,
                          al.highlevel)
-    return left, widen_alphabet(right, left.alphabet)
+    return widen_alphabet(left, alphabet), widen_alphabet(right, alphabet)
 
 
 def cli_big_inputs(seed: int) -> tuple:
@@ -94,6 +96,18 @@ def cli_big_inputs(seed: int) -> tuple:
     c = random_sublanguage(g, 0.1, seed + 1000)
     k = random_sublanguage(c, 0.2, seed + 2000)
     return g, c, k
+
+
+def cli_small_inputs(seed: int) -> tuple | None:
+    """(plant, high-level spec), or None: an input of the `hier` operations
+    of the `cli-mix` benchmark workload (perfbench/workloads.py)."""
+    g = random_plant(GeneratorParams(8, 5, 0.4, seed=seed))
+    if not g.states:
+        return None
+    spec = random_sublanguage(build_context(g).abstraction, 0.3, seed + 2000)
+    if not spec.states:
+        return None
+    return g, spec
 
 
 def cli_big_seeds(count: int = 12) -> list:

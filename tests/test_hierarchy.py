@@ -9,16 +9,16 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from hierctl import automata, hierarchy, oracle
-from hierctl.automata import (Alphabet, Automaton, Event, all_marked, closure,
-                              determinize, enumerate_bounded, explore,
-                              intersect, inverse_project, is_empty,
+from hierctl.automata import (Alphabet, Automaton, Event, Implicit,
+                              all_marked, closure, determinize,
+                              enumerate_bounded, explore, intersect,
+                              inverse_project, is_empty,
                               iter_difference_words, language_equal,
                               parallel_compose, project, right_quotient,
                               widen_alphabet, word_automaton)
@@ -36,10 +36,10 @@ from hierctl.hierarchy import (HierarchyContext, PreconditionError,
                                moc_structurally_guaranteed)
 
 from hierctl.relations import (build_quad, decompose_sequence, label_name,
-                               quad_alphabet)
+                               pair_alphabet, quad_alphabet)
 
-from conftest import (agreement_plants, loc_plants, make_alphabet,
-                      pair_operands, tree)
+from conftest import (agreement_plants, cli_small_inputs, loc_plants,
+                      make_alphabet, pair_operands, tree)
 
 
 class TestConsistencyChecks:
@@ -95,26 +95,39 @@ class TestConsistencyChecks:
                 assert not rep["oc"].violated, f"seed={seed}"
 
 
-class _Asked(frozenset):
-    """A marked-state set that records each state it is asked about: the
+class _Asked(automata._MarkedMemo):
+    """A marked memo that records each key it is asked about: the
     difference search asks once per bad-node test."""
 
-    def __contains__(self, q):
-        self.asked.append(q)
-        return frozenset.__contains__(self, q)
+    def __contains__(self, key):
+        self.asked.append(key)
+        return self[key]
 
 
-def _counting_marked(a: Automaton) -> tuple:
-    """`a` with an `_Asked` marked set, and the list it records into."""
-    marked = _Asked(a.marked)
-    marked.asked = []
-    return replace(a, marked=marked), marked.asked
+def _counting_marked(a: Automaton | Implicit, order=None) -> tuple:
+    """`a`, an automaton or an `Implicit`, as an `Implicit` over the same
+    keys whose marked memo is an `_Asked`, and the list it records into.
+    With `order`, each key's successor map holds its labels in the order
+    `order(key)` lists them."""
+    succ = a.succ
+
+    def moves(key):
+        steps = succ[key]
+        for e in steps if order is None else order(key):
+            for t in steps.get(e, ()):
+                yield e, t
+
+    out = Implicit(a.alphabet, a.sorted_states(a.initial), moves,
+                   a.marked.__contains__)
+    out.marked = _Asked(out.marked.fill)
+    out.marked.asked = []
+    return out, out.marked.asked
 
 
 def _oc_operands(g: Automaton) -> tuple:
-    """The two sides of check_oc's inclusion, the right one built as an
-    automaton."""
-    return pair_operands(g, "oc")
+    """The two sides of check_oc's inclusion: the implicit left one and
+    the right one built as an automaton."""
+    return _pair_operands(build_context(g), "oc")[0], pair_operands(g, "oc")[1]
 
 
 # OC is violated at its first difference sequence here, but a depth-first
@@ -149,10 +162,7 @@ def _forced_order_work() -> tuple:
         [lambda q: rng.sample(names, len(names))] * 4
     work = []
     for order in orders:
-        a, asked = _counting_marked(la)
-        # the cached successor map, its events in the forced order
-        a.__dict__["succ"] = {q: {e: m[e] for e in order(q) if e in m}
-                              for q, m in la.succ.items()}
+        a, asked = _counting_marked(la, order)
         assert next(iter_difference_words(a, ra))
         work.append(len(asked))
     return tuple(work)
@@ -695,6 +705,35 @@ class TestConfirmationSearches:
             tracemalloc.stop()
         assert peak < 20_000_000
 
+    def test_low_level_moves_are_stated_once(self):
+        # OC's right side erases exactly the low-level moves that LOC's
+        # `_continuations_meet` closes under, so both close with one
+        # function and its memo; MOC's erases their right-path part.
+        plants = itertools.chain(
+            agreement_plants(), loc_plants(),
+            (random_plant(GeneratorParams(seed=seed)) for seed in range(60)))
+        for g in plants:
+            ctx = build_context(g)
+            column, step, closing, low = ctx.plant_pairs
+            asked = []
+
+            def recording(moves):
+                asked.append(moves)
+                return closing(moves)
+
+            ctx.__dict__["plant_pairs"] = (column, step, recording, low)
+            _pair_operands(ctx, "oc")
+            _continuations_meet(ctx, ctx.alphabet.names[0])
+            _pair_operands(ctx, "moc")
+            assert asked == [low, low, tuple(m for m in low if m[0] == 1)]
+            # the moves of the pair labels that `relabel_pair` erases
+            al = ctx.alphabet
+            for moves, keep in ((low, al.highlevel), (asked[2], al.names)):
+                assert moves == tuple(
+                    (2, l) if l == r else (0, l) if r is None else (1, r)
+                    for l, r in pair_alphabet(al, al, al.observable).names
+                    if l not in keep and r not in al.highlevel), g
+
     def test_moc_refutations_read_few_successor_maps(self):
         # A fresh plant search per candidate read 40,550 successor maps on
         # a universal MOC gadget at budget 3,000; the shared table read
@@ -847,6 +886,29 @@ class TestLazyLoc:
         assert (v.outcome, v.detail) == (outcome, detail)
         verifier = kept[0]
         assert len(verifier.succ) <= 300
+
+    def test_loc_word_search_queues_one_entry_per_subset(self, monkeypatch):
+        # cli-mix/small-s20 of the benchmark. Enumerating the view's words
+        # queued every live prefix shorter than the first one: 12,489
+        # entries for the 439 subsets it stepped. A breadth-first search
+        # over the subsets reads each one's steps once.
+        memos = []
+
+        class Reading(automata._Memo):
+            def __init__(self, fill):
+                super().__init__(fill)
+                self.reads = 0
+                memos.append(self)
+
+            def __getitem__(self, key):
+                self.reads += 1
+                return super().__getitem__(key)
+
+        monkeypatch.setattr(automata, "_Memo", Reading)
+        v = check_loc(cli_small_inputs(20)[0], 2000)
+        assert v.violated and v.detail == {"examined": 1}
+        search = memos[-1]   # the view's subset steps, made after the view
+        assert 0 < search.reads <= len(search)
 
     def test_loc_builds_no_large_product(self, monkeypatch):
         # The materialized construction built a 52,294-state product here.

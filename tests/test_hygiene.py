@@ -223,3 +223,11 @@ PATH_WORD_USERS = {"first_path", "_observability_engine"}
 def test_parent_maps_are_spelled_only_by_first_path(path):
     assert uses_outside(path.read_text(encoding="utf-8"), "path_word",
                         PATH_WORD_USERS) == []
+
+
+def test_checks_build_no_pair_product_up_front():
+    # OC's and MOC's sides are read only as far as their searches step
+    # them (`hierarchy._pair_operands`); `relations.sync_pair_compose`
+    # stays public API and the tests' reference.
+    source = (SRC / "hierarchy.py").read_text(encoding="utf-8")
+    assert uses_outside(source, "sync_pair_compose", set()) == []

@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 from hierctl import checks
 from hierctl.automata import (Automaton, Implicit, LazyRows, ProjectionSpec,
                               all_marked, determinize, difference,
-                              eliminate_silent, explore, included, includes,
-                              intersect, inverse_project,
+                              eliminate_silent, explore, first_marked_word,
+                              included, includes, intersect, inverse_project,
                               iter_difference_words, iter_marked_words,
-                              language_equal, marked_saturate, path_word,
-                              prefix_close, project, trim)
+                              language_equal, live_difference,
+                              marked_saturate, path_word, prefix_close,
+                              project, trim)
 from hierctl.checks import sup_normal_closed
 from hierctl.cli import main
 from hierctl.gadgets import GeneratorParams, random_plant, random_sublanguage
@@ -31,7 +32,7 @@ from hierctl.saut import serialize_automaton
 from hierctl.verdicts import Verdict, Witness
 
 from conftest import (agreement_plants, cli_big_inputs, cli_big_seeds,
-                      make_alphabet, pair_operands)
+                      make_alphabet, pair_operands, tree)
 
 AB = make_alphabet("ab")
 
@@ -199,6 +200,21 @@ def test_implicit_right_side_gives_the_reference_words(a, b):
     assert list(islice(iter_difference_words(a, b), 50)) == want
 
 
+@settings(max_examples=150, deadline=None)
+@given(nfas(), nfas())
+@example(EMPTY_INITIAL, SILENT)
+@example(SILENT, NONE_MARKED)
+@example(NONE_MARKED, EMPTY_INITIAL)
+# ties of length go to the letter first in alphabet order
+@example(tree([("b", "a"), ("a", "b"), ("b",)], AB),
+         tree([("b",)], AB))
+def test_first_marked_word_is_the_first_enumerated(a, b):
+    # an automaton, and the implicit view of a difference product
+    assert first_marked_word(a) == next(iter_marked_words(a), None)
+    assert first_marked_word(live_difference(a, b)) == \
+        next(iter_difference_words(a, b), None)
+
+
 @settings(max_examples=100, deadline=None)
 @given(nfas(), nfas())
 @example(EMPTY_INITIAL, SILENT)
@@ -210,6 +226,21 @@ def test_antichain_inclusion_matches_the_witness_search(a, b):
     assert included(a, b) == want
     assert included(a, _implicit(b)) == want
     assert included(a, _lazy_rows(b)) == want
+
+
+def test_lazy_pair_left_sides_accept_the_reference_language():
+    # OC's and MOC's left side, an `Implicit` over state pairs, accepts
+    # what sync_pair_compose(x, abstraction, Σhi ∩ Σo) accepts, and yields
+    # the same normal forms in the same order
+    for g in agreement_plants():
+        ctx = build_context(g)
+        for kind in ("oc", "moc"):
+            la, _ = _pair_operands(ctx, kind)
+            ref, _ = pair_operands(g, kind)
+            assert la.alphabet == ref.alphabet
+            assert included(la, ref) and included(ref, la), (g, kind)
+            assert list(iter_marked_words(normal_forms(la), 4)) == \
+                list(iter_marked_words(normal_forms(ref), 4)), (g, kind)
 
 
 def test_lazy_pair_right_sides_give_the_reference_words():
