@@ -17,8 +17,8 @@ distinct keys never share a state, and equal inputs give byte-identical
 outputs.
 
 Subset constructions (`determinize`, `marked_saturate`,
-`iter_marked_words`, `first_marked_word`, `includes`, `included`,
-`difference`, and `live_difference`) hold a subset as an int bitmask over
+`iter_marked_words`, `includes`, `included`, `difference`, and
+`live_difference`) hold a subset as an int bitmask over
 `state_index`. A step ORs the `rows` of the set bits, "meets a marked
 state" is `m & marked_mask`, and the subset's size is `m.bit_count()`. A
 mask maps one-to-one onto the frozenset of its states and the searches only
@@ -41,12 +41,11 @@ skips a node whose `b` subset contains one already reached with the same
 numbered as they are read) or `LazyRows` (states numbered already).
 `pair_product(alphabet, a, b, labels)` is every product of two automata
 stepped by a label table (`parallel_compose`, the pair products of
-`relations`, LOC's verifier through `pair_moves`). `first_path(starts,
-moves, test)` is every breadth-first witness search: `includes`,
-`first_marked_word`, the observer, LCC and controllability checks.
+`relations`, OC's and MOC's left sides through `pair_moves`).
+`first_path(starts, moves, test)` is every breadth-first witness search:
+`includes`, the observer, LCC, LOC and controllability checks.
 `iter_marked_words` is the one length-lexicographic enumerator:
-`iter_difference_words` runs it over `live_difference`, and LOC, which
-needs one word, takes it by `first_marked_word` over the view's subsets.
+`iter_difference_words` runs it over `live_difference`.
 `closure(starts, step)` is every "all that is reachable" set: silent
 closures, (co)reachable states, the pair search of `right_quotient`, and
 the plant reaches of `hierarchy`.
@@ -950,25 +949,6 @@ def iter_marked_words(a: Automaton | Implicit,
             yield word
         if bound is None or len(word) < bound:
             queue.extend((word + (e,), nxt) for e, nxt in steps)
-
-
-def first_marked_word(a: Automaton | Implicit) -> Word | None:
-    """The first word `iter_marked_words(a)` yields, or None, by
-    `first_path` over the bitmask subsets of `a` stepped through
-    `subset_steps(a)`: each subset is queued once, not every prefix. Steps
-    in alphabet order discover the subsets in the length-lexicographic
-    order of their discovering words, so the first marked one discovered
-    is reached by the first word."""
-    a = eliminate_silent(a)
-    after, names = subset_steps(a), a.alphabet.names
-
-    def moves(m: int):
-        row = after[m]
-        return ((e, row[e]) for e in names if e in row)
-
-    found = first_path([a.start_mask] if a.start_mask else [], moves,
-                       a.meets_marked)
-    return None if found is None else found[0]
 
 
 def live_difference(a: Automaton | Implicit,

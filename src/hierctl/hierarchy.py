@@ -14,60 +14,60 @@ its abstraction Q(L):
   enabled after two indistinguishable strings can be reached by
   indistinguishable low-level continuations.
 
-Each checker reduces its property to a regular-language inclusion between
-automata over pair (or quadruple) events, none of them built. LOC's two
-sides and OC's and MOC's left side are `Implicit` products, each key's
-moves read when a search first steps it. OC's and MOC's right side, the
-P-synchronized self-product of the plant with some components erased, is
-`LazyRows` over plant-state pairs, each pair's row built when a subset step
-first reads it.
+OC and MOC each reduce their property to a regular-language inclusion
+between automata over pair events, neither side built. The left side is an
+`Implicit` product, each key's moves read when a search first steps it.
+The right side, the P-synchronized self-product of the plant with some
+components erased, is `LazyRows` over plant-state pairs, each pair's row
+built when a subset step first reads it.
 
 OC and MOC reach "holds" first by one antichain inclusion
 (``automata.included``) of their plain left side in the right one, which
-needs no normal form and no sequence. Where it fails, and for LOC, the
-inclusion is decided by one lazy difference search (``live_difference``):
-an on-the-fly product of the left side with the subset construction of the
-right one, expanded only as far as the sequences examined need. The
-inclusion is sequence-level, but a left-only and a right-only pair event
-commute, so the interleavings of one string pair are one trace: there OC
-and MOC read their left side in lexicographic normal form
-(``relations.normal_forms``), one sequence per string pair. A search that
-yields no sequence is the inclusion holding: ``holds``. For OC and MOC that
-is every normal form lying in the right side, which realizes every string
-pair. Otherwise a difference sequence may only reflect a missing
-interleaving: each one, in length-lexicographic order, is decomposed into a
-string tuple, and OC and MOC confirm or refute the tuple exactly by asking
-their right side whether it accepts any interleaving of it: one table per
-check, keyed by interned prefix pairs, that all its tuples share and that
-steps the right side's subsets with the memo the difference search fills.
-LOC's right side is marked exactly where its tuples' continuations meet, so
-its first difference sequence is already a violation, and LOC reads only
-that one (``first_marked_word``). A confirmed tuple yields ``violated``;
+needs no normal form and no sequence. Where it fails, the inclusion is
+decided by one lazy difference search (``live_difference``): an on-the-fly
+product of the left side with the subset construction of the right one,
+expanded only as far as the sequences examined need. The inclusion is
+sequence-level, but a left-only and a right-only pair event commute, so
+the interleavings of one string pair are one trace: OC and MOC read their
+left side in lexicographic normal form (``relations.normal_forms``), one
+sequence per string pair. A search that yields no sequence is the
+inclusion holding: ``holds``, every normal form lying in the right side,
+which realizes every string pair. Otherwise a difference sequence may only
+reflect a missing interleaving: each one, in length-lexicographic order,
+is decomposed into a string tuple, and OC and MOC confirm or refute the
+tuple exactly by asking their right side whether it accepts any
+interleaving of it: one table per check, keyed by interned prefix pairs,
+that all its tuples share and that steps the right side's subsets with the
+memo the difference search fills. A confirmed tuple yields ``violated``;
 exhausting the difference language yields ``holds`` (every genuine
 violating tuple leaves a difference sequence, its normal form, because the
 synchronized products accept all interleavings); running out of budget,
-counted in sequences examined (tuples, for OC and MOC), yields
-``inconclusive``.
+counted in tuples examined, yields ``inconclusive``.
+
+LOC is decided exactly by one breadth-first search per event over the
+quadruple verifier, determinized as it is read: the verifier's subsets
+after a word say whether the tuple it spells violates LOC, so the first
+word to reach a violating subset is the witness (``check_loc``). Its
+verdict is inconclusive only at budget 0.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 
 from .automata import (Alphabet, Automaton, Event, Implicit, LazyRows,
                        PreconditionError, ProjectionSpec, all_marked, bits,
-                       closure, determinize, first_marked_word, first_path,
-                       included, includes, iter_difference_words,
-                       live_difference, merge_alphabets, pair_moves,
+                       closure, determinize, first_path, included, includes,
+                       iter_difference_words, merge_alphabets, pair_moves,
                        parallel_compose, prefix_close, project, subset_steps,
                        trim, widen_alphabet, with_initial)
 from .checks import (check_controllability, check_nonconflicting,
                      check_normality, check_observability, sup_normal_closed,
                      sup_relobs_closed)
 from .relations import (decompose_sequence, label_name, normal_forms,
-                        pair_alphabet, quad_alphabet, verifier_moves)
+                        pair_alphabet, quad_alphabet)
 from .verdicts import Verdict, Witness
 
 DEFAULT_BUDGET = 10000
@@ -221,16 +221,14 @@ def _require_budget(budget: int) -> None:
         raise PreconditionError("budget must be >= 0")
 
 
-def _refutation_loop(words, budget: int, decompose, confirm) -> Verdict:
-    """Decide a consistency check from its difference sequences.
+def _refutation_loop(words, budget: int, confirm) -> Verdict:
+    """Decide OC or MOC from its difference sequences.
 
-    `words` yields the difference sequences in length-lexicographic order,
-    `decompose` maps a difference sequence to a string tuple, `confirm`
-    returns a Witness for a genuine violation or None for a spurious
-    (interleaving-only) difference. No sequence at all is the inclusion
-    holding, a bare "holds". OC's and MOC's sequences are normal forms,
-    each of a tuple of its own, so their budget counts tuples; LOC's first
-    sequence is its witness.
+    `words` yields the difference sequences in length-lexicographic order;
+    `confirm` returns a Witness for a genuine violation or None for a
+    spurious (interleaving-only) difference. No sequence at all is the
+    inclusion holding, a bare "holds". The sequences are normal forms, each
+    of a tuple of its own, so the budget counts tuples.
     """
     spurious = 0
     examined = 0
@@ -241,7 +239,7 @@ def _refutation_loop(words, budget: int, decompose, confirm) -> Verdict:
                 budget={"difference_sequences": budget},
                 reason="difference enumeration budget exhausted",
                 refuted=spurious)
-        witness = confirm(decompose(word), word)
+        witness = confirm(word)
         if witness is not None:
             return Verdict.make_violated(witness, examined=examined)
         spurious += 1
@@ -358,8 +356,9 @@ def _plant_pairs(ctx: HierarchyContext) -> tuple:
     tuple of (side, e) steps, one function per tuple, each memoizing every
     pair's one-move neighbours. `low` is the low-level moves, an
     unobservable event of one path or an event of Σo ∖ Σhi of both, in
-    alphabet order: LOC's `_continuations_meet` closes under them, and OC's
-    right side erases them, MOC's their right-path part (`_pair_operands`).
+    alphabet order: `check_loc` closes run(s) × run(s') under them, and
+    OC's right side erases them, MOC's their right-path part
+    (`_pair_operands`).
     """
     rows = ctx.plant.rows
     n = len(rows)
@@ -398,20 +397,6 @@ def _plant_pairs(ctx: HierarchyContext) -> tuple:
     low = tuple((side, e) for e in ctx.alphabet.names if e not in hi
                 for side in ((2,) if e in obs else (0, 1)))
     return column, step, closing, low
-
-
-def _continuations_meet(ctx: HierarchyContext, e: str):
-    """`meet((p, q))`: ∃ low-level u, u' with P(u) = P(u') leading from
-    plant states p and q to states that enable e. With p and q after s and
-    s', that is ∃ u, u' with sue, s'u'e ∈ L. The `_plant_pairs` closure of
-    (p, q) meets the pairs of states that both enable e."""
-    column, _, closing, low = ctx.plant_pairs
-    close = closing(low)
-    index, n = ctx.plant.state_index, len(ctx.plant.states)
-    enable = sum(1 << i for i, row in enumerate(ctx.plant.rows) if e in row)
-    both = column(enable) * enable
-    return lambda pq: bool(
-        close(1 << (index[pq[0]] * n + index[pq[1]])) & both)
 
 
 def _pair_operands(ctx: HierarchyContext, kind: str) -> tuple:
@@ -490,15 +475,15 @@ def _pair_consistency(ctx: HierarchyContext, kind: str, key: str,
         return Verdict.make_holds()
     exists = _interleaving_table(la, ra)
 
-    def confirm(tup, word):
-        x, tp = tup
+    def confirm(word):
+        x, tp = decompose_sequence(word)
         if exists(x, tp):
             return None
         return Witness(kind, {key: x, "t_prime": tp,
                               "sequence": tuple(map(label_name, word))}, note)
 
     return _refutation_loop(iter_difference_words(normal_forms(la), ra),
-                            budget, decompose_sequence, confirm)
+                            budget, confirm)
 
 
 def check_oc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -534,96 +519,74 @@ def lemma_moc_implies_oc(g: Plant, budget: int = DEFAULT_BUDGET) -> dict:
 # ---------------------------------------------------------------------------
 # local observation consistency
 
-def _track(d: Automaton, x: int, letter) -> int | None:
-    """The DFA `d` after `letter` from x: x on an erased (None) letter, None
-    when `d` cannot move."""
-    if letter is None:
-        return x
-    nxt = d.succ[x].get(letter)
-    return nxt[0] if nxt else None
-
-
-def _loc_shared(ctx: HierarchyContext) -> Implicit:
-    """What every event's LOC operands share: a memo of the verifier's
-    moves over plant-state pairs (p, r), all marked like the plant states.
-
-    The pairs accept the sequences `build_quad`'s quadruples (p, q, r, s)
-    accept, because q can always copy p and s copy r: the starts include
-    q = p and s = r, and q may take every transition p takes (it must on
-    Σhi events), as s may for r. A label's components 1 and 3 are fixed by
-    its base event, so q and s never restrict a sequence."""
-    return Implicit(quad_alphabet(ctx.alphabet),
-                    itertools.product(ctx.plant.initial, repeat=2),
-                    verifier_moves(ctx.plant), lambda pr: True)
-
-
-def _loc_operands(ctx: HierarchyContext, verifier: Implicit, e: str) -> tuple:
-    """The implicit left and right sides of LOC's inclusion for event e.
-
-    Left, over keys ((p, r), x1, x3): the verifier's sequences with
-    coordinates 1 and 3 in Q(L) (`ctx.abstraction_dfa` tracks them as
-    x1 and x3, reading labels only), then (ε, e, ε, e). Right, over
-    plant-state pairs (p, r) that coordinates 0 and 2 move: sequences with
-    coordinates 0 and 2 in L, marked where both sides continue to e
-    (`_continuations_meet`): the right quotient by (ue, ε, u'e, ε),
-    P(u) = P(u'). The difference search's subset of right keys after a
-    sequence is run(s) × run(s'), so a left sequence outside the right
-    side is a violation: LOC's first difference sequence is its witness.
-    """
-    plant, hd = ctx.plant, ctx.abstraction_dfa
-    alphabet = quad_alphabet(ctx.alphabet, loc_events=(e,))
-
-    def left_moves(key):
-        if key is None:  # after the final step
-            return
-        pr, x1, x3 = key
-        for lbl, targets in verifier.succ[pr].items():
-            y1, y3 = _track(hd, x1, lbl[1]), _track(hd, x3, lbl[3])
-            if y1 is not None and y3 is not None:
-                for t in targets:
-                    yield lbl, (t, y1, y3)
-        if e in hd.succ[x1] and e in hd.succ[x3]:
-            yield (None, e, None, e), None
-
-    return (Implicit(alphabet, [(pr, x, x) for pr in verifier.initial
-                                for x in hd.initial],
-                     left_moves, lambda key: key is None),
-            Implicit(alphabet, itertools.product(
-                         plant.sorted_states(plant.initial), repeat=2),
-                     pair_moves(plant, plant, [(lbl, lbl[0], lbl[2])
-                                               for lbl in alphabet.names]),
-                     _continuations_meet(ctx, e)))
-
-
-def _loc_confirm(e: str, tup, word) -> Witness:
-    """The witness of a LOC difference sequence, each being a violation
-    (see `_loc_operands`)."""
-    s, _, sp, _ = tup
-    return Witness("loc", {"s": s, "s_prime": sp, "e": (e,),
-                           "sequence": tuple(map(label_name, word))},
-                   "no observation-equivalent low-level continuations reach e")
-
-
 def check_loc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Local observation consistency, decided per controllable high event;
-    `g` is a plant or its `build_context(plant)`."""
+    """Local observation consistency, decided per controllable high event
+    e by one breadth-first search (`first_path`) over the LOC verifier,
+    determinized as it is read; `g` is a plant or its
+    `build_context(plant)`.
+
+    A node is (run(s), run(Q(s)), run(s'), run(Q(s'))), bitmask subsets of
+    the plant (coordinates 0 and 2) and of the abstraction (1 and 3). The
+    labels of `quad_alphabet` step it in their order, coordinate i by
+    component i through `subset_steps`, an erased component leaving it as
+    it is; a step that empties a plant subset is dropped. So the words read
+    are `build_quad`'s sequences, each spelling a tuple (s, Q(s), s', Q(s'))
+    with s, s' ∈ L and P(s) = P(s'). A node is bad for e when Q(s)e and
+    Q(s')e are in Q(L) and the `_plant_pairs` closure of run(s) × run(s')
+    under the low-level moves meets no pair of states that both enable e:
+    no u, u' with P(u) = P(u') and sue, s'u'e ∈ L. Every bad node is a
+    violation, so LOC is exact; the first word to reach one, followed by
+    (ε, e, ε, e), is the witness sequence. At budget 0 a violation found is
+    not examined, and the verdict is inconclusive.
+    """
     _require_budget(budget)
     ctx = build_context(g)
-    events = sorted(ctx.alphabet.highlevel & ctx.alphabet.controllable,
-                    key=ctx.alphabet.names.index)
-    verifier = _loc_shared(ctx)
-    pending = None
+    al = ctx.alphabet
+    events = sorted(al.highlevel & al.controllable, key=al.names.index)
+    if not events:
+        return Verdict.make_holds()
+    plant, hi = ctx.plant, ctx.abstraction
+    plant_after, hi_after = subset_steps(plant), subset_steps(hi)
+    labels = quad_alphabet(al).names
+    column, _, closing, low = ctx.plant_pairs
+    close = closing(low)
+
+    def moves(node):
+        s, x, sp, xp = node
+        rs, rx = plant_after[s], hi_after[x]
+        rsp, rxp = plant_after[sp], hi_after[xp]
+        for lbl in labels:
+            a, b, c, d = lbl
+            ns = s if a is None else rs.get(a, 0)
+            nsp = sp if c is None else rsp.get(c, 0)
+            if ns and nsp:
+                yield lbl, (ns, x if b is None else rx.get(b, 0),
+                            nsp, xp if d is None else rxp.get(d, 0))
+
+    def enabling(a: Automaton, e: str) -> int:
+        return sum(1 << i for i, row in enumerate(a.rows) if e in row)
+
+    start = (plant.start_mask, hi.start_mask) * 2
     for e in events:
-        word = first_marked_word(
-            live_difference(*_loc_operands(ctx, verifier, e)))
-        v = _refutation_loop(
-            () if word is None else (word,), budget,
-            lambda w: decompose_sequence(w, 4), partial(_loc_confirm, e))
-        if v.violated:
-            return v
-        if v.inconclusive and pending is None:
-            pending = v
-    return pending if pending is not None else Verdict.make_holds()
+        plant_e, hi_e = enabling(plant, e), enabling(hi, e)
+        both = column(plant_e) * plant_e
+        found = first_path([start], moves, lambda n: (
+            n[1] & hi_e and n[3] & hi_e
+            and not close(column(n[0]) * n[2]) & both))
+        if found is None:
+            continue
+        if not budget:
+            return Verdict.make_inconclusive(
+                budget={"difference_sequences": budget},
+                reason="difference enumeration budget exhausted", refuted=0)
+        word = found[0] + ((None, e, None, e),)
+        s, _, sp, _ = decompose_sequence(word, 4)
+        return Verdict.make_violated(Witness(
+            "loc", {"s": s, "s_prime": sp, "e": (e,),
+                    "sequence": tuple(map(label_name, word))},
+            "no observation-equivalent low-level continuations reach e"),
+            examined=1)
+    return Verdict.make_holds()
 
 
 # ---------------------------------------------------------------------------

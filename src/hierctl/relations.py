@@ -1,8 +1,7 @@
 """Pair and quadruple events: synchronized pair composition, component
-erasure, and the LOC verifier: its moves over plant-state pairs, which the
-LOC check explores, and the reference quadruple automaton `build_quad`.
-The pair composition and the verifier's moves are label tables over
-`automata.pair_product` and `pair_moves`.
+erasure, and the LOC verifier: its quadruple alphabet, which the LOC check
+steps its subsets by, and the reference quadruple automaton `build_quad`.
+The pair composition is a label table over `automata.pair_product`.
 
 A pair event is the tuple (l, r) and a quadruple event the tuple
 (a, b, c, d) of base event names, with None for an erased component. These
@@ -29,7 +28,7 @@ from operator import is_not
 
 from .automata import (Alphabet, Automaton, AutomataError, Event, Implicit,
                        eliminate_silent, explore, iter_marked_words,
-                       merge_alphabets, pair_moves, pair_product)
+                       merge_alphabets, pair_product)
 
 
 def label_name(label: tuple) -> str:
@@ -212,38 +211,17 @@ def _quad_labels(base: Alphabet) -> dict:
     return out
 
 
-def quad_alphabet(base: Alphabet, loc_events=()) -> Alphabet:
-    """The quadruple alphabet of the LOC verifier automaton H.
-
-    Contains the four transition-rule groups for every base event, plus the
-    marker quadruples (ε,e,ε,e) and (e,ε,e,ε) for each event in `loc_events`
-    (the controllable high-level events whose LOC instances are checked).
-    """
-    labels = [lbl for group in _quad_labels(base).values() for lbl in group]
-    for e in loc_events:
-        labels.append((None, e, None, e))
-        labels.append((e, None, e, None))
-    return Alphabet(tuple(Event(lbl) for lbl in labels))
-
-
-def verifier_moves(g: Automaton):
-    """`moves(key)` of the LOC verifier over the silent-free `g` on keys
-    (p, r), coordinates 0 and 2 of `build_quad`'s quadruples (1 and 3 add
-    no sequence: see `hierarchy._loc_shared`). Labels come in the order
-    `build_quad`'s moves yield them."""
-    quads, obs = _quad_labels(g.alphabet), g.alphabet.observable
-    labels = []
-    for a in g.alphabet.names:
-        lbl = quads[a]
-        labels += ([(lbl[0], a, a)] if a in obs
-                   else [(lbl[0], a, None), (lbl[1], None, a)])
-    return pair_moves(g, g, labels)
+def quad_alphabet(base: Alphabet) -> Alphabet:
+    """The quadruple alphabet of the LOC verifier automaton H: the
+    transition-rule groups of every base event, in base order."""
+    return Alphabet(tuple(Event(lbl) for group in _quad_labels(base).values()
+                          for lbl in group))
 
 
 def build_quad(g: Automaton) -> Automaton:
     """The verifier automaton H over state space Q^4, one step per
-    transition-rule group: the reference for `verifier_moves`, which LOC
-    runs over, and a layer-trace target.
+    transition-rule group: the reference for the determinized verifier
+    that `hierarchy.check_loc` searches, and a layer-trace target.
 
     Accepted quadruple sequences decompose to exactly the tuples
     (s, Q(s), s', Q(s')) with s, s' in L_m(g) and P(s) = P(s').

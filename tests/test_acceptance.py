@@ -20,14 +20,15 @@ from hierctl.checks import (check_observability, check_relative_observability,
 from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
                              gadget_oc, is_universal, random_nfa,
                              random_plant, random_sublanguage)
-from hierctl.hierarchy import (build_context, check_loc, check_moc,
-                               check_moc_modular, check_oc, conform_spec,
+from hierctl.hierarchy import (build_context, check_lcc, check_loc,
+                               check_moc, check_moc_modular, check_oc,
+                               check_observer, conform_spec,
                                hier_synth_normal, lemma_distribute_q,
                                moc_structurally_guaranteed)
 from hierctl.oracle import (_exists_moc_mate, _exists_oc_pair, _gen_rec,
                             _loc_continuations_meet, _p_of, _proj, _q_extends,
                             _q_of, oracle_loc, oracle_moc, oracle_oc,
-                            oracle_sup_relobs)
+                            oracle_sup_normal, oracle_sup_relobs)
 
 from conftest import tree
 
@@ -395,29 +396,40 @@ def test_criterion_10_gadget_languages_exact():
                   "independent reconstruction")
 
 
-def _preservation(ctx, kbar) -> tuple:
-    """(supN low = lift, sup-relobs low ⊆ lift) for the prefix-closed
-    high-level specification `kbar`."""
+def _supn(ctx, kbar) -> tuple:
+    """(supN low, its lift) for the prefix-closed high-level specification
+    `kbar`."""
     low = sup_normal_closed(parallel_compose(ctx.plant, kbar), ctx.plant)
     high = sup_normal_closed(parallel_compose(ctx.abstraction, kbar),
                              ctx.abstraction)
-    lift = parallel_compose(ctx.plant, high)
+    return low, parallel_compose(ctx.plant, high)
+
+
+def _relobs(ctx, kbar) -> tuple:
+    """(sup-relobs low, its lift), the specification also the ambient
+    language at each level."""
     b_hi = parallel_compose(ctx.abstraction, kbar)
     b_lo = parallel_compose(ctx.plant, kbar)
     high, rep_hi = sup_relobs_closed(b_hi, b_hi, ctx.abstraction)
-    low_relobs, rep_lo = sup_relobs_closed(b_lo, b_lo, ctx.plant)
+    low, rep_lo = sup_relobs_closed(b_lo, b_lo, ctx.plant)
     assert rep_hi.converged and rep_lo.converged
+    return low, parallel_compose(ctx.plant, high)
+
+
+def _preservation(ctx, kbar) -> tuple:
+    """(supN low = lift, sup-relobs low ⊆ lift) for the prefix-closed
+    high-level specification `kbar`."""
+    low, lift = _supn(ctx, kbar)
+    low_relobs, lift_relobs = _relobs(ctx, kbar)
     return (included(low, lift) and included(lift, low),
-            included(low_relobs, parallel_compose(ctx.plant, high)))
+            included(low_relobs, lift_relobs))
 
 
-def test_criterion_11_moc_licenses_the_supremal_results():
-    # Criteria 7 and 8 test the results on nested alphabets, where MOC is
-    # forced. Here the alphabets are incomparable and MOC is decided by the
-    # engine: each "holds" must license both results, and the violations
-    # that break them show that a false "holds" would be caught.
-    holds = 0
-    broken = {"supn": 0, "relobs": 0}
+@pytest.fixture(scope="module")
+def crit11_plants():
+    """Criteria 11 and 12's plants with incomparable alphabets, each with
+    its engine-decided MOC verdict: (i, context, verdict)."""
+    out = []
     for i in range(600):
         g = random_plant(GeneratorParams(3 + i % 4, 3 + i % 3, 0.4,
                                          seed=5000 + i))
@@ -425,8 +437,19 @@ def test_criterion_11_moc_licenses_the_supremal_results():
         if moc_structurally_guaranteed(ctx.alphabet):
             continue
         v = check_moc(ctx, 2000)
-        if v.inconclusive:
-            continue
+        if not v.inconclusive:
+            out.append((i, ctx, v))
+    return out
+
+
+def test_criterion_11_moc_licenses_the_supremal_results(crit11_plants):
+    # Criteria 7 and 8 test the results on nested alphabets, where MOC is
+    # forced. Here the alphabets are incomparable and MOC is decided by the
+    # engine: each "holds" must license both results, and the violations
+    # that break them show that a false "holds" would be caught.
+    holds = 0
+    broken = {"supn": 0, "relobs": 0}
+    for i, ctx, v in crit11_plants:
         spec = random_sublanguage(ctx.abstraction, 0.3, seed=7000 + i)
         supn, relobs = _preservation(ctx, prefix_close(trim(spec)))
         if v.holds:
@@ -441,3 +464,79 @@ def test_criterion_11_moc_licenses_the_supremal_results():
                   f"{holds} engine-decided MOC holds; of the violations, "
                   f"{broken['supn']} break supN and {broken['relobs']} "
                   "sup-relobs")
+
+
+def _finite(g) -> bool:
+    """Is the generated language of `g` finite? A word as long as `g` has
+    states runs through a cycle."""
+    n = len(g.states)
+    return all(len(w) < n for w in enumerate_bounded(g, n, generated=True))
+
+
+def test_criterion_12_oc_and_loc_do_not_license_the_supremal_results(
+        crit11_plants):
+    # The paper's negative result: OC, LOC, the observer property and LCC
+    # do not make the supremal normal sublanguages of the two levels
+    # coincide; MOC does (criterion 11). And under MOC the lift of the
+    # high-level sup-relobs may be strictly larger than the low-level one.
+    supn_break = relobs_gain = None   # the first of each: (i, kbar, word)
+    four_hold = supn_breaks = moc_holds = relobs_gains = 0
+    for i, ctx, moc in crit11_plants:
+        if moc.violated:
+            # OC, the costliest of the four, last
+            if not (check_loc(ctx, 2000).holds and check_observer(ctx).holds
+                    and check_lcc(ctx).holds and check_oc(ctx, 2000).holds):
+                continue
+            four_hold += 1
+        for j in range(3):
+            spec = random_sublanguage(ctx.abstraction, 0.3,
+                                      seed=7000 + 31 * i + j)
+            kbar = prefix_close(trim(spec))
+            if moc.violated:
+                low, lift = _supn(ctx, kbar)
+                w = includes(low, lift).witness or includes(lift, low).witness
+                if w is not None:
+                    supn_breaks += 1
+                    supn_break = supn_break or (i, kbar, w.strings["word"])
+            else:
+                moc_holds += 1
+                low, lift = _relobs(ctx, kbar)
+                assert included(low, lift), f"plant={i} spec={j}"
+                w = includes(lift, low).witness
+                if w is not None:
+                    relobs_gains += 1
+                    relobs_gain = relobs_gain or (i, kbar, w.strings["word"])
+    assert supn_break and relobs_gain, (supn_breaks, relobs_gains)
+
+    # Replay the supN break: the word lies in exactly one of the low-level
+    # supremal and the lift of the high-level one.
+    i, kbar, word = supn_break
+    ctx = next(c for k, c, _ in crit11_plants if k == i)
+    bound = max(5, len(word))
+    low = oracle_sup_normal(parallel_compose(ctx.plant, kbar), ctx.plant,
+                            bound)
+    high = oracle_sup_normal(parallel_compose(ctx.abstraction, kbar),
+                             ctx.abstraction, bound)
+    assert ctx.plant.generates(word)
+    assert (word in low) != (ctx.q.apply(word) in high), (i, word)
+
+    # The sup-relobs gain: the bounded oracle is exact on a finite plant
+    # language only.
+    i, kbar, word = relobs_gain
+    ctx = next(c for k, c, _ in crit11_plants if k == i)
+    if _finite(ctx.plant):
+        bound = len(ctx.plant.states)
+        b_hi = parallel_compose(ctx.abstraction, kbar)
+        b_lo = parallel_compose(ctx.plant, kbar)
+        assert ctx.q.apply(word) in oracle_sup_relobs(b_hi, b_hi,
+                                                      ctx.abstraction, bound)
+        assert word not in oracle_sup_relobs(b_lo, b_lo, ctx.plant, bound)
+        evidence = "the first confirmed by the oracle"
+    else:
+        evidence = "engine-only evidence, the plant language being infinite"
+    _passline(12, f"on {four_hold} plants where OC, LOC, observer and LCC "
+                  f"hold and MOC is violated, {supn_breaks} instances break "
+                  "supN low = lift, the first replayed through the oracle; "
+                  f"{relobs_gains} of {moc_holds} MOC-holds instances have a "
+                  "sup-relobs lift strictly above the low-level result "
+                  f"({evidence})")

@@ -17,16 +17,16 @@ import pytest
 from hierctl import automata, hierarchy, oracle
 from hierctl.automata import (Alphabet, Automaton, Event, Implicit,
                               all_marked, closure, determinize,
-                              enumerate_bounded, explore, intersect,
-                              inverse_project, is_empty,
+                              enumerate_bounded, explore, includes,
+                              intersect, inverse_project, is_empty,
                               iter_difference_words, language_equal,
-                              parallel_compose, project, right_quotient,
-                              widen_alphabet, word_automaton)
+                              merge_alphabets, parallel_compose, project,
+                              right_quotient, widen_alphabet,
+                              word_automaton)
 from hierctl.gadgets import (GeneratorParams, gadget_moc, is_universal,
                              random_nfa, random_plant, random_sublanguage)
 from hierctl.hierarchy import (HierarchyContext, PreconditionError,
-                               _continuations_meet, _interleaving_table,
-                               _loc_operands, _loc_shared, _pair_operands,
+                               _interleaving_table, _pair_operands,
                                build_context,
                                check_lcc, check_loc, check_moc,
                                check_moc_modular, check_observer, check_oc,
@@ -281,8 +281,8 @@ class TestRefutationRegressions:
         # string hash seed: OC read 3,788 and 5,082 under these two, and LOC
         # 1,440 and 1,494. OC's interleaving table steps subsets of its
         # right side, whose rows step the plant's `rows` in state order, and
-        # LOC's right side steps plant-state pairs in alphabet order and
-        # closes them under the same low-level moves.
+        # LOC steps plant subsets by `rows` in alphabet order and closes
+        # their pairs under the same low-level moves.
         reads = [_probe(f"_succ_reads({check!r}, {params!r})", seed)
                  for seed in ("0", "1")]
         assert reads[0] == reads[1] == _succ_reads(check, params)
@@ -555,6 +555,17 @@ def _reference_loc(ctx, s, sp, e):
     return not is_empty(intersect(continuations(s), continuations(sp)))
 
 
+def _continuations_meet(ctx, s, sp, e) -> bool:
+    """check_loc's test: the `_plant_pairs` closure of run(s) × run(s')
+    under the low-level moves meets a pair of states that both enable e."""
+    column, _, closing, low = ctx.plant_pairs
+    index, plant = ctx.plant.state_index, ctx.plant
+    enable = sum(1 << i for i, row in enumerate(plant.rows) if e in row)
+    run = [sum(1 << index[q] for q in plant.run(w)) for w in (s, sp)]
+    return bool(closing(low)(column(run[0]) * run[1])
+                & column(enable) * enable)
+
+
 def _table(ctx, kind):
     """The interleaving table of check_oc's (`kind` "oc") or check_moc's
     ("moc") operands."""
@@ -623,9 +634,7 @@ class TestConfirmationSearches:
                 outcomes["moc"].add(got)
 
                 sp, e = rng.choice(words), rng.choice(events)
-                meet = _continuations_meet(ctx, e)
-                got = any(map(meet, itertools.product(gl.run(s),
-                                                      gl.run(sp))))
+                got = _continuations_meet(ctx, s, sp, e)
                 assert got == _reference_loc(ctx, s, sp, e), (g, s, sp, e)
                 assert got == oracle._loc_continuations_meet(
                     gl, s, sp, e), (g, s, sp, e)
@@ -707,11 +716,12 @@ class TestConfirmationSearches:
 
     def test_low_level_moves_are_stated_once(self):
         # OC's right side erases exactly the low-level moves that LOC's
-        # `_continuations_meet` closes under, so both close with one
+        # search closes run(s) × run(s') under, so both close with one
         # function and its memo; MOC's erases their right-path part.
         plants = itertools.chain(
             agreement_plants(), loc_plants(),
             (random_plant(GeneratorParams(seed=seed)) for seed in range(60)))
+        searched = 0
         for g in plants:
             ctx = build_context(g)
             column, step, closing, low = ctx.plant_pairs
@@ -723,16 +733,21 @@ class TestConfirmationSearches:
 
             ctx.__dict__["plant_pairs"] = (column, step, recording, low)
             _pair_operands(ctx, "oc")
-            _continuations_meet(ctx, ctx.alphabet.names[0])
+            check_loc(ctx, 0)
             _pair_operands(ctx, "moc")
-            assert asked == [low, low, tuple(m for m in low if m[0] == 1)]
-            # the moves of the pair labels that `relabel_pair` erases
+            # LOC builds nothing on a plant without a controllable
+            # high-level event
             al = ctx.alphabet
-            for moves, keep in ((low, al.highlevel), (asked[2], al.names)):
+            loc = [low] if al.highlevel & al.controllable else []
+            searched += bool(loc)
+            assert asked == [low, *loc, tuple(m for m in low if m[0] == 1)]
+            # the moves of the pair labels that `relabel_pair` erases
+            for moves, keep in ((low, al.highlevel), (asked[-1], al.names)):
                 assert moves == tuple(
                     (2, l) if l == r else (0, l) if r is None else (1, r)
                     for l, r in pair_alphabet(al, al, al.observable).names
                     if l not in keep and r not in al.highlevel), g
+        assert searched >= 60, searched
 
     def test_moc_refutations_read_few_successor_maps(self):
         # A fresh plant search per candidate read 40,550 successor maps on
@@ -752,15 +767,19 @@ class TestConfirmationSearches:
         assert reads <= 500
 
 
-# The materialized LOC construction that the lazy operands replaced; it is
-# the reference they must agree with.
+# The materialized LOC construction that the search over the determinized
+# verifier replaced; it is the reference the search must agree with.
 
-def _reference_append(a, label):
-    """L_m(a)·label, for `a` numbered by `explore`."""
-    fin = len(a.states)
-    return Automaton(a.alphabet, a.states + (fin,),
-                     a.transitions | {(q, label, fin) for q in a.marked},
-                     a.initial, frozenset({fin}))
+def _reference_append(a, labels):
+    """L_m(a)·label for each of `labels`, for `a` numbered by `explore`:
+    the k-th label leads from every marked state to a final state of its
+    own, numbered len(a.states) + k."""
+    n = len(a.states)
+    ends = tuple(range(n, n + len(labels)))
+    return Automaton(a.alphabet, a.states + ends,
+                     a.transitions | {(q, label, end) for q in a.marked
+                                      for label, end in zip(labels, ends)},
+                     a.initial, frozenset(ends))
 
 
 def _reference_tracked(alphabet, trackers):
@@ -804,57 +823,98 @@ def _reference_divisor(ctx, alphabet, e):
                      frozenset({"d0"}), frozenset({"d1"}))
 
 
-def _reference_loc_operands(ctx, e):
-    alphabet = quad_alphabet(ctx.alphabet, loc_events=(e,))
+def _reference_loc_left(ctx, events) -> Automaton:
+    """The verifier's sequences with coordinates 1 and 3 in Q(L), each
+    followed by the marker (ε, e, ε, e) of an event e of `events` that both
+    coordinates enable: one automaton for all of them, each marker leading
+    to a state of its own."""
+    al = ctx.alphabet
+    markers = [(None, e, None, e) for e in events]
+    alphabet = merge_alphabets(quad_alphabet(al), Alphabet(tuple(
+        Event(m) for e in events for m in ((None, e, None, e),
+                                           (e, None, e, None)))))
     hd = determinize(ctx.abstraction)
-    left = intersect(
+    return intersect(
         _reference_append(widen_alphabet(build_quad(ctx.plant), alphabet),
-                          (None, e, None, e)),
+                          markers),
         _reference_tracked(alphabet, [(hd, 1), (hd, 3)]))
+
+
+def _reference_loc_operands(ctx, e, left=None):
+    """LOC's inclusion for event e: the verifier's sequences with
+    coordinates 1 and 3 in Q(L), then (ε, e, ε, e), against those with
+    coordinates 0 and 2 in L, right-divided by the continuations to e. The
+    left side is `left`, a `_reference_loc_left(ctx, events)` with e among
+    `events` (by default e alone), marked where e's marker leads."""
+    left = left or _reference_loc_left(ctx, (e,))
+    marker = (None, e, None, e)
+    left = automata._derived(left, marked=frozenset(
+        dst for _, label, dst in left.transitions if label == marker))
     gd = determinize(ctx.plant)
-    right = right_quotient(_reference_tracked(alphabet, [(gd, 0), (gd, 2)]),
-                           _reference_divisor(ctx, alphabet, e))
+    right = right_quotient(
+        _reference_tracked(left.alphabet, [(gd, 0), (gd, 2)]),
+        _reference_divisor(ctx, left.alphabet, e))
     return left, right
 
 
+def _loc_searches(monkeypatch, g) -> tuple:
+    """check_loc(g, 2000) and, per `first_path` search it runs, the nodes
+    that search expands, in order."""
+    searches = []
+    first_path = hierarchy.first_path
+
+    def counting(starts, moves, test):
+        expanded = []
+        searches.append(expanded)
+
+        def counted(node):
+            expanded.append(node)
+            return moves(node)
+
+        return first_path(starts, counted, test)
+
+    monkeypatch.setattr(hierarchy, "first_path", counting)
+    return check_loc(g, 2000), searches
+
+
 class TestLazyLoc:
-    """The implicit LOC operands pose the inclusion the materialized
-    construction posed, and nothing large is built any more."""
+    """The search over the determinized verifier decides the inclusion the
+    materialized construction posed, and nothing large is built."""
 
-    def test_lazy_operands_yield_the_reference_difference_words(self):
+    def test_search_finds_the_first_reference_difference_word(self):
+        # Every reference difference sequence is a violation, so the first
+        # one of the first event that has one is the witness, and a plant
+        # without one holds.
         found = {True: 0, False: 0}
-        for g in loc_plants():
-            ctx = build_context(g)
-            verifier = _loc_shared(ctx)
-            for e in sorted(ctx.alphabet.highlevel
-                            & ctx.alphabet.controllable):
-                lazy = _loc_operands(ctx, verifier, e)
-                want = list(islice(iter_difference_words(
-                    *_reference_loc_operands(ctx, e)), 50))
-                assert list(islice(iter_difference_words(*lazy), 50)) \
-                    == want, (g, e)
-                found[bool(want)] += 1
-        assert found[True] >= 5 and found[False] >= 5, found
-
-    def test_every_difference_sequence_is_a_violation(self):
-        # The right side is marked exactly where the continuations of its
-        # pair keys meet, so no LOC difference sequence is spurious and
-        # check_loc decides at its first one without a confirmation.
-        events = 0
         for g in itertools.chain(loc_plants(), agreement_plants()):
             ctx = build_context(g)
-            verifier = _loc_shared(ctx)
-            for e in sorted(ctx.alphabet.highlevel
-                            & ctx.alphabet.controllable):
-                words = list(islice(iter_difference_words(
-                    *_loc_operands(ctx, verifier, e)), 20))
-                events += bool(words)
+            al = ctx.alphabet
+            first = None
+            events = sorted(al.highlevel & al.controllable,
+                            key=al.names.index)
+            shared = _reference_loc_left(ctx, events)
+            for e in events:
+                left, right = _reference_loc_operands(ctx, e, shared)
+                # the witness search rules out a difference the quickest
+                words = [] if includes(left, right).holds else list(
+                    islice(iter_difference_words(left, right), 20))
                 for w in words:
                     s, _, sp, _ = decompose_sequence(w, 4)
                     assert not _reference_loc(ctx, s, sp, e), (g, e, w)
                     assert not oracle._loc_continuations_meet(
                         ctx.plant, s, sp, e), (g, e, w)
-        assert events >= 5, events
+                if words and first is None:
+                    first = e, words[0]
+            v = check_loc(g, 2000)
+            found[v.violated] += 1
+            assert v.violated == (first is not None), g
+            if first is not None:
+                e, w = first
+                s, _, sp, _ = decompose_sequence(w, 4)
+                assert v.witness.strings == {
+                    "s": s, "s_prime": sp, "e": (e,),
+                    "sequence": tuple(map(label_name, w))}, g
+        assert found[True] >= 5 and found[False] >= 5, found
 
     def test_liveness_tests_each_node_a_few_times(self):
         # Every node the search visits is tested, so the distinct left
@@ -867,48 +927,26 @@ class TestLazyLoc:
         assert next(iter_difference_words(left, right))
         assert len(asked) <= 2 * len(set(asked))
 
-    @pytest.mark.parametrize("params, outcome, detail", [
-        (GeneratorParams(16, 5, 0.35, seed=10), "holds", {}),
-        (GeneratorParams(8, 5, 0.4, seed=17), "violated", {"examined": 1}),
-    ], ids=["n16-s10-holds", "n8-s17-violated"])
-    def test_verifier_expands_few_keys(self, monkeypatch, params, outcome,
+    @pytest.mark.parametrize("plant, outcome, detail", [
+        (lambda: random_plant(GeneratorParams(16, 5, 0.35, seed=10)),
+         "holds", {}),
+        (lambda: random_plant(GeneratorParams(8, 5, 0.4, seed=17)),
+         "violated", {"examined": 1}),
+        (lambda: cli_small_inputs(20)[0], "violated", {"examined": 1}),
+    ], ids=["n16-s10-holds", "n8-s17-violated", "small-s20-violated"])
+    def test_verifier_expands_few_keys(self, monkeypatch, plant, outcome,
                                        detail):
-        # Quadruple keys expanded 3,918 (holds) and 1,303 (violated) here;
-        # plant-state pairs expand 71 and 55.
-        kept = []
-
-        def keeping(ctx):
-            kept.append(_loc_shared(ctx))
-            return kept[-1]
-
-        monkeypatch.setattr(hierarchy, "_loc_shared", keeping)
-        v = check_loc(random_plant(params), 2000)
+        # Quadruple keys expanded 3,918 (holds) and 1,303 (violated) in
+        # the first two, plant-state pairs 71 and 55. On cli-mix/small-s20
+        # of the benchmark, enumerating the difference view's words queued
+        # 12,489 entries for the 439 subsets it stepped. The determinized
+        # verifier expands 244, 49 and 126 nodes, each once.
+        v, searches = _loc_searches(monkeypatch, plant())
         assert (v.outcome, v.detail) == (outcome, detail)
-        verifier = kept[0]
-        assert len(verifier.succ) <= 300
-
-    def test_loc_word_search_queues_one_entry_per_subset(self, monkeypatch):
-        # cli-mix/small-s20 of the benchmark. Enumerating the view's words
-        # queued every live prefix shorter than the first one: 12,489
-        # entries for the 439 subsets it stepped. A breadth-first search
-        # over the subsets reads each one's steps once.
-        memos = []
-
-        class Reading(automata._Memo):
-            def __init__(self, fill):
-                super().__init__(fill)
-                self.reads = 0
-                memos.append(self)
-
-            def __getitem__(self, key):
-                self.reads += 1
-                return super().__getitem__(key)
-
-        monkeypatch.setattr(automata, "_Memo", Reading)
-        v = check_loc(cli_small_inputs(20)[0], 2000)
-        assert v.violated and v.detail == {"examined": 1}
-        search = memos[-1]   # the view's subset steps, made after the view
-        assert 0 < search.reads <= len(search)
+        assert searches
+        for expanded in searches:
+            assert len(expanded) == len(set(expanded))
+        assert sum(map(len, searches)) <= 300
 
     def test_loc_builds_no_large_product(self, monkeypatch):
         # The materialized construction built a 52,294-state product here.
@@ -946,6 +984,19 @@ class TestOneContext:
         sizes = _recorded_sizes(monkeypatch)
         assert check_lcc(g).holds
         assert sizes and max(sizes) <= bound
+
+    def test_loc_builds_no_abstraction_dfa(self, monkeypatch):
+        # The plant and its abstraction have 10 states each, and the
+        # abstraction determinizes to 52: LOC steps the abstraction's
+        # subsets only as far as its search reads them.
+        g = random_plant(GeneratorParams(12, 5, 0.4, seed=149))
+        ctx = build_context(g)
+        bound = max(len(ctx.plant.states), len(ctx.abstraction.states))
+        sizes = _recorded_sizes(monkeypatch)
+        assert check_loc(g, 2000).violated
+        assert sizes and max(sizes) <= bound
+        assert check_loc(ctx, 2000).violated
+        assert "abstraction_dfa" not in vars(ctx)
 
     def test_verify_builds_one_context(self, monkeypatch, ex1_plant,
                                        ex1_spec):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -231,3 +233,27 @@ def test_checks_build_no_pair_product_up_front():
     # stays public API and the tests' reference.
     source = (SRC / "hierarchy.py").read_text(encoding="utf-8")
     assert uses_outside(source, "sync_pair_compose", set()) == []
+
+
+def test_loc_reads_no_inclusion_machinery():
+    # LOC is one search over the determinized verifier: no difference view,
+    # no refutation loop, and no abstraction DFA.
+    tree = ast.parse((SRC / "hierarchy.py").read_text(encoding="utf-8"))
+    check_loc = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name == "check_loc")
+    assert used_names(check_loc) & {"live_difference", "_refutation_loop",
+                                    "abstraction_dfa"} == set()
+
+
+def test_layer_trace_targets_exist():
+    # `perfbench/run.py --trace 1` wraps these names; one a refactor
+    # removed would fail only there.
+    spec = importlib.util.spec_from_file_location(
+        "layertrace", ROOT / "perfbench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    for module, funcs in layertrace.TARGETS.items():
+        home = importlib.import_module(f"hierctl.{module}")
+        missing = [f for f in funcs if not callable(getattr(home, f, None))]
+        assert missing == [], module

@@ -4,16 +4,14 @@ import itertools
 
 import pytest
 
-from hierctl.automata import (Alphabet, AutomataError, Automaton, Event,
-                              all_marked, enumerate_bounded, explore,
-                              iter_marked_words, language_equal)
-from hierctl.gadgets import GeneratorParams, random_nfa, random_plant
+from hierctl.automata import (Alphabet, AutomataError, Event,
+                              enumerate_bounded, iter_marked_words)
+from hierctl.gadgets import GeneratorParams, random_nfa
 from hierctl.relations import (build_quad, decompose_pairs, decompose_sequence,
                                label_name, normal_form_monitor, normal_forms,
-                               quad_alphabet, relabel_pair, sync_pair_compose,
-                               verifier_moves)
+                               relabel_pair, sync_pair_compose)
 
-from conftest import loc_plants, make_alphabet, tree
+from conftest import make_alphabet, tree
 
 
 def test_label_name():
@@ -162,36 +160,3 @@ def test_build_quad_language_decomposes_to_matched_pairs():
         assert t == q(s) and tp == q(sp)
         assert q(s) == q(sp)  # here P = Q since Σo = Σhi = {a}
     assert (("b", "a"), ("a",), ("a",), ("a",)) in seen
-
-
-def _two_start_plant():
-    # a observable+high, b unobservable+low and nondeterministic, c
-    # observable+low, h unobservable+high; two initial states
-    al = make_alphabet("abch", observable="ac", highlevel="ah")
-    trans = {("0", "b", "1"), ("0", "b", "2"), ("1", "a", "3"),
-             ("1", "h", "2"), ("2", "c", "0"), ("2", "b", "3"),
-             ("3", "c", "3"), ("3", "h", "0"), ("1", "c", "1")}
-    states = ("0", "1", "2", "3")
-    return Automaton(al, states, frozenset(trans), frozenset({"0", "1"}),
-                     frozenset(states))
-
-
-def _verifier_plants():
-    for seed in range(24):
-        yield random_plant(GeneratorParams(
-            states=3 + seed % 4, events=3 + seed % 3,
-            transition_density=0.5, deterministic=seed % 3 == 0,
-            seed=seed + 900))
-    yield from itertools.islice(loc_plants(), 10, None)  # the gadget_loc ones
-    yield _two_start_plant()
-
-
-def test_pair_verifier_accepts_the_quadruple_verifier_sequences():
-    # every plant state is marked, as in the LOC check
-    for g in _verifier_plants():
-        g = all_marked(g)
-        pairs = explore(quad_alphabet(g.alphabet),
-                        itertools.product(g.sorted_states(g.initial),
-                                          repeat=2),
-                        verifier_moves(g), lambda pr: True)
-        assert language_equal(pairs, build_quad(g)), g

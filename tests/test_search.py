@@ -5,9 +5,9 @@ replaced.
 through a parent map, and `automata.pair_product` (with its `pair_moves`)
 the one product of two automata stepped by a label table. The references
 below are the hand-written loops of the controllability, observer and LCC
-checks and the moves of `parallel_compose`, `sync_pair_compose` and
-`verifier_moves` as they were before; the kernels must give byte-identical
-verdict JSON and identical automata.
+checks and the moves of `parallel_compose` and `sync_pair_compose` as they
+were before; the kernels must give byte-identical verdict JSON and
+identical automata.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from hierctl.gadgets import (GeneratorParams, random_nfa, random_plant,
                              random_sublanguage)
 from hierctl.hierarchy import (_low_reach, build_context, check_lcc,
                                check_observer)
-from hierctl.relations import (_quad_labels, pair_alphabet, quad_alphabet,
-                               sync_pair_compose, verifier_moves)
+from hierctl.relations import pair_alphabet, sync_pair_compose
 from hierctl.verdicts import Verdict, Witness
 
 from conftest import make_alphabet
@@ -168,28 +167,6 @@ def ref_sync_pair_compose(a: Automaton, b: Automaton, sync) -> Automaton:
                    lambda pq: pq[0] in a.marked and pq[1] in b.marked)
 
 
-def ref_verifier_moves(g: Automaton):
-    base = g.alphabet
-    obs = base.observable
-    labels = _quad_labels(base)
-
-    def moves(pr):
-        p, r = pr
-        for a in base.names:
-            lbl = labels[a]
-            if a in obs:
-                for pn in g.succ[p].get(a, ()):
-                    for rn in g.succ[r].get(a, ()):
-                        yield lbl[0], (pn, rn)
-            else:
-                for pn in g.succ[p].get(a, ()):
-                    yield lbl[0], (pn, r)
-                for rn in g.succ[r].get(a, ()):
-                    yield lbl[1], (p, rn)
-
-    return moves
-
-
 # ---------------------------------------------------------------------------
 # populations
 
@@ -255,10 +232,6 @@ def test_pair_products_match_the_reference_moves():
                            (ctx.plant, ctx.abstraction, ctx.shared)):
             _same(sync_pair_compose(a, b, sync),
                   ref_sync_pair_compose(a, b, sync))
-        starts = list(itertools.product(ctx.plant.initial, repeat=2))
-        alphabet = quad_alphabet(ctx.alphabet)
-        _same(explore(alphabet, starts, verifier_moves(ctx.plant), bool),
-              explore(alphabet, starts, ref_verifier_moves(ctx.plant), bool))
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,11 @@ from hypothesis import strategies as st
 from hierctl import checks
 from hierctl.automata import (Automaton, Implicit, LazyRows, ProjectionSpec,
                               all_marked, determinize, difference,
-                              eliminate_silent, explore, first_marked_word,
-                              included, includes, intersect, inverse_project,
+                              eliminate_silent, explore, included, includes,
+                              intersect, inverse_project,
                               iter_difference_words, iter_marked_words,
-                              language_equal, live_difference,
-                              marked_saturate, path_word, prefix_close,
-                              project, trim)
+                              language_equal, marked_saturate, path_word,
+                              prefix_close, project, trim)
 from hierctl.checks import sup_normal_closed
 from hierctl.cli import main
 from hierctl.gadgets import GeneratorParams, random_plant, random_sublanguage
@@ -32,7 +31,7 @@ from hierctl.saut import serialize_automaton
 from hierctl.verdicts import Verdict, Witness
 
 from conftest import (agreement_plants, cli_big_inputs, cli_big_seeds,
-                      make_alphabet, pair_operands, tree)
+                      make_alphabet, pair_operands)
 
 AB = make_alphabet("ab")
 
@@ -198,21 +197,6 @@ def test_implicit_right_side_gives_the_reference_words(a, b):
     assert list(islice(iter_difference_words(a, _implicit(b)), 50)) == want
     assert list(islice(iter_difference_words(a, _lazy_rows(b)), 50)) == want
     assert list(islice(iter_difference_words(a, b), 50)) == want
-
-
-@settings(max_examples=150, deadline=None)
-@given(nfas(), nfas())
-@example(EMPTY_INITIAL, SILENT)
-@example(SILENT, NONE_MARKED)
-@example(NONE_MARKED, EMPTY_INITIAL)
-# ties of length go to the letter first in alphabet order
-@example(tree([("b", "a"), ("a", "b"), ("b",)], AB),
-         tree([("b",)], AB))
-def test_first_marked_word_is_the_first_enumerated(a, b):
-    # an automaton, and the implicit view of a difference product
-    assert first_marked_word(a) == next(iter_marked_words(a), None)
-    assert first_marked_word(live_difference(a, b)) == \
-        next(iter_difference_words(a, b), None)
 
 
 @settings(max_examples=100, deadline=None)
