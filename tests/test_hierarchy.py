@@ -877,34 +877,36 @@ def _loc_searches(monkeypatch, g) -> tuple:
     return check_loc(g, 2000), searches
 
 
+def _reference_loc_words():
+    """Per plant of `loc_plants` and `agreement_plants`: the plant, its
+    context and, per controllable high-level event in alphabet order, the
+    first 20 difference sequences of the reference LOC operands."""
+    for g in itertools.chain(loc_plants(), agreement_plants()):
+        ctx = build_context(g)
+        al = ctx.alphabet
+        events = sorted(al.highlevel & al.controllable, key=al.names.index)
+        shared = _reference_loc_left(ctx, events)
+        words = []
+        for e in events:
+            left, right = _reference_loc_operands(ctx, e, shared)
+            # the witness search rules out a difference the quickest
+            words.append((e, [] if includes(left, right).holds else list(
+                islice(iter_difference_words(left, right), 20))))
+        yield g, ctx, words
+
+
 class TestLazyLoc:
     """The search over the determinized verifier decides the inclusion the
     materialized construction posed, and nothing large is built."""
 
-    def test_search_finds_the_first_reference_difference_word(self):
-        # Every reference difference sequence is a violation, so the first
-        # one of the first event that has one is the witness, and a plant
-        # without one holds.
+    def test_lazy_operands_yield_the_reference_difference_words(self):
+        # The search determinizes the verifier as it reads it, in place of
+        # the implicit operands it replaced: the first reference difference
+        # sequence of the first event that has one is its witness, and a
+        # plant without one holds.
         found = {True: 0, False: 0}
-        for g in itertools.chain(loc_plants(), agreement_plants()):
-            ctx = build_context(g)
-            al = ctx.alphabet
-            first = None
-            events = sorted(al.highlevel & al.controllable,
-                            key=al.names.index)
-            shared = _reference_loc_left(ctx, events)
-            for e in events:
-                left, right = _reference_loc_operands(ctx, e, shared)
-                # the witness search rules out a difference the quickest
-                words = [] if includes(left, right).holds else list(
-                    islice(iter_difference_words(left, right), 20))
-                for w in words:
-                    s, _, sp, _ = decompose_sequence(w, 4)
-                    assert not _reference_loc(ctx, s, sp, e), (g, e, w)
-                    assert not oracle._loc_continuations_meet(
-                        ctx.plant, s, sp, e), (g, e, w)
-                if words and first is None:
-                    first = e, words[0]
+        for g, _, words in _reference_loc_words():
+            first = next(((e, ws[0]) for e, ws in words if ws), None)
             v = check_loc(g, 2000)
             found[v.violated] += 1
             assert v.violated == (first is not None), g
@@ -915,6 +917,21 @@ class TestLazyLoc:
                     "s": s, "s_prime": sp, "e": (e,),
                     "sequence": tuple(map(label_name, w))}, g
         assert found[True] >= 5 and found[False] >= 5, found
+
+    def test_every_difference_sequence_is_a_violation(self):
+        # The right side is marked exactly where the continuations of its
+        # pair keys meet, so no LOC difference sequence is spurious and
+        # check_loc decides at its first one without a confirmation.
+        events = 0
+        for g, ctx, words in _reference_loc_words():
+            for e, ws in words:
+                events += bool(ws)
+                for w in ws:
+                    s, _, sp, _ = decompose_sequence(w, 4)
+                    assert not _reference_loc(ctx, s, sp, e), (g, e, w)
+                    assert not oracle._loc_continuations_meet(
+                        ctx.plant, s, sp, e), (g, e, w)
+        assert events >= 5, events
 
     def test_liveness_tests_each_node_a_few_times(self):
         # Every node the search visits is tested, so the distinct left
