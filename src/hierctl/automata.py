@@ -16,15 +16,15 @@ alphabet order); its state keys are hashed but never formatted into names, so
 distinct keys never share a state, and equal inputs give byte-identical
 outputs.
 
-Subset constructions (`determinize`, `marked_saturate`,
-`iter_marked_words`, `includes`, `included`, `difference`, and
-`live_difference`) hold a subset as an int bitmask over
-`state_index`. A step ORs the `rows` of the set bits, "meets a marked
-state" is `m & marked_mask`, and the subset's size is `m.bit_count()`. A
-mask maps one-to-one onto the frozenset of its states and the searches only
-hash it, so numbering, words, witnesses and search work are those of a
-frozenset construction. (A mask is as wide as its automaton is large, where
-a frozenset is as large as the subset.) An `Automaton` builds its tables
+Subset constructions (`determinize`, `marked_saturate`, `iter_marked_words`,
+`includes`, `included`, `difference`, `live_difference` and
+`iter_difference_words`) hold a subset as an int bitmask over `state_index`.
+A step ORs the `rows` of the set bits, "meets a marked state" is
+`m & marked_mask`, and the subset's size is `m.bit_count()`. A mask maps
+one-to-one onto the frozenset of its states and the searches only hash it,
+so numbering, words, witnesses and search work are those of a frozenset
+construction. (A mask is as wide as its automaton is large, where a
+frozenset is as large as the subset.) An `Automaton` builds its tables
 (`state_index`, `succ`, `rows`, `has_silent`) on first read, once per
 transition relation: the copies that `_derived` makes for `with_initial`,
 `widen_alphabet`, `prefix_close` and `right_quotient` share them, and check
@@ -43,9 +43,10 @@ numbered as they are read) or `LazyRows` (states numbered already).
 stepped by a label table (`parallel_compose`, the pair products of
 `relations`, OC's and MOC's left sides through `pair_moves`).
 `first_path(starts, moves, test)` is every breadth-first witness search:
-`includes`, the observer, LCC, LOC and controllability checks.
-`iter_marked_words` is the one length-lexicographic enumerator:
-`iter_difference_words` runs it over `live_difference`.
+`includes`, the first word of `iter_difference_words`, and the observer,
+LCC, LOC and controllability checks. `iter_marked_words` is the one
+length-lexicographic enumerator: `iter_difference_words` runs it over
+`live_difference` for the words after its first.
 `closure(starts, step)` is every "all that is reachable" set: silent
 closures, (co)reachable states, the pair search of `right_quotient`, and
 the plant reaches of `hierarchy`.
@@ -56,7 +57,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 Word = tuple[str, ...]
@@ -970,6 +971,7 @@ def live_difference(a: Automaton | Implicit,
     alphabet order and the search does the same work in every process. An
     `Implicit` operand is expanded only as far as the search reads it. The
     view has no marked word exactly when L_m(a) ⊆ L_m(b).
+    `iter_difference_words` builds it only for the words after its first.
     """
     starts, moves, bad = _difference_product(a, b)
     # node -> LIVE, DEAD, or its search number while the search holds it
@@ -1040,10 +1042,33 @@ def live_difference(a: Automaton | Implicit,
 def iter_difference_words(a: Automaton | Implicit,
                           b: Automaton | Implicit | LazyRows
                           ) -> Iterator[Word]:
-    """Yield L_m(a) − L_m(b) in length-lexicographic order:
-    `iter_marked_words` over `live_difference(a, b)`. Nothing is yielded
-    exactly when L_m(a) ⊆ L_m(b)."""
-    yield from iter_marked_words(live_difference(a, b))
+    """Yield L_m(a) − L_m(b) in length-lexicographic order; nothing
+    exactly when L_m(a) ⊆ L_m(b). The first word comes from one
+    `first_path` over (A, B), the subsets of `a` and of `b` that a word
+    reaches, stepped through their `subset_steps` by `a`'s labels in
+    alphabet order, a step that empties A dropped; (A, B) is bad when A
+    meets a marked state and B does not. Breadth first over this
+    deterministic graph, that is the length-lexicographically first word.
+    Asking for a second word builds `live_difference(a, b)`."""
+    require_same_alphabet(a, b)
+    a, b = eliminate_silent(a), eliminate_silent(b)
+    a_row, b_row = subset_steps(a), subset_steps(b)
+    names = a.alphabet.names
+
+    def moves(node):
+        row, brow = a_row[node[0]], b_row[node[1]]
+        for e in names:
+            m = row.get(e)
+            if m:
+                yield e, (m, brow.get(e, 0))
+
+    def bad(node) -> bool:
+        return a.meets_marked(node[0]) and not b.meets_marked(node[1])
+
+    found = first_path([(a.start_mask, b.start_mask)], moves, bad)
+    if found is not None:
+        yield found[0]
+        yield from islice(iter_marked_words(live_difference(a, b)), 1, None)
 
 
 def enumerate_bounded(a: Automaton, bound: int, *, generated: bool = False) -> list[Word]:

@@ -23,26 +23,27 @@ built when a subset step first reads it.
 
 OC and MOC reach "holds" first by one antichain inclusion
 (``automata.included``) of their plain left side in the right one, which
-needs no normal form and no sequence. Where it fails, the inclusion is
-decided by one lazy difference search (``live_difference``): an on-the-fly
-product of the left side with the subset construction of the right one,
-expanded only as far as the sequences examined need. The inclusion is
-sequence-level, but a left-only and a right-only pair event commute, so
-the interleavings of one string pair are one trace: OC and MOC read their
-left side in lexicographic normal form (``relations.normal_forms``), one
-sequence per string pair. A search that yields no sequence is the
-inclusion holding: ``holds``, every normal form lying in the right side,
-which realizes every string pair. Otherwise a difference sequence may only
-reflect a missing interleaving: each one, in length-lexicographic order,
-is decomposed into a string tuple, and OC and MOC confirm or refute the
-tuple exactly by asking their right side whether it accepts any
-interleaving of it: one table per check, keyed by interned prefix pairs,
-that all its tuples share and that steps the right side's subsets with the
-memo the difference search fills. A confirmed tuple yields ``violated``;
-exhausting the difference language yields ``holds`` (every genuine
-violating tuple leaves a difference sequence, its normal form, because the
-synchronized products accept all interleavings); running out of budget,
-counted in tuples examined, yields ``inconclusive``.
+needs no normal form and no sequence. Where it fails, the first difference
+sequence comes from one breadth-first search over left and right subsets,
+and only if its tuple is refuted do the others come from one lazy
+difference search (``live_difference``): an on-the-fly product of the left
+side with the subset construction of the right one, expanded only as far as
+the sequences examined need. The inclusion is sequence-level, but a
+left-only and a right-only pair event commute, so the interleavings of one
+string pair are one trace: OC and MOC read their left side in lexicographic
+normal form (``relations.normal_forms``), one sequence per string pair. A
+search that yields no sequence is the inclusion holding: ``holds``, every
+normal form lying in the right side, which realizes every string pair.
+Otherwise a difference sequence may only reflect a missing interleaving:
+each one, in length-lexicographic order, is decomposed into a string tuple,
+and OC and MOC confirm or refute the tuple exactly by asking their right
+side whether it accepts any interleaving of it: one table per check, keyed
+by interned prefix pairs, that all its tuples share and that steps the
+right side's subsets with the memo the difference search fills. A confirmed
+tuple yields ``violated``; exhausting the difference language yields
+``holds`` (every genuine violating tuple leaves a difference sequence, its
+normal form, because the synchronized products accept all interleavings);
+running out of budget, counted in tuples examined, yields ``inconclusive``.
 
 LOC is decided exactly by one breadth-first search per event over the
 quadruple verifier, determinized as it is read: the verifier's subsets
@@ -459,16 +460,18 @@ def _pair_consistency(ctx: HierarchyContext, kind: str, key: str,
     The plain inclusion (`included`) is tried first: its antichain search
     needs no normal forms, and the normal forms are some of the left
     side's sequences, so when it holds the check holds, a bare "holds".
-    Otherwise the difference search reads the left side in normal form,
-    and each difference tuple (x, t') is decided exactly by asking the
+    Otherwise the difference search reads the left side in normal form:
+    its first sequence comes from a breadth-first search, and the liveness
+    search of `live_difference` runs only when that sequence's tuple is
+    refuted. Each difference tuple (x, t') is decided exactly by asking the
     right side whether it accepts any interleaving of it
     (`_interleaving_table`); a false answer gives a `kind` witness that
     names x by `key`. The plain inclusion can fail where every normal form
     is in: an event of Σo ∖ Σhi moves both paths of the right side, but its
     label shows one side or none, so the right side need not hold every
-    interleaving of its string pairs. Then every tuple is confirmed, the
-    normal-form search yields nothing and gives the bare "holds" itself,
-    as on the MOC gadgets of universal NFAs.
+    interleaving of its string pairs. Then the breadth-first search runs
+    to exhaustion without a sequence and gives the bare "holds", as on the
+    MOC gadgets of universal NFAs.
     """
     la, ra = _pair_operands(ctx, kind)
     if included(la, ra):

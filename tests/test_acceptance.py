@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from hierctl import automata
 from hierctl.automata import (Alphabet, Automaton, Event, all_marked,
                               enumerate_bounded, included, includes,
                               parallel_compose, prefix_close, trim)
@@ -30,7 +31,7 @@ from hierctl.oracle import (_exists_moc_mate, _exists_oc_pair, _gen_rec,
                             _q_of, oracle_loc, oracle_moc, oracle_oc,
                             oracle_sup_normal, oracle_sup_relobs)
 
-from conftest import tree
+from conftest import agreement_plants, tree
 
 CHECKS = {"oc": check_oc, "moc": check_moc, "loc": check_loc}
 ORACLES = {"oc": oracle_oc, "moc": oracle_moc, "loc": oracle_loc}
@@ -540,3 +541,45 @@ def test_criterion_12_oc_and_loc_do_not_license_the_supremal_results(
                   f"{relobs_gains} of {moc_holds} MOC-holds instances have a "
                   "sup-relobs lift strictly above the low-level result "
                   f"({evidence})")
+
+
+# ---------------------------------------------------------------------------
+# the first difference sequence
+
+# OC on these two benchmark frontier plants (`plant_params(n, d, 3)`) is
+# violated at its first sequence; the liveness search ran past 20 s on each
+# before it reached it.
+FIRST_SEQUENCE_PLANTS = (GeneratorParams(64, 5, 0.45, seed=3),
+                         GeneratorParams(48, 5, 0.5, seed=3))
+
+
+def test_first_sequences_need_no_liveness_search(crit4_results, monkeypatch):
+    # OC and MOC take their first difference sequence from one
+    # breadth-first search, so with the liveness search gone every check
+    # decided at its first sequence gives the same verdict and witness.
+    def refuse(*args):
+        raise AssertionError("the liveness search ran")
+
+    def agrees(g, kind, budget, v) -> bool:
+        if v.detail != {"examined": 1}:
+            return False
+        with monkeypatch.context() as m:
+            m.setattr(automata, "live_difference", refuse)
+            assert CHECKS[kind](g, budget).to_json() == v.to_json()
+        return True
+
+    runs = [(entry["plant"], kind, 3000, entry[kind])
+            for _, _, _, per in crit4_results for entry in per.values()
+            for kind in ("oc", "moc")]
+    runs += [(g, kind, 2000, CHECKS[kind](g, 2000))
+             for g in agreement_plants() for kind in ("oc", "moc")]
+    first = sum(agrees(*run) for run in runs)
+    assert first >= 300, first
+    for p in FIRST_SEQUENCE_PLANTS:
+        g = random_plant(p)
+        v = check_oc(g, 2000)
+        assert agrees(g, "oc", 2000, v), p
+        assert v.violated and _replay(g, v, "oc"), p
+    print(f"first sequence: PASS — {first} of {len(runs)} OC/MOC checks and "
+          f"OC on {len(FIRST_SEQUENCE_PLANTS)} frontier plants decided at "
+          "their first sequence need no liveness search")

@@ -19,7 +19,8 @@ from hierctl.automata import (Alphabet, Automaton, Event, Implicit,
                               all_marked, closure, determinize,
                               enumerate_bounded, explore, includes,
                               intersect, inverse_project, is_empty,
-                              iter_difference_words, language_equal,
+                              iter_difference_words, iter_marked_words,
+                              language_equal, live_difference,
                               merge_alphabets, parallel_compose, project,
                               right_quotient, widen_alphabet,
                               word_automaton)
@@ -132,19 +133,21 @@ def _oc_operands(g: Automaton) -> tuple:
 
 # OC is violated at its first difference sequence here, but a depth-first
 # liveness search can wander deep into the right side's subsets first.
+# check_oc takes that sequence from a breadth-first search, so the probes
+# below run the liveness search that yields the sequences after it.
 WANDER_PLANT = GeneratorParams(16, 5, 0.35, seed=1000)
 # bad-node tests up to that first sequence; wandering takes over 100,000
 WANDER_BOUND = 10_000
 
 
 def _oc_wander_probe() -> list:
-    """check_oc on WANDER_PLANT, and the bad-node tests its difference
-    search makes up to the first sequence."""
+    """check_oc on WANDER_PLANT, and the bad-node tests the liveness search
+    of its difference view makes up to the first sequence."""
     g = random_plant(WANDER_PLANT)
     v = check_oc(g, 2000)
     la, ra = _oc_operands(g)
     la, asked = _counting_marked(la)
-    next(iter_difference_words(la, ra))
+    next(iter_marked_words(live_difference(la, ra)))
     return [v.outcome, v.detail, len(asked)]
 
 
@@ -163,7 +166,7 @@ def _forced_order_work() -> tuple:
     work = []
     for order in orders:
         a, asked = _counting_marked(la, order)
-        assert next(iter_difference_words(a, ra))
+        assert next(iter_marked_words(live_difference(a, ra)))
         work.append(len(asked))
     return tuple(work)
 
@@ -941,7 +944,7 @@ class TestLazyLoc:
         ctx = build_context(random_plant(GeneratorParams(8, 5, 0.4, seed=17)))
         left, right = _reference_loc_operands(ctx, "e2")
         left, asked = _counting_marked(left)
-        assert next(iter_difference_words(left, right))
+        assert next(iter_marked_words(live_difference(left, right)))
         assert len(asked) <= 2 * len(set(asked))
 
     @pytest.mark.parametrize("plant, outcome, detail", [
