@@ -17,8 +17,8 @@ distinct keys never share a state, and equal inputs give byte-identical
 outputs.
 
 Subset constructions (`determinize`, `marked_saturate`, `iter_marked_words`,
-`includes`, `included`, `difference`, `live_difference` and
-`iter_difference_words`) hold a subset as an int bitmask over `state_index`.
+`includes`, `included`, `difference` and `iter_difference_words`) hold a
+subset as an int bitmask over `state_index`.
 A step ORs the `rows` of the set bits, "meets a marked state" is
 `m & marked_mask`, and the subset's size is `m.bit_count()`. A mask maps
 one-to-one onto the frozenset of its states and the searches only hash it,
@@ -32,9 +32,9 @@ only the initial and marked states they change.
 
 Five search shapes are written once. `_difference_product(a, b)` is the
 product of `a` with the subset construction of `b`: its start nodes, its
-steps in alphabet order and its bad-node test. `includes`, `included`,
-`difference` and `live_difference` each search it, so a change to its
-right-subset layer is made in one place. `includes` finds a shortest
+steps in alphabet order and its bad-node test. `includes`, `included` and
+`difference` each search it, so a change to its right-subset layer is made
+in one place. `includes` finds a shortest
 witness; `included` answers the boolean alone by an antichain search, which
 skips a node whose `b` subset contains one already reached with the same
 `a` state. The right operand `b` is an `Automaton`, an `Implicit` (keys
@@ -43,10 +43,11 @@ numbered as they are read) or `LazyRows` (states numbered already).
 stepped by a label table (`parallel_compose`, the pair products of
 `relations`, OC's and MOC's left sides through `pair_moves`).
 `first_path(starts, moves, test)` is every breadth-first witness search:
-`includes`, the first word of `iter_difference_words`, and the observer,
-LCC, LOC and controllability checks. `iter_marked_words` is the one
-length-lexicographic enumerator: `iter_difference_words` runs it over
-`live_difference` for the words after its first.
+`includes`, the observer, LCC, LOC and controllability checks, and
+`iter_difference_words`, whose searches over subset pairs find its first
+word and decide which pairs are live. `iter_marked_words` is the one
+length-lexicographic enumerator: `iter_difference_words` runs it over the
+live pairs for the words after its first.
 `closure(starts, step)` is every "all that is reachable" set: silent
 closures, (co)reachable states, the pair search of `right_quotient`, and
 the plant reaches of `hierarchy`.
@@ -542,10 +543,10 @@ class Implicit:
     `marked(key)`, each once per key. Keys are numbered as they are read,
     the start keys first in the order given, so `state_index`,
     `sorted_states`, `start_mask`, `rows` and `meets_marked` stand for those
-    of an `Automaton`. It offers what `live_difference` and the word
-    searches read of an `Automaton`. `moves` must yield no silent
-    (None) label, and every key must reach a marked key, or an unbounded
-    `iter_marked_words` of a finite language does not end."""
+    of an `Automaton`. It offers what the difference and word searches
+    read of an `Automaton`. `moves` must yield no silent (None) label, and
+    every key must reach a marked key, or an unbounded `iter_marked_words`
+    of a finite language does not end."""
 
     has_silent = False
     sorted_states = Automaton.sorted_states
@@ -676,12 +677,12 @@ def first_path(starts: Iterable, moves, test):
 def _difference_product(a: Automaton,
                         b: Automaton | Implicit | LazyRows) -> tuple:
     """(starts, moves, bad) of the product of `a` with the subset
-    construction of `b`, the one product that `includes`, `included`,
-    `difference` and `live_difference` search. A node is (state of
-    `a`, bitmask subset of `b`); the starts follow `a.sorted_states`,
-    `moves(node)` yields (event, node) in alphabet order, and `bad(node)`
-    is true when the `a` state is marked and the `b` subset holds no marked
-    state. `b`'s subset steps are its `subset_steps`."""
+    construction of `b`, the one product that `includes`, `included` and
+    `difference` search. A node is (state of `a`, bitmask subset of `b`);
+    the starts follow `a.sorted_states`, `moves(node)` yields (event,
+    node) in alphabet order, and `bad(node)` is true when the `a` state is
+    marked and the `b` subset holds no marked state. `b`'s subset steps
+    are its `subset_steps`."""
     require_same_alphabet(a, b)
     a = eliminate_silent(a)
     b = eliminate_silent(b)
@@ -952,108 +953,28 @@ def iter_marked_words(a: Automaton | Implicit,
             queue.extend((word + (e,), nxt) for e, nxt in steps)
 
 
-def live_difference(a: Automaton | Implicit,
-                    b: Automaton | Implicit | LazyRows) -> Implicit:
-    """L_m(a) − L_m(b) as an `Implicit` view of the live nodes of
-    `_difference_product(a, b)`, marked at its bad nodes: the marked words
-    of ``trim(difference(a, b))``, without building either automaton. The
-    view keeps a successor map for the live nodes a word search expands and
-    nothing for dead ones. A node (state of `a`, bitmask subset of `b`) is
-    live when it reaches a bad node, one whose `a` state is marked and
-    whose `b` subset holds no marked state. One depth-first search over
-    strongly connected components (Tarjan's) decides it, and every node it
-    visits is decided once, so it scans each node's targets at most once: a
-    live or bad target makes every node still on the component stack live
-    (each reaches the search path, which reaches that target), and a
-    component finished without one is dead. A node's targets are all
-    checked for a live or bad one before the search descends, into the
-    smallest `b` subsets first; the sort is stable, so ties stay in
-    alphabet order and the search does the same work in every process. An
-    `Implicit` operand is expanded only as far as the search reads it. The
-    view has no marked word exactly when L_m(a) ⊆ L_m(b).
-    `iter_difference_words` builds it only for the words after its first.
-    """
-    starts, moves, bad = _difference_product(a, b)
-    # node -> LIVE, DEAD, or its search number while the search holds it
-    status: dict = {}
-    LIVE, DEAD = -1, -2
-
-    def targets(node) -> list:
-        # smallest `b` subsets first: a bad node's holds no marked state,
-        # and trying them first keeps the search from wandering through
-        # large subsets while a bad node is a few steps away
-        return [n for _, n in sorted(moves(node),
-                                     key=lambda st: st[1][1].bit_count())]
-
-    def is_live(node) -> bool:
-        s = status.get(node)
-        if s is not None:
-            return s == LIVE
-        if bad(node):
-            status[node] = LIVE
-            return True
-        stack = []   # visited nodes whose component is not finished
-        path = []    # [node, its unread targets, lowlink] down to `node`
-        count = 0
-        while True:
-            # enter `node`, which is neither decided nor bad
-            status[node] = count
-            stack.append(node)
-            ts = targets(node)
-            for t in ts:
-                s = status.get(t)
-                if s == LIVE or (s is None and bad(t)):
-                    for n in stack:
-                        status[n] = LIVE
-                    return True
-            path.append([node, iter(ts), count])
-            count += 1
-            while path:
-                frame = path[-1]
-                for t in frame[1]:
-                    s = status.get(t)
-                    if s is None:
-                        node = t
-                        break
-                    if 0 <= s < frame[2]:   # on the stack: same component
-                        frame[2] = s
-                else:
-                    path.pop()
-                    top, _, low = frame
-                    if low == status[top]:   # a finished, dead component
-                        while True:
-                            n = stack.pop()
-                            status[n] = DEAD
-                            if n is top:
-                                break
-                    elif low < path[-1][2]:
-                        path[-1][2] = low
-                    continue
-                break
-            else:
-                return False
-
-    def live_moves(node):
-        return ((e, n) for e, n in moves(node) if is_live(n))
-
-    return Implicit(a.alphabet, filter(is_live, starts), live_moves, bad)
-
-
 def iter_difference_words(a: Automaton | Implicit,
                           b: Automaton | Implicit | LazyRows
                           ) -> Iterator[Word]:
     """Yield L_m(a) − L_m(b) in length-lexicographic order; nothing
-    exactly when L_m(a) ⊆ L_m(b). The first word comes from one
-    `first_path` over (A, B), the subsets of `a` and of `b` that a word
-    reaches, stepped through their `subset_steps` by `a`'s labels in
+    exactly when L_m(a) ⊆ L_m(b).
+
+    The words are those of (A, B), the subsets of `a` and of `b` that a
+    word reaches, stepped through their `subset_steps` by `a`'s labels in
     alphabet order, a step that empties A dropped; (A, B) is bad when A
-    meets a marked state and B does not. Breadth first over this
-    deterministic graph, that is the length-lexicographically first word.
-    Asking for a second word builds `live_difference(a, b)`."""
+    meets a marked state and B does not. A pair is live when it reaches a
+    bad one. `search(node)` is one `first_path` from `node` to a bad or
+    known-live pair that skips pairs known to be dead: the word it finds
+    makes every pair along it live, and finding none makes every pair it
+    expanded dead. Breadth first over this deterministic graph, the word
+    of `search(start)` is the length-lexicographically first; the words
+    after it come from `iter_marked_words` over the live pairs, each
+    pair's liveness decided when the enumerator first steps to it."""
     require_same_alphabet(a, b)
     a, b = eliminate_silent(a), eliminate_silent(b)
     a_row, b_row = subset_steps(a), subset_steps(b)
     names = a.alphabet.names
+    live: dict = {}   # (A, B) -> whether it reaches a bad pair, once known
 
     def moves(node):
         row, brow = a_row[node[0]], b_row[node[1]]
@@ -1065,10 +986,36 @@ def iter_difference_words(a: Automaton | Implicit,
     def bad(node) -> bool:
         return a.meets_marked(node[0]) and not b.meets_marked(node[1])
 
-    found = first_path([(a.start_mask, b.start_mask)], moves, bad)
-    if found is not None:
-        yield found[0]
-        yield from islice(iter_marked_words(live_difference(a, b)), 1, None)
+    def search(node):
+        expanded = []
+
+        def not_dead(n):
+            expanded.append(n)
+            return ((e, t) for e, t in moves(n) if live.get(t, True))
+
+        found = first_path([node], not_dead, lambda n: live.get(n) or bad(n))
+        if found is None:
+            live.update(dict.fromkeys(expanded, False))
+            return None
+        for e in found[0]:
+            live[node] = True
+            node = a_row[node[0]][e], b_row[node[1]].get(e, 0)
+        live[node] = True
+        return found[0]
+
+    def live_moves(node):
+        for e, t in moves(node):
+            if t not in live:
+                search(t)
+            if live[t]:
+                yield e, t
+
+    start = (a.start_mask, b.start_mask)
+    first = search(start)
+    if first is not None:
+        yield first
+        yield from islice(iter_marked_words(
+            Implicit(a.alphabet, [start], live_moves, bad)), 1, None)
 
 
 def enumerate_bounded(a: Automaton, bound: int, *, generated: bool = False) -> list[Word]:

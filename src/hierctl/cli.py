@@ -310,7 +310,14 @@ def _expected_files(args) -> tuple | None:
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error and exits 2, which means
+        # "inconclusive"; --help exits 0
+        if exc.code != 2:
+            raise
+        return EXIT_ERROR
     expected = _expected_files(args)
     if expected is not None and len(args.files) != expected[1]:
         print(f"error: '{expected[0]}' takes exactly {expected[1]} file(s)",

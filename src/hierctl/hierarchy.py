@@ -23,15 +23,16 @@ built when a subset step first reads it.
 
 OC and MOC reach "holds" first by one antichain inclusion
 (``automata.included``) of their plain left side in the right one, which
-needs no normal form and no sequence. Where it fails, the first difference
-sequence comes from one breadth-first search over left and right subsets,
-and only if its tuple is refuted do the others come from one lazy
-difference search (``live_difference``): an on-the-fly product of the left
-side with the subset construction of the right one, expanded only as far as
-the sequences examined need. The inclusion is sequence-level, but a
-left-only and a right-only pair event commute, so the interleavings of one
-string pair are one trace: OC and MOC read their left side in lexicographic
-normal form (``relations.normal_forms``), one sequence per string pair. A
+needs no normal form and no sequence. Where it fails, the difference
+sequences come from breadth-first searches over pairs of left and right
+subsets (``automata.iter_difference_words``): the first search yields the
+first sequence, and only if its tuple is refuted do further searches decide
+which pairs reach a difference, so that the word enumerator yields the
+others. Each pair is stepped only as far as the sequences examined need.
+The inclusion is sequence-level, but a left-only and a right-only pair
+event commute, so the interleavings of one string pair are one trace: OC
+and MOC read their left side in lexicographic normal form
+(``relations.normal_forms``), one sequence per string pair. A
 search that yields no sequence is the inclusion holding: ``holds``, every
 normal form lying in the right side, which realizes every string pair.
 Otherwise a difference sequence may only reflect a missing interleaving:
@@ -461,12 +462,12 @@ def _pair_consistency(ctx: HierarchyContext, kind: str, key: str,
     needs no normal forms, and the normal forms are some of the left
     side's sequences, so when it holds the check holds, a bare "holds".
     Otherwise the difference search reads the left side in normal form:
-    its first sequence comes from a breadth-first search, and the liveness
-    search of `live_difference` runs only when that sequence's tuple is
-    refuted. Each difference tuple (x, t') is decided exactly by asking the
-    right side whether it accepts any interleaving of it
-    (`_interleaving_table`); a false answer gives a `kind` witness that
-    names x by `key`. The plain inclusion can fail where every normal form
+    its first sequence comes from a breadth-first search over subset pairs,
+    and the liveness searches that the sequences after it need run only
+    when that sequence's tuple is refuted. Each difference tuple (x, t') is
+    decided exactly by asking the right side whether it accepts any
+    interleaving of it (`_interleaving_table`); a false answer gives a
+    `kind` witness that names x by `key`. The plain inclusion can fail where every normal form
     is in: an event of Σo ∖ Σhi moves both paths of the right side, but its
     label shows one side or none, so the right side need not hold every
     interleaving of its string pairs. Then the breadth-first search runs

@@ -547,24 +547,26 @@ def test_criterion_12_oc_and_loc_do_not_license_the_supremal_results(
 # the first difference sequence
 
 # OC on these two benchmark frontier plants (`plant_params(n, d, 3)`) is
-# violated at its first sequence; the liveness search ran past 20 s on each
-# before it reached it.
+# violated at its first sequence; a depth-first liveness search ran past
+# 20 s on each before it reached it.
 FIRST_SEQUENCE_PLANTS = (GeneratorParams(64, 5, 0.45, seed=3),
                          GeneratorParams(48, 5, 0.5, seed=3))
 
 
 def test_first_sequences_need_no_liveness_search(crit4_results, monkeypatch):
     # OC and MOC take their first difference sequence from one
-    # breadth-first search, so with the liveness search gone every check
-    # decided at its first sequence gives the same verdict and witness.
+    # breadth-first search, and only the words after it from the
+    # enumerator over live subset pairs. So with the enumerator gone every
+    # check decided at its first sequence gives the same verdict and
+    # witness.
     def refuse(*args):
-        raise AssertionError("the liveness search ran")
+        raise AssertionError("the enumerator ran")
 
     def agrees(g, kind, budget, v) -> bool:
         if v.detail != {"examined": 1}:
             return False
         with monkeypatch.context() as m:
-            m.setattr(automata, "live_difference", refuse)
+            m.setattr(automata, "iter_marked_words", refuse)
             assert CHECKS[kind](g, budget).to_json() == v.to_json()
         return True
 

@@ -195,9 +195,19 @@ class TestErrors:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {want}\n"
 
-    def test_bad_property_exits_two_from_argparse(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["check", "nonsense", PLANT])
+    def test_argparse_usage_errors_exit_three(self, capsys):
+        # argparse exits 2, which means "inconclusive"
+        for argv in (["check", "nonsense", PLANT],
+                     ["--budget", "abc", "check", "oc", PLANT], ["check"]):
+            assert main(argv) == 3, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("usage: hierctl"), argv
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hierctl")
 
 
 class TestParser:
@@ -216,9 +226,7 @@ class TestParser:
         assert built == []
 
     def test_usage_error_matches_a_fresh_parser(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["check"])
-        assert exc.value.code == 2
+        assert main(["check"]) == 3
         err = capsys.readouterr().err
         with pytest.raises(SystemExit):
             cli._build_parser().parse_args(["check"])

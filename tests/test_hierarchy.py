@@ -19,8 +19,7 @@ from hierctl.automata import (Alphabet, Automaton, Event, Implicit,
                               all_marked, closure, determinize,
                               enumerate_bounded, explore, includes,
                               intersect, inverse_project, is_empty,
-                              iter_difference_words, iter_marked_words,
-                              language_equal, live_difference,
+                              iter_difference_words, language_equal,
                               merge_alphabets, parallel_compose, project,
                               right_quotient, widen_alphabet,
                               word_automaton)
@@ -37,7 +36,7 @@ from hierctl.hierarchy import (HierarchyContext, PreconditionError,
                                moc_structurally_guaranteed)
 
 from hierctl.relations import (build_quad, decompose_sequence, label_name,
-                               pair_alphabet, quad_alphabet)
+                               normal_forms, pair_alphabet, quad_alphabet)
 
 from conftest import (agreement_plants, cli_small_inputs, loc_plants,
                       make_alphabet, pair_operands, tree)
@@ -96,33 +95,50 @@ class TestConsistencyChecks:
                 assert not rep["oc"].violated, f"seed={seed}"
 
 
-class _Asked(automata._MarkedMemo):
-    """A marked memo that records each key it is asked about: the
-    difference search asks once per bad-node test."""
-
-    def __contains__(self, key):
-        self.asked.append(key)
-        return self[key]
-
-
-def _counting_marked(a: Automaton | Implicit, order=None) -> tuple:
-    """`a`, an automaton or an `Implicit`, as an `Implicit` over the same
-    keys whose marked memo is an `_Asked`, and the list it records into.
-    With `order`, each key's successor map holds its labels in the order
-    `order(key)` lists them."""
+def _ordered(a: Implicit, order) -> Implicit:
+    """`a` as an `Implicit` over the same keys whose successor maps hold
+    their labels in the order `order(key)` lists them."""
     succ = a.succ
 
     def moves(key):
         steps = succ[key]
-        for e in steps if order is None else order(key):
+        for e in order(key):
             for t in steps.get(e, ()):
                 yield e, t
 
-    out = Implicit(a.alphabet, a.sorted_states(a.initial), moves,
-                   a.marked.__contains__)
-    out.marked = _Asked(out.marked.fill)
-    out.marked.asked = []
-    return out, out.marked.asked
+    return Implicit(a.alphabet, a.sorted_states(a.initial), moves,
+                    a.marked.__contains__)
+
+
+def _difference_expansions(a, b, words: int) -> list:
+    """The nodes whose moves the searches of `iter_difference_words(a, b)`
+    read up to its `words`-th word, in order: those of each `first_path`,
+    and of any search of `_difference_product`."""
+    expanded = []
+    search, product = automata.first_path, automata._difference_product
+
+    def counted(moves):
+        def reading(node):
+            expanded.append(node)
+            return moves(node)
+
+        return reading
+
+    def first_path(starts, moves, test):
+        return search(starts, counted(moves), test)
+
+    def difference_product(a, b):
+        starts, moves, bad = product(a, b)
+        return starts, counted(moves), bad
+
+    automata.first_path = first_path
+    automata._difference_product = difference_product
+    try:
+        found = list(islice(iter_difference_words(a, b), words))
+    finally:
+        automata.first_path, automata._difference_product = search, product
+    assert len(found) == words
+    return expanded
 
 
 def _oc_operands(g: Automaton) -> tuple:
@@ -132,43 +148,38 @@ def _oc_operands(g: Automaton) -> tuple:
 
 
 # OC is violated at its first difference sequence here, but a depth-first
-# liveness search can wander deep into the right side's subsets first.
-# check_oc takes that sequence from a breadth-first search, so the probes
-# below run the liveness search that yields the sequences after it.
+# liveness search wandered deep into the right side's subsets before it
+# reached it. The probes below take the second word, so they run the
+# liveness searches that the words after the first need.
 WANDER_PLANT = GeneratorParams(16, 5, 0.35, seed=1000)
-# bad-node tests up to that first sequence; wandering takes over 100,000
+# subset pairs expanded up to the second word; wandering made over 100,000
+# bad-node tests
 WANDER_BOUND = 10_000
 
 
 def _oc_wander_probe() -> list:
-    """check_oc on WANDER_PLANT, and the bad-node tests the liveness search
-    of its difference view makes up to the first sequence."""
+    """check_oc on WANDER_PLANT, and the subset pairs that the searches of
+    its difference words expand up to the second word."""
     g = random_plant(WANDER_PLANT)
     v = check_oc(g, 2000)
-    la, ra = _oc_operands(g)
-    la, asked = _counting_marked(la)
-    next(iter_marked_words(live_difference(la, ra)))
-    return [v.outcome, v.detail, len(asked)]
+    return [v.outcome, v.detail,
+            len(_difference_expansions(*_oc_operands(g), 2))]
 
 
 @functools.cache
 def _forced_order_work() -> tuple:
-    """The bad-node tests of the same search with each state's successor
-    map forced into an order: the alphabet's, its reverse, and per-state
-    shuffles. The hash seed does not fix the order in which a `succ` map
-    holds its events: that follows set iteration, and tuples holding None
-    hash differently in each process before Python 3.12."""
+    """The subset pairs the same searches expand with each state's
+    successor map forced into an order: the alphabet's, its reverse, and
+    per-state shuffles. The hash seed does not fix the order in which a
+    `succ` map holds its events: that follows set iteration, and tuples
+    holding None hash differently in each process before Python 3.12."""
     la, ra = _oc_operands(random_plant(WANDER_PLANT))
     names = la.alphabet.names
     rng = random.Random(0)
     orders = [lambda q: names, lambda q: names[::-1]] + \
         [lambda q: rng.sample(names, len(names))] * 4
-    work = []
-    for order in orders:
-        a, asked = _counting_marked(la, order)
-        assert next(iter_marked_words(live_difference(a, ra)))
-        work.append(len(asked))
-    return tuple(work)
+    return tuple(len(_difference_expansions(_ordered(la, order), ra, 2))
+                 for order in orders)
 
 
 def _probe(call: str, hash_seed: str):
@@ -191,6 +202,8 @@ def _probe(call: str, hash_seed: str):
 # on the second refute a whole budget of 2,000 tuples
 N8_S3 = GeneratorParams(8, 5, 0.4, seed=3)
 N32_S3 = GeneratorParams(32, 5, 0.35, seed=3)
+# plants/n32-s9: OC is violated at its second sequence
+N32_S9 = GeneratorParams(32, 5, 0.35, seed=9)
 # LOC holds here without a difference sequence
 N16_S10 = GeneratorParams(16, 5, 0.35, seed=10)
 
@@ -264,15 +277,15 @@ class TestRefutationRegressions:
     @pytest.mark.parametrize("hash_seed", ["2", "3"])
     def test_oc_search_work_is_independent_of_hash_seed(self, hash_seed):
         # Under these string hash seeds a fresh search per liveness query
-        # took over 5 s here, making over 120,000 bad-node tests. One
-        # component search that tries the smallest right subsets first
-        # makes about 2,700, and exactly as many in every process once it
-        # reads each node's steps in alphabet order.
-        outcome, detail, asked = _probe("_oc_wander_probe()", hash_seed)
+        # took over 5 s here, making over 120,000 bad-node tests. The
+        # searches over subset pairs expand 116 up to the second word, and
+        # exactly as many in every process: they step each pair's letters
+        # in alphabet order.
+        outcome, detail, work = _probe("_oc_wander_probe()", hash_seed)
         assert outcome == "violated" and detail == {"examined": 1}
-        assert asked <= WANDER_BOUND
-        # the same work as this process makes under every forced order
-        assert set(_forced_order_work()) == {asked}
+        assert work <= WANDER_BOUND
+        # the same work as this process does under every forced order
+        assert set(_forced_order_work()) == {work}
 
     @pytest.mark.parametrize("check, params", [("oc", N8_S3),
                                                ("loc", N16_S10)],
@@ -312,8 +325,15 @@ class TestRefutationRegressions:
         work = _forced_order_work()
         assert len(set(work)) == 1 and work[0] <= WANDER_BOUND
 
+    def test_second_sequence_expands_few_subset_pairs(self):
+        # A Tarjan pass over (state, subset) nodes expanded 2,780 for the
+        # second sequence of check_oc here; the searches over subset pairs
+        # expand 245.
+        la, ra = _pair_operands(build_context(random_plant(N32_S9)), "oc")
+        assert len(_difference_expansions(normal_forms(la), ra, 2)) <= 1000
+
     def test_oc_violated_at_second_sequence(self):
-        g = random_plant(GeneratorParams(32, 5, 0.35, seed=9))
+        g = random_plant(N32_S9)
         v = check_oc(g, 2000)
         assert v.violated
         assert v.detail == {"examined": 2}
@@ -337,7 +357,7 @@ class TestRefutationRegressions:
                 yield word
 
         monkeypatch.setattr(automata, "iter_marked_words", counting)
-        v = check_oc(random_plant(GeneratorParams(32, 5, 0.35, seed=9)), 2000)
+        v = check_oc(random_plant(N32_S9), 2000)
         assert v.violated and v.detail == {"examined": 2}
         assert len(yielded) == 2
         assert tuple(map(label_name, yielded[-1])) == \
@@ -937,15 +957,14 @@ class TestLazyLoc:
         assert events >= 5, events
 
     def test_liveness_tests_each_node_a_few_times(self):
-        # Every node the search visits is tested, so the distinct left
-        # states asked about are at most the product nodes visited. A fresh
-        # search per liveness query tested each about 4.3 times here; one
-        # component search tests each about 1.25 times.
+        # A fresh search per liveness query tested each node about 4.3
+        # times here. The searches over subset pairs mark the pairs along
+        # the word they find live, and expand 1,439 over 958 pairs for 20
+        # words; without that mark they expanded 3,437 over 1,072.
         ctx = build_context(random_plant(GeneratorParams(8, 5, 0.4, seed=17)))
         left, right = _reference_loc_operands(ctx, "e2")
-        left, asked = _counting_marked(left)
-        assert next(iter_marked_words(live_difference(left, right)))
-        assert len(asked) <= 2 * len(set(asked))
+        expanded = _difference_expansions(left, right, 20)
+        assert len(expanded) <= 2 * len(set(expanded))
 
     @pytest.mark.parametrize("plant, outcome, detail", [
         (lambda: random_plant(GeneratorParams(16, 5, 0.35, seed=10)),

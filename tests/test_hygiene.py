@@ -242,7 +242,8 @@ def test_loc_reads_no_inclusion_machinery():
     check_loc = next(node for node in tree.body
                      if isinstance(node, ast.FunctionDef)
                      and node.name == "check_loc")
-    assert used_names(check_loc) & {"live_difference", "_refutation_loop",
+    assert used_names(check_loc) & {"iter_difference_words",
+                                    "_refutation_loop",
                                     "abstraction_dfa"} == set()
 
 
