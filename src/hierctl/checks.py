@@ -1,13 +1,14 @@
 """Classical supervisory-control property checks and supremal synthesis.
 
-The checks read DFAs as plain tables {state: {event: target}}. In the table
-of a specification closure K̄ a missing entry means "outside K̄", so no dead
+The checks read K̄, C̄ and G as the DFA tables {subset: {event: subset}}
+of their `automata.subset_steps`, stepped on demand. In the table of a
+specification closure K̄ a missing entry means "outside K̄", so no dead
 state is added. Controllability is one `automata.first_path` search over
 (K̄, G) state pairs. The observability-style checks share one breadth-first
 search over pairs of strings with equal observations; `path_word` spells
 its shortest, deterministic witnesses from its parent map. That search
 resumes after an entry of K̄ is deleted, so `sup_relobs_closed` runs all
-its removal rounds as one search.
+its removal rounds as one search, over a fresh table of its candidate.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import (Automaton, PreconditionError, ProjectionSpec, all_marked,
-                       determinize, difference, first_path, includes,
-                       intersect, inverse_project, is_prefix_closed,
-                       marked_saturate, parallel_compose, path_word,
-                       prefix_close, project, require_same_alphabet, trim)
+                       difference, eliminate_silent, explore, first_path, includes,
+                       intersect, inverse_project, is_prefix_closed, marked_saturate,
+                       parallel_compose, path_word, prefix_close, project,
+                       require_same_alphabet, subset_steps, trim)
 from .verdicts import Verdict, Witness
 
 
@@ -30,9 +31,17 @@ def _dfa_table(d: Automaton) -> tuple[dict, object]:
     return table, next(iter(d.initial), None)
 
 
-def _closure_table(a: Automaton) -> tuple[dict, object]:
-    """Partial DFA table of the prefix closure of L_m(a)."""
-    return _dfa_table(determinize(prefix_close(trim(a))))
+def _subset_table(a: Automaton) -> tuple[dict, object]:
+    """`a`'s DFA table stepped on demand (`subset_steps`), and its start or None."""
+    a = eliminate_silent(a)
+    return subset_steps(a), a.start_mask or None
+
+
+def _inclusion_verdict(small: Automaton, big: Automaton, kind, detail) -> Verdict:
+    """Holds when L_m(small) ⊆ L_m(big); else `includes`' shortest word."""
+    v = includes(small, big, kind=kind)
+    return v if v.holds else Verdict.make_violated(
+        Witness(kind, {"word": v.witness.strings["word"]}, detail))
 
 
 def _require_inclusion(small: Automaton, big: Automaton, what: str) -> None:
@@ -46,8 +55,8 @@ def check_controllability(k: Automaton, g: Automaton) -> Verdict:
     """K̄ Σu ∩ L(G) ⊆ K̄."""
     require_same_alphabet(k, g)
     _require_inclusion(k, g, "specification K must satisfy K ⊆ L_m(G)")
-    kt, k0 = _closure_table(k)
-    gt, g0 = _dfa_table(determinize(g))
+    kt, k0 = _subset_table(prefix_close(trim(k)))
+    gt, g0 = _subset_table(g)
     unc = sorted(g.alphabet.uncontrollable, key=g.alphabet.names.index)
     names = g.alphabet.names
 
@@ -147,10 +156,9 @@ class _PairSearch:
 def _observability_engine(k: Automaton, c: Automaton, g: Automaton,
                           events, kind: str) -> Verdict:
     """One pair search over K̄, C̄ and G; the callers checked the alphabets."""
-    kt, k0 = _closure_table(k)
-    ct, c0 = (kt, k0) if c is k else _closure_table(c)
-    search = _PairSearch(kt, k0, ct, c0, *_dfa_table(determinize(g)),
-                         g.alphabet, events)
+    kt, k0 = _subset_table(prefix_close(trim(k)))
+    ct, c0 = (kt, k0) if c is k else _subset_table(prefix_close(trim(c)))
+    search = _PairSearch(kt, k0, ct, c0, *_subset_table(g), g.alphabet, events)
     found = search.next_violation()
     if found is None:
         return Verdict.make_holds()
@@ -159,8 +167,7 @@ def _observability_engine(k: Automaton, c: Automaton, g: Automaton,
     s = tuple(x for side, x in steps if side != "r")
     sp = tuple(x for side, x in steps if side != "l")
     return Verdict.make_violated(Witness(
-        kind,
-        {"s": s, "s_prime": sp, "e": (e,),
+        kind, {"s": s, "s_prime": sp, "e": (e,),
          "se": s + (e,), "s_prime_e": sp + (e,)},
         "P(s)=P(s'), se ∈ K̄, s' ∈ C̄, s'e ∈ L(G), s'e ∉ K̄"))
 
@@ -185,26 +192,17 @@ def check_normality(k: Automaton, g: Automaton) -> Verdict:
     p = ProjectionSpec(g.alphabet, g.alphabet.observable)
     kbar = prefix_close(trim(k))
     rhs = intersect(inverse_project(project(kbar, p), p), all_marked(g))
-    v = includes(rhs, kbar, kind="normality")
-    if v.holds:
-        return Verdict.make_holds()
-    word = v.witness.strings["word"]
-    return Verdict.make_violated(Witness(
-        "normality", {"word": word},
-        "word ∈ P⁻¹P(K̄) ∩ L(G) but word ∉ K̄"))
+    return _inclusion_verdict(rhs, kbar, "normality",
+                              "word ∈ P⁻¹P(K̄) ∩ L(G) but word ∉ K̄")
 
 
 def check_nonconflicting(a: Automaton, b: Automaton) -> Verdict:
     """Synchronous nonconflictingness: closure(L1 ∥ L2) = closure(L1) ∥ closure(L2)."""
     lhs = prefix_close(parallel_compose(a, b))
     rhs = parallel_compose(prefix_close(trim(a)), prefix_close(trim(b)))
-    v = includes(rhs, lhs, kind="nonconflicting")
-    if v.holds:
-        return Verdict.make_holds()
-    word = v.witness.strings["word"]
-    return Verdict.make_violated(Witness(
-        "nonconflicting", {"word": word},
-        "word ∈ closure(L1) ∥ closure(L2) but not in closure(L1 ∥ L2)"))
+    return _inclusion_verdict(
+        rhs, lhs, "nonconflicting",
+        "word ∈ closure(L1) ∥ closure(L2) but not in closure(L1 ∥ L2)")
 
 
 # ---------------------------------------------------------------------------
@@ -232,29 +230,21 @@ class SynthReport:
                 "removed_transitions": self.removed_transitions}
 
 
-def _observer_refinement(g: Automaton) -> Automaton:
-    """DFA over Σ whose state after s depends only on P(s) (all marked)."""
-    p = ProjectionSpec(g.alphabet, g.alphabet.observable)
-    obs = determinize(project(all_marked(g), p))
-    loops = {(q, e, q) for q in obs.states for e in g.alphabet.names
-             if e not in g.alphabet.observable}
-    return Automaton(g.alphabet, obs.states, obs.transitions | loops,
-                     obs.initial, frozenset(obs.states))
-
-
 def sup_relobs_closed(k: Automaton, c: Automaton, g: Automaton,
                       max_iters: int = 1000) -> tuple[Automaton, SynthReport]:
     """Greedy relatively observable sublanguage of prefix-closed K ⊆ C.
 
     The candidate is the refined product R = K̄ × G × observer, in which
-    the observer's state after s depends only on P(s). Each round runs the
-    C-observability search of `check_relative_observability` on R and
-    deletes the transition (q, e) of the violation it finds, q being the
-    state that s reaches in R. Deleting (q, e) changes only what the
-    search's nodes holding q see, so the next round's search would repeat
-    this one up to the first dequeued node holding q; it resumes there
-    (`_PairSearch.delete`) and so deletes exactly what a fresh check of
-    the trimmed candidate would. R is trimmed once, at the end.
+    the observer's state after s depends only on P(s): one `explore` over
+    triples of K̄, G and P(L(G)) subsets stepped by their `subset_steps`
+    (the observer's on observable events only), numbered as the nested
+    `parallel_compose` of their DFAs would be and, K̄ being prefix-closed,
+    all marked. Each round runs the C-observability search on a fresh
+    table of R and deletes the transition (q, e) of the violation it
+    finds, q being the state that s reaches in R. The search resumes
+    after each deletion (`_PairSearch.delete`), so it deletes exactly
+    what a fresh check of the trimmed candidate would. R is trimmed once,
+    at the end.
 
     The result is that greedy fixpoint: C-observable on convergence, not
     proven supremal; `oracle_sup_relobs` audits it on acyclic instances.
@@ -268,12 +258,22 @@ def sup_relobs_closed(k: Automaton, c: Automaton, g: Automaton,
     _require_inclusion(k, c, "sup_relobs_closed needs K ⊆ C")
     _require_inclusion(c, g, "sup_relobs_closed needs C ⊆ L(G)")
 
-    refined = parallel_compose(
-        parallel_compose(determinize(prefix_close(trim(k))), determinize(all_marked(g))),
-        _observer_refinement(g))
+    kbar, g, observable = prefix_close(trim(k)), eliminate_silent(g), g.alphabet.observable
+    obs = project(all_marked(g), ProjectionSpec(g.alphabet, observable))
+    ks, gs, obs_steps = map(subset_steps, (kbar, g, obs))
+
+    def moves(key):
+        krow, grow, orow = ks[key[0]], gs[key[1]], obs_steps[key[2]]
+        for e in g.alphabet.names:
+            nxt = (krow.get(e), grow.get(e), orow.get(e) if e in observable else key[2])
+            if all(nxt):
+                yield e, nxt
+
+    start = (kbar.start_mask, g.start_mask, obs.start_mask)
+    refined = explore(g.alphabet, [start] if all(start) else [], moves, bool)
     kt, k0 = _dfa_table(refined)
-    search = _PairSearch(kt, k0, *_closure_table(c), *_dfa_table(determinize(g)),
-                         g.alphabet, g.alphabet.names)
+    search = _PairSearch(kt, k0, *_subset_table(prefix_close(trim(c))),
+                         *_subset_table(g), g.alphabet, g.alphabet.names)
     removed = set()
     converged, rounds = False, max_iters
     for i in range(max_iters + 1):

@@ -1,23 +1,25 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from hierctl import automata, checks
 from hierctl.automata import (Automaton, ProjectionSpec, all_marked,
-                              determinize, enumerate_bounded, intersect,
-                              language_equal, parallel_compose, prefix_close,
-                              project, trim)
-from hierctl.checks import (SynthReport, _observer_refinement,
-                            check_controllability, check_nonconflicting,
-                            check_normality, check_observability,
-                            check_relative_observability, sup_normal_closed,
-                            sup_relobs_closed)
+                              determinize, enumerate_bounded, explore,
+                              intersect, language_equal, parallel_compose,
+                              prefix_close, project, trim)
+from hierctl.checks import (SynthReport, check_controllability,
+                            check_nonconflicting, check_normality,
+                            check_observability, check_relative_observability,
+                            sup_normal_closed, sup_relobs_closed)
 from hierctl.gadgets import GeneratorParams, random_plant, random_sublanguage
 from hierctl.hierarchy import build_context, conform_spec
 from hierctl.oracle import (oracle_controllability, oracle_normality,
                             oracle_observability, oracle_sup_normal,
                             oracle_sup_relobs)
 
-from conftest import load, make_alphabet, tree
+from conftest import cli_big_inputs, load, make_alphabet, tree
 
 
 def _spec(plant, words, alphabet):
@@ -197,7 +199,7 @@ class TestSupRelobs:
 
     def test_agrees_with_one_check_per_round(self):
         rounds, capped = [], 0
-        for name, k, c, g in _sup_relobs_instances():
+        for name, k, c, g in [*_odd_instances(), *_sup_relobs_instances()]:
             for max_iters in (0, 1, 2, 1000):
                 got, rep = sup_relobs_closed(k, c, g, max_iters)
                 want, want_rep = _reference_sup_relobs(k, c, g, max_iters)
@@ -234,14 +236,94 @@ class TestSupRelobs:
         assert not capped.converged
         assert full == len(built)
 
+    def test_candidate_is_the_nested_product(self, monkeypatch):
+        # The one `explore` over subset triples numbers and marks R as the
+        # nested product of the determinized K̄, L(G) and observer does.
+        built = []
 
-def _reference_sup_relobs(k, c, g, max_iters):
-    """The removal loop as one full C-observability check per round."""
-    refined = parallel_compose(
+        def recording(*args):
+            built.append(explore(*args))
+            return built[-1]
+
+        monkeypatch.setattr(checks, "explore", recording)
+        sizes = set()
+        for name, k, c, g in [*_odd_instances(), *_sup_relobs_instances()]:
+            built.clear()
+            sup_relobs_closed(k, c, g)
+            assert len(built) == 1, name
+            want = _reference_candidate(k, g)
+            assert built[0].alphabet == want.alphabet, name
+            assert (built[0].states, built[0].transitions, built[0].initial,
+                    built[0].marked) == (want.states, want.transitions,
+                                         want.initial, want.marked), name
+            sizes.add(len(built[0].states))
+        assert 0 in sizes and max(sizes) >= 20
+
+    def test_no_determinized_copy(self, monkeypatch):
+        def triples():
+            yield from _odd_instances()
+            for seed in (0, 1, 14):
+                g, c, k = cli_big_inputs(seed)
+                yield f"cli-big-{seed}", k, c, g
+
+        def results():
+            out = []
+            for _, k, c, g in triples():
+                got, rep = sup_relobs_closed(k, c, g)
+                out.append((check_controllability(k, g).to_json(),
+                            check_observability(k, g).to_json(),
+                            check_relative_observability(k, c, g).to_json(),
+                            got.states, got.transitions, got.initial,
+                            got.marked, rep))
+            return out
+
+        def boom(a):
+            raise AssertionError("determinize called")
+
+        want = results()
+        monkeypatch.setattr(automata, "determinize", boom)
+        monkeypatch.setattr(checks, "determinize", boom, raising=False)
+        assert results() == want
+
+    def test_synthesis_builds_only_its_candidate(self, monkeypatch):
+        # On the fourteenth big cli-mix input the determinized K̄, L(G) and
+        # observer and the two nested products built 4,336 states in 7
+        # `explore`s; the candidate alone has 1,100.
+        g, c, k = cli_big_inputs(14)
+        sizes = []
+
+        def recording(*args):
+            out = explore(*args)
+            sizes.append(len(out.states))
+            return out
+
+        monkeypatch.setattr(automata, "explore", recording)
+        monkeypatch.setattr(checks, "explore", recording, raising=False)
+        sup_relobs_closed(k, c, g)
+        assert sum(sizes) <= 1500
+
+
+def _observer_refinement(g):
+    """DFA over Σ whose state after s depends only on P(s) (all marked)."""
+    p = ProjectionSpec(g.alphabet, g.alphabet.observable)
+    obs = determinize(project(all_marked(g), p))
+    loops = {(q, e, q) for q in obs.states for e in g.alphabet.names
+             if e not in g.alphabet.observable}
+    return Automaton(g.alphabet, obs.states, obs.transitions | loops,
+                     obs.initial, frozenset(obs.states))
+
+
+def _reference_candidate(k, g):
+    """R = K̄ × G × observer, each built whole and determinized."""
+    return parallel_compose(
         parallel_compose(determinize(prefix_close(trim(k))),
                          determinize(all_marked(g))),
         _observer_refinement(g))
-    current = trim(refined)
+
+
+def _reference_sup_relobs(k, c, g, max_iters):
+    """The removal loop as one full C-observability check per round."""
+    current = trim(_reference_candidate(k, g))
     removed = 0
     for rounds in range(max_iters + 1):
         if not current.states:
@@ -258,6 +340,29 @@ def _reference_sup_relobs(k, c, g, max_iters):
             current.initial, current.marked))
         removed += 1
     return current, SynthReport(False, max_iters, removed)
+
+
+def _odd_instances():
+    """Prefix-closed K ⊆ C ⊆ L(G) on a nondeterministic G with an
+    unobservable event and a silent move, an empty K, and a G with no
+    initial state."""
+    al = make_alphabet("abu", controllable="ab", observable="ab")
+    moves = [("p", "a", "q"), ("p", "a", "r"), ("q", "u", "p"),
+             ("r", "b", "p"), ("q", None, "r"), ("r", "u", "r"),
+             ("q", "b", "q")]
+    g = Automaton.make(al, "pqr", moves, "p", "pqr")
+    words = enumerate_bounded(all_marked(g), 4)
+    for seed in range(8):
+        rng = random.Random(seed)
+        cw = rng.sample(words, len(words) // 2)
+        kw = rng.sample(cw, len(cw) // 2)
+        c = prefix_close(tree(cw, al))
+        yield f"odd-{seed}", prefix_close(tree(kw, al)), c, g
+        yield f"odd-{seed}-kc", c, c, g
+    empty = Automaton.make(al, "e", [], "e", [])
+    yield "empty-k", empty, c, g
+    yield "empty-kc", empty, empty, g
+    yield "no-initial", empty, empty, Automaton.make(al, "pqr", moves, [], "pqr")
 
 
 def _random_levels_params(seed):

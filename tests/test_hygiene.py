@@ -235,6 +235,13 @@ def test_checks_build_no_pair_product_up_front():
     assert uses_outside(source, "sync_pair_compose", set()) == []
 
 
+def test_checks_build_no_determinized_copy():
+    # The classical checks and `sup_relobs_closed` step the subsets of K̄,
+    # C̄, G and the observer on demand (`automata.subset_steps`).
+    source = (SRC / "checks.py").read_text(encoding="utf-8")
+    assert uses_outside(source, "determinize", set()) == []
+
+
 def test_loc_reads_no_inclusion_machinery():
     # LOC is one search over the determinized verifier: no difference view,
     # no refutation loop, and no abstraction DFA.

@@ -24,9 +24,10 @@ from hierctl import automata
 from hierctl.automata import (Automaton, eliminate_silent, explore,
                               first_path, includes, iter_marked_words,
                               merge_alphabets, parallel_compose, path_word,
-                              project, with_initial)
-from hierctl.checks import (_closure_table, _dfa_table, _require_inclusion,
-                            check_controllability)
+                              prefix_close, project, trim, with_initial)
+from hierctl.checks import (_dfa_table, _PairSearch, _require_inclusion,
+                            check_controllability, check_observability,
+                            check_relative_observability)
 from hierctl.gadgets import (GeneratorParams, random_nfa, random_plant,
                              random_sublanguage)
 from hierctl.hierarchy import (_low_reach, build_context, check_lcc,
@@ -42,9 +43,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # ---------------------------------------------------------------------------
 # references: the loops as they were written before the kernels
 
+def ref_closure_table(a: Automaton) -> tuple[dict, object]:
+    """The DFA table of the prefix closure of L_m(a), determinized whole."""
+    return _dfa_table(automata.determinize(prefix_close(trim(a))))
+
+
 def ref_check_controllability(k: Automaton, g: Automaton) -> Verdict:
     _require_inclusion(k, g, "specification K must satisfy K ⊆ L_m(G)")
-    kt, k0 = _closure_table(k)
+    kt, k0 = ref_closure_table(k)
     gt, g0 = _dfa_table(automata.determinize(g))
     unc = sorted(g.alphabet.uncontrollable, key=g.alphabet.names.index)
     parent: dict = {} if k0 is None else {(k0, g0): None}
@@ -65,6 +71,26 @@ def ref_check_controllability(k: Automaton, g: Automaton) -> Verdict:
                     parent[nxt] = (cur, e)
                     queue.append(nxt)
     return Verdict.make_holds()
+
+
+def ref_observability(k: Automaton, c: Automaton, g: Automaton, events,
+                      kind: str) -> Verdict:
+    """The pair search of the observability checks over the determinized
+    tables of K̄, C̄ and G."""
+    search = _PairSearch(*ref_closure_table(k), *ref_closure_table(c),
+                         *_dfa_table(automata.determinize(g)), g.alphabet,
+                         events)
+    found = search.next_violation()
+    if found is None:
+        return Verdict.make_holds()
+    node, e = found
+    steps = path_word(search.parent, node)
+    s = tuple(x for side, x in steps if side != "r")
+    sp = tuple(x for side, x in steps if side != "l")
+    return Verdict.make_violated(Witness(
+        kind, {"s": s, "s_prime": sp, "e": (e,),
+               "se": s + (e,), "s_prime_e": sp + (e,)},
+        "P(s)=P(s'), se ∈ K̄, s' ∈ C̄, s'e ∈ L(G), s'e ∉ K̄"))
 
 
 def ref_check_observer(g: Automaton) -> Verdict:
@@ -208,6 +234,23 @@ def test_controllability_matches_the_reference_loop():
         outcomes.add(_same_verdict(check_controllability(k, g),
                                    ref_check_controllability(k, g)))
     assert outcomes == {"holds", "violated"}
+
+
+def test_observability_matches_the_determinized_tables():
+    outcomes = {"observability": set(), "relative-observability": set()}
+    for i, g in enumerate(_plants()):
+        c = random_sublanguage(g, 0.15, i)
+        k = random_sublanguage(c, 0.3, i + 1)
+        outcomes["observability"].add(_same_verdict(
+            check_observability(k, g),
+            ref_observability(k, k, g, g.alphabet.controllable,
+                              "observability")))
+        outcomes["relative-observability"].add(_same_verdict(
+            check_relative_observability(k, c, g),
+            ref_observability(k, c, g, g.alphabet.names,
+                              "relative-observability")))
+    assert outcomes == {"observability": {"holds", "violated"},
+                        "relative-observability": {"holds", "violated"}}
 
 
 def test_parallel_compose_matches_the_reference_moves():
