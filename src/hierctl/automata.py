@@ -16,9 +16,10 @@ alphabet order); its state keys are hashed but never formatted into names, so
 distinct keys never share a state, and equal inputs give byte-identical
 outputs.
 
-Subset constructions (`determinize`, `marked_saturate`, `iter_marked_words`,
-`includes`, `included`, `difference` and `iter_difference_words`) hold a
-subset as an int bitmask over `state_index`.
+Subset constructions (`determinize`, `iter_marked_words`, `includes`,
+`included`, `difference`, `iter_difference_words`, `is_prefix_closed`, and
+the searches of `checks` through `subset_steps`) hold a subset as an int
+bitmask over `state_index`.
 A step ORs the `rows` of the set bits, "meets a marked state" is
 `m & marked_mask`, and the subset's size is `m.bit_count()`. A mask maps
 one-to-one onto the frozenset of its states and the searches only hash it,
@@ -43,14 +44,15 @@ numbered as they are read) or `LazyRows` (states numbered already).
 stepped by a label table (`parallel_compose`, the pair products of
 `relations`, OC's and MOC's left sides through `pair_moves`).
 `first_path(starts, moves, test)` is every breadth-first witness search:
-`includes`, the observer, LCC, LOC and controllability checks, and
+`includes`, the observer, LCC, LOC, controllability and normality
+checks, and
 `iter_difference_words`, whose searches over subset pairs find its first
 word and decide which pairs are live. `iter_marked_words` is the one
 length-lexicographic enumerator: `iter_difference_words` runs it over the
 live pairs for the words after its first.
 `closure(starts, step)` is every "all that is reachable" set: silent
-closures, (co)reachable states, the pair search of `right_quotient`, and
-the plant reaches of `hierarchy`.
+and unobservable closures, (co)reachable states and subsets, the pair
+search of `right_quotient`, and the plant reaches of `hierarchy`.
 """
 
 from __future__ import annotations
@@ -454,7 +456,16 @@ def prefix_close(a: Automaton) -> Automaton:
 
 
 def is_prefix_closed(a: Automaton) -> bool:
-    return included(prefix_close(a), a)
+    """L_m(prefix_close(a)) ⊆ L_m(a): every subset of `a` that a word
+    reaches and that meets a co-reachable state meets a marked one. The
+    walk keeps each subset's co-reachable part, stepped through
+    `subset_steps`: a co-reachable target has co-reachable sources."""
+    a = eliminate_silent(a)
+    live = sum(1 << a.state_index[q] for q in coreachable_states(a))
+    steps = subset_steps(a)
+    reached = closure([a.start_mask & live],
+                      lambda m: (t & live for t in steps[m].values()))
+    return all(a.meets_marked(m) for m in reached if m)
 
 
 def is_empty(a: Automaton) -> bool:
@@ -608,13 +619,17 @@ class LazyRows:
         self.rows = _Memo(row)
 
 
-def _subset_dfa(a: Automaton, saturate: bool) -> Automaton:
+def determinize(a: Automaton) -> Automaton:
+    """Subset construction preserving both L and L_m (partial DFA).
+
+    A subset is an int bitmask over `a.state_index`; its step ORs the
+    `rows` of its states, and it is marked when it meets `marked_mask`.
+    `explore` only hashes the masks, and they map one-to-one onto the
+    subsets, so the numbering is that of a frozenset construction."""
     a = eliminate_silent(a)
-    rows, names, marked = a.rows, a.alphabet.names, a.marked_mask
+    rows, names = a.rows, a.alphabet.names
 
     def moves(m):
-        if saturate and m & marked:
-            return
         row = _union(rows, m)
         for e in names:
             t = row.get(e)
@@ -623,17 +638,7 @@ def _subset_dfa(a: Automaton, saturate: bool) -> Automaton:
 
     start = a.start_mask
     return explore(a.alphabet, [start] if start else [], moves,
-                   marked.__and__)
-
-
-def determinize(a: Automaton) -> Automaton:
-    """Subset construction preserving both L and L_m (partial DFA).
-
-    A subset is an int bitmask over `a.state_index`; its step ORs the
-    `rows` of its states, and it is marked when it meets `marked_mask`.
-    `explore` only hashes the masks, and they map one-to-one onto the
-    subsets, so the numbering is that of a frozenset construction."""
-    return _subset_dfa(a, saturate=False)
+                   a.marked_mask.__and__)
 
 
 # ---------------------------------------------------------------------------
@@ -899,24 +904,6 @@ def word_automaton(word: Iterable[str], alphabet: Alphabet) -> Automaton:
 def sigma_star(alphabet: Alphabet) -> Automaton:
     trans = frozenset(("q0", e, "q0") for e in alphabet.names)
     return Automaton(alphabet, ("q0",), trans, frozenset({"q0"}), frozenset({"q0"}))
-
-
-def marked_saturate(a: Automaton) -> Automaton:
-    """Automaton for L_m(a)·Σ*: anything after a marked prefix stays marked.
-
-    The subset construction of `a` stops at a marked subset, since every
-    word after it is in the language: each marked subset and a new sink
-    move to the sink on every event."""
-    d = _subset_dfa(a, saturate=True)
-    if not d.states:
-        return d
-    sink = len(d.states)   # `explore` numbers its states 0..n-1
-    trans = set(d.transitions)
-    for q in set(d.marked) | {sink}:
-        for e in d.alphabet.names:
-            trans.add((q, e, sink))
-    return Automaton(d.alphabet, d.states + (sink,), frozenset(trans),
-                     d.initial, d.marked | {sink})
 
 
 # ---------------------------------------------------------------------------

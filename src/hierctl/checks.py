@@ -4,22 +4,28 @@ The checks read K̄, C̄ and G as the DFA tables {subset: {event: subset}}
 of their `automata.subset_steps`, stepped on demand. In the table of a
 specification closure K̄ a missing entry means "outside K̄", so no dead
 state is added. Controllability is one `automata.first_path` search over
-(K̄, G) state pairs. The observability-style checks share one breadth-first
-search over pairs of strings with equal observations; `path_word` spells
-its shortest, deterministic witnesses from its parent map. That search
-resumes after an entry of K̄ is deleted, so `sup_relobs_closed` runs all
-its removal rounds as one search, over a fresh table of its candidate.
+(K̄, G) state pairs, and normality one over (K̄, G, P(K̄)) subset triples.
+The observability-style checks share one breadth-first search over pairs
+of strings with equal observations; `path_word` spells its shortest,
+deterministic witnesses from its parent map. That search resumes after an
+entry of K̄ is deleted, so `sup_relobs_closed` runs all its removal rounds
+as one search, over a fresh table of its candidate. `sup_normal_closed`
+is one `explore` over pairs of a B state and a subset of P(M−B). Both
+projections are read on demand (`_observed`), each unobservable closure
+taken once, so no projected, inverse-projected or saturated automaton is
+built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import (Automaton, PreconditionError, ProjectionSpec, all_marked,
-                       difference, eliminate_silent, explore, first_path, includes,
-                       intersect, inverse_project, is_prefix_closed, marked_saturate,
-                       parallel_compose, path_word, prefix_close, project,
-                       require_same_alphabet, subset_steps, trim)
+from .automata import (Automaton, Implicit, PreconditionError, ProjectionSpec,
+                       _difference_product, _Memo, all_marked, closure,
+                       eliminate_silent, explore, first_path, includes,
+                       is_prefix_closed, parallel_compose, path_word,
+                       prefix_close, project, require_same_alphabet,
+                       subset_steps, trim)
 from .verdicts import Verdict, Witness
 
 
@@ -37,18 +43,28 @@ def _subset_table(a: Automaton) -> tuple[dict, object]:
     return subset_steps(a), a.start_mask or None
 
 
-def _inclusion_verdict(small: Automaton, big: Automaton, kind, detail) -> Verdict:
-    """Holds when L_m(small) ⊆ L_m(big); else `includes`' shortest word."""
-    v = includes(small, big, kind=kind)
-    return v if v.holds else Verdict.make_violated(
-        Witness(kind, {"word": v.witness.strings["word"]}, detail))
-
-
 def _require_inclusion(small: Automaton, big: Automaton, what: str) -> None:
     v = includes(small, big)
     if not v.holds:
         word = v.witness.strings["word"]
         raise PreconditionError(f"{what} (counterexample: {' '.join(word) or 'ε'})")
+
+
+def _observed(alphabet, starts, moves, marked) -> Implicit:
+    """The projection onto the observable events of the automaton that
+    `explore`'s (starts, moves, marked) give, read on demand: a node steps
+    on an observable event to the targets of its unobservable closure,
+    each closure taken once, and is marked where that closure holds a
+    marked node. These are the steps and marks of `project`'s silent-free
+    automaton, so a subset of its nodes is a subset of `project`'s."""
+    observable = alphabet.observable
+    steps = _Memo(lambda node: tuple(moves(node)))
+    reach = _Memo(lambda node: closure(
+        (node,), lambda q: (t for e, t in steps[q] if e not in observable)))
+    return Implicit(alphabet, starts,
+                    lambda node: ((e, t) for q in reach[node]
+                                  for e, t in steps[q] if e in observable),
+                    lambda node: any(map(marked, reach[node])))
 
 
 def check_controllability(k: Automaton, g: Automaton) -> Verdict:
@@ -186,37 +202,107 @@ def check_relative_observability(k: Automaton, c: Automaton, g: Automaton) -> Ve
 
 
 def check_normality(k: Automaton, g: Automaton) -> Verdict:
-    """K̄ = P⁻¹[P(K̄)] ∩ L(G)."""
+    """K̄ = P⁻¹[P(K̄)] ∩ L(G).
+
+    One `first_path` over triples of K̄, G and O subsets, O a subset of
+    P(K̄) read on demand (`_observed`): K̄ and G step on every event, O on
+    observable ones only, and a step that empties G or O leaves
+    P⁻¹P(K̄) ∩ L(G). A triple is bad where O is marked, G's subset is
+    non-empty and K̄'s is unmarked. Each component is deterministic and
+    stepped in alphabet order, so the witness is the
+    length-lexicographically first word of (P⁻¹P(K̄) ∩ L(G)) − K̄."""
     require_same_alphabet(k, g)
     _require_inclusion(k, g, "specification K must satisfy K ⊆ L_m(G)")
-    p = ProjectionSpec(g.alphabet, g.alphabet.observable)
-    kbar = prefix_close(trim(k))
-    rhs = intersect(inverse_project(project(kbar, p), p), all_marked(g))
-    return _inclusion_verdict(rhs, kbar, "normality",
-                              "word ∈ P⁻¹P(K̄) ∩ L(G) but word ∉ K̄")
+    kbar, g = prefix_close(trim(k)), eliminate_silent(g)
+    observable, names = g.alphabet.observable, g.alphabet.names
+    obs = _observed(g.alphabet, kbar.sorted_states(kbar.initial),
+                    lambda q: ((e, t) for e, ts in kbar.succ[q].items()
+                               for t in ts), kbar.marked.__contains__)
+    ks, gs, obs_steps = map(subset_steps, (kbar, g, obs))
+
+    def moves(node):
+        krow, grow, orow = ks[node[0]], gs[node[1]], obs_steps[node[2]]
+        for e in names:
+            gn = grow.get(e)
+            on = orow.get(e) if e in observable else node[2]
+            if gn and on:
+                yield e, (krow.get(e, 0), gn, on)
+
+    def bad(node) -> bool:
+        return (bool(node[1]) and obs.meets_marked(node[2])
+                and not kbar.meets_marked(node[0]))
+
+    start = (kbar.start_mask, g.start_mask, obs.start_mask)
+    found = first_path([start], moves, bad)
+    if found is None:
+        return Verdict.make_holds()
+    return Verdict.make_violated(Witness(
+        "normality", {"word": found[0]},
+        "word ∈ P⁻¹P(K̄) ∩ L(G) but word ∉ K̄"))
 
 
 def check_nonconflicting(a: Automaton, b: Automaton) -> Verdict:
     """Synchronous nonconflictingness: closure(L1 ∥ L2) = closure(L1) ∥ closure(L2)."""
     lhs = prefix_close(parallel_compose(a, b))
     rhs = parallel_compose(prefix_close(trim(a)), prefix_close(trim(b)))
-    return _inclusion_verdict(
-        rhs, lhs, "nonconflicting",
-        "word ∈ closure(L1) ∥ closure(L2) but not in closure(L1 ∥ L2)")
+    v = includes(rhs, lhs, kind="nonconflicting")
+    return v if v.holds else Verdict.make_violated(Witness(
+        "nonconflicting", {"word": v.witness.strings["word"]},
+        "word ∈ closure(L1) ∥ closure(L2) but not in closure(L1 ∥ L2)"))
 
 
 # ---------------------------------------------------------------------------
 # supremal sublanguage synthesis (prefix-closed inputs)
 
 def sup_normal_closed(b: Automaton, m: Automaton) -> Automaton:
-    """Supremal normal sublanguage of prefix-closed B ⊆ M: B − P⁻¹P(M−B)Σ*."""
+    """Supremal normal sublanguage of prefix-closed B ⊆ M: B − P⁻¹P(M−B)Σ*
+    (Brandt, Garg, Kumar, Lin, Marcus & Wonham, 1990).
+
+    One `explore` over (B state, O), where s reaches both. O is a bitmask
+    subset of P(M−B), the M−B product `_difference_product(m, b)` read on
+    demand through `_observed`: the product nodes that the words t with
+    P(t) = P(s) reach by an observable last event, or the start nodes. O
+    is bad when one of its nodes' unobservable closures holds a bad node,
+    that is s ∈ P⁻¹P(M−B). An observable event steps O, an unobservable
+    one leaves it as it is, and every event takes a bad O to the sink
+    None, which stands for Σ*. A key is marked where the B state is and O
+    is neither bad nor the sink.
+
+    The keys correspond one to one, in the same discovery order, to those
+    of difference(B, marked_saturate(P⁻¹(P(difference(M, B))))): O to the
+    saturated DFA's subset of the inverse projection, None to its sink,
+    and the empty O to the empty subset. So the result after
+    `prefix_close` and `trim` is the same automaton."""
     require_same_alphabet(b, m)
     if not is_prefix_closed(b) or not is_prefix_closed(m):
         raise PreconditionError("sup_normal_closed needs prefix-closed inputs")
     _require_inclusion(b, m, "sup_normal_closed needs B ⊆ M")
-    p = ProjectionSpec(b.alphabet, b.alphabet.observable)
-    bad = marked_saturate(inverse_project(project(difference(m, b), p), p))
-    return trim(prefix_close(difference(b, bad)))
+    b = eliminate_silent(b)
+    names, observable = b.alphabet.names, b.alphabet.observable
+    diff = _observed(b.alphabet, *_difference_product(m, b))
+    diff_steps = subset_steps(diff)
+    saturated = _Memo(lambda o: o is None or diff.meets_marked(o))
+
+    def row(o) -> dict:   # event -> the next O
+        if saturated[o]:
+            return dict.fromkeys(names)
+        step = diff_steps[o]
+        return {e: step.get(e, 0) if e in observable else o for e in names}
+
+    rows, succ = _Memo(row), b.succ
+
+    def moves(node):
+        q, o = node
+        targets = succ[q]
+        if targets:
+            nxt = rows[o]
+            for e in names:
+                for qn in targets.get(e, ()):
+                    yield e, (qn, nxt[e])
+
+    return trim(prefix_close(explore(
+        b.alphabet, [(q, diff.start_mask) for q in b.sorted_states(b.initial)],
+        moves, lambda node: node[0] in b.marked and not saturated[node[1]])))
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,13 @@ from hierctl.automata import (AutomataError, Automaton, Implicit,
                               difference, enumerate_bounded, explore,
                               includes, inverse_project, is_prefix_closed,
                               iter_difference_words, iter_marked_words,
-                              language_equal, marked_saturate,
-                              parallel_compose, prefix_close, project,
+                              language_equal, parallel_compose, prefix_close, project,
                               right_quotient, sigma_star, trim,
                               with_initial, word_automaton)
 from hierctl.gadgets import GeneratorParams, random_plant
 
 from conftest import make_alphabet, pair_operands, tree
+from test_subsets import marked_saturate
 
 AB = make_alphabet("ab")
 

@@ -7,7 +7,8 @@ import pytest
 from hierctl import automata, checks
 from hierctl.automata import (Automaton, ProjectionSpec, all_marked,
                               determinize, enumerate_bounded, explore,
-                              intersect, language_equal, parallel_compose,
+                              includes, intersect, inverse_project,
+                              iter_difference_words, parallel_compose,
                               prefix_close, project, trim)
 from hierctl.checks import (SynthReport, check_controllability,
                             check_nonconflicting, check_normality,
@@ -132,6 +133,50 @@ class TestNormality:
             got = check_normality(k, ctx.plant)
             rep = oracle_normality(k, ctx.plant, bound=5)
             assert got.holds == rep.ok, f"seed={seed}"
+
+    def test_agrees_with_the_reference_and_gives_the_first_word(self):
+        # The triple search is deterministic, so its witness is the
+        # length-lexicographically first word of (P⁻¹P(K̄) ∩ L(G)) − K̄;
+        # `includes` over the nondeterministic product can stop at a later
+        # word of the same length.
+        outcomes, changed = set(), 0
+        for name, k, g in _normality_instances():
+            got, want = check_normality(k, g), ref_check_normality(k, g)
+            assert got.holds == want.holds, name
+            outcomes.add(got.holds)
+            if got.violated:
+                word = got.witness.strings["word"]
+                assert word == next(iter_difference_words(
+                    *_normality_operands(k, g))), name
+                changed += word != want.witness.strings["word"]
+        assert outcomes == {True, False}
+        assert changed >= 3
+
+    def test_witness_on_a_nondeterministic_plant(self):
+        g = random_plant(GeneratorParams(6, 5, 0.45, deterministic=False,
+                                         seed=296))
+        k = random_sublanguage(all_marked(g), 0.3, 219)
+        assert ref_check_normality(k, g).witness.strings["word"] == \
+            ("e0", "e1")
+        assert check_normality(k, g).witness.strings["word"] == ("e0", "e0")
+
+    def test_builds_no_product(self, monkeypatch):
+        # On these big cli-mix inputs the projection P(K̄), its inverse
+        # projection and their intersection with L(G) made 6 automata of
+        # 649–1,503 states per call; the triple search builds trim(K) alone.
+        built = []
+        post_init = Automaton.__post_init__
+
+        def counting(self):
+            built.append(None)
+            post_init(self)
+
+        monkeypatch.setattr(Automaton, "__post_init__", counting)
+        for seed in (0, 2, 7, 9, 14):
+            g, _, k = cli_big_inputs(seed)
+            built.clear()
+            check_normality(k, g)
+            assert len(built) <= 4, seed
 
 
 class TestNonconflicting:
@@ -301,6 +346,34 @@ class TestSupRelobs:
         monkeypatch.setattr(checks, "explore", recording, raising=False)
         sup_relobs_closed(k, c, g)
         assert sum(sizes) <= 1500
+
+
+def _normality_operands(k, g):
+    """P⁻¹P(K̄) ∩ L(G) and K̄, each built whole."""
+    p = ProjectionSpec(g.alphabet, g.alphabet.observable)
+    kbar = prefix_close(trim(k))
+    return intersect(inverse_project(project(kbar, p), p), all_marked(g)), kbar
+
+
+def ref_check_normality(k, g):
+    """Normality as the inclusion of P⁻¹P(K̄) ∩ L(G) in K̄, with the
+    shortest witness that `includes` finds."""
+    return includes(*_normality_operands(k, g), kind="normality")
+
+
+def _normality_instances():
+    """(name, K, G): random plants, half of them nondeterministic, with
+    K ⊆ L(G); the big cli-mix inputs; and the odd sup_relobs instances."""
+    for i in range(600):
+        params = GeneratorParams(3 + i % 4, 2 + i % 4, 0.3 + 0.05 * (i % 4),
+                                 deterministic=i % 2 == 0, seed=i + 77)
+        g = random_plant(params)
+        yield f"random-{i}", random_sublanguage(all_marked(g), 0.3, i), g
+    for seed in (0, 2, 7, 9, 14):
+        g, _, k = cli_big_inputs(seed)
+        yield f"cli-big-{seed}", k, g
+    for name, k, _, g in _odd_instances():
+        yield name, k, g
 
 
 def _observer_refinement(g):

@@ -206,7 +206,7 @@ def test_uses_outside_are_found():
 # one is built in one place, so a change to its right-subset layer is made
 # once: the subset constructions and `subset_steps`, the memo that
 # `_difference_product` reads, alone union the rows of a subset.
-UNION_USERS = {"_subset_dfa", "iter_marked_words", "subset_steps"}
+UNION_USERS = {"determinize", "iter_marked_words", "subset_steps"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -240,6 +240,16 @@ def test_checks_build_no_determinized_copy():
     # C̄, G and the observer on demand (`automata.subset_steps`).
     source = (SRC / "checks.py").read_text(encoding="utf-8")
     assert uses_outside(source, "determinize", set()) == []
+
+
+def test_normality_builds_no_inverse_projection():
+    # The normality check and `sup_normal_closed` each search subsets of
+    # their operands on demand: no inverse projection, saturation,
+    # difference or intersection is built whole.
+    source = (SRC / "checks.py").read_text(encoding="utf-8")
+    for name in ("inverse_project", "marked_saturate", "difference",
+                 "intersect"):
+        assert uses_outside(source, name, set()) == [], name
 
 
 def test_loc_reads_no_inclusion_machinery():

@@ -3,7 +3,8 @@
 The references below are the subset constructions as they were written
 over frozensets of states. A bitmask maps one-to-one onto such a set and
 `explore` only hashes its keys, so the kernel must give identical automata,
-witnesses and words; only `marked_saturate` builds fewer states.
+witnesses and words. `marked_saturate`, L_m(a)·Σ*, is a helper of the
+tests; it builds fewer states than its frozenset reference.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ from itertools import islice
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hierctl import checks
+from hierctl import cli
 from hierctl.automata import (Automaton, Implicit, LazyRows, ProjectionSpec,
                               all_marked, determinize, difference,
                               eliminate_silent, explore, included, includes,
-                              intersect, inverse_project,
+                              intersect, inverse_project, is_prefix_closed,
                               iter_difference_words, iter_marked_words,
-                              language_equal, marked_saturate, path_word,
-                              prefix_close, project, trim)
+                              language_equal, path_word, prefix_close,
+                              project, subset_steps, trim)
 from hierctl.checks import sup_normal_closed
 from hierctl.cli import main
 from hierctl.gadgets import GeneratorParams, random_plant, random_sublanguage
@@ -108,6 +109,35 @@ def ref_marked_saturate(a: Automaton) -> Automaton:
         return d
     sink = len(d.states)
     trans = {t for t in d.transitions if t[0] not in d.marked}
+    for q in set(d.marked) | {sink}:
+        for e in d.alphabet.names:
+            trans.add((q, e, sink))
+    return Automaton(d.alphabet, d.states + (sink,), frozenset(trans),
+                     d.initial, d.marked | {sink})
+
+
+def marked_saturate(a: Automaton) -> Automaton:
+    """Automaton for L_m(a)·Σ*: anything after a marked prefix stays marked.
+
+    The subset construction of `a` stops at a marked subset, since every
+    word after it is in the language: each marked subset and a new sink
+    move to the sink on every event."""
+    a = eliminate_silent(a)
+    steps = subset_steps(a)
+
+    def moves(m):
+        if not a.meets_marked(m):
+            for e in a.alphabet.names:
+                t = steps[m].get(e)
+                if t:
+                    yield e, t
+
+    start = a.start_mask
+    d = explore(a.alphabet, [start] if start else [], moves, a.meets_marked)
+    if not d.states:
+        return d
+    sink = len(d.states)   # `explore` numbers its states 0..n-1
+    trans = set(d.transitions)
     for q in set(d.marked) | {sink}:
         for e in d.alphabet.names:
             trans.add((q, e, sink))
@@ -321,22 +351,42 @@ def test_sup_normal_closed_is_byte_identical_to_reference():
     assert changed > 10   # many instances remove words
 
 
-def test_supn_saturation_builds_few_subsets(tmp_path, monkeypatch, capsys):
-    # `synth supn` on the fourteenth big cli-mix input: the saturation's
-    # subset construction built 4,409 states when it expanded past the
-    # marked subsets; everything after one is the sink, so 8 do.
+def test_supn_builds_only_its_result(tmp_path, monkeypatch, capsys):
+    # `synth supn` on the fourteenth big cli-mix input: the difference,
+    # projection, inverse projection, saturation and difference built 471
+    # states in 8 automata; the one search over (B state, O) and its trim
+    # build 50 in 2.
     g, _, k = cli_big_inputs(14)
     gp, kp = tmp_path / "g.saut", tmp_path / "k.saut"
     gp.write_text(serialize_automaton(g), encoding="utf-8")
     kp.write_text(serialize_automaton(k), encoding="utf-8")
-    sizes = []
+    sizes, inside = [], []
+    post_init = Automaton.__post_init__
 
-    def recording(a):
-        out = marked_saturate(a)
-        sizes.append(len(out.states))
-        return out
+    def counting(self):
+        if inside:
+            sizes.append(len(self.states))
+        post_init(self)
 
-    monkeypatch.setattr(checks, "marked_saturate", recording)
+    def recording(b, m):
+        inside.append(None)
+        try:
+            return sup_normal_closed(b, m)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(Automaton, "__post_init__", counting)
+    monkeypatch.setattr(cli, "sup_normal_closed", recording)
     assert main(["--json", "synth", "supn", str(kp), str(gp)]) == 0
     assert '"result_states"' in capsys.readouterr().out
-    assert len(sizes) == 1 and sizes[0] <= 50
+    assert len(sizes) <= 2 and sum(sizes) <= 100, sizes
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfas())
+@example(EMPTY_INITIAL)
+@example(NONE_MARKED)
+@example(SILENT)
+def test_prefix_closedness_matches_the_inclusion(a):
+    for x in (a, prefix_close(a), all_marked(a), trim(a)):
+        assert is_prefix_closed(x) == included(prefix_close(x), x)
