@@ -1,10 +1,20 @@
 """Finite automata over flagged alphabets and the regular-language toolbox.
 
 Automata may be nondeterministic and may carry internal silent transitions
-(label ``None``). Silent transitions never appear in files; projection
-introduces them and every construction eliminates them eagerly, so all
-cross-automaton operations assume silent-free inputs and enforce it
-themselves.
+(label ``None``). Silent transitions never appear in files; every
+construction eliminates them eagerly (`project` erases its events and
+eliminates the erased moves in one pass), so all cross-automaton operations
+assume silent-free inputs and enforce it themselves.
+
+An automaton is validated where data enters the program: the public
+`Automaton(...)` and `Automaton.make`, and so the `.saut` parser, the gadget
+builders and the small builders, check every state, endpoint and label in
+`__post_init__`. What the kernel derives from valid automata is valid by
+construction and is built by `_trusted`, without that walk: `explore`
+(which checks only each distinct label that its caller's `moves` yields),
+`trim` and `all_marked` (one restriction, `_restrict`, whose reachability
+and co-reachability come from one pass over the transitions and read no
+`succ` table), and `project` and `eliminate_silent` (one pass, `_erase`).
 
 All values are immutable; every operation is a pure function of its inputs.
 A state id is any hashable value. Automata built by name (parsed files,
@@ -62,6 +72,8 @@ from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain, islice
 from typing import Iterable, Iterator
+
+from .verdicts import Verdict, Witness
 
 Word = tuple[str, ...]
 
@@ -380,6 +392,23 @@ def _derived(a: Automaton, **changes) -> Automaton:
     return out
 
 
+def _trusted(alphabet: Alphabet, states: tuple, transitions: frozenset,
+             initial: frozenset, marked: frozenset,
+             tables: dict | None = None) -> Automaton:
+    """An automaton that is valid by construction, built without the
+    `__post_init__` walk: its caller derived every state, endpoint and
+    label from a valid automaton, or checked them itself (`explore`
+    checks its labels). `tables` are those of an automaton with the same
+    states and transitions, shared as `_derived` shares them."""
+    out = object.__new__(Automaton)
+    out.__dict__.update(alphabet=alphabet, states=states,
+                        transitions=transitions, initial=initial,
+                        marked=marked)
+    if tables is not None:
+        out.__dict__["_tables"] = tables
+    return out
+
+
 # ---------------------------------------------------------------------------
 # silent elimination, reachability, trimming
 
@@ -397,28 +426,36 @@ def closure(starts: Iterable, step) -> set:
 
 
 def eliminate_silent(a: Automaton) -> Automaton:
+    """`a` without silent moves (`_erase` keeping every event), or `a`
+    itself when it has none."""
     if not a.has_silent:
         return a
-    trans = set()
-    marked = set()
+    return _erase(a, a.alphabet, a.alphabet.by_name)
+
+
+def _erase(a: Automaton, alphabet: Alphabet, kept) -> Automaton:
+    """`a` over `alphabet` with every move whose label is not in `kept`
+    (silent moves included) erased, and the erased moves eliminated: a
+    state q moves on a kept label to wherever a state of its erased-move
+    closure does, and is marked where that closure holds a marked state.
+    One pass over the transitions sorts each state's moves into kept and
+    erased ones, and each state's closure is taken once."""
+    kept_moves: dict = {}
+    erased: dict = {}
+    for (src, lbl, dst) in a.transitions:
+        if lbl in kept:   # never None, the silent label
+            kept_moves.setdefault(src, []).append((lbl, dst))
+        else:
+            erased.setdefault(src, []).append(dst)
+    trans, marked = set(), set()
     for q in a.states:
-        cl = closure((q,), lambda p: a.succ[p].get(None, ()))
-        if cl & a.marked:
+        cl = closure((q,), lambda p: erased.get(p, ())) if q in erased else (q,)
+        if not a.marked.isdisjoint(cl):
             marked.add(q)
         for p in cl:
-            for lbl, targets in a.succ[p].items():
-                if lbl is None:
-                    continue
-                for t in targets:
-                    trans.add((q, lbl, t))
-    return Automaton(a.alphabet, a.states, frozenset(trans), a.initial,
-                     frozenset(marked))
-
-
-def reachable_states(a: Automaton) -> frozenset:
-    succ = a.succ
-    return frozenset(closure(
-        a.initial, lambda q: chain.from_iterable(succ[q].values())))
+            trans.update((q, lbl, t) for lbl, t in kept_moves.get(p, ()))
+    return _trusted(alphabet, a.states, frozenset(trans), a.initial,
+                    frozenset(marked))
 
 
 def coreachable_states(a: Automaton, goal: frozenset | None = None) -> frozenset:
@@ -429,24 +466,42 @@ def coreachable_states(a: Automaton, goal: frozenset | None = None) -> frozenset
     return frozenset(closure(goal, pred.__getitem__))
 
 
+def _restrict(a: Automaton, generated: bool) -> Automaton:
+    """The reachable part of `a`, all marked if `generated`, else only its
+    co-reachable states kept. Reachability and co-reachability come from
+    one pass over the transitions, and no `succ` table is built. A result
+    that keeps every state shares `a`'s tables."""
+    post: dict = {}
+    pre: dict = {}
+    for (src, _, dst) in a.transitions:
+        post.setdefault(src, []).append(dst)
+        if not generated:
+            pre.setdefault(dst, []).append(src)
+    keep = closure(a.initial, lambda q: post.get(q, ()))
+    if not generated:
+        keep &= closure(a.marked, lambda q: pre.get(q, ()))
+    if len(keep) == len(a.states):   # nothing to drop
+        states, trans, tables = a.states, a.transitions, a._tables
+    else:
+        states = tuple(s for s in a.states if s in keep)
+        trans = frozenset(t for t in a.transitions
+                          if t[0] in keep and t[2] in keep)
+        tables = None
+    return _trusted(a.alphabet, states, trans, a.initial & keep,
+                    frozenset(states) if generated else a.marked & keep,
+                    tables)
+
+
 def trim(a: Automaton) -> Automaton:
-    keep = reachable_states(a) & coreachable_states(a)
-    states = tuple(s for s in a.states if s in keep)
-    return Automaton(a.alphabet, states,
-                     frozenset(t for t in a.transitions
-                               if t[0] in keep and t[2] in keep),
-                     a.initial & keep, a.marked & keep)
+    """The states of `a` that are both reachable and co-reachable, in
+    `a`'s order, with the transitions between them (`_restrict`)."""
+    return _restrict(a, False)
 
 
 def all_marked(a: Automaton) -> Automaton:
-    """Recognizer of the generated language L(a): reachable part, all marked."""
-    a = eliminate_silent(a)
-    keep = reachable_states(a)
-    states = tuple(s for s in a.states if s in keep)
-    return Automaton(a.alphabet, states,
-                     frozenset(t for t in a.transitions
-                               if t[0] in keep and t[2] in keep),
-                     a.initial & keep, frozenset(states))
+    """Recognizer of the generated language L(a): reachable part, all
+    marked (`_restrict` of the silent-free `a`)."""
+    return _restrict(eliminate_silent(a), True)
 
 
 def prefix_close(a: Automaton) -> Automaton:
@@ -469,8 +524,8 @@ def is_prefix_closed(a: Automaton) -> bool:
 
 
 def is_empty(a: Automaton) -> bool:
-    a = eliminate_silent(a)
-    return not (reachable_states(a) & a.marked)
+    """L_m(a) = ∅: no state is both reachable and co-reachable."""
+    return not trim(a).states
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +540,11 @@ def explore(alphabet: Alphabet, starts: Iterable, moves, marked) -> Automaton:
     in breadth-first discovery order: the distinct start keys in the order
     given, then each new target in the order `moves` yields it. Keys are
     never named, so two distinct keys never share a state.
+
+    The numbered states and endpoints are valid by construction, so the
+    result is built by `_trusted`; each distinct label that `moves` yields
+    is checked once against `alphabet` (None, the silent move, is allowed),
+    and an unknown one raises `AutomataError`.
     """
     # Each state is one int object, shared by every tuple and set that holds
     # it: ints above 256 are not cached, and a copy per mention costs memory.
@@ -504,10 +564,13 @@ def explore(alphabet: Alphabet, starts: Iterable, moves, marked) -> Automaton:
         src = index[key]
         for lbl, nxt in moves(key):
             trans.add((src, lbl, number(nxt)))
+    for lbl in {lbl for (_, lbl, _) in trans}:   # each distinct label once
+        if lbl is not None and lbl not in alphabet:
+            raise AutomataError(f"transition on unknown event {lbl!r}")
     states = tuple(index.values())
-    return Automaton(alphabet, states, frozenset(trans), initial,
-                     frozenset(i for i, key in zip(states, keys)
-                               if marked(key)))
+    return _trusted(alphabet, states, frozenset(trans), initial,
+                    frozenset(i for i, key in zip(states, keys)
+                              if marked(key)))
 
 
 class _Memo(dict):
@@ -730,8 +793,6 @@ def includes(a: Automaton, b: Automaton, kind: str = "inclusion"):
     by different words are broken by queue position (each node's steps in
     alphabet order), so use `iter_difference_words` for the first word.
     """
-    from .verdicts import Verdict, Witness
-
     found = first_path(*_difference_product(a, b))
     if found is None:
         return Verdict.make_holds()
@@ -784,14 +845,14 @@ def language_equal(a: Automaton, b: Automaton) -> bool:
 # projection
 
 def project(a: Automaton, spec: ProjectionSpec) -> Automaton:
-    """Image automaton over the kept sub-alphabet."""
+    """Image automaton over the kept sub-alphabet, silent-free: each state
+    moves on a kept event wherever a state of its erased-move closure does,
+    and is marked where that closure holds a marked state. One pass over
+    the transitions (`_erase`) builds it, with no intermediate automaton
+    carrying silent labels."""
     if a.alphabet != spec.source:
         raise AlphabetMismatchError("projection source must equal the automaton alphabet")
-    trans = frozenset(
-        (src, lbl if (lbl is not None and lbl in spec.kept) else None, dst)
-        for (src, lbl, dst) in a.transitions)
-    out = Automaton(spec.target_alphabet, a.states, trans, a.initial, a.marked)
-    return eliminate_silent(out)
+    return _erase(a, spec.target_alphabet, spec.kept)
 
 
 def inverse_project(a: Automaton, spec: ProjectionSpec) -> Automaton:

@@ -10,22 +10,22 @@ of strings with equal observations; `path_word` spells its shortest,
 deterministic witnesses from its parent map. That search resumes after an
 entry of K̄ is deleted, so `sup_relobs_closed` runs all its removal rounds
 as one search, over a fresh table of its candidate. `sup_normal_closed`
-is one `explore` over pairs of a B state and a subset of P(M−B). Both
-projections are read on demand (`_observed`), each unobservable closure
-taken once, so no projected, inverse-projected or saturated automaton is
-built.
+is one `explore` over pairs of a B state and a subset of P(M−B). Every
+projection, P(K̄), P(M−B) and `sup_relobs_closed`'s observer P(L(G)), is
+read on demand (`_observed`), each unobservable closure taken once, so no
+projected, inverse-projected or saturated automaton is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import (Automaton, Implicit, PreconditionError, ProjectionSpec,
-                       _difference_product, _Memo, all_marked, closure,
+from .automata import (Automaton, Implicit, PreconditionError,
+                       _difference_product, _Memo, _trusted, bits, closure,
                        eliminate_silent, explore, first_path, includes,
                        is_prefix_closed, parallel_compose, path_word,
-                       prefix_close, project, require_same_alphabet,
-                       subset_steps, trim)
+                       prefix_close, require_same_alphabet, subset_steps,
+                       trim)
 from .verdicts import Verdict, Witness
 
 
@@ -48,6 +48,13 @@ def _require_inclusion(small: Automaton, big: Automaton, what: str) -> None:
     if not v.holds:
         word = v.witness.strings["word"]
         raise PreconditionError(f"{what} (counterexample: {' '.join(word) or 'ε'})")
+
+
+def _index_moves(a: Automaton):
+    """`moves(i)` over the state indices of the silent-free `a`, read from
+    its `rows`: the (event, target index) steps of state i."""
+    rows = a.rows
+    return lambda i: ((e, t) for e, m in rows[i].items() for t in bits(m))
 
 
 def _observed(alphabet, starts, moves, marked) -> Implicit:
@@ -215,9 +222,8 @@ def check_normality(k: Automaton, g: Automaton) -> Verdict:
     _require_inclusion(k, g, "specification K must satisfy K ⊆ L_m(G)")
     kbar, g = prefix_close(trim(k)), eliminate_silent(g)
     observable, names = g.alphabet.observable, g.alphabet.names
-    obs = _observed(g.alphabet, kbar.sorted_states(kbar.initial),
-                    lambda q: ((e, t) for e, ts in kbar.succ[q].items()
-                               for t in ts), kbar.marked.__contains__)
+    obs = _observed(g.alphabet, bits(kbar.start_mask), _index_moves(kbar),
+                    lambda i: kbar.marked_mask >> i & 1)
     ks, gs, obs_steps = map(subset_steps, (kbar, g, obs))
 
     def moves(node):
@@ -325,12 +331,14 @@ def sup_relobs_closed(k: Automaton, c: Automaton, g: Automaton,
     triples of K̄, G and P(L(G)) subsets stepped by their `subset_steps`
     (the observer's on observable events only), numbered as the nested
     `parallel_compose` of their DFAs would be and, K̄ being prefix-closed,
-    all marked. Each round runs the C-observability search on a fresh
-    table of R and deletes the transition (q, e) of the violation it
-    finds, q being the state that s reaches in R. The search resumes
-    after each deletion (`_PairSearch.delete`), so it deletes exactly
-    what a fresh check of the trimmed candidate would. R is trimmed once,
-    at the end.
+    all marked. The observer P(L(G)) is read on demand (`_observed`), so
+    no projection of G is built. Each round runs the C-observability
+    search on a fresh table of R and deletes the transition (q, e) of the
+    violation it finds, q being the state that s reaches in R. The search
+    resumes after each deletion (`_PairSearch.delete`), so it deletes
+    exactly what a fresh check of the trimmed candidate would. R is
+    trimmed once, at the end; R less the deleted transitions is valid by
+    construction (`automata._trusted`).
 
     The result is that greedy fixpoint: C-observable on convergence, not
     proven supremal; `oracle_sup_relobs` audits it on acyclic instances.
@@ -345,7 +353,8 @@ def sup_relobs_closed(k: Automaton, c: Automaton, g: Automaton,
     _require_inclusion(c, g, "sup_relobs_closed needs C ⊆ L(G)")
 
     kbar, g, observable = prefix_close(trim(k)), eliminate_silent(g), g.alphabet.observable
-    obs = project(all_marked(g), ProjectionSpec(g.alphabet, observable))
+    obs = _observed(g.alphabet, bits(g.start_mask), _index_moves(g),
+                    lambda i: True)
     ks, gs, obs_steps = map(subset_steps, (kbar, g, obs))
 
     def moves(key):
@@ -370,7 +379,7 @@ def sup_relobs_closed(k: Automaton, c: Automaton, g: Automaton,
         (q, *_), e = found
         removed.add((q, e, kt[q][e]))
         search.delete(q, e)
-    result = trim(Automaton(refined.alphabet, refined.states,
-                            refined.transitions - removed,
-                            refined.initial, refined.marked))
+    result = trim(_trusted(refined.alphabet, refined.states,
+                           refined.transitions - removed,
+                           refined.initial, refined.marked))
     return result, SynthReport(converged, rounds, len(removed))

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
 
+from hierctl import automata
 from hierctl.automata import Alphabet, Automaton, widen_alphabet
 from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
                              gadget_oc, random_nfa, random_plant,
@@ -17,6 +19,29 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 
 def load(name: str) -> Automaton:
     return parse_automaton((DATA / name).read_text(encoding="utf-8"))
+
+
+def record_built(monkeypatch, record) -> None:
+    """Call `record(automaton)` on every Automaton built from now on: by
+    the validating constructor (`Automaton.__post_init__`) and by
+    `automata._trusted`, the constructor of the automata valid by
+    construction, under every hierctl module that binds it."""
+    post_init, trusted = Automaton.__post_init__, automata._trusted
+
+    def checked(self):
+        record(self)
+        post_init(self)
+
+    def unchecked(*args):
+        out = trusted(*args)
+        record(out)
+        return out
+
+    monkeypatch.setattr(Automaton, "__post_init__", checked)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hierctl") and \
+                getattr(module, "_trusted", None) is trusted:
+            monkeypatch.setattr(module, "_trusted", unchecked)
 
 
 def make_alphabet(names, controllable=None, observable=None,

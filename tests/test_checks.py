@@ -20,7 +20,8 @@ from hierctl.oracle import (oracle_controllability, oracle_normality,
                             oracle_observability, oracle_sup_normal,
                             oracle_sup_relobs)
 
-from conftest import cli_big_inputs, load, make_alphabet, tree
+from conftest import (cli_big_inputs, load, make_alphabet, record_built,
+                      tree)
 
 
 def _spec(plant, words, alphabet):
@@ -165,13 +166,7 @@ class TestNormality:
         # projection and their intersection with L(G) made 6 automata of
         # 649–1,503 states per call; the triple search builds trim(K) alone.
         built = []
-        post_init = Automaton.__post_init__
-
-        def counting(self):
-            built.append(None)
-            post_init(self)
-
-        monkeypatch.setattr(Automaton, "__post_init__", counting)
+        record_built(monkeypatch, built.append)
         for seed in (0, 2, 7, 9, 14):
             g, _, k = cli_big_inputs(seed)
             built.clear()
@@ -266,13 +261,7 @@ class TestSupRelobs:
     def test_cost_does_not_grow_with_rounds(self, monkeypatch):
         k, c, g = _rounds_instance()
         built = []
-        post_init = Automaton.__post_init__
-
-        def counting(self):
-            built.append(None)
-            post_init(self)
-
-        monkeypatch.setattr(Automaton, "__post_init__", counting)
+        record_built(monkeypatch, built.append)
         _, rep = sup_relobs_closed(k, c, g)
         full = len(built)
         built.clear()
@@ -328,6 +317,26 @@ class TestSupRelobs:
         want = results()
         monkeypatch.setattr(automata, "determinize", boom)
         monkeypatch.setattr(checks, "determinize", boom, raising=False)
+        assert results() == want
+
+    def test_no_projection(self, monkeypatch):
+        # The observer P(L(G)) is read on demand (`checks._observed`); it
+        # was `project(all_marked(G))`, built whole on every call.
+        def results():
+            out = []
+            for seed in (0, 1, 14):
+                g, c, k = cli_big_inputs(seed)
+                got, rep = sup_relobs_closed(k, c, g)
+                out.append((got.states, got.transitions, got.initial,
+                            got.marked, rep))
+            return out
+
+        def boom(*args):
+            raise AssertionError("project called")
+
+        want = results()
+        monkeypatch.setattr(automata, "project", boom)
+        monkeypatch.setattr(checks, "project", boom, raising=False)
         assert results() == want
 
     def test_synthesis_builds_only_its_candidate(self, monkeypatch):

@@ -39,7 +39,7 @@ from hierctl.relations import (build_quad, decompose_sequence, label_name,
                                normal_forms, pair_alphabet, quad_alphabet)
 
 from conftest import (agreement_plants, cli_small_inputs, loc_plants,
-                      make_alphabet, pair_operands, tree)
+                      make_alphabet, pair_operands, record_built, tree)
 
 
 class TestConsistencyChecks:
@@ -999,15 +999,10 @@ class TestLazyLoc:
 
 
 def _recorded_sizes(monkeypatch) -> list:
-    """The state count of every Automaton built from now on."""
+    """The state count of every Automaton built from now on, validated or
+    valid by construction (`record_built`)."""
     sizes = []
-    post_init = Automaton.__post_init__
-
-    def recording(self):
-        sizes.append(len(self.states))
-        post_init(self)
-
-    monkeypatch.setattr(Automaton, "__post_init__", recording)
+    record_built(monkeypatch, lambda a: sizes.append(len(a.states)))
     return sizes
 
 

@@ -252,6 +252,69 @@ def test_normality_builds_no_inverse_projection():
         assert uses_outside(source, name, set()) == [], name
 
 
+def test_synthesis_builds_no_projection():
+    # `sup_relobs_closed` reads its observer P(L(G)) on demand, as the
+    # normality check and `sup_normal_closed` read theirs.
+    source = (SRC / "checks.py").read_text(encoding="utf-8")
+    for name in ("project", "ProjectionSpec", "all_marked"):
+        assert uses_outside(source, name, set()) == [], name
+
+
+def module_functions(tree: ast.Module) -> dict:
+    return {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def callees(tree: ast.Module, root: str) -> set:
+    """The module-level functions that `root` calls, directly or through
+    one another, `root` included."""
+    bodies = module_functions(tree)
+    seen, todo = {root}, [root]
+    while todo:
+        for node in ast.walk(bodies[todo.pop()]):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in bodies and node.func.id not in seen:
+                seen.add(node.func.id)
+                todo.append(node.func.id)
+    return seen
+
+
+def validating_calls(tree: ast.Module, names) -> list:
+    """(function, line) of the `Automaton(...)` and `Automaton.make` calls
+    in the functions named in `names`."""
+    bodies = module_functions(tree)
+    return [(name, node.lineno) for name in sorted(names)
+            for node in ast.walk(bodies[name])
+            if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Name)
+                 and node.func.id == "Automaton"
+                 or isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "make"
+                 and isinstance(node.func.value, ast.Name)
+                 and node.func.value.id == "Automaton")]
+
+
+def test_validating_calls_are_found():
+    module = ("def f(a):\n    return g(a)\n"
+              "def g(a):\n    return Automaton(a)\n"
+              "def h(a):\n    return Automaton.make(a), object.__new__(Automaton)\n"
+              "def k(a):\n    return h\n")
+    tree = ast.parse(module)
+    assert callees(tree, "f") == {"f", "g"}
+    assert callees(tree, "k") == {"k"}
+    assert validating_calls(tree, {"f", "g", "h", "k"}) == [
+        ("g", 4), ("h", 6)]
+
+
+def test_kernel_constructions_do_not_validate_again():
+    # Validation stays where data enters the program; `explore`, `trim`,
+    # `all_marked` and `project` build what they derive from valid
+    # automata through `_trusted`, with no `__post_init__` walk.
+    tree = ast.parse((SRC / "automata.py").read_text(encoding="utf-8"))
+    for root in ("explore", "trim", "all_marked", "project"):
+        assert validating_calls(tree, callees(tree, root)) == [], root
+
+
 def test_loc_reads_no_inclusion_machinery():
     # LOC is one search over the determinized verifier: no difference view,
     # no refutation loop, and no abstraction DFA.

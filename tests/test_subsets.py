@@ -5,21 +5,31 @@ over frozensets of states. A bitmask maps one-to-one onto such a set and
 `explore` only hashes its keys, so the kernel must give identical automata,
 witnesses and words. `marked_saturate`, L_m(a)·Σ*, is a helper of the
 tests; it builds fewer states than its frozenset reference.
+
+The one-pass constructions (`trim`, `all_marked`, `project`,
+`eliminate_silent` and `explore`, each valid by construction) are checked
+against their references too: the same constructions as they were written
+over the sorted `succ` table, with every result validated by
+`Automaton(...)` and projection going through an automaton with silent
+labels.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
+from itertools import chain, islice
+
+import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hierctl import cli
-from hierctl.automata import (Automaton, Implicit, LazyRows, ProjectionSpec,
-                              all_marked, determinize, difference,
-                              eliminate_silent, explore, included, includes,
-                              intersect, inverse_project, is_prefix_closed,
+from hierctl.automata import (AutomataError, Automaton, Implicit, LazyRows,
+                              ProjectionSpec, all_marked, closure,
+                              determinize, difference, eliminate_silent,
+                              explore, included, includes, intersect,
+                              inverse_project, is_prefix_closed,
                               iter_difference_words, iter_marked_words,
                               language_equal, path_word, prefix_close,
                               project, subset_steps, trim)
@@ -32,7 +42,7 @@ from hierctl.saut import serialize_automaton
 from hierctl.verdicts import Verdict, Witness
 
 from conftest import (agreement_plants, cli_big_inputs, cli_big_seeds,
-                      make_alphabet, pair_operands)
+                      make_alphabet, pair_operands, record_built)
 
 AB = make_alphabet("ab")
 
@@ -361,12 +371,10 @@ def test_supn_builds_only_its_result(tmp_path, monkeypatch, capsys):
     gp.write_text(serialize_automaton(g), encoding="utf-8")
     kp.write_text(serialize_automaton(k), encoding="utf-8")
     sizes, inside = [], []
-    post_init = Automaton.__post_init__
 
-    def counting(self):
+    def counting(a):
         if inside:
-            sizes.append(len(self.states))
-        post_init(self)
+            sizes.append(len(a.states))
 
     def recording(b, m):
         inside.append(None)
@@ -375,7 +383,7 @@ def test_supn_builds_only_its_result(tmp_path, monkeypatch, capsys):
         finally:
             inside.clear()
 
-    monkeypatch.setattr(Automaton, "__post_init__", counting)
+    record_built(monkeypatch, counting)
     monkeypatch.setattr(cli, "sup_normal_closed", recording)
     assert main(["--json", "synth", "supn", str(kp), str(gp)]) == 0
     assert '"result_states"' in capsys.readouterr().out
@@ -390,3 +398,186 @@ def test_supn_builds_only_its_result(tmp_path, monkeypatch, capsys):
 def test_prefix_closedness_matches_the_inclusion(a):
     for x in (a, prefix_close(a), all_marked(a), trim(a)):
         assert is_prefix_closed(x) == included(prefix_close(x), x)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass constructions against their references
+
+
+def ref_explore(alphabet, starts, moves, marked) -> Automaton:
+    index: dict = {}
+    keys: list = []
+
+    def number(key) -> int:
+        i = index.get(key)
+        if i is None:
+            i = index[key] = len(keys)
+            keys.append(key)
+        return i
+
+    initial = frozenset(map(number, starts))
+    trans = set()
+    for key in keys:
+        src = index[key]
+        for lbl, nxt in moves(key):
+            trans.add((src, lbl, number(nxt)))
+    states = tuple(index.values())
+    return Automaton(alphabet, states, frozenset(trans), initial,
+                     frozenset(i for i, key in zip(states, keys)
+                               if marked(key)))
+
+
+def ref_eliminate_silent(a: Automaton) -> Automaton:
+    if not a.has_silent:
+        return a
+    trans = set()
+    marked = set()
+    for q in a.states:
+        cl = closure((q,), lambda p: a.succ[p].get(None, ()))
+        if cl & a.marked:
+            marked.add(q)
+        for p in cl:
+            for lbl, targets in a.succ[p].items():
+                if lbl is None:
+                    continue
+                for t in targets:
+                    trans.add((q, lbl, t))
+    return Automaton(a.alphabet, a.states, frozenset(trans), a.initial,
+                     frozenset(marked))
+
+
+def ref_reachable(a: Automaton) -> set:
+    return closure(a.initial,
+                   lambda q: chain.from_iterable(a.succ[q].values()))
+
+
+def ref_coreachable(a: Automaton) -> set:
+    pred: dict = {s: set() for s in a.states}
+    for (src, _, dst) in a.transitions:
+        pred[dst].add(src)
+    return closure(a.marked, pred.__getitem__)
+
+
+def ref_trim(a: Automaton) -> Automaton:
+    keep = ref_reachable(a) & ref_coreachable(a)
+    states = tuple(s for s in a.states if s in keep)
+    return Automaton(a.alphabet, states,
+                     frozenset(t for t in a.transitions
+                               if t[0] in keep and t[2] in keep),
+                     a.initial & keep, a.marked & keep)
+
+
+def ref_all_marked(a: Automaton) -> Automaton:
+    a = ref_eliminate_silent(a)
+    keep = ref_reachable(a)
+    states = tuple(s for s in a.states if s in keep)
+    return Automaton(a.alphabet, states,
+                     frozenset(t for t in a.transitions
+                               if t[0] in keep and t[2] in keep),
+                     a.initial & keep, frozenset(states))
+
+
+def ref_project(a: Automaton, spec: ProjectionSpec) -> Automaton:
+    trans = frozenset(
+        (src, lbl if (lbl is not None and lbl in spec.kept) else None, dst)
+        for (src, lbl, dst) in a.transitions)
+    out = Automaton(spec.target_alphabet, a.states, trans, a.initial,
+                    a.marked)
+    return ref_eliminate_silent(out)
+
+
+# Unreachable states (s, u), a reachable state that reaches no marked one
+# (r), a silent move and a marked state that only an unreachable one
+# enters (s).
+UNTRIMMED = Automaton(AB, ("p", "q", "r", "s", "u"),
+                      frozenset({("p", "a", "q"), ("q", "b", "p"),
+                                 ("p", "b", "r"), ("s", "a", "p"),
+                                 ("u", None, "q"), ("q", None, "r")}),
+                      frozenset({"p"}), frozenset({"q", "s"}))
+
+
+def _own_moves(a: Automaton):
+    """`moves` over `a`'s states that yields its transitions, silent ones
+    included, in one fixed order."""
+    steps: dict = {}
+    for (src, lbl, dst) in sorted(a.transitions, key=repr):
+        steps.setdefault(src, []).append((lbl, dst))
+    return lambda q: steps.get(q, ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfas())
+@example(EMPTY_INITIAL)
+@example(NONE_MARKED)
+@example(SILENT)
+@example(UNTRIMMED)
+def test_one_pass_constructions_match_reference(a):
+    _same(trim(a), ref_trim(a))
+    _same(all_marked(a), ref_all_marked(a))
+    _same(eliminate_silent(a), ref_eliminate_silent(a))
+    for kept in ((), ("a",), ("b",), ("a", "b")):
+        spec = ProjectionSpec(AB, frozenset(kept))
+        got, want = project(a, spec), ref_project(a, spec)
+        assert got.alphabet == want.alphabet
+        _same(got, want)
+    args = (AB, a.sorted_states(a.initial), _own_moves(a),
+            a.marked.__contains__)
+    _same(explore(*args), ref_explore(*args))
+
+
+def test_untrimmed_example_drops_what_it_should():
+    assert trim(UNTRIMMED).states == ("p", "q")
+    assert all_marked(UNTRIMMED).states == ("p", "q", "r")
+
+
+def test_explore_rejects_a_label_outside_its_alphabet():
+    with pytest.raises(AutomataError, match="unknown event 'c'"):
+        explore(AB, [0], lambda q: [("a", 1), ("c", 0)] if q == 0 else [],
+                lambda q: True)
+
+
+def test_automaton_rejects_an_undeclared_endpoint():
+    with pytest.raises(AutomataError, match="endpoint not declared"):
+        Automaton(AB, ("p",), frozenset({("p", "a", "q")}),
+                  frozenset({"p"}), frozenset())
+    with pytest.raises(AutomataError, match="unknown event 'c'"):
+        Automaton(AB, ("p",), frozenset({("p", "c", "p")}),
+                  frozenset({"p"}), frozenset())
+
+
+def test_trim_builds_no_succ_table():
+    # Reachability and co-reachability come from one pass over the
+    # transitions; the sorted `succ` table was built only for them.
+    x = determinize(UNTRIMMED)
+    t, g = trim(x), all_marked(x)
+    tt = trim(t)
+    for y in (x, t, g, tt):
+        assert "succ" not in y._tables
+    # `trim` drops the subset {r}; a result that keeps every state shares
+    # the tables of its operand
+    assert len(t.states) < len(x.states) == len(g.states)
+    assert tt == t and tt._tables is t._tables
+    assert g._tables is x._tables and t._tables is not x._tables
+
+
+def test_project_builds_one_automaton(monkeypatch):
+    # The projection with silent labels and its silent elimination were
+    # two automata; the one-pass image is one.
+    built = []
+    record_built(monkeypatch, built.append)
+    out = project(UNTRIMMED, ProjectionSpec(AB, frozenset({"a"})))
+    assert built == [out]
+
+
+def test_the_kernel_builds_no_validated_automaton(monkeypatch):
+    # What the kernel derives from valid automata is valid by
+    # construction: no `Automaton.__post_init__` walk runs again.
+    def boom(self):
+        raise AssertionError("validated again")
+
+    monkeypatch.setattr(Automaton, "__post_init__", boom)
+    for a in (UNTRIMMED, SILENT, EMPTY_INITIAL, NONE_MARKED):
+        trim(a), all_marked(a), eliminate_silent(a), determinize(a)
+        project(a, ProjectionSpec(AB, frozenset({"b"})))
+        explore(AB, a.sorted_states(a.initial), _own_moves(a),
+                a.marked.__contains__)
