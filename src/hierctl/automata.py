@@ -28,8 +28,8 @@ outputs.
 
 Subset constructions (`determinize`, `iter_marked_words`, `includes`,
 `included`, `difference`, `iter_difference_words`, `is_prefix_closed`, and
-the searches of `checks` through `subset_steps`) hold a subset as an int
-bitmask over `state_index`.
+the searches of `checks` and `hierarchy` through `subset_steps`) hold a
+subset as an int bitmask over `state_index`.
 A step ORs the `rows` of the set bits, "meets a marked state" is
 `m & marked_mask`, and the subset's size is `m.bit_count()`. A mask maps
 one-to-one onto the frozenset of its states and the searches only hash it,
@@ -42,27 +42,26 @@ transition relation: the copies that `_derived` makes for `with_initial`,
 only the initial and marked states they change.
 
 Five search shapes are written once. `_difference_product(a, b)` is the
-product of `a` with the subset construction of `b`: its start nodes, its
-steps in alphabet order and its bad-node test. `includes`, `included` and
-`difference` each search it, so a change to its right-subset layer is made
-in one place. `includes` finds a shortest
-witness; `included` answers the boolean alone by an antichain search, which
-skips a node whose `b` subset contains one already reached with the same
-`a` state. The right operand `b` is an `Automaton`, an `Implicit` (keys
-numbered as they are read) or `LazyRows` (states numbered already).
+product of `a` with the subset construction of `b` (start nodes, steps in
+alphabet order, bad-node test) that `included`, `difference` and
+`checks.sup_normal_closed` search; `included` answers the boolean alone by
+an antichain search, which skips a node whose `b` subset contains one
+already reached with the same `a` state. The right operand `b` is an
+`Automaton`, an `Implicit` (keys numbered as they are read) or `LazyRows`
+(states numbered already).
 `pair_product(alphabet, a, b, labels)` is every product of two automata
 stepped by a label table (`parallel_compose`, the pair products of
 `relations`, OC's and MOC's left sides through `pair_moves`).
 `first_path(starts, moves, test)` is every breadth-first witness search:
-`includes`, the observer, LCC, LOC, controllability and normality
-checks, and
+the observer, LCC, LOC, controllability and normality checks, and
 `iter_difference_words`, whose searches over subset pairs find its first
-word and decide which pairs are live. `iter_marked_words` is the one
-length-lexicographic enumerator: `iter_difference_words` runs it over the
-live pairs for the words after its first.
+word, the witness of `includes`, and decide which pairs are live.
+`iter_marked_words` is the one length-lexicographic enumerator:
+`iter_difference_words` runs it over the live pairs for the words after
+its first.
 `closure(starts, step)` is every "all that is reachable" set: silent
-and unobservable closures, (co)reachable states and subsets, the pair
-search of `right_quotient`, and the plant reaches of `hierarchy`.
+and unobservable closures, (co)reachable states and subsets, and the pair
+search of `right_quotient`.
 """
 
 from __future__ import annotations
@@ -458,12 +457,11 @@ def _erase(a: Automaton, alphabet: Alphabet, kept) -> Automaton:
                     frozenset(marked))
 
 
-def coreachable_states(a: Automaton, goal: frozenset | None = None) -> frozenset:
-    goal = a.marked if goal is None else goal
+def coreachable_states(a: Automaton) -> frozenset:
     pred: dict = {s: set() for s in a.states}
     for (src, _, dst) in a.transitions:
         pred[dst].add(src)
-    return frozenset(closure(goal, pred.__getitem__))
+    return frozenset(closure(a.marked, pred.__getitem__))
 
 
 def _restrict(a: Automaton, generated: bool) -> Automaton:
@@ -685,22 +683,13 @@ class LazyRows:
 def determinize(a: Automaton) -> Automaton:
     """Subset construction preserving both L and L_m (partial DFA).
 
-    A subset is an int bitmask over `a.state_index`; its step ORs the
-    `rows` of its states, and it is marked when it meets `marked_mask`.
+    A subset is an int bitmask over `a.state_index`, stepped by
+    `subset_moves`, and it is marked when it meets `marked_mask`.
     `explore` only hashes the masks, and they map one-to-one onto the
     subsets, so the numbering is that of a frozenset construction."""
     a = eliminate_silent(a)
-    rows, names = a.rows, a.alphabet.names
-
-    def moves(m):
-        row = _union(rows, m)
-        for e in names:
-            t = row.get(e)
-            if t:
-                yield e, t
-
     start = a.start_mask
-    return explore(a.alphabet, [start] if start else [], moves,
+    return explore(a.alphabet, [start] if start else [], subset_moves(a),
                    a.marked_mask.__and__)
 
 
@@ -745,12 +734,12 @@ def first_path(starts: Iterable, moves, test):
 def _difference_product(a: Automaton,
                         b: Automaton | Implicit | LazyRows) -> tuple:
     """(starts, moves, bad) of the product of `a` with the subset
-    construction of `b`, the one product that `includes`, `included` and
-    `difference` search. A node is (state of `a`, bitmask subset of `b`);
-    the starts follow `a.sorted_states`, `moves(node)` yields (event,
-    node) in alphabet order, and `bad(node)` is true when the `a` state is
-    marked and the `b` subset holds no marked state. `b`'s subset steps
-    are its `subset_steps`."""
+    construction of `b`, the one product that `included`, `difference` and
+    `checks.sup_normal_closed` search. A node is (state of `a`, bitmask
+    subset of `b`); the starts follow `a.sorted_states`, `moves(node)`
+    yields (event, node) in alphabet order, and `bad(node)` is true when
+    the `a` state is marked and the `b` subset holds no marked state. `b`'s
+    subset steps are its `subset_steps`."""
     require_same_alphabet(a, b)
     a = eliminate_silent(a)
     b = eliminate_silent(b)
@@ -784,19 +773,29 @@ def subset_steps(b: Automaton | Implicit | LazyRows) -> _Memo:
     return b._tables.setdefault("subset_steps", _Memo(partial(_union, b.rows)))
 
 
-def includes(a: Automaton, b: Automaton, kind: str = "inclusion"):
-    """Marked-language inclusion L_m(a) ⊆ L_m(b).
+def subset_moves(a: Automaton):
+    """`moves(m)` of the subset construction of the silent-free `a`: the
+    non-empty `subset_steps` of the bitmask m, in alphabet order."""
+    after, names = subset_steps(a), a.alphabet.names
 
-    `first_path` over `_difference_product(a, b)` for a bad node; a failure
-    yields a shortest witness word. It need not be the
-    length-lexicographically first one: ties between product nodes reached
-    by different words are broken by queue position (each node's steps in
-    alphabet order), so use `iter_difference_words` for the first word.
-    """
-    found = first_path(*_difference_product(a, b))
-    if found is None:
+    def moves(m):
+        row = after[m]
+        for e in names:
+            t = row.get(e)
+            if t:
+                yield e, t
+
+    return moves
+
+
+def includes(a: Automaton, b: Automaton, kind: str = "inclusion"):
+    """Marked-language inclusion L_m(a) ⊆ L_m(b); a failure's witness is
+    the length-lexicographically first word of L_m(a) − L_m(b), the first
+    that `iter_difference_words` yields."""
+    word = next(iter_difference_words(a, b), None)
+    if word is None:
         return Verdict.make_holds()
-    return Verdict.make_violated(Witness(kind, {"word": found[0]}))
+    return Verdict.make_violated(Witness(kind, {"word": word}))
 
 
 def included(a: Automaton, b: Automaton | Implicit | LazyRows) -> bool:
@@ -809,8 +808,7 @@ def included(a: Automaton, b: Automaton | Implicit | LazyRows) -> bool:
     after it: the subset step is monotone, so a word that leads (q, B′) to
     a bad node leads (q, B) to one too (De Wulf, Doyen, Henzinger &
     Raskin, CAV 2006). Each node's steps are read in `moves` order, so the
-    search does the same work in every process. `includes` keeps the plain
-    search, since pruning could change which shortest witness it finds."""
+    search does the same work in every process."""
     starts, moves, bad = _difference_product(a, b)
     minimal: dict = {}   # state of `a` -> its ⊆-minimal `b` subsets
     queue = []

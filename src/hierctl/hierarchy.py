@@ -61,9 +61,9 @@ from functools import cache, cached_property
 
 from .automata import (Alphabet, Automaton, Event, Implicit, LazyRows,
                        PreconditionError, ProjectionSpec, all_marked, bits,
-                       closure, determinize, first_path, included, includes,
-                       iter_difference_words, merge_alphabets, pair_moves,
-                       parallel_compose, prefix_close, project, subset_steps,
+                       first_path, included, includes, iter_difference_words,
+                       merge_alphabets, pair_moves, parallel_compose,
+                       prefix_close, project, subset_moves, subset_steps,
                        trim, widen_alphabet, with_initial)
 from .checks import (check_controllability, check_nonconflicting,
                      check_normality, check_observability, sup_normal_closed,
@@ -80,10 +80,10 @@ class HierarchyContext:
     """A plant plus the derived projections and abstraction.
 
     `plant` recognizes the generated language L (every state marked);
-    `abstraction` recognizes Q(L) over the high-level sub-alphabet;
-    `dfa` and `abstraction_dfa` determinize them, once per context.
-    `shared` = Σhi ∩ Σo is what both P_hi ∘ Q and Q_o ∘ P keep, so that
-    square commutes by construction.
+    `abstraction` recognizes Q(L) over the high-level sub-alphabet, on the
+    plant's states; the checks step both as subsets (`subset_steps`) and
+    build no DFA. `shared` = Σhi ∩ Σo is what both P_hi ∘ Q and Q_o ∘ P
+    keep, so that square commutes by construction.
     """
 
     plant: Automaton
@@ -107,14 +107,6 @@ class HierarchyContext:
     @cached_property
     def abstraction(self) -> Automaton:
         return project(self.plant, self.q)
-
-    @cached_property
-    def dfa(self) -> Automaton:
-        return determinize(self.plant)
-
-    @cached_property
-    def abstraction_dfa(self) -> Automaton:
-        return determinize(self.abstraction)
 
     @cached_property
     def plant_pairs(self) -> tuple:
@@ -146,28 +138,39 @@ def conform_spec(k: Automaton, reference: Alphabet) -> Automaton:
 # ---------------------------------------------------------------------------
 # observer property and local control consistency
 
+def _enabling(a: Automaton, e: str) -> int:
+    """The bitmask of the states of `a` that move on `e`."""
+    return sum(1 << i for i, row in enumerate(a.rows) if e in row)
+
+
 def check_observer(g: Plant) -> Verdict:
     """Is the abstraction projection Q an observer for the plant language?
 
     For every plant string s and high-level continuation t with
     Q(s)t ∈ Q(L) there must be a low-level continuation u with su ∈ L and
-    Q(su) = Q(s)t. Decided exactly per reachable state pair of the
-    determinized plant and abstraction, each checked as a breadth-first
-    search reaches it. `g` is a plant or its `build_context(plant)`.
+    Q(su) = Q(s)t. Decided exactly per pair (run(s), run(Q(s))) of plant
+    and abstraction subsets, in breadth-first order: the abstraction from
+    run(Q(s)) must be included in the abstraction from run(s), which
+    `project` leaves on the plant's states. Both are copies of one
+    abstraction, sharing its subset-step memo. `g` is a plant or its
+    `build_context(plant)`.
     """
     ctx = build_context(g)
-    gd, hd = ctx.dfa, ctx.abstraction_dfa
-    proj = project(gd, ctx.q)   # silent elimination does not read `initial`
-    hi = ctx.alphabet.highlevel
+    plant, hi = ctx.plant, ctx.abstraction
+    plant_moves, hi_after = subset_moves(plant), subset_steps(hi)
+    high = ctx.alphabet.highlevel
 
-    def failure(pair):   # the witness of a failing per-pair inclusion
-        gs, xs = pair
-        return includes(with_initial(hd, {xs}), with_initial(proj, {gs})).witness
+    def moves(node):   # se ∈ L puts Q(s)e in Q(L): the abstraction moves
+        s, x = node
+        for e, t in plant_moves(s):
+            yield e, (t, hi_after[x][e] if e in high else x)
 
-    # se ∈ L puts Q(s)e in Q(L), so the abstraction DFA moves on Σhi too
-    labels = [(e, e, e if e in hi else None) for e in ctx.alphabet.names]
-    found = first_path(itertools.product(gd.initial, hd.initial),
-                       pair_moves(gd, hd, labels), failure)
+    def failure(node):   # the witness of a failing per-pair inclusion
+        s, x = (with_initial(hi, map(hi.states.__getitem__, bits(m)))
+                for m in node)
+        return includes(x, s).witness
+
+    found = first_path([(plant.start_mask, hi.start_mask)], moves, failure)
     if found is None:
         return Verdict.make_holds()
     s, witness = found
@@ -176,37 +179,33 @@ def check_observer(g: Plant) -> Verdict:
         "t ∈ Q(L) but no low-level continuation of s projects onto it"))
 
 
-def _low_reach(gd: Automaton, start: int, events: frozenset) -> set:
-    return closure((start,), lambda q: (ts[0] for e, ts in gd.succ[q].items()
-                                        if e in events))
-
-
 def check_lcc(g: Plant) -> Verdict:
     """Local control consistency of the abstraction projection.
 
     For every plant string s and uncontrollable high-level event e with
     Q(s)e ∈ Q(L): if some low-level path from s reaches e, then some purely
     uncontrollable low-level path does too. Such a path puts Q(s)e in Q(L),
-    so the determinized plant's states are checked alone, in breadth-first
-    order. `g` is a plant or its `build_context(plant)`.
+    so the plant subsets run(s) are checked alone, in breadth-first order,
+    by their `_plant_pairs` closures under the low-level and the
+    uncontrollable low-level moves. `g` is a plant or its
+    `build_context(plant)`.
     """
     ctx = build_context(g)
-    gd = ctx.dfa
-    low = frozenset(ctx.alphabet.lowlevel)
-    low_unc = low & ctx.alphabet.uncontrollable
-    targets = sorted(ctx.alphabet.highlevel & ctx.alphabet.uncontrollable,
-                     key=ctx.alphabet.names.index)
-    names = ctx.alphabet.names
+    plant, al = ctx.plant, ctx.alphabet
+    column, _, closing, _ = ctx.plant_pairs
+    # run(s) is closed as the pairs it forms with state 0, by left moves
+    low = tuple((0, e) for e in al.names if e in al.lowlevel)
+    reach_all = closing(low)
+    reach_unc = closing(tuple(m for m in low if m[1] in al.uncontrollable))
+    targets = [(e, column(_enabling(plant, e))) for e in al.names
+               if e in al.highlevel and e in al.uncontrollable]
 
-    def escape(gs):   # a target e reached at low level, not uncontrollably
-        reach_all = _low_reach(gd, gs, low)
-        reach_unc = _low_reach(gd, gs, low_unc)
-        return next((e for e in targets
-                     if any(e in gd.succ[q] for q in reach_all)
-                     and not any(e in gd.succ[q] for q in reach_unc)), None)
+    def escape(m):   # a target e reached at low level, not uncontrollably
+        every, unc = reach_all(column(m)), reach_unc(column(m))
+        return next((e for e, enabled in targets
+                     if every & enabled and not unc & enabled), None)
 
-    found = first_path(gd.initial, lambda gs: (
-        (e, q) for e in names for q in gd.succ[gs].get(e, ())), escape)
+    found = first_path([plant.start_mask], subset_moves(plant), escape)
     if found is None:
         return Verdict.make_holds()
     s, e = found
@@ -567,12 +566,9 @@ def check_loc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
                 yield lbl, (ns, x if b is None else rx.get(b, 0),
                             nsp, xp if d is None else rxp.get(d, 0))
 
-    def enabling(a: Automaton, e: str) -> int:
-        return sum(1 << i for i, row in enumerate(a.rows) if e in row)
-
     start = (plant.start_mask, hi.start_mask) * 2
     for e in events:
-        plant_e, hi_e = enabling(plant, e), enabling(hi, e)
+        plant_e, hi_e = _enabling(plant, e), _enabling(hi, e)
         both = column(plant_e) * plant_e
         found = first_path([start], moves, lambda n: (
             n[1] & hi_e and n[3] & hi_e

@@ -1,18 +1,21 @@
 from __future__ import annotations
 
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
 
 from hierctl import automata
-from hierctl.automata import Alphabet, Automaton, widen_alphabet
+from hierctl.automata import (Alphabet, Automaton, eliminate_silent,
+                              path_word, widen_alphabet)
 from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
                              gadget_oc, random_nfa, random_plant,
                              random_sublanguage)
 from hierctl.hierarchy import _pair_operands, build_context
 from hierctl.relations import relabel_pair, sync_pair_compose
 from hierctl.saut import parse_automaton
+from hierctl.verdicts import Verdict, Witness
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -42,6 +45,41 @@ def record_built(monkeypatch, record) -> None:
         if name.startswith("hierctl") and \
                 getattr(module, "_trusted", None) is trusted:
             monkeypatch.setattr(module, "_trusted", unchecked)
+
+
+def ref_includes(a: Automaton, b: Automaton) -> Verdict:
+    """L_m(a) ⊆ L_m(b) as the breadth-first search over (state of `a`,
+    frozenset of `b` states) nodes that `automata.includes` once was. Its
+    witness is a shortest word of L_m(a) − L_m(b), not always the
+    length-lexicographically first: ties between nodes reached by
+    different words are broken by queue position."""
+    a, b = eliminate_silent(a), eliminate_silent(b)
+    b0 = frozenset(b.initial)
+
+    def bad(qa, bs):
+        return qa in a.marked and not (bs & b.marked)
+
+    parent = dict.fromkeys((qa, b0) for qa in a.sorted_states(a.initial))
+    if any(bad(*key) for key in parent):
+        return Verdict.make_violated(Witness("inclusion", {"word": ()}))
+    queue = deque(parent)
+    while queue:
+        qa, bs = queue.popleft()
+        for e in a.alphabet.names:
+            targets = a.succ[qa].get(e)
+            if not targets:
+                continue
+            nbs = b.step(bs, e)
+            for qn in targets:
+                key = (qn, nbs)
+                if key in parent:
+                    continue
+                parent[key] = ((qa, bs), e)
+                if bad(qn, nbs):
+                    return Verdict.make_violated(Witness(
+                        "inclusion", {"word": path_word(parent, key)}))
+                queue.append(key)
+    return Verdict.make_holds()
 
 
 def make_alphabet(names, controllable=None, observable=None,

@@ -17,7 +17,7 @@ from hierctl.automata import (AutomataError, Automaton, Implicit,
                               with_initial, word_automaton)
 from hierctl.gadgets import GeneratorParams, random_plant
 
-from conftest import make_alphabet, pair_operands, tree
+from conftest import make_alphabet, pair_operands, ref_includes, tree
 from test_subsets import marked_saturate
 
 AB = make_alphabet("ab")
@@ -203,15 +203,17 @@ def test_implicit_expands_each_state_once_and_only_where_read():
     assert max(calls) < 9
 
 
-def test_difference_words_start_length_lex_first_not_at_inclusion_witness():
-    # The OC pair of check_oc on this plant: the inclusion witness is
-    # shortest, but the first difference word in length-lex order (pair
-    # events ordered with ("e0", None) before (None, "e0")) is another one.
+def test_inclusion_witness_is_the_first_difference_word():
+    # The OC pair of check_oc on this plant: the reference inclusion
+    # search stops at a shortest word, but the first difference word in
+    # length-lex order (pair events ordered with ("e0", None) before
+    # (None, "e0")) is another one, and it is the one `includes` gives.
     la, ra = pair_operands(random_plant(GeneratorParams(32, 5, 0.35, seed=2)),
                            "oc")
     first = next(iter_difference_words(la, ra))
     assert first == (("e2", "e2"), ("e4", "e4"), ("e0", None), ("e3", "e3"))
-    assert includes(la, ra).witness.strings["word"] == (
+    assert includes(la, ra).witness.strings["word"] == first
+    assert ref_includes(la, ra).witness.strings["word"] == (
         ("e2", "e2"), ("e4", "e4"), (None, "e0"), ("e3", "e3"))
 
 

@@ -1008,16 +1008,18 @@ def _recorded_sizes(monkeypatch) -> list:
 
 class TestOneContext:
     """A context's derived automata are built once and shared by the checks
-    given it; LCC reads only the plant DFA."""
+    given it; the observer and LCC step subsets of the plant and of the
+    abstraction and build no determinized automaton."""
 
     def test_lcc_builds_no_abstraction_dfa(self, monkeypatch):
-        # The plant determinizes to 10 states, the abstraction to 52.
+        # The plant and its determinization have 10 states each, and the
+        # abstraction determinizes to 52: LCC builds the context's plant
+        # and nothing else.
         g = random_plant(GeneratorParams(12, 5, 0.4, seed=149))
         ctx = build_context(g)
-        bound = max(len(ctx.plant.states), len(determinize(ctx.plant).states))
         sizes = _recorded_sizes(monkeypatch)
         assert check_lcc(g).holds
-        assert sizes and max(sizes) <= bound
+        assert sizes == [len(ctx.plant.states)]
 
     def test_loc_builds_no_abstraction_dfa(self, monkeypatch):
         # The plant and its abstraction have 10 states each, and the
@@ -1030,13 +1032,14 @@ class TestOneContext:
         assert check_loc(g, 2000).violated
         assert sizes and max(sizes) <= bound
         assert check_loc(ctx, 2000).violated
-        assert "abstraction_dfa" not in vars(ctx)
 
     def test_verify_builds_one_context(self, monkeypatch, ex1_plant,
                                        ex1_spec):
-        # One context per checker made 6 contexts and 5 determinizations.
+        # One context per checker made 6 contexts and 5 determinizations;
+        # one context made 2, its plant DFA and its abstraction DFA, until
+        # the observer and LCC stepped subsets instead.
         calls = {"determinize": 0, "context": 0}
-        determinize_, init = hierarchy.determinize, HierarchyContext.__init__
+        determinize_, init = automata.determinize, HierarchyContext.__init__
 
         def counting_determinize(a):
             calls["determinize"] += 1
@@ -1046,16 +1049,22 @@ class TestOneContext:
             calls["context"] += 1
             init(self, *args)
 
-        monkeypatch.setattr(hierarchy, "determinize", counting_determinize)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hierctl") and \
+                    getattr(module, "determinize", None) is determinize_:
+                monkeypatch.setattr(module, "determinize",
+                                    counting_determinize)
         monkeypatch.setattr(HierarchyContext, "__init__", counting_init)
         hier_verify(ex1_plant, ex1_spec)
-        assert calls["context"] == 1
-        assert calls["determinize"] <= 2
+        assert calls == {"determinize": 0, "context": 1}
+        assert not hasattr(build_context(ex1_plant), "dfa")
+        assert not hasattr(build_context(ex1_plant), "abstraction_dfa")
 
     def test_observer_builds_each_table_once(self, monkeypatch):
-        # The observer check runs an inclusion per state pair (26 here) on
-        # copies of the abstraction DFA and of the projected plant DFA
-        # with another initial state. Each copy rebuilt its successor map.
+        # The observer check runs an inclusion per subset pair (26 here),
+        # each between two copies of the abstraction with other initial
+        # states. The copies share one table of each kind, and no search
+        # reads a successor map.
         ctx = build_context(random_plant(GeneratorParams(12, 4, 0.35,
                                                          seed=9)))
         builds = collections.Counter()   # (table, transitions) -> builds
@@ -1071,18 +1080,17 @@ class TestOneContext:
 
             monkeypatch.setattr(table, "func", counting)
         assert check_observer(ctx).holds
-        hd = ctx.abstraction_dfa
-        assert builds["succ", id(hd.transitions)] == 1
         assert set(builds.values()) == {1}
-        assert {name for name, _ in builds} == {"state_index", "succ", "rows"}
+        assert {name for name, _ in builds} == {"state_index", "rows"}
 
     def test_observer_pairs_share_one_subset_step_memo(self, monkeypatch):
-        # One inclusion per state pair, each from a copy of the projected
-        # plant DFA with another initial state. With a memo per inclusion
-        # the subset steps were taken 1,018 times; the copies share 129.
+        # One inclusion per subset pair, each between copies of the
+        # abstraction with other initial states. With a memo per inclusion
+        # the subset steps were taken 1,018 times; the copies shared 129,
+        # with the plant and abstraction DFAs built before the count. Every
+        # subset step of the check, with no DFA built, is counted now: 135.
         ctx = build_context(random_plant(GeneratorParams(32, 5, 0.5,
                                                          seed=2)))
-        ctx.dfa, ctx.abstraction_dfa   # built before the count starts
         unions = []
         union = automata._union
 

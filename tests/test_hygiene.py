@@ -204,9 +204,10 @@ def test_uses_outside_are_found():
 
 # The product of a left automaton with the subset construction of a right
 # one is built in one place, so a change to its right-subset layer is made
-# once: the subset constructions and `subset_steps`, the memo that
-# `_difference_product` reads, alone union the rows of a subset.
-UNION_USERS = {"determinize", "iter_marked_words", "subset_steps"}
+# once: `iter_marked_words` and `subset_steps`, the memo that
+# `_difference_product` and `determinize` read, alone union the rows of a
+# subset.
+UNION_USERS = {"iter_marked_words", "subset_steps"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -315,16 +316,44 @@ def test_kernel_constructions_do_not_validate_again():
         assert validating_calls(tree, callees(tree, root)) == [], root
 
 
+def top_level(module: str, name: str) -> ast.AST:
+    """The top-level function or class `name` of `src/hierctl/<module>`."""
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    return next(node for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name == name)
+
+
 def test_loc_reads_no_inclusion_machinery():
     # LOC is one search over the determinized verifier: no difference view,
     # no refutation loop, and no abstraction DFA.
-    tree = ast.parse((SRC / "hierarchy.py").read_text(encoding="utf-8"))
-    check_loc = next(node for node in tree.body
-                     if isinstance(node, ast.FunctionDef)
-                     and node.name == "check_loc")
-    assert used_names(check_loc) & {"iter_difference_words",
-                                    "_refutation_loop",
-                                    "abstraction_dfa"} == set()
+    assert used_names(top_level("hierarchy.py", "check_loc")) & {
+        "iter_difference_words", "_refutation_loop",
+        "abstraction_dfa"} == set()
+
+
+def test_hierarchy_builds_no_determinized_copy():
+    # The observer, LCC and LOC step subsets of the plant and of the
+    # abstraction (`automata.subset_steps`); the context holds no DFA.
+    source = (SRC / "hierarchy.py").read_text(encoding="utf-8")
+    assert uses_outside(source, "determinize", set()) == []
+    context = top_level("hierarchy.py", "HierarchyContext")
+    assert {node.name for node in context.body
+            if isinstance(node, ast.FunctionDef)} & {
+        "dfa", "abstraction_dfa"} == set()
+
+
+def test_includes_has_no_search_of_its_own():
+    # Its witness is the first word of `iter_difference_words`.
+    assert used_names(top_level("automata.py", "includes")) & {
+        "first_path", "_difference_product"} == set()
+
+
+def test_observer_projects_no_plant_dfa():
+    # `project` keeps the plant's states, so both sides of each per-pair
+    # inclusion are copies of the abstraction itself.
+    assert "project" not in used_names(top_level("hierarchy.py",
+                                                 "check_observer"))
 
 
 def test_layer_trace_targets_exist():

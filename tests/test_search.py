@@ -5,9 +5,9 @@ replaced.
 through a parent map, and `automata.pair_product` (with its `pair_moves`)
 the one product of two automata stepped by a label table. The references
 below are the hand-written loops of the controllability, observer and LCC
-checks and the moves of `parallel_compose` and `sync_pair_compose` as they
-were before; the kernels must give byte-identical verdict JSON and
-identical automata.
+checks, over automata determinized whole, and the moves of
+`parallel_compose` and `sync_pair_compose` as they were before; the
+kernels must give byte-identical verdict JSON and identical automata.
 """
 
 from __future__ import annotations
@@ -21,21 +21,20 @@ from collections import deque
 from pathlib import Path
 
 from hierctl import automata
-from hierctl.automata import (Automaton, eliminate_silent, explore,
-                              first_path, includes, iter_marked_words,
-                              merge_alphabets, parallel_compose, path_word,
-                              prefix_close, project, trim, with_initial)
+from hierctl.automata import (Automaton, closure, eliminate_silent, explore,
+                              first_path, iter_marked_words, merge_alphabets,
+                              parallel_compose, path_word, prefix_close,
+                              project, trim, with_initial)
 from hierctl.checks import (_dfa_table, _PairSearch, _require_inclusion,
                             check_controllability, check_observability,
                             check_relative_observability)
 from hierctl.gadgets import (GeneratorParams, random_nfa, random_plant,
                              random_sublanguage)
-from hierctl.hierarchy import (_low_reach, build_context, check_lcc,
-                               check_observer)
+from hierctl.hierarchy import build_context, check_lcc, check_observer
 from hierctl.relations import pair_alphabet, sync_pair_compose
 from hierctl.verdicts import Verdict, Witness
 
-from conftest import make_alphabet
+from conftest import make_alphabet, ref_includes
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -94,16 +93,20 @@ def ref_observability(k: Automaton, c: Automaton, g: Automaton, events,
 
 
 def ref_check_observer(g: Automaton) -> Verdict:
+    """The observer check over the determinized plant and abstraction, one
+    inclusion per DFA state pair. The abstraction DFA is deterministic, so
+    the reference inclusion search finds the length-lexicographically first
+    word."""
     ctx = build_context(g)
-    gd, hd = ctx.dfa, ctx.abstraction_dfa
+    gd = automata.determinize(ctx.plant)
+    hd = automata.determinize(ctx.abstraction)
     proj = project(gd, ctx.q)
     hi = ctx.alphabet.highlevel
     parent: dict = dict.fromkeys(itertools.product(gd.initial, hd.initial))
     queue = list(parent)
     for cur in queue:
         gs, xs = cur
-        v = includes(with_initial(hd, {xs}), with_initial(proj, {gs}),
-                     kind="observer")
+        v = ref_includes(with_initial(hd, {xs}), with_initial(proj, {gs}))
         if not v.holds:
             s = path_word(parent, cur)
             return Verdict.make_violated(Witness(
@@ -121,9 +124,15 @@ def ref_check_observer(g: Automaton) -> Verdict:
     return Verdict.make_holds()
 
 
+def _low_reach(gd: Automaton, start: int, events: frozenset) -> set:
+    return closure((start,), lambda q: (ts[0] for e, ts in gd.succ[q].items()
+                                        if e in events))
+
+
 def ref_check_lcc(g: Automaton) -> Verdict:
+    """The LCC check over the determinized plant's states."""
     ctx = build_context(g)
-    gd = ctx.dfa
+    gd = automata.determinize(ctx.plant)
     low = frozenset(ctx.alphabet.lowlevel)
     low_unc = low & ctx.alphabet.uncontrollable
     targets = sorted(ctx.alphabet.highlevel & ctx.alphabet.uncontrollable,

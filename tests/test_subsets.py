@@ -4,7 +4,10 @@ The references below are the subset constructions as they were written
 over frozensets of states. A bitmask maps one-to-one onto such a set and
 `explore` only hashes its keys, so the kernel must give identical automata,
 witnesses and words. `marked_saturate`, L_m(a)·Σ*, is a helper of the
-tests; it builds fewer states than its frozenset reference.
+tests; it builds fewer states than its frozenset reference. `includes`
+answers as the frozenset inclusion search (`conftest.ref_includes`) does,
+but its witness is the length-lexicographically first word of the
+reference difference, where that search stops at a shortest one.
 
 The one-pass constructions (`trim`, `all_marked`, `project`,
 `eliminate_silent` and `explore`, each valid by construction) are checked
@@ -16,7 +19,6 @@ labels.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain, islice
 
 import pytest
@@ -31,7 +33,7 @@ from hierctl.automata import (AutomataError, Automaton, Implicit, LazyRows,
                               explore, included, includes, intersect,
                               inverse_project, is_prefix_closed,
                               iter_difference_words, iter_marked_words,
-                              language_equal, path_word, prefix_close,
+                              language_equal, prefix_close,
                               project, subset_steps, trim)
 from hierctl.checks import sup_normal_closed
 from hierctl.cli import main
@@ -42,7 +44,8 @@ from hierctl.saut import serialize_automaton
 from hierctl.verdicts import Verdict, Witness
 
 from conftest import (agreement_plants, cli_big_inputs, cli_big_seeds,
-                      make_alphabet, pair_operands, record_built)
+                      make_alphabet, pair_operands, record_built,
+                      ref_includes)
 
 AB = make_alphabet("ab")
 
@@ -66,36 +69,6 @@ def ref_determinize(a: Automaton) -> Automaton:
     start = frozenset(a.initial)
     return explore(a.alphabet, [start] if start else [], moves,
                    lambda cur: not a.marked.isdisjoint(cur))
-
-
-def ref_includes(a: Automaton, b: Automaton) -> Verdict:
-    a, b = eliminate_silent(a), eliminate_silent(b)
-    b0 = frozenset(b.initial)
-
-    def bad(qa, bs):
-        return qa in a.marked and not (bs & b.marked)
-
-    parent = dict.fromkeys((qa, b0) for qa in a.sorted_states(a.initial))
-    if any(bad(*key) for key in parent):
-        return Verdict.make_violated(Witness("inclusion", {"word": ()}))
-    queue = deque(parent)
-    while queue:
-        qa, bs = queue.popleft()
-        for e in a.alphabet.names:
-            targets = a.succ[qa].get(e)
-            if not targets:
-                continue
-            nbs = _step(b, bs, e)
-            for qn in targets:
-                key = (qn, nbs)
-                if key in parent:
-                    continue
-                parent[key] = ((qa, bs), e)
-                if bad(qn, nbs):
-                    return Verdict.make_violated(Witness(
-                        "inclusion", {"word": path_word(parent, key)}))
-                queue.append(key)
-    return Verdict.make_holds()
 
 
 def ref_difference(a: Automaton, b: Automaton) -> Automaton:
@@ -189,6 +162,14 @@ SILENT = Automaton(AB, ("p", "q", "r"),
                    frozenset({"p"}), frozenset({"r"}))
 
 
+# L(G) and a sublanguage K of a nondeterministic plant (instance 83 of the
+# normality sweep's population): the reference inclusion search stops at
+# ("e1", "e2"), a shortest word of L(G) − K but not the first.
+_NONDET = all_marked(random_plant(GeneratorParams(
+    6, 5, 0.45, deterministic=False, seed=160)))
+MOVED_WITNESS = (_NONDET, random_sublanguage(_NONDET, 0.3, 83))
+
+
 def _same(got: Automaton, want: Automaton) -> None:
     assert (got.states, got.transitions, got.initial, got.marked) == \
         (want.states, want.transitions, want.initial, want.marked)
@@ -209,9 +190,18 @@ def test_determinize_matches_reference(a):
 @example(SILENT, EMPTY_INITIAL)
 @example(SILENT, NONE_MARKED)
 @example(NONE_MARKED, SILENT)
+@example(*MOVED_WITNESS)
 def test_difference_and_inclusion_match_reference(a, b):
-    _same(difference(a, b), ref_difference(a, b))
-    assert includes(a, b).to_json() == ref_includes(a, b).to_json()
+    diff = ref_difference(a, b)
+    _same(difference(a, b), diff)
+    # the verdict is the reference search's; the witness is the
+    # length-lexicographically first word of the reference difference
+    got = includes(a, b)
+    assert got.holds == ref_includes(a, b).holds
+    first = next(iter_marked_words(diff), None)
+    want = Verdict.make_holds() if first is None else Verdict.make_violated(
+        Witness("inclusion", {"word": first}))
+    assert got.to_json() == want.to_json()
 
 
 def _implicit(a: Automaton) -> Implicit:
