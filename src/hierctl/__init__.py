@@ -7,8 +7,7 @@ from .automata import (Alphabet, AlphabetMismatchError, AutomataError,
                        included, includes, intersect, inverse_project,
                        is_empty, is_prefix_closed, iter_marked_words,
                        language_equal, parallel_compose, prefix_close,
-                       project, right_quotient, sigma_star, trim,
-                       word_automaton)
+                       project, sigma_star, trim, word_automaton)
 from .checks import (SynthReport, check_controllability, check_nonconflicting,
                      check_normality, check_observability,
                      check_relative_observability, sup_normal_closed,
@@ -27,9 +26,8 @@ from .oracle import (PROPERTY_ORACLES, OracleReport, oracle_controllability,
                      oracle_normality, oracle_observability, oracle_observer,
                      oracle_oc, oracle_relative_observability,
                      oracle_sup_normal, oracle_sup_relobs)
-from .relations import (build_quad, decompose_pairs, decompose_sequence,
-                        label_name, pair_alphabet, quad_alphabet, relabel_pair,
-                        sync_pair_compose)
+from .relations import (decompose_sequence, label_name, pair_alphabet,
+                        quad_alphabet)
 from .saut import SautParseError, parse_automaton, serialize_automaton
 from .verdicts import HOLDS, INCONCLUSIVE, VIOLATED, Verdict, Witness
 

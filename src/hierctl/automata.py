@@ -12,9 +12,11 @@ builders and the small builders, check every state, endpoint and label in
 `__post_init__`. What the kernel derives from valid automata is valid by
 construction and is built by `_trusted`, without that walk: `explore`
 (which checks only each distinct label that its caller's `moves` yields),
-`trim` and `all_marked` (one restriction, `_restrict`, whose reachability
-and co-reachability come from one pass over the transitions and read no
-`succ` table), and `project` and `eliminate_silent` (one pass, `_erase`).
+the restriction family `trim`, `all_marked` and `prefix_close` (one
+`_restrict` each, whose kept states come from one pass over the
+transitions, `_kept`, and read no `succ` table), and `project` and
+`eliminate_silent` (one pass, `_erase`). `is_prefix_closed`,
+`iter_marked_words` and `is_empty` read the kept states alone.
 
 All values are immutable; every operation is a pure function of its inputs.
 A state id is any hashable value. Automata built by name (parsed files,
@@ -38,8 +40,9 @@ construction. (A mask is as wide as its automaton is large, where a
 frozenset is as large as the subset.) An `Automaton` builds its tables
 (`state_index`, `succ`, `rows`, `has_silent`) on first read, once per
 transition relation: the copies that `_derived` makes for `with_initial`,
-`widen_alphabet`, `prefix_close` and `right_quotient` share them, and check
-only the initial and marked states they change.
+`widen_alphabet` and `right_quotient` share them, and check only the
+initial and marked states they change; a restriction that keeps every
+state shares them too.
 
 Five search shapes are written once. `_difference_product(a, b)` is the
 product of `a` with the subset construction of `b` (start nodes, steps in
@@ -457,27 +460,30 @@ def _erase(a: Automaton, alphabet: Alphabet, kept) -> Automaton:
                     frozenset(marked))
 
 
-def coreachable_states(a: Automaton) -> frozenset:
-    pred: dict = {s: set() for s in a.states}
-    for (src, _, dst) in a.transitions:
-        pred[dst].add(src)
-    return frozenset(closure(a.marked, pred.__getitem__))
-
-
-def _restrict(a: Automaton, generated: bool) -> Automaton:
-    """The reachable part of `a`, all marked if `generated`, else only its
-    co-reachable states kept. Reachability and co-reachability come from
-    one pass over the transitions, and no `succ` table is built. A result
-    that keeps every state shares `a`'s tables."""
+def _kept(a: Automaton, coreachable: bool = True) -> set:
+    """The states that a restriction of `a` keeps: the reachable ones and,
+    if `coreachable`, only those of them that reach a marked state. One
+    pass over the transitions gives both, and no `succ` table is built."""
     post: dict = {}
     pre: dict = {}
     for (src, _, dst) in a.transitions:
         post.setdefault(src, []).append(dst)
-        if not generated:
+        if coreachable:
             pre.setdefault(dst, []).append(src)
     keep = closure(a.initial, lambda q: post.get(q, ()))
-    if not generated:
+    if coreachable:
         keep &= closure(a.marked, lambda q: pre.get(q, ()))
+    return keep
+
+
+def _restrict(a: Automaton, coreachable: bool, mark_all: bool) -> Automaton:
+    """`a` cut down to `_kept(a, coreachable)`, in `a`'s order, with the
+    transitions between the kept states; all of them marked if `mark_all`,
+    else `a`'s marked ones. The restriction family is `trim` (co-reachable,
+    marks kept), `all_marked` (reachable, all marked) and `prefix_close`
+    (co-reachable, all marked). A result that keeps every state shares
+    `a`'s tables."""
+    keep = _kept(a, coreachable)
     if len(keep) == len(a.states):   # nothing to drop
         states, trans, tables = a.states, a.transitions, a._tables
     else:
@@ -486,35 +492,37 @@ def _restrict(a: Automaton, generated: bool) -> Automaton:
                           if t[0] in keep and t[2] in keep)
         tables = None
     return _trusted(a.alphabet, states, trans, a.initial & keep,
-                    frozenset(states) if generated else a.marked & keep,
+                    frozenset(states) if mark_all else a.marked & keep,
                     tables)
 
 
 def trim(a: Automaton) -> Automaton:
     """The states of `a` that are both reachable and co-reachable, in
     `a`'s order, with the transitions between them (`_restrict`)."""
-    return _restrict(a, False)
+    return _restrict(a, True, False)
 
 
 def all_marked(a: Automaton) -> Automaton:
     """Recognizer of the generated language L(a): reachable part, all
     marked (`_restrict` of the silent-free `a`)."""
-    return _restrict(eliminate_silent(a), True)
+    return _restrict(eliminate_silent(a), False, True)
 
 
 def prefix_close(a: Automaton) -> Automaton:
-    """Mark every state on an accepting path; L_m becomes the prefix closure."""
-    a = eliminate_silent(a)
-    return _derived(a, marked=coreachable_states(a))
+    """Trimmed recognizer of closure(L_m(a)): the reachable and
+    co-reachable states of the silent-free `a`, in `a`'s order, all marked
+    (`_restrict`)."""
+    return _restrict(eliminate_silent(a), True, True)
 
 
 def is_prefix_closed(a: Automaton) -> bool:
     """L_m(prefix_close(a)) ⊆ L_m(a): every subset of `a` that a word
-    reaches and that meets a co-reachable state meets a marked one. The
-    walk keeps each subset's co-reachable part, stepped through
-    `subset_steps`: a co-reachable target has co-reachable sources."""
+    reaches and that meets a kept state (`_kept`) meets a marked one. The
+    walk keeps each subset's kept part, stepped through `subset_steps`: in
+    a reached subset, the sources of a kept target are kept. No automaton
+    is built."""
     a = eliminate_silent(a)
-    live = sum(1 << a.state_index[q] for q in coreachable_states(a))
+    live = sum(1 << a.state_index[q] for q in _kept(a))
     steps = subset_steps(a)
     reached = closure([a.start_mask & live],
                       lambda m: (t & live for t in steps[m].values()))
@@ -523,7 +531,7 @@ def is_prefix_closed(a: Automaton) -> bool:
 
 def is_empty(a: Automaton) -> bool:
     """L_m(a) = ∅: no state is both reachable and co-reachable."""
-    return not trim(a).states
+    return not _kept(a)
 
 
 # ---------------------------------------------------------------------------
@@ -974,11 +982,12 @@ def iter_marked_words(a: Automaton | Implicit,
 
     The one such enumerator: a breadth-first search over the bitmask subsets
     of `a`, an `Automaton` or an `Implicit`, that steps each subset once.
-    It drops an `Automaton`'s steps into subsets with no co-reachable state,
-    so a finite language ends it; an `Implicit`'s keys all reach one."""
+    It drops an `Automaton`'s steps into subsets with no kept state
+    (`_kept`), so a finite language ends it; an `Implicit`'s keys all
+    reach a marked one."""
     a = eliminate_silent(a)
     live = -1 if isinstance(a, Implicit) else sum(
-        1 << a.state_index[q] for q in coreachable_states(a))
+        1 << a.state_index[q] for q in _kept(a))
     if not a.start_mask & live:
         return
     rows, names, meets = a.rows, a.alphabet.names, a.meets_marked

@@ -76,9 +76,8 @@ def _observed(alphabet, starts, moves, marked) -> Implicit:
 
 def check_controllability(k: Automaton, g: Automaton) -> Verdict:
     """K̄ Σu ∩ L(G) ⊆ K̄."""
-    require_same_alphabet(k, g)
     _require_inclusion(k, g, "specification K must satisfy K ⊆ L_m(G)")
-    kt, k0 = _subset_table(prefix_close(trim(k)))
+    kt, k0 = _subset_table(prefix_close(k))
     gt, g0 = _subset_table(g)
     unc = sorted(g.alphabet.uncontrollable, key=g.alphabet.names.index)
     names = g.alphabet.names
@@ -179,8 +178,8 @@ class _PairSearch:
 def _observability_engine(k: Automaton, c: Automaton, g: Automaton,
                           events, kind: str) -> Verdict:
     """One pair search over K̄, C̄ and G; the callers checked the alphabets."""
-    kt, k0 = _subset_table(prefix_close(trim(k)))
-    ct, c0 = (kt, k0) if c is k else _subset_table(prefix_close(trim(c)))
+    kt, k0 = _subset_table(prefix_close(k))
+    ct, c0 = (kt, k0) if c is k else _subset_table(prefix_close(c))
     search = _PairSearch(kt, k0, ct, c0, *_subset_table(g), g.alphabet, events)
     found = search.next_violation()
     if found is None:
@@ -218,9 +217,8 @@ def check_normality(k: Automaton, g: Automaton) -> Verdict:
     non-empty and K̄'s is unmarked. Each component is deterministic and
     stepped in alphabet order, so the witness is the
     length-lexicographically first word of (P⁻¹P(K̄) ∩ L(G)) − K̄."""
-    require_same_alphabet(k, g)
     _require_inclusion(k, g, "specification K must satisfy K ⊆ L_m(G)")
-    kbar, g = prefix_close(trim(k)), eliminate_silent(g)
+    kbar, g = prefix_close(k), eliminate_silent(g)
     observable, names = g.alphabet.observable, g.alphabet.names
     obs = _observed(g.alphabet, bits(kbar.start_mask), _index_moves(kbar),
                     lambda i: kbar.marked_mask >> i & 1)
@@ -250,7 +248,7 @@ def check_normality(k: Automaton, g: Automaton) -> Verdict:
 def check_nonconflicting(a: Automaton, b: Automaton) -> Verdict:
     """Synchronous nonconflictingness: closure(L1 ∥ L2) = closure(L1) ∥ closure(L2)."""
     lhs = prefix_close(parallel_compose(a, b))
-    rhs = parallel_compose(prefix_close(trim(a)), prefix_close(trim(b)))
+    rhs = parallel_compose(prefix_close(a), prefix_close(b))
     v = includes(rhs, lhs, kind="nonconflicting")
     return v if v.holds else Verdict.make_violated(Witness(
         "nonconflicting", {"word": v.witness.strings["word"]},
@@ -278,7 +276,7 @@ def sup_normal_closed(b: Automaton, m: Automaton) -> Automaton:
     of difference(B, marked_saturate(P⁻¹(P(difference(M, B))))): O to the
     saturated DFA's subset of the inverse projection, None to its sink,
     and the empty O to the empty subset. So the result after
-    `prefix_close` and `trim` is the same automaton."""
+    `prefix_close` is the same automaton."""
     require_same_alphabet(b, m)
     if not is_prefix_closed(b) or not is_prefix_closed(m):
         raise PreconditionError("sup_normal_closed needs prefix-closed inputs")
@@ -306,9 +304,9 @@ def sup_normal_closed(b: Automaton, m: Automaton) -> Automaton:
                 for qn in targets.get(e, ()):
                     yield e, (qn, nxt[e])
 
-    return trim(prefix_close(explore(
+    return prefix_close(explore(
         b.alphabet, [(q, diff.start_mask) for q in b.sorted_states(b.initial)],
-        moves, lambda node: node[0] in b.marked and not saturated[node[1]])))
+        moves, lambda node: node[0] in b.marked and not saturated[node[1]]))
 
 
 @dataclass(frozen=True)
@@ -352,7 +350,7 @@ def sup_relobs_closed(k: Automaton, c: Automaton, g: Automaton,
     _require_inclusion(k, c, "sup_relobs_closed needs K ⊆ C")
     _require_inclusion(c, g, "sup_relobs_closed needs C ⊆ L(G)")
 
-    kbar, g, observable = prefix_close(trim(k)), eliminate_silent(g), g.alphabet.observable
+    kbar, g, observable = prefix_close(k), eliminate_silent(g), g.alphabet.observable
     obs = _observed(g.alphabet, bits(g.start_mask), _index_moves(g),
                     lambda i: True)
     ks, gs, obs_steps = map(subset_steps, (kbar, g, obs))
@@ -367,7 +365,7 @@ def sup_relobs_closed(k: Automaton, c: Automaton, g: Automaton,
     start = (kbar.start_mask, g.start_mask, obs.start_mask)
     refined = explore(g.alphabet, [start] if all(start) else [], moves, bool)
     kt, k0 = _dfa_table(refined)
-    search = _PairSearch(kt, k0, *_subset_table(prefix_close(trim(c))),
+    search = _PairSearch(kt, k0, *_subset_table(prefix_close(c)),
                          *_subset_table(g), g.alphabet, g.alphabet.names)
     removed = set()
     converged, rounds = False, max_iters

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .automata import (Automaton, AutomataError, all_marked, intersect,
-                       prefix_close, trim, widen_alphabet)
+                       prefix_close)
 from .checks import (check_controllability, check_nonconflicting,
                      check_normality, check_observability,
                      check_relative_observability, sup_normal_closed,
@@ -35,11 +35,6 @@ EXIT_ERROR = 3
 def _load(path: str) -> Automaton:
     with open(path, encoding="utf-8") as fh:
         return parse_automaton(fh.read(), allow_reserved=True)
-
-
-def _spec_for(k: Automaton, g: Automaton) -> Automaton:
-    """Reinterpret a specification over the plant alphabet."""
-    return widen_alphabet(conform_spec(k, g.alphabet), g.alphabet)
 
 
 def _jsonify(value):
@@ -123,12 +118,12 @@ def _cmd_check(args) -> int:
         inputs = (a, b)
     elif prop == "relobs":
         k, c, g = map(_load, args.files)
-        k, c = _spec_for(k, g), _spec_for(c, g)
+        k, c = conform_spec(k, g.alphabet), conform_spec(c, g.alphabet)
         v = check_relative_observability(k, c, g)
         inputs = (k, c, g)
     else:
         k, g = map(_load, args.files)
-        k = _spec_for(k, g)
+        k = conform_spec(k, g.alphabet)
         fn = {"controllability": check_controllability,
               "observability": check_observability,
               "normality": check_normality}[prop]
@@ -149,7 +144,7 @@ def _cmd_synth(args) -> int:
     if args.kind == "supn":
         k, g = map(_load, args.files)
         g = all_marked(g)
-        k = prefix_close(trim(_spec_for(k, g)))
+        k = prefix_close(conform_spec(k, g.alphabet))
         result = sup_normal_closed(intersect(k, g), g)
         report = {"command": "synth", "kind": "supn",
                   "result_states": len(result.states)}
@@ -157,8 +152,8 @@ def _cmd_synth(args) -> int:
     else:
         k, c, g = map(_load, args.files)
         g = all_marked(g)
-        k = prefix_close(trim(_spec_for(k, g)))
-        c = prefix_close(trim(_spec_for(c, g)))
+        k = prefix_close(conform_spec(k, g.alphabet))
+        c = prefix_close(conform_spec(c, g.alphabet))
         result, rep = sup_relobs_closed(intersect(k, g), intersect(c, g),
                                         g)
         report = {"command": "synth", "kind": "suprelobs",

@@ -64,7 +64,7 @@ from .automata import (Alphabet, Automaton, Event, Implicit, LazyRows,
                        first_path, included, includes, iter_difference_words,
                        merge_alphabets, pair_moves, parallel_compose,
                        prefix_close, project, subset_moves, subset_steps,
-                       trim, widen_alphabet, with_initial)
+                       widen_alphabet, with_initial)
 from .checks import (check_controllability, check_nonconflicting,
                      check_normality, check_observability, sup_normal_closed,
                      sup_relobs_closed)
@@ -662,10 +662,14 @@ def lemma_distribute_q(components) -> Verdict:
 # ---------------------------------------------------------------------------
 # two-level pipelines
 
-def _closed_spec(ctx: HierarchyContext, k: Automaton) -> Automaton:
-    """Prefix-closed specification over the high-level sub-alphabet."""
-    k = conform_spec(k, ctx.q.target_alphabet)
-    return prefix_close(trim(k))
+def _lifted_spec(g: Automaton, k: Automaton) -> tuple:
+    """(ctx, K̄, K̄ ∥ Q(L), K̄ ∥ L): the context of the plant `g`, the
+    closed specification over the high-level sub-alphabet, and its lifts
+    to the abstraction and to the plant."""
+    ctx = build_context(g)
+    kbar = prefix_close(conform_spec(k, ctx.q.target_alphabet))
+    return (ctx, kbar, parallel_compose(ctx.abstraction, kbar),
+            parallel_compose(ctx.plant, kbar))
 
 
 def hier_verify(g: Automaton, k: Automaton,
@@ -676,11 +680,7 @@ def hier_verify(g: Automaton, k: Automaton,
     controllability, observability, and normality the report records the
     high-level verdict, the low-level verdict, and whether they agree.
     """
-    ctx = build_context(g)
-    kbar = _closed_spec(ctx, k)
-    k_hi = parallel_compose(ctx.abstraction, kbar)
-    k_lo = parallel_compose(ctx.plant, kbar)
-
+    ctx, kbar, k_hi, k_lo = _lifted_spec(g, k)
     report: dict = {
         "hypotheses": {
             "observer": check_observer(ctx),
@@ -702,6 +702,18 @@ def hier_verify(g: Automaton, k: Automaton,
     return report
 
 
+def _lift_report(ctx: HierarchyContext, kind: str, low: Automaton,
+                 high: Automaton, budget: int, **extra) -> dict:
+    """The end of both synthesis pipelines: the lift `high` ∥ L, the
+    inclusions of `low` and the lift in each other, `extra`, and MOC."""
+    lifted = parallel_compose(ctx.plant, high)
+    fwd = includes(low, lifted, kind=f"{kind}-low-in-lift")
+    bwd = includes(lifted, low, kind=f"{kind}-lift-in-low")
+    return {"low": low, "high": high, "lifted": lifted,
+            "low_in_lift": fwd, "lift_in_low": bwd, **extra,
+            "moc": check_moc(ctx, budget)}
+
+
 def hier_synth_normal(g: Automaton, k: Automaton,
                       budget: int = DEFAULT_BUDGET) -> dict:
     """Supremal normal synthesis done low-level and via the abstraction.
@@ -710,43 +722,24 @@ def hier_synth_normal(g: Automaton, k: Automaton,
     reports both inclusions plus the MOC verdict; under MOC (with the
     languages nonconflicting) the two coincide.
     """
-    ctx = build_context(g)
-    kbar = _closed_spec(ctx, k)
-    low = sup_normal_closed(parallel_compose(ctx.plant, kbar), ctx.plant)
-    high = sup_normal_closed(parallel_compose(ctx.abstraction, kbar),
-                             ctx.abstraction)
-    lifted = parallel_compose(ctx.plant, high)
-    fwd = includes(low, lifted, kind="supn-low-in-lift")
-    bwd = includes(lifted, low, kind="supn-lift-in-low")
-    return {
-        "low": low, "high": high, "lifted": lifted,
-        "low_in_lift": fwd, "lift_in_low": bwd,
-        "equal": fwd.holds and bwd.holds,
-        "moc": check_moc(ctx, budget),
-    }
+    ctx, _, k_hi, k_lo = _lifted_spec(g, k)
+    low = sup_normal_closed(k_lo, ctx.plant)
+    high = sup_normal_closed(k_hi, ctx.abstraction)
+    out = _lift_report(ctx, "supn", low, high, budget)
+    out["equal"] = out["low_in_lift"].holds and out["lift_in_low"].holds
+    return out
 
 
 def hier_synth_relobs(g: Automaton, k: Automaton,
-                      budget: int = DEFAULT_BUDGET,
-                      max_iters: int = 1000) -> dict:
+                      budget: int = DEFAULT_BUDGET) -> dict:
     """Relatively observable synthesis low-level and via the abstraction.
 
     The ambient language is the specification itself on both levels. Under
     MOC the low-level result is contained in the lifted high-level result;
     the reverse inclusion can genuinely fail, so both are reported.
     """
-    ctx = build_context(g)
-    kbar = _closed_spec(ctx, k)
-    b_hi = parallel_compose(ctx.abstraction, kbar)
-    b_lo = parallel_compose(ctx.plant, kbar)
-    high, rep_hi = sup_relobs_closed(b_hi, b_hi, ctx.abstraction, max_iters)
-    low, rep_lo = sup_relobs_closed(b_lo, b_lo, ctx.plant, max_iters)
-    lifted = parallel_compose(ctx.plant, high)
-    fwd = includes(low, lifted, kind="suprelobs-low-in-lift")
-    bwd = includes(lifted, low, kind="suprelobs-lift-in-low")
-    return {
-        "low": low, "high": high, "lifted": lifted,
-        "low_in_lift": fwd, "lift_in_low": bwd,
-        "high_report": rep_hi, "low_report": rep_lo,
-        "moc": check_moc(ctx, budget),
-    }
+    ctx, _, k_hi, k_lo = _lifted_spec(g, k)
+    high, rep_hi = sup_relobs_closed(k_hi, k_hi, ctx.abstraction)
+    low, rep_lo = sup_relobs_closed(k_lo, k_lo, ctx.plant)
+    return _lift_report(ctx, "suprelobs", low, high, budget,
+                        high_report=rep_hi, low_report=rep_lo)

@@ -14,8 +14,8 @@ Sequence-level versus pair-level semantics is the central trap here: an
 accepted *sequence* of pair events determines one string pair by
 component-wise concatenation, but one string pair usually has many
 interleavings. Inclusion over these automata is sequence-level; pair-level
-questions go through `decompose_pairs` or the realizability confirmation in
-`hierarchy`. `normal_forms` keeps one interleaving per string pair of a
+questions go through `decompose_sequence` or the realizability confirmation
+in `hierarchy`. `normal_forms` keeps one interleaving per string pair of a
 synchronized product, its lexicographic normal form, so that a
 sequence-level search reads each pair once.
 """
@@ -27,8 +27,8 @@ from functools import partial
 from operator import is_not
 
 from .automata import (Alphabet, Automaton, AutomataError, Event, Implicit,
-                       eliminate_silent, explore, iter_marked_words,
-                       merge_alphabets, pair_product)
+                       eliminate_silent, explore, merge_alphabets,
+                       pair_product)
 
 
 def label_name(label: tuple) -> str:
@@ -187,12 +187,6 @@ def normal_forms(a: Automaton) -> Automaton | Implicit:
 
     return Implicit(a.alphabet, [(q, 0) for q in a.sorted_states(a.initial)],
                     moves, lambda key: key[0] in marked)
-
-
-def decompose_pairs(p: Automaton, bound: int) -> list:
-    """Deduplicated string pairs from accepted sequences of length <= bound."""
-    pairs = {decompose_sequence(w) for w in iter_marked_words(p, bound)}
-    return sorted(pairs)
 
 
 def _quad_labels(base: Alphabet) -> dict:

@@ -8,12 +8,13 @@ import pytest
 
 from hierctl import automata
 from hierctl.automata import (Alphabet, Automaton, eliminate_silent,
-                              path_word, widen_alphabet)
+                              iter_marked_words, path_word, widen_alphabet)
 from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
                              gadget_oc, random_nfa, random_plant,
                              random_sublanguage)
 from hierctl.hierarchy import _pair_operands, build_context
-from hierctl.relations import relabel_pair, sync_pair_compose
+from hierctl.relations import (decompose_sequence, relabel_pair,
+                               sync_pair_compose)
 from hierctl.saut import parse_automaton
 from hierctl.verdicts import Verdict, Witness
 
@@ -80,6 +81,12 @@ def ref_includes(a: Automaton, b: Automaton) -> Verdict:
                         "inclusion", {"word": path_word(parent, key)}))
                 queue.append(key)
     return Verdict.make_holds()
+
+
+def decompose_pairs(p: Automaton, bound: int) -> list:
+    """Deduplicated string pairs from accepted sequences of length <= bound."""
+    pairs = {decompose_sequence(w) for w in iter_marked_words(p, bound)}
+    return sorted(pairs)
 
 
 def make_alphabet(names, controllable=None, observable=None,

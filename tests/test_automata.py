@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hierctl.automata import (AutomataError, Automaton, Implicit,
+from hierctl.automata import (AlphabetMismatchError, AutomataError,
+                              Automaton, Implicit,
                               ProjectionSpec, all_marked, determinize,
                               difference, enumerate_bounded, explore,
                               includes, inverse_project, is_prefix_closed,
@@ -15,6 +16,7 @@ from hierctl.automata import (AutomataError, Automaton, Implicit,
                               language_equal, parallel_compose, prefix_close, project,
                               right_quotient, sigma_star, trim,
                               with_initial, word_automaton)
+from hierctl.checks import check_controllability, check_normality
 from hierctl.gadgets import GeneratorParams, random_plant
 
 from conftest import make_alphabet, pair_operands, ref_includes, tree
@@ -251,6 +253,11 @@ def test_alphabet_mismatch_is_an_error():
     other = tree(words("c"), make_alphabet("c"))
     with pytest.raises(AutomataError):
         includes(tree(words("a"), AB), other)
+    # the checks meet it first in their K ⊆ L_m(G) precondition
+    for check in (check_controllability, check_normality):
+        with pytest.raises(AlphabetMismatchError,
+                           match="operands must share one alphabet"):
+            check(tree(words("a"), AB), other)
 
 
 def _chain(n: int) -> Automaton:

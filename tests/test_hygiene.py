@@ -309,10 +309,11 @@ def test_validating_calls_are_found():
 
 def test_kernel_constructions_do_not_validate_again():
     # Validation stays where data enters the program; `explore`, `trim`,
-    # `all_marked` and `project` build what they derive from valid
-    # automata through `_trusted`, with no `__post_init__` walk.
+    # `all_marked`, `prefix_close` and `project` build what they derive
+    # from valid automata through `_trusted`, with no `__post_init__` walk.
     tree = ast.parse((SRC / "automata.py").read_text(encoding="utf-8"))
-    for root in ("explore", "trim", "all_marked", "project"):
+    for root in ("explore", "trim", "all_marked", "prefix_close",
+                 "project"):
         assert validating_calls(tree, callees(tree, root)) == [], root
 
 
@@ -367,3 +368,87 @@ def test_layer_trace_targets_exist():
         home = importlib.import_module(f"hierctl.{module}")
         missing = [f for f in funcs if not callable(getattr(home, f, None))]
         assert missing == [], module
+
+
+def nested_calls(source: str, outer: str, inner: str) -> list:
+    """Lines of the calls `outer(inner(...))`, both by plain name."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == outer
+            and node.args and isinstance(node.args[0], ast.Call)
+            and isinstance(node.args[0].func, ast.Name)
+            and node.args[0].func.id == inner]
+
+
+def test_nested_calls_are_found():
+    module = "x = f(g(a))\ny = f(h(g(a)))\nz = g(f(a)), f(a, g(b))\n"
+    assert nested_calls(module, "f", "g") == [1]
+
+
+def test_closed_specifications_take_one_pass():
+    # `prefix_close` trims as it marks, in one `automata._restrict`.
+    for path in MODULES:
+        source = path.read_text(encoding="utf-8")
+        assert nested_calls(source, "prefix_close", "trim") == [], path.name
+        assert nested_calls(source, "trim", "prefix_close") == [], path.name
+
+
+def predecessor_maps(source: str) -> list:
+    """Names of the functions with a loop `for (src, lbl, dst) in ...` that
+    files a transition's source under its target, as `m[dst].add(src)` or
+    `m.setdefault(dst, ...).append(src)` do."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for loop in ast.walk(fn):
+            if not (isinstance(loop, ast.For)
+                    and isinstance(loop.target, ast.Tuple)
+                    and len(loop.target.elts) == 3
+                    and all(isinstance(x, ast.Name)
+                            for x in loop.target.elts)):
+                continue
+            src, _, dst = (x.id for x in loop.target.elts)
+            for call in ast.walk(loop):
+                if not (isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Attribute)
+                        and any(isinstance(x, ast.Name) and x.id == src
+                                for x in call.args)):
+                    continue
+                held = call.func.value
+                key = (held.slice if isinstance(held, ast.Subscript)
+                       else held.args[0] if isinstance(held, ast.Call)
+                       and isinstance(held.func, ast.Attribute)
+                       and held.func.attr == "setdefault" else None)
+                if isinstance(key, ast.Name) and key.id == dst:
+                    found.add(fn.name)
+    return sorted(found)
+
+
+def test_predecessor_maps_are_found():
+    module = ("def coreachable(a):\n"
+              "    pred = {s: set() for s in a.states}\n"
+              "    for (src, _, dst) in a.transitions:\n"
+              "        pred[dst].add(src)\n"
+              "def kept(a):\n"
+              "    for (src, _, dst) in a.transitions:\n"
+              "        post.setdefault(src, []).append(dst)\n"
+              "        pre.setdefault(dst, []).append(src)\n"
+              "def rows(a):\n"
+              "    for (src, lbl, dst) in a.transitions:\n"
+              "        row = rows[idx[src]]\n"
+              "        row[lbl] = row.get(lbl, 0) | 1 << idx[dst]\n"
+              "def succ(a):\n"
+              "    for (src, lbl, dst) in a.transitions:\n"
+              "        out[src].setdefault(lbl, set()).add(dst)\n")
+    assert predecessor_maps(module) == ["coreachable", "kept"]
+
+
+def test_coreachability_has_one_pass():
+    # Every restriction, and the masks of `is_prefix_closed` and
+    # `iter_marked_words`, take co-reachable states from `automata._kept`.
+    # (`right_quotient` reverses the edges of a pair product, not of an
+    # automaton's transitions.)
+    found = [(path.name, name) for path in MODULES
+             for name in predecessor_maps(path.read_text(encoding="utf-8"))]
+    assert found == [("automata.py", "_kept")]

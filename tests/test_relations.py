@@ -7,11 +7,11 @@ import pytest
 from hierctl.automata import (Alphabet, AutomataError, Event,
                               enumerate_bounded, iter_marked_words)
 from hierctl.gadgets import GeneratorParams, random_nfa
-from hierctl.relations import (build_quad, decompose_pairs, decompose_sequence,
-                               label_name, normal_form_monitor, normal_forms,
+from hierctl.relations import (build_quad, decompose_sequence, label_name,
+                               normal_form_monitor, normal_forms,
                                relabel_pair, sync_pair_compose)
 
-from conftest import make_alphabet, tree
+from conftest import decompose_pairs, make_alphabet, tree
 
 
 def test_label_name():

@@ -9,10 +9,10 @@ answers as the frozenset inclusion search (`conftest.ref_includes`) does,
 but its witness is the length-lexicographically first word of the
 reference difference, where that search stops at a shortest one.
 
-The one-pass constructions (`trim`, `all_marked`, `project`,
-`eliminate_silent` and `explore`, each valid by construction) are checked
-against their references too: the same constructions as they were written
-over the sorted `succ` table, with every result validated by
+The one-pass constructions (`trim`, `all_marked`, `prefix_close`,
+`project`, `eliminate_silent` and `explore`, each valid by construction)
+are checked against their references too: the same constructions as they
+were written over the sorted `succ` table, with every result validated by
 `Automaton(...)` and projection going through an automaton with silent
 labels.
 """
@@ -520,6 +520,55 @@ def test_untrimmed_example_drops_what_it_should():
     assert all_marked(UNTRIMMED).states == ("p", "q", "r")
 
 
+def ref_prefix_close(a: Automaton) -> Automaton:
+    """K̄ in two passes, as `prefix_close(trim(a))` was spelled when
+    `prefix_close` only re-marked: trim, then mark every co-reachable
+    state of the silent-free result."""
+    t = ref_eliminate_silent(ref_trim(a))
+    return Automaton(t.alphabet, t.states, t.transitions, t.initial,
+                     frozenset(ref_coreachable(t)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfas())
+@example(EMPTY_INITIAL)
+@example(NONE_MARKED)
+@example(SILENT)
+@example(UNTRIMMED)
+def test_prefix_close_matches_the_two_pass_reference(a):
+    got, want = prefix_close(a), ref_prefix_close(a)
+    assert language_equal(got, want)
+    # trimmed, and every state marked
+    _same(got, ref_trim(got))
+    assert got.marked == frozenset(got.states)
+    if not a.has_silent:
+        _same(got, want)
+
+
+def test_prefix_close_drops_unreachable_and_dead_states():
+    # u is unreachable and r reaches no marked state
+    a = Automaton(AB, ("p", "q", "r", "u"),
+                  frozenset({("p", "a", "q"), ("q", "b", "r"),
+                             ("u", "a", "p")}),
+                  frozenset({"p"}), frozenset({"q"}))
+    closed = prefix_close(a)
+    assert closed.states == ("p", "q")
+    assert closed.transitions == frozenset({("p", "a", "q")})
+    assert closed.marked == frozenset({"p", "q"})
+
+
+def test_kept_states_build_no_automaton(monkeypatch):
+    # `is_prefix_closed` and `iter_marked_words` mask subsets with the
+    # states that `prefix_close` keeps, taken from the same pass.
+    x = determinize(UNTRIMMED)
+    want = list(iter_marked_words(trim(x), 3))
+    built = []
+    record_built(monkeypatch, built.append)
+    assert not is_prefix_closed(x)
+    assert list(iter_marked_words(x, 3)) == want
+    assert built == []
+
+
 def test_explore_rejects_a_label_outside_its_alphabet():
     with pytest.raises(AutomataError, match="unknown event 'c'"):
         explore(AB, [0], lambda q: [("a", 1), ("c", 0)] if q == 0 else [],
@@ -567,7 +616,8 @@ def test_the_kernel_builds_no_validated_automaton(monkeypatch):
 
     monkeypatch.setattr(Automaton, "__post_init__", boom)
     for a in (UNTRIMMED, SILENT, EMPTY_INITIAL, NONE_MARKED):
-        trim(a), all_marked(a), eliminate_silent(a), determinize(a)
+        trim(a), all_marked(a), prefix_close(a), eliminate_silent(a)
+        determinize(a)
         project(a, ProjectionSpec(AB, frozenset({"b"})))
         explore(AB, a.sorted_states(a.initial), _own_moves(a),
                 a.marked.__contains__)
