@@ -342,15 +342,20 @@ def sup_relobs_closed(k: Automaton, c: Automaton, g: Automaton,
     proven supremal; `oracle_sup_relobs` audits it on acyclic instances.
     A violation found in round `max_iters` is still deleted, so a capped
     run reports rounds=max_iters and removed_transitions=max_iters + 1.
+    Called with `c is k`, as the two-level pipeline does, it neither
+    checks K ⊆ K nor closes K twice.
     """
     require_same_alphabet(k, g)
     require_same_alphabet(c, g)
-    if not is_prefix_closed(k) or not is_prefix_closed(c):
+    same = c is k
+    if not is_prefix_closed(k) or not (same or is_prefix_closed(c)):
         raise PreconditionError("sup_relobs_closed needs prefix-closed K and C")
-    _require_inclusion(k, c, "sup_relobs_closed needs K ⊆ C")
+    if not same:
+        _require_inclusion(k, c, "sup_relobs_closed needs K ⊆ C")
     _require_inclusion(c, g, "sup_relobs_closed needs C ⊆ L(G)")
 
     kbar, g, observable = prefix_close(k), eliminate_silent(g), g.alphabet.observable
+    cbar = kbar if same else prefix_close(c)
     obs = _observed(g.alphabet, bits(g.start_mask), _index_moves(g),
                     lambda i: True)
     ks, gs, obs_steps = map(subset_steps, (kbar, g, obs))
@@ -365,7 +370,7 @@ def sup_relobs_closed(k: Automaton, c: Automaton, g: Automaton,
     start = (kbar.start_mask, g.start_mask, obs.start_mask)
     refined = explore(g.alphabet, [start] if all(start) else [], moves, bool)
     kt, k0 = _dfa_table(refined)
-    search = _PairSearch(kt, k0, *_subset_table(prefix_close(c)),
+    search = _PairSearch(kt, k0, *_subset_table(cbar),
                          *_subset_table(g), g.alphabet, g.alphabet.names)
     removed = set()
     converged, rounds = False, max_iters

@@ -57,14 +57,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 from .automata import (Alphabet, Automaton, Event, Implicit, LazyRows,
-                       PreconditionError, ProjectionSpec, all_marked, bits,
-                       first_path, included, includes, iter_difference_words,
-                       merge_alphabets, pair_moves, parallel_compose,
-                       prefix_close, project, subset_moves, subset_steps,
-                       widen_alphabet, with_initial)
+                       PreconditionError, ProjectionSpec, _lazy, all_marked,
+                       bits, first_path, included, includes,
+                       iter_difference_words, merge_alphabets, pair_moves,
+                       parallel_compose, prefix_close, project, subset_moves,
+                       subset_steps, widen_alphabet, with_initial)
 from .checks import (check_controllability, check_nonconflicting,
                      check_normality, check_observability, sup_normal_closed,
                      sup_relobs_closed)
@@ -88,27 +88,27 @@ class HierarchyContext:
 
     plant: Automaton
 
-    @cached_property
+    @_lazy
     def alphabet(self) -> Alphabet:
         return self.plant.alphabet
 
-    @cached_property
+    @_lazy
     def p(self) -> ProjectionSpec:
         return ProjectionSpec(self.alphabet, self.alphabet.observable)
 
-    @cached_property
+    @_lazy
     def q(self) -> ProjectionSpec:
         return ProjectionSpec(self.alphabet, self.alphabet.highlevel)
 
-    @cached_property
+    @_lazy
     def shared(self) -> frozenset:
         return self.alphabet.highlevel & self.alphabet.observable
 
-    @cached_property
+    @_lazy
     def abstraction(self) -> Automaton:
         return project(self.plant, self.q)
 
-    @cached_property
+    @_lazy
     def plant_pairs(self) -> tuple:
         """`_plant_pairs(self)`: the pair steps, closures and low-level
         moves that LOC and the right sides of OC and MOC share."""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -292,6 +293,27 @@ class TestSupRelobs:
                                          want.initial, want.marked), name
             sizes.add(len(built[0].states))
         assert 0 in sizes and max(sizes) >= 20
+
+    def test_self_inclusion_is_not_searched(self, monkeypatch):
+        # With `c is k` only C ⊆ L(G) is searched; a distinct but equal C
+        # takes the general path, K ⊆ C included, to the same result.
+        calls = []
+
+        def counting(a, b, **kwargs):
+            calls.append((a, b))
+            return automata.includes(a, b, **kwargs)
+
+        monkeypatch.setattr(checks, "includes", counting)
+        for name, k, c, g in [*_odd_instances(), *_sup_relobs_instances()]:
+            calls.clear()
+            want, want_rep = sup_relobs_closed(k, copy.copy(k), g)
+            assert len(calls) == 2, name
+            calls.clear()
+            got, rep = sup_relobs_closed(k, k, g)
+            assert calls == [(k, g)], name
+            assert (got.states, got.transitions, got.initial, got.marked,
+                    rep) == (want.states, want.transitions, want.initial,
+                             want.marked, want_rep), name
 
     def test_no_determinized_copy(self, monkeypatch):
         def triples():

@@ -452,3 +452,25 @@ def test_coreachability_has_one_pass():
     found = [(path.name, name) for path in MODULES
              for name in predecessor_maps(path.read_text(encoding="utf-8"))]
     assert found == [("automata.py", "_kept")]
+
+
+def names(source: str) -> set:
+    """Every name a module binds by import or reads."""
+    tree = ast.parse(source)
+    return used_names(tree) | set(imported_names(tree))
+
+
+def test_names_are_found():
+    assert "cached_property" in names("from functools import "
+                                      "cached_property\n")
+    assert "cached_property" in names("import functools\n"
+                                      "x = functools.cached_property\n")
+    assert "cached_property" not in names('"""cached_property"""\n')
+
+
+def test_lazy_attributes_take_no_lock():
+    # Python 3.11's `functools.cached_property` takes a lock on every read
+    # of an unset value; `automata._lazy` is the package's lock-free idiom.
+    found = [path.name for path in sorted(SRC.glob("*.py"))
+             if "cached_property" in names(path.read_text(encoding="utf-8"))]
+    assert found == []
