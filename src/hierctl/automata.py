@@ -201,12 +201,6 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.events)
 
-    def event(self, name: str) -> Event:
-        try:
-            return self.by_name[name]
-        except KeyError:
-            raise AutomataError(f"unknown event {name!r}") from None
-
     def restrict(self, keep: Iterable[str]) -> "Alphabet":
         keep = set(keep)
         unknown = keep - set(self.names)

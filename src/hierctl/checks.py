@@ -26,6 +26,7 @@ from .automata import (Automaton, Implicit, PreconditionError,
                        is_prefix_closed, parallel_compose, path_word,
                        prefix_close, require_same_alphabet, subset_steps,
                        trim)
+from .relations import decompose_sequence
 from .verdicts import Verdict, Witness
 
 
@@ -106,7 +107,9 @@ class _PairSearch:
     A node is (k, g, k', c', g'): the K̄ and G states after s and the K̄,
     C̄ and G states after s', with k' None once s' has left K̄. It needs
     K̄ ⊆ C̄ ⊆ L(G). No node with s ∉ K̄ or s' ∉ C̄ is generated: K̄ and C̄
-    are prefix-closed, so no extension of such a pair violates. `order`
+    are prefix-closed, so no extension of such a pair violates. The parent
+    map labels a step with its pair event, (e, e), (e, None) or (None, e),
+    which `relations.decompose_sequence` splits into s and s'. `order`
     lists the nodes in discovery order; the first len(front) of them have
     been dequeued and the rest are the queue.
 
@@ -122,7 +125,7 @@ class _PairSearch:
                  alphabet, events):
         self.kt, self.ct, self.gt = kt, ct, gt
         self.events = sorted(set(events), key=alphabet.names.index)
-        self.steps = [(e, e in alphabet.observable, ("b", e), ("l", e), ("r", e))
+        self.steps = [(e, e in alphabet.observable, (e, e), (e, None), (None, e))
                       for e in alphabet.names]
         self.parent: dict = {} if k0 is None else {(k0, g0, k0, c0, g0): None}
         self.order = list(self.parent)
@@ -185,9 +188,7 @@ def _observability_engine(k: Automaton, c: Automaton, g: Automaton,
     if found is None:
         return Verdict.make_holds()
     node, e = found
-    steps = path_word(search.parent, node)   # ("b" | "l" | "r", event)
-    s = tuple(x for side, x in steps if side != "r")
-    sp = tuple(x for side, x in steps if side != "l")
+    s, sp = decompose_sequence(path_word(search.parent, node))
     return Verdict.make_violated(Witness(
         kind, {"s": s, "s_prime": sp, "e": (e,),
          "se": s + (e,), "s_prime_e": sp + (e,)},

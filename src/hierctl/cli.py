@@ -5,6 +5,11 @@ Exit codes follow the verdict: 0 holds, 1 violated, 2 inconclusive,
 on success. With --json the full machine-readable report goes to stdout;
 --out writes a synthesized or generated automaton in .saut form.
 
+What `check` offers is one table, `_CHECKS`: per property its check, the
+files it takes, whether it takes --budget and whether its leading files
+are specifications conformed to the plant's alphabet; the parser's
+choices, the file-count error and the oracle run all read it.
+
 The grammar is written once, in `_build_parser`. `_read_argv` reads a
 well-formed argv (every option spelled in full before the positionals, no
 value starting with "-") from tables built at import from that parser's
@@ -33,7 +38,7 @@ from .hierarchy import (DEFAULT_BUDGET, check_lcc, check_loc, check_moc,
                         conform_spec, hier_synth_normal, hier_synth_relobs,
                         hier_verify, lemma_distribute_q)
 from .oracle import PROPERTY_ORACLES
-from .saut import SautParseError, parse_automaton, serialize_automaton
+from .saut import parse_automaton, serialize_automaton
 from .verdicts import HOLDS, INCONCLUSIVE, VIOLATED, Verdict
 
 EXIT = {HOLDS: 0, VIOLATED: 1, INCONCLUSIVE: 2}
@@ -50,8 +55,6 @@ def _load(path: str) -> Automaton:
 
 
 def _jsonify(value):
-    if isinstance(value, Verdict):
-        return value.to_json()
     if isinstance(value, Automaton):
         return {"states": len(value.states),
                 "saut": serialize_automaton(value)}
@@ -76,11 +79,7 @@ def _collect_verdicts(value) -> list:
 
 
 def _worst_exit(verdicts) -> int:
-    codes = [EXIT[v.outcome] for v in verdicts] or [0]
-    for code in (1, 2):
-        if code in codes:
-            return code
-    return 0
+    return min(filter(None, (EXIT[v.outcome] for v in verdicts)), default=0)
 
 
 def _emit(args, report: dict, text_lines) -> None:
@@ -112,38 +111,39 @@ def _write_out(args, aut: Automaton) -> None:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
+# `check`'s properties in `--help` order: (check, files it takes, whether
+# it takes --budget, whether its leading files are specifications that
+# are conformed to the alphabet of the last file, the plant)
+_CHECKS = {
+    "oc": (check_oc, 1, True, False),
+    "loc": (check_loc, 1, True, False),
+    "moc": (check_moc, 1, True, False),
+    "observer": (check_observer, 1, False, False),
+    "lcc": (check_lcc, 1, False, False),
+    "controllability": (check_controllability, 2, False, True),
+    "observability": (check_observability, 2, False, True),
+    "normality": (check_normality, 2, False, True),
+    "relobs": (check_relative_observability, 3, False, True),
+    "nonconflicting": (check_nonconflicting, 2, False, False),
+}
+
+# `gadget`'s kinds oc, moc, loc, keyed by their builders' names so that
+# no `check` property is spelled twice in this module
+_GADGETS = {fn.__name__.removeprefix("gadget_"): fn
+            for fn in (gadget_oc, gadget_moc, gadget_loc)}
+
+
 def _cmd_check(args) -> int:
     prop = args.property
-    report: dict = {"command": "check", "property": prop}
-    if prop in ("oc", "moc", "loc"):
-        g = _load(args.files[0])
-        fn = {"oc": check_oc, "moc": check_moc, "loc": check_loc}[prop]
-        v = fn(g, args.budget)
-        inputs = (g,)
-    elif prop in ("observer", "lcc"):
-        g = _load(args.files[0])
-        v = (check_observer if prop == "observer" else check_lcc)(g)
-        inputs = (g,)
-    elif prop == "nonconflicting":
-        a, b = map(_load, args.files)
-        v = check_nonconflicting(a, b)
-        inputs = (a, b)
-    elif prop == "relobs":
-        k, c, g = map(_load, args.files)
-        k, c = conform_spec(k, g.alphabet), conform_spec(c, g.alphabet)
-        v = check_relative_observability(k, c, g)
-        inputs = (k, c, g)
-    else:
-        k, g = map(_load, args.files)
-        k = conform_spec(k, g.alphabet)
-        fn = {"controllability": check_controllability,
-              "observability": check_observability,
-              "normality": check_normality}[prop]
-        v = fn(k, g)
-        inputs = (k, g)
-    report["result"] = v
+    fn, _, budget, specs = _CHECKS[prop]
+    *head, g = map(_load, args.files)
+    if specs:
+        head = [conform_spec(k, g.alphabet) for k in head]
+    inputs = (*head, g)
+    v = fn(*inputs, args.budget) if budget else fn(*inputs)
+    report: dict = {"command": "check", "property": prop, "result": v}
     lines = [f"{prop}: {_describe(v)}"]
-    if args.oracle_bound is not None and prop in PROPERTY_ORACLES:
+    if args.oracle_bound is not None:
         rep = PROPERTY_ORACLES[prop](*inputs, args.oracle_bound)
         report["oracle"] = rep
         lines.append(f"oracle (bound {rep.bound}): "
@@ -153,28 +153,20 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    *specs, g = map(_load, args.files)
+    g = all_marked(g)
+    k, *c = [intersect(prefix_close(conform_spec(x, g.alphabet)), g)
+             for x in specs]
     if args.kind == "supn":
-        k, g = map(_load, args.files)
-        g = all_marked(g)
-        k = prefix_close(conform_spec(k, g.alphabet))
-        result = sup_normal_closed(intersect(k, g), g)
-        report = {"command": "synth", "kind": "supn",
-                  "result_states": len(result.states)}
-        lines = [f"supn: {len(result.states)} states"]
+        result, extra, tail = sup_normal_closed(k, g), {}, ""
     else:
-        k, c, g = map(_load, args.files)
-        g = all_marked(g)
-        k = prefix_close(conform_spec(k, g.alphabet))
-        c = prefix_close(conform_spec(c, g.alphabet))
-        result, rep = sup_relobs_closed(intersect(k, g), intersect(c, g),
-                                        g)
-        report = {"command": "synth", "kind": "suprelobs",
-                  "result_states": len(result.states), "report": rep}
-        lines = [f"suprelobs: {len(result.states)} states, "
-                 f"{'converged' if rep.converged else 'iteration cap hit'} "
-                 f"after {rep.rounds} rounds"]
-    report["result"] = result
-    _emit(args, report, lines)
+        result, rep = sup_relobs_closed(k, *c, g)
+        extra = {"report": rep}
+        tail = (f", {'converged' if rep.converged else 'iteration cap hit'}"
+                f" after {rep.rounds} rounds")
+    _emit(args, {"command": "synth", "kind": args.kind, "result": result,
+                 "result_states": len(result.states), **extra},
+          [f"{args.kind}: {len(result.states)} states{tail}"])
     _write_out(args, result)
     return 0
 
@@ -223,9 +215,7 @@ def _cmd_modular(args) -> int:
 
 
 def _cmd_gadget(args) -> int:
-    a = _load(args.files[0])
-    fn = {"oc": gadget_oc, "moc": gadget_moc, "loc": gadget_loc}[args.kind]
-    out = fn(a)
+    out = _GADGETS[args.kind](_load(args.files[0]))
     _emit(args, {"command": f"gadget-{args.kind}", "result": out},
           [f"gadget-{args.kind}: {len(out.states)} states, "
            f"{len(out.alphabet)} events"])
@@ -264,9 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="decide a property")
-    check.add_argument("property", choices=[
-        "oc", "loc", "moc", "observer", "lcc", "controllability",
-        "observability", "normality", "relobs", "nonconflicting"])
+    check.add_argument("property", choices=list(_CHECKS))
     check.add_argument("files", nargs="+", metavar="FILE")
     check.set_defaults(handler=_cmd_check)
 
@@ -286,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     modular.set_defaults(handler=_cmd_modular)
 
     gadget = sub.add_parser("gadget", help="hardness gadget construction")
-    gadget.add_argument("kind", choices=["oc", "moc", "loc"])
+    gadget.add_argument("kind", choices=list(_GADGETS))
     gadget.add_argument("files", nargs=1, metavar="FILE")
     gadget.set_defaults(handler=_cmd_gadget)
 
@@ -367,9 +355,7 @@ def _expected_files(args) -> tuple | None:
     """(subcommand, files it takes) for the commands whose file count
     their positional `nargs` leaves open, or None."""
     if args.command == "check":
-        return f"check {args.property}", {
-            "relobs": 3, "nonconflicting": 2, "controllability": 2,
-            "observability": 2, "normality": 2}.get(args.property, 1)
+        return f"check {args.property}", _CHECKS[args.property][1]
     if args.command == "synth":
         return f"synth {args.kind}", 2 if args.kind == "supn" else 3
     return None
@@ -393,7 +379,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     try:
         return args.handler(args)
-    except (AutomataError, SautParseError, OSError) as exc:
+    except (AutomataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

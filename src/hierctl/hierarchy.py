@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 
 from .automata import (Alphabet, Automaton, Event, Implicit, LazyRows,
                        PreconditionError, ProjectionSpec, _lazy, all_marked,
@@ -65,8 +65,8 @@ from .automata import (Alphabet, Automaton, Event, Implicit, LazyRows,
                        iter_difference_words, merge_alphabets, pair_moves,
                        parallel_compose, prefix_close, project, subset_moves,
                        subset_steps, widen_alphabet, with_initial)
-from .checks import (check_controllability, check_nonconflicting,
-                     check_normality, check_observability, sup_normal_closed,
+from .checks import (check_controllability, check_normality,
+                     check_observability, sup_normal_closed,
                      sup_relobs_closed)
 from .relations import (decompose_sequence, label_name, normal_forms,
                         pair_alphabet, quad_alphabet)
@@ -611,9 +611,7 @@ def check_moc_modular(components, budget: int = DEFAULT_BUDGET
     components = list(components)
     if not components:
         raise PreconditionError("modular check needs at least one component")
-    merged = components[0].alphabet
-    for c in components[1:]:
-        merged = merge_alphabets(merged, c.alphabet)
+    merged = reduce(merge_alphabets, (c.alphabet for c in components))
     shared = _shared_events(components)
     stray = shared - (merged.highlevel & merged.observable)
     if stray:
@@ -636,21 +634,13 @@ def lemma_distribute_q(components) -> Verdict:
     if not components:
         raise PreconditionError("need at least one component")
     shared = _shared_events(components)
-    merged = components[0].alphabet
-    for c in components[1:]:
-        merged = merge_alphabets(merged, c.alphabet)
+    merged = reduce(merge_alphabets, (c.alphabet for c in components))
     if not shared <= merged.highlevel:
         raise PreconditionError(
             f"shared events must be high-level: {sorted(shared - merged.highlevel)}")
-    composed = components[0]
-    for c in components[1:]:
-        composed = parallel_compose(composed, c)
-    lhs = project(composed, ProjectionSpec(composed.alphabet,
-                                           composed.alphabet.highlevel))
-    rhs = None
-    for c in components:
-        qc = project(c, ProjectionSpec(c.alphabet, c.alphabet.highlevel))
-        rhs = qc if rhs is None else parallel_compose(rhs, qc)
+    lhs = build_context(reduce(parallel_compose, components)).abstraction
+    rhs = reduce(parallel_compose,
+                 (build_context(c).abstraction for c in components))
     common = merge_alphabets(lhs.alphabet, rhs.alphabet)
     lhs, rhs = widen_alphabet(lhs, common), widen_alphabet(rhs, common)
     v1 = includes(lhs, rhs, kind="distribute")
@@ -663,12 +653,12 @@ def lemma_distribute_q(components) -> Verdict:
 # two-level pipelines
 
 def _lifted_spec(g: Automaton, k: Automaton) -> tuple:
-    """(ctx, K̄, K̄ ∥ Q(L), K̄ ∥ L): the context of the plant `g`, the
-    closed specification over the high-level sub-alphabet, and its lifts
-    to the abstraction and to the plant."""
+    """(ctx, K̄ ∥ Q(L), K̄ ∥ L): the context of the plant `g` and the lifts
+    of the closed specification K̄, over the high-level sub-alphabet, to
+    the abstraction and to the plant."""
     ctx = build_context(g)
     kbar = prefix_close(conform_spec(k, ctx.q.target_alphabet))
-    return (ctx, kbar, parallel_compose(ctx.abstraction, kbar),
+    return (ctx, parallel_compose(ctx.abstraction, kbar),
             parallel_compose(ctx.plant, kbar))
 
 
@@ -680,7 +670,7 @@ def hier_verify(g: Automaton, k: Automaton,
     controllability, observability, and normality the report records the
     high-level verdict, the low-level verdict, and whether they agree.
     """
-    ctx, kbar, k_hi, k_lo = _lifted_spec(g, k)
+    ctx, k_hi, k_lo = _lifted_spec(g, k)
     report: dict = {
         "hypotheses": {
             "observer": check_observer(ctx),
@@ -688,7 +678,9 @@ def hier_verify(g: Automaton, k: Automaton,
             "oc": check_oc(ctx, budget),
             "moc": check_moc(ctx, budget),
             "loc": check_loc(ctx, budget),
-            "nonconflicting": check_nonconflicting(kbar, ctx.abstraction),
+            # K̄ and Q(L) are prefix-closed, and so is their synchronous
+            # product: closure(K̄ ∥ Q(L)) = K̄ ∥ Q(L), nothing to search
+            "nonconflicting": Verdict.make_holds(),
         },
         "properties": {},
     }
@@ -722,7 +714,7 @@ def hier_synth_normal(g: Automaton, k: Automaton,
     reports both inclusions plus the MOC verdict; under MOC (with the
     languages nonconflicting) the two coincide.
     """
-    ctx, _, k_hi, k_lo = _lifted_spec(g, k)
+    ctx, k_hi, k_lo = _lifted_spec(g, k)
     low = sup_normal_closed(k_lo, ctx.plant)
     high = sup_normal_closed(k_hi, ctx.abstraction)
     out = _lift_report(ctx, "supn", low, high, budget)
@@ -738,7 +730,7 @@ def hier_synth_relobs(g: Automaton, k: Automaton,
     MOC the low-level result is contained in the lifted high-level result;
     the reverse inclusion can genuinely fail, so both are reported.
     """
-    ctx, _, k_hi, k_lo = _lifted_spec(g, k)
+    ctx, k_hi, k_lo = _lifted_spec(g, k)
     high, rep_hi = sup_relobs_closed(k_hi, k_hi, ctx.abstraction)
     low, rep_lo = sup_relobs_closed(k_lo, k_lo, ctx.plant)
     return _lift_report(ctx, "suprelobs", low, high, budget,

@@ -28,20 +28,17 @@ class SautParseError(AutomataError):
 
 
 def parse_automaton(text: str, *, allow_reserved: bool = False) -> Automaton:
-    events: list[Event] = []
-    event_names: set = set()
-    states: list[str] = []
-    state_names: set = set()
+    events: dict[str, Event] = {}   # in file order, as are the states
+    states: dict[str, None] = {}
     initial: set = set()
     marked: set = set()
     trans: set = set()
     section = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         kw = parts[0]
         if kw not in _SECTIONS:
             raise SautParseError(lineno, f"unknown keyword {kw!r}")
@@ -54,41 +51,39 @@ def parse_automaton(text: str, *, allow_reserved: bool = False) -> Automaton:
             if len(parts) != 5:
                 raise SautParseError(lineno, "expected: event <name> <c|u> <o|x> <hi|lo>")
             name, cflag, oflag, hflag = parts[1:]
-            if name in event_names:
+            if name in events:
                 raise SautParseError(lineno, f"duplicate event {name!r}")
             if name in RESERVED_EVENTS and not allow_reserved:
                 raise SautParseError(lineno, f"event name {name!r} is reserved for gadgets")
             if cflag not in ("c", "u") or oflag not in ("o", "x") or hflag not in ("hi", "lo"):
                 raise SautParseError(lineno, f"bad flags for event {name!r}")
-            events.append(Event(name, cflag == "c", oflag == "o", hflag == "hi"))
-            event_names.add(name)
+            events[name] = Event(name, cflag == "c", oflag == "o", hflag == "hi")
         elif kw == "state":
             if len(parts) != 2:
                 raise SautParseError(lineno, "expected: state <name>")
-            if parts[1] in state_names:
+            if parts[1] in states:
                 raise SautParseError(lineno, f"duplicate state {parts[1]!r}")
-            states.append(parts[1])
-            state_names.add(parts[1])
+            states[parts[1]] = None
         elif kw in ("initial", "marked"):
             if len(parts) != 2:
                 raise SautParseError(lineno, f"expected: {kw} <name>")
-            if parts[1] not in state_names:
+            if parts[1] not in states:
                 raise SautParseError(lineno, f"unknown state {parts[1]!r}")
             (initial if kw == "initial" else marked).add(parts[1])
         else:
             if len(parts) != 4:
                 raise SautParseError(lineno, "expected: trans <src> <event> <dst>")
             src, ev, dst = parts[1:]
-            if src not in state_names:
+            if src not in states:
                 raise SautParseError(lineno, f"unknown state {src!r}")
-            if dst not in state_names:
+            if dst not in states:
                 raise SautParseError(lineno, f"unknown state {dst!r}")
-            if ev not in event_names:
+            if ev not in events:
                 raise SautParseError(lineno, f"unknown event {ev!r}")
             trans.add((src, ev, dst))
 
-    return Automaton(Alphabet(tuple(events)), tuple(states), frozenset(trans),
-                     frozenset(initial), frozenset(marked))
+    return Automaton(Alphabet(tuple(events.values())), tuple(states),
+                     frozenset(trans), frozenset(initial), frozenset(marked))
 
 
 def serialize_automaton(a: Automaton) -> str:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from hierctl import cli
 from hierctl.cli import main
+from hierctl.oracle import PROPERTY_ORACLES
 from hierctl.saut import parse_automaton
 
 from conftest import DATA
@@ -201,7 +202,24 @@ class TestErrors:
         (("synth", "suprelobs", SPEC, PLANT),
          "'synth suprelobs' takes exactly 3 file(s)"),
         (("check", "relobs", SPEC, PLANT),
-         "'check relobs' takes exactly 3 file(s)")])
+         "'check relobs' takes exactly 3 file(s)"),
+        (("check", "oc", PLANT, PLANT), "'check oc' takes exactly 1 file(s)"),
+        (("check", "loc", PLANT, PLANT),
+         "'check loc' takes exactly 1 file(s)"),
+        (("check", "moc", PLANT, PLANT),
+         "'check moc' takes exactly 1 file(s)"),
+        (("check", "observer", SPEC, PLANT),
+         "'check observer' takes exactly 1 file(s)"),
+        (("check", "lcc", SPEC, PLANT),
+         "'check lcc' takes exactly 1 file(s)"),
+        (("check", "controllability", PLANT),
+         "'check controllability' takes exactly 2 file(s)"),
+        (("check", "observability", SPEC, SPEC, PLANT),
+         "'check observability' takes exactly 2 file(s)"),
+        (("check", "normality", PLANT),
+         "'check normality' takes exactly 2 file(s)"),
+        (("check", "nonconflicting", PLANT, PLANT, PLANT),
+         "'check nonconflicting' takes exactly 2 file(s)")])
     def test_wrong_file_count_exits_three(self, capsys, argv, want):
         # 1 means "violated", so a usage error must not raise through main
         assert main(list(argv)) == 3
@@ -247,6 +265,23 @@ class TestParser:
         assert err.startswith("usage: hierctl check ")
         assert err.endswith("hierctl check: error: the following arguments "
                             "are required: property, FILE\n")
+
+    def test_check_usage_lists_the_properties_in_order(self, capsys):
+        # a fresh parser is built from the same table, so only a pinned
+        # text sees the choices reordered
+        assert main(["check"]) == 3
+        err = capsys.readouterr().err
+        usage = " ".join(err.split("\nhierctl check: error:")[0].split())
+        assert usage == (
+            "usage: hierctl check [-h] {oc,loc,moc,observer,lcc,"
+            "controllability,observability,normality,relobs,nonconflicting}"
+            " FILE [FILE ...]")
+
+    def test_check_table_is_the_parsers_and_the_oracles(self):
+        check = _parsers()[1]
+        prop = next(a for a in check._actions if a.dest == "property")
+        assert list(cli._CHECKS) == prop.choices
+        assert set(cli._CHECKS) == set(PROPERTY_ORACLES)
 
 
 def _parsers():

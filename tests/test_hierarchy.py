@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from hierctl import automata, hierarchy, oracle
+from hierctl import automata, checks, hierarchy, oracle
 from hierctl.automata import (Alphabet, Automaton, Event, Implicit,
                               all_marked, closure, determinize,
                               enumerate_bounded, explore, includes,
@@ -37,6 +37,7 @@ from hierctl.hierarchy import (HierarchyContext, PreconditionError,
 
 from hierctl.relations import (build_quad, decompose_sequence, label_name,
                                normal_forms, pair_alphabet, quad_alphabet)
+from hierctl.verdicts import Verdict
 
 from conftest import (agreement_plants, cli_small_inputs, loc_plants,
                       make_alphabet, pair_operands, record_built, tree)
@@ -1249,6 +1250,26 @@ class TestVerify:
             "observer", "lcc", "oc", "moc", "loc", "nonconflicting"}
         for prop in rep["properties"].values():
             assert set(prop) == {"high", "low", "agree"}
+
+    def test_nonconflicting_is_not_searched(self, monkeypatch, ex1_plant,
+                                            ex1_spec):
+        # K̄ and Q(L) are prefix-closed, so they cannot conflict
+        calls, real = [], checks.check_nonconflicting
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(hierarchy, "check_nonconflicting", spy,
+                            raising=False)
+        monkeypatch.setattr(checks, "check_nonconflicting", spy)
+        inputs = [(ex1_plant, ex1_spec), *filter(None, map(cli_small_inputs,
+                                                           range(4)))]
+        for g, k in inputs:
+            rep = hier_verify(g, k)
+            assert rep["hypotheses"]["nonconflicting"] == \
+                Verdict.make_holds()
+        assert calls == []
 
     def test_agreement_under_hypotheses(self):
         # When the abstraction hypotheses hold, high- and low-level

@@ -474,3 +474,42 @@ def test_lazy_attributes_take_no_lock():
     found = [path.name for path in sorted(SRC.glob("*.py"))
              if "cached_property" in names(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def string_literals(source: str, skip=()) -> list:
+    """Every str constant of a module, the literal parts of f-strings
+    included, outside the functions named in `skip` and the method calls
+    on the variables named in `skip`."""
+    out, todo = [], [ast.parse(source)]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.FunctionDef) and node.name in skip or (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in skip):
+            continue
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.append(node.value)
+        todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_string_literals_are_found():
+    src = ('"""oc"""\nA = {"oc": 1}\nB = [f"oc{A}", "moc"]\n'
+           'def f():\n    return "oc"\ng.add(choices=["moc"])\n')
+    found = string_literals(src)
+    assert found.count("oc") == 4 and found.count("moc") == 2
+    found = string_literals(src, skip={"f", "g"})
+    assert found.count("oc") == 3 and found.count("moc") == 1
+
+
+def test_check_properties_are_named_once_in_the_cli():
+    # `cli._CHECKS` is what `check` offers: the parser's choices, the file
+    # counts and the dispatch read it, so no property is spelled twice.
+    # "moc" is also the `modular` subcommand's kind and an entry of the
+    # `hier` synthesis reports, which are not `check`'s.
+    oracles = importlib.import_module("hierctl.oracle").PROPERTY_ORACLES
+    literals = string_literals((SRC / "cli.py").read_text(encoding="utf-8"),
+                               skip={"_cmd_hier", "_cmd_modular", "modular"})
+    assert {p: literals.count(p) for p in oracles} == dict.fromkeys(oracles, 1)

@@ -31,7 +31,8 @@ from hierctl.checks import (_dfa_table, _PairSearch, _require_inclusion,
 from hierctl.gadgets import (GeneratorParams, random_nfa, random_plant,
                              random_sublanguage)
 from hierctl.hierarchy import build_context, check_lcc, check_observer
-from hierctl.relations import pair_alphabet, sync_pair_compose
+from hierctl.relations import (decompose_sequence, pair_alphabet,
+                               sync_pair_compose)
 from hierctl.verdicts import Verdict, Witness
 
 from conftest import make_alphabet, ref_includes
@@ -83,9 +84,7 @@ def ref_observability(k: Automaton, c: Automaton, g: Automaton, events,
     if found is None:
         return Verdict.make_holds()
     node, e = found
-    steps = path_word(search.parent, node)
-    s = tuple(x for side, x in steps if side != "r")
-    sp = tuple(x for side, x in steps if side != "l")
+    s, sp = decompose_sequence(path_word(search.parent, node))
     return Verdict.make_violated(Witness(
         kind, {"s": s, "s_prime": sp, "e": (e,),
                "se": s + (e,), "s_prime_e": sp + (e,)},

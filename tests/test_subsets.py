@@ -35,7 +35,7 @@ from hierctl.automata import (AutomataError, Automaton, Implicit, LazyRows,
                               iter_difference_words, iter_marked_words,
                               language_equal, prefix_close,
                               project, subset_steps, trim)
-from hierctl.checks import sup_normal_closed
+from hierctl.checks import check_nonconflicting, sup_normal_closed
 from hierctl.cli import main
 from hierctl.gadgets import GeneratorParams, random_plant, random_sublanguage
 from hierctl.hierarchy import _pair_operands, build_context
@@ -202,6 +202,16 @@ def test_difference_and_inclusion_match_reference(a, b):
     want = Verdict.make_holds() if first is None else Verdict.make_violated(
         Witness("inclusion", {"word": first}))
     assert got.to_json() == want.to_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfas(), nfas())
+@example(SILENT, NONE_MARKED)
+@example(EMPTY_INITIAL, SILENT)
+def test_closed_languages_never_conflict(a, b):
+    # the synchronous product of prefix-closed languages is prefix-closed,
+    # which is why `hier_verify` reports K̄ and Q(L) nonconflicting unsearched
+    assert check_nonconflicting(prefix_close(a), all_marked(b)).holds
 
 
 def _implicit(a: Automaton) -> Implicit:
