@@ -1,10 +1,12 @@
 """Finite automata over flagged alphabets and the regular-language toolbox.
 
-Automata may be nondeterministic and may carry internal silent transitions
-(label ``None``). Silent transitions never appear in files; every
-construction eliminates them eagerly (`project` erases its events and
-eliminates the erased moves in one pass), so all cross-automaton operations
-assume silent-free inputs and enforce it themselves.
+Automata may be nondeterministic, but no `Automaton` holds a silent move
+(label ``None``). Silent moves never appear in files; an ε-NFA built by
+hand, `Automaton(...)` with None labels, has them eliminated where it is
+built, once (`_erase`), and `project` erases its events and eliminates the
+erased moves in the same one pass. `explore` rejects a None label as an
+unknown event. Every other automaton is derived from these, so no operation
+looks for silent moves.
 
 An automaton is validated where data enters the program: the public
 `Automaton(...)` and `Automaton.make`, and so the `.saut` parser, the gadget
@@ -14,9 +16,9 @@ construction and is built by `_trusted`, without that walk: `explore`
 (which checks only each distinct label that its caller's `moves` yields),
 the restriction family `trim`, `all_marked` and `prefix_close` (one
 `_restrict` each, whose kept states come from one pass over the
-transitions, `_kept`, and read no `succ` table), and `project` and
-`eliminate_silent` (one pass, `_erase`). `is_prefix_closed`,
-`iter_marked_words` and `is_empty` read the kept states alone.
+transitions, `_kept`, and read no `succ` table), and `project` (one pass,
+`_erase`). `is_prefix_closed`, `iter_marked_words` and `is_empty` read the
+kept states alone.
 
 All values are immutable; every operation is a pure function of its inputs.
 A state id is any hashable value. Automata built by name (parsed files,
@@ -38,8 +40,8 @@ one-to-one onto the frozenset of its states and the searches only hash it,
 so numbering, words, witnesses and search work are those of a frozenset
 construction. (A mask is as wide as its automaton is large, where a
 frozenset is as large as the subset.) An `Automaton` builds its tables
-(`state_index`, `succ`, `rows`, `has_silent`) on first read, once per
-transition relation: the copies that `_derived` makes for `with_initial`,
+(`state_index`, `succ`, `rows`) on first read, once per transition
+relation: the copies that `_derived` makes for `with_initial`,
 `widen_alphabet` and `right_quotient` share them, and check only the
 initial and marked states they change; a restriction that keeps every
 state shares them too.
@@ -62,7 +64,7 @@ word, the witness of `includes`, and decide which pairs are live.
 `iter_marked_words` is the one length-lexicographic enumerator:
 `iter_difference_words` runs it over the live pairs for the words after
 its first.
-`closure(starts, step)` is every "all that is reachable" set: silent
+`closure(starts, step)` is every "all that is reachable" set: erased-move
 and unobservable closures, (co)reachable states and subsets, and the pair
 search of `right_quotient`.
 """
@@ -231,7 +233,9 @@ class ProjectionSpec:
 
 @dataclass(frozen=True)
 class Automaton:
-    """NFA with initial/marked state sets; label None is the silent move."""
+    """NFA with initial/marked state sets. A transition labelled None, the
+    silent move, is eliminated here (`_erase`): the automaton built holds
+    none, and each state moves and is marked as its silent closure does."""
 
     alphabet: Alphabet
     states: tuple   # hashable ids: names, or 0..n-1 from `explore`
@@ -246,11 +250,18 @@ class Automaton:
         for s in self.initial | self.marked:
             if s not in declared:
                 raise AutomataError(f"undeclared state {s!r}")
+        silent = False
         for (src, lbl, dst) in self.transitions:
             if src not in declared or dst not in declared:
                 raise AutomataError(f"transition endpoint not declared: {(src, lbl, dst)}")
-            if lbl is not None and lbl not in self.alphabet:
+            if lbl is None:
+                silent = True
+            elif lbl not in self.alphabet:
                 raise AutomataError(f"transition on unknown event {lbl!r}")
+        if silent:
+            trans, marked = _erase(self, self.alphabet.by_name)
+            object.__setattr__(self, "transitions", trans)
+            object.__setattr__(self, "marked", marked)
 
     @staticmethod
     def make(alphabet: Alphabet, states: Iterable[str], transitions: Iterable,
@@ -291,10 +302,6 @@ class Automaton:
             row[lbl] = row.get(lbl, 0) | 1 << idx[dst]
         return rows
 
-    @_table
-    def has_silent(self) -> bool:
-        return any(lbl is None for (_, lbl, _) in self.transitions)
-
     @_lazy
     def start_mask(self) -> int:
         idx = self.state_index
@@ -311,7 +318,7 @@ class Automaton:
 
     @property
     def is_deterministic(self) -> bool:
-        if len(self.initial) != 1 or self.has_silent:
+        if len(self.initial) != 1:
             return False
         return all(len(ts) <= 1 for m in self.succ.values() for ts in m.values())
 
@@ -322,7 +329,7 @@ class Automaton:
         return frozenset(out)
 
     def run(self, word: Iterable[str]) -> frozenset:
-        """State set reached from the initial states (silent-free input)."""
+        """State set reached from the initial states by `word`."""
         cur = frozenset(self.initial)
         for x in word:
             cur = self.step(cur, x)
@@ -406,7 +413,7 @@ def _trusted(alphabet: Alphabet, states: tuple, transitions: frozenset,
 
 
 # ---------------------------------------------------------------------------
-# silent elimination, reachability, trimming
+# erasure, reachability, trimming
 
 def closure(starts: Iterable, step) -> set:
     """Everything reachable from `starts` (included) along `step(node)`,
@@ -421,21 +428,15 @@ def closure(starts: Iterable, step) -> set:
     return seen
 
 
-def eliminate_silent(a: Automaton) -> Automaton:
-    """`a` without silent moves (`_erase` keeping every event), or `a`
-    itself when it has none."""
-    if not a.has_silent:
-        return a
-    return _erase(a, a.alphabet, a.alphabet.by_name)
-
-
-def _erase(a: Automaton, alphabet: Alphabet, kept) -> Automaton:
-    """`a` over `alphabet` with every move whose label is not in `kept`
-    (silent moves included) erased, and the erased moves eliminated: a
-    state q moves on a kept label to wherever a state of its erased-move
-    closure does, and is marked where that closure holds a marked state.
-    One pass over the transitions sorts each state's moves into kept and
-    erased ones, and each state's closure is taken once."""
+def _erase(a: Automaton, kept) -> tuple[frozenset, frozenset]:
+    """The transitions and marked states of `a` with every move whose label
+    is not in `kept` (silent moves included) erased, and the erased moves
+    eliminated: a state q moves on a kept label to wherever a state of its
+    erased-move closure does, and is marked where that closure holds a
+    marked state. One pass over the transitions sorts each state's moves
+    into kept and erased ones, and each state's closure is taken once.
+    `project` erases the events it drops; `Automaton(...)` erases only the
+    silent moves of an ε-NFA."""
     kept_moves: dict = {}
     erased: dict = {}
     for (src, lbl, dst) in a.transitions:
@@ -450,8 +451,7 @@ def _erase(a: Automaton, alphabet: Alphabet, kept) -> Automaton:
             marked.add(q)
         for p in cl:
             trans.update((q, lbl, t) for lbl, t in kept_moves.get(p, ()))
-    return _trusted(alphabet, a.states, frozenset(trans), a.initial,
-                    frozenset(marked))
+    return frozenset(trans), frozenset(marked)
 
 
 def _kept(a: Automaton, coreachable: bool = True) -> set:
@@ -498,15 +498,14 @@ def trim(a: Automaton) -> Automaton:
 
 def all_marked(a: Automaton) -> Automaton:
     """Recognizer of the generated language L(a): reachable part, all
-    marked (`_restrict` of the silent-free `a`)."""
-    return _restrict(eliminate_silent(a), False, True)
+    marked (`_restrict`)."""
+    return _restrict(a, False, True)
 
 
 def prefix_close(a: Automaton) -> Automaton:
     """Trimmed recognizer of closure(L_m(a)): the reachable and
-    co-reachable states of the silent-free `a`, in `a`'s order, all marked
-    (`_restrict`)."""
-    return _restrict(eliminate_silent(a), True, True)
+    co-reachable states of `a`, in `a`'s order, all marked (`_restrict`)."""
+    return _restrict(a, True, True)
 
 
 def is_prefix_closed(a: Automaton) -> bool:
@@ -515,7 +514,6 @@ def is_prefix_closed(a: Automaton) -> bool:
     walk keeps each subset's kept part, stepped through `subset_steps`: in
     a reached subset, the sources of a kept target are kept. No automaton
     is built."""
-    a = eliminate_silent(a)
     live = sum(1 << a.state_index[q] for q in _kept(a))
     steps = subset_steps(a)
     reached = closure([a.start_mask & live],
@@ -543,8 +541,8 @@ def explore(alphabet: Alphabet, starts: Iterable, moves, marked) -> Automaton:
 
     The numbered states and endpoints are valid by construction, so the
     result is built by `_trusted`; each distinct label that `moves` yields
-    is checked once against `alphabet` (None, the silent move, is allowed),
-    and an unknown one raises `AutomataError`.
+    is checked once against `alphabet`, and an unknown one, None (the
+    silent move) included, raises `AutomataError`.
     """
     # Each state is one int object, shared by every tuple and set that holds
     # it: ints above 256 are not cached, and a copy per mention costs memory.
@@ -565,7 +563,7 @@ def explore(alphabet: Alphabet, starts: Iterable, moves, marked) -> Automaton:
         for lbl, nxt in moves(key):
             trans.add((src, lbl, number(nxt)))
     for lbl in {lbl for (_, lbl, _) in trans}:   # each distinct label once
-        if lbl is not None and lbl not in alphabet:
+        if lbl not in alphabet:
             raise AutomataError(f"transition on unknown event {lbl!r}")
     states = tuple(index.values())
     return _trusted(alphabet, states, frozenset(trans), initial,
@@ -618,11 +616,11 @@ class Implicit:
     the start keys first in the order given, so `state_index`,
     `sorted_states`, `start_mask`, `rows` and `meets_marked` stand for those
     of an `Automaton`. It offers what the difference and word searches
-    read of an `Automaton`. `moves` must yield no silent (None) label, and
-    every key must reach a marked key, or an unbounded `iter_marked_words`
-    of a finite language does not end."""
+    read of an `Automaton`. `moves` must yield events of `alphabet` alone,
+    as an `Automaton`'s transitions do (no silent None label), and every
+    key must reach a marked key, or an unbounded `iter_marked_words` of a
+    finite language does not end."""
 
-    has_silent = False
     sorted_states = Automaton.sorted_states
 
     def __init__(self, alphabet: Alphabet, starts: Iterable, moves, marked):
@@ -662,15 +660,15 @@ class Implicit:
 
 
 class LazyRows:
-    """A silent-free automaton over states 0..n-1 given by its subset rows:
+    """An automaton over states 0..n-1 given by its subset rows:
     `row(i)` maps each label to the bitmask of state i's targets, and is
     read once per state, when a subset step first needs it. The start and
     marked states are bitmasks. It offers what `_difference_product` reads
     of its right operand, so a product whose states are numbered already
     (plant-state pairs p·n + q, say) steps subsets of them without building
-    an automaton or numbering keys, as `Implicit` does."""
+    an automaton or numbering keys, as `Implicit` does. Like an
+    `Automaton`, it holds no silent (None) label."""
 
-    has_silent = False
     meets_marked = Automaton.meets_marked
 
     def __init__(self, alphabet: Alphabet, start_mask: int, row,
@@ -689,7 +687,6 @@ def determinize(a: Automaton) -> Automaton:
     `subset_moves`, and it is marked when it meets `marked_mask`.
     `explore` only hashes the masks, and they map one-to-one onto the
     subsets, so the numbering is that of a frozenset construction."""
-    a = eliminate_silent(a)
     start = a.start_mask
     return explore(a.alphabet, [start] if start else [], subset_moves(a),
                    a.marked_mask.__and__)
@@ -743,8 +740,6 @@ def _difference_product(a: Automaton,
     the `a` state is marked and the `b` subset holds no marked state. `b`'s
     subset steps are its `subset_steps`."""
     require_same_alphabet(a, b)
-    a = eliminate_silent(a)
-    b = eliminate_silent(b)
     b_row = subset_steps(b)
     succ, names, marked = a.succ, a.alphabet.names, a.marked
     meets = b.meets_marked
@@ -770,13 +765,12 @@ def _difference_product(a: Automaton,
 
 
 def subset_steps(b: Automaton | Implicit | LazyRows) -> _Memo:
-    """b-subset -> event -> b-subset, the subset steps of the silent-free
-    `b`, memoized in its `_tables`, which its `_derived` copies share."""
+    """b-subset -> event -> b-subset, the subset steps of `b`, memoized in its `_tables`, which its `_derived` copies share."""
     return b._tables.setdefault("subset_steps", _Memo(partial(_union, b.rows)))
 
 
 def subset_moves(a: Automaton):
-    """`moves(m)` of the subset construction of the silent-free `a`: the
+    """`moves(m)` of the subset construction of `a`: the
     non-empty `subset_steps` of the bitmask m, in alphabet order."""
     after, names = subset_steps(a), a.alphabet.names
 
@@ -845,21 +839,21 @@ def language_equal(a: Automaton, b: Automaton) -> bool:
 # projection
 
 def project(a: Automaton, spec: ProjectionSpec) -> Automaton:
-    """Image automaton over the kept sub-alphabet, silent-free: each state
-    moves on a kept event wherever a state of its erased-move closure does,
-    and is marked where that closure holds a marked state. One pass over
-    the transitions (`_erase`) builds it, with no intermediate automaton
+    """Image automaton over the kept sub-alphabet: each state moves on a
+    kept event wherever a state of its erased-move closure does, and is
+    marked where that closure holds a marked state. One pass over the
+    transitions (`_erase`) builds it, with no intermediate automaton
     carrying silent labels."""
     if a.alphabet != spec.source:
         raise AlphabetMismatchError("projection source must equal the automaton alphabet")
-    return _erase(a, spec.target_alphabet, spec.kept)
+    trans, marked = _erase(a, spec.kept)
+    return _trusted(spec.target_alphabet, a.states, trans, a.initial, marked)
 
 
 def inverse_project(a: Automaton, spec: ProjectionSpec) -> Automaton:
     """Preimage automaton: self-loops on every erased event at every state."""
     if a.alphabet != spec.target_alphabet:
         raise AlphabetMismatchError("automaton must be over the projection target")
-    a = eliminate_silent(a)
     erased = [e for e in spec.source.names if e not in spec.kept]
     trans = set(a.transitions)
     for q in a.states:
@@ -872,7 +866,7 @@ def inverse_project(a: Automaton, spec: ProjectionSpec) -> Automaton:
 # products and boolean operations
 
 def pair_moves(a: Automaton, b: Automaton, labels):
-    """`moves((p, q))` of a product of the silent-free `a` and `b`: `labels`
+    """`moves((p, q))` of a product of `a` and `b`: `labels`
     lists (label, left event or None, right event or None) in alphabet
     order, and a label moves each side on its event, a None side not."""
     a_succ, b_succ = a.succ, b.succ
@@ -892,8 +886,6 @@ def pair_product(alphabet: Alphabet, a: Automaton, b: Automaton,
                  labels) -> Automaton:
     """The product over `alphabet` of `a` and `b` stepped by `pair_moves`,
     from their initial pairs in state order, marked where both are."""
-    a = eliminate_silent(a)
-    b = eliminate_silent(b)
     return explore(alphabet,
                    [(p, q) for p in a.sorted_states(a.initial)
                     for q in b.sorted_states(b.initial)],
@@ -924,8 +916,6 @@ def difference(a: Automaton, b: Automaton) -> Automaton:
 def right_quotient(a: Automaton, d: Automaton) -> Automaton:
     """{w : ∃v ∈ L_m(d), wv ∈ L_m(a)} by re-marking states of `a`."""
     require_same_alphabet(a, d)
-    a = eliminate_silent(a)
-    d = eliminate_silent(d)
     by_event_a: dict = {}
     for (p, e, q) in a.transitions:
         by_event_a.setdefault(e, []).append((p, q))
@@ -979,7 +969,6 @@ def iter_marked_words(a: Automaton | Implicit,
     It drops an `Automaton`'s steps into subsets with no kept state
     (`_kept`), so a finite language ends it; an `Implicit`'s keys all
     reach a marked one."""
-    a = eliminate_silent(a)
     live = -1 if isinstance(a, Implicit) else sum(
         1 << a.state_index[q] for q in _kept(a))
     if not a.start_mask & live:
@@ -1020,7 +1009,6 @@ def iter_difference_words(a: Automaton | Implicit,
     after it come from `iter_marked_words` over the live pairs, each
     pair's liveness decided when the enumerator first steps to it."""
     require_same_alphabet(a, b)
-    a, b = eliminate_silent(a), eliminate_silent(b)
     a_row, b_row = subset_steps(a), subset_steps(b)
     names = a.alphabet.names
     live: dict = {}   # (A, B) -> whether it reaches a bad pair, once known

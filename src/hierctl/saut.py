@@ -88,8 +88,6 @@ def parse_automaton(text: str, *, allow_reserved: bool = False) -> Automaton:
 
 def serialize_automaton(a: Automaton) -> str:
     """Canonical text form; two serializations of equal automata are identical."""
-    if a.has_silent:
-        raise AutomataError("silent transitions are internal-only and cannot be serialized")
     lines = []
     for e in a.alphabet.events:
         lines.append("event {} {} {} {}".format(

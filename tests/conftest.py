@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from hierctl import automata
-from hierctl.automata import (Alphabet, Automaton, eliminate_silent,
-                              iter_marked_words, path_word, widen_alphabet)
+from hierctl.automata import (Alphabet, Automaton, iter_marked_words,
+                              path_word, widen_alphabet)
 from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
                              gadget_oc, random_nfa, random_plant,
                              random_sublanguage)
@@ -54,7 +54,6 @@ def ref_includes(a: Automaton, b: Automaton) -> Verdict:
     witness is a shortest word of L_m(a) − L_m(b), not always the
     length-lexicographically first: ties between nodes reached by
     different words are broken by queue position."""
-    a, b = eliminate_silent(a), eliminate_silent(b)
     b0 = frozenset(b.initial)
 
     def bad(qa, bs):

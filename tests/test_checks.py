@@ -239,37 +239,36 @@ class TestSupRelobs:
             assert got == set(expected), f"seed={seed}"
 
     def test_agrees_with_one_check_per_round(self):
-        rounds, capped = [], 0
+        rounds = []
         for name, k, c, g in [*_odd_instances(), *_sup_relobs_instances()]:
-            for max_iters in (0, 1, 2, 1000):
-                got, rep = sup_relobs_closed(k, c, g, max_iters)
-                want, want_rep = _reference_sup_relobs(k, c, g, max_iters)
-                where = f"{name} max_iters={max_iters}"
-                assert got.states == want.states, where
-                assert got.transitions == want.transitions, where
-                assert got.initial == want.initial, where
-                assert got.marked == want.marked, where
-                assert rep == want_rep, where
-                if not rep.converged:
-                    capped += 1
-                    assert rep.rounds == max_iters, where
-                    assert rep.removed_transitions == max_iters + 1, where
-                if max_iters == 1000:
-                    rounds.append(rep.rounds)
+            got, rep = sup_relobs_closed(k, c, g)
+            want, want_rep = _reference_sup_relobs(k, c, g)
+            assert got.states == want.states, name
+            assert got.transitions == want.transitions, name
+            assert got.initial == want.initial, name
+            assert got.marked == want.marked, name
+            assert rep == want_rep, name
+            rounds.append(rep.rounds)
         assert max(rounds) >= 5
-        assert capped >= 10
 
     def test_cost_does_not_grow_with_rounds(self, monkeypatch):
+        # The rounds build no automaton: every deletion finds as many built
+        # as the first, and only the result and its trim follow the last.
         k, c, g = _rounds_instance()
-        built = []
+        built, at_delete = [], []
         record_built(monkeypatch, built.append)
+        delete = checks._PairSearch.delete
+
+        def recording(self, q, e):
+            at_delete.append(len(built))
+            delete(self, q, e)
+
+        monkeypatch.setattr(checks._PairSearch, "delete", recording)
         _, rep = sup_relobs_closed(k, c, g)
-        full = len(built)
-        built.clear()
-        _, capped = sup_relobs_closed(k, c, g, max_iters=0)
         assert rep.converged and rep.rounds >= 10
-        assert not capped.converged
-        assert full == len(built)
+        assert len(at_delete) == rep.rounds
+        assert set(at_delete) == {at_delete[0]}
+        assert len(built) == at_delete[0] + 2
 
     def test_candidate_is_the_nested_product(self, monkeypatch):
         # The one `explore` over subset triples numbers and marks R as the
@@ -425,16 +424,16 @@ def _reference_candidate(k, g):
         _observer_refinement(g))
 
 
-def _reference_sup_relobs(k, c, g, max_iters):
+def _reference_sup_relobs(k, c, g):
     """The removal loop as one full C-observability check per round."""
     current = trim(_reference_candidate(k, g))
     removed = 0
-    for rounds in range(max_iters + 1):
+    while True:
         if not current.states:
-            return current, SynthReport(True, rounds, removed)
+            return current, SynthReport(True, removed, removed)
         v = check_relative_observability(current, c, g)
         if v.holds:
-            return current, SynthReport(True, rounds, removed)
+            return current, SynthReport(True, removed, removed)
         s, e = v.witness.strings["s"], v.witness.strings["e"][0]
         (q,) = current.run(s)
         tgt = current.succ[q][e][0]
@@ -443,7 +442,6 @@ def _reference_sup_relobs(k, c, g, max_iters):
             current.transitions - {(q, e, tgt)},
             current.initial, current.marked))
         removed += 1
-    return current, SynthReport(False, max_iters, removed)
 
 
 def _odd_instances():

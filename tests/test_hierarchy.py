@@ -1242,6 +1242,22 @@ class TestModular:
         g2 = tree([("x", "c"), ("d",)], al2)
         assert lemma_distribute_q([g1, g2]).holds
 
+    def test_distribute_q_restricts_each_component_once(self, monkeypatch):
+        # The components are made all-marked once; they and their product
+        # are all-marked and reachable, so their contexts restrict nothing.
+        comps = [tree([("x", h), (lo,)], make_alphabet("x" + h + lo,
+                                                       highlevel="x" + h))
+                 for h, lo in ("ab", "cd", "ef")]
+        calls, real = [], automata._restrict
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(automata, "_restrict", spy)
+        assert lemma_distribute_q(comps).holds
+        assert len(calls) == len(comps)
+
 
 class TestVerify:
     def test_report_shape(self, ex1_plant, ex1_spec):

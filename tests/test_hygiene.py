@@ -236,6 +236,16 @@ def test_checks_build_no_pair_product_up_front():
     assert uses_outside(source, "sync_pair_compose", set()) == []
 
 
+def test_no_module_looks_for_silent_moves():
+    # `Automaton(...)` eliminates an ε-NFA's silent moves where it is
+    # built, and every other automaton is derived from such ones, so no
+    # operation eliminates or looks for them again.
+    for path in MODULES:
+        source = path.read_text(encoding="utf-8")
+        for name in ("eliminate_silent", "has_silent"):
+            assert uses_outside(source, name, set()) == [], (path.name, name)
+
+
 def test_checks_build_no_determinized_copy():
     # The classical checks and `sup_relobs_closed` step the subsets of K̄,
     # C̄, G and the observer on demand (`automata.subset_steps`).

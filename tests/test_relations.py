@@ -83,7 +83,7 @@ def _commutation_classes(words) -> dict:
 
 
 def test_monitor_accepts_exactly_the_least_word_of_each_class():
-    steps, _ = normal_form_monitor(PAIR_LABELS)
+    steps = normal_form_monitor(PAIR_LABELS)
     # the coarse monitor: the reset, two left-run and two right-run counts
     assert sorted(steps) == [-2, -1, 0, 1, 2]
     normal = 0

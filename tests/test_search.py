@@ -21,8 +21,8 @@ from collections import deque
 from pathlib import Path
 
 from hierctl import automata
-from hierctl.automata import (Automaton, closure, eliminate_silent, explore,
-                              first_path, iter_marked_words, merge_alphabets,
+from hierctl.automata import (Automaton, closure, explore, first_path,
+                              iter_marked_words, merge_alphabets,
                               parallel_compose, path_word, prefix_close,
                               project, trim, with_initial)
 from hierctl.checks import (_dfa_table, _PairSearch, _require_inclusion,
@@ -161,8 +161,6 @@ def _initial_pairs(a: Automaton, b: Automaton) -> list:
 
 def ref_parallel_compose(a: Automaton, b: Automaton) -> Automaton:
     alphabet = merge_alphabets(a.alphabet, b.alphabet)
-    a = eliminate_silent(a)
-    b = eliminate_silent(b)
     in_a = set(a.alphabet.names)
     in_b = set(b.alphabet.names)
 
@@ -185,8 +183,6 @@ def ref_parallel_compose(a: Automaton, b: Automaton) -> Automaton:
 
 
 def ref_sync_pair_compose(a: Automaton, b: Automaton, sync) -> Automaton:
-    a = eliminate_silent(a)
-    b = eliminate_silent(b)
     alphabet = pair_alphabet(a.alphabet, b.alphabet, frozenset(sync))
 
     def moves(pq):
@@ -266,12 +262,13 @@ def test_parallel_compose_matches_the_reference_moves():
             for s in range(30)]
     for a, b in zip(nfas, nfas[1:] + nfas[:1]):
         _same(parallel_compose(a, b), ref_parallel_compose(a, b))
-    # silent moves, which both sides eliminate first
+    # silent moves, which the constructor eliminates where it is built
     a = max(nfas, key=lambda x: len(x.transitions))
-    silent = Automaton(a.alphabet, a.states, frozenset(
-        (p, None if e == "a1" else e, q) for p, e, q in a.transitions),
-        a.initial, a.marked)
-    assert silent.has_silent
+    raw = frozenset((p, None if e == "a1" else e, q)
+                    for p, e, q in a.transitions)
+    assert None in {e for _, e, _ in raw}
+    silent = Automaton(a.alphabet, a.states, raw, a.initial, a.marked)
+    assert None not in {e for _, e, _ in silent.transitions}
     _same(parallel_compose(silent, a), ref_parallel_compose(silent, a))
 
 
@@ -352,7 +349,6 @@ def test_dead_steps_change_no_bounded_word():
     # the same words, in the same order, as a frozenset enumeration that
     # keeps every step
     def reference(a, bound):
-        a = eliminate_silent(a)
         queue = deque([((), frozenset(a.initial))]) if a.initial else deque()
         while queue:
             word, cur = queue.popleft()

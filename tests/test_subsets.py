@@ -10,11 +10,12 @@ but its witness is the length-lexicographically first word of the
 reference difference, where that search stops at a shortest one.
 
 The one-pass constructions (`trim`, `all_marked`, `prefix_close`,
-`project`, `eliminate_silent` and `explore`, each valid by construction)
-are checked against their references too: the same constructions as they
-were written over the sorted `succ` table, with every result validated by
-`Automaton(...)` and projection going through an automaton with silent
-labels.
+`project` and `explore`, each valid by construction) are checked against
+their references too: the same constructions as they were written over the
+sorted `succ` table, with every result validated by `Automaton(...)`.
+The silent moves that `Automaton(...)` eliminates where an ε-NFA is built,
+and those of a projection, are eliminated by a reference over the raw
+transition tuples.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from hypothesis import strategies as st
 from hierctl import cli
 from hierctl.automata import (AutomataError, Automaton, Implicit, LazyRows,
                               ProjectionSpec, all_marked, closure,
-                              determinize, difference, eliminate_silent,
-                              explore, included, includes, intersect,
-                              inverse_project, is_prefix_closed,
+                              determinize, difference, explore, included,
+                              includes, intersect, inverse_project,
+                              is_prefix_closed,
                               iter_difference_words, iter_marked_words,
                               language_equal, prefix_close,
                               project, subset_steps, trim)
@@ -58,8 +59,6 @@ def _step(a: Automaton, states: frozenset, e) -> frozenset:
 
 
 def ref_determinize(a: Automaton) -> Automaton:
-    a = eliminate_silent(a)
-
     def moves(cur):
         for e in a.alphabet.names:
             nxt = _step(a, cur, e)
@@ -72,7 +71,6 @@ def ref_determinize(a: Automaton) -> Automaton:
 
 
 def ref_difference(a: Automaton, b: Automaton) -> Automaton:
-    a, b = eliminate_silent(a), eliminate_silent(b)
     b0 = frozenset(b.initial)
 
     def moves(node):
@@ -105,7 +103,6 @@ def marked_saturate(a: Automaton) -> Automaton:
     The subset construction of `a` stops at a marked subset, since every
     word after it is in the language: each marked subset and a new sink
     move to the sink on every event."""
-    a = eliminate_silent(a)
     steps = subset_steps(a)
 
     def moves(m):
@@ -136,9 +133,10 @@ def ref_sup_normal_closed(b: Automaton, m: Automaton) -> Automaton:
 
 
 @st.composite
-def nfas(draw, max_states=5):
-    """Automata over AB with silent moves, any initial and marked sets
-    (the empty ones included) and nondeterminism."""
+def raw_nfas(draw, max_states=5):
+    """(states, transitions, initial, marked) of ε-NFAs over AB: silent
+    (None) labels, any initial and marked sets (the empty ones included)
+    and nondeterminism."""
     n = draw(st.integers(1, max_states))
     states = tuple(f"q{i}" for i in range(n))
     labels = ("a", "b", None)
@@ -148,7 +146,13 @@ def nfas(draw, max_states=5):
                                max_size=3 * n))
     initial = draw(st.frozensets(st.sampled_from(states)))
     marked = draw(st.frozensets(st.sampled_from(states)))
-    return Automaton(AB, states, trans, initial, marked)
+    return states, trans, initial, marked
+
+
+def nfas(max_states=5):
+    """Automata built from `raw_nfas`, their silent moves eliminated by
+    the constructor."""
+    return raw_nfas(max_states).map(lambda raw: Automaton(AB, *raw))
 
 
 EMPTY_INITIAL = Automaton(AB, ("p",), frozenset({("p", "a", "p")}),
@@ -156,10 +160,11 @@ EMPTY_INITIAL = Automaton(AB, ("p",), frozenset({("p", "a", "p")}),
 NONE_MARKED = Automaton(AB, ("p", "q"), frozenset({("p", "a", "q"),
                                                    ("q", "b", "p")}),
                         frozenset({"p"}), frozenset())
-SILENT = Automaton(AB, ("p", "q", "r"),
-                   frozenset({("p", None, "q"), ("q", "a", "r"),
-                              ("r", None, "p"), ("p", "b", "p")}),
-                   frozenset({"p"}), frozenset({"r"}))
+SILENT_RAW = (("p", "q", "r"),
+              frozenset({("p", None, "q"), ("q", "a", "r"),
+                         ("r", None, "p"), ("p", "b", "p")}),
+              frozenset({"p"}), frozenset({"r"}))
+SILENT = Automaton(AB, *SILENT_RAW)
 
 
 # L(G) and a sublanguage K of a nondeterministic plant (instance 83 of the
@@ -215,7 +220,6 @@ def test_closed_languages_never_conflict(a, b):
 
 
 def _implicit(a: Automaton) -> Implicit:
-    a = eliminate_silent(a)
     return Implicit(a.alphabet, a.initial,
                     lambda q: ((lbl, t) for lbl, ts in a.succ[q].items()
                                for t in ts),
@@ -223,7 +227,6 @@ def _implicit(a: Automaton) -> Implicit:
 
 
 def _lazy_rows(a: Automaton) -> LazyRows:
-    a = eliminate_silent(a)
     return LazyRows(a.alphabet, a.start_mask, a.rows.__getitem__,
                     a.marked_mask)
 
@@ -313,7 +316,7 @@ def test_lazy_pair_right_sides_give_the_reference_words():
 @example(SILENT)
 def test_implicit_gives_the_automaton_marked_words(a):
     # trimmed, so that a finite language ends the unbounded enumeration
-    t = trim(eliminate_silent(a))
+    t = trim(a)
     want = list(islice(iter_marked_words(t), 50))
     assert list(islice(iter_marked_words(_implicit(t)), 50)) == want
     assert list(iter_marked_words(_implicit(a), 4)) == \
@@ -427,23 +430,22 @@ def ref_explore(alphabet, starts, moves, marked) -> Automaton:
                                if marked(key)))
 
 
-def ref_eliminate_silent(a: Automaton) -> Automaton:
-    if not a.has_silent:
-        return a
-    trans = set()
-    marked = set()
-    for q in a.states:
-        cl = closure((q,), lambda p: a.succ[p].get(None, ()))
-        if cl & a.marked:
-            marked.add(q)
-        for p in cl:
-            for lbl, targets in a.succ[p].items():
-                if lbl is None:
-                    continue
-                for t in targets:
-                    trans.add((q, lbl, t))
-    return Automaton(a.alphabet, a.states, frozenset(trans), a.initial,
-                     frozenset(marked))
+def ref_eliminate_silent(states, transitions, marked) -> tuple:
+    """(transitions, marked) of the raw ε-NFA tuples without their silent
+    (None) moves: a state moves on an event wherever a state of its silent
+    closure does, and is marked where that closure holds a marked state."""
+    silent: dict = {}
+    for (src, lbl, dst) in transitions:
+        if lbl is None:
+            silent.setdefault(src, set()).add(dst)
+    trans, out = set(), set()
+    for q in states:
+        cl = closure((q,), lambda p: silent.get(p, ()))
+        if cl & marked:
+            out.add(q)
+        trans.update((q, lbl, dst) for (src, lbl, dst) in transitions
+                     if src in cl and lbl is not None)
+    return frozenset(trans), frozenset(out)
 
 
 def ref_reachable(a: Automaton) -> set:
@@ -468,7 +470,6 @@ def ref_trim(a: Automaton) -> Automaton:
 
 
 def ref_all_marked(a: Automaton) -> Automaton:
-    a = ref_eliminate_silent(a)
     keep = ref_reachable(a)
     states = tuple(s for s in a.states if s in keep)
     return Automaton(a.alphabet, states,
@@ -478,17 +479,30 @@ def ref_all_marked(a: Automaton) -> Automaton:
 
 
 def ref_project(a: Automaton, spec: ProjectionSpec) -> Automaton:
-    trans = frozenset(
-        (src, lbl if (lbl is not None and lbl in spec.kept) else None, dst)
-        for (src, lbl, dst) in a.transitions)
-    out = Automaton(spec.target_alphabet, a.states, trans, a.initial,
-                    a.marked)
-    return ref_eliminate_silent(out)
+    raw = frozenset((src, lbl if lbl in spec.kept else None, dst)
+                    for (src, lbl, dst) in a.transitions)
+    trans, marked = ref_eliminate_silent(a.states, raw, a.marked)
+    return Automaton(spec.target_alphabet, a.states, trans, a.initial,
+                     marked)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_nfas())
+@example(SILENT_RAW)
+def test_construction_eliminates_silent_moves(raw):
+    # No `Automaton` holds a silent move: the constructor eliminates those
+    # of an ε-NFA where it is built, so no operation looks for them.
+    states, transitions, initial, marked = raw
+    a = Automaton(AB, *raw)
+    assert all(lbl is not None for (_, lbl, _) in a.transitions)
+    assert (a.states, a.initial) == (states, initial)
+    assert (a.transitions, a.marked) == \
+        ref_eliminate_silent(states, transitions, marked)
 
 
 # Unreachable states (s, u), a reachable state that reaches no marked one
-# (r), a silent move and a marked state that only an unreachable one
-# enters (s).
+# (r), silent moves (eliminated where it is built) and a marked state that
+# only an unreachable one enters (s).
 UNTRIMMED = Automaton(AB, ("p", "q", "r", "s", "u"),
                       frozenset({("p", "a", "q"), ("q", "b", "p"),
                                  ("p", "b", "r"), ("s", "a", "p"),
@@ -497,8 +511,8 @@ UNTRIMMED = Automaton(AB, ("p", "q", "r", "s", "u"),
 
 
 def _own_moves(a: Automaton):
-    """`moves` over `a`'s states that yields its transitions, silent ones
-    included, in one fixed order."""
+    """`moves` over `a`'s states that yields its transitions in one fixed
+    order."""
     steps: dict = {}
     for (src, lbl, dst) in sorted(a.transitions, key=repr):
         steps.setdefault(src, []).append((lbl, dst))
@@ -514,7 +528,6 @@ def _own_moves(a: Automaton):
 def test_one_pass_constructions_match_reference(a):
     _same(trim(a), ref_trim(a))
     _same(all_marked(a), ref_all_marked(a))
-    _same(eliminate_silent(a), ref_eliminate_silent(a))
     for kept in ((), ("a",), ("b",), ("a", "b")):
         spec = ProjectionSpec(AB, frozenset(kept))
         got, want = project(a, spec), ref_project(a, spec)
@@ -533,8 +546,8 @@ def test_untrimmed_example_drops_what_it_should():
 def ref_prefix_close(a: Automaton) -> Automaton:
     """K̄ in two passes, as `prefix_close(trim(a))` was spelled when
     `prefix_close` only re-marked: trim, then mark every co-reachable
-    state of the silent-free result."""
-    t = ref_eliminate_silent(ref_trim(a))
+    state of the result."""
+    t = ref_trim(a)
     return Automaton(t.alphabet, t.states, t.transitions, t.initial,
                      frozenset(ref_coreachable(t)))
 
@@ -551,8 +564,7 @@ def test_prefix_close_matches_the_two_pass_reference(a):
     # trimmed, and every state marked
     _same(got, ref_trim(got))
     assert got.marked == frozenset(got.states)
-    if not a.has_silent:
-        _same(got, want)
+    _same(got, want)
 
 
 def test_prefix_close_drops_unreachable_and_dead_states():
@@ -582,6 +594,10 @@ def test_kept_states_build_no_automaton(monkeypatch):
 def test_explore_rejects_a_label_outside_its_alphabet():
     with pytest.raises(AutomataError, match="unknown event 'c'"):
         explore(AB, [0], lambda q: [("a", 1), ("c", 0)] if q == 0 else [],
+                lambda q: True)
+    # nor does it build a silent move: None is no event of its alphabet
+    with pytest.raises(AutomataError, match="unknown event None"):
+        explore(AB, [0], lambda q: [(None, 1)] if q == 0 else [],
                 lambda q: True)
 
 
@@ -626,7 +642,7 @@ def test_the_kernel_builds_no_validated_automaton(monkeypatch):
 
     monkeypatch.setattr(Automaton, "__post_init__", boom)
     for a in (UNTRIMMED, SILENT, EMPTY_INITIAL, NONE_MARKED):
-        trim(a), all_marked(a), prefix_close(a), eliminate_silent(a)
+        trim(a), all_marked(a), prefix_close(a)
         determinize(a)
         project(a, ProjectionSpec(AB, frozenset({"b"})))
         explore(AB, a.sorted_states(a.initial), _own_moves(a),
