@@ -8,6 +8,18 @@ pair-event reductions, subset constructions, or difference automata from
 the main code paths are involved, so agreement between a checker and the
 oracle is meaningful evidence.
 
+Each search is written once:
+
+- `_walk` enumerates words level by level from a state set, optionally
+  closing each set under hidden events first: the bounded universe
+  (`_bounded_words`) and the observer's two continuation walks;
+- `_closure` closes a state set under a set of allowed events;
+- `_q_ends` searches (state, index into t) pairs for the states that the
+  words w with Q(w) = t reach; `_q_extends` stops at the first one;
+- `_exists_oc_pair`, `_exists_moc_mate`, `_loc_continuations_meet` and
+  `oracle_nonconflicting` each keep their own search over tuples of
+  states (and indices), the inner quantifier of one definition.
+
 A reported violation is always genuine. A report of "no violation found"
 is conclusive only when the bound covers the instance (for example on
 acyclic automata with the bound at least the longest word); otherwise it
@@ -39,40 +51,54 @@ class OracleReport:
 # ---------------------------------------------------------------------------
 # word-level plumbing
 
-def _closure_rec(a: Automaton) -> Automaton:
-    """Trimmed recognizer: its generated language is closure(L_m(a))."""
-    return trim(a)
-
-
 def _gen_rec(a: Automaton) -> Automaton:
     """Recognizer whose generated language is L(a)."""
     return all_marked(a)
+
+
+def _walk(a: Automaton, states, events, hidden, bound: int) -> list:
+    """Words over `events`, up to the bound and length-lexicographic, that
+    lead from `states` to a nonempty set when any `hidden` events may come
+    before each letter."""
+    out = []
+    start = frozenset(states)
+    level = [((), start)] if start else []
+    for _ in range(bound + 1):
+        nxt = []
+        for word, cur in level:
+            out.append(word)
+            if hidden:
+                cur = _closure(a, cur, hidden)
+            for e in events:
+                step = a.step(cur, e)
+                if step:
+                    nxt.append((word + (e,), step))
+        level = nxt
+        if not level:
+            break
+    return out
+
+
+def _closure(a: Automaton, states, allowed) -> set:
+    """`states` and every state that `allowed` events reach from them."""
+    seen = set(states)
+    stack = list(states)
+    while stack:
+        q = stack.pop()
+        for e, targets in a.succ[q].items():
+            if e in allowed:
+                for t in targets:
+                    if t not in seen:
+                        seen.add(t)
+                        stack.append(t)
+    return seen
 
 
 def _bounded_words(a: Automaton, bound: int) -> list:
     """Generated words of `a` up to the bound, length-lexicographic."""
     if bound < 0:
         raise PreconditionError("oracle bound must be >= 0")
-    out = []
-    frontier = [((), frozenset(a.initial))]
-    if not a.initial:
-        return out
-    for _ in range(bound + 1):
-        nxt = []
-        for word, states in frontier:
-            out.append(word)
-            for e in a.alphabet.names:
-                step = a.step(states, e)
-                if step:
-                    nxt.append((word + (e,), step))
-        frontier = nxt
-        if not frontier:
-            break
-    return out
-
-
-def _in_gen(a: Automaton, w: Word) -> bool:
-    return bool(a.run(w))
+    return _walk(a, a.initial, a.alphabet.names, (), bound)
 
 
 def _proj(alphabet, w: Word, kept) -> Word:
@@ -90,12 +116,12 @@ def _group_by(words, key) -> dict:
 # classical properties
 
 def oracle_controllability(k: Automaton, g: Automaton, bound: int) -> OracleReport:
-    kc = _closure_rec(k)
+    kc = trim(k)
     gl = _gen_rec(g)
     unc = g.alphabet.uncontrollable
     for s in _bounded_words(kc, bound):
         for e in sorted(unc, key=g.alphabet.names.index):
-            if _in_gen(gl, s + (e,)) and not _in_gen(kc, s + (e,)):
+            if gl.generates(s + (e,)) and not kc.generates(s + (e,)):
                 return OracleReport("controllability", bound, False,
                                     {"s": s, "e": (e,)})
     return OracleReport("controllability", bound, True)
@@ -103,8 +129,8 @@ def oracle_controllability(k: Automaton, g: Automaton, bound: int) -> OracleRepo
 
 def _oracle_obs_engine(k: Automaton, c: Automaton, g: Automaton,
                        events, bound: int, prop: str) -> OracleReport:
-    kc = _closure_rec(k)
-    cc = _closure_rec(c)
+    kc = trim(k)
+    cc = trim(c)
     gl = _gen_rec(g)
     obs = g.alphabet.observable
     kwords = _bounded_words(kc, bound)
@@ -113,10 +139,10 @@ def _oracle_obs_engine(k: Automaton, c: Automaton, g: Automaton,
     for s in kwords:
         mates = groups.get(_proj(g.alphabet, s, obs), ())
         for e in events:
-            if not _in_gen(kc, s + (e,)):
+            if not kc.generates(s + (e,)):
                 continue
             for sp in mates:
-                if _in_gen(gl, sp + (e,)) and not _in_gen(kc, sp + (e,)):
+                if gl.generates(sp + (e,)) and not kc.generates(sp + (e,)):
                     return OracleReport(prop, bound, False,
                                         {"s": s, "s_prime": sp, "e": (e,)})
     return OracleReport(prop, bound, True)
@@ -134,12 +160,12 @@ def oracle_relative_observability(k: Automaton, c: Automaton, g: Automaton,
 
 
 def oracle_normality(k: Automaton, g: Automaton, bound: int) -> OracleReport:
-    kc = _closure_rec(k)
+    kc = trim(k)
     gl = _gen_rec(g)
     obs = g.alphabet.observable
     kimages = {_proj(g.alphabet, w, obs) for w in _bounded_words(kc, bound)}
     for w in _bounded_words(gl, bound):
-        if _proj(g.alphabet, w, obs) in kimages and not _in_gen(kc, w):
+        if _proj(g.alphabet, w, obs) in kimages and not kc.generates(w):
             return OracleReport("normality", bound, False, {"word": w})
     return OracleReport("normality", bound, True)
 
@@ -148,7 +174,7 @@ def oracle_nonconflicting(a: Automaton, b: Automaton, bound: int) -> OracleRepor
     """Reachable joint closure states must stay co-reachable to joint marking."""
     if bound < 0:
         raise PreconditionError("oracle bound must be >= 0")
-    at, bt = _closure_rec(a), _closure_rec(b)
+    at, bt = trim(a), trim(b)
     in_a = set(at.alphabet.names)
     in_b = set(bt.alphabet.names)
     events = list(dict.fromkeys(at.alphabet.names + bt.alphabet.names))
@@ -288,16 +314,17 @@ def _exists_moc_mate(gl: Automaton, obs_word: Word, tp: Word) -> bool:
     return False
 
 
-def _q_language(gl: Automaton, bound: int) -> list:
-    return sorted({_q_of(gl.alphabet, w) for w in _bounded_words(gl, bound)},
-                  key=lambda w: (len(w), w))
+def _q_groups(alphabet, words) -> dict:
+    """Q(words), length-lexicographic, grouped by their projection onto the
+    observable high-level events."""
+    shared = alphabet.highlevel & alphabet.observable
+    ts = sorted({_q_of(alphabet, w) for w in words}, key=lambda w: (len(w), w))
+    return _group_by(ts, lambda w: _proj(alphabet, w, shared))
 
 
 def oracle_oc(g: Automaton, bound: int) -> OracleReport:
     gl = _gen_rec(g)
-    shared = gl.alphabet.highlevel & gl.alphabet.observable
-    ts = _q_language(gl, bound)
-    groups = _group_by(ts, lambda w: _proj(gl.alphabet, w, shared))
+    groups = _q_groups(gl.alphabet, _bounded_words(gl, bound))
     for key, members in sorted(groups.items()):
         for t in members:
             for tp in members:
@@ -311,11 +338,11 @@ def oracle_moc(g: Automaton, bound: int) -> OracleReport:
     gl = _gen_rec(g)
     alphabet = gl.alphabet
     shared = alphabet.highlevel & alphabet.observable
-    ts = _q_language(gl, bound)
-    groups = _group_by(ts, lambda w: _proj(alphabet, w, shared))
-    for s in _bounded_words(gl, bound):
-        key = _proj(alphabet, _q_of(alphabet, s), shared)
-        for tp in groups.get(key, ()):
+    words = _bounded_words(gl, bound)
+    groups = _q_groups(alphabet, words)
+    for s in words:
+        # shared events are high-level, so Q(s) projects as s does
+        for tp in groups.get(_proj(alphabet, s, shared), ()):
             if not _exists_moc_mate(gl, _p_of(alphabet, s), tp):
                 return OracleReport("moc", bound, False,
                                     {"s": s, "t_prime": tp})
@@ -349,16 +376,20 @@ def _loc_continuations_meet(gl: Automaton, s: Word, sp: Word, e: str) -> bool:
     return False
 
 
-def _q_extends(gl: Automaton, t: Word) -> bool:
-    """t ∈ Q(L), decided exactly."""
+def _q_ends(gl: Automaton, t: Word, first: bool = False) -> set:
+    """The states reached by the words w ∈ L with Q(w) = t (with `first`,
+    only the first one found): a search over (state, index into t) pairs."""
     alphabet = gl.alphabet
     hi = alphabet.highlevel
+    ends = set()
     seen = {(q, 0) for q in gl.initial}
     stack = list(seen)
     while stack:
         q, i = stack.pop()
         if i == len(t):
-            return True
+            ends.add(q)
+            if first:
+                break
         for e in alphabet.names:
             ni = _advance(t, i, e, hi)
             if ni is None:
@@ -367,7 +398,12 @@ def _q_extends(gl: Automaton, t: Word) -> bool:
                 if (qn, ni) not in seen:
                     seen.add((qn, ni))
                     stack.append((qn, ni))
-    return False
+    return ends
+
+
+def _q_extends(gl: Automaton, t: Word) -> bool:
+    """t ∈ Q(L), decided exactly."""
+    return bool(_q_ends(gl, t, first=True))
 
 
 def oracle_loc(g: Automaton, bound: int) -> OracleReport:
@@ -395,90 +431,16 @@ def oracle_observer(g: Automaton, bound: int) -> OracleReport:
     gl = _gen_rec(g)
     alphabet = gl.alphabet
     hi = sorted(alphabet.highlevel, key=alphabet.names.index)
-
-    def hi_continuations(states, limit):
-        """Bounded t with ∃u: (from states) u realizes t high-level."""
-        out = []
-        frontier = [((), frozenset(states))]
-        for _ in range(limit + 1):
-            nxt = []
-            for t, cur in frontier:
-                out.append(t)
-                closure = _low_closure(gl, cur)
-                for e in hi:
-                    step = gl.step(closure, e)
-                    if step:
-                        nxt.append((t + (e,), step))
-            frontier = nxt
-            if not frontier:
-                break
-        return out
-
+    low = alphabet.lowlevel
     for s in _bounded_words(gl, bound):
-        realizable = set(hi_continuations(gl.run(s), bound))
-        qs = _q_of(alphabet, s)
-        # every t with Q(s)t ∈ Q(L) must be realizable from s itself
-        for t in _abstract_continuations(gl, qs, bound):
+        # the t that some continuation u of s realizes high-level ...
+        realizable = set(_walk(gl, gl.run(s), hi, low, bound))
+        # ... must include every t with Q(s)t ∈ Q(L)
+        for t in _walk(gl, _q_ends(gl, _q_of(alphabet, s)), hi, low, bound):
             if t not in realizable:
                 return OracleReport("observer", bound, False,
                                     {"s": s, "t": t})
     return OracleReport("observer", bound, True)
-
-
-def _low_closure(gl: Automaton, states) -> frozenset:
-    seen = set(states)
-    stack = list(states)
-    low = gl.alphabet.lowlevel
-    while stack:
-        q = stack.pop()
-        for e, targets in gl.succ[q].items():
-            if e in low:
-                for t in targets:
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-    return frozenset(seen)
-
-
-def _abstract_continuations(gl: Automaton, qs: Word, bound: int) -> list:
-    """Bounded t with qs·t ∈ Q(L)."""
-    alphabet = gl.alphabet
-    hi = alphabet.highlevel
-    # states reachable by any w with Q(w) = qs
-    cur = set()
-    frontier = {(q, 0) for q in gl.initial}
-    seen = set(frontier)
-    while frontier:
-        nxt = set()
-        for q, i in frontier:
-            if i == len(qs):
-                cur.add(q)
-            for e in alphabet.names:
-                ni = _advance(qs, i, e, hi)
-                if ni is None:
-                    continue
-                for qn in gl.succ[q].get(e, ()):
-                    if (qn, ni) not in seen:
-                        seen.add((qn, ni))
-                        nxt.add((qn, ni))
-        frontier = nxt
-    out = []
-    level = [((), frozenset(cur))]
-    his = sorted(hi, key=alphabet.names.index)
-    for _ in range(bound + 1):
-        nxt = []
-        for t, states in level:
-            if states:
-                out.append(t)
-            closure = _low_closure(gl, states)
-            for e in his:
-                step = gl.step(closure, e)
-                if step:
-                    nxt.append((t + (e,), step))
-        level = nxt
-        if not level:
-            break
-    return out
 
 
 def oracle_lcc(g: Automaton, bound: int) -> OracleReport:
@@ -488,27 +450,14 @@ def oracle_lcc(g: Automaton, bound: int) -> OracleReport:
                     key=alphabet.names.index)
     low = alphabet.lowlevel
     low_unc = low & alphabet.uncontrollable
-
-    def reach(states, allowed):
-        seen = set(states)
-        stack = list(states)
-        while stack:
-            q = stack.pop()
-            for a, targets in gl.succ[q].items():
-                if a in allowed:
-                    for t in targets:
-                        if t not in seen:
-                            seen.add(t)
-                            stack.append(t)
-        return seen
-
     for s in _bounded_words(gl, bound):
         reached = gl.run(s)
         for e in events:
             if not _q_extends(gl, _q_of(alphabet, s) + (e,)):
                 continue
-            via_any = any(gl.succ[q].get(e) for q in reach(reached, low))
-            via_unc = any(gl.succ[q].get(e) for q in reach(reached, low_unc))
+            via_any = any(gl.succ[q].get(e) for q in _closure(gl, reached, low))
+            via_unc = any(gl.succ[q].get(e)
+                          for q in _closure(gl, reached, low_unc))
             if via_any and not via_unc:
                 return OracleReport("lcc", bound, False, {"s": s, "e": (e,)})
     return OracleReport("lcc", bound, True)
@@ -519,11 +468,11 @@ def oracle_lcc(g: Automaton, bound: int) -> OracleReport:
 
 def oracle_sup_normal(b: Automaton, m: Automaton, bound: int) -> list:
     """Bounded words of supN(B, M) = B − P⁻¹[P(M−B)]Σ* for closed B ⊆ M."""
-    bc = _closure_rec(b)
-    mc = _closure_rec(m)
+    bc = trim(b)
+    mc = trim(m)
     obs = b.alphabet.observable
     bad = {_proj(b.alphabet, w, obs) for w in _bounded_words(mc, bound)
-           if not _in_gen(bc, w)}
+           if not bc.generates(w)}
     out = []
     for w in _bounded_words(bc, bound):
         prefixes = [w[:i] for i in range(len(w) + 1)]
@@ -540,15 +489,15 @@ def oracle_sup_relobs(k: Automaton, c: Automaton, g: Automaton,
     plants); prefix closure is maintained by removing extensions together
     with a removed word.
     """
-    kc = _closure_rec(k)
-    cc = _closure_rec(c)
+    kc = trim(k)
+    cc = trim(c)
     gl = _gen_rec(g)
     alphabet = g.alphabet
     obs = alphabet.observable
+    # mates stop one step short of the enumerated universe so that their
+    # extension stays inside it; otherwise the cutoff itself would doom words
+    cwords = _bounded_words(cc, bound)
     live = set(_bounded_words(kc, bound + 1))
-    # mates are capped one step short so their extension stays inside the
-    # enumerated universe; otherwise the cutoff itself would doom words
-    cwords = [w for w in _bounded_words(cc, bound + 1) if len(w) <= bound]
     changed = True
     while changed:
         changed = False
@@ -561,7 +510,7 @@ def oracle_sup_relobs(k: Automaton, c: Automaton, g: Automaton,
                 if _proj(alphabet, sp, obs) != _proj(alphabet, s, obs):
                     continue
                 spe = sp + (e,)
-                if _in_gen(gl, spe) and spe not in live:
+                if gl.generates(spe) and spe not in live:
                     doomed.add(se)
                     break
         if doomed:

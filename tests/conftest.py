@@ -13,6 +13,9 @@ from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
                              gadget_oc, random_nfa, random_plant,
                              random_sublanguage)
 from hierctl.hierarchy import _pair_operands, build_context
+from hierctl.oracle import (_exists_moc_mate, _exists_oc_pair, _gen_rec,
+                            _loc_continuations_meet, _p_of, _proj, _q_extends,
+                            _q_of)
 from hierctl.relations import (decompose_sequence, relabel_pair,
                                sync_pair_compose)
 from hierctl.saut import parse_automaton
@@ -80,6 +83,38 @@ def ref_includes(a: Automaton, b: Automaton) -> Verdict:
                         "inclusion", {"word": path_word(parent, key)}))
                 queue.append(key)
     return Verdict.make_holds()
+
+
+def replays_violation(g: Automaton, kind: str, strings: dict) -> bool:
+    """Does an OC, MOC or LOC witness violate the definition on plant `g`,
+    re-checked with the bounded oracle's exact searches?
+
+    OC: t, t' ∈ Q(L) agree on the observable high-level events, and no
+    s, s' ∈ L with Q(s) = t, Q(s') = t' look alike. MOC: s ∈ L, t' ∈ Q(L)
+    agrees with Q(s) on those events, and no s' ∈ L looks like s with
+    Q(s') = t'. LOC: s, s' ∈ L look alike, Q(s)e and Q(s')e are in Q(L),
+    and no look-alike low-level continuations of s and s' both enable e.
+    """
+    gl = _gen_rec(g)
+    al = gl.alphabet
+    sh = al.highlevel & al.observable
+    w = {k: tuple(x) for k, x in strings.items()}
+    if kind == "oc":
+        t, tp = w["t"], w["t_prime"]
+        return (_q_extends(gl, t) and _q_extends(gl, tp)
+                and _proj(al, t, sh) == _proj(al, tp, sh)
+                and not _exists_oc_pair(gl, t, tp))
+    if kind == "moc":
+        s, tp = w["s"], w["t_prime"]
+        return (gl.generates(s) and _q_extends(gl, tp)
+                and _proj(al, _q_of(al, s), sh) == _proj(al, tp, sh)
+                and not _exists_moc_mate(gl, _p_of(al, s), tp))
+    s, sp, (e,) = w["s"], w["s_prime"], w["e"]
+    return (gl.generates(s) and gl.generates(sp)
+            and _p_of(al, s) == _p_of(al, sp)
+            and _q_extends(gl, _q_of(al, s) + (e,))
+            and _q_extends(gl, _q_of(al, sp) + (e,))
+            and not _loc_continuations_meet(gl, s, sp, e))
 
 
 def decompose_pairs(p: Automaton, bound: int) -> list:

@@ -26,12 +26,10 @@ from hierctl.hierarchy import (build_context, check_lcc, check_loc,
                                check_observer, conform_spec,
                                hier_synth_normal, lemma_distribute_q,
                                moc_structurally_guaranteed)
-from hierctl.oracle import (_exists_moc_mate, _exists_oc_pair, _gen_rec,
-                            _loc_continuations_meet, _p_of, _proj, _q_extends,
-                            _q_of, oracle_loc, oracle_moc, oracle_oc,
+from hierctl.oracle import (oracle_loc, oracle_moc, oracle_oc,
                             oracle_sup_normal, oracle_sup_relobs)
 
-from conftest import agreement_plants, tree
+from conftest import agreement_plants, replays_violation, tree
 
 CHECKS = {"oc": check_oc, "moc": check_moc, "loc": check_loc}
 ORACLES = {"oc": oracle_oc, "moc": oracle_moc, "loc": oracle_loc}
@@ -40,30 +38,6 @@ GADGETS = {"oc": gadget_oc, "moc": gadget_moc, "loc": gadget_loc}
 
 def _passline(n, msg):
     print(f"criterion {n}: PASS — {msg}")
-
-
-def _replay(g, v, kind):
-    """Re-check a Violated witness directly against the definitions."""
-    gl = _gen_rec(g)
-    al = gl.alphabet
-    sh = al.highlevel & al.observable
-    w = {k: tuple(x) for k, x in v.witness.strings.items()}
-    if kind == "oc":
-        t, tp = w["t"], w["t_prime"]
-        assert _q_extends(gl, t) and _q_extends(gl, tp)
-        assert _proj(al, t, sh) == _proj(al, tp, sh)
-        return not _exists_oc_pair(gl, t, tp)
-    if kind == "moc":
-        s, tp = w["s"], w["t_prime"]
-        assert gl.generates(s) and _q_extends(gl, tp)
-        assert _proj(al, _q_of(al, s), sh) == _proj(al, tp, sh)
-        return not _exists_moc_mate(gl, _p_of(al, s), tp)
-    s, sp, e = w["s"], w["s_prime"], w["e"][0]
-    assert gl.generates(s) and gl.generates(sp)
-    assert _p_of(al, s) == _p_of(al, sp)
-    assert _q_extends(gl, _q_of(al, s) + (e,))
-    assert _q_extends(gl, _q_of(al, sp) + (e,))
-    return not _loc_continuations_meet(gl, s, sp, e)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +163,8 @@ def test_criterion_03_checkers_sound_against_oracle(crit3_results):
             if v.holds:
                 assert ORACLES[name](g, 6).ok, f"seed={seed} {name}"
             elif v.violated:
-                assert _replay(g, v, name), f"seed={seed} {name}"
+                assert replays_violation(g, name, v.witness.strings), \
+                    f"seed={seed} {name}"
                 replayed += 1
     assert elapsed < 120, f"checker pass took {elapsed:.1f}s"
     _passline(3, f"{len(results)} plants, zero disagreements at bound 6, "
@@ -581,7 +556,7 @@ def test_first_sequences_need_no_liveness_search(crit4_results, monkeypatch):
         g = random_plant(p)
         v = check_oc(g, 2000)
         assert agrees(g, "oc", 2000, v), p
-        assert v.violated and _replay(g, v, "oc"), p
+        assert v.violated and replays_violation(g, "oc", v.witness.strings), p
     print(f"first sequence: PASS — {first} of {len(runs)} OC/MOC checks and "
           f"OC on {len(FIRST_SEQUENCE_PLANTS)} frontier plants decided at "
           "their first sequence need no liveness search")

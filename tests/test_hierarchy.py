@@ -40,7 +40,8 @@ from hierctl.relations import (build_quad, decompose_sequence, label_name,
 from hierctl.verdicts import Verdict
 
 from conftest import (agreement_plants, cli_small_inputs, loc_plants,
-                      make_alphabet, pair_operands, record_built, tree)
+                      make_alphabet, pair_operands, record_built,
+                      replays_violation, tree)
 
 
 class TestConsistencyChecks:
@@ -1120,19 +1121,6 @@ class TestOneContext:
         assert v.witness.strings == strings
 
 
-def _replays_loc_violation(g, w) -> bool:
-    """The witness names s, s' ∈ L with P(s) = P(s'), Q(s)e and Q(s')e in
-    Q(L), and no observation-equivalent low-level continuations to e."""
-    gl = oracle._gen_rec(g)
-    al = gl.alphabet
-    s, sp, (e,) = w["s"], w["s_prime"], w["e"]
-    return (bool(gl.run(s)) and bool(gl.run(sp))
-            and oracle._p_of(al, s) == oracle._p_of(al, sp)
-            and oracle._q_extends(gl, oracle._q_of(al, s) + (e,))
-            and oracle._q_extends(gl, oracle._q_of(al, sp) + (e,))
-            and not oracle._loc_continuations_meet(gl, s, sp, e))
-
-
 class TestLocRegressions:
     """Pinned LOC verdicts, witnesses and details of the benchmark plants."""
 
@@ -1157,7 +1145,7 @@ class TestLocRegressions:
         assert v.violated
         assert v.detail == {"examined": 1}
         assert v.witness.strings == self.FORMER_OVERRUNS[seed]
-        assert _replays_loc_violation(g, v.witness.strings)
+        assert replays_violation(g, "loc", v.witness.strings)
         if seed == 1000:
             assert not oracle.oracle_loc(g, 3).ok
 

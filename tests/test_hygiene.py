@@ -523,3 +523,36 @@ def test_check_properties_are_named_once_in_the_cli():
     literals = string_literals((SRC / "cli.py").read_text(encoding="utf-8"),
                                skip={"_cmd_hier", "_cmd_modular", "modular"})
     assert {p: literals.count(p) for p in oracles} == dict.fromkeys(oracles, 1)
+
+
+def package_imports(source: str) -> set:
+    """What a module imports from its own package: each name of a relative
+    or `hierctl` `from ... import`, and each `hierctl` module imported whole."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("hierctl")):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names
+                       if alias.name.startswith("hierctl"))
+    return out
+
+
+def test_package_imports_are_found():
+    module = ("from __future__ import annotations\nimport json\n"
+              "from .automata import a, b as c\nfrom . import relations\n"
+              "import hierctl.checks\nfrom hierctl.saut import d\n"
+              "def f():\n    from .hierarchy import e\n")
+    assert package_imports(module) == {"a", "b", "relations",
+                                       "hierctl.checks", "d", "e"}
+
+
+def test_the_oracle_shares_no_search_with_the_engine():
+    # The bounded oracle referees every check, so it writes its own
+    # searches: it reads automata and the two restriction passes that
+    # define L and the closure of L_m, and no closure, path or subset
+    # construction of the engine.
+    source = (SRC / "oracle.py").read_text(encoding="utf-8")
+    assert package_imports(source) == {"Automaton", "PreconditionError",
+                                       "all_marked", "trim"}

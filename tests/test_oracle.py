@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import hashlib
 import inspect
+import json
 
 import pytest
 
-from hierctl.automata import PreconditionError
-from hierctl.gadgets import GeneratorParams, random_plant
+from hierctl.automata import Automaton, PreconditionError
+from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
+                             gadget_oc, random_nfa, random_plant,
+                             random_sublanguage)
 from hierctl.hierarchy import (check_lcc, check_loc, check_moc,
                                check_observer, check_oc)
 from hierctl.oracle import (PROPERTY_ORACLES, oracle_lcc, oracle_loc,
-                            oracle_moc, oracle_observer, oracle_oc)
+                            oracle_moc, oracle_observer, oracle_oc,
+                            oracle_sup_normal, oracle_sup_relobs)
 
 from conftest import make_alphabet, tree
 
@@ -22,13 +27,65 @@ def test_registry_covers_all_checkers():
         "nonconflicting", "oc", "moc", "loc", "observer", "lcc"}
 
 
-@pytest.mark.parametrize("prop", sorted(PROPERTY_ORACLES))
+ORACLES = {**PROPERTY_ORACLES, "sup_normal": oracle_sup_normal,
+           "sup_relobs": oracle_sup_relobs}
+
+
+@pytest.mark.parametrize("prop", sorted(ORACLES))
 def test_negative_bound_is_refused(prop, ex1_plant):
-    # a bound of -1 once enumerated no word and reported no violation
-    oracle = PROPERTY_ORACLES[prop]
+    # a bound of -1 once enumerated no word and reported no violation (or,
+    # for the syntheses, an empty language)
+    oracle = ORACLES[prop]
     inputs = [ex1_plant] * (len(inspect.signature(oracle).parameters) - 1)
     with pytest.raises(PreconditionError, match="bound"):
         oracle(*inputs, -1)
+
+
+def _pinned_reports() -> list:
+    """Every oracle's result at bounds 0-4 on 64 seeded plants (closed,
+    deterministic or not, acyclic or not, and four gadgets), with random
+    prefix-closed sublanguages K ⊆ C of each; nonconflicting reads K and C
+    with every other state marked, so that they can block."""
+    plants = [random_plant(GeneratorParams(
+        states=3 + seed % 4, events=2 + seed % 3, transition_density=0.4,
+        deterministic=seed % 4 != 3, acyclic=seed % 5 == 4, seed=seed))
+        for seed in range(60)]
+    plants += [make(random_nfa(GeneratorParams(
+        states=2, events=2, transition_density=0.5, seed=seed)))
+        for seed, make in enumerate((gadget_oc, gadget_moc, gadget_loc,
+                                     gadget_loc))]
+    out = []
+    for seed, g in enumerate(plants):
+        c = random_sublanguage(g, 0.15, seed)
+        k = random_sublanguage(c, 0.2, seed + 1)
+        kb, cb = (Automaton(a.alphabet, a.states, a.transitions, a.initial,
+                            frozenset(a.states[::2])) for a in (k, c))
+        args = {"controllability": (k, g), "observability": (k, g),
+                "relobs": (k, c, g), "normality": (k, g),
+                "nonconflicting": (kb, cb)}
+        for bound in range(5):
+            for prop, oracle in PROPERTY_ORACLES.items():
+                out.append(oracle(*args.get(prop, (g,)), bound).to_json())
+            out.append(oracle_sup_normal(k, g, bound))
+            out.append(oracle_sup_relobs(k, c, g, bound))
+    return out
+
+
+def test_reports_are_pinned():
+    """The bounded oracle is the referee of every check, so its reports
+    are pinned: one digest of all of them on a fixed population.
+
+    Recording the digest again changes the referee (or the seeded
+    generators that build its population), and CHANGES.md must justify
+    that change.
+    """
+    reports = _pinned_reports()
+    refuted = {r["property"] for r in reports
+               if isinstance(r, dict) and not r["ok"]}
+    assert len(refuted) == len(PROPERTY_ORACLES)
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == (
+        "4cd29d41bbed1a09e335c380bafce3c596ff0c59e6c3a0c85181b903140a892c")
 
 
 class TestAnchors:
