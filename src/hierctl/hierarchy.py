@@ -14,12 +14,14 @@ its abstraction Q(L):
   enabled after two indistinguishable strings can be reached by
   indistinguishable low-level continuations.
 
-OC and MOC each reduce their property to a regular-language inclusion
-between automata over pair events, neither side built. The left side is an
-`Implicit` product, each key's moves read when a search first steps it.
-The right side, the P-synchronized self-product of the plant with some
-components erased, is `LazyRows` over plant-state pairs, each pair's row
-built when a subset step first reads it.
+OC and MOC ask the alphabet first: where Σo ⊆ Σhi or Σhi ⊆ Σo, MOC holds
+for every plant, and so does OC (`moc_structurally_guaranteed`), a bare
+"holds" with no product built. Otherwise each reduces its property to a
+regular-language inclusion between automata over pair events, neither
+side built. The left side is an `Implicit` product, each key's moves read
+when a search first steps it. The right side, the P-synchronized
+self-product of the plant with some components erased, is `LazyRows` over
+plant-state pairs, each pair's row built when a subset step first reads it.
 
 OC and MOC reach "holds" first by one antichain inclusion
 (``automata.included``) of their plain left side in the right one, which
@@ -491,8 +493,12 @@ def _pair_consistency(ctx: HierarchyContext, kind: str, key: str,
 
 def check_oc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Observation consistency of the plant abstraction;
-    `g` is a plant or its `build_context(plant)`."""
+    `g` is a plant or its `build_context(plant)`. A nested alphabet forces
+    MOC (`moc_structurally_guaranteed`), which implies OC, so there OC
+    holds before any product is built."""
     _require_budget(budget)
+    if moc_structurally_guaranteed(g.alphabet):   # the lemma, then MOC ⇒ OC
+        return Verdict.make_holds()
     return _pair_consistency(
         build_context(g), "oc", "t",
         "no representatives of t and t' share an observation", budget)
@@ -500,15 +506,24 @@ def check_oc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
 
 def check_moc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Modified observation consistency of the plant abstraction;
-    `g` is a plant or its `build_context(plant)`."""
+    `g` is a plant or its `build_context(plant)`. A nested alphabet forces
+    it (`moc_structurally_guaranteed`) before any product is built."""
     _require_budget(budget)
+    if moc_structurally_guaranteed(g.alphabet):   # the lemma decides
+        return Verdict.make_holds()
     return _pair_consistency(
         build_context(g), "moc", "s",
         "no representative of t' shares the observation of s", budget)
 
 
 def moc_structurally_guaranteed(alphabet: Alphabet) -> bool:
-    """Σo ⊆ Σhi or Σhi ⊆ Σo each force MOC for every plant."""
+    """Σo ⊆ Σhi or Σhi ⊆ Σo each force MOC for every plant.
+
+    Let s ∈ L and t' ∈ Q(L) with P_hi(t') = P_hi(Q(s)). If Σhi ⊆ Σo, then
+    P_hi is the identity on Σhi*, so t' = Q(s) and s' = s is a mate. If
+    Σo ⊆ Σhi, then P = P_hi ∘ Q, so every representative of t' shares the
+    observation of s.
+    """
     return (alphabet.observable <= alphabet.highlevel
             or alphabet.highlevel <= alphabet.observable)
 
@@ -670,14 +685,17 @@ def hier_verify(g: Automaton, k: Automaton,
     The low-level specification is the lift K ∥ L; for each of
     controllability, observability, and normality the report records the
     high-level verdict, the low-level verdict, and whether they agree.
+    MOC is decided first, and OC is taken from it where it holds, since
+    MOC implies OC: a bare "holds" with no search of OC's own.
     """
     ctx, k_hi, k_lo = _lifted_spec(g, k)
+    moc = check_moc(ctx, budget)
     report: dict = {
         "hypotheses": {
             "observer": check_observer(ctx),
             "lcc": check_lcc(ctx),
-            "oc": check_oc(ctx, budget),
-            "moc": check_moc(ctx, budget),
+            "oc": Verdict.make_holds() if moc.holds else check_oc(ctx, budget),
+            "moc": moc,
             "loc": check_loc(ctx, budget),
             # K̄ and Q(L) are prefix-closed, and so is their synchronous
             # product: closure(K̄ ∥ Q(L)) = K̄ ∥ Q(L), nothing to search

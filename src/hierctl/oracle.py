@@ -414,12 +414,14 @@ def oracle_loc(g: Automaton, bound: int) -> OracleReport:
     words = _bounded_words(gl, bound)
     groups = _group_by(words, lambda w: _p_of(alphabet, w))
     for _, members in sorted(groups.items()):
-        for s in members:
-            for sp in members:
+        # the events e with Q(s)e ∈ Q(L), once per member s
+        enabled = [{e for e in events
+                    if _q_extends(gl, _q_of(alphabet, s) + (e,))}
+                   for s in members]
+        for s, at_s in zip(members, enabled):
+            for sp, at_sp in zip(members, enabled):
                 for e in events:
-                    if not _q_extends(gl, _q_of(alphabet, s) + (e,)):
-                        continue
-                    if not _q_extends(gl, _q_of(alphabet, sp) + (e,)):
+                    if e not in at_s or e not in at_sp:
                         continue
                     if not _loc_continuations_meet(gl, s, sp, e):
                         return OracleReport("loc", bound, False,

@@ -12,7 +12,8 @@ from hierctl.automata import (Alphabet, Automaton, iter_marked_words,
 from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
                              gadget_oc, random_nfa, random_plant,
                              random_sublanguage)
-from hierctl.hierarchy import _pair_operands, build_context
+from hierctl.hierarchy import (_pair_consistency, _pair_operands,
+                               build_context)
 from hierctl.oracle import (_exists_moc_mate, _exists_oc_pair, _gen_rec,
                             _loc_continuations_meet, _p_of, _proj, _q_extends,
                             _q_of)
@@ -174,6 +175,14 @@ def agreement_plants():
         yield gadget_oc(a)
         yield gadget_moc(a)
         yield gadget_loc(a)
+
+
+def searched(g, kind: str, budget: int = 2000) -> Verdict:
+    """check_oc's (`kind` "oc") or check_moc's ("moc") verdict from its
+    product search, which the checks skip on a nested alphabet: the referee
+    of the alphabet's decision. A witness's note is left empty."""
+    return _pair_consistency(build_context(g), kind,
+                             "t" if kind == "oc" else "s", "", budget)
 
 
 def pair_operands(g: Automaton, kind: str) -> tuple:

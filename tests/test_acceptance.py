@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from hierctl import automata
+from hierctl import automata, hierarchy
 from hierctl.automata import (Alphabet, Automaton, Event, all_marked,
                               enumerate_bounded, included, includes,
                               parallel_compose, prefix_close, trim)
@@ -28,8 +28,10 @@ from hierctl.hierarchy import (build_context, check_lcc, check_loc,
                                moc_structurally_guaranteed)
 from hierctl.oracle import (oracle_loc, oracle_moc, oracle_oc,
                             oracle_sup_normal, oracle_sup_relobs)
+from hierctl.verdicts import Verdict
 
-from conftest import agreement_plants, replays_violation, tree
+from conftest import (agreement_plants, make_alphabet, replays_violation,
+                      searched, tree)
 
 CHECKS = {"oc": check_oc, "moc": check_moc, "loc": check_loc}
 ORACLES = {"oc": oracle_oc, "moc": oracle_moc, "loc": oracle_loc}
@@ -212,10 +214,31 @@ def test_criterion_05_moc_implies_oc_at_verdict_level(crit3_results,
 
 
 def test_criterion_06_alphabet_containments_force_moc(crit67_instances):
+    # the checks decide these plants from the alphabet alone, so the product
+    # search and the bounded oracles referee that decision
     for i, mode, g in crit67_instances:
         assert check_moc(g, 3000).holds, f"instance={i} mode={mode}"
+        for kind in ("oc", "moc"):
+            assert searched(g, kind, 3000).holds, f"instance={i} {kind}"
+        assert oracle_oc(g, 4).ok and oracle_moc(g, 4).ok, f"instance={i}"
     _passline(6, f"MOC holds on all {len(crit67_instances)} plants with "
-                 "nested alphabets")
+                 "nested alphabets, by the alphabet, the product search and "
+                 "the oracles")
+
+
+def test_nested_alphabets_build_no_product(crit67_instances, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a pair product was built")
+
+    monkeypatch.setattr(hierarchy, "_pair_operands", refuse)
+    plants = [g for _, _, g in crit67_instances]
+    for obs, hi in (("abc", "a"), ("a", "ab"), ("", "bc"), ("ac", "")):
+        al = make_alphabet("abc", observable=obs, highlevel=hi)
+        plants.append(tree(["abc", "cab", "ba"], al))
+    for g in plants:
+        for ctx in (g, build_context(g)):
+            assert check_oc(ctx, 0) == check_moc(ctx, 0) == \
+                Verdict.make_holds()
 
 
 def test_criterion_07_normal_synthesis_commutes(crit67_instances):

@@ -41,7 +41,7 @@ from hierctl.verdicts import Verdict
 
 from conftest import (agreement_plants, cli_small_inputs, loc_plants,
                       make_alphabet, pair_operands, record_built,
-                      replays_violation, tree)
+                      replays_violation, searched, tree)
 
 
 class TestConsistencyChecks:
@@ -81,11 +81,20 @@ class TestConsistencyChecks:
         assert not moc_structurally_guaranteed(al3)
 
     def test_structural_guarantee_means_moc_holds(self):
+        # the checks decide these from the alphabet alone, so the product
+        # search and the bounded oracles referee that decision
+        nested = 0
         for seed in range(20):
             g = random_plant(GeneratorParams(seed=seed + 300))
             ctx = build_context(g)
             if moc_structurally_guaranteed(ctx.alphabet):
                 assert check_moc(g).holds, f"seed={seed}"
+                for kind in ("oc", "moc"):
+                    assert searched(ctx, kind).holds, f"seed={seed} {kind}"
+                assert oracle.oracle_oc(g, 4).ok, f"seed={seed}"
+                assert oracle.oracle_moc(g, 4).ok, f"seed={seed}"
+                nested += 1
+        assert nested
 
     def test_moc_implies_oc_on_verdicts(self):
         for seed in range(40):
@@ -233,8 +242,9 @@ N128_S1 = GeneratorParams(128, 5, 0.35, seed=1)
 
 
 def _expansions(check: str, params) -> list:
-    """[outcome, detail, product nodes expanded] of the check at budget
-    2,000 on `random_plant(params)`: the nodes whose steps a search of
+    """[outcome, detail, product nodes expanded] of the check's product
+    search at budget 2,000 on `random_plant(params)`, whose alphabet alone
+    would decide it: the nodes whose steps a search of
     `_difference_product` read, in the antichain inclusion or the
     difference search."""
     expanded = [0]
@@ -251,7 +261,7 @@ def _expansions(check: str, params) -> list:
 
     automata._difference_product = counting
     try:
-        v = getattr(hierarchy, "check_" + check)(random_plant(params), 2000)
+        v = searched(random_plant(params), check)
     finally:
         automata._difference_product = product
     return [v.outcome, v.detail, expanded[0]]
@@ -1274,6 +1284,30 @@ class TestVerify:
             assert rep["hypotheses"]["nonconflicting"] == \
                 Verdict.make_holds()
         assert calls == []
+
+    def test_oc_is_taken_from_moc(self, monkeypatch, ex1_plant, ex1_spec):
+        # MOC implies OC, so OC is searched only where MOC fails: on ex1
+        # MOC is violated, and on this plant, whose Σo and Σhi are
+        # incomparable, MOC holds by its search
+        calls, real = [], hierarchy._pair_consistency
+
+        def spy(ctx, kind, *args):
+            calls.append(kind)
+            return real(ctx, kind, *args)
+
+        monkeypatch.setattr(hierarchy, "_pair_consistency", spy)
+        g = random_plant(GeneratorParams(4, 4, 0.35, seed=13))
+        assert not moc_structurally_guaranteed(g.alphabet)
+        k = build_context(g).abstraction
+        hyp = hier_verify(g, k)["hypotheses"]
+        assert calls == ["moc"]
+        assert hyp["oc"] == hyp["moc"] == Verdict.make_holds()
+        assert list(hyp) == ["observer", "lcc", "oc", "moc", "loc",
+                             "nonconflicting"]
+        calls.clear()
+        hyp = hier_verify(ex1_plant, ex1_spec)["hypotheses"]
+        assert calls == ["moc", "oc"]
+        assert hyp["moc"].violated and hyp["oc"].holds
 
     def test_agreement_under_hypotheses(self):
         # When the abstraction hypotheses hold, high- and low-level

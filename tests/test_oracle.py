@@ -16,7 +16,7 @@ from hierctl.oracle import (PROPERTY_ORACLES, oracle_lcc, oracle_loc,
                             oracle_moc, oracle_observer, oracle_oc,
                             oracle_sup_normal, oracle_sup_relobs)
 
-from conftest import make_alphabet, tree
+from conftest import make_alphabet, searched, tree
 
 BOUND = 6
 
@@ -124,18 +124,20 @@ class TestCrossValidation:
                 transition_density=0.35, seed=base + seed))
 
     def test_oc(self):
+        # also by the product search, which a nested alphabet skips
         for seed, g in self._plants(0):
-            v = check_oc(g, budget=2000)
-            if v.inconclusive:
-                continue
-            assert v.holds == oracle_oc(g, BOUND).ok, f"seed={seed}"
+            for v in (check_oc(g, budget=2000), searched(g, "oc")):
+                if v.inconclusive:
+                    continue
+                assert v.holds == oracle_oc(g, BOUND).ok, f"seed={seed}"
 
     def test_moc(self):
+        # also by the product search, which a nested alphabet skips
         for seed, g in self._plants(5000):
-            v = check_moc(g, budget=2000)
-            if v.inconclusive:
-                continue
-            assert v.holds == oracle_moc(g, BOUND).ok, f"seed={seed}"
+            for v in (check_moc(g, budget=2000), searched(g, "moc")):
+                if v.inconclusive:
+                    continue
+                assert v.holds == oracle_moc(g, BOUND).ok, f"seed={seed}"
 
     def test_loc(self):
         for seed, g in self._plants(9000):
