@@ -40,11 +40,11 @@ one-to-one onto the frozenset of its states and the searches only hash it,
 so numbering, words, witnesses and search work are those of a frozenset
 construction. (A mask is as wide as its automaton is large, where a
 frozenset is as large as the subset.) An `Automaton` builds its tables
-(`state_index`, `succ`, `rows`) on first read, once per transition
-relation: the copies that `_derived` makes for `with_initial`,
-`widen_alphabet` and `right_quotient` share them, and check only the
-initial and marked states they change; a restriction that keeps every
-state shares them too.
+(`state_index`, `succ`, `rows`, `subset_steps`) on first read, once per
+transition relation, and `_derived` is the one way to share them: its
+copies for `with_initial`, `widen_alphabet`, `right_quotient` and a
+restriction that only marks every state check only the initial and marked
+states they change. A restriction that keeps `a` whole returns `a` itself.
 
 Five search shapes are written once. `_difference_product(a, b)` is the
 product of `a` with the subset construction of `b` (start nodes, steps in
@@ -396,19 +396,15 @@ def _derived(a: Automaton, **changes) -> Automaton:
 
 
 def _trusted(alphabet: Alphabet, states: tuple, transitions: frozenset,
-             initial: frozenset, marked: frozenset,
-             tables: dict | None = None) -> Automaton:
+             initial: frozenset, marked: frozenset) -> Automaton:
     """An automaton that is valid by construction, built without the
     `__post_init__` walk: its caller derived every state, endpoint and
     label from a valid automaton, or checked them itself (`explore`
-    checks its labels). `tables` are those of an automaton with the same
-    states and transitions, shared as `_derived` shares them."""
+    checks its labels). Its tables are its own; only `_derived` shares."""
     out = object.__new__(Automaton)
     out.__dict__.update(alphabet=alphabet, states=states,
                         transitions=transitions, initial=initial,
                         marked=marked)
-    if tables is not None:
-        out.__dict__["_tables"] = tables
     return out
 
 
@@ -475,19 +471,19 @@ def _restrict(a: Automaton, coreachable: bool, mark_all: bool) -> Automaton:
     transitions between the kept states; all of them marked if `mark_all`,
     else `a`'s marked ones. The restriction family is `trim` (co-reachable,
     marks kept), `all_marked` (reachable, all marked) and `prefix_close`
-    (co-reachable, all marked). A result that keeps every state shares
-    `a`'s tables."""
+    (co-reachable, all marked). A result that keeps every state and
+    changes no mark is `a` itself; one that only marks every state is
+    `a`'s `_derived` copy."""
     keep = _kept(a, coreachable)
     if len(keep) == len(a.states):   # nothing to drop
-        states, trans, tables = a.states, a.transitions, a._tables
-    else:
-        states = tuple(s for s in a.states if s in keep)
-        trans = frozenset(t for t in a.transitions
-                          if t[0] in keep and t[2] in keep)
-        tables = None
+        if not mark_all or len(a.marked) == len(a.states):
+            return a
+        return _derived(a, marked=frozenset(a.states))
+    states = tuple(s for s in a.states if s in keep)
+    trans = frozenset(t for t in a.transitions
+                      if t[0] in keep and t[2] in keep)
     return _trusted(a.alphabet, states, trans, a.initial & keep,
-                    frozenset(states) if mark_all else a.marked & keep,
-                    tables)
+                    frozenset(states) if mark_all else a.marked & keep)
 
 
 def trim(a: Automaton) -> Automaton:

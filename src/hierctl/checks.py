@@ -1,19 +1,20 @@
 """Classical supervisory-control property checks and supremal synthesis.
 
-The checks read K̄, C̄ and G as the DFA tables {subset: {event: subset}}
-of their `automata.subset_steps`, stepped on demand. In the table of a
-specification closure K̄ a missing entry means "outside K̄", so no dead
-state is added. Controllability is one `automata.first_path` search over
-(K̄, G) state pairs, and normality one over (K̄, G, P(K̄)) subset triples.
-The observability-style checks share one breadth-first search over pairs
-of strings with equal observations; `path_word` spells its shortest,
-deterministic witnesses from its parent map. That search resumes after an
-entry of K̄ is deleted, so `sup_relobs_closed` runs all its removal rounds
-as one search, over a fresh table of its candidate. `sup_normal_closed`
-is one `explore` over pairs of a B state and a subset of P(M−B). Every
-projection, P(K̄), P(M−B) and `sup_relobs_closed`'s observer P(L(G)), is
-read on demand (`_observed`), each unobservable closure taken once, so no
-projected, inverse-projected or saturated automaton is built.
+The checks read K̄, C̄ and G only as the DFA tables {subset: {event:
+subset}} of their `automata.subset_steps`, stepped on demand, and walk no
+transitions. In the table of a specification closure K̄ a missing entry
+means "outside K̄", so no dead state is added. Controllability is one
+`automata.first_path` search over (K̄, G) state pairs, and normality one
+over (K̄, G, P(K̄)) subset triples. The observability-style checks share
+one breadth-first search over pairs of strings with equal observations;
+`path_word` spells its shortest, deterministic witnesses from its parent
+map. That search resumes after an entry of K̄ is deleted, so
+`sup_relobs_closed` runs all its removal rounds as one search, over its
+candidate's own table. `sup_normal_closed` is one `explore` over pairs of
+a B state and a subset of P(M−B). Every projection, P(K̄), P(M−B) and
+`sup_relobs_closed`'s observer P(L(G)), is read on demand (`_observed`),
+each unobservable closure taken once, so no projected, inverse-projected
+or saturated automaton is built.
 """
 
 from __future__ import annotations
@@ -28,19 +29,6 @@ from .automata import (Automaton, Implicit, PreconditionError,
                        trim)
 from .relations import decompose_sequence
 from .verdicts import Verdict, Witness
-
-
-def _dfa_table(d: Automaton) -> tuple[dict, object]:
-    """{state: {event: target}} of a DFA, and its initial state or None."""
-    table: dict = {q: {} for q in d.states}
-    for (src, e, dst) in d.transitions:
-        table[src][e] = dst
-    return table, next(iter(d.initial), None)
-
-
-def _subset_table(a: Automaton) -> tuple[dict, object]:
-    """`a`'s DFA table stepped on demand (`subset_steps`), and its start or None."""
-    return subset_steps(a), a.start_mask or None
 
 
 def _require_inclusion(small: Automaton, big: Automaton, what: str) -> None:
@@ -77,8 +65,8 @@ def _observed(alphabet, starts, moves, marked) -> Implicit:
 def check_controllability(k: Automaton, g: Automaton) -> Verdict:
     """K̄ Σu ∩ L(G) ⊆ K̄."""
     _require_inclusion(k, g, "specification K must satisfy K ⊆ L_m(G)")
-    kt, k0 = _subset_table(prefix_close(k))
-    gt, g0 = _subset_table(g)
+    kbar = prefix_close(k)
+    kt, gt, k0 = subset_steps(kbar), subset_steps(g), kbar.start_mask
     unc = sorted(g.alphabet.uncontrollable, key=g.alphabet.names.index)
     names = g.alphabet.names
 
@@ -90,7 +78,7 @@ def check_controllability(k: Automaton, g: Automaton) -> Verdict:
         kk, gg = kt[node[0]], gt[node[1]]
         return next((e for e in unc if e in gg and e not in kk), None)
 
-    found = first_path([] if k0 is None else [(k0, g0)], moves, escape)
+    found = first_path([(k0, g.start_mask)] if k0 else [], moves, escape)
     if found is None:
         return Verdict.make_holds()
     word, e = found
@@ -104,29 +92,32 @@ class _PairSearch:
     and an event e in `events` with se ∈ K̄, s'e ∈ L(G) and s'e ∉ K̄.
 
     A node is (k, g, k', c', g'): the K̄ and G states after s and the K̄,
-    C̄ and G states after s', with k' None once s' has left K̄. It needs
-    K̄ ⊆ C̄ ⊆ L(G). No node with s ∉ K̄ or s' ∉ C̄ is generated: K̄ and C̄
-    are prefix-closed, so no extension of such a pair violates. The parent
-    map labels a step with its pair event, (e, e), (e, None) or (None, e),
-    which `relations.decompose_sequence` splits into s and s'. `order`
-    lists the nodes in discovery order; the first len(front) of them have
-    been dequeued and the rest are the queue.
+    C̄ and G states after s', with k' None once s' has left K̄; K̄, C̄ and
+    G are `k`, `c` and `g` read through their `subset_steps`, so a state
+    is a subset bitmask. It needs K̄ ⊆ C̄ ⊆ L(G). No node with s ∉ K̄ or
+    s' ∉ C̄ is generated: K̄ and C̄ are prefix-closed, so no extension of
+    such a pair violates. The parent map labels a step with its pair
+    event, (e, e), (e, None) or (None, e), which
+    `relations.decompose_sequence` splits into s and s'. `order` lists the
+    nodes in discovery order; the first len(front) of them have been
+    dequeued and the rest are the queue.
 
-    `delete(q, e)` drops an entry of the K̄ table. That changes the
-    violation test and the moves of exactly the nodes that hold q, so a
-    fresh search over the smaller table would repeat this one up to the
+    `delete(q, e)` drops an entry of K̄'s `subset_steps`, which every reader
+    of `k`'s tables shares: only an owner of `k` calls it. That changes
+    the violation test and the moves of exactly the nodes that hold q, so
+    a fresh search over the smaller table would repeat this one up to the
     first dequeued node holding q. `delete` cuts the queue and the parent
     map back to what was discovered when that node was dequeued, and
     `next_violation` goes on from there.
     """
 
-    def __init__(self, kt: dict, k0, ct: dict, c0, gt: dict, g0,
-                 alphabet, events):
-        self.kt, self.ct, self.gt = kt, ct, gt
+    def __init__(self, k: Automaton, c: Automaton, g: Automaton, events):
+        alphabet, k0, g0 = g.alphabet, k.start_mask, g.start_mask
+        self.kt, self.ct, self.gt = map(subset_steps, (k, c, g))
         self.events = sorted(set(events), key=alphabet.names.index)
         self.steps = [(e, e in alphabet.observable, (e, e), (e, None), (None, e))
                       for e in alphabet.names]
-        self.parent: dict = {} if k0 is None else {(k0, g0, k0, c0, g0): None}
+        self.parent: dict = {(k0, g0, k0, c.start_mask, g0): None} if k0 else {}
         self.order = list(self.parent)
         self.front: list = []   # front[i]: len(order) when order[i] was dequeued
 
@@ -180,9 +171,8 @@ class _PairSearch:
 def _observability_engine(k: Automaton, c: Automaton, g: Automaton,
                           events, kind: str) -> Verdict:
     """One pair search over K̄, C̄ and G; the callers checked the alphabets."""
-    kt, k0 = _subset_table(prefix_close(k))
-    ct, c0 = (kt, k0) if c is k else _subset_table(prefix_close(c))
-    search = _PairSearch(kt, k0, ct, c0, *_subset_table(g), g.alphabet, events)
+    kbar = prefix_close(k)
+    search = _PairSearch(kbar, kbar if c is k else prefix_close(c), g, events)
     found = search.next_violation()
     if found is None:
         return Verdict.make_holds()
@@ -330,14 +320,15 @@ def sup_relobs_closed(k: Automaton, c: Automaton,
     `parallel_compose` of their DFAs would be and, K̄ being prefix-closed,
     all marked. The observer P(L(G)) is read on demand (`_observed`), so
     no projection of G is built. Each round runs the C-observability
-    search on a fresh table of R and deletes the transition (q, e) of the
-    violation it finds, q being the state that s reaches in R. The search
-    resumes after each deletion (`_PairSearch.delete`), so it deletes
-    exactly what a fresh check of the trimmed candidate would. Each round
-    deletes one entry of R's finite table, so the rounds end without a
-    cap, and the report always reads converged, with as many rounds as
-    removed transitions. R is trimmed once, at the end; R less the deleted
-    transitions is valid by construction (`automata._trusted`).
+    search over R's `subset_steps` and deletes from them the transition
+    (q, e) of the violation it finds, q being the subset that s reaches in
+    R: a singleton, R being a DFA, of state `q.bit_length() - 1`. The
+    search resumes after each deletion (`_PairSearch.delete`), so it
+    deletes exactly what a fresh check of the trimmed candidate would.
+    Each round deletes one entry of R's finite table, so the rounds end
+    without a cap, and the report always reads converged, with as many
+    rounds as removed transitions. R is trimmed once, at the end; R less
+    the deleted transitions is valid by construction (`automata._trusted`).
 
     The result is that greedy fixpoint: C-observable, not proven supremal;
     `oracle_sup_relobs` audits it on acyclic instances. Called with
@@ -368,13 +359,12 @@ def sup_relobs_closed(k: Automaton, c: Automaton,
 
     start = (kbar.start_mask, g.start_mask, obs.start_mask)
     refined = explore(g.alphabet, [start] if all(start) else [], moves, bool)
-    kt, k0 = _dfa_table(refined)
-    search = _PairSearch(kt, k0, *_subset_table(cbar),
-                         *_subset_table(g), g.alphabet, g.alphabet.names)
+    # R's singleton rows are its own `rows`, and R is local: deleting is safe
+    search = _PairSearch(refined, cbar, g, g.alphabet.names)
     removed = set()
     while (found := search.next_violation()) is not None:
         (q, *_), e = found
-        removed.add((q, e, kt[q][e]))
+        removed.add((q.bit_length() - 1, e, search.kt[q][e].bit_length() - 1))
         search.delete(q, e)
     result = trim(_trusted(refined.alphabet, refined.states,
                            refined.transitions - removed,

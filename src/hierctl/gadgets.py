@@ -81,8 +81,7 @@ def gadget_moc(a: Automaton) -> Automaton:
     Generated language @#L(A) ∪ @Σ* ∪ #Σ* ∪ L(A); modified observation
     consistency holds exactly when A is universal.
     """
-    base = gadget_oc(a)
-    a = all_marked(a)
+    base = gadget_oc(a)   # initial states are reachable: base holds them
     return Automaton(base.alphabet, base.states, base.transitions,
                      base.initial | a.initial, base.marked)
 

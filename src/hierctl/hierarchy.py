@@ -62,8 +62,8 @@ from dataclasses import dataclass
 from functools import cache, reduce
 
 from .automata import (Alphabet, Automaton, Event, Implicit, LazyRows,
-                       PreconditionError, ProjectionSpec, _lazy, all_marked,
-                       bits, first_path, included, includes,
+                       PreconditionError, ProjectionSpec, _derived, _lazy,
+                       all_marked, bits, first_path, included, includes,
                        iter_difference_words, merge_alphabets, pair_moves,
                        parallel_compose, prefix_close, project, subset_moves,
                        subset_steps, widen_alphabet, with_initial)
@@ -134,7 +134,7 @@ def conform_spec(k: Automaton, reference: Alphabet) -> Automaton:
             raise PreconditionError(
                 f"specification event {e.name!r} missing from the plant "
                 "alphabet or flagged differently")
-    return widen_alphabet(k, reference)
+    return _derived(k, alphabet=reference)
 
 
 # ---------------------------------------------------------------------------

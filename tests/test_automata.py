@@ -236,6 +236,18 @@ def test_all_marked_recognizes_generated_language():
     assert sorted(enumerate_bounded(gen, 2)) == [(), ("a",), ("a", "b")]
 
 
+def test_restrictions_return_what_they_keep_whole():
+    # Nothing to drop and no mark to change: the argument itself. A
+    # restriction that only marks every state is a copy sharing its tables.
+    closed = tree(words("", "a", "ab", "b"), AB)   # trim and all marked
+    for restrict in (trim, all_marked, prefix_close):
+        assert restrict(closed) is closed, restrict.__name__
+    a = tree(words("ab"), AB)   # trim, its leaf alone marked
+    assert trim(a) is a
+    gen = all_marked(a)
+    assert gen.marked == frozenset(a.states) and gen._tables is a._tables
+
+
 def test_enumerate_bounded_is_length_lex():
     out = enumerate_bounded(sigma_star(AB), 2)
     assert out == [(), ("a",), ("b",), ("a", "a"), ("a", "b"),

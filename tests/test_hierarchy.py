@@ -1025,13 +1025,14 @@ class TestOneContext:
 
     def test_lcc_builds_no_abstraction_dfa(self, monkeypatch):
         # The plant and its determinization have 10 states each, and the
-        # abstraction determinizes to 52: LCC builds the context's plant
-        # and nothing else.
+        # abstraction determinizes to 52: LCC builds no automaton. The
+        # plant is all-marked already, so its context's plant is the plant
+        # itself, not a copy (`all_marked` returns what it keeps whole).
         g = random_plant(GeneratorParams(12, 5, 0.4, seed=149))
-        ctx = build_context(g)
+        assert build_context(g).plant is g
         sizes = _recorded_sizes(monkeypatch)
         assert check_lcc(g).holds
-        assert sizes == [len(ctx.plant.states)]
+        assert sizes == []
 
     def test_loc_builds_no_abstraction_dfa(self, monkeypatch):
         # The plant and its abstraction have 10 states each, and the

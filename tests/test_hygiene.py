@@ -380,6 +380,46 @@ def test_layer_trace_targets_exist():
         assert missing == [], module
 
 
+def test_trusted_builds_from_the_five_fields_alone():
+    # `_derived` is the one way an automaton shares another's tables.
+    args = top_level("automata.py", "_trusted").args
+    assert [x.arg for x in args.posonlyargs + args.args + args.kwonlyargs] \
+        == ["alphabet", "states", "transitions", "initial", "marked"]
+    assert args.vararg is None and args.kwarg is None
+
+
+def transition_walks(source: str) -> list:
+    """Names of the functions that iterate some `x.transitions`: a loop or
+    comprehension over it, or a call given it."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            walked = ([node.iter] if isinstance(node, (ast.For,
+                                                       ast.comprehension))
+                      else node.args if isinstance(node, ast.Call) else [])
+            if any(isinstance(x, ast.Attribute) and x.attr == "transitions"
+                   for x in walked):
+                found.add(fn.name)
+    return sorted(found)
+
+
+def test_transition_walks_are_found():
+    module = ("def f(a):\n    for t in a.transitions:\n        pass\n"
+              "def g(a):\n    return {s for (s, _, _) in a.transitions}\n"
+              "def h(a):\n    return sorted(a.transitions)\n"
+              "def k(a):\n    return a.transitions - set(), len(a.states)\n")
+    assert transition_walks(module) == ["f", "g", "h"]
+
+
+def test_checks_walk_no_transitions():
+    # The classical checks read K̄, C̄ and G only as the DFA tables of their
+    # `automata.subset_steps`.
+    source = (SRC / "checks.py").read_text(encoding="utf-8")
+    assert transition_walks(source) == []
+
+
 def nested_calls(source: str, outer: str, inner: str) -> list:
     """Lines of the calls `outer(inner(...))`, both by plain name."""
     return [node.lineno for node in ast.walk(ast.parse(source))

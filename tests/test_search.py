@@ -25,7 +25,7 @@ from hierctl.automata import (Automaton, closure, explore, first_path,
                               iter_marked_words, merge_alphabets,
                               parallel_compose, path_word, prefix_close,
                               project, trim, with_initial)
-from hierctl.checks import (_dfa_table, _PairSearch, _require_inclusion,
+from hierctl.checks import (_PairSearch, _require_inclusion,
                             check_controllability, check_observability,
                             check_relative_observability)
 from hierctl.gadgets import (GeneratorParams, random_nfa, random_plant,
@@ -43,14 +43,22 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # ---------------------------------------------------------------------------
 # references: the loops as they were written before the kernels
 
-def ref_closure_table(a: Automaton) -> tuple[dict, object]:
-    """The DFA table of the prefix closure of L_m(a), determinized whole."""
-    return _dfa_table(automata.determinize(prefix_close(trim(a))))
+def _dfa_table(d: Automaton) -> tuple[dict, object]:
+    """{state: {event: target}} of a DFA, and its initial state or None."""
+    table: dict = {q: {} for q in d.states}
+    for (src, e, dst) in d.transitions:
+        table[src][e] = dst
+    return table, next(iter(d.initial), None)
+
+
+def ref_closure_dfa(a: Automaton) -> Automaton:
+    """The prefix closure of L_m(a), determinized whole."""
+    return automata.determinize(prefix_close(trim(a)))
 
 
 def ref_check_controllability(k: Automaton, g: Automaton) -> Verdict:
     _require_inclusion(k, g, "specification K must satisfy K ⊆ L_m(G)")
-    kt, k0 = ref_closure_table(k)
+    kt, k0 = _dfa_table(ref_closure_dfa(k))
     gt, g0 = _dfa_table(automata.determinize(g))
     unc = sorted(g.alphabet.uncontrollable, key=g.alphabet.names.index)
     parent: dict = {} if k0 is None else {(k0, g0): None}
@@ -75,11 +83,10 @@ def ref_check_controllability(k: Automaton, g: Automaton) -> Verdict:
 
 def ref_observability(k: Automaton, c: Automaton, g: Automaton, events,
                       kind: str) -> Verdict:
-    """The pair search of the observability checks over the determinized
-    tables of K̄, C̄ and G."""
-    search = _PairSearch(*ref_closure_table(k), *ref_closure_table(c),
-                         *_dfa_table(automata.determinize(g)), g.alphabet,
-                         events)
+    """The pair search of the observability checks over K̄, C̄ and G
+    determinized whole."""
+    search = _PairSearch(ref_closure_dfa(k), ref_closure_dfa(c),
+                         automata.determinize(g), events)
     found = search.next_violation()
     if found is None:
         return Verdict.make_holds()
