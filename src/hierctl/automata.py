@@ -8,17 +8,16 @@ erased moves in the same one pass. `explore` rejects a None label as an
 unknown event. Every other automaton is derived from these, so no operation
 looks for silent moves.
 
-An automaton is validated where data enters the program: the public
-`Automaton(...)` and `Automaton.make`, and so the `.saut` parser, the gadget
-builders and the small builders, check every state, endpoint and label in
-`__post_init__`. What the kernel derives from valid automata is valid by
-construction and is built by `_trusted`, without that walk: `explore`
-(which checks only each distinct label that its caller's `moves` yields),
-the restriction family `trim`, `all_marked` and `prefix_close` (one
-`_restrict` each, whose kept states come from one pass over the
-transitions, `_kept`, and read no `succ` table), and `project` (one pass,
-`_erase`). `is_prefix_closed`, `iter_marked_words` and `is_empty` read the
-kept states alone.
+Automata and alphabets are validated where data enters the program: the
+public `Automaton(...)`, `Automaton.make`, `Alphabet(...)` and
+`Alphabet.make`, and so the `.saut` parser, the gadget builders and the
+small builders, check every state, endpoint, label and event name in
+`__post_init__`. What is derived from valid ones is valid by construction
+and is built by `_unchecked`, without that walk: automata through
+`_trusted` (`explore`, which checks each distinct label its caller's
+`moves` yields, the restrictions and `project`) and `_derived`, and
+alphabets (`merge_alphabets` and `Alphabet.restrict`, which keep their
+flag and unknown-event checks, and the pair and quadruple alphabets).
 
 All values are immutable; every operation is a pure function of its inputs.
 A state id is any hashable value. Automata built by name (parsed files,
@@ -72,7 +71,7 @@ search of `right_quotient`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
 from typing import Iterable, Iterator
@@ -208,7 +207,8 @@ class Alphabet:
         unknown = keep - set(self.names)
         if unknown:
             raise AutomataError(f"events not in alphabet: {sorted(unknown)}")
-        return Alphabet(tuple(e for e in self.events if e.name in keep))
+        return _unchecked(Alphabet, events=tuple(
+            e for e in self.events if e.name in keep))
 
 
 @dataclass(frozen=True)
@@ -359,13 +359,11 @@ def merge_alphabets(x: Alphabet, y: Alphabet) -> Alphabet:
     """Union alphabet; a shared event with different flags is an error."""
     events = list(x.events)
     for e in y.events:
-        if e.name in x:
-            if x.by_name[e.name].flags != e.flags:
-                raise AutomataError(
-                    f"flag conflict on shared event {e.name!r}")
-        else:
+        if e.name not in x:
             events.append(e)
-    return Alphabet(tuple(events))
+        elif x.by_name[e.name].flags != e.flags:
+            raise AutomataError(f"flag conflict on shared event {e.name!r}")
+    return _unchecked(Alphabet, events=tuple(events))
 
 
 def widen_alphabet(a: Automaton, alphabet: Alphabet) -> Automaton:
@@ -389,23 +387,27 @@ def _derived(a: Automaton, **changes) -> Automaton:
     for s in chain(changes.get("initial", ()), changes.get("marked", ())):
         if s not in index:
             raise AutomataError(f"undeclared state {s!r}")
-    out = object.__new__(Automaton)   # no `__post_init__` walk
-    out.__dict__.update({f.name: getattr(a, f.name) for f in fields(a)},
-                        **changes, _tables=a._tables)
+    out = _trusted(a.alphabet, a.states, a.transitions, a.initial, a.marked)
+    out.__dict__.update(changes, _tables=a._tables)
+    return out
+
+
+def _unchecked(cls, **fields):
+    """A `cls` (`Automaton` or `Alphabet`) of `fields` that are valid by
+    construction, built without the `__post_init__` walk."""
+    out = object.__new__(cls)
+    out.__dict__.update(fields)
     return out
 
 
 def _trusted(alphabet: Alphabet, states: tuple, transitions: frozenset,
              initial: frozenset, marked: frozenset) -> Automaton:
-    """An automaton that is valid by construction, built without the
-    `__post_init__` walk: its caller derived every state, endpoint and
-    label from a valid automaton, or checked them itself (`explore`
-    checks its labels). Its tables are its own; only `_derived` shares."""
-    out = object.__new__(Automaton)
-    out.__dict__.update(alphabet=alphabet, states=states,
-                        transitions=transitions, initial=initial,
-                        marked=marked)
-    return out
+    """An automaton that is valid by construction (`_unchecked`): its
+    caller derived every state, endpoint and label from a valid automaton,
+    or checked them itself (`explore` checks its labels). Its tables are
+    its own; only `_derived` shares."""
+    return _unchecked(Automaton, alphabet=alphabet, states=states,
+                      transitions=transitions, initial=initial, marked=marked)
 
 
 # ---------------------------------------------------------------------------

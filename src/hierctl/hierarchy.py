@@ -59,9 +59,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 
-from .automata import (Alphabet, Automaton, Event, Implicit, LazyRows,
+from .automata import (Alphabet, Automaton, Implicit, LazyRows, _Memo,
                        PreconditionError, ProjectionSpec, _derived, _lazy,
                        all_marked, bits, first_path, included, includes,
                        iter_difference_words, merge_alphabets, pair_moves,
@@ -70,8 +70,8 @@ from .automata import (Alphabet, Automaton, Event, Implicit, LazyRows,
 from .checks import (check_controllability, check_normality,
                      check_observability, sup_normal_closed,
                      sup_relobs_closed)
-from .relations import (decompose_sequence, label_name, normal_forms,
-                        pair_alphabet, quad_alphabet)
+from .relations import (_quad_labels, decompose_sequence, label_name,
+                        normal_forms, pair_alphabet)
 from .verdicts import Verdict, Witness
 
 DEFAULT_BUDGET = 10000
@@ -113,7 +113,7 @@ class HierarchyContext:
     @_lazy
     def plant_pairs(self) -> tuple:
         """`_plant_pairs(self)`: the pair steps, closures and low-level
-        moves that LOC and the right sides of OC and MOC share."""
+        moves that LOC, LCC and OC's and MOC's right sides share."""
         return _plant_pairs(self)
 
 
@@ -348,25 +348,25 @@ def _interleaving_table(la: Implicit, ra: LazyRows):
 
 def _plant_pairs(ctx: HierarchyContext) -> tuple:
     """(column, step, closing, low) over the plant-state pairs (p, q),
-    each the bit p·n + q of a bitmask, n the number of plant states.
+    each the bit p·n + q of a bitmask, n the number of plant states. The
+    memos are `_Memo` dicts of the context, read through `__getitem__`.
 
     `column(m)` is the state set `m` as the pairs it forms with state 0;
     times a state set Y, the pairs of the two sets (the shifts of Y are n
     bits apart). `step(i, side, e)` is the pairs that pair i reaches by e,
     which moves the left path (side 0), the right one (1) or both (2): a
     shifted column, a shifted row, or one column-times-row product.
-    `closing(moves)` is the function that closes a bitmask under `moves`, a
-    tuple of (side, e) steps, one function per tuple, each memoizing every
-    pair's one-move neighbours. `low` is the low-level moves, an
-    unobservable event of one path or an event of Σo ∖ Σhi of both, in
-    alphabet order: `check_loc` closes run(s) × run(s') under them, and
-    OC's right side erases them, MOC's their right-path part
-    (`_pair_operands`).
+    `closing(moves)` is the function, one per tuple `moves` of (side, e)
+    steps, that closes a bitmask under them, with a memo of every pair's
+    one-move neighbours. `low` is the low-level moves, an unobservable
+    event of one path or an event of Σo ∖ Σhi of both, in alphabet order:
+    `check_loc` closes run(s) × run(s') under them, and OC's right side
+    erases them, MOC's their right-path part (`_pair_operands`).
     """
     rows = ctx.plant.rows
     n = len(rows)
     obs, hi = ctx.alphabet.observable, ctx.alphabet.highlevel
-    column = cache(lambda m: sum(1 << (p * n) for p in bits(m)))
+    column = _Memo(lambda m: sum(1 << (p * n) for p in bits(m))).__getitem__
 
     def step(i: int, side: int, e: str) -> int:
         p, q = divmod(i, n)
@@ -376,9 +376,9 @@ def _plant_pairs(ctx: HierarchyContext) -> tuple:
             return rows[q].get(e, 0) << (p * n)
         return column(rows[p].get(e, 0)) * rows[q].get(e, 0)
 
-    @cache
+    @_Memo
     def closing(moves: tuple):
-        @cache
+        @_Memo
         def nearby(i: int) -> int:   # the pairs one move reaches
             out = 0
             for side, e in moves:
@@ -390,7 +390,7 @@ def _plant_pairs(ctx: HierarchyContext) -> tuple:
             while todo:
                 new = 0
                 for i in bits(todo):
-                    new |= nearby(i)
+                    new |= nearby[i]
                 todo = new & ~m
                 m |= todo
             return m
@@ -399,7 +399,7 @@ def _plant_pairs(ctx: HierarchyContext) -> tuple:
 
     low = tuple((side, e) for e in ctx.alphabet.names if e not in hi
                 for side in ((2,) if e in obs else (0, 1)))
-    return column, step, closing, low
+    return column, step, closing.__getitem__, low
 
 
 def _pair_operands(ctx: HierarchyContext, kind: str) -> tuple:
@@ -412,13 +412,13 @@ def _pair_operands(ctx: HierarchyContext, kind: str) -> tuple:
     share. The right side is `relabel_pair(sync_pair_compose(plant, plant,
     Σo), keep, Σhi)`, keep being Σhi for OC and Σ for MOC, as `LazyRows`
     over the plant-state pairs, each the `_plant_pairs` bit p·n + q, a
-    pair's row built when a subset step first needs it. Its labels are
-    those `relabel_pair` gives, in its order. A pair label erased to
-    (ε, ε) is a silent move: for OC the low-level moves of `_plant_pairs`,
-    for MOC their right-path part, a right-only move on Σuo ∖ Σhi. The
-    start pairs and each row's targets are closed under them, so the pairs
-    reached after a sequence form a closed set, and a pair is marked where
-    both of its states are.
+    pair's row built when a subset step first needs it. Its labels, those
+    `relabel_pair` gives, are the left side's, in the same order. A pair
+    label erased to (ε, ε) is a silent move: for OC the low-level moves of
+    `_plant_pairs`, for MOC their right-path part, a right-only move on
+    Σuo ∖ Σhi. The start pairs and each row's targets are closed under
+    them, so the pairs reached after a sequence form a closed set, and a
+    pair is marked where both of its states are.
     """
     plant, al = ctx.plant, ctx.alphabet
     x, y = (ctx.abstraction if kind == "oc" else plant), ctx.abstraction
@@ -426,31 +426,29 @@ def _pair_operands(ctx: HierarchyContext, kind: str) -> tuple:
     column, step, closing, low = ctx.plant_pairs
     close = closing(low if kind == "oc" else
                     tuple(m for m in low if m[0] == 1))
-    steps: dict = {}   # label -> the (side, event) moves it stands for
-    for l, r in pair_alphabet(al, al, al.observable).names:
-        label = (l if l in keep else None, r if r in al.highlevel else None)
-        if label != (None, None):
-            move = (2, l) if l == r else (0, l) if r is None else (1, r)
-            steps.setdefault(label, []).append(move)
+    steps: dict = {}   # label -> the one (side, event) move it stands for
+    for e in al.names:   # relabels pair_alphabet(al, al, Σo), in its order
+        for side, l, r in (((2, e, e),) if e in al.observable else
+                           ((0, e, None), (1, None, e))):
+            label = (l if l in keep else None, r if r in al.highlevel else None)
+            if label != (None, None):
+                steps[label] = side, e
 
     def row(i: int) -> dict:
         out = {}
-        for label, moves in steps.items():
-            t = 0
-            for side, e in moves:
-                t |= step(i, side, e)
+        for label, (side, e) in steps.items():
+            t = step(i, side, e)
             if t:
                 out[label] = close(t)
         return out
 
     pairs = pair_alphabet(x.alphabet, y.alphabet, ctx.shared)
-    alphabet = merge_alphabets(pairs, Alphabet(tuple(map(Event, steps))))
     start, marked = plant.start_mask, plant.marked_mask
-    return (Implicit(alphabet, itertools.product(x.sorted_states(x.initial),
-                                                 y.sorted_states(y.initial)),
+    return (Implicit(pairs, itertools.product(x.sorted_states(x.initial),
+                                              y.sorted_states(y.initial)),
                      pair_moves(x, y, [(lbl, *lbl) for lbl in pairs.names]),
                      lambda pq: pq[0] in x.marked and pq[1] in y.marked),
-            LazyRows(alphabet, close(column(start) * start), row,
+            LazyRows(pairs, close(column(start) * start), row,
                      column(marked) * marked))
 
 
@@ -565,7 +563,7 @@ def check_loc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
         return Verdict.make_holds()
     plant, hi = ctx.plant, ctx.abstraction
     plant_after, hi_after = subset_steps(plant), subset_steps(hi)
-    labels = quad_alphabet(al).names
+    labels = tuple(itertools.chain.from_iterable(_quad_labels(al).values()))
     column, _, closing, low = ctx.plant_pairs
     close = closing(low)
 

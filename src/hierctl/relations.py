@@ -27,7 +27,7 @@ from functools import partial
 from operator import is_not
 
 from .automata import (Alphabet, Automaton, AutomataError, Event, Implicit,
-                       explore, merge_alphabets, pair_product)
+                       _unchecked, explore, merge_alphabets, pair_product)
 
 
 def label_name(label: tuple) -> str:
@@ -42,9 +42,8 @@ def label_name(label: tuple) -> str:
 
 def pair_alphabet(a: Alphabet, b: Alphabet, sync: frozenset) -> Alphabet:
     """Pair events of a ∥_sync b in deterministic (merged-alphabet) order."""
-    common = merge_alphabets(a, b)
     events = []
-    for e in common.names:
+    for e in merge_alphabets(a, b).names:
         if e in sync:
             if e in a and e in b:
                 events.append(Event((e, e)))
@@ -53,7 +52,7 @@ def pair_alphabet(a: Alphabet, b: Alphabet, sync: frozenset) -> Alphabet:
                 events.append(Event((e, None)))
             if e in b:
                 events.append(Event((None, e)))
-    return Alphabet(tuple(events))
+    return _unchecked(Alphabet, events=tuple(events))
 
 
 def sync_pair_compose(a: Automaton, b: Automaton, sync) -> Automaton:
@@ -185,8 +184,8 @@ def _quad_labels(base: Alphabet) -> dict:
 def quad_alphabet(base: Alphabet) -> Alphabet:
     """The quadruple alphabet of the LOC verifier automaton H: the
     transition-rule groups of every base event, in base order."""
-    return Alphabet(tuple(Event(lbl) for group in _quad_labels(base).values()
-                          for lbl in group))
+    return _unchecked(Alphabet, events=tuple(
+        Event(lbl) for group in _quad_labels(base).values() for lbl in group))
 
 
 def build_quad(g: Automaton) -> Automaton:

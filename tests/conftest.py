@@ -33,7 +33,8 @@ def record_built(monkeypatch, record) -> None:
     """Call `record(automaton)` on every Automaton built from now on: by
     the validating constructor (`Automaton.__post_init__`) and by
     `automata._trusted`, the constructor of the automata valid by
-    construction, under every hierctl module that binds it."""
+    construction, under every hierctl module that binds it. The copies
+    that `automata._derived` makes are built by `_trusted` too."""
     post_init, trusted = Automaton.__post_init__, automata._trusted
 
     def checked(self):

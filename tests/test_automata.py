@@ -7,17 +7,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hierctl.automata import (AlphabetMismatchError, AutomataError,
-                              Automaton, Implicit,
+from hierctl.automata import (Alphabet, AlphabetMismatchError,
+                              AutomataError, Automaton, Event, Implicit,
                               ProjectionSpec, all_marked, determinize,
                               difference, enumerate_bounded, explore,
                               includes, inverse_project, is_prefix_closed,
                               iter_difference_words, iter_marked_words,
-                              language_equal, parallel_compose, prefix_close, project,
+                              language_equal, merge_alphabets,
+                              parallel_compose, prefix_close, project,
                               right_quotient, sigma_star, trim,
                               with_initial, word_automaton)
 from hierctl.checks import check_controllability, check_normality
-from hierctl.gadgets import GeneratorParams, random_plant
+from hierctl.gadgets import GeneratorParams, gadget_oc, random_plant
+from hierctl.hierarchy import _pair_operands, build_context
+from hierctl.relations import pair_alphabet, quad_alphabet
+from hierctl.saut import SautParseError, parse_automaton
 
 from conftest import make_alphabet, pair_operands, ref_includes, tree
 from test_subsets import marked_saturate
@@ -302,3 +306,88 @@ def test_derived_copies_reject_undeclared_states():
         with_initial(a, {0, 3})
     with pytest.raises(AutomataError, match="undeclared state 'x'"):
         with_initial(a, ["x"])
+
+
+FLAGGED = "abcde"
+
+
+@st.composite
+def flagged_alphabets(draw):
+    """Two alphabets over subsets of one flagged event set, so that the
+    events they share have the same flags."""
+    flags = {n: draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+             for n in FLAGGED}
+    return tuple(Alphabet(tuple(Event(n, *flags[n]) for n in draw(
+        st.lists(st.sampled_from(FLAGGED), unique=True)))) for _ in "xy")
+
+
+@settings(max_examples=150, deadline=None)
+@given(flagged_alphabets(), st.sets(st.sampled_from(FLAGGED)),
+       st.sets(st.sampled_from(FLAGGED)))
+def test_derived_alphabets_would_pass_the_validating_constructor(
+        xy, sync, keep):
+    # Derived alphabets are built without the `__post_init__` walk; each
+    # must be one that the walk accepts.
+    x, y = xy
+    plant = Automaton(x, ("q",), frozenset(("q", e, "q") for e in x.names),
+                      frozenset({"q"}), frozenset({"q"}))
+    ctx = build_context(plant)
+    derived = [pair_alphabet(x, y, frozenset(sync)), quad_alphabet(x),
+               merge_alphabets(x, y), x.restrict(keep & set(x.names)),
+               ctx.p.target_alphabet, ctx.q.target_alphabet,
+               ctx.abstraction.alphabet]
+    for kind in ("oc", "moc"):
+        left, right = _pair_operands(ctx, kind)
+        derived.append(left.alphabet)
+        # every event loops at the one plant state, so the row of its pair
+        # holds every label of the right side: the left side's, in order
+        assert right.alphabet is left.alphabet
+        assert tuple(right.rows[0]) == left.alphabet.names
+    for alphabet in derived:
+        checked = Alphabet(alphabet.events)
+        assert type(alphabet) is Alphabet
+        assert alphabet == checked and hash(alphabet) == hash(checked)
+        assert alphabet.names == checked.names
+
+
+@pytest.mark.parametrize("names, message", [
+    (("a b",), "bad event name"), (("a\tb",), "bad event name"),
+    (("",), "bad event name"), (("a", "b", "a"), "duplicate event"),
+    (((None, None),), "fully erased"), (((None,) * 4,), "fully erased"),
+], ids=["space", "tab", "empty", "duplicate", "erased-pair", "erased-quad"])
+def test_alphabets_entering_the_program_are_validated(names, message):
+    with pytest.raises(AutomataError, match=message):
+        Alphabet(tuple(map(Event, names)))
+    with pytest.raises(AutomataError, match=message):
+        Alphabet.make(names)
+
+
+def test_parsed_and_gadget_alphabets_are_validated(monkeypatch):
+    # A .saut file cannot spell an empty or spaced name: either one
+    # changes the field count of its line.
+    for line, message in [("event a b c o hi", "expected: event"),
+                          ("event  c o hi", "expected: event"),
+                          ("event a c o hi\nevent a c o hi",
+                           "duplicate event")]:
+        with pytest.raises(SautParseError, match=message):
+            parse_automaton(line + "\nstate s\ninitial s\n")
+    walks = []
+    post_init = Alphabet.__post_init__
+
+    def walking(self):
+        walks.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Alphabet, "__post_init__", walking)
+    g = parse_automaton("event a c o hi\nstate s\ninitial s\n")
+    assert len(walks) == 1
+    gadget_oc(g)
+    assert len(walks) == 2
+
+
+def test_merging_and_restricting_keep_their_checks():
+    with pytest.raises(AutomataError, match="flag conflict on shared event"):
+        merge_alphabets(make_alphabet("ab"),
+                        make_alphabet("bc", controllable="c"))
+    with pytest.raises(AutomataError, match="events not in alphabet"):
+        make_alphabet("ab").restrict({"a", "c"})

@@ -23,8 +23,9 @@ from hierctl.automata import (Alphabet, Automaton, Event, Implicit,
                               merge_alphabets, parallel_compose, project,
                               right_quotient, widen_alphabet,
                               word_automaton)
-from hierctl.gadgets import (GeneratorParams, gadget_moc, is_universal,
-                             random_nfa, random_plant, random_sublanguage)
+from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
+                             gadget_oc, is_universal, random_nfa,
+                             random_plant, random_sublanguage)
 from hierctl.hierarchy import (HierarchyContext, PreconditionError,
                                _interleaving_table, _pair_operands,
                                build_context,
@@ -1130,6 +1131,68 @@ class TestOneContext:
         v = check(random_plant(params))
         assert v.violated
         assert v.witness.strings == strings
+
+    def test_checks_build_no_wrapper_and_validate_no_alphabet(self,
+                                                             monkeypatch):
+        # A check in a fresh process paid for three `functools.cache`
+        # wrappers in `_plant_pairs` (plus one per closure) and for about
+        # seven `Alphabet.__post_init__` walks of derived alphabets before
+        # its first search step. Its memos are dicts now, and a derived
+        # alphabet is valid by construction.
+        nfa = random_nfa(GeneratorParams(2, 2, 0.35, seed=0))
+        gadgets = {"oc": gadget_oc(nfa), "moc": gadget_moc(nfa),
+                   "loc": gadget_loc(nfa)}
+        # OC's and MOC's gadgets are not nested: they are searched
+        assert not moc_structurally_guaranteed(gadgets["oc"].alphabet)
+        assert not moc_structurally_guaranteed(gadgets["moc"].alphabet)
+        plant = random_plant(GeneratorParams(8, 5, 0.4, seed=2))
+        wrappers, walks = [], []
+        update_wrapper, post_init = functools.update_wrapper, \
+            Alphabet.__post_init__
+
+        def wrapping(*args, **kwargs):
+            wrappers.append(args)
+            return update_wrapper(*args, **kwargs)
+
+        def walking(self):
+            walks.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(functools, "update_wrapper", wrapping)
+        monkeypatch.setattr(Alphabet, "__post_init__", walking)
+        got = {kind: getattr(hierarchy, "check_" + kind)(g, 3000).to_json()
+               for kind, g in gadgets.items()}
+        got["lcc"], got["observer"] = (check_lcc(plant).to_json(),
+                                       check_observer(plant).to_json())
+        assert wrappers == [] and walks == []
+        # the verdicts of the parent, which built the wrappers
+        assert got == {
+            "oc": {"verdict": "violated", "witness": {
+                "kind": "oc", "strings": {
+                    "t": ["#", "a0"], "t_prime": ["a0"],
+                    "sequence": ["#:-", "a0:a0"]},
+                "note": "no representatives of t and t' share an "
+                        "observation"}, "detail": {"examined": 1}},
+            "moc": {"verdict": "violated", "witness": {
+                "kind": "moc", "strings": {
+                    "s": ["#", "a0"], "t_prime": ["a0"],
+                    "sequence": ["#:-", "a0:a0"]},
+                "note": "no representative of t' shares the observation "
+                        "of s"}, "detail": {"examined": 1}},
+            "loc": {"verdict": "violated", "witness": {
+                "kind": "loc", "strings": {
+                    "s": ["a0", "a0"], "s_prime": ["a0", "a0"],
+                    "e": ["a0"],
+                    "sequence": ["a0:a0|a0:a0", "a0:a0|a0:a0",
+                                 "-:a0|-:a0"]},
+                "note": "no observation-equivalent low-level continuations "
+                        "reach e"}, "detail": {"examined": 1}},
+            "lcc": {"verdict": "holds", "witness": None},
+            "observer": {"verdict": "violated", "witness": {
+                "kind": "observer", "strings": {
+                    "s": ["e2", "e1"], "t": ["e2", "e4"]},
+                "note": "t ∈ Q(L) but no low-level continuation of s "
+                        "projects onto it"}}}
 
 
 class TestLocRegressions:

@@ -526,6 +526,32 @@ def test_lazy_attributes_take_no_lock():
     assert found == []
 
 
+def memo_decorators(source: str) -> set:
+    """The `functools` memo decorators that a module binds or reads."""
+    return names(source) & {"cache", "lru_cache"}
+
+
+def test_memo_decorators_are_found():
+    assert memo_decorators("from functools import cache, reduce\n") == \
+        {"cache"}
+    assert memo_decorators("import functools\n"
+                           "@functools.lru_cache(maxsize=None)\n"
+                           "def f(x):\n    return x\n") == {"lru_cache"}
+    assert memo_decorators("import functools as ft\ng = ft.cache(len)\n") \
+        == {"cache"}
+    assert memo_decorators('"""cached by functools.cache"""\n'
+                           "from functools import partial\n") == set()
+
+
+def test_memos_are_plain_dicts():
+    # A `functools.cache` wrapper costs `lru_cache` and `update_wrapper`
+    # each time one is made, which a check in a fresh process pays for
+    # every memo; `automata._Memo` is the package's memo idiom.
+    found = [path.name for path in sorted(SRC.glob("*.py"))
+             if memo_decorators(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
 def string_literals(source: str, skip=()) -> list:
     """Every str constant of a module, the literal parts of f-strings
     included, outside the functions named in `skip` and the method calls
