@@ -17,7 +17,8 @@ and is built by `_unchecked`, without that walk: automata through
 `_trusted` (`explore`, which checks each distinct label its caller's
 `moves` yields, the restrictions and `project`) and `_derived`, and
 alphabets (`merge_alphabets` and `Alphabet.restrict`, which keep their
-flag and unknown-event checks, and the pair and quadruple alphabets).
+flag and unknown-event checks, and the pair and quadruple alphabets), and
+the projections of a plant's own flags (`HierarchyContext.p` and `.q`).
 
 All values are immutable; every operation is a pure function of its inputs.
 A state id is any hashable value. Automata built by name (parsed files,
@@ -393,8 +394,9 @@ def _derived(a: Automaton, **changes) -> Automaton:
 
 
 def _unchecked(cls, **fields):
-    """A `cls` (`Automaton` or `Alphabet`) of `fields` that are valid by
-    construction, built without the `__post_init__` walk."""
+    """A `cls` (`Automaton`, `Alphabet` or `ProjectionSpec`) of `fields`
+    that are valid by construction, built without the `__post_init__`
+    walk."""
     out = object.__new__(cls)
     out.__dict__.update(fields)
     return out

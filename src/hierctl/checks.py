@@ -9,12 +9,14 @@ over (K̄, G, P(K̄)) subset triples. The observability-style checks share
 one breadth-first search over pairs of strings with equal observations;
 `path_word` spells its shortest, deterministic witnesses from its parent
 map. That search resumes after an entry of K̄ is deleted, so
-`sup_relobs_closed` runs all its removal rounds as one search, over its
-candidate's own table. `sup_normal_closed` is one `explore` over pairs of
-a B state and a subset of P(M−B). Every projection, P(K̄), P(M−B) and
-`sup_relobs_closed`'s observer P(L(G)), is read on demand (`_observed`),
-each unobservable closure taken once, so no projected, inverse-projected
-or saturated automaton is built.
+`sup_relobs_closed` runs all its removal rounds as one search, over the
+table of its candidate R. R is read on demand too (an `Implicit`): a
+triple is expanded when the search first reads it, and the result is
+numbered as the whole nested product would be. `sup_normal_closed` is one
+`explore` over pairs of a B state and a subset of P(M−B). Every
+projection, P(K̄), P(M−B) and `sup_relobs_closed`'s observer P(L(G)), is
+read on demand (`_observed`), each unobservable closure taken once, so no
+projected, inverse-projected or saturated automaton is built.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from .automata import (Automaton, Implicit, PreconditionError,
                        _difference_product, _Memo, _trusted, bits, closure,
                        explore, first_path, includes,
                        is_prefix_closed, parallel_compose, path_word,
-                       prefix_close, require_same_alphabet, subset_steps,
-                       trim)
+                       prefix_close, require_same_alphabet, subset_steps)
 from .relations import decompose_sequence
 from .verdicts import Verdict, Witness
 
@@ -314,21 +315,24 @@ def sup_relobs_closed(k: Automaton, c: Automaton,
     """Greedy relatively observable sublanguage of prefix-closed K ⊆ C.
 
     The candidate is the refined product R = K̄ × G × observer, in which
-    the observer's state after s depends only on P(s): one `explore` over
-    triples of K̄, G and P(L(G)) subsets stepped by their `subset_steps`
-    (the observer's on observable events only), numbered as the nested
-    `parallel_compose` of their DFAs would be and, K̄ being prefix-closed,
-    all marked. The observer P(L(G)) is read on demand (`_observed`), so
-    no projection of G is built. Each round runs the C-observability
-    search over R's `subset_steps` and deletes from them the transition
-    (q, e) of the violation it finds, q being the subset that s reaches in
-    R: a singleton, R being a DFA, of state `q.bit_length() - 1`. The
-    search resumes after each deletion (`_PairSearch.delete`), so it
-    deletes exactly what a fresh check of the trimmed candidate would.
-    Each round deletes one entry of R's finite table, so the rounds end
-    without a cap, and the report always reads converged, with as many
-    rounds as removed transitions. R is trimmed once, at the end; R less
-    the deleted transitions is valid by construction (`automata._trusted`).
+    the observer's state after s depends only on P(s): triples of K̄, G
+    and P(L(G)) subsets stepped by their `subset_steps` (the observer's on
+    observable events only), all marked, K̄ being prefix-closed. R is read
+    on demand, as an `Implicit`, and so is the observer (`_observed`), so
+    neither R nor a projection of G is built whole: a triple is expanded
+    only when a round or the final numbering first reads it. Each round
+    runs the C-observability search over R's `subset_steps` and deletes
+    from them the transition (q, e) of the violation it finds, q being the
+    subset that s reaches in R: a singleton, R being a DFA, whose row is
+    R's own `rows` entry. The search resumes after each deletion
+    (`_PairSearch.delete`), so it deletes exactly what a fresh check of
+    the trimmed candidate would. Each round deletes one entry of R's
+    finite table, so the rounds end without a cap, and the report always
+    reads converged, with as many rounds as removed transitions. The
+    result is what the pruned rows still reach (`_kept_part`), numbered as
+    `explore` numbers the whole of R, that is as the nested
+    `parallel_compose` of the DFAs of K̄, L(G) and the observer would be;
+    every kept triple is reachable and marked, so no trim is needed.
 
     The result is that greedy fixpoint: C-observable, not proven supremal;
     `oracle_sup_relobs` audits it on acyclic instances. Called with
@@ -358,15 +362,39 @@ def sup_relobs_closed(k: Automaton, c: Automaton,
                 yield e, nxt
 
     start = (kbar.start_mask, g.start_mask, obs.start_mask)
-    refined = explore(g.alphabet, [start] if all(start) else [], moves, bool)
+    refined = Implicit(g.alphabet, [start] if all(start) else [], moves, bool)
     # R's singleton rows are its own `rows`, and R is local: deleting is safe
     search = _PairSearch(refined, cbar, g, g.alphabet.names)
-    removed = set()
+    rounds = 0
     while (found := search.next_violation()) is not None:
-        (q, *_), e = found
-        removed.add((q.bit_length() - 1, e, search.kt[q][e].bit_length() - 1))
-        search.delete(q, e)
-    result = trim(_trusted(refined.alphabet, refined.states,
-                           refined.transitions - removed,
-                           refined.initial, refined.marked))
-    return result, SynthReport(True, len(removed), len(removed))
+        search.delete(found[0][0], found[1])
+        rounds += 1
+    return _kept_part(refined), SynthReport(True, rounds, rounds)
+
+
+def _kept_part(r: Implicit) -> Automaton:
+    """The DFA `r` cut down to the keys still reachable over its pruned
+    `rows`, all marked, its states named as `explore` numbers the whole of
+    `r`: a breadth-first pass over the unpruned `succ`, in the order its
+    moves were yielded, that stops once every kept key has a number."""
+    keys, rows = list(r.state_index), r.rows
+    kept = closure(bits(r.start_mask),
+                   lambda i: (m.bit_length() - 1 for m in rows[i].values()))
+    number = {key: i for i, key in enumerate(r.initial)}
+    queue, missing = list(number), {keys[i] for i in kept} - number.keys()
+    for key in queue:   # `queue` grows while it is read: breadth first
+        if not missing:
+            break
+        for targets in r.succ[key].values():
+            for t in targets:
+                if t not in number:
+                    number[t] = len(queue)
+                    queue.append(t)
+                    missing.discard(t)
+    name = {i: number[keys[i]] for i in kept}
+    states = tuple(sorted(name.values()))
+    return _trusted(r.alphabet, states,
+                    frozenset((name[i], e, name[m.bit_length() - 1])
+                              for i in kept for e, m in rows[i].items()),
+                    frozenset(name[i] for i in bits(r.start_mask)),
+                    frozenset(states))

@@ -100,12 +100,11 @@ def _describe(v: Verdict) -> str:
 
 
 def _write_out(args, aut: Automaton) -> None:
-    text = serialize_automaton(aut)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(serialize_automaton(aut))
     elif not args.json:
-        sys.stdout.write(text)
+        sys.stdout.write(serialize_automaton(aut))
 
 
 # ---------------------------------------------------------------------------

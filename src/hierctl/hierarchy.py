@@ -63,10 +63,11 @@ from functools import reduce
 
 from .automata import (Alphabet, Automaton, Implicit, LazyRows, _Memo,
                        PreconditionError, ProjectionSpec, _derived, _lazy,
-                       all_marked, bits, first_path, included, includes,
-                       iter_difference_words, merge_alphabets, pair_moves,
-                       parallel_compose, prefix_close, project, subset_moves,
-                       subset_steps, widen_alphabet, with_initial)
+                       _unchecked, all_marked, bits, first_path, included,
+                       includes, iter_difference_words, merge_alphabets,
+                       pair_moves, parallel_compose, prefix_close, project,
+                       subset_moves, subset_steps, widen_alphabet,
+                       with_initial)
 from .checks import (check_controllability, check_normality,
                      check_observability, sup_normal_closed,
                      sup_relobs_closed)
@@ -96,11 +97,13 @@ class HierarchyContext:
 
     @_lazy
     def p(self) -> ProjectionSpec:
-        return ProjectionSpec(self.alphabet, self.alphabet.observable)
+        return _unchecked(ProjectionSpec, source=self.alphabet,
+                          kept=self.alphabet.observable)
 
     @_lazy
     def q(self) -> ProjectionSpec:
-        return ProjectionSpec(self.alphabet, self.alphabet.highlevel)
+        return _unchecked(ProjectionSpec, source=self.alphabet,
+                          kept=self.alphabet.highlevel)
 
     @_lazy
     def shared(self) -> frozenset:

@@ -252,8 +252,10 @@ class TestSupRelobs:
         assert max(rounds) >= 5
 
     def test_cost_does_not_grow_with_rounds(self, monkeypatch):
-        # The rounds build no automaton: every deletion finds as many built
-        # as the first, and only the result and its trim follow the last.
+        # R is read on demand, so nothing is built before the first
+        # deletion, and the rounds build no automaton: only the result
+        # follows the last (it was the whole R first, and the result and
+        # its trim last).
         k, c, g = _rounds_instance()
         built, at_delete = [], []
         record_built(monkeypatch, built.append)
@@ -264,34 +266,68 @@ class TestSupRelobs:
             delete(self, q, e)
 
         monkeypatch.setattr(checks._PairSearch, "delete", recording)
-        _, rep = sup_relobs_closed(k, c, g)
+        got, rep = sup_relobs_closed(k, c, g)
         assert rep.converged and rep.rounds >= 10
-        assert len(at_delete) == rep.rounds
-        assert set(at_delete) == {at_delete[0]}
-        assert len(built) == at_delete[0] + 2
+        assert at_delete == [0] * rep.rounds
+        assert built == [got]
 
     def test_candidate_is_the_nested_product(self, monkeypatch):
-        # The one `explore` over subset triples numbers and marks R as the
-        # nested product of the determinized K̄, L(G) and observer does.
-        built = []
-
-        def recording(*args):
-            built.append(explore(*args))
-            return built[-1]
-
-        monkeypatch.setattr(checks, "explore", recording)
+        # Each triple of R that the search reads has the row, and the
+        # result the state numbers, of the nested product of the
+        # determinized K̄, L(G) and observer.
+        candidates = _recorded_candidates(monkeypatch)
         sizes = set()
         for name, k, c, g in [*_odd_instances(), *_sup_relobs_instances()]:
-            built.clear()
-            sup_relobs_closed(k, c, g)
-            assert len(built) == 1, name
-            want = _reference_candidate(k, g)
-            assert built[0].alphabet == want.alphabet, name
-            assert (built[0].states, built[0].transitions, built[0].initial,
-                    built[0].marked) == (want.states, want.transitions,
-                                         want.initial, want.marked), name
-            sizes.add(len(built[0].states))
+            got, _ = sup_relobs_closed(k, c, g)
+            r, want = candidates[-1], _reference_candidate(k, g)
+            state = {key: want.run(word)
+                     for key, word in _words(r.succ, r.initial).items()}
+            assert state.keys() >= r.succ.keys(), name
+            for key, row in r.succ.items():
+                (q,) = state[key]
+                assert {e: tuple(p for t in ts for p in state[t])
+                        for e, ts in row.items()} == want.succ[q], name
+            assert {q for key in r.succ for q in state[key]} >= \
+                set(got.states), name
+            assert got.transitions <= want.transitions, name
+            assert got.initial == want.initial & set(got.states), name
+            assert got.marked == set(got.states), name
+            assert want.marked == set(want.states), name
+            sizes.add(len(r.succ))
         assert 0 in sizes and max(sizes) >= 20
+
+    def test_reads_a_small_part_of_the_candidate(self, monkeypatch):
+        # The whole candidates of these big cli-mix inputs have 1,437 and
+        # 1,100 states, and each was built by `explore` before the first
+        # round; now a triple is expanded only when the search reads it.
+        candidates, explored = _recorded_candidates(monkeypatch), []
+
+        def recording(*args):
+            out = explore(*args)
+            explored.append(len(out.states))
+            return out
+
+        monkeypatch.setattr(checks, "explore", recording)
+        for seed, whole in ((7, 1437), (14, 1100)):
+            g, c, k = cli_big_inputs(seed)
+            assert len(_reference_candidate(k, g).states) == whole
+            explored.clear()
+            sup_relobs_closed(k, c, g)
+            assert sum(explored) + len(candidates[-1].succ) <= 100, seed
+
+    def test_small_results_match_the_reference(self):
+        # Results much smaller than R, whose states are named by numbers
+        # that the whole R gives, not by the order the search reads R in.
+        cases = 0
+        for name, k, c, g in _small_result_instances():
+            got, rep = sup_relobs_closed(k, c, g)
+            want, want_rep = _reference_sup_relobs(k, c, g)
+            assert (got.alphabet, got.states, got.transitions, got.initial,
+                    got.marked, rep) == (want.alphabet, want.states,
+                                         want.transitions, want.initial,
+                                         want.marked, want_rep), name
+            cases += 1
+        assert cases >= 10
 
     def test_self_inclusion_is_not_searched(self, monkeypatch):
         # With `c is k` only C ⊆ L(G) is searched; a distinct but equal C
@@ -442,6 +478,48 @@ def _reference_sup_relobs(k, c, g):
             current.transitions - {(q, e, tgt)},
             current.initial, current.marked))
         removed += 1
+
+
+def _recorded_candidates(monkeypatch) -> list:
+    """The candidates R that `sup_relobs_closed` builds from now on, each
+    the last `Implicit` of its call (its observer is one too)."""
+    made = []
+
+    def recording(*args):
+        made.append(automata.Implicit(*args))
+        return made[-1]
+
+    monkeypatch.setattr(checks, "Implicit", recording)
+    return made
+
+
+def _words(succ, starts) -> dict:
+    """key -> a word that reaches it from `starts` through the keys that
+    `succ` holds already."""
+    word = dict.fromkeys(starts, ())
+    queue = list(word)
+    for key in queue:
+        for e, targets in succ.get(key, {}).items():
+            for t in targets:
+                if t not in word:
+                    word[t] = word[key] + (e,)
+                    queue.append(t)
+    return word
+
+
+def _small_result_instances():
+    """(name, K, C, G) whose result has at most a quarter of R's states:
+    four big cli-mix inputs and seeded cyclic plants."""
+    for seed in (0, 2, 14, 16):
+        g, c, k = cli_big_inputs(seed)
+        yield f"cli-big-{seed}", k, c, g
+    for seed in range(80):
+        g = random_plant(GeneratorParams(20, 4, 0.4, seed=seed + 500))
+        c = random_sublanguage(g, 0.1, seed + 1000)
+        k = random_sublanguage(c, 0.2, seed + 2000)
+        got, _ = sup_relobs_closed(k, c, g)
+        if 4 * len(got.states) <= len(_reference_candidate(k, g).states):
+            yield f"cyclic-{seed}", k, c, g
 
 
 def _odd_instances():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 from hierctl import cli
 from hierctl.cli import main
 from hierctl.oracle import PROPERTY_ORACLES
-from hierctl.saut import parse_automaton
+from hierctl.saut import parse_automaton, serialize_automaton
 
-from conftest import DATA
+from conftest import DATA, cli_big_inputs, cli_small_inputs
 
 PLANT = str(DATA / "ex1-plant.saut")
 SPEC = str(DATA / "ex1-spec.saut")
@@ -78,6 +79,72 @@ class TestSynth:
         code, out = run(capsys, "synth", "suprelobs", RSPEC, RAMBIENT, RPLANT)
         assert code == 0
         assert "state" in out or "trans" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "supn", SPEC, PLANT],
+        ["synth", "suprelobs", RSPEC, RAMBIENT, RPLANT],
+        ["hier", "synth-normal", PLANT, SPEC],
+        ["hier", "synth-relobs", PLANT, SPEC]])
+    def test_json_serializes_what_it_reports(self, capsys, monkeypatch,
+                                              tmp_path, argv):
+        # With --json and no --out the result is in the report alone;
+        # its text was also built for `--out` and dropped.
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return serialize_automaton(a)
+
+        monkeypatch.setattr(cli, "serialize_automaton", counting)
+        code, out = run(capsys, "--json", *argv)
+        assert code == 0
+        reported = _automata(json.loads(out))
+        assert len(calls) == reported > 0
+        calls.clear()
+        out_file = tmp_path / "out.saut"
+        code, _ = run(capsys, "--json", "--out", str(out_file), *argv)
+        assert code == 0 and len(calls) == reported + 1
+        assert out_file.read_text(encoding="utf-8") == \
+            serialize_automaton(calls[-1])
+
+    def test_synthesis_output_bytes(self, capsys, tmp_path):
+        # rc, stdout and --out file of the relative-observability syntheses
+        # on cli-mix inputs, pinned to the candidate numbering of the
+        # nested product: renaming a result state changes the digest.
+        def write(name, a):
+            path = tmp_path / f"{name}.saut"
+            path.write_text(serialize_automaton(a), encoding="utf-8")
+            return str(path)
+
+        runs = []
+        for seed in (0, 7, 14):
+            g, c, k = cli_big_inputs(seed)
+            runs.append(["synth", "suprelobs", write(f"big{seed}-k", k),
+                         write(f"big{seed}-c", c), write(f"big{seed}-g", g)])
+        for seed in (7, 9, 14, 23):
+            g, spec = cli_small_inputs(seed)
+            runs.append(["--budget", "300", "hier", "synth-relobs",
+                         write(f"small{seed}-g", g),
+                         write(f"small{seed}-k", spec)])
+        digest, out_file = hashlib.sha256(), tmp_path / "out.saut"
+        for argv in runs:
+            code, out = run(capsys, "--json", "--out", str(out_file), *argv)
+            digest.update(f"{code}\n{out}".encode())
+            digest.update(out_file.read_bytes())
+        assert digest.hexdigest() == SYNTHESIS_DIGEST
+
+
+def _automata(doc) -> int:
+    """The automata in a JSON report: its {"states", "saut"} objects."""
+    if isinstance(doc, dict):
+        return 1 if "saut" in doc else sum(map(_automata, doc.values()))
+    if isinstance(doc, list):
+        return sum(map(_automata, doc))
+    return 0
+
+
+SYNTHESIS_DIGEST = \
+    "e16f24d4d071776ca53bd069206a50ef36d2ca33b698ebfc7fd4ed818ef143a7"
 
 
 class TestHier:

@@ -1137,8 +1137,10 @@ class TestOneContext:
         # A check in a fresh process paid for three `functools.cache`
         # wrappers in `_plant_pairs` (plus one per closure) and for about
         # seven `Alphabet.__post_init__` walks of derived alphabets before
-        # its first search step. Its memos are dicts now, and a derived
-        # alphabet is valid by construction.
+        # its first search step, and OC, MOC, LOC and observer each for a
+        # `ProjectionSpec.__post_init__` check of the context's P or Q.
+        # Its memos are dicts now, and a derived alphabet or projection is
+        # valid by construction.
         nfa = random_nfa(GeneratorParams(2, 2, 0.35, seed=0))
         gadgets = {"oc": gadget_oc(nfa), "moc": gadget_moc(nfa),
                    "loc": gadget_loc(nfa)}
@@ -1146,9 +1148,10 @@ class TestOneContext:
         assert not moc_structurally_guaranteed(gadgets["oc"].alphabet)
         assert not moc_structurally_guaranteed(gadgets["moc"].alphabet)
         plant = random_plant(GeneratorParams(8, 5, 0.4, seed=2))
-        wrappers, walks = [], []
+        wrappers, walks, projections = [], [], []
         update_wrapper, post_init = functools.update_wrapper, \
             Alphabet.__post_init__
+        spec_init = automata.ProjectionSpec.__post_init__
 
         def wrapping(*args, **kwargs):
             wrappers.append(args)
@@ -1158,13 +1161,28 @@ class TestOneContext:
             walks.append(self)
             post_init(self)
 
+        def checking(self):
+            projections.append(self)
+            spec_init(self)
+
         monkeypatch.setattr(functools, "update_wrapper", wrapping)
         monkeypatch.setattr(Alphabet, "__post_init__", walking)
+        monkeypatch.setattr(automata.ProjectionSpec, "__post_init__",
+                            checking)
         got = {kind: getattr(hierarchy, "check_" + kind)(g, 3000).to_json()
                for kind, g in gadgets.items()}
         got["lcc"], got["observer"] = (check_lcc(plant).to_json(),
                                        check_observer(plant).to_json())
-        assert wrappers == [] and walks == []
+        assert wrappers == [] and walks == [] and projections == []
+        # the unchecked projections are the validated ones, and a
+        # projection built directly is still checked
+        ctx = build_context(plant)
+        assert (ctx.p, ctx.q) == (
+            automata.ProjectionSpec(ctx.alphabet, ctx.alphabet.observable),
+            automata.ProjectionSpec(ctx.alphabet, ctx.alphabet.highlevel))
+        with pytest.raises(automata.AutomataError, match="not in source"):
+            automata.ProjectionSpec(ctx.alphabet, frozenset({"nope"}))
+        assert len(projections) == 3
         # the verdicts of the parent, which built the wrappers
         assert got == {
             "oc": {"verdict": "violated", "witness": {

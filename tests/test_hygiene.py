@@ -290,6 +290,21 @@ def callees(tree: ast.Module, root: str) -> set:
     return seen
 
 
+def test_synthesis_reads_its_candidate_on_demand():
+    # `sup_relobs_closed` reads R as an `Implicit` and builds its result
+    # from the pruned rows; it built the whole of R by `explore` and cut
+    # the result out of it by `trim`.
+    tree = ast.parse((SRC / "checks.py").read_text(encoding="utf-8"))
+    bodies = {node.name: node for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    reached = callees(tree, "sup_relobs_closed") | {"_PairSearch"}
+    called = {node.func.id for name in reached
+              for node in ast.walk(bodies[name])
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert {"Implicit", "_PairSearch", "_kept_part"} <= called
+    assert not called & {"explore", "trim"}
+
+
 def validating_calls(tree: ast.Module, names) -> list:
     """(function, line) of the `Automaton(...)` and `Automaton.make` calls
     in the functions named in `names`."""
