@@ -13,12 +13,15 @@ Each search is written once:
 - `_walk` enumerates words level by level from a state set, optionally
   closing each set under hidden events first: the bounded universe
   (`_bounded_words`) and the observer's two continuation walks;
-- `_closure` closes a state set under a set of allowed events;
-- `_q_ends` searches (state, index into t) pairs for the states that the
-  words w with Q(w) = t reach; `_q_extends` stops at the first one;
-- `_exists_oc_pair`, `_exists_moc_mate`, `_loc_continuations_meet` and
-  `oracle_nonconflicting` each keep their own search over tuples of
-  states (and indices), the inner quantifier of one definition.
+- `_visit(starts, step, goal)` is the one depth-first search: it enters
+  each node once and answers whether a reached node meets the goal, or,
+  without a goal, returns the nodes reached;
+- each inner existential quantifier is a start set, a step and a goal
+  over `_visit`: `_closure` (states under allowed events), `_q_ends` and
+  `_q_extends` ((state, index into t) pairs, ending at the end of t),
+  `_exists_oc_pair`, `_exists_moc_mate`, `_loc_continuations_meet` and
+  `oracle_nonconflicting`'s co-reachability, each over tuples of states
+  (and indices) of one definition.
 
 A reported violation is always genuine. A report of "no violation found"
 is conclusive only when the bound covers the instance (for example on
@@ -79,19 +82,28 @@ def _walk(a: Automaton, states, events, hidden, bound: int) -> list:
     return out
 
 
+def _visit(starts, step, goal=None):
+    """Depth-first search from `starts` over `step(node)`, the nodes one
+    move away, entering each node once. With a `goal`, whether some
+    reached node satisfies it; without one, the set of nodes reached."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        node = stack.pop()
+        if goal is not None and goal(node):
+            return True
+        for nxt in step(node):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen if goal is None else False
+
+
 def _closure(a: Automaton, states, allowed) -> set:
     """`states` and every state that `allowed` events reach from them."""
-    seen = set(states)
-    stack = list(states)
-    while stack:
-        q = stack.pop()
-        for e, targets in a.succ[q].items():
-            if e in allowed:
-                for t in targets:
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-    return seen
+    succ = a.succ
+    return _visit(states, lambda q: [t for e, targets in succ[q].items()
+                                     if e in allowed for t in targets])
 
 
 def _bounded_words(a: Automaton, bound: int) -> list:
@@ -205,21 +217,14 @@ def oracle_nonconflicting(a: Automaton, b: Automaton, bound: int) -> OracleRepor
                     nxt.append(new)
         frontier = nxt
 
-    def coreachable(pq) -> bool:
-        seen = {pq}
-        stack = [pq]
-        while stack:
-            cur = stack.pop()
-            if cur[0] in at.marked and cur[1] in bt.marked:
-                return True
-            for _, new in moves(*cur):
-                if new not in seen:
-                    seen.add(new)
-                    stack.append(new)
-        return False
+    def step(pq):
+        return [new for _, new in moves(*pq)]
+
+    def both_marked(pq) -> bool:
+        return pq[0] in at.marked and pq[1] in bt.marked
 
     for pq, word in sorted(reached.items(), key=lambda kv: (len(kv[1]), kv[1])):
-        if not coreachable(pq):
+        if not _visit([pq], step, both_marked):
             return OracleReport("nonconflicting", bound, False, {"word": word})
     return OracleReport("nonconflicting", bound, True)
 
@@ -237,43 +242,27 @@ def _p_of(alphabet, w: Word) -> Word:
 
 def _exists_oc_pair(gl: Automaton, t: Word, tp: Word) -> bool:
     """∃ s, s' ∈ L with Q(s)=t, Q(s')=tp, P(s)=P(s')."""
-    alphabet = gl.alphabet
+    alphabet, succ = gl.alphabet, gl.succ
     obs, hi = alphabet.observable, alphabet.highlevel
-    start = {(p, q, 0, 0) for p in gl.initial for q in gl.initial}
-    seen = set(start)
-    stack = list(start)
-    while stack:
-        p, q, i, j = stack.pop()
-        if i == len(t) and j == len(tp):
-            return True
+
+    def step(node):   # observable events move both runs, others either one
+        p, q, i, j = node
+        out = []
         for e in alphabet.names:
+            ni, nj = _advance(t, i, e, hi), _advance(tp, j, e, hi)
             if e in obs:
-                ni = _advance(t, i, e, hi)
-                nj = _advance(tp, j, e, hi)
-                if ni is None or nj is None:
-                    continue
-                for pn in gl.succ[p].get(e, ()):
-                    for qn in gl.succ[q].get(e, ()):
-                        st = (pn, qn, ni, nj)
-                        if st not in seen:
-                            seen.add(st)
-                            stack.append(st)
-            else:
-                ni = _advance(t, i, e, hi)
-                if ni is not None:
-                    for pn in gl.succ[p].get(e, ()):
-                        st = (pn, q, ni, j)
-                        if st not in seen:
-                            seen.add(st)
-                            stack.append(st)
-                nj = _advance(tp, j, e, hi)
-                if nj is not None:
-                    for qn in gl.succ[q].get(e, ()):
-                        st = (p, qn, i, nj)
-                        if st not in seen:
-                            seen.add(st)
-                            stack.append(st)
-    return False
+                if ni is not None and nj is not None:
+                    out += [(pn, qn, ni, nj) for pn in succ[p].get(e, ())
+                            for qn in succ[q].get(e, ())]
+                continue
+            if ni is not None:
+                out += [(pn, q, ni, j) for pn in succ[p].get(e, ())]
+            if nj is not None:
+                out += [(p, qn, i, nj) for qn in succ[q].get(e, ())]
+        return out
+
+    return _visit([(p, q, 0, 0) for p in gl.initial for q in gl.initial],
+                  step, lambda node: node[2] == len(t) and node[3] == len(tp))
 
 
 def _advance(t: Word, i: int, e: str, hi) -> int | None:
@@ -287,31 +276,20 @@ def _advance(t: Word, i: int, e: str, hi) -> int | None:
 
 def _exists_moc_mate(gl: Automaton, obs_word: Word, tp: Word) -> bool:
     """∃ s' ∈ L with P(s') = obs_word and Q(s') = tp."""
-    alphabet = gl.alphabet
+    alphabet, succ = gl.alphabet, gl.succ
     obs, hi = alphabet.observable, alphabet.highlevel
-    start = {(q, 0, 0) for q in gl.initial}
-    seen = set(start)
-    stack = list(start)
-    while stack:
-        q, k, j = stack.pop()
-        if k == len(obs_word) and j == len(tp):
-            return True
-        for e in alphabet.names:
-            if e in obs:
-                if k >= len(obs_word) or obs_word[k] != e:
-                    continue
-                nk = k + 1
-            else:
-                nk = k
-            nj = _advance(tp, j, e, hi)
-            if nj is None:
-                continue
-            for qn in gl.succ[q].get(e, ()):
-                st = (qn, nk, nj)
-                if st not in seen:
-                    seen.add(st)
-                    stack.append(st)
-    return False
+
+    def step(node):
+        q, k, j = node
+        out = []
+        for e, targets in succ[q].items():
+            nk, nj = _advance(obs_word, k, e, obs), _advance(tp, j, e, hi)
+            if nk is not None and nj is not None:
+                out += [(qn, nk, nj) for qn in targets]
+        return out
+
+    return _visit([(q, 0, 0) for q in gl.initial], step,
+                  lambda node: node[1] == len(obs_word) and node[2] == len(tp))
 
 
 def _q_groups(alphabet, words) -> dict:
@@ -351,59 +329,51 @@ def oracle_moc(g: Automaton, bound: int) -> OracleReport:
 
 def _loc_continuations_meet(gl: Automaton, s: Word, sp: Word, e: str) -> bool:
     """∃ low-level u, u' with P(u)=P(u'), sue ∈ L, s'u'e ∈ L."""
-    alphabet = gl.alphabet
-    obs, hi = alphabet.observable, alphabet.highlevel
-    start = {(p, q) for p in gl.run(s) for q in gl.run(sp)}
-    seen = set(start)
-    stack = list(start)
-    while stack:
-        p, q = stack.pop()
-        if gl.succ[p].get(e) and gl.succ[q].get(e):
-            return True
-        for a in alphabet.names:
-            if a in hi:
-                continue
+    alphabet, succ = gl.alphabet, gl.succ
+    obs = alphabet.observable
+    low = [a for a in alphabet.names if a not in alphabet.highlevel]
+
+    def step(node):   # observable events move both runs, others either one
+        p, q = node
+        out = []
+        for a in low:
             if a in obs:
-                nexts = [(pn, qn) for pn in gl.succ[p].get(a, ())
-                         for qn in gl.succ[q].get(a, ())]
+                out += [(pn, qn) for pn in succ[p].get(a, ())
+                        for qn in succ[q].get(a, ())]
             else:
-                nexts = [(pn, q) for pn in gl.succ[p].get(a, ())] + \
-                        [(p, qn) for qn in gl.succ[q].get(a, ())]
-            for st in nexts:
-                if st not in seen:
-                    seen.add(st)
-                    stack.append(st)
-    return False
+                out += [(pn, q) for pn in succ[p].get(a, ())]
+                out += [(p, qn) for qn in succ[q].get(a, ())]
+        return out
+
+    return _visit([(p, q) for p in gl.run(s) for q in gl.run(sp)], step,
+                  lambda node: succ[node[0]].get(e) and succ[node[1]].get(e))
 
 
-def _q_ends(gl: Automaton, t: Word, first: bool = False) -> set:
-    """The states reached by the words w ∈ L with Q(w) = t (with `first`,
-    only the first one found): a search over (state, index into t) pairs."""
-    alphabet = gl.alphabet
-    hi = alphabet.highlevel
-    ends = set()
-    seen = {(q, 0) for q in gl.initial}
-    stack = list(seen)
-    while stack:
-        q, i = stack.pop()
-        if i == len(t):
-            ends.add(q)
-            if first:
-                break
-        for e in alphabet.names:
+def _q_visit(gl: Automaton, t: Word, goal=None):
+    """`_visit` over the (state, index into t) pairs of the words w ∈ L
+    whose Q(w) is a prefix of t."""
+    succ, hi = gl.succ, gl.alphabet.highlevel
+
+    def step(node):
+        q, i = node
+        out = []
+        for e, targets in succ[q].items():
             ni = _advance(t, i, e, hi)
-            if ni is None:
-                continue
-            for qn in gl.succ[q].get(e, ()):
-                if (qn, ni) not in seen:
-                    seen.add((qn, ni))
-                    stack.append((qn, ni))
-    return ends
+            if ni is not None:
+                out += [(qn, ni) for qn in targets]
+        return out
+
+    return _visit([(q, 0) for q in gl.initial], step, goal)
+
+
+def _q_ends(gl: Automaton, t: Word) -> set:
+    """The states reached by the words w ∈ L with Q(w) = t."""
+    return {q for q, i in _q_visit(gl, t) if i == len(t)}
 
 
 def _q_extends(gl: Automaton, t: Word) -> bool:
     """t ∈ Q(L), decided exactly."""
-    return bool(_q_ends(gl, t, first=True))
+    return _q_visit(gl, t, lambda node: node[1] == len(t))
 
 
 def oracle_loc(g: Automaton, bound: int) -> OracleReport:

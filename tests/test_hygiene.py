@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -627,6 +628,68 @@ def test_package_imports_are_found():
               "def f():\n    from .hierarchy import e\n")
     assert package_imports(module) == {"a", "b", "relations",
                                        "hierctl.checks", "d", "e"}
+
+
+def stack_loops(source: str) -> list:
+    """Lines of the `while` loops that pop a node from an explicit stack
+    (a `.pop()` call in the loop's body)."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.While)
+            and any(isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Attribute)
+                    and n.func.attr == "pop"
+                    for stmt in node.body for n in ast.walk(stmt))]
+
+
+def test_stack_loops_are_found():
+    module = ("def f(s):\n    while s:\n        x = s.pop()\n"
+              "def g(q):\n    while q:\n        q = q[1:]\n"
+              "def h(s):\n    while True:\n        if s.pop(): break\n")
+    assert stack_loops(module) == [2, 8]
+
+
+def test_the_oracle_searches_in_one_loop():
+    # Each inner quantifier of the referee is a goal over `_visit`.
+    source = (SRC / "oracle.py").read_text(encoding="utf-8")
+    visit = ast.unparse(top_level("oracle.py", "_visit"))
+    assert len(stack_loops(source)) == len(stack_loops(visit)) == 1
+
+
+# The private referee names that the benchmark's witness replay
+# (`perfbench/gate.py`) and the tests' (`tests/conftest.py`) import, with
+# their parameters: a rename would first show as a failed benchmark run.
+REPLAY_NAMES = {
+    "_exists_oc_pair": ["gl", "t", "tp"],
+    "_exists_moc_mate": ["gl", "obs_word", "tp"],
+    "_loc_continuations_meet": ["gl", "s", "sp", "e"],
+    "_q_extends": ["gl", "t"],
+    "_q_of": ["alphabet", "w"],
+    "_p_of": ["alphabet", "w"],
+    "_proj": ["alphabet", "w", "kept"],
+    "_gen_rec": ["a"],
+}
+
+
+def oracle_imports(source: str) -> set:
+    """The names imported from `hierctl.oracle`, at any depth."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and node.module == "hierctl.oracle" for alias in node.names}
+
+
+@pytest.mark.parametrize("path", [ROOT / "perfbench" / "gate.py",
+                                  ROOT / "tests" / "conftest.py"],
+                         ids=lambda p: p.name)
+def test_replay_imports_resolve(path):
+    oracle = importlib.import_module("hierctl.oracle")
+    imported = oracle_imports(path.read_text(encoding="utf-8"))
+    assert {name for name in imported if name.startswith("_")} == \
+        set(REPLAY_NAMES)
+    for name in imported:
+        assert hasattr(oracle, name), name
+    for name, params in REPLAY_NAMES.items():
+        assert list(inspect.signature(getattr(oracle, name)).parameters) \
+            == params, name
 
 
 def test_the_oracle_shares_no_search_with_the_engine():

@@ -12,9 +12,9 @@ from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
                              random_sublanguage)
 from hierctl.hierarchy import (check_lcc, check_loc, check_moc,
                                check_observer, check_oc)
-from hierctl.oracle import (PROPERTY_ORACLES, oracle_lcc, oracle_loc,
-                            oracle_moc, oracle_observer, oracle_oc,
-                            oracle_sup_normal, oracle_sup_relobs)
+from hierctl.oracle import (PROPERTY_ORACLES, _visit, oracle_lcc,
+                            oracle_loc, oracle_moc, oracle_observer,
+                            oracle_oc, oracle_sup_normal, oracle_sup_relobs)
 
 from conftest import make_alphabet, searched, tree
 
@@ -86,6 +86,45 @@ def test_reports_are_pinned():
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
     assert digest == (
         "4cd29d41bbed1a09e335c380bafce3c596ff0c59e6c3a0c85181b903140a892c")
+
+
+class TestVisit:
+    """The one depth-first search of the referee, on a graph with a cycle
+    and two paths to one node."""
+
+    GRAPH = {0: [1, 2], 1: [3, 0], 2: [3], 3: [3], 4: [0]}
+
+    def recorded(self):
+        entered = []
+
+        def step(node):
+            entered.append(node)
+            return self.GRAPH[node]
+
+        return entered, step
+
+    def test_enters_each_node_once(self):
+        entered, step = self.recorded()
+        assert _visit([0], step) == {0, 1, 2, 3}
+        assert sorted(entered) == [0, 1, 2, 3]
+
+    def test_duplicate_starts_count_once(self):
+        entered, step = self.recorded()
+        assert _visit([4, 0, 4, 0], step) == {0, 1, 2, 3, 4}
+        assert sorted(entered) == [0, 1, 2, 3, 4]
+
+    def test_a_goal_stops_the_search(self):
+        entered, step = self.recorded()
+        assert _visit([0], step, lambda node: node == 0) is True
+        assert entered == []
+        assert _visit([0], step, lambda node: node in (1, 2)) is True
+        assert 3 not in entered
+
+    def test_an_unreached_goal_is_false(self):
+        entered, step = self.recorded()
+        assert _visit([0], step, lambda node: node == 4) is False
+        assert sorted(entered) == [0, 1, 2, 3]
+        assert _visit([], step, lambda node: True) is False
 
 
 class TestAnchors:
