@@ -66,8 +66,7 @@ from .automata import (Alphabet, Automaton, Implicit, LazyRows, _Memo,
                        _unchecked, all_marked, bits, first_path, included,
                        includes, iter_difference_words, merge_alphabets,
                        pair_moves, parallel_compose, prefix_close, project,
-                       subset_moves, subset_steps, widen_alphabet,
-                       with_initial)
+                       subset_moves, subset_steps, widen_alphabet)
 from .checks import (check_controllability, check_normality,
                      check_observability, sup_normal_closed,
                      sup_relobs_closed)
@@ -156,13 +155,17 @@ def check_observer(g: Plant) -> Verdict:
     Q(su) = Q(s)t. Decided exactly per pair (run(s), run(Q(s))) of plant
     and abstraction subsets, in breadth-first order: the abstraction from
     run(Q(s)) must be included in the abstraction from run(s), which
-    `project` leaves on the plant's states. Both are copies of one
-    abstraction, sharing its subset-step memo. `g` is a plant or its
-    `build_context(plant)`.
+    `project` leaves on the plant's states. Each pair asks one
+    `first_path` over pairs of abstraction subsets, stepped by the
+    abstraction's own subset-step memo, for a pair whose first subset
+    meets a marked state and whose second does not: the first search of
+    `iter_difference_words`, so its word is the first of the difference.
+    `g` is a plant or its `build_context(plant)`.
     """
     ctx = build_context(g)
     plant, hi = ctx.plant, ctx.abstraction
-    plant_moves, hi_after = subset_moves(plant), subset_steps(hi)
+    plant_moves, hi_moves = subset_moves(plant), subset_moves(hi)
+    hi_after = subset_steps(hi)
     high = ctx.alphabet.highlevel
 
     def moves(node):   # se ∈ L puts Q(s)e in Q(L): the abstraction moves
@@ -170,17 +173,24 @@ def check_observer(g: Plant) -> Verdict:
         for e, t in plant_moves(s):
             yield e, (t, hi_after[x][e] if e in high else x)
 
-    def failure(node):   # the witness of a failing per-pair inclusion
-        s, x = (with_initial(hi, map(hi.states.__getitem__, bits(m)))
-                for m in node)
-        return includes(x, s).witness
+    def difference_moves(node):   # the run from Q(s) leads, from s follows
+        x, s = node
+        for e, t in hi_moves(x):
+            yield e, (t, hi_after[s].get(e, 0))
+
+    def uncovered(node):
+        return hi.meets_marked(node[0]) and not hi.meets_marked(node[1])
+
+    def failure(node):   # the first word of a failing per-pair inclusion
+        s, x = node
+        return first_path([(x, s)], difference_moves, uncovered)
 
     found = first_path([(plant.start_mask, hi.start_mask)], moves, failure)
     if found is None:
         return Verdict.make_holds()
-    s, witness = found
+    s, (t, _) = found
     return Verdict.make_violated(Witness(
-        "observer", {"s": s, "t": ctx.q.apply(s) + witness.strings["word"]},
+        "observer", {"s": s, "t": ctx.q.apply(s) + t},
         "t ∈ Q(L) but no low-level continuation of s projects onto it"))
 
 

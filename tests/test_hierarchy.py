@@ -1075,10 +1075,10 @@ class TestOneContext:
         assert not hasattr(build_context(ex1_plant), "abstraction_dfa")
 
     def test_observer_builds_each_table_once(self, monkeypatch):
-        # The observer check runs an inclusion per subset pair (26 here),
-        # each between two copies of the abstraction with other initial
-        # states. The copies share one table of each kind, and no search
-        # reads a successor map.
+        # The observer check runs an inclusion search per subset pair (26
+        # here), each over subsets of the abstraction. The plant and the
+        # abstraction build one table of each kind, and no search reads a
+        # successor map.
         ctx = build_context(random_plant(GeneratorParams(12, 4, 0.35,
                                                          seed=9)))
         builds = collections.Counter()   # (table, transitions) -> builds
@@ -1098,11 +1098,12 @@ class TestOneContext:
         assert {name for name, _ in builds} == {"state_index", "rows"}
 
     def test_observer_pairs_share_one_subset_step_memo(self, monkeypatch):
-        # One inclusion per subset pair, each between copies of the
-        # abstraction with other initial states. With a memo per inclusion
-        # the subset steps were taken 1,018 times; the copies shared 129,
-        # with the plant and abstraction DFAs built before the count. Every
-        # subset step of the check, with no DFA built, is counted now: 135.
+        # One inclusion search per subset pair, each over subsets of the
+        # abstraction. With a memo per inclusion the subset steps were
+        # taken 1,018 times; copies of the abstraction sharing one memo
+        # took 129, with the plant and abstraction DFAs built before the
+        # count. Every subset step of the check, with no DFA built, is
+        # counted now: 135.
         ctx = build_context(random_plant(GeneratorParams(32, 5, 0.5,
                                                          seed=2)))
         unions = []
@@ -1115,6 +1116,32 @@ class TestOneContext:
         monkeypatch.setattr(automata, "_union", counting)
         assert check_observer(ctx).violated
         assert 0 < len(unions) <= 200
+
+    def test_observer_builds_no_per_pair_machinery(self, monkeypatch):
+        # Each subset pair once built two `with_initial` copies of the
+        # abstraction and an `includes` verdict; now it is one search over
+        # the abstraction's own subset steps.
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        plants = list(agreement_plants())
+        outcomes = []
+        for g in (plants[0], plants[6]):
+            ctx = build_context(g)
+            monkeypatch.setattr(automata, "_derived",
+                                counting("_derived", automata._derived))
+            for module in (automata, hierarchy):
+                monkeypatch.setattr(module, "includes",
+                                    counting("includes", automata.includes))
+            outcomes.append(check_observer(ctx).outcome)
+            monkeypatch.undo()
+        assert outcomes == ["holds", "violated"]
+        assert calls == []
 
     # First witnesses: a check that visits states in another order (the
     # one-step observer test, say) can keep every verdict but change these.
