@@ -63,7 +63,8 @@ the observer, LCC, LOC, controllability and normality checks, and
 word, the witness of `includes`, and decide which pairs are live.
 `iter_marked_words` is the one length-lexicographic enumerator:
 `iter_difference_words` runs it over the live pairs for the words after
-its first.
+its first. Both yield each word folded by a caller's step, by default
+into its tuple.
 `closure(starts, step)` is every "all that is reachable" set: erased-move
 and unobservable closures, (co)reachable states and subsets, and the pair
 search of `right_quotient`.
@@ -73,7 +74,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import chain, islice
 from typing import Iterable, Iterator
 
@@ -960,15 +961,24 @@ def sigma_star(alphabet: Alphabet) -> Automaton:
 # ---------------------------------------------------------------------------
 # bounded enumeration
 
-def iter_marked_words(a: Automaton | Implicit,
-                      bound: int | None = None) -> Iterator[Word]:
+def _extend(word: Word, e) -> Word:
+    """`word` extended by the letter `e`: the fold that spells a word."""
+    return word + (e,)
+
+
+def iter_marked_words(a: Automaton | Implicit, bound: int | None = None,
+                      step=_extend, empty=()) -> Iterator:
     """Yield L_m(a) in length-lexicographic order (alphabet order for ties).
 
     The one such enumerator: a breadth-first search over the bitmask subsets
     of `a`, an `Automaton` or an `Implicit`, that steps each subset once.
     It drops an `Automaton`'s steps into subsets with no kept state
     (`_kept`), so a finite language ends it; an `Implicit`'s keys all
-    reach a marked one."""
+    reach a marked one. Each word is yielded as a value folded over its
+    letters: `empty` for ε and `step(value, e)` for the word extended by
+    e, so by default the word's tuple. A fold that costs O(1) makes each
+    word cost O(1) too, however long it is (`hierarchy._interleaving_table`
+    folds the key of its cell). `bound` stops the words at that length."""
     live = -1 if isinstance(a, Implicit) else sum(
         1 << a.state_index[q] for q in _kept(a))
     if not a.start_mask & live:
@@ -981,19 +991,23 @@ def iter_marked_words(a: Automaton | Implicit,
                                if row.get(e, 0) & live)
 
     memo = _Memo(entry)   # subset -> (accepting, ((event, subset), ...))
-    queue = deque([((), a.start_mask)])
+    queue = deque([(empty, a.start_mask)])
+    length, left = 0, 1   # the length of the words dequeued; how many left
     while queue:
-        word, cur = queue.popleft()
+        value, cur = queue.popleft()
         accepting, steps = memo[cur]
         if accepting:
-            yield word
-        if bound is None or len(word) < bound:
-            queue.extend((word + (e,), nxt) for e, nxt in steps)
+            yield value
+        if bound is None or length < bound:
+            queue.extend((step(value, e), nxt) for e, nxt in steps)
+        left -= 1
+        if not left:
+            length, left = length + 1, len(queue)
 
 
 def iter_difference_words(a: Automaton | Implicit,
-                          b: Automaton | Implicit | LazyRows
-                          ) -> Iterator[Word]:
+                          b: Automaton | Implicit | LazyRows,
+                          step=_extend, empty=()) -> Iterator:
     """Yield L_m(a) − L_m(b) in length-lexicographic order; nothing
     exactly when L_m(a) ⊆ L_m(b).
 
@@ -1007,7 +1021,9 @@ def iter_difference_words(a: Automaton | Implicit,
     expanded dead. Breadth first over this deterministic graph, the word
     of `search(start)` is the length-lexicographically first; the words
     after it come from `iter_marked_words` over the live pairs, each
-    pair's liveness decided when the enumerator first steps to it."""
+    pair's liveness decided when the enumerator first steps to it. Each
+    word is yielded folded by `step` from `empty`, as `iter_marked_words`
+    yields it: by default its tuple."""
     require_same_alphabet(a, b)
     a_row, b_row = subset_steps(a), subset_steps(b)
     names = a.alphabet.names
@@ -1050,9 +1066,10 @@ def iter_difference_words(a: Automaton | Implicit,
     start = (a.start_mask, b.start_mask)
     first = search(start)
     if first is not None:
-        yield first
+        yield reduce(step, first, empty)
         yield from islice(iter_marked_words(
-            Implicit(a.alphabet, [start], live_moves, bad)), 1, None)
+            Implicit(a.alphabet, [start], live_moves, bad), None, step, empty),
+            1, None)
 
 
 def enumerate_bounded(a: Automaton, bound: int, *, generated: bool = False) -> list[Word]:

@@ -17,6 +17,13 @@ numbered as the whole nested product would be. `sup_normal_closed` is one
 projection, P(K̄), P(M−B) and `sup_relobs_closed`'s observer P(L(G)), is
 read on demand (`_observed`), each unobservable closure taken once, so no
 projected, inverse-projected or saturated automaton is built.
+
+Controllability, observability, normality and the two syntheses are each a
+validating shell, which proves the inclusions and prefix-closures that
+their definitions assume of user input, around a body (`_controllability`,
+`_observability`, `_normality`, `_sup_normal`, `_sup_relobs`) that assumes
+them. The two-level pipelines of `hierarchy` and `hierctl synth` build
+their specifications so that these hold, and call the bodies.
 """
 
 from __future__ import annotations
@@ -64,8 +71,14 @@ def _observed(alphabet, starts, moves, marked) -> Implicit:
 
 
 def check_controllability(k: Automaton, g: Automaton) -> Verdict:
-    """K̄ Σu ∩ L(G) ⊆ K̄."""
+    """K̄ Σu ∩ L(G) ⊆ K̄, for K ⊆ L_m(G) (`_controllability`)."""
     _require_inclusion(k, g, "specification K must satisfy K ⊆ L_m(G)")
+    return _controllability(k, g)
+
+
+def _controllability(k: Automaton, g: Automaton) -> Verdict:
+    """`check_controllability` of a K that its caller knows to lie in
+    L_m(G)."""
     kbar = prefix_close(k)
     kt, gt, k0 = subset_steps(kbar), subset_steps(g), kbar.start_mask
     unc = sorted(g.alphabet.uncontrollable, key=g.alphabet.names.index)
@@ -186,8 +199,15 @@ def _observability_engine(k: Automaton, c: Automaton, g: Automaton,
 
 
 def check_observability(k: Automaton, g: Automaton) -> Verdict:
-    """Observability of K wrt L(G), Σo, and Σc."""
+    """Observability of K wrt L(G), Σo, and Σc, for K ⊆ L_m(G)
+    (`_observability`)."""
     _require_inclusion(k, g, "specification K must satisfy K ⊆ L_m(G)")
+    return _observability(k, g)
+
+
+def _observability(k: Automaton, g: Automaton) -> Verdict:
+    """`check_observability` of a K that its caller knows to lie in
+    L_m(G)."""
     return _observability_engine(k, k, g, g.alphabet.controllable, "observability")
 
 
@@ -207,8 +227,14 @@ def check_normality(k: Automaton, g: Automaton) -> Verdict:
     P⁻¹P(K̄) ∩ L(G). A triple is bad where O is marked, G's subset is
     non-empty and K̄'s is unmarked. Each component is deterministic and
     stepped in alphabet order, so the witness is the
-    length-lexicographically first word of (P⁻¹P(K̄) ∩ L(G)) − K̄."""
+    length-lexicographically first word of (P⁻¹P(K̄) ∩ L(G)) − K̄. K must
+    lie in L_m(G); `_normality` is the check without that test."""
     _require_inclusion(k, g, "specification K must satisfy K ⊆ L_m(G)")
+    return _normality(k, g)
+
+
+def _normality(k: Automaton, g: Automaton) -> Verdict:
+    """`check_normality` of a K that its caller knows to lie in L_m(G)."""
     kbar = prefix_close(k)
     observable, names = g.alphabet.observable, g.alphabet.names
     obs = _observed(g.alphabet, bits(kbar.start_mask), _index_moves(kbar),
@@ -267,11 +293,18 @@ def sup_normal_closed(b: Automaton, m: Automaton) -> Automaton:
     of difference(B, marked_saturate(P⁻¹(P(difference(M, B))))): O to the
     saturated DFA's subset of the inverse projection, None to its sink,
     and the empty O to the empty subset. So the result after
-    `prefix_close` is the same automaton."""
+    `prefix_close` is the same automaton. The inputs are validated here;
+    `_sup_normal` is the synthesis alone."""
     require_same_alphabet(b, m)
     if not is_prefix_closed(b) or not is_prefix_closed(m):
         raise PreconditionError("sup_normal_closed needs prefix-closed inputs")
     _require_inclusion(b, m, "sup_normal_closed needs B ⊆ M")
+    return _sup_normal(b, m)
+
+
+def _sup_normal(b: Automaton, m: Automaton) -> Automaton:
+    """`sup_normal_closed` of inputs that its caller knows to be
+    prefix-closed, over one alphabet, with B ⊆ M."""
     names, observable = b.alphabet.names, b.alphabet.observable
     diff = _observed(b.alphabet, *_difference_product(m, b))
     diff_steps = subset_steps(diff)
@@ -335,9 +368,9 @@ def sup_relobs_closed(k: Automaton, c: Automaton,
     every kept triple is reachable and marked, so no trim is needed.
 
     The result is that greedy fixpoint: C-observable, not proven supremal;
-    `oracle_sup_relobs` audits it on acyclic instances. Called with
-    `c is k`, as the two-level pipeline does, it neither checks K ⊆ K nor
-    closes K twice.
+    `oracle_sup_relobs` audits it on acyclic instances. The inputs are
+    validated here; `_sup_relobs` is the synthesis alone. Called with
+    `c is k`, it neither checks K ⊆ K nor closes K twice.
     """
     require_same_alphabet(k, g)
     require_same_alphabet(c, g)
@@ -347,9 +380,16 @@ def sup_relobs_closed(k: Automaton, c: Automaton,
     if not same:
         _require_inclusion(k, c, "sup_relobs_closed needs K ⊆ C")
     _require_inclusion(c, g, "sup_relobs_closed needs C ⊆ L(G)")
+    return _sup_relobs(k, c, g)
 
+
+def _sup_relobs(k: Automaton, c: Automaton,
+                g: Automaton) -> tuple[Automaton, SynthReport]:
+    """`sup_relobs_closed` of inputs that its caller knows to be
+    prefix-closed, over one alphabet, with K ⊆ C ⊆ L(G); the two-level
+    pipeline passes `c is k`."""
     kbar, observable = prefix_close(k), g.alphabet.observable
-    cbar = kbar if same else prefix_close(c)
+    cbar = kbar if c is k else prefix_close(c)
     obs = _observed(g.alphabet, bits(g.start_mask), _index_moves(g),
                     lambda i: True)
     ks, gs, obs_steps = map(subset_steps, (kbar, g, obs))

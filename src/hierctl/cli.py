@@ -27,10 +27,10 @@ import sys
 
 from .automata import (Automaton, AutomataError, all_marked, intersect,
                        prefix_close)
-from .checks import (check_controllability, check_nonconflicting,
+from .checks import (_require_inclusion, _sup_normal, _sup_relobs,
+                     check_controllability, check_nonconflicting,
                      check_normality, check_observability,
-                     check_relative_observability, sup_normal_closed,
-                     sup_relobs_closed)
+                     check_relative_observability)
 from .gadgets import (GeneratorParams, gadget_loc, gadget_moc, gadget_oc,
                       random_plant)
 from .hierarchy import (DEFAULT_BUDGET, check_lcc, check_loc, check_moc,
@@ -154,12 +154,15 @@ def _cmd_check(args) -> int:
 def _cmd_synth(args) -> int:
     *specs, g = map(_load, args.files)
     g = all_marked(g)
+    # each specification is made prefix-closed and included in L(G), so
+    # only K ⊆ C is left to check
     k, *c = [intersect(prefix_close(conform_spec(x, g.alphabet)), g)
              for x in specs]
     if args.kind == "supn":
-        result, extra, tail = sup_normal_closed(k, g), {}, ""
+        result, extra, tail = _sup_normal(k, g), {}, ""
     else:
-        result, rep = sup_relobs_closed(k, *c, g)
+        _require_inclusion(k, c[0], "sup_relobs_closed needs K ⊆ C")
+        result, rep = _sup_relobs(k, c[0], g)
         extra = {"report": rep}
         tail = f", converged after {rep.rounds} rounds"
     _emit(args, {"command": "synth", "kind": args.kind, "result": result,

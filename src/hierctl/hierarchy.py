@@ -38,11 +38,14 @@ and MOC read their left side in lexicographic normal form
 search that yields no sequence is the inclusion holding: ``holds``, every
 normal form lying in the right side, which realizes every string pair.
 Otherwise a difference sequence may only reflect a missing interleaving:
-each one, in length-lexicographic order, is decomposed into a string tuple,
-and OC and MOC confirm or refute the tuple exactly by asking their right
-side whether it accepts any interleaving of it: one table per check, keyed
-by interned prefix pairs, that all its tuples share and that steps the
-right side's subsets with the memo the difference search fills. A confirmed
+OC and MOC confirm or refute its string tuple exactly by asking their right
+side whether it accepts any interleaving of it. One table per check answers,
+keyed by interned prefix pairs, that all its tuples share and that steps the
+right side's subsets with the memo the difference search fills. The
+sequences come in length-lexicographic order, each as its key in that table:
+the enumeration folds the key letter by letter in O(1) and never builds the
+word, so a refuted tuple costs O(1) plus the cells it fills, and only a
+confirmed one is spelled and decomposed into its witness. A confirmed
 tuple yields ``violated``; exhausting the difference language yields
 ``holds`` (every genuine violating tuple leaves a difference sequence, its
 normal form, because the synchronized products accept all interleavings);
@@ -67,9 +70,8 @@ from .automata import (Alphabet, Automaton, Implicit, LazyRows, _Memo,
                        includes, iter_difference_words, merge_alphabets,
                        pair_moves, parallel_compose, prefix_close, project,
                        subset_moves, subset_steps, widen_alphabet)
-from .checks import (check_controllability, check_normality,
-                     check_observability, sup_normal_closed,
-                     sup_relobs_closed)
+from .checks import (_controllability, _normality, _observability,
+                     _sup_normal, _sup_relobs)
 from .relations import (_quad_labels, decompose_sequence, label_name,
                         normal_forms, pair_alphabet)
 from .verdicts import Verdict, Witness
@@ -160,6 +162,10 @@ def check_observer(g: Plant) -> Verdict:
     abstraction's own subset-step memo, for a pair whose first subset
     meets a marked state and whose second does not: the first search of
     `iter_difference_words`, so its word is the first of the difference.
+    The per-pair searches share the pairs found dead, those that a search
+    expanded without finding such a pair, and step into none of them, as
+    `iter_difference_words` does: a dead pair lies on no path to a bad
+    one, so each witness is the word that the full search finds.
     `g` is a plant or its `build_context(plant)`.
     """
     ctx = build_context(g)
@@ -181,9 +187,22 @@ def check_observer(g: Plant) -> Verdict:
     def uncovered(node):
         return hi.meets_marked(node[0]) and not hi.meets_marked(node[1])
 
+    dead: set = set()   # the pairs that reach no uncovered pair
+
     def failure(node):   # the first word of a failing per-pair inclusion
         s, x = node
-        return first_path([(x, s)], difference_moves, uncovered)
+        if (x, s) in dead:
+            return None
+        expanded = []
+
+        def alive_moves(n):
+            expanded.append(n)
+            return ((e, t) for e, t in difference_moves(n) if t not in dead)
+
+        found = first_path([(x, s)], alive_moves, uncovered)
+        if found is None:
+            dead.update(expanded)
+        return found
 
     found = first_path([(plant.start_mask, hi.start_mask)], moves, failure)
     if found is None:
@@ -240,11 +259,13 @@ def _require_budget(budget: int) -> None:
 def _refutation_loop(words, budget: int, confirm) -> Verdict:
     """Decide OC or MOC from its difference sequences.
 
-    `words` yields the difference sequences in length-lexicographic order;
-    `confirm` returns a Witness for a genuine violation or None for a
-    spurious (interleaving-only) difference. No sequence at all is the
-    inclusion holding, a bare "holds". The sequences are normal forms, each
-    of a tuple of its own, so the budget counts tuples.
+    `words` yields the difference sequences in length-lexicographic order,
+    each as whatever `confirm` reads (OC and MOC: its key in the
+    interleaving table, `_interleaving_table`); `confirm` returns a Witness
+    for a genuine violation or None for a spurious (interleaving-only)
+    difference. No sequence at all is the inclusion holding, a bare
+    "holds". The sequences are normal forms, each of a tuple of its own, so
+    the budget counts tuples.
     """
     spurious = 0
     examined = 0
@@ -272,21 +293,30 @@ def _refutation_loop(words, budget: int, confirm) -> Verdict:
 # difference sequence costs no automaton construction. A check's
 # length-lexicographic candidates share most of their prefixes, so its
 # questions share one table, stepped by the subset steps that the
-# difference search fills for the same right operand.
+# difference search fills for the same right operand, and the word
+# enumeration carries each candidate's key in that table, not its word.
 
-def _interleaving_table(la: Implicit, ra: LazyRows):
-    """`exists(u, v)`: does `ra` accept some interleaving of the string
-    pair (u, v) over the pair labels of `la`?
+def _interleaving_table(la: Implicit, ra: LazyRows) -> tuple:
+    """(empty, step, exists) of the question "does `ra` accept some
+    interleaving of the string pair (u, v) over the pair labels of `la`?".
 
-    A cell is the subset of `ra`, a bitmask, that the interleavings of a
-    pair reach: `ra.start_mask` at (ε, ε), and cell (u, v) the union of up
-    to three `subset_steps(ra)` steps, each where `la` has the label, e
-    being the last letter of u or v: by (e, None) from (u[:-1], v), by
-    (None, e) from (u, v[:-1]) and by (e, e) from (u[:-1], v[:-1]). A
-    query fills only the cells it needs, from an explicit stack, and stops
-    at filled ones. Cells are keyed by interned prefix ids, each prefix
-    being its parent's id plus a letter, so a key costs two ints whatever
-    the length of u and v.
+    A key names a pair (u, v): it is ((u id, v id), previous key, label),
+    `empty` for (ε, ε), and `step(key, label)` extends it by a pair label
+    of `la` in O(1), whatever the length of u and v. The ids are those of
+    a prefix trie, each prefix being its parent's id plus a letter, and
+    the previous key and the label spell the sequence that reached the
+    key (`_spelled`). So `iter_difference_words` folds each sequence it
+    yields into its key and never builds the word.
+
+    `exists(key)` answers the question. A cell, keyed by the id pair, is
+    the subset of `ra`, a bitmask, that the interleavings of a pair
+    reach: `ra.start_mask` at (ε, ε), and cell (u, v) the union of up to
+    three `subset_steps(ra)` steps, each where `la` has the label, e being
+    the last letter of u or v: by (e, None) from (u[:-1], v), by (None, e)
+    from (u, v[:-1]) and by (e, e) from (u[:-1], v[:-1]). A cell whose
+    predecessors are filled is filled in one step; otherwise the query
+    fills only the cells it needs, from an explicit stack, and stops at
+    filled ones.
     """
     after = subset_steps(ra)   # cell -> label -> cell
     # letter -> its label (e, None), (None, e) or (e, e) where `la` has it
@@ -300,63 +330,93 @@ def _interleaving_table(la: Implicit, ra: LazyRows):
         else:
             both[l] = label
     letter = {e: k for k, e in enumerate({**left, **right, **both})}
-    # parent id * |letters| + letter -> id, where id 0 is the empty prefix
+    width = len(letter)
+    # parent id * width + letter -> id, where id 0 is the empty prefix
     ids: dict = {}
     parent = [None]      # id -> parent id
     last = [None]        # id -> last letter
-    queried = {(): 0}    # word -> id, for the words queried so far
 
-    def intern(word: tuple) -> int:
-        i = queried.get(word)
-        if i is None:
-            # most candidates extend an earlier one by a letter
-            i = queried.get(word[:-1])
-            rest = word[-1:] if i is not None else word
-            i = i or 0
-            for e in rest:
-                key = i * len(letter) + letter[e]
-                j = ids.get(key)
-                if j is None:
-                    j = ids[key] = len(parent)
-                    parent.append(i)
-                    last.append(e)
-                i = j
-            queried[word] = i
-        return i
+    def grow(i: int, e, code: int) -> int:   # a new id, i extended by e
+        j = ids[code] = len(parent)
+        parent.append(i)
+        last.append(e)
+        return j
+
+    def step(key, label) -> tuple:
+        u, v = key[0]
+        l, r = label
+        if l is not None:
+            code = u * width + letter[l]
+            u = ids.get(code) or grow(u, l, code)
+        if r is not None:
+            code = v * width + letter[r]
+            v = ids.get(code) or grow(v, r, code)
+        return (u, v), key, label
+
+    def steps(pair) -> list:
+        """(predecessor, label) of each step into the cell of the id pair
+        `pair`."""
+        u, v = pair
+        e, f = last[u], last[v]
+        out = []
+        if e in left:
+            out.append(((parent[u], v), left[e]))
+        if f in right:
+            out.append(((u, parent[v]), right[f]))
+        if e == f and e in both:
+            out.append(((parent[u], parent[v]), both[e]))
+        return out
 
     cells = {(0, 0): ra.start_mask}
+    marked = ra.marked_mask
 
-    def exists(u: tuple, v: tuple) -> bool:
-        query = (intern(u), intern(v))
-        # a frame (key, None) lists the key's steps; (key, steps) fills the
-        # key once the predecessors it lacked are filled
-        stack = [(query, None)]
+    def union(into: list) -> int:
+        """The cell that the steps `into` reach from filled cells."""
+        reached = 0
+        for p, label in into:
+            reached |= after[cells[p]].get(label, 0)
+        return reached
+
+    def exists(key) -> bool:
+        query = key[0]
+        reached = cells.get(query)
+        if reached is None:
+            into = steps(query)
+            missing = [(p, None) for p, _ in into if p not in cells]
+            if missing:
+                fill([(query, into)] + missing)
+                reached = cells[query]
+            else:   # the usual case for OC: one step fills the cell
+                reached = cells[query] = union(into)
+        return bool(reached & marked)
+
+    def fill(stack: list) -> None:
+        # a frame (pair, None) lists the pair's steps; (pair, steps) fills
+        # its cell once the predecessors it lacked are filled
         while stack:
-            key, steps = stack.pop()
-            if steps is None:
-                if key in cells:   # filled, maybe after it was pushed
+            pair, into = stack.pop()
+            if into is None:
+                if pair in cells:   # filled, maybe after it was pushed
                     continue
-                u, v = key
-                e, f = last[u], last[v]
-                steps = []   # (predecessor key, label)
-                if e in left:
-                    steps.append(((parent[u], v), left[e]))
-                if f in right:
-                    steps.append(((u, parent[v]), right[f]))
-                if e == f and e in both:
-                    steps.append(((parent[u], parent[v]), both[e]))
-                missing = [(k, None) for k, _ in steps if k not in cells]
-                if missing:
-                    stack.append((key, steps))
-                    stack += missing
-                    continue
-            reached = 0
-            for k, label in steps:
-                reached |= after[cells[k]].get(label, 0)
-            cells[key] = reached
-        return ra.meets_marked(cells[query])
+                into = steps(pair)
+            missing = [(p, None) for p, _ in into if p not in cells]
+            if missing:
+                stack.append((pair, into))
+                stack += missing
+                continue
+            cells[pair] = union(into)
 
-    return exists
+    return ((0, 0), None, None), step, exists
+
+
+def _spelled(key) -> tuple:
+    """The pair-label sequence that reached an `_interleaving_table` key."""
+    word = []
+    while key[1] is not None:
+        word.append(key[2])
+        key = key[1]
+    word.reverse()
+    return tuple(word)
 
 
 def _plant_pairs(ctx: HierarchyContext) -> tuple:
@@ -478,28 +538,32 @@ def _pair_consistency(ctx: HierarchyContext, kind: str, key: str,
     and the liveness searches that the sequences after it need run only
     when that sequence's tuple is refuted. Each difference tuple (x, t') is
     decided exactly by asking the right side whether it accepts any
-    interleaving of it (`_interleaving_table`); a false answer gives a
-    `kind` witness that names x by `key`. The plain inclusion can fail where every normal form
-    is in: an event of Σo ∖ Σhi moves both paths of the right side, but its
-    label shows one side or none, so the right side need not hold every
-    interleaving of its string pairs. Then the breadth-first search runs
+    interleaving of it (`_interleaving_table`), the enumeration handing
+    over each sequence as its key in the table; a false answer spells the
+    sequence and gives a `kind` witness that names x by `key`. The plain
+    inclusion can fail where every normal form is in: an event of
+    Σo ∖ Σhi moves both paths of the right side, but its label shows one
+    side or none, so the right side need not hold every interleaving of
+    its string pairs. Then the breadth-first search runs
     to exhaustion without a sequence and gives the bare "holds", as on the
     MOC gadgets of universal NFAs.
     """
     la, ra = _pair_operands(ctx, kind)
     if included(la, ra):
         return Verdict.make_holds()
-    exists = _interleaving_table(la, ra)
+    empty, step, exists = _interleaving_table(la, ra)
 
-    def confirm(word):
-        x, tp = decompose_sequence(word)
-        if exists(x, tp):
+    def confirm(pair):
+        if exists(pair):
             return None
+        word = _spelled(pair)
+        x, tp = decompose_sequence(word)
         return Witness(kind, {key: x, "t_prime": tp,
                               "sequence": tuple(map(label_name, word))}, note)
 
-    return _refutation_loop(iter_difference_words(normal_forms(la), ra),
-                            budget, confirm)
+    return _refutation_loop(
+        iter_difference_words(normal_forms(la), ra, step, empty), budget,
+        confirm)
 
 
 def check_oc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -682,7 +746,13 @@ def lemma_distribute_q(components) -> Verdict:
 def _lifted_spec(g: Automaton, k: Automaton) -> tuple:
     """(ctx, K̄ ∥ Q(L), K̄ ∥ L): the context of the plant `g` and the lifts
     of the closed specification K̄, over the high-level sub-alphabet, to
-    the abstraction and to the plant."""
+    the abstraction and to the plant.
+
+    By construction each lift is over the alphabet of its plant, Q(L) or
+    L, is included in it, and is prefix-closed, as Q(L) and L are: each is
+    a reachable product of automata whose states are all marked. So the
+    pipelines call the checks and syntheses of `checks` without their
+    validating shells, which would only prove these again."""
     ctx = build_context(g)
     kbar = prefix_close(conform_spec(k, ctx.q.target_alphabet))
     return (ctx, parallel_compose(ctx.abstraction, kbar),
@@ -714,9 +784,9 @@ def hier_verify(g: Automaton, k: Automaton,
         },
         "properties": {},
     }
-    for name, fn in (("controllability", check_controllability),
-                     ("observability", check_observability),
-                     ("normality", check_normality)):
+    for name, fn in (("controllability", _controllability),
+                     ("observability", _observability),
+                     ("normality", _normality)):
         hi = fn(k_hi, ctx.abstraction)
         lo = fn(k_lo, ctx.plant)
         report["properties"][name] = {
@@ -745,8 +815,8 @@ def hier_synth_normal(g: Automaton, k: Automaton,
     languages nonconflicting) the two coincide.
     """
     ctx, k_hi, k_lo = _lifted_spec(g, k)
-    low = sup_normal_closed(k_lo, ctx.plant)
-    high = sup_normal_closed(k_hi, ctx.abstraction)
+    low = _sup_normal(k_lo, ctx.plant)
+    high = _sup_normal(k_hi, ctx.abstraction)
     out = _lift_report(ctx, "supn", low, high, budget)
     out["equal"] = out["low_in_lift"].holds and out["lift_in_low"].holds
     return out
@@ -761,7 +831,7 @@ def hier_synth_relobs(g: Automaton, k: Automaton,
     the reverse inclusion can genuinely fail, so both are reported.
     """
     ctx, k_hi, k_lo = _lifted_spec(g, k)
-    high, rep_hi = sup_relobs_closed(k_hi, k_hi, ctx.abstraction)
-    low, rep_lo = sup_relobs_closed(k_lo, k_lo, ctx.plant)
+    high, rep_hi = _sup_relobs(k_hi, k_hi, ctx.abstraction)
+    low, rep_lo = _sup_relobs(k_lo, k_lo, ctx.plant)
     return _lift_report(ctx, "suprelobs", low, high, budget,
                         high_report=rep_hi, low_report=rep_lo)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierctl import cli
+from hierctl import checks, cli
 from hierctl.cli import main
 from hierctl.oracle import PROPERTY_ORACLES
 from hierctl.saut import parse_automaton, serialize_automaton
@@ -106,6 +106,28 @@ class TestSynth:
         assert code == 0 and len(calls) == reported + 1
         assert out_file.read_text(encoding="utf-8") == \
             serialize_automaton(calls[-1])
+
+    def test_synthesis_checks_only_k_in_c(self, capsys, monkeypatch):
+        # Each specification is made prefix-closed and included in L(G)
+        # before the synthesis, so `synth supn` proves nothing again and
+        # `synth suprelobs` only K ⊆ C, which its user input can break.
+        calls = []
+        for module, name in ((checks, "_require_inclusion"),
+                             (cli, "_require_inclusion"),
+                             (checks, "is_prefix_closed")):
+            def spy(*args, name=name, real=getattr(module, name)):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, spy)
+        assert run(capsys, "synth", "supn", SPEC, PLANT)[0] == 0
+        assert calls == []
+        assert run(capsys, "synth", "suprelobs", RSPEC, RAMBIENT,
+                   RPLANT)[0] == 0
+        assert calls == ["_require_inclusion"]
+        assert main(["synth", "suprelobs", RAMBIENT, RSPEC, RPLANT]) == 3
+        assert capsys.readouterr().err == (
+            "error: sup_relobs_closed needs K ⊆ C (counterexample: a u)\n")
 
     def test_synthesis_output_bytes(self, capsys, tmp_path):
         # rc, stdout and --out file of the relative-observability syntheses

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import hashlib
 import itertools
 import json
 import os
@@ -19,6 +20,7 @@ from hierctl.automata import (Alphabet, Automaton, Event, Implicit,
                               all_marked, closure, determinize,
                               enumerate_bounded, explore, includes,
                               intersect, inverse_project, is_empty,
+                              is_prefix_closed,
                               iter_difference_words, language_equal,
                               merge_alphabets, parallel_compose, project,
                               right_quotient, widen_alphabet,
@@ -322,17 +324,64 @@ class TestRefutationRegressions:
     def test_examined_sequences_hold_distinct_tuples(self, monkeypatch,
                                                      check, params):
         # One sequence per tuple, its normal form: OC here examined 2,000
-        # interleavings of 202 tuples, and MOC 2,000 of 55.
+        # interleavings of 202 tuples, and MOC 2,000 of 55. Each examined
+        # sequence reaches the table as its key, which spells it.
         tuples = []
+        table = hierarchy._interleaving_table
 
-        def recording(word):
-            tuples.append(decompose_sequence(word))
-            return tuples[-1]
+        def recording(la, ra):
+            empty, step, exists = table(la, ra)
 
-        monkeypatch.setattr(hierarchy, "decompose_sequence", recording)
+            def asked(key):
+                tuples.append(decompose_sequence(hierarchy._spelled(key)))
+                return exists(key)
+
+            return empty, step, asked
+
+        monkeypatch.setattr(hierarchy, "_interleaving_table", recording)
         v = getattr(hierarchy, "check_" + check)(random_plant(params), 2000)
         assert v.inconclusive and v.detail["refuted"] == 2000
         assert len(set(tuples)) == len(tuples) == 2000
+
+    @pytest.mark.parametrize("check, params, spelled", [
+        ("oc", N8_S3, 0), ("moc", N32_S3, 0), ("oc", N32_S9, 1)],
+        ids=["oc-inconclusive", "moc-inconclusive", "oc-violated"])
+    def test_only_a_confirmed_tuple_is_spelled(self, monkeypatch, check,
+                                               params, spelled):
+        # The enumeration yields each difference sequence as its key in
+        # the interleaving table, so a refuted tuple builds no word and is
+        # not decomposed: only the witness is. When the enumeration yielded
+        # words, each of the 2,000 refuted tuples here was decomposed.
+        calls = []
+        decompose = hierarchy.decompose_sequence
+
+        def counting(*args):
+            calls.append(args)
+            return decompose(*args)
+
+        monkeypatch.setattr(hierarchy, "decompose_sequence", counting)
+        v = getattr(hierarchy, "check_" + check)(random_plant(params), 2000)
+        assert v.violated == bool(spelled)
+        assert len(calls) == spelled
+
+    def test_oc_moc_verdicts_are_pinned(self):
+        # One digest of the OC and MOC verdicts, witnesses and details
+        # included, on the plants of the benchmark's population 0, which
+        # hold n8-s3 and n32-s3 (2,000 tuples refuted), n32-s9 (violated
+        # at the second sequence) and 25 other violations. Recorded before
+        # the enumeration came to carry table keys in place of words.
+        reports = []
+        for n, density, count in ((8, 0.4, 20), (16, 0.35, 12),
+                                  (32, 0.35, 12)):
+            for seed in range(count):
+                g = random_plant(GeneratorParams(n, 5, density, seed=seed))
+                reports += [check_oc(g, 2000).to_json(),
+                            check_moc(g, 2000).to_json()]
+        assert collections.Counter(r["verdict"] for r in reports) == {
+            "holds": 58, "violated": 28, "inconclusive": 2}
+        digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+        assert digest == (
+            "a07eef8265ca580fede4730cf15728aaddd73fc919814fbc17436de6aabdda27")
 
     def test_oc_search_work_is_independent_of_successor_order(self):
         work = _forced_order_work()
@@ -361,6 +410,7 @@ class TestRefutationRegressions:
             self, monkeypatch):
         # The difference search ends in the one word enumerator, so a
         # layer trace that wraps it counts every sequence a check examines.
+        # It yields each sequence as its interleaving-table key.
         yielded = []
         enumerate_words = automata.iter_marked_words
 
@@ -373,7 +423,7 @@ class TestRefutationRegressions:
         v = check_oc(random_plant(N32_S9), 2000)
         assert v.violated and v.detail == {"examined": 2}
         assert len(yielded) == 2
-        assert tuple(map(label_name, yielded[-1])) == \
+        assert tuple(map(label_name, hierarchy._spelled(yielded[-1]))) == \
             v.witness.strings["sequence"]
 
     def test_oc_violated_on_large_difference(self):
@@ -603,9 +653,17 @@ def _continuations_meet(ctx, s, sp, e) -> bool:
 
 
 def _table(ctx, kind):
-    """The interleaving table of check_oc's (`kind` "oc") or check_moc's
-    ("moc") operands."""
-    return _interleaving_table(*_pair_operands(ctx, kind))
+    """`exists(u, v)` of the interleaving table of check_oc's (`kind`
+    "oc") or check_moc's ("moc") operands: the key of (u, v) is folded
+    from the table's empty key, u by left-only steps and v by right-only
+    ones, and asked."""
+    empty, step, exists = _interleaving_table(*_pair_operands(ctx, kind))
+
+    def ask(u, v) -> bool:
+        labels = [(e, None) for e in u] + [(None, f) for f in v]
+        return exists(functools.reduce(step, labels, empty))
+
+    return ask
 
 
 def _accepts_interleaving(ref, u, v, labels) -> bool:
@@ -1143,6 +1201,30 @@ class TestOneContext:
         assert outcomes == ["holds", "violated"]
         assert calls == []
 
+    def test_observer_tests_each_pair_once(self, monkeypatch):
+        # plants/n32-s1008/observer of the benchmark. Each per-pair search
+        # started afresh and tested 871 abstraction-subset pairs, 30 of
+        # them distinct; the pairs that an earlier search found reach no
+        # uncovered pair are skipped now, so each is tested once.
+        tested, searches = [], []
+        search = hierarchy.first_path
+
+        def spy(starts, moves, test):
+            searches.append(test)
+            if len(searches) > 1:   # a per-pair search, inside the first
+                inner = test
+
+                def test(node):
+                    tested.append(node)
+                    return inner(node)
+
+            return search(starts, moves, test)
+
+        monkeypatch.setattr(hierarchy, "first_path", spy)
+        g = random_plant(GeneratorParams(32, 5, 0.35, seed=1008))
+        assert check_observer(g).holds
+        assert len(tested) == len(set(tested)) == 30
+
     # First witnesses: a check that visits states in another order (the
     # one-step observer test, say) can keep every verdict but change these.
     @pytest.mark.parametrize("check, params, strings", [
@@ -1474,3 +1556,59 @@ class TestSynthesis:
         out = hier_synth_relobs(relobs_plant, k)
         assert out["high_report"].converged
         assert out["low_report"].converged
+
+
+class TestPipelinePreconditions:
+    """The two-level pipelines call the checks and syntheses of `checks`
+    without their validating shells, since the lifts K̄ ∥ Q(L) and K̄ ∥ L
+    meet every precondition by construction."""
+
+    @staticmethod
+    def inputs():
+        yield from filter(None, map(cli_small_inputs, range(12)))
+        for seed in range(40):
+            g = random_plant(GeneratorParams(
+                states=4 + seed % 6, transition_density=0.4, seed=seed + 300))
+            yield g, random_sublanguage(build_context(g).abstraction, 0.3,
+                                        seed + 700)
+
+    def test_pipelines_prove_no_precondition_again(self, monkeypatch):
+        calls = []
+        for name in ("_require_inclusion", "is_prefix_closed"):
+            def spy(*args, name=name, real=getattr(checks, name)):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(checks, name, spy)
+        for g, k in itertools.islice(self.inputs(), 16):
+            hier_verify(g, k, 300)
+            hier_synth_normal(g, k, 300)
+            hier_synth_relobs(g, k, 300)
+        assert calls == []
+        # the shells, called on the same lifts, still validate
+        ctx, k_hi, _ = hierarchy._lifted_spec(g, k)
+        checks.check_controllability(k_hi, ctx.abstraction)
+        checks.sup_relobs_closed(k_hi, k_hi, ctx.abstraction)
+        assert calls == ["_require_inclusion", "is_prefix_closed",
+                         "_require_inclusion"]
+
+    def test_lifted_specifications_meet_the_preconditions(self):
+        bodies = ((checks.check_controllability, checks._controllability),
+                  (checks.check_observability, checks._observability),
+                  (checks.check_normality, checks._normality),
+                  (checks.sup_normal_closed, checks._sup_normal))
+        violated = collections.Counter()
+        for g, k in self.inputs():
+            ctx, k_hi, k_lo = hierarchy._lifted_spec(g, k)
+            for spec, plant in ((k_hi, ctx.abstraction), (k_lo, ctx.plant)):
+                assert spec.alphabet == plant.alphabet
+                assert is_prefix_closed(spec) and is_prefix_closed(plant)
+                assert includes(spec, plant).holds
+                # so the shells accept them and give what the bodies give
+                for shell, body in bodies:
+                    got = shell(spec, plant)
+                    assert got == body(spec, plant), (g, k, shell)
+                    violated[shell.__name__] += getattr(got, "violated", 0)
+                assert checks.sup_relobs_closed(spec, spec, plant) == \
+                    checks._sup_relobs(spec, spec, plant)
+        assert min(violated[shell.__name__] for shell, _ in bodies[:3]) > 0

@@ -630,22 +630,41 @@ def test_package_imports_are_found():
                                        "hierctl.checks", "d", "e"}
 
 
-def stack_loops(source: str) -> list:
+def stack_loops(source: str, take: str = "pop") -> list:
     """Lines of the `while` loops that pop a node from an explicit stack
-    (a `.pop()` call in the loop's body)."""
+    (a `.pop()` call in the loop's body), or with `take` "popleft" take
+    one from the front of a queue."""
     return [node.lineno for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.While)
             and any(isinstance(n, ast.Call)
                     and isinstance(n.func, ast.Attribute)
-                    and n.func.attr == "pop"
+                    and n.func.attr == take
                     for stmt in node.body for n in ast.walk(stmt))]
 
 
 def test_stack_loops_are_found():
     module = ("def f(s):\n    while s:\n        x = s.pop()\n"
               "def g(q):\n    while q:\n        q = q[1:]\n"
-              "def h(s):\n    while True:\n        if s.pop(): break\n")
+              "def h(s):\n    while True:\n        if s.pop(): break\n"
+              "def k(q):\n    while q:\n        x = q.popleft()\n")
     assert stack_loops(module) == [2, 8]
+    assert stack_loops(module, "popleft") == [11]
+
+
+def test_words_are_enumerated_in_one_loop():
+    # `iter_marked_words` is the one length-lexicographic enumerator, and
+    # the OC/MOC refutation reads its keys through the same loop: the
+    # words it yields are folded by its `step` from its `empty`, so no
+    # copy of the loop enumerates keys in place of words.
+    loops = [line for path in MODULES for line in stack_loops(
+        path.read_text(encoding="utf-8"), "popleft")]
+    enumerator = top_level("automata.py", "iter_marked_words")
+    assert len(loops) == len(stack_loops(ast.unparse(enumerator),
+                                         "popleft")) == 1
+    assert [arg.arg for arg in enumerator.args.args] == [
+        "a", "bound", "step", "empty"]
+    assert "step" in used_names(top_level("automata.py",
+                                          "iter_difference_words"))
 
 
 def test_the_oracle_searches_in_one_loop():

@@ -36,7 +36,8 @@ from hierctl.automata import (AutomataError, Automaton, Implicit, LazyRows,
                               iter_difference_words, iter_marked_words,
                               language_equal, prefix_close,
                               project, subset_steps, trim)
-from hierctl.checks import check_nonconflicting, sup_normal_closed
+from hierctl.checks import (_sup_normal, check_nonconflicting,
+                            sup_normal_closed)
 from hierctl.cli import main
 from hierctl.gadgets import GeneratorParams, random_plant, random_sublanguage
 from hierctl.hierarchy import _pair_operands, build_context
@@ -382,12 +383,14 @@ def test_supn_builds_only_its_result(tmp_path, monkeypatch, capsys):
     def recording(b, m):
         inside.append(None)
         try:
-            return sup_normal_closed(b, m)
+            return _sup_normal(b, m)
         finally:
             inside.clear()
 
     record_built(monkeypatch, counting)
-    monkeypatch.setattr(cli, "sup_normal_closed", recording)
+    # the command's specification is prefix-closed and in L(G) as it is
+    # built, so it calls the synthesis without its validating shell
+    monkeypatch.setattr(cli, "_sup_normal", recording)
     assert main(["--json", "synth", "supn", str(kp), str(gp)]) == 0
     assert '"result_states"' in capsys.readouterr().out
     assert len(sizes) <= 2 and sum(sizes) <= 100, sizes
