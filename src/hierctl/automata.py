@@ -42,9 +42,9 @@ construction. (A mask is as wide as its automaton is large, where a
 frozenset is as large as the subset.) An `Automaton` builds its tables
 (`state_index`, `succ`, `rows`, `subset_steps`) on first read, once per
 transition relation, and `_derived` is the one way to share them: its
-copies for `with_initial`, `widen_alphabet`, `right_quotient` and a
-restriction that only marks every state check only the initial and marked
-states they change. A restriction that keeps `a` whole returns `a` itself.
+copies for `widen_alphabet`, `right_quotient` and a restriction that only
+marks every state check only the initial and marked states they change. A
+restriction that keeps `a` whole returns `a` itself.
 
 Five search shapes are written once. `_difference_product(a, b)` is the
 product of `a` with the subset construction of `b` (start nodes, steps in
@@ -59,8 +59,9 @@ stepped by a label table (`parallel_compose`, the pair products of
 `relations`, OC's and MOC's left sides through `pair_moves`).
 `first_path(starts, moves, test)` is every breadth-first witness search:
 the observer, LCC, LOC, controllability and normality checks, and
-`iter_difference_words`, whose searches over subset pairs find its first
-word, the witness of `includes`, and decide which pairs are live.
+`_difference_search`, whose searches over subset pairs find the first word
+of `iter_difference_words` (the witness of `includes`) and of each of the
+observer's per-pair inclusions, and decide which pairs are live.
 `iter_marked_words` is the one length-lexicographic enumerator:
 `iter_difference_words` runs it over the live pairs for the words after
 its first. Both yield each word folded by a caller's step, by default
@@ -374,10 +375,6 @@ def widen_alphabet(a: Automaton, alphabet: Alphabet) -> Automaton:
         if e.name not in alphabet or alphabet.by_name[e.name].flags != e.flags:
             raise AlphabetMismatchError(f"event {e.name!r} missing or flagged differently")
     return _derived(a, alphabet=alphabet)
-
-
-def with_initial(a: Automaton, states: Iterable[str]) -> Automaton:
-    return _derived(a, initial=frozenset(states))
 
 
 def _derived(a: Automaton, **changes) -> Automaton:
@@ -1005,25 +1002,24 @@ def iter_marked_words(a: Automaton | Implicit, bound: int | None = None,
             length, left = length + 1, len(queue)
 
 
-def iter_difference_words(a: Automaton | Implicit,
-                          b: Automaton | Implicit | LazyRows,
-                          step=_extend, empty=()) -> Iterator:
-    """Yield L_m(a) − L_m(b) in length-lexicographic order; nothing
-    exactly when L_m(a) ⊆ L_m(b).
+def _difference_search(a: Automaton | Implicit,
+                       b: Automaton | Implicit | LazyRows) -> tuple:
+    """(moves, bad, live, search) of the difference search over (A, B),
+    the subsets of `a` and of `b` that a word reaches, stepped through
+    their `subset_steps` by `a`'s labels in alphabet order, a step that
+    empties A dropped: `moves(node)` yields its (event, pair) steps and
+    `bad(node)` is true when A meets a marked state and B does not. A pair
+    is live when it reaches a bad one; `live` maps each pair whose
+    liveness is known to it.
 
-    The words are those of (A, B), the subsets of `a` and of `b` that a
-    word reaches, stepped through their `subset_steps` by `a`'s labels in
-    alphabet order, a step that empties A dropped; (A, B) is bad when A
-    meets a marked state and B does not. A pair is live when it reaches a
-    bad one. `search(node)` is one `first_path` from `node` to a bad or
-    known-live pair that skips pairs known to be dead: the word it finds
-    makes every pair along it live, and finding none makes every pair it
-    expanded dead. Breadth first over this deterministic graph, the word
-    of `search(start)` is the length-lexicographically first; the words
-    after it come from `iter_marked_words` over the live pairs, each
-    pair's liveness decided when the enumerator first steps to it. Each
-    word is yielded folded by `step` from `empty`, as `iter_marked_words`
-    yields it: by default its tuple."""
+    `search(node)` is one `first_path` from `node` to a bad or known-live
+    pair that skips pairs known to be dead, and returns its (word, True)
+    or None. The word it finds makes every pair along it live, and finding
+    none makes every pair it expanded dead; a start known to be dead
+    returns None at once. Breadth first over this deterministic graph, the
+    word is the length-lexicographically first from `node` to a bad pair
+    while no pair is known live, as is so in `check_observer`, which stops
+    at its first failing pair."""
     require_same_alphabet(a, b)
     a_row, b_row = subset_steps(a), subset_steps(b)
     names = a.alphabet.names
@@ -1040,6 +1036,8 @@ def iter_difference_words(a: Automaton | Implicit,
         return a.meets_marked(node[0]) and not b.meets_marked(node[1])
 
     def search(node):
+        if live.get(node) is False:
+            return None
         expanded = []
 
         def not_dead(n):
@@ -1054,7 +1052,25 @@ def iter_difference_words(a: Automaton | Implicit,
             live[node] = True
             node = a_row[node[0]][e], b_row[node[1]].get(e, 0)
         live[node] = True
-        return found[0]
+        return found
+
+    return moves, bad, live, search
+
+
+def iter_difference_words(a: Automaton | Implicit,
+                          b: Automaton | Implicit | LazyRows,
+                          step=_extend, empty=()) -> Iterator:
+    """Yield L_m(a) − L_m(b) in length-lexicographic order; nothing
+    exactly when L_m(a) ⊆ L_m(b).
+
+    The words are those of the subset pairs of `_difference_search(a, b)`
+    that reach a bad pair. The word of `search(start)` is the
+    length-lexicographically first; the words after it come from
+    `iter_marked_words` over the live pairs, each pair's liveness decided
+    by `search` when the enumerator first steps to it. Each word is
+    yielded folded by `step` from `empty`, as `iter_marked_words` yields
+    it: by default its tuple."""
+    moves, bad, live, search = _difference_search(a, b)
 
     def live_moves(node):
         for e, t in moves(node):
@@ -1066,7 +1082,7 @@ def iter_difference_words(a: Automaton | Implicit,
     start = (a.start_mask, b.start_mask)
     first = search(start)
     if first is not None:
-        yield reduce(step, first, empty)
+        yield reduce(step, first[0], empty)
         yield from islice(iter_marked_words(
             Implicit(a.alphabet, [start], live_moves, bad), None, step, empty),
             1, None)

@@ -51,6 +51,10 @@ tuple yields ``violated``; exhausting the difference language yields
 normal form, because the synchronized products accept all interleavings);
 running out of budget, counted in tuples examined, yields ``inconclusive``.
 
+The observer property is decided per pair of a plant and an abstraction
+subset by the same difference search (``automata._difference_search``),
+with the abstraction on both sides, and LCC per plant subset alone.
+
 LOC is decided exactly by one breadth-first search per event over the
 quadruple verifier, determinized as it is read: the verifier's subsets
 after a word say whether the tuple it spells violates LOC, so the first
@@ -65,9 +69,10 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .automata import (Alphabet, Automaton, Implicit, LazyRows, _Memo,
-                       PreconditionError, ProjectionSpec, _derived, _lazy,
-                       _unchecked, all_marked, bits, first_path, included,
-                       includes, iter_difference_words, merge_alphabets,
+                       PreconditionError, ProjectionSpec, _derived,
+                       _difference_search, _lazy, _unchecked, all_marked,
+                       bits, first_path, included, includes,
+                       iter_difference_words, merge_alphabets,
                        pair_moves, parallel_compose, prefix_close, project,
                        subset_moves, subset_steps, widen_alphabet)
 from .checks import (_controllability, _normality, _observability,
@@ -157,52 +162,30 @@ def check_observer(g: Plant) -> Verdict:
     Q(su) = Q(s)t. Decided exactly per pair (run(s), run(Q(s))) of plant
     and abstraction subsets, in breadth-first order: the abstraction from
     run(Q(s)) must be included in the abstraction from run(s), which
-    `project` leaves on the plant's states. Each pair asks one
-    `first_path` over pairs of abstraction subsets, stepped by the
-    abstraction's own subset-step memo, for a pair whose first subset
-    meets a marked state and whose second does not: the first search of
-    `iter_difference_words`, so its word is the first of the difference.
-    The per-pair searches share the pairs found dead, those that a search
-    expanded without finding such a pair, and step into none of them, as
-    `iter_difference_words` does: a dead pair lies on no path to a bad
-    one, so each witness is the word that the full search finds.
+    `project` leaves on the plant's states. Each pair asks the difference
+    search of `iter_difference_words`, `automata._difference_search(hi,
+    hi)`, once from (run(Q(s)), run(s)), for a pair whose first subset
+    meets a marked state and whose second does not, so its word is the
+    first of the difference. The per-pair searches share one search, so
+    each steps into none of the pairs that an earlier one found dead: a
+    dead pair lies on no path to a bad one, so each witness is the word
+    that the full search finds. No pair is known live before the last
+    search, the one that fails.
     `g` is a plant or its `build_context(plant)`.
     """
     ctx = build_context(g)
     plant, hi = ctx.plant, ctx.abstraction
-    plant_moves, hi_moves = subset_moves(plant), subset_moves(hi)
-    hi_after = subset_steps(hi)
+    plant_moves, hi_after = subset_moves(plant), subset_steps(hi)
     high = ctx.alphabet.highlevel
+    *_, search = _difference_search(hi, hi)
 
     def moves(node):   # se ∈ L puts Q(s)e in Q(L): the abstraction moves
         s, x = node
         for e, t in plant_moves(s):
             yield e, (t, hi_after[x][e] if e in high else x)
 
-    def difference_moves(node):   # the run from Q(s) leads, from s follows
-        x, s = node
-        for e, t in hi_moves(x):
-            yield e, (t, hi_after[s].get(e, 0))
-
-    def uncovered(node):
-        return hi.meets_marked(node[0]) and not hi.meets_marked(node[1])
-
-    dead: set = set()   # the pairs that reach no uncovered pair
-
-    def failure(node):   # the first word of a failing per-pair inclusion
-        s, x = node
-        if (x, s) in dead:
-            return None
-        expanded = []
-
-        def alive_moves(n):
-            expanded.append(n)
-            return ((e, t) for e, t in difference_moves(n) if t not in dead)
-
-        found = first_path([(x, s)], alive_moves, uncovered)
-        if found is None:
-            dead.update(expanded)
-        return found
+    def failure(node):   # the run from Q(s) leads, from s follows
+        return search((node[1], node[0]))
 
     found = first_path([(plant.start_mask, hi.start_mask)], moves, failure)
     if found is None:
@@ -313,10 +296,9 @@ def _interleaving_table(la: Implicit, ra: LazyRows) -> tuple:
     reach: `ra.start_mask` at (ε, ε), and cell (u, v) the union of up to
     three `subset_steps(ra)` steps, each where `la` has the label, e being
     the last letter of u or v: by (e, None) from (u[:-1], v), by (None, e)
-    from (u, v[:-1]) and by (e, e) from (u[:-1], v[:-1]). A cell whose
-    predecessors are filled is filled in one step; otherwise the query
-    fills only the cells it needs, from an explicit stack, and stops at
-    filled ones.
+    from (u, v[:-1]) and by (e, e) from (u[:-1], v[:-1]). A query fills
+    only the cells it needs, from one explicit stack, and stops at filled
+    ones.
     """
     after = subset_steps(ra)   # cell -> label -> cell
     # letter -> its label (e, None), (None, e) or (e, e) where `la` has it
@@ -353,58 +335,38 @@ def _interleaving_table(la: Implicit, ra: LazyRows) -> tuple:
             v = ids.get(code) or grow(v, r, code)
         return (u, v), key, label
 
-    def steps(pair) -> list:
-        """(predecessor, label) of each step into the cell of the id pair
-        `pair`."""
-        u, v = pair
-        e, f = last[u], last[v]
-        out = []
-        if e in left:
-            out.append(((parent[u], v), left[e]))
-        if f in right:
-            out.append(((u, parent[v]), right[f]))
-        if e == f and e in both:
-            out.append(((parent[u], parent[v]), both[e]))
-        return out
-
     cells = {(0, 0): ra.start_mask}
     marked = ra.marked_mask
 
-    def union(into: list) -> int:
-        """The cell that the steps `into` reach from filled cells."""
-        reached = 0
-        for p, label in into:
-            reached |= after[cells[p]].get(label, 0)
-        return reached
-
     def exists(key) -> bool:
-        query = key[0]
-        reached = cells.get(query)
-        if reached is None:
-            into = steps(query)
-            missing = [(p, None) for p, _ in into if p not in cells]
-            if missing:
-                fill([(query, into)] + missing)
-                reached = cells[query]
-            else:   # the usual case for OC: one step fills the cell
-                reached = cells[query] = union(into)
-        return bool(reached & marked)
-
-    def fill(stack: list) -> None:
-        # a frame (pair, None) lists the pair's steps; (pair, steps) fills
-        # its cell once the predecessors it lacked are filled
+        # a frame (pair, None) lists the (predecessor, label) steps into
+        # the pair's cell; (pair, steps) fills the cell as the union of
+        # those steps once the predecessors it lacked are filled
+        stack = [(key[0], None)]
         while stack:
             pair, into = stack.pop()
             if into is None:
                 if pair in cells:   # filled, maybe after it was pushed
                     continue
-                into = steps(pair)
+                u, v = pair
+                e, f = last[u], last[v]
+                into = []
+                if e in left:
+                    into.append(((parent[u], v), left[e]))
+                if f in right:
+                    into.append(((u, parent[v]), right[f]))
+                if e == f and e in both:
+                    into.append(((parent[u], parent[v]), both[e]))
             missing = [(p, None) for p, _ in into if p not in cells]
             if missing:
                 stack.append((pair, into))
                 stack += missing
                 continue
-            cells[pair] = union(into)
+            reached = 0
+            for p, label in into:
+                reached |= after[cells[p]].get(label, 0)
+            cells[pair] = reached
+        return bool(cells[key[0]] & marked)
 
     return ((0, 0), None, None), step, exists
 

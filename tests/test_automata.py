@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hierctl import automata
 from hierctl.automata import (Alphabet, AlphabetMismatchError,
                               AutomataError, Automaton, Event, Implicit,
                               ProjectionSpec, all_marked, determinize,
@@ -16,7 +17,7 @@ from hierctl.automata import (Alphabet, AlphabetMismatchError,
                               language_equal, merge_alphabets,
                               parallel_compose, prefix_close, project,
                               right_quotient, sigma_star, trim,
-                              with_initial, word_automaton)
+                              word_automaton)
 from hierctl.checks import check_controllability, check_normality
 from hierctl.gadgets import GeneratorParams, gadget_oc, random_plant
 from hierctl.hierarchy import _pair_operands, build_context
@@ -290,7 +291,7 @@ def test_derived_copies_check_only_what_they_change(monkeypatch):
     posts = []
     monkeypatch.setattr(Automaton, "__post_init__",
                         lambda self: posts.append(self))
-    b = with_initial(a, {4998})
+    b = automata._derived(a, initial=frozenset({4998}))
     closed = prefix_close(a)
     assert posts == []
     assert b == replace(a, initial=frozenset({4998})) and b.succ is a.succ
@@ -303,9 +304,9 @@ def test_derived_copies_check_only_what_they_change(monkeypatch):
 def test_derived_copies_reject_undeclared_states():
     a = _chain(3)
     with pytest.raises(AutomataError, match="undeclared state 3"):
-        with_initial(a, {0, 3})
+        automata._derived(a, initial=frozenset({0, 3}))
     with pytest.raises(AutomataError, match="undeclared state 'x'"):
-        with_initial(a, ["x"])
+        automata._derived(a, initial=frozenset(["x"]))
 
 
 FLAGGED = "abcde"

@@ -383,6 +383,24 @@ class TestRefutationRegressions:
         assert digest == (
             "a07eef8265ca580fede4730cf15728aaddd73fc919814fbc17436de6aabdda27")
 
+    def test_observer_verdicts_are_pinned(self):
+        # One digest of the observer verdicts and witnesses on the plants
+        # of the benchmark's populations 0 and 1. Recorded before the
+        # observer's per-pair searches came to share the difference search
+        # of `iter_difference_words`.
+        reports = []
+        for base in (0, 1000):
+            for n, density, count in ((8, 0.4, 20), (16, 0.35, 12),
+                                      (32, 0.35, 12)):
+                for seed in range(base, base + count):
+                    g = random_plant(GeneratorParams(n, 5, density, seed=seed))
+                    reports.append(check_observer(g).to_json())
+        assert collections.Counter(r["verdict"] for r in reports) == {
+            "holds": 36, "violated": 52}
+        digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+        assert digest == (
+            "7e601eac0672c42880d2ff8dee04c7dd93c5758d24d77566186c3b4d1273f71b")
+
     def test_oc_search_work_is_independent_of_successor_order(self):
         work = _forced_order_work()
         assert len(set(work)) == 1 and work[0] <= WANDER_BOUND
@@ -1205,22 +1223,21 @@ class TestOneContext:
         # plants/n32-s1008/observer of the benchmark. Each per-pair search
         # started afresh and tested 871 abstraction-subset pairs, 30 of
         # them distinct; the pairs that an earlier search found reach no
-        # uncovered pair are skipped now, so each is tested once.
-        tested, searches = [], []
-        search = hierarchy.first_path
+        # uncovered pair are skipped now, so each is tested once. The
+        # per-pair searches are the `first_path` calls of
+        # `automata._difference_search`; the search over (run(s),
+        # run(Q(s))) is `hierarchy`'s own.
+        tested = []
+        search = automata.first_path
 
         def spy(starts, moves, test):
-            searches.append(test)
-            if len(searches) > 1:   # a per-pair search, inside the first
-                inner = test
+            def counted(node):
+                tested.append(node)
+                return test(node)
 
-                def test(node):
-                    tested.append(node)
-                    return inner(node)
+            return search(starts, moves, counted)
 
-            return search(starts, moves, test)
-
-        monkeypatch.setattr(hierarchy, "first_path", spy)
+        monkeypatch.setattr(automata, "first_path", spy)
         g = random_plant(GeneratorParams(32, 5, 0.35, seed=1008))
         assert check_observer(g).holds
         assert len(tested) == len(set(tested)) == 30

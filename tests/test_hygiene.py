@@ -376,6 +376,35 @@ def test_includes_has_no_search_of_its_own():
         "first_path", "_difference_product"} == set()
 
 
+def test_the_difference_search_is_written_once():
+    # The observer asks each subset pair the search that
+    # `iter_difference_words` runs, so neither keeps a copy of it.
+    for path in MODULES:
+        assert uses_outside(path.read_text(encoding="utf-8"),
+                            "_difference_search",
+                            {"iter_difference_words", "check_observer"}) \
+            == [], path.name
+    for module, user in (("automata.py", "iter_difference_words"),
+                         ("hierarchy.py", "check_observer")):
+        assert "_difference_search" in used_names(top_level(module, user))
+
+
+def test_hierarchy_keeps_no_dead_pair_memo():
+    # The pairs found dead are `automata._difference_search`'s to keep.
+    source = (SRC / "hierarchy.py").read_text(encoding="utf-8")
+    assert used_names(ast.parse(source)) & {"dead", "expanded"} == set()
+
+
+def test_interleaving_cells_are_filled_in_one_loop():
+    # `exists` fills a missing cell through the explicit stack alone, with
+    # no one-step path beside it.
+    table = top_level("hierarchy.py", "_interleaving_table")
+    nested = [node.name for node in ast.walk(table)
+              if isinstance(node, ast.FunctionDef) and node is not table]
+    assert len(stack_loops(ast.unparse(table))) == 1
+    assert len(nested) <= 3, nested
+
+
 def test_observer_projects_no_plant_dfa():
     # `project` keeps the plant's states, so both sides of each per-pair
     # inclusion are copies of the abstraction itself.

@@ -24,7 +24,7 @@ from hierctl import automata
 from hierctl.automata import (Automaton, closure, explore, first_path,
                               iter_marked_words, merge_alphabets,
                               parallel_compose, path_word, prefix_close,
-                              project, trim, with_initial)
+                              project, trim)
 from hierctl.checks import (_PairSearch, _require_inclusion,
                             check_controllability, check_observability,
                             check_relative_observability)
@@ -112,7 +112,8 @@ def ref_check_observer(g: Automaton) -> Verdict:
     queue = list(parent)
     for cur in queue:
         gs, xs = cur
-        v = ref_includes(with_initial(hd, {xs}), with_initial(proj, {gs}))
+        v = ref_includes(automata._derived(hd, initial=frozenset({xs})),
+                         automata._derived(proj, initial=frozenset({gs})))
         if not v.holds:
             s = path_word(parent, cur)
             return Verdict.make_violated(Witness(
