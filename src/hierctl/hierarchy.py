@@ -16,7 +16,11 @@ its abstraction Q(L):
 
 OC and MOC ask the alphabet first: where Σo ⊆ Σhi or Σhi ⊆ Σo, MOC holds
 for every plant, and so does OC (`moc_structurally_guaranteed`), a bare
-"holds" with no product built. Otherwise each reduces its property to a
+"holds" with no product built. Then they ask the same of U, the events
+that label the plant's transitions (`_moc_forced`). LCC, LOC and the
+observer ask U first, each by rules of its own: each property quantifies
+only over events that occur in strings of L. A check that no rule decides
+builds its context. OC and MOC then each reduce their property to a
 regular-language inclusion between automata over pair events, neither
 side built. The left side is an `Implicit` product, each key's moves read
 when a search first steps it. The right side, the P-synchronized
@@ -67,6 +71,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
+from operator import itemgetter
 
 from .automata import (Alphabet, Automaton, Implicit, LazyRows, _Memo,
                        PreconditionError, ProjectionSpec, _derived,
@@ -136,6 +141,14 @@ def build_context(g: Plant) -> HierarchyContext:
     return HierarchyContext(all_marked(g))
 
 
+def _labelling(g: Plant) -> set:
+    """U, the events that label a transition of plant `g` (of a context's
+    plant). Taken from every transition, a superset of the reachable ones,
+    so a rule that reads U is sound on a plant with unreachable states:
+    an event outside U occurs in no string of L."""
+    return set(map(itemgetter(1), getattr(g, "plant", g).transitions))
+
+
 def conform_spec(k: Automaton, reference: Alphabet) -> Automaton:
     """Reinterpret a specification over (a restriction of) `reference`."""
     for e in k.alphabet.events:
@@ -172,11 +185,17 @@ def check_observer(g: Plant) -> Verdict:
     that the full search finds. No pair is known live before the last
     search, the one that fails.
     `g` is a plant or its `build_context(plant)`.
+
+    Two rules on U (`_labelling`) hold before any context is built. No
+    low-level event in U: Q is the identity on L, so u = t. No high-level
+    one: Q(L) = {ε}, so t = ε and u = ε.
     """
+    used, high = _labelling(g), g.alphabet.highlevel
+    if used <= high or used.isdisjoint(high):
+        return Verdict.make_holds()
     ctx = build_context(g)
     plant, hi = ctx.plant, ctx.abstraction
     plant_moves, hi_after = subset_moves(plant), subset_steps(hi)
-    high = ctx.alphabet.highlevel
     *_, search = _difference_search(hi, hi)
 
     def moves(node):   # se ∈ L puts Q(s)e in Q(L): the abstraction moves
@@ -206,9 +225,17 @@ def check_lcc(g: Plant) -> Verdict:
     by their `_plant_pairs` closures under the low-level and the
     uncontrollable low-level moves. `g` is a plant or its
     `build_context(plant)`.
+
+    Two rules on U (`_labelling`) hold before any context is built. No
+    uncontrollable high-level event in U: there is no e to check. No
+    controllable low-level one: every low-level path is uncontrollable.
     """
+    used, al = _labelling(g), g.alphabet
+    if (used & al.highlevel <= al.controllable
+            or used & al.controllable <= al.highlevel):
+        return Verdict.make_holds()
     ctx = build_context(g)
-    plant, al = ctx.plant, ctx.alphabet
+    plant = ctx.plant
     column, _, closing, _ = ctx.plant_pairs
     # run(s) is closed as the pairs it forms with state 0, by left moves
     low = tuple((0, e) for e in al.names if e in al.lowlevel)
@@ -528,13 +555,27 @@ def _pair_consistency(ctx: HierarchyContext, kind: str, key: str,
         confirm)
 
 
+def _moc_forced(g: Plant) -> bool:
+    """Is MOC forced on plant `g`, by `moc_structurally_guaranteed` asked
+    of the alphabet Σ, and then of U (`_labelling`): Σo ∩ U ⊆ Σhi or
+    Σhi ∩ U ⊆ Σo? The lemma's proof reads only the letters of strings of
+    L, all in U, so it holds with Σo and Σhi cut down to U."""
+    al = g.alphabet
+    if moc_structurally_guaranteed(al):
+        return True
+    used = _labelling(g)
+    return (used & al.observable <= al.highlevel
+            or used & al.highlevel <= al.observable)
+
+
 def check_oc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Observation consistency of the plant abstraction;
-    `g` is a plant or its `build_context(plant)`. A nested alphabet forces
-    MOC (`moc_structurally_guaranteed`), which implies OC, so there OC
-    holds before any product is built."""
+    `g` is a plant or its `build_context(plant)`. Σo and Σhi nested, on
+    Σ or on U, force MOC (`_moc_forced`: the lemma's proof reads only
+    letters of strings of L, all in U), and MOC implies OC, so there OC
+    holds before any context is built."""
     _require_budget(budget)
-    if moc_structurally_guaranteed(g.alphabet):   # the lemma, then MOC ⇒ OC
+    if _moc_forced(g):   # the lemma, then MOC ⇒ OC
         return Verdict.make_holds()
     return _pair_consistency(
         build_context(g), "oc", "t",
@@ -543,10 +584,11 @@ def check_oc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
 
 def check_moc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Modified observation consistency of the plant abstraction;
-    `g` is a plant or its `build_context(plant)`. A nested alphabet forces
-    it (`moc_structurally_guaranteed`) before any product is built."""
+    `g` is a plant or its `build_context(plant)`. Σo and Σhi nested, on
+    Σ or on U, force it (`_moc_forced`: the lemma's proof reads only
+    letters of strings of L, all in U) before any context is built."""
     _require_budget(budget)
-    if moc_structurally_guaranteed(g.alphabet):   # the lemma decides
+    if _moc_forced(g):   # the lemma decides
         return Verdict.make_holds()
     return _pair_consistency(
         build_context(g), "moc", "s",
@@ -593,13 +635,19 @@ def check_loc(g: Plant, budget: int = DEFAULT_BUDGET) -> Verdict:
     violation, so LOC is exact; the first word to reach one, followed by
     (ε, e, ε, e), is the witness sequence. At budget 0 a violation found is
     not examined, and the verdict is inconclusive.
+
+    Only the controllable high-level events in U (`_labelling`) are
+    searched, before any context is built: for another such e no state
+    enables e, so Q(s)e ∉ Q(L) and no node is bad for e. With none in U,
+    LOC holds.
     """
     _require_budget(budget)
-    ctx = build_context(g)
-    al = ctx.alphabet
-    events = sorted(al.highlevel & al.controllable, key=al.names.index)
+    al = g.alphabet
+    events = sorted(al.highlevel & al.controllable & _labelling(g),
+                    key=al.names.index)
     if not events:
         return Verdict.make_holds()
+    ctx = build_context(g)
     plant, hi = ctx.plant, ctx.abstraction
     plant_after, hi_after = subset_steps(plant), subset_steps(hi)
     labels = tuple(itertools.chain.from_iterable(_quad_labels(al).values()))
