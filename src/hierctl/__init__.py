@@ -19,8 +19,7 @@ from .hierarchy import (DEFAULT_BUDGET, HierarchyContext, build_context,
                         check_lcc, check_loc, check_moc, check_moc_modular,
                         check_observer, check_oc, conform_spec,
                         hier_synth_normal, hier_synth_relobs, hier_verify,
-                        lemma_distribute_q, lemma_moc_implies_oc,
-                        moc_structurally_guaranteed)
+                        lemma_distribute_q, moc_structurally_guaranteed)
 from .oracle import (PROPERTY_ORACLES, OracleReport, oracle_controllability,
                      oracle_lcc, oracle_loc, oracle_moc, oracle_nonconflicting,
                      oracle_normality, oracle_observability, oracle_observer,

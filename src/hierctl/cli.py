@@ -10,13 +10,12 @@ files it takes, whether it takes --budget and whether its leading files
 are specifications conformed to the plant's alphabet; the parser's
 choices, the file-count error and the oracle run all read it.
 
-The grammar is written once, in `_build_parser`. `_read_argv` reads a
-well-formed argv (every option spelled in full before the positionals, no
-value starting with "-") from tables built at import from that parser's
-actions; `main` hands every other argv, --help included, to the parser
-itself, so usage errors keep argparse's text. argparse matches positionals
-with regexes that each process compiles on its first parse, which forked
-children of a host that calls `main` repeatedly pay on every call.
+The grammar is written once, in `_build_parser`, and `main` hands every
+argv to the one parser it builds, so usage errors keep argparse's text.
+argparse matches an argv with regexes that a process compiles on its first
+parse; parsing one argv per subcommand at import compiles them once, so
+forked children of a host that calls `main` repeatedly do not pay for them
+on every call.
 """
 
 from __future__ import annotations
@@ -292,64 +291,19 @@ def _build_parser() -> argparse.ArgumentParser:
 # Built once: parsing leaves the parser as it was, and `prog` is fixed.
 _PARSER = _build_parser()
 
-
-def _table(parser) -> tuple:
-    """(option string -> store action, positionals, defaults) of `parser`."""
-    acts = parser._actions
-    stores = [a for a in acts if a.nargs in (None, 0) and isinstance(
-        a, (argparse._StoreAction, argparse._StoreConstAction))]
-    defaults = {a.dest: a.default for a in acts
-                if argparse.SUPPRESS not in (a.dest, a.default)}
-    return ({s: a for a in stores for s in a.option_strings},
-            [a for a in acts if not a.option_strings],
-            {**parser._defaults, **defaults})
-
-
-# The top-level parser's table and each subcommand's, read once.
-_TABLES = {p: _table(p) for p in [_PARSER, *(
-    sub for a in _PARSER._actions if a.nargs == argparse.PARSER
-    for sub in a.choices.values())]}
-
-
-def _values(action, words: list, n: int = 1) -> list:
-    """The first n ≥ 1 `words`, converted by `action`'s type; ValueError
-    if they are fewer, start with "-" or fall outside its choices."""
-    head = words[:n]
-    if not 0 < n == len(head) or any(w.startswith("-") for w in head):
-        raise ValueError(head)
-    out = [w if action.type is None else action.type(w) for w in head]
-    if action.choices is not None and any(v not in action.choices
-                                          for v in out):
-        raise ValueError(head)
-    return out
-
-
-def _read_argv(argv, parser=_PARSER) -> argparse.Namespace | None:
-    """`parser.parse_args(argv)` read from `_TABLES`, without argparse's
-    regexes, where argv spells every option in full before the positionals
-    and no value starts with "-"; else None, and argparse reads it."""
-    words = list(sys.argv[1:] if argv is None else argv)
-    options, positionals, values = _TABLES[parser]
-    values = dict(values)
-    try:
-        while words and words[0].startswith("-"):
-            action = options[words[0]]
-            values[action.dest] = action.const if action.nargs == 0 else \
-                _values(action, words[1:])[0]
-            words = words[1 if action.nargs == 0 else 2:]
-        for action in positionals:
-            if action.nargs == argparse.PARSER:
-                values[action.dest] = _values(action, words)[0]
-                sub = _read_argv(words[1:], action.choices[words[0]])
-                return sub and argparse.Namespace(**values | vars(sub))
-            # a str count ("?", "*") raises TypeError in `_values`
-            n = len(words) if action.nargs == "+" else action.nargs or 1
-            got = _values(action, words, n)
-            values[action.dest] = got if action.nargs else got[0]
-            words = words[n:]
-    except (KeyError, ValueError, TypeError, argparse.ArgumentTypeError):
-        return None
-    return None if words else argparse.Namespace(**values)
+# argparse matches each parser's positionals and options with regexes that
+# `re` compiles on first use and caches. One argv per subcommand, with every
+# option, compiles them all here, at import, so that forked children of a
+# host that calls `main` repeatedly inherit them rather than compile them on
+# each call. A property and a gadget kind are taken from the tables that
+# alone spell them.
+for _argv in (["check", next(iter(_CHECKS)), "F"], ["synth", "supn", "F"],
+              ["hier", "verify", "F", "F"], ["modular", "distribute", "F"],
+              ["gadget", next(iter(_GADGETS)), "F"],
+              ["random", "--states", "1", "--events", "1", "--density", "1",
+               "--seed", "0", "--nondeterministic"]):
+    _PARSER.parse_args(["--json", "--budget", "0", "--oracle-bound", "0",
+                        "--out", "F", *_argv])
 
 
 def _expected_files(args) -> tuple | None:
@@ -363,16 +317,14 @@ def _expected_files(args) -> tuple | None:
 
 
 def main(argv=None) -> int:
-    args = _read_argv(argv)
-    if args is None:
-        try:
-            args = _PARSER.parse_args(argv)
-        except SystemExit as exc:
-            # argparse has printed its usage error and exits 2, which
-            # means "inconclusive"; --help exits 0
-            if exc.code != 2:
-                raise
-            return EXIT_ERROR
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error and exits 2, which means
+        # "inconclusive"; --help exits 0
+        if exc.code != 2:
+            raise
+        return EXIT_ERROR
     expected = _expected_files(args)
     if expected is not None and len(args.files) != expected[1]:
         print(f"error: '{expected[0]}' takes exactly {expected[1]} file(s)",

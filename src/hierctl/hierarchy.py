@@ -607,12 +607,6 @@ def moc_structurally_guaranteed(alphabet: Alphabet) -> bool:
             or alphabet.highlevel <= alphabet.observable)
 
 
-def lemma_moc_implies_oc(g: Plant, budget: int = DEFAULT_BUDGET) -> dict:
-    """Both consistency verdicts; MOC holding entails OC holding."""
-    ctx = build_context(g)
-    return {"moc": check_moc(ctx, budget), "oc": check_oc(ctx, budget)}
-
-
 # ---------------------------------------------------------------------------
 # local observation consistency
 

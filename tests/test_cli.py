@@ -1,17 +1,13 @@
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
-import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hierctl import checks, cli
 from hierctl.cli import main
@@ -378,114 +374,33 @@ def _parsers():
     return [cli._PARSER, *subs[0].choices.values()]
 
 
-def _vocabulary() -> list:
-    """Every option string, subcommand and choice of the CLI, file-like
-    words, int and float literals, and words that argparse alone reads."""
-    words = {"a.saut", "plant", "x", "", "0", "5", "12", "0.5", "1e3",
-             "-5", "-0.5", "--bud", "--out=x", "-h", "--"}
-    for parser in _parsers():
-        for action in parser._actions:
-            words.update(action.option_strings)
-            words.update(action.choices or ())
-    return sorted(words)
-
-
-def _parse(argv):
-    """`vars(cli._PARSER.parse_args(argv))`, or None where it exits."""
-    sink = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(sink), \
-                contextlib.redirect_stderr(sink):
-            return vars(cli._PARSER.parse_args(argv))
-    except SystemExit:
-        return None
-
-
-_WORDS = st.sampled_from(_vocabulary())
-_LITERALS = {int: ["0", "5", "12"], float: ["0.5", "1e3", "5"],
-             None: ["o", "a.saut"]}
-
-
-@st.composite
-def _shaped(draw, parser=None):
-    """Options of `parser` with values of their type, then its positionals:
-    a choice, a subcommand and what it reads, or up to three files."""
-    parser = parser or cli._PARSER
-    argv = []
-    options = [a for a in parser._actions
-               if a.option_strings and a.dest != "help"]
-    for action in draw(st.lists(st.sampled_from(options), max_size=3)
-                       if options else st.just([])):
-        argv.append(draw(st.sampled_from(action.option_strings)))
-        if action.nargs is None:
-            argv.append(draw(st.sampled_from(_LITERALS[action.type])))
-    for action in (a for a in parser._actions if not a.option_strings):
-        if action.nargs == argparse.PARSER:
-            name = draw(st.sampled_from(sorted(action.choices)))
-            return argv + [name] + draw(_shaped(action.choices[name]))
-        if action.choices:
-            argv.append(draw(st.sampled_from(sorted(action.choices))))
-        else:
-            argv += draw(st.lists(st.sampled_from(["a.saut", "b", "c"]),
-                                  max_size=3))
-    return argv
-
-
-@st.composite
-def _argvs(draw):
-    argv = draw(st.one_of(_shaped(), st.lists(_WORDS, max_size=8)))
-    for i in draw(st.lists(st.integers(0, 9), max_size=2)):
-        if i < len(argv):
-            argv[i] = draw(_WORDS)
-    return argv
-
-
-@settings(max_examples=600, deadline=None)
-@given(_argvs())
-def test_read_argv_agrees_with_argparse(argv):
-    want = _parse(argv)
-    if want is not None:
-        got = cli._read_argv(argv)
-        assert got is None or vars(got) == want
-
-
-@pytest.mark.parametrize("argv", [
-    ["--json", "--budget", "7", "check", "oc", "a.saut"],
-    ["random", "--nondeterministic", "--density", "0.5"],
-    ["--out", "o", "gadget", "moc", "a.saut"],
-    ["modular", "distribute", "a.saut", "b.saut", "c.saut"],
-    ["--oracle-bound", "2", "synth", "supn", "a", "b"]])
-def test_read_argv_reads_well_formed_argv(argv):
-    want = _parse(argv)
-    assert want is not None and vars(cli._read_argv(argv)) == want
-
-
-@pytest.mark.parametrize("argv", [
-    ["--bud", "5", "check", "oc", PLANT], ["--out=x", "check", "oc", PLANT],
-    ["--budget", "-5", "check", "moc", PLANT], ["check", "oc", "--", PLANT],
-    ["--budget", "abc", "check", "oc", PLANT], ["-h"], ["check", "-h"],
-    ["check", "oc", PLANT, "--json"], ["random", "--seed", "1.5"],
-    ["hier", "verify", PLANT], ["check"], []])
-def test_other_argv_is_left_to_argparse(argv):
-    assert cli._read_argv(argv) is None
-
-
-def test_benchmark_shapes_skip_argparse(monkeypatch, tmp_path):
-    # The nine argv shapes of the cli-mix benchmark workload and `random`
-    # are read from the tables; argparse is never asked.
-    def refuse(*args, **kwargs):
-        raise AssertionError("argparse asked")
-
-    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
-    out = str(tmp_path / "out.saut")
-    for argv in [
-            *(["--json", "check", prop, SPEC, PLANT] for prop in
-              ("controllability", "observability", "normality")),
-            ["--json", "check", "relobs", RSPEC, RAMBIENT, RPLANT],
-            ["--json", "--out", out, "synth", "supn", SPEC, PLANT],
-            ["--json", "--out", out, "synth", "suprelobs", RSPEC, RAMBIENT,
-             RPLANT],
-            *(["--json", "--budget", "300", "hier", kind, PLANT, SPEC]
-              for kind in ("verify", "synth-normal", "synth-relobs")),
-            ["random", "--seed", "5", "--states", "4"]]:
-        assert main(argv) in (0, 1, 2), argv
+def test_import_compiles_every_pattern_the_parser_matches_with():
+    # The nine argv shapes of the cli-mix benchmark workload and one argv
+    # per subcommand: after `import hierctl.cli`, argparse compiles no
+    # regex for them, so a forked child inherits every one it needs.
+    shapes = [
+        *(["--json", "check", prop, "s", "p"] for prop in
+          ("controllability", "observability", "normality")),
+        ["--json", "check", "relobs", "s", "a", "p"],
+        ["--json", "--out", "o", "synth", "supn", "s", "p"],
+        ["--json", "--out", "o", "synth", "suprelobs", "s", "a", "p"],
+        *(["--json", "--budget", "300", "hier", kind, "p", "s"]
+          for kind in ("verify", "synth-normal", "synth-relobs")),
+        ["check", "oc", "p"], ["synth", "supn", "s", "p"],
+        ["hier", "synth-normal", "p", "s"], ["modular", "moc", "a", "b"],
+        ["gadget", "loc", "p"], ["random", "--seed", "5", "--states", "4"]]
+    script = (
+        "import json, re, sys\n"
+        "from hierctl import cli\n"
+        "before = set(re._cache)\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    cli._PARSER.parse_args(argv)\n"
+        "print(sorted(str(key) for key in set(re._cache) - before))\n")
+    src = str(DATA.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(shapes)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -35,7 +35,7 @@ from hierctl.hierarchy import (HierarchyContext, PreconditionError,
                                check_moc_modular, check_observer, check_oc,
                                conform_spec, hier_synth_normal,
                                hier_synth_relobs, hier_verify,
-                               lemma_distribute_q, lemma_moc_implies_oc,
+                               lemma_distribute_q,
                                moc_structurally_guaranteed)
 
 from hierctl.relations import (build_quad, decompose_sequence, label_name,
@@ -104,9 +104,9 @@ class TestConsistencyChecks:
             g = random_plant(GeneratorParams(
                 states=3 + seed % 3, events=2 + seed % 3,
                 transition_density=0.35, seed=seed))
-            rep = lemma_moc_implies_oc(g, budget=2000)
-            if rep["moc"].holds:
-                assert not rep["oc"].violated, f"seed={seed}"
+            ctx = build_context(g)
+            if check_moc(ctx, budget=2000).holds:
+                assert not check_oc(ctx, budget=2000).violated, f"seed={seed}"
 
 
 def _ordered(a: Implicit, order) -> Implicit:

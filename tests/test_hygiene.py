@@ -636,6 +636,43 @@ def test_check_properties_are_named_once_in_the_cli():
     assert {p: literals.count(p) for p in oracles} == dict.fromkeys(oracles, 1)
 
 
+def private_argparse_reads(source: str) -> list:
+    """In a module that imports argparse, the private names it imports
+    from argparse and every private attribute it reads: no type tells a
+    parser object apart, so any object's private attribute counts."""
+    tree = ast.parse(source)
+    nodes = list(ast.walk(tree))
+    if not any(isinstance(n, ast.Import)
+               and any(a.name == "argparse" for a in n.names)
+               or isinstance(n, ast.ImportFrom) and n.module == "argparse"
+               for n in nodes):
+        return []
+    found = [a.name for n in nodes
+             if isinstance(n, ast.ImportFrom) and n.module == "argparse"
+             for a in n.names] + \
+        [n.attr for n in nodes if isinstance(n, ast.Attribute)]
+    return sorted(name for name in found
+                  if name.startswith("_") and not name.endswith("__"))
+
+
+def test_private_argparse_reads_are_found():
+    module = ("import argparse as ap\nfrom argparse import _SubParsersAction"
+              ", Namespace\np = ap.ArgumentParser()\nq = p._actions\n"
+              "isinstance(q[0], ap._StoreAction)\nx.__class__\np.parse_args\n")
+    assert private_argparse_reads(module) == [
+        "_StoreAction", "_SubParsersAction", "_actions"]
+    assert private_argparse_reads("x._actions\n") == []
+
+
+def test_the_package_reads_no_private_name_of_argparse():
+    # argparse's private grammar (`_actions`, `_defaults`, its action
+    # classes) may change in any Python release; the CLI asks the parser
+    # to parse and reads nothing else of it.
+    found = {path.name: private_argparse_reads(
+        path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    assert {name: reads for name, reads in found.items() if reads} == {}
+
+
 def package_imports(source: str) -> set:
     """What a module imports from its own package: each name of a relative
     or `hierctl` `from ... import`, and each `hierctl` module imported whole."""
