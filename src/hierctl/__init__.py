@@ -20,14 +20,26 @@ from .hierarchy import (DEFAULT_BUDGET, HierarchyContext, build_context,
                         check_observer, check_oc, conform_spec,
                         hier_synth_normal, hier_synth_relobs, hier_verify,
                         lemma_distribute_q, moc_structurally_guaranteed)
-from .oracle import (PROPERTY_ORACLES, OracleReport, oracle_controllability,
-                     oracle_lcc, oracle_loc, oracle_moc, oracle_nonconflicting,
-                     oracle_normality, oracle_observability, oracle_observer,
-                     oracle_oc, oracle_relative_observability,
-                     oracle_sup_normal, oracle_sup_relobs)
 from .relations import (decompose_sequence, label_name, pair_alphabet,
                         quad_alphabet)
 from .saut import SautParseError, parse_automaton, serialize_automaton
 from .verdicts import HOLDS, INCONCLUSIVE, VIOLATED, Verdict, Witness
 
 __version__ = "0.1.0"
+
+# The bounded oracles are the referee, not the engine: they are imported on
+# first use of one of their exports (PEP 562), so a process that only
+# decides and synthesizes does not load them.
+_ORACLE_EXPORTS = frozenset((
+    "PROPERTY_ORACLES", "OracleReport", "oracle_controllability",
+    "oracle_lcc", "oracle_loc", "oracle_moc", "oracle_nonconflicting",
+    "oracle_normality", "oracle_observability", "oracle_observer",
+    "oracle_oc", "oracle_relative_observability", "oracle_sup_normal",
+    "oracle_sup_relobs"))
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_EXPORTS:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,12 +10,14 @@ looks for silent moves.
 
 Automata and alphabets are validated where data enters the program: the
 public `Automaton(...)`, `Automaton.make`, `Alphabet(...)` and
-`Alphabet.make`, and so the `.saut` parser, the gadget builders and the
-small builders, check every state, endpoint, label and event name in
-`__post_init__`. What is derived from valid ones is valid by construction
-and is built by `_unchecked`, without that walk: automata through
-`_trusted` (`explore`, which checks each distinct label its caller's
-`moves` yields, the restrictions and `project`) and `_derived`, and
+`Alphabet.make`, and so the gadget builders and the small builders, check
+every state, endpoint, label and event name in `__post_init__`. The
+`.saut` parser checks each line once, as it reads it, and so builds its
+automaton by `_trusted`; its alphabet goes through `Alphabet(...)`. What
+is derived from valid ones is valid by construction and is built by
+`_unchecked`, without that walk: automata through `_trusted` (`explore`,
+which checks each distinct label its caller's `moves` yields, the
+restrictions and `project`) and `_derived`, and
 alphabets (`merge_alphabets` and `Alphabet.restrict`, which keep their
 flag and unknown-event checks, and the pair and quadruple alphabets), and
 the projections of a plant's own flags (`HierarchyContext.p` and `.q`).
@@ -404,8 +406,8 @@ def _trusted(alphabet: Alphabet, states: tuple, transitions: frozenset,
              initial: frozenset, marked: frozenset) -> Automaton:
     """An automaton that is valid by construction (`_unchecked`): its
     caller derived every state, endpoint and label from a valid automaton,
-    or checked them itself (`explore` checks its labels). Its tables are
-    its own; only `_derived` shares."""
+    or checked them itself (`explore` checks its labels, the `.saut`
+    parser its lines). Its tables are its own; only `_derived` shares."""
     return _unchecked(Automaton, alphabet=alphabet, states=states,
                       transitions=transitions, initial=initial, marked=marked)
 

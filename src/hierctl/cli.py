@@ -36,7 +36,6 @@ from .hierarchy import (DEFAULT_BUDGET, check_lcc, check_loc, check_moc,
                         check_moc_modular, check_observer, check_oc,
                         conform_spec, hier_synth_normal, hier_synth_relobs,
                         hier_verify, lemma_distribute_q)
-from .oracle import PROPERTY_ORACLES
 from .saut import parse_automaton, serialize_automaton
 from .verdicts import HOLDS, INCONCLUSIVE, VIOLATED, Verdict
 
@@ -45,11 +44,12 @@ EXIT_ERROR = 3
 
 
 def _load(path: str) -> Automaton:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise AutomataError(f"{path} is not UTF-8 text: {exc}") from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise AutomataError(f"{path} is not UTF-8 text: {exc}") from None
     return parse_automaton(text, allow_reserved=True)
 
 
@@ -142,6 +142,7 @@ def _cmd_check(args) -> int:
     report: dict = {"command": "check", "property": prop, "result": v}
     lines = [f"{prop}: {_describe(v)}"]
     if args.oracle_bound is not None:
+        from .oracle import PROPERTY_ORACLES   # the referee, loaded on use
         rep = PROPERTY_ORACLES[prop](*inputs, args.oracle_bound)
         report["oracle"] = rep
         lines.append(f"oracle (bound {rep.bound}): "

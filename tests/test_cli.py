@@ -404,3 +404,36 @@ def test_import_compiles_every_pattern_the_parser_matches_with():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [("check", "lcc"), ("check", "oc"),
+                                  ("--json", "check", "moc")])
+def test_a_byte_order_mark_changes_nothing(capsys, tmp_path, argv):
+    bom = tmp_path / "bom.saut"
+    with open(PLANT, "rb") as fh:
+        bom.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    assert run(capsys, *argv, str(bom)) == run(capsys, *argv, PLANT)
+
+
+def test_the_oracle_is_imported_only_when_used():
+    # The bounded oracles referee `--oracle-bound` and the tests; a process
+    # that only decides does not load them, and the package still exports
+    # them.
+    script = (
+        "import sys\n"
+        "import hierctl.cli\n"
+        "assert hierctl.cli.main(['check', 'lcc', sys.argv[1]]) == 0\n"
+        "assert 'hierctl.oracle' not in sys.modules\n"
+        "from hierctl import oracle_oc, PROPERTY_ORACLES\n"
+        "assert PROPERTY_ORACLES['oc'] is oracle_oc\n"
+        "assert hierctl.cli.main(['--oracle-bound', '4', 'check', 'moc',\n"
+        "                         sys.argv[1]]) == 1\n")
+    src = str(DATA.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script, PLANT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("lcc: holds\n"
+                           "moc: violated (s=c; sequence=-:b c:c; "
+                           "t_prime=b c)\noracle (bound 4): violated\n")
