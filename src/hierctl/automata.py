@@ -48,29 +48,26 @@ copies for `widen_alphabet`, `right_quotient` and a restriction that only
 marks every state check only the initial and marked states they change. A
 restriction that keeps `a` whole returns `a` itself.
 
-Five search shapes are written once. `_difference_product(a, b)` is the
-product of `a` with the subset construction of `b` (start nodes, steps in
-alphabet order, bad-node test) that `included`, `difference` and
-`checks.sup_normal_closed` search; `included` answers the boolean alone by
-an antichain search, which skips a node whose `b` subset contains one
-already reached with the same `a` state. The right operand `b` is an
-`Automaton`, an `Implicit` (keys numbered as they are read) or `LazyRows`
-(states numbered already).
+Each search shape is written once. `_search` is the one breadth-first
+search: nodes numbered in discovery order, a parent map, a resume point,
+and a test, a skip rule and an edge set where a caller asks for them. It
+runs `explore`, every witness search through `first_path` (the observer,
+LCC, LOC, controllability and normality checks, and `_difference_search`,
+which finds the first word of `iter_difference_words` and decides which
+subset pairs are live), `included`, whose antichain is its skip rule, and
+the relative-observability search and result numbering of `checks`.
+`_difference_product(a, b)` is the product of `a` with the subset
+construction of `b`, an `Automaton`, an `Implicit` or `LazyRows`, that
+`included`, `difference` and `checks.sup_normal_closed` search.
 `pair_product(alphabet, a, b, labels)` is every product of two automata
 stepped by a label table (`parallel_compose`, the pair products of
 `relations`, OC's and MOC's left sides through `pair_moves`).
-`first_path(starts, moves, test)` is every breadth-first witness search:
-the observer, LCC, LOC, controllability and normality checks, and
-`_difference_search`, whose searches over subset pairs find the first word
-of `iter_difference_words` (the witness of `includes`) and of each of the
-observer's per-pair inclusions, and decide which pairs are live.
-`iter_marked_words` is the one length-lexicographic enumerator:
-`iter_difference_words` runs it over the live pairs for the words after
-its first. Both yield each word folded by a caller's step, by default
-into its tuple.
+`iter_marked_words` is the one length-lexicographic enumerator, which
+`iter_difference_words` runs over the live pairs for the words after its
+first; both yield each word folded by a caller's step.
 `closure(starts, step)` is every "all that is reachable" set: erased-move
 and unobservable closures, (co)reachable states and subsets, and the pair
-search of `right_quotient`.
+search of `right_quotient`. It keeps a set and a stack, and no order.
 """
 
 from __future__ import annotations
@@ -527,7 +524,71 @@ def is_empty(a: Automaton) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the construction kernel and determinization
+# the search kernel, witness paths, explore and determinization
+
+def _search(index: dict, queue: list, parent: list, moves,
+            starts: Iterable = (), test=None, skip=None, edges=None,
+            done: int = 0):
+    """The engine's one breadth-first search over the (event, node) steps
+    that `moves(node)` yields. Nodes are numbered in discovery order, the
+    new `starts` as given and then each new target in the order `moves`
+    yields it: `queue[i]` is node i, `index` its inverse, and `parent[i]`
+    (number of the node whose step found node i, event), None at a start,
+    which `path_word` spells. The three hold the search so far, of which
+    `queue[:done]` is expanded, so a caller that cuts them back resumes
+    (`checks._PairSearch`); one stopped at node i goes on from
+    `parent[i][0]`, or 0 at a start. `test(node)` is asked of each node as
+    it is discovered, and (i, value) is returned for the first truthy
+    value, or None once every node is expanded. A truthy `skip(node)`
+    leaves a new node undiscovered (`included`'s antichain); `edges` gets
+    each step of an expanded node as numbers (`explore`).
+    """
+    for node in starts:
+        if node not in index and not (skip is not None and skip(node)):
+            i = index[node] = len(queue)
+            queue.append(node)
+            parent.append(None)
+            if test is not None and (value := test(node)):
+                return i, value
+    for node in islice(queue, done, None):   # grows as it is read
+        src = index[node]   # the one int object of its number
+        for e, nxt in moves(node):
+            if nxt in index:
+                if edges is not None:
+                    edges.add((src, e, index[nxt]))
+                continue
+            if skip is not None and skip(nxt):
+                continue
+            i = index[nxt] = len(queue)
+            queue.append(nxt)
+            parent.append((src, e))
+            if test is not None and (value := test(nxt)):
+                return i, value
+            if edges is not None:
+                edges.add((src, e, i))
+    return None
+
+
+def path_word(parent, key) -> tuple:
+    """The word that a search's parent map {key: (previous key, event)},
+    with None at the start keys, spells from a start key to `key`; the
+    map of `_search` is a list over node numbers."""
+    word = []
+    while parent[key] is not None:
+        key, e = parent[key]
+        word.append(e)
+    word.reverse()
+    return tuple(word)
+
+
+def first_path(starts: Iterable, moves, test):
+    """(word, value) for the first node of the `_search` from `starts`
+    whose `test(node)` is a truthy value, or None; `word` spells the path
+    that discovered the node, a shortest one, and () for a start."""
+    parent: list = []
+    found = _search({}, [], parent, moves, starts, test)
+    return found and (path_word(parent, found[0]), found[1])
+
 
 def explore(alphabet: Alphabet, starts: Iterable, moves, marked) -> Automaton:
     """Reachable part of an implicitly given automaton over `alphabet`.
@@ -536,37 +597,23 @@ def explore(alphabet: Alphabet, starts: Iterable, moves, marked) -> Automaton:
     `starts` lists the start keys, `moves(key)` yields (label, key) steps and
     `marked(key)` tells whether a key is marked. States are numbered 0..n-1
     in breadth-first discovery order: the distinct start keys in the order
-    given, then each new target in the order `moves` yields it. Keys are
-    never named, so two distinct keys never share a state.
+    given, then each new target in the order `moves` yields it: the
+    numbers and `edges` of a `_search`. Keys are never named, so two
+    distinct keys never share a state.
 
     The numbered states and endpoints are valid by construction, so the
     result is built by `_trusted`; each distinct label that `moves` yields
     is checked once against `alphabet`, and an unknown one, None (the
     silent move) included, raises `AutomataError`.
     """
-    # Each state is one int object, shared by every tuple and set that holds
-    # it: ints above 256 are not cached, and a copy per mention costs memory.
-    index: dict = {}
-    keys: list = []
-
-    def number(key) -> int:
-        i = index.get(key)
-        if i is None:
-            i = index[key] = len(keys)
-            keys.append(key)
-        return i
-
-    initial = frozenset(map(number, starts))
-    trans = set()
-    for key in keys:  # `keys` grows while it is read: the BFS queue
-        src = index[key]
-        for lbl, nxt in moves(key):
-            trans.add((src, lbl, number(nxt)))
+    index, keys, parent, trans = {}, [], [], set()
+    _search(index, keys, parent, moves, starts, edges=trans)
     for lbl in {lbl for (_, lbl, _) in trans}:   # each distinct label once
         if lbl not in alphabet:
             raise AutomataError(f"transition on unknown event {lbl!r}")
     states = tuple(index.values())
-    return _trusted(alphabet, states, frozenset(trans), initial,
+    return _trusted(alphabet, states, frozenset(trans),
+                    frozenset(states[:parent.count(None)]),
                     frozenset(i for i, key in zip(states, keys)
                               if marked(key)))
 
@@ -695,41 +742,6 @@ def determinize(a: Automaton) -> Automaton:
 # ---------------------------------------------------------------------------
 # inclusion
 
-def path_word(parent: dict, key) -> tuple:
-    """The word that a search's parent map {key: (previous key, event)},
-    with None at the start keys, spells from a start key to `key`."""
-    word = []
-    while parent[key] is not None:
-        key, e = parent[key]
-        word.append(e)
-    word.reverse()
-    return tuple(word)
-
-
-def first_path(starts: Iterable, moves, test):
-    """(word, value) for the first node of a breadth-first search whose
-    `test(node)` is a truthy value, or None. Nodes are discovered in the
-    order `explore` numbers keys (the distinct `starts` as given, then each
-    node's (event, node) steps as `moves(node)` yields them) and tested
-    once, when discovered; `word` spells the path that discovered the node,
-    a shortest one, and () for a start."""
-    parent = dict.fromkeys(starts)
-    for node in parent:
-        value = test(node)
-        if value:
-            return (), value
-    queue = list(parent)
-    for node in queue:   # `queue` grows while it is read: breadth first
-        for e, nxt in moves(node):
-            if nxt not in parent:
-                parent[nxt] = (node, e)
-                value = test(nxt)
-                if value:
-                    return path_word(parent, nxt), value
-                queue.append(nxt)
-    return None
-
-
 def _difference_product(a: Automaton,
                         b: Automaton | Implicit | LazyRows) -> tuple:
     """(starts, moves, bad) of the product of `a` with the subset
@@ -795,40 +807,31 @@ def includes(a: Automaton, b: Automaton, kind: str = "inclusion"):
 
 
 def included(a: Automaton, b: Automaton | Implicit | LazyRows) -> bool:
-    """L_m(a) ⊆ L_m(b), without a witness: a breadth-first search of
+    """L_m(a) ⊆ L_m(b), without a witness: a `_search` of
     `_difference_product(a, b)` that stops at its first bad node.
 
-    It keeps an antichain: per state q of `a`, the ⊆-minimal `b` subsets
-    reached with it. A node (q, B′) is skipped once some (q, B) with
-    B ⊆ B′ is reached, and is not expanded if such a (q, B) is reached
-    after it: the subset step is monotone, so a word that leads (q, B′) to
-    a bad node leads (q, B) to one too (De Wulf, Doyen, Henzinger &
-    Raskin, CAV 2006). Each node's steps are read in `moves` order, so the
-    search does the same work in every process."""
+    Its skip rule is an antichain: per state q of `a`, the ⊆-minimal `b`
+    subsets reached with it. A node (q, B′) is skipped once some (q, B)
+    with B ⊆ B′ is reached, and is not expanded if such a (q, B) is
+    reached after it: the subset step is monotone, so a word that leads
+    (q, B′) to a bad node leads (q, B) to one too (De Wulf, Doyen,
+    Henzinger & Raskin, CAV 2006). Each node's steps are read in `moves`
+    order, so the search does the same work in every process."""
     starts, moves, bad = _difference_product(a, b)
     minimal: dict = {}   # state of `a` -> its ⊆-minimal `b` subsets
-    queue = []
 
-    def reach(node) -> bool:
-        """False if `node` is bad; else queue it unless it is covered."""
+    def covered(node) -> bool:   # if not, `node`'s subset is kept
         q, m = node
         kept = minimal.setdefault(q, [])
         if any(k & m == k for k in kept):
             return True
-        if bad(node):
-            return False
         kept[:] = [k for k in kept if k & m != m]
         kept.append(m)
-        queue.append(node)
-        return True
-
-    if not all(map(reach, starts)):
         return False
-    for node in queue:   # `queue` grows while it is read: breadth first
-        if node[1] in minimal[node[0]]:   # not displaced by a smaller one
-            if not all(reach(nxt) for _, nxt in moves(node)):
-                return False
-    return True
+
+    return _search({}, [], [], lambda node: moves(node)
+                   if node[1] in minimal[node[0]] else (),
+                   starts, bad, covered) is None
 
 
 def language_equal(a: Automaton, b: Automaton) -> bool:

@@ -3,16 +3,15 @@
 The checks read K̄, C̄ and G only as the DFA tables {subset: {event:
 subset}} of their `automata.subset_steps`, stepped on demand, and walk no
 transitions. In the table of a specification closure K̄ a missing entry
-means "outside K̄", so no dead state is added. Controllability is one
-`automata.first_path` search over (K̄, G) state pairs, and normality one
-over (K̄, G, P(K̄)) subset triples. The observability-style checks share
-one breadth-first search over pairs of strings with equal observations;
-`path_word` spells its shortest, deterministic witnesses from its parent
-map. That search resumes after an entry of K̄ is deleted, so
-`sup_relobs_closed` runs all its removal rounds as one search, over the
-table of its candidate R. R is read on demand too (an `Implicit`): a
-triple is expanded when the search first reads it, and the result is
-numbered as the whole nested product would be. `sup_normal_closed` is one
+means "outside K̄", so no dead state is added. Every search is the
+breadth-first `automata._search`. Controllability is one `first_path` over
+(K̄, G) state pairs, and normality one over (K̄, G, P(K̄)) subset triples.
+The observability-style checks share one search over pairs of strings with
+equal observations (`_PairSearch`), which resumes after an entry of K̄ is
+deleted, so `sup_relobs_closed` runs all its removal rounds as one search,
+over the table of its candidate R. R is read on demand too (an
+`Implicit`), and the result is numbered as the whole nested product would
+be (`_kept_part`). `sup_normal_closed` is one
 `explore` over pairs of a B state and a subset of P(M−B). Every
 projection, P(K̄), P(M−B) and `sup_relobs_closed`'s observer P(L(G)), is
 read on demand (`_observed`), each unobservable closure taken once, so no
@@ -31,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import (Automaton, Implicit, PreconditionError,
-                       _difference_product, _Memo, _trusted, bits, closure,
-                       explore, first_path, includes,
+                       _difference_product, _Memo, _search, _trusted, bits,
+                       closure, explore, first_path, includes,
                        is_prefix_closed, parallel_compose, path_word,
                        prefix_close, require_same_alphabet, subset_steps)
 from .relations import decompose_sequence
@@ -110,76 +109,71 @@ class _PairSearch:
     G are `k`, `c` and `g` read through their `subset_steps`, so a state
     is a subset bitmask. It needs K̄ ⊆ C̄ ⊆ L(G). No node with s ∉ K̄ or
     s' ∉ C̄ is generated: K̄ and C̄ are prefix-closed, so no extension of
-    such a pair violates. The parent map labels a step with its pair
-    event, (e, e), (e, None) or (None, e), which
-    `relations.decompose_sequence` splits into s and s'. `order` lists the
-    nodes in discovery order; the first len(front) of them have been
-    dequeued and the rest are the queue.
+    such a pair violates. Its `_search` test is a node's first such e, and
+    its parent map labels a step with its pair event, (e, e), (e, None) or
+    (None, e), which `relations.decompose_sequence` splits into s and s'.
 
     `delete(q, e)` drops an entry of K̄'s `subset_steps`, which every reader
     of `k`'s tables shares: only an owner of `k` calls it. That changes
     the violation test and the moves of exactly the nodes that hold q, so
     a fresh search over the smaller table would repeat this one up to the
-    first dequeued node holding q. `delete` cuts the queue and the parent
-    map back to what was discovered when that node was dequeued, and
-    `next_violation` goes on from there.
+    discovery of the first node holding q. `delete` cuts the search back
+    to just before it, and `next_violation` goes on from there.
     """
 
     def __init__(self, k: Automaton, c: Automaton, g: Automaton, events):
         alphabet, k0, g0 = g.alphabet, k.start_mask, g.start_mask
-        self.kt, self.ct, self.gt = map(subset_steps, (k, c, g))
-        self.events = sorted(set(events), key=alphabet.names.index)
-        self.steps = [(e, e in alphabet.observable, (e, e), (e, None), (None, e))
-                      for e in alphabet.names]
-        self.parent: dict = {(k0, g0, k0, c.start_mask, g0): None} if k0 else {}
-        self.order = list(self.parent)
-        self.front: list = []   # front[i]: len(order) when order[i] was dequeued
+        kt, ct, gt = map(subset_steps, (k, c, g))
+        self.kt = kt
+        events = sorted(set(events), key=alphabet.names.index)
+        steps = [(e, e in alphabet.observable, (e, e), (e, None), (None, e))
+                 for e in alphabet.names]
+        outside: dict = {}
 
-    def next_violation(self):
-        """The next violating (node, e) in dequeue order, or None."""
-        kt, ct, gt, parent, order = self.kt, self.ct, self.gt, self.parent, self.order
-        events, steps, front, outside = self.events, self.steps, self.front, {}
-        while len(front) < len(order):
-            node = order[len(front)]
-            front.append(len(order))
-            k1, g1, k2, c2, g2 = node
+        def violation(node):
+            k1, _, k2, _, g2 = node
             kk1, gg2 = kt[k1], gt[g2]
             kk2 = outside if k2 is None else kt[k2]
             for e in events:
                 if e in kk1 and e in gg2 and e not in kk2:
-                    return node, e
-            gg1, cc2 = gt[g1], ct[c2]
+                    return e
+            return None
+
+        def moves(node):
+            k1, g1, k2, c2, g2 = node
+            kk1, gg1, cc2, gg2 = kt[k1], gt[g1], ct[c2], gt[g2]
+            kk2 = outside if k2 is None else kt[k2]
             for e, observable, both, left, right in steps:
                 k1n, c2n = kk1.get(e), cc2.get(e)
                 if observable:
                     if k1n is not None and c2n is not None:
-                        nxt = (k1n, gg1[e], kk2.get(e), c2n, gg2[e])
-                        if nxt not in parent:
-                            parent[nxt] = (node, both)
-                            order.append(nxt)
+                        yield both, (k1n, gg1[e], kk2.get(e), c2n, gg2[e])
                     continue
                 if k1n is not None:
-                    nxt = (k1n, gg1[e], k2, c2, g2)
-                    if nxt not in parent:
-                        parent[nxt] = (node, left)
-                        order.append(nxt)
+                    yield left, (k1n, gg1[e], k2, c2, g2)
                 if c2n is not None:
-                    nxt = (k1, g1, kk2.get(e), c2n, gg2[e])
-                    if nxt not in parent:
-                        parent[nxt] = (node, right)
-                        order.append(nxt)
-        return None
+                    yield right, (k1, g1, kk2.get(e), c2n, gg2[e])
+
+        self.moves, self.violation = moves, violation
+        self.starts = [(k0, g0, k0, c.start_mask, g0)] if k0 else []
+        self.index, self.queue, self.parent, self.done = {}, [], [], 0
+
+    def next_violation(self):
+        """(number, e) of the next violating node, or None."""
+        return _search(self.index, self.queue, self.parent, self.moves,
+                       self.starts, self.violation, done=self.done)
 
     def delete(self, q, e) -> None:
-        """Drop the K̄ entry (q, e) and cut the search back to the first
-        dequeued node that holds q."""
+        """Drop the K̄ entry (q, e) and cut the search back to just before
+        the discovery of the first node that holds q."""
         del self.kt[q][e]
-        j = next(i for i, node in enumerate(self.order)
+        queue, parent = self.queue, self.parent
+        j = next(i for i, node in enumerate(queue)
                  if node[0] == q or node[2] == q)
-        n = self.front[j]
-        for _ in range(len(self.order) - n):
-            self.parent.popitem()
-        del self.order[n:], self.front[j:]
+        self.done = 0 if parent[j] is None else parent[j][0]
+        for _ in range(len(queue) - j):
+            self.index.popitem()
+        del queue[j:], parent[j:]
 
 
 def _observability_engine(k: Automaton, c: Automaton, g: Automaton,
@@ -190,8 +184,8 @@ def _observability_engine(k: Automaton, c: Automaton, g: Automaton,
     found = search.next_violation()
     if found is None:
         return Verdict.make_holds()
-    node, e = found
-    s, sp = decompose_sequence(path_word(search.parent, node))
+    i, e = found
+    s, sp = decompose_sequence(path_word(search.parent, i))
     return Verdict.make_violated(Witness(
         kind, {"s": s, "s_prime": sp, "e": (e,),
          "se": s + (e,), "s_prime_e": sp + (e,)},
@@ -407,7 +401,7 @@ def _sup_relobs(k: Automaton, c: Automaton,
     search = _PairSearch(refined, cbar, g, g.alphabet.names)
     rounds = 0
     while (found := search.next_violation()) is not None:
-        search.delete(found[0][0], found[1])
+        search.delete(search.queue[found[0]][0], found[1])
         rounds += 1
     return _kept_part(refined), SynthReport(True, rounds, rounds)
 
@@ -415,22 +409,16 @@ def _sup_relobs(k: Automaton, c: Automaton,
 def _kept_part(r: Implicit) -> Automaton:
     """The DFA `r` cut down to the keys still reachable over its pruned
     `rows`, all marked, its states named as `explore` numbers the whole of
-    `r`: a breadth-first pass over the unpruned `succ`, in the order its
-    moves were yielded, that stops once every kept key has a number."""
+    `r`: by a `_search` over the unpruned `succ`, in the order its moves
+    were yielded, that stops once every kept key has a number."""
     keys, rows = list(r.state_index), r.rows
     kept = closure(bits(r.start_mask),
                    lambda i: (m.bit_length() - 1 for m in rows[i].values()))
-    number = {key: i for i, key in enumerate(r.initial)}
-    queue, missing = list(number), {keys[i] for i in kept} - number.keys()
-    for key in queue:   # `queue` grows while it is read: breadth first
-        if not missing:
-            break
-        for targets in r.succ[key].values():
-            for t in targets:
-                if t not in number:
-                    number[t] = len(queue)
-                    queue.append(t)
-                    missing.discard(t)
+    missing = {keys[i] for i in kept}
+    number: dict = {}
+    _search(number, [], [],
+            lambda key: ((e, t) for e, ts in r.succ[key].items() for t in ts),
+            r.initial, lambda key: missing.discard(key) or not missing)
     name = {i: number[keys[i]] for i in kept}
     states = tuple(sorted(name.values()))
     return _trusted(r.alphabet, states,

@@ -733,6 +733,84 @@ def test_words_are_enumerated_in_one_loop():
                                           "iter_difference_words"))
 
 
+def search_loops(source: str) -> list:
+    """(line, top-level definition) of each search loop of a module: a
+    `while` loop that pops from a stack or a queue, or a loop that reads a
+    list (a `for` over it, or a `while` that tests it) that its body, or a
+    function defined in the same top-level definition that the body calls
+    by name, appends to. A list that the loop head only calls a method of
+    (`step(stack.pop())`) is not read."""
+    found = []
+    for top in ast.parse(source).body:
+        nested = {node.name: node for node in ast.walk(top)
+                  if isinstance(node, ast.FunctionDef)}
+        for loop in ast.walk(top):
+            if not isinstance(loop, (ast.For, ast.While)):
+                continue
+            calls = [n for stmt in loop.body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Call)]
+            reached = calls + [n for call in calls
+                               if isinstance(call.func, ast.Name)
+                               and call.func.id in nested
+                               for n in ast.walk(nested[call.func.id])
+                               if isinstance(n, ast.Call)]
+            grown = {ast.unparse(call.func.value) for call in reached
+                     if isinstance(call.func, ast.Attribute)
+                     and call.func.attr in ("append", "extend")}
+            head = loop.iter if isinstance(loop, ast.For) else loop.test
+            called = {ast.unparse(n.func.value) for n in ast.walk(head)
+                      if isinstance(n, ast.Call)
+                      and isinstance(n.func, ast.Attribute)}
+            read = {ast.unparse(n) for n in ast.walk(head)
+                    if isinstance(n, (ast.Name, ast.Attribute))} - called
+            pops = isinstance(loop, ast.While) and any(
+                isinstance(call.func, ast.Attribute)
+                and call.func.attr in ("pop", "popleft") for call in calls)
+            if pops or read & grown:
+                found.append((loop.lineno, getattr(top, "name", None)))
+    return found
+
+
+def test_search_loops_are_found():
+    module = ("def f(q):\n    for x in q:\n        q.append(x)\n"
+              "def g(q):\n    for x in list(q):\n        print(x)\n"
+              "def h(q):\n    def add(x):\n        q.append(x)\n"
+              "    for x in islice(q, 1, None):\n        add(x)\n"
+              "def k(s):\n    while s:\n"
+              "        for x in step(s.pop()):\n            s.append(x)\n"
+              "def m(a, b):\n    while len(a) < len(b):\n"
+              "        b.append(1)\n"
+              "def n(q, r):\n    for x in q:\n        r.append(x)\n"
+              "def p(q):\n    while q:\n        x = q.popleft()\n"
+              "def u(m):\n    while m:\n        m = m - 1\n")
+    assert search_loops(module) == [
+        (2, "f"), (10, "h"), (13, "k"), (17, "m"), (23, "p")]
+
+
+# The engine's search loops: the breadth-first kernel and the loops whose
+# shape is not its shape. The referee keeps searches of its own
+# (`test_the_oracle_searches_in_one_loop`).
+SEARCH_LOOPS = {
+    # the one breadth-first search: explore, first_path, included, and the
+    # pair search and result numbering of `checks`
+    ("automata.py", "_search"),
+    # a reachable set, with no order, no parent map and no events
+    ("automata.py", "closure"),
+    # the length-lexicographic enumerator: it visits a subset once per
+    # word, not once
+    ("automata.py", "iter_marked_words"),
+    # a depth-first fill of the cells a key needs, each cell after the
+    # cells it is computed from, not a search in discovery order
+    ("hierarchy.py", "_interleaving_table"),
+}
+
+
+def test_the_engine_searches_in_one_kernel():
+    loops = [(path.name, name) for path in MODULES if path.name != "oracle.py"
+             for _, name in search_loops(path.read_text(encoding="utf-8"))]
+    assert sorted(loops) == sorted(SEARCH_LOOPS)
+
+
 def test_the_oracle_searches_in_one_loop():
     # Each inner quantifier of the referee is a goal over `_visit`.
     source = (SRC / "oracle.py").read_text(encoding="utf-8")

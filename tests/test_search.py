@@ -1,13 +1,16 @@
-"""The witness search and the pair-product kernel against the loops they
-replaced.
+"""The search and pair-product kernels against the loops they replaced.
 
-`automata.first_path` is the one breadth-first search that spells a witness
-through a parent map, and `automata.pair_product` (with its `pair_moves`)
-the one product of two automata stepped by a label table. The references
-below are the hand-written loops of the controllability, observer and LCC
-checks, over automata determinized whole, and the moves of
-`parallel_compose` and `sync_pair_compose` as they were before; the
-kernels must give byte-identical verdict JSON and identical automata.
+`automata._search` is the one breadth-first search: `first_path` spells a
+witness through its parent map, `included` passes its antichain as its skip
+rule, and the relative-observability search resumes it after a cut-back.
+`automata.pair_product` (with its `pair_moves`) is the one product of two
+automata stepped by a label table. The references below are the
+hand-written loops of the controllability, observer and LCC checks, over
+automata determinized whole, the loops of `first_path` and `included` as
+they were before the kernel, and the moves of `parallel_compose` and
+`sync_pair_compose` as they were before; the kernels must give
+byte-identical verdict JSON, identical automata, and the same discovery
+order and work.
 """
 
 from __future__ import annotations
@@ -20,11 +23,14 @@ import sys
 from collections import deque
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hierctl import automata
-from hierctl.automata import (Automaton, closure, explore, first_path,
-                              iter_marked_words, merge_alphabets,
-                              parallel_compose, path_word, prefix_close,
-                              project, trim)
+from hierctl.automata import (Automaton, _search, closure, explore,
+                              first_path, included, iter_marked_words,
+                              merge_alphabets, parallel_compose, path_word,
+                              prefix_close, project, trim)
 from hierctl.checks import (_PairSearch, _require_inclusion,
                             check_controllability, check_observability,
                             check_relative_observability)
@@ -36,6 +42,7 @@ from hierctl.relations import (decompose_sequence, pair_alphabet,
 from hierctl.verdicts import Verdict, Witness
 
 from conftest import make_alphabet, ref_includes
+from test_subsets import nfas
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -332,6 +339,162 @@ def test_first_path_gives_a_failing_start_the_empty_word():
     tested, moves, test = _recording(DIAMOND, goal={1, 2})
     assert first_path([0, 2, 1], moves, test) == ((), "v2")
     assert tested == [0, 2]
+
+
+# ---------------------------------------------------------------------------
+# the kernel's contract, over small graphs and automata
+
+def ref_first_path(starts, moves, test):
+    """`first_path` as its own loop was written before the kernel."""
+    parent = dict.fromkeys(starts)
+    for node in parent:
+        value = test(node)
+        if value:
+            return (), value
+    queue = list(parent)
+    for node in queue:
+        for e, nxt in moves(node):
+            if nxt not in parent:
+                parent[nxt] = (node, e)
+                value = test(nxt)
+                if value:
+                    return path_word(parent, nxt), value
+                queue.append(nxt)
+    return None
+
+
+def ref_included(a, b) -> bool:
+    """`included` as its own antichain loop was written before the
+    kernel."""
+    starts, moves, bad = automata._difference_product(a, b)
+    minimal: dict = {}
+    queue = []
+
+    def reach(node) -> bool:
+        q, m = node
+        kept = minimal.setdefault(q, [])
+        if any(k & m == k for k in kept):
+            return True
+        if bad(node):
+            return False
+        kept[:] = [k for k in kept if k & m != m]
+        kept.append(m)
+        queue.append(node)
+        return True
+
+    if not all(map(reach, starts)):
+        return False
+    for node in queue:
+        if node[1] in minimal[node[0]]:
+            if not all(reach(nxt) for _, nxt in moves(node)):
+                return False
+    return True
+
+
+@st.composite
+def graphs(draw, max_nodes=6):
+    """(steps, starts, goal): node -> its (event, node) steps in order,
+    start nodes with repeats, and the nodes a test accepts."""
+    n = draw(st.integers(1, max_nodes))
+    nodes = st.integers(0, n - 1)
+    steps = {v: draw(st.lists(st.tuples(st.sampled_from("ab"), nodes),
+                              max_size=4)) for v in range(n)}
+    return (steps, draw(st.lists(nodes, max_size=3)),
+            draw(st.frozensets(nodes)))
+
+
+def _tested(goal):
+    tested = []
+
+    def test(node):
+        tested.append(node)
+        return f"v{node}" if node in goal else None
+
+    return tested, test
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_discovery_order_and_words_are_those_of_the_old_loop(graph):
+    steps, starts, goal = graph
+    tested, test = _tested(goal)
+    got = first_path(starts, steps.__getitem__, test)
+    ref_tested, ref_test = _tested(goal)
+    assert got == ref_first_path(starts, steps.__getitem__, ref_test)
+    assert tested == ref_tested
+
+
+def _fresh(steps, starts, test=None) -> tuple:
+    """(result, index, queue, parent) of a `_search` from nothing."""
+    index, queue, parent = {}, [], []
+    found = _search(index, queue, parent, steps.__getitem__, starts, test)
+    return found, index, queue, parent
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_a_resume_goes_on_from_where_the_search_stopped(graph):
+    # each accepted node once, in discovery order, and at the end the
+    # whole search
+    steps, starts, goal = graph
+    index, queue, parent, found, done = {}, [], [], [], 0
+    while (hit := _search(index, queue, parent, steps.__getitem__, starts,
+                          goal.__contains__, done=done)) is not None:
+        found.append(hit[0])
+        done = 0 if parent[hit[0]] is None else parent[hit[0]][0]
+    _, _, whole, whole_parent = _fresh(steps, starts)
+    assert (queue, parent) == (whole, whole_parent)
+    assert found == [i for i, node in enumerate(whole) if node in goal]
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.data())
+def test_a_resume_after_a_cut_back_is_a_fresh_search(graph, data):
+    # The caller's protocol (`checks._PairSearch`): the node whose steps
+    # change holds the node the search stopped at, or the search is done.
+    # Cut back to just before its discovery, the search goes on as a fresh
+    # search over the pruned steps does, round after round.
+    steps, starts, goal = graph
+    steps = {v: list(s) for v, s in steps.items()}
+    found, index, queue, parent = _fresh(steps, starts, goal.__contains__)
+    for _ in range(4):
+        last = len(queue) - 1 if found is None else found[0]
+        if last < 0:
+            break
+        j = data.draw(st.integers(0, last))
+        del steps[queue[j]][data.draw(st.integers(0, len(steps[queue[j]]))):]
+        done = 0 if parent[j] is None else parent[j][0]
+        for _ in range(len(queue) - j):
+            index.popitem()
+        del queue[j:], parent[j:]
+        found = _search(index, queue, parent, steps.__getitem__, starts,
+                        goal.__contains__, done=done)
+        assert (found, index, queue, parent) == \
+            _fresh(steps, starts, goal.__contains__)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfas(), nfas())
+def test_the_antichain_skip_rule_answers_as_the_old_loop(a, b):
+    # the same answer from the same nodes expanded in the same order
+    product = automata._difference_product
+
+    def expansions(inclusion) -> tuple:
+        expanded = []
+
+        def counted(a, b):
+            starts, moves, bad = product(a, b)
+            return starts, lambda node: expanded.append(node) or moves(node), bad
+
+        automata._difference_product = counted
+        try:
+            return inclusion(a, b), expanded
+        finally:
+            automata._difference_product = product
+
+    got = expansions(included)
+    assert got == expansions(ref_included)
+    assert got[0] == ref_includes(a, b).holds
 
 
 # ---------------------------------------------------------------------------
