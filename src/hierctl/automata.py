@@ -534,8 +534,10 @@ def _search(index: dict, queue: list, parent: list, moves,
     new `starts` as given and then each new target in the order `moves`
     yields it: `queue[i]` is node i, `index` its inverse, and `parent[i]`
     (number of the node whose step found node i, event), None at a start,
-    which `path_word` spells. The three hold the search so far, of which
-    `queue[:done]` is expanded, so a caller that cuts them back resumes
+    which `path_word` spells; the kernel only appends to `parent`, so a
+    caller that spells no path (`included`) passes a sink that keeps
+    nothing. The three hold the search so far, of which `queue[:done]` is
+    expanded, so a caller that cuts them back resumes
     (`checks._PairSearch`); one stopped at node i goes on from
     `parent[i][0]`, or 0 at a start. `test(node)` is asked of each node as
     it is discovered, and (i, value) is returned for the first truthy
@@ -816,7 +818,8 @@ def included(a: Automaton, b: Automaton | Implicit | LazyRows) -> bool:
     reached after it: the subset step is monotone, so a word that leads
     (q, B′) to a bad node leads (q, B) to one too (De Wulf, Doyen,
     Henzinger & Raskin, CAV 2006). Each node's steps are read in `moves`
-    order, so the search does the same work in every process."""
+    order, so the search does the same work in every process. No path is
+    spelled, so its parent map is a sink that keeps nothing."""
     starts, moves, bad = _difference_product(a, b)
     minimal: dict = {}   # state of `a` -> its ⊆-minimal `b` subsets
 
@@ -829,7 +832,7 @@ def included(a: Automaton, b: Automaton | Implicit | LazyRows) -> bool:
         kept.append(m)
         return False
 
-    return _search({}, [], [], lambda node: moves(node)
+    return _search({}, [], deque(maxlen=0), lambda node: moves(node)
                    if node[1] in minimal[node[0]] else (),
                    starts, bad, covered) is None
 

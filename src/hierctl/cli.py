@@ -53,14 +53,23 @@ def _load(path: str) -> Automaton:
     return parse_automaton(text, allow_reserved=True)
 
 
-def _jsonify(value):
+def _saut(aut: Automaton, texts: dict) -> str:
+    """The `.saut` text of `aut`, serialized once per call: `texts` maps
+    the id of each automaton serialized so far, all alive in the call's
+    report, to its text."""
+    text = texts.get(id(aut))
+    if text is None:
+        text = texts[id(aut)] = serialize_automaton(aut)
+    return text
+
+
+def _jsonify(value, texts: dict):
     if isinstance(value, Automaton):
-        return {"states": len(value.states),
-                "saut": serialize_automaton(value)}
+        return {"states": len(value.states), "saut": _saut(value, texts)}
     if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
+        return {k: _jsonify(v, texts) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
+        return [_jsonify(v, texts) for v in value]
     if hasattr(value, "to_json"):
         return value.to_json()
     return value
@@ -81,13 +90,27 @@ def _worst_exit(verdicts) -> int:
     return min(filter(None, (EXIT[v.outcome] for v in verdicts)), default=0)
 
 
-def _emit(args, report: dict, text_lines) -> None:
+def _emit(args, report: dict, text_lines, result: Automaton | None = None
+          ) -> None:
+    """The report, as JSON with --json and as `text_lines` without; then
+    the synthesized or generated `result`, if any, in `.saut` form to the
+    --out file, or to stdout after the text lines. The --out text is the
+    one the JSON report holds, not a second serialization."""
+    texts: dict = {}
     if args.json:
-        json.dump(_jsonify(report), sys.stdout, indent=2, sort_keys=True)
+        json.dump(_jsonify(report, texts), sys.stdout, indent=2,
+                  sort_keys=True)
         sys.stdout.write("\n")
     else:
         for line in text_lines:
             print(line)
+    if result is None:
+        return
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(_saut(result, texts))
+    elif not args.json:
+        sys.stdout.write(_saut(result, texts))
 
 
 def _describe(v: Verdict) -> str:
@@ -96,14 +119,6 @@ def _describe(v: Verdict) -> str:
     parts = [f"{k}={' '.join(x) if x else 'ε'}"
              for k, x in sorted(v.witness.strings.items())]
     return f"{v.outcome} ({'; '.join(parts)})"
-
-
-def _write_out(args, aut: Automaton) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialize_automaton(aut))
-    elif not args.json:
-        sys.stdout.write(serialize_automaton(aut))
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +182,7 @@ def _cmd_synth(args) -> int:
         tail = f", converged after {rep.rounds} rounds"
     _emit(args, {"command": "synth", "kind": args.kind, "result": result,
                  "result_states": len(result.states), **extra},
-          [f"{args.kind}: {len(result.states)} states{tail}"])
-    _write_out(args, result)
+          [f"{args.kind}: {len(result.states)} states{tail}"], result)
     return 0
 
 
@@ -195,8 +209,8 @@ def _cmd_hier(args) -> int:
         f"lift ⊆ low: {report['lift_in_low'].outcome}",
         f"moc: {_describe(report['moc'])}",
     ]
-    _emit(args, {"command": f"hier-{args.kind}", **report}, lines)
-    _write_out(args, report["low"])
+    _emit(args, {"command": f"hier-{args.kind}", **report}, lines,
+          report["low"])
     return 0
 
 
@@ -219,8 +233,7 @@ def _cmd_gadget(args) -> int:
     out = _GADGETS[args.kind](_load(args.files[0]))
     _emit(args, {"command": f"gadget-{args.kind}", "result": out},
           [f"gadget-{args.kind}: {len(out.states)} states, "
-           f"{len(out.alphabet)} events"])
-    _write_out(args, out)
+           f"{len(out.alphabet)} events"], out)
     return 0
 
 
@@ -231,8 +244,7 @@ def _cmd_random(args) -> int:
         deterministic=not args.nondeterministic)
     out = random_plant(params)
     _emit(args, {"command": "random", "result": out},
-          [f"random plant: {len(out.states)} states"])
-    _write_out(args, out)
+          [f"random plant: {len(out.states)} states"], out)
     return 0
 
 

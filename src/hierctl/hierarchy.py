@@ -75,8 +75,8 @@ from operator import itemgetter
 
 from .automata import (Alphabet, Automaton, Implicit, LazyRows, _Memo,
                        PreconditionError, ProjectionSpec, _derived,
-                       _difference_search, _lazy, _unchecked, all_marked,
-                       bits, first_path, included, includes,
+                       _difference_search, _lazy, _trusted, _unchecked,
+                       all_marked, bits, first_path, included, includes,
                        iter_difference_words, merge_alphabets,
                        pair_moves, parallel_compose, prefix_close, project,
                        subset_moves, subset_steps, widen_alphabet)
@@ -798,13 +798,31 @@ def hier_verify(g: Automaton, k: Automaton,
     return report
 
 
+def _inclusions(kind: str, low: Automaton, lifted: Automaton) -> tuple:
+    """The verdicts of `low` ⊆ `lifted` and `lifted` ⊆ `low`, decided on
+    private copies of both.
+
+    `includes` builds its subset tables (`state_index`, the bitmask
+    `rows`, one n-bit int per state and label, and the `subset_steps`
+    memo) in the `_tables` of its operands. The copies are made by
+    `_trusted`, so their tables are their own, the opposite of `_derived`,
+    which shares them: the tables die with the copies when this returns,
+    not with the report that keeps `low` and `lifted` alive through MOC
+    and serialization."""
+    low, lifted = (_trusted(a.alphabet, a.states, a.transitions, a.initial,
+                            a.marked) for a in (low, lifted))
+    return (includes(low, lifted, kind=f"{kind}-low-in-lift"),
+            includes(lifted, low, kind=f"{kind}-lift-in-low"))
+
+
 def _lift_report(ctx: HierarchyContext, kind: str, low: Automaton,
                  high: Automaton, budget: int, **extra) -> dict:
     """The end of both synthesis pipelines: the lift `high` ∥ L, the
-    inclusions of `low` and the lift in each other, `extra`, and MOC."""
+    inclusions of `low` and the lift in each other, `extra`, and MOC.
+    The inclusions run in `_inclusions`, so no table they build is alive
+    while MOC is decided or the report is serialized."""
     lifted = parallel_compose(ctx.plant, high)
-    fwd = includes(low, lifted, kind=f"{kind}-low-in-lift")
-    bwd = includes(lifted, low, kind=f"{kind}-lift-in-low")
+    fwd, bwd = _inclusions(kind, low, lifted)
     return {"low": low, "high": high, "lifted": lifted,
             "low_in_lift": fwd, "lift_in_low": bwd, **extra,
             "moc": check_moc(ctx, budget)}

@@ -99,7 +99,11 @@ def parse_automaton(text: str, *, allow_reserved: bool = False) -> Automaton:
 
 
 def serialize_automaton(a: Automaton) -> str:
-    """Canonical text form; two serializations of equal automata are identical."""
+    """Canonical text form; two serializations of equal automata are identical.
+
+    Transitions are listed by source state, event and target, in state
+    and alphabet order: the one integer rank (src·|Σ| + event)·n + dst
+    orders them as the triple would, with no tuple built per transition."""
     lines = []
     for e in a.alphabet.events:
         lines.append("event {} {} {} {}".format(
@@ -111,9 +115,11 @@ def serialize_automaton(a: Automaton) -> str:
         lines.append(f"initial {s}")
     for s in a.sorted_states(a.marked):
         lines.append(f"marked {s}")
+    idx = a.state_index
     eidx = {e: i for i, e in enumerate(a.alphabet.names)}
+    n, k = len(idx), len(eidx)
     for (src, ev, dst) in sorted(
             a.transitions,
-            key=lambda t: (a.state_index[t[0]], eidx[t[1]], a.state_index[t[2]])):
+            key=lambda t: (idx[t[0]] * k + eidx[t[1]]) * n + idx[t[2]]):
         lines.append(f"trans {src} {ev} {dst}")
     return "\n".join(lines) + "\n"

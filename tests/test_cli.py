@@ -80,11 +80,15 @@ class TestSynth:
         ["synth", "supn", SPEC, PLANT],
         ["synth", "suprelobs", RSPEC, RAMBIENT, RPLANT],
         ["hier", "synth-normal", PLANT, SPEC],
-        ["hier", "synth-relobs", PLANT, SPEC]])
+        ["hier", "synth-relobs", PLANT, SPEC],
+        ["gadget", "moc", PLANT],
+        ["random", "--seed", "5", "--states", "6"]])
     def test_json_serializes_what_it_reports(self, capsys, monkeypatch,
                                               tmp_path, argv):
         # With --json and no --out the result is in the report alone;
-        # its text was also built for `--out` and dropped.
+        # its text was also built for `--out` and dropped. With --out
+        # too, the file gets the text the report holds: a call serializes
+        # each automaton once.
         calls = []
 
         def counting(a):
@@ -99,9 +103,11 @@ class TestSynth:
         calls.clear()
         out_file = tmp_path / "out.saut"
         code, _ = run(capsys, "--json", "--out", str(out_file), *argv)
-        assert code == 0 and len(calls) == reported + 1
+        assert code == 0 and len(calls) == reported
+        assert len(set(map(id, calls))) == len(calls)
+        # the written automaton, the result or `low`, is reported first
         assert out_file.read_text(encoding="utf-8") == \
-            serialize_automaton(calls[-1])
+            serialize_automaton(calls[0])
 
     def test_synthesis_checks_only_k_in_c(self, capsys, monkeypatch):
         # Each specification is made prefix-closed and included in L(G)
@@ -163,9 +169,27 @@ def _automata(doc) -> int:
 
 SYNTHESIS_DIGEST = \
     "e16f24d4d071776ca53bd069206a50ef36d2ca33b698ebfc7fd4ed818ef143a7"
+HIER_SYNTHESIS_DIGEST = \
+    "743731b16f68039a763b4177ea9086b9b1eb8f5f53e7acdefaa321a2f9129a31"
 
 
 class TestHier:
+    def test_synthesis_output_bytes(self, capsys, tmp_path):
+        # rc and --json stdout of both two-level syntheses on cli-mix
+        # inputs: the three automata and the verdicts of each report.
+        digest = hashlib.sha256()
+        for seed in (3, 7, 14):
+            files = []
+            for name, a in zip("gk", cli_small_inputs(seed)):
+                path = tmp_path / f"small{seed}-{name}.saut"
+                path.write_text(serialize_automaton(a), encoding="utf-8")
+                files.append(str(path))
+            for kind in ("synth-normal", "synth-relobs"):
+                code, out = run(capsys, "--json", "--budget", "300", "hier",
+                                kind, *files)
+                digest.update(f"{code}\n{out}".encode())
+        assert digest.hexdigest() == HIER_SYNTHESIS_DIGEST
+
     def test_verify_text_report(self, capsys):
         code, out = run(capsys, "hier", "verify", PLANT, SPEC)
         assert code in (0, 1, 2)

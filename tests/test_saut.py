@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierctl.automata import Alphabet, AutomataError, Automaton, Event
 from hierctl.gadgets import GeneratorParams, random_plant
@@ -244,3 +247,26 @@ def test_a_name_holding_a_space_is_refused():
     assert str(err.value) == "line 4: expected: state <name>"
     with pytest.raises(AutomataError, match="bad event name"):
         Alphabet((Event("g o"),))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(257, 400), st.integers(1, 12), st.integers(0, 2**32))
+def test_transitions_are_listed_by_source_event_target(n, k, seed):
+    # One integer rank per transition orders them as the triple of state,
+    # event and state indices does, past 256 states and with names that
+    # sort otherwise than their indices.
+    rnd = random.Random(seed)
+    names = [*ODD_EVENTS, "s:0|-", "e", "f", "g", "h", "i"]
+    states = [f"{names[i % len(names)]}{i}" for i in range(n)]
+    rnd.shuffle(states)
+    events = rnd.sample(names, k)
+    trans = frozenset((rnd.choice(states), rnd.choice(events),
+                       rnd.choice(states)) for _ in range(3 * n))
+    a = Automaton(Alphabet(tuple(map(Event, events))), tuple(states), trans,
+                  frozenset(states[:1]), frozenset(states[::7]))
+    idx = {s: i for i, s in enumerate(states)}
+    order = sorted(trans, key=lambda t: (idx[t[0]], events.index(t[1]),
+                                         idx[t[2]]))
+    lines = serialize_automaton(a).splitlines()
+    assert lines[-len(order):] == [f"trans {p} {e} {q}" for p, e, q in order]
+    assert parse_automaton("\n".join(lines)) == a
