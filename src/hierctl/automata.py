@@ -42,11 +42,11 @@ one-to-one onto the frozenset of its states and the searches only hash it,
 so numbering, words, witnesses and search work are those of a frozenset
 construction. (A mask is as wide as its automaton is large, where a
 frozenset is as large as the subset.) An `Automaton` builds its tables
-(`state_index`, `succ`, `rows`, `subset_steps`) on first read, once per
-transition relation, and `_derived` is the one way to share them: its
-copies for `widen_alphabet`, `right_quotient` and a restriction that only
-marks every state check only the initial and marked states they change. A
-restriction that keeps `a` whole returns `a` itself.
+(`state_index`, `succ`, `rows`, `subset_steps`) on first read and shares
+them with no other automaton. The `_derived` copies for `widen_alphabet`,
+`right_quotient` and a restriction that only marks every state check only
+the initial and marked states they change. A restriction that keeps `a`
+whole returns `a` itself.
 
 Each search shape is written once. `_search` is the one breadth-first
 search: nodes numbered in discovery order, a parent map, a resume point,
@@ -75,7 +75,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .verdicts import Verdict, Witness
@@ -99,21 +99,6 @@ class _lazy:
         if obj is None:
             return self
         value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
-class _table(_lazy):
-    """A `_lazy` table that depends on the states and transitions only.
-    `_derived` copies keep both and share one `_tables` dict, so each table
-    is built once however many copies read it."""
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        tables = obj._tables
-        if self.name not in tables:
-            tables[self.name] = self.func(obj)
-        value = obj.__dict__[self.name] = tables[self.name]
         return value
 
 
@@ -273,14 +258,10 @@ class Automaton:
                          frozenset(initial), frozenset(marked))
 
     @_lazy
-    def _tables(self) -> dict:
-        return {}
-
-    @_table
     def state_index(self) -> dict:
         return {s: i for i, s in enumerate(self.states)}
 
-    @_table
+    @_lazy
     def succ(self) -> dict:
         """state -> label -> sorted tuple of targets."""
         out: dict = {s: {} for s in self.states}
@@ -291,7 +272,7 @@ class Automaton:
                     for lbl, ts in m.items()}
                 for s, m in out.items()}
 
-    @_table
+    @_lazy
     def rows(self) -> list:
         """state index -> label -> bitmask of the targets' indices. Only
         the subset constructions read it: a mask is as wide as the
@@ -377,16 +358,16 @@ def widen_alphabet(a: Automaton, alphabet: Alphabet) -> Automaton:
 
 
 def _derived(a: Automaton, **changes) -> Automaton:
-    """`a` with some of alphabet, initial and marked replaced; the copy
-    shares `a`'s tables, which depend on the states and transitions only.
-    It checks only what changes: the new initial and marked states against
-    the shared `state_index` (callers check a new alphabet)."""
-    index = a.state_index
-    for s in chain(changes.get("initial", ()), changes.get("marked", ())):
-        if s not in index:
-            raise AutomataError(f"undeclared state {s!r}")
+    """`a` with some of alphabet, initial and marked replaced, a `_trusted`
+    copy with tables of its own. It checks only what changes: the new
+    initial and marked states against `a`'s states, building no table on
+    `a` (callers check a new alphabet)."""
+    undeclared = (changes.get("initial", frozenset())
+                  | changes.get("marked", frozenset())).difference(a.states)
+    if undeclared:
+        raise AutomataError(f"undeclared state {next(iter(undeclared))!r}")
     out = _trusted(a.alphabet, a.states, a.transitions, a.initial, a.marked)
-    out.__dict__.update(changes, _tables=a._tables)
+    out.__dict__.update(changes)
     return out
 
 
@@ -404,7 +385,7 @@ def _trusted(alphabet: Alphabet, states: tuple, transitions: frozenset,
     """An automaton that is valid by construction (`_unchecked`): its
     caller derived every state, endpoint and label from a valid automaton,
     or checked them itself (`explore` checks its labels, the `.saut`
-    parser its lines). Its tables are its own; only `_derived` shares."""
+    parser its lines)."""
     return _unchecked(Automaton, alphabet=alphabet, states=states,
                       transitions=transitions, initial=initial, marked=marked)
 
@@ -694,7 +675,6 @@ class Implicit:
                     for lbl, ts in self.succ[keys[i]].items()}
 
         self.alphabet = alphabet
-        self._tables: dict = {}
         self.initial = tuple(dict.fromkeys(starts))
         self.start_mask = sum(map(bit, self.initial))
         self.state_index = index
@@ -723,7 +703,6 @@ class LazyRows:
     def __init__(self, alphabet: Alphabet, start_mask: int, row,
                  marked_mask: int):
         self.alphabet = alphabet
-        self._tables: dict = {}
         self.start_mask = start_mask
         self.marked_mask = marked_mask
         self.rows = _Memo(row)
@@ -779,8 +758,9 @@ def _difference_product(a: Automaton,
 
 
 def subset_steps(b: Automaton | Implicit | LazyRows) -> _Memo:
-    """b-subset -> event -> b-subset, the subset steps of `b`, memoized in its `_tables`, which its `_derived` copies share."""
-    return b._tables.setdefault("subset_steps", _Memo(partial(_union, b.rows)))
+    """b-subset -> event -> b-subset, the subset steps of `b`, memoized on
+    `b` itself, so every caller that steps `b` shares one memo."""
+    return vars(b).setdefault("subset_steps", _Memo(partial(_union, b.rows)))
 
 
 def subset_moves(a: Automaton):

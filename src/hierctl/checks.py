@@ -113,12 +113,12 @@ class _PairSearch:
     its parent map labels a step with its pair event, (e, e), (e, None) or
     (None, e), which `relations.decompose_sequence` splits into s and s'.
 
-    `delete(q, e)` drops an entry of K̄'s `subset_steps`, which every reader
-    of `k`'s tables shares: only an owner of `k` calls it. That changes
-    the violation test and the moves of exactly the nodes that hold q, so
-    a fresh search over the smaller table would repeat this one up to the
-    discovery of the first node holding q. `delete` cuts the search back
-    to just before it, and `next_violation` goes on from there.
+    `delete(q, e)` drops an entry of K̄'s `subset_steps`, the memo on `k`
+    itself. That changes the violation test and the moves of exactly the
+    nodes that hold q, so a fresh search over the smaller table would
+    repeat this one up to the discovery of the first node holding q.
+    `delete` cuts the search back to just before it, and `next_violation`
+    goes on from there.
     """
 
     def __init__(self, k: Automaton, c: Automaton, g: Automaton, events):
@@ -397,7 +397,7 @@ def _sup_relobs(k: Automaton, c: Automaton,
 
     start = (kbar.start_mask, g.start_mask, obs.start_mask)
     refined = Implicit(g.alphabet, [start] if all(start) else [], moves, bool)
-    # R's singleton rows are its own `rows`, and R is local: deleting is safe
+    # R's singleton steps are its own `rows`, which `delete` prunes for `_kept_part`
     search = _PairSearch(refined, cbar, g, g.alphabet.names)
     rounds = 0
     while (found := search.next_violation()) is not None:

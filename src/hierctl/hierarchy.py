@@ -75,7 +75,7 @@ from operator import itemgetter
 
 from .automata import (Alphabet, Automaton, Implicit, LazyRows, _Memo,
                        PreconditionError, ProjectionSpec, _derived,
-                       _difference_search, _lazy, _trusted, _unchecked,
+                       _difference_search, _lazy, _unchecked,
                        all_marked, bits, first_path, included, includes,
                        iter_difference_words, merge_alphabets,
                        pair_moves, parallel_compose, prefix_close, project,
@@ -804,13 +804,10 @@ def _inclusions(kind: str, low: Automaton, lifted: Automaton) -> tuple:
 
     `includes` builds its subset tables (`state_index`, the bitmask
     `rows`, one n-bit int per state and label, and the `subset_steps`
-    memo) in the `_tables` of its operands. The copies are made by
-    `_trusted`, so their tables are their own, the opposite of `_derived`,
-    which shares them: the tables die with the copies when this returns,
-    not with the report that keeps `low` and `lifted` alive through MOC
-    and serialization."""
-    low, lifted = (_trusted(a.alphabet, a.states, a.transitions, a.initial,
-                            a.marked) for a in (low, lifted))
+    memo) on its operands. On `_derived` copies they die with the copies
+    when this returns, not with the report that keeps `low` and `lifted`
+    alive through MOC and serialization."""
+    low, lifted = _derived(low), _derived(lifted)
     return (includes(low, lifted, kind=f"{kind}-low-in-lift"),
             includes(lifted, low, kind=f"{kind}-lift-in-low"))
 

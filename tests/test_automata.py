@@ -17,10 +17,10 @@ from hierctl.automata import (Alphabet, AlphabetMismatchError,
                               language_equal, merge_alphabets,
                               parallel_compose, prefix_close, project,
                               right_quotient, sigma_star, trim,
-                              word_automaton)
+                              widen_alphabet, word_automaton)
 from hierctl.checks import check_controllability, check_normality
 from hierctl.gadgets import GeneratorParams, gadget_oc, random_plant
-from hierctl.hierarchy import _pair_operands, build_context
+from hierctl.hierarchy import _pair_operands, build_context, conform_spec
 from hierctl.relations import pair_alphabet, quad_alphabet
 from hierctl.saut import SautParseError, parse_automaton
 
@@ -28,6 +28,8 @@ from conftest import make_alphabet, pair_operands, ref_includes, tree
 from test_subsets import marked_saturate
 
 AB = make_alphabet("ab")
+# what an automaton builds on first read and keeps in its `__dict__`
+TABLES = {"state_index", "succ", "rows", "subset_steps"}
 
 
 def words(*ws):
@@ -243,14 +245,17 @@ def test_all_marked_recognizes_generated_language():
 
 def test_restrictions_return_what_they_keep_whole():
     # Nothing to drop and no mark to change: the argument itself. A
-    # restriction that only marks every state is a copy sharing its tables.
+    # restriction that only marks every state is a copy with tables of its
+    # own.
     closed = tree(words("", "a", "ab", "b"), AB)   # trim and all marked
     for restrict in (trim, all_marked, prefix_close):
         assert restrict(closed) is closed, restrict.__name__
     a = tree(words("ab"), AB)   # trim, its leaf alone marked
     assert trim(a) is a
+    assert a.succ and determinize(a).states and TABLES <= set(vars(a))
     gen = all_marked(a)
-    assert gen.marked == frozenset(a.states) and gen._tables is a._tables
+    assert gen is not a and gen.marked == frozenset(a.states)
+    assert TABLES.isdisjoint(vars(gen))
 
 
 def test_enumerate_bounded_is_length_lex():
@@ -294,11 +299,27 @@ def test_derived_copies_check_only_what_they_change(monkeypatch):
     b = automata._derived(a, initial=frozenset({4998}))
     closed = prefix_close(a)
     assert posts == []
-    assert b == replace(a, initial=frozenset({4998})) and b.succ is a.succ
+    assert b == replace(a, initial=frozenset({4998}))
+    assert b.succ == a.succ and b.succ is not a.succ
     # per-copy values are read afresh, not carried over from the source
     assert b.start_mask == 1 << 4998 and b.marked_mask == a.marked_mask
     assert closed.marked_mask == (1 << 5000) - 1
     assert list(iter_marked_words(b)) == [("a",)]
+
+
+def test_copies_build_nothing_on_their_source():
+    # A `_derived` copy checks its new states against its source's states,
+    # not against an index built on the source, and a copy that is stepped
+    # builds its tables on itself alone.
+    g = tree(words("ab", "ba"), make_alphabet("abc"))
+    k, a = tree(words("ab"), AB), tree(words("ab", "b"), AB)
+    copies = [conform_spec(k, g.alphabet), widen_alphabet(a, g.alphabet),
+              all_marked(a)]
+    assert copies[2].marked == frozenset(a.states)
+    for copy in copies:   # stepped by `succ` and as subsets
+        assert copy.generates(("a", "b")) and determinize(copy).states
+        assert TABLES <= set(vars(copy))
+    assert TABLES.isdisjoint(vars(k)) and TABLES.isdisjoint(vars(a))
 
 
 def test_derived_copies_reject_undeclared_states():

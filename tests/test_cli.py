@@ -6,11 +6,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from hierctl import checks, cli
 from hierctl.cli import main
+from hierctl.hierarchy import PreconditionError, conform_spec
 from hierctl.oracle import PROPERTY_ORACLES
 from hierctl.saut import parse_automaton, serialize_automaton
 
@@ -332,6 +334,21 @@ class TestErrors:
     def test_wrong_file_count_exits_three(self, capsys, argv, want):
         # 1 means "violated", so a usage error must not raise through main
         assert main(list(argv)) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {want}\n"
+
+    def test_spec_event_flagged_differently_exits_three(self, capsys,
+                                                         tmp_path):
+        # `b` is in the plant's alphabet, controllable there and
+        # uncontrollable here: a flag conflict, not a missing event
+        spec = tmp_path / "spec.saut"
+        spec.write_text("event b u x hi\nstate m0\ninitial m0\nmarked m0\n")
+        want = ("specification event 'b' missing from the plant alphabet "
+                "or flagged differently")
+        with pytest.raises(PreconditionError, match=want):
+            conform_spec(parse_automaton(spec.read_text()),
+                         parse_automaton(Path(PLANT).read_text()).alphabet)
+        assert main(["check", "controllability", str(spec), PLANT]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {want}\n"
 

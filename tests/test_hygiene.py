@@ -174,8 +174,9 @@ def test_replace_calls_are_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_automata_are_copied_only_by_derived(path):
-    # A copy made elsewhere would not share the tables of its source
-    # (`automata._derived`), so it would build them again.
+    # A copy made elsewhere would repeat the `__post_init__` walk over
+    # the states and transitions of its source, which `automata._derived`
+    # skips: it checks only the initial and marked states it changes.
     assert replace_calls(path.read_text(encoding="utf-8"), "_derived") == []
 
 
@@ -426,7 +427,9 @@ def test_layer_trace_targets_exist():
 
 
 def test_trusted_builds_from_the_five_fields_alone():
-    # `_derived` is the one way an automaton shares another's tables.
+    # `_trusted` builds from the five fields and nothing else, so a copy
+    # with changed fields goes through `_derived`, which checks what
+    # changes instead of repeating the `__post_init__` walk.
     args = top_level("automata.py", "_trusted").args
     assert [x.arg for x in args.posonlyargs + args.args + args.kwonlyargs] \
         == ["alphabet", "states", "transitions", "initial", "marked"]

@@ -620,12 +620,10 @@ def test_trim_builds_no_succ_table():
     t, g = trim(x), all_marked(x)
     tt = trim(t)
     for y in (x, t, g, tt):
-        assert "succ" not in y._tables
-    # `trim` drops the subset {r}; a result that keeps every state shares
-    # the tables of its operand
+        assert "succ" not in y.__dict__
+    # `trim` drops the subset {r}
     assert len(t.states) < len(x.states) == len(g.states)
-    assert tt == t and tt._tables is t._tables
-    assert g._tables is x._tables and t._tables is not x._tables
+    assert tt is t
 
 
 def test_project_builds_one_automaton(monkeypatch):
