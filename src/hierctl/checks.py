@@ -21,8 +21,10 @@ Controllability, observability, normality and the two syntheses are each a
 validating shell, which proves the inclusions and prefix-closures that
 their definitions assume of user input, around a body (`_controllability`,
 `_observability`, `_normality`, `_sup_normal`, `_sup_relobs`) that assumes
-them. The two-level pipelines of `hierarchy` and `hierctl synth` build
-their specifications so that these hold, and call the bodies.
+them. The shells close K (and C) once, so the check bodies and `_sup_relobs`
+take K̄ and C̄, trim and all marked, and restrict no operand. The two-level
+pipelines of `hierarchy` and `hierctl synth` build their specifications so
+that these hold, and call the bodies.
 """
 
 from __future__ import annotations
@@ -70,15 +72,13 @@ def _observed(alphabet, starts, moves, marked) -> Implicit:
 
 
 def check_controllability(k: Automaton, g: Automaton) -> Verdict:
-    """K̄ Σu ∩ L(G) ⊆ K̄, for K ⊆ L_m(G) (`_controllability`)."""
+    """K̄ Σu ∩ L(G) ⊆ K̄, for K ⊆ L_m(G) (`_controllability` of K̄)."""
     _require_inclusion(k, g, "specification K must satisfy K ⊆ L_m(G)")
-    return _controllability(k, g)
+    return _controllability(prefix_close(k), g)
 
 
-def _controllability(k: Automaton, g: Automaton) -> Verdict:
-    """`check_controllability` of a K that its caller knows to lie in
-    L_m(G)."""
-    kbar = prefix_close(k)
+def _controllability(kbar: Automaton, g: Automaton) -> Verdict:
+    """`check_controllability` of a trim, all-marked K̄ ⊆ L(G)."""
     kt, gt, k0 = subset_steps(kbar), subset_steps(g), kbar.start_mask
     unc = sorted(g.alphabet.uncontrollable, key=g.alphabet.names.index)
     names = g.alphabet.names
@@ -176,11 +176,10 @@ class _PairSearch:
         del queue[j:], parent[j:]
 
 
-def _observability_engine(k: Automaton, c: Automaton, g: Automaton,
+def _observability_engine(kbar: Automaton, cbar: Automaton, g: Automaton,
                           events, kind: str) -> Verdict:
-    """One pair search over K̄, C̄ and G; the callers checked the alphabets."""
-    kbar = prefix_close(k)
-    search = _PairSearch(kbar, kbar if c is k else prefix_close(c), g, events)
+    """One pair search over K̄, C̄ and G, which the callers closed and checked."""
+    search = _PairSearch(kbar, cbar, g, events)
     found = search.next_violation()
     if found is None:
         return Verdict.make_holds()
@@ -194,22 +193,23 @@ def _observability_engine(k: Automaton, c: Automaton, g: Automaton,
 
 def check_observability(k: Automaton, g: Automaton) -> Verdict:
     """Observability of K wrt L(G), Σo, and Σc, for K ⊆ L_m(G)
-    (`_observability`)."""
+    (`_observability` of K̄)."""
     _require_inclusion(k, g, "specification K must satisfy K ⊆ L_m(G)")
-    return _observability(k, g)
+    return _observability(prefix_close(k), g)
 
 
-def _observability(k: Automaton, g: Automaton) -> Verdict:
-    """`check_observability` of a K that its caller knows to lie in
-    L_m(G)."""
-    return _observability_engine(k, k, g, g.alphabet.controllable, "observability")
+def _observability(kbar: Automaton, g: Automaton) -> Verdict:
+    """`check_observability` of a trim, all-marked K̄ ⊆ L(G)."""
+    return _observability_engine(kbar, kbar, g, g.alphabet.controllable,
+                                 "observability")
 
 
 def check_relative_observability(k: Automaton, c: Automaton, g: Automaton) -> Verdict:
-    """C-observability of K wrt G and P; e ranges over the whole alphabet."""
+    """C-observability of K wrt G and P, e over Σ (the engine on K̄ and C̄)."""
     _require_inclusion(k, c, "relative observability needs K ⊆ C")
     _require_inclusion(c, g, "relative observability needs C ⊆ L_m(G)")
-    return _observability_engine(k, c, g, g.alphabet.names, "relative-observability")
+    return _observability_engine(prefix_close(k), prefix_close(c), g,
+                                 g.alphabet.names, "relative-observability")
 
 
 def check_normality(k: Automaton, g: Automaton) -> Verdict:
@@ -222,14 +222,13 @@ def check_normality(k: Automaton, g: Automaton) -> Verdict:
     non-empty and K̄'s is unmarked. Each component is deterministic and
     stepped in alphabet order, so the witness is the
     length-lexicographically first word of (P⁻¹P(K̄) ∩ L(G)) − K̄. K must
-    lie in L_m(G); `_normality` is the check without that test."""
+    lie in L_m(G); `_normality` is the check of K̄ without that test."""
     _require_inclusion(k, g, "specification K must satisfy K ⊆ L_m(G)")
-    return _normality(k, g)
+    return _normality(prefix_close(k), g)
 
 
-def _normality(k: Automaton, g: Automaton) -> Verdict:
-    """`check_normality` of a K that its caller knows to lie in L_m(G)."""
-    kbar = prefix_close(k)
+def _normality(kbar: Automaton, g: Automaton) -> Verdict:
+    """`check_normality` of a trim, all-marked K̄ ⊆ L(G)."""
     observable, names = g.alphabet.observable, g.alphabet.names
     obs = _observed(g.alphabet, bits(kbar.start_mask), _index_moves(kbar),
                     lambda i: kbar.marked_mask >> i & 1)
@@ -363,27 +362,23 @@ def sup_relobs_closed(k: Automaton, c: Automaton,
 
     The result is that greedy fixpoint: C-observable, not proven supremal;
     `oracle_sup_relobs` audits it on acyclic instances. The inputs are
-    validated here; `_sup_relobs` is the synthesis alone. Called with
-    `c is k`, it neither checks K ⊆ K nor closes K twice.
+    validated here, and K and C closed once; `_sup_relobs` is the
+    synthesis alone.
     """
     require_same_alphabet(k, g)
     require_same_alphabet(c, g)
-    same = c is k
-    if not is_prefix_closed(k) or not (same or is_prefix_closed(c)):
+    if not is_prefix_closed(k) or not is_prefix_closed(c):
         raise PreconditionError("sup_relobs_closed needs prefix-closed K and C")
-    if not same:
-        _require_inclusion(k, c, "sup_relobs_closed needs K ⊆ C")
+    _require_inclusion(k, c, "sup_relobs_closed needs K ⊆ C")
     _require_inclusion(c, g, "sup_relobs_closed needs C ⊆ L(G)")
-    return _sup_relobs(k, c, g)
+    return _sup_relobs(prefix_close(k), prefix_close(c), g)
 
 
-def _sup_relobs(k: Automaton, c: Automaton,
+def _sup_relobs(kbar: Automaton, cbar: Automaton,
                 g: Automaton) -> tuple[Automaton, SynthReport]:
-    """`sup_relobs_closed` of inputs that its caller knows to be
-    prefix-closed, over one alphabet, with K ⊆ C ⊆ L(G); the two-level
-    pipeline passes `c is k`."""
-    kbar, observable = prefix_close(k), g.alphabet.observable
-    cbar = kbar if c is k else prefix_close(c)
+    """`sup_relobs_closed` of a trim, all-marked K̄ ⊆ C̄ ⊆ L(G) over one
+    alphabet, which its caller has built so."""
+    observable = g.alphabet.observable
     obs = _observed(g.alphabet, bits(g.start_mask), _index_moves(g),
                     lambda i: True)
     ks, gs, obs_steps = map(subset_steps, (kbar, g, obs))

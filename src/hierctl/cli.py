@@ -169,8 +169,8 @@ def _cmd_check(args) -> int:
 def _cmd_synth(args) -> int:
     *specs, g = map(_load, args.files)
     g = all_marked(g)
-    # each specification is made prefix-closed and included in L(G), so
-    # only K ⊆ C is left to check
+    # each specification is closed, trim and all marked, as the bodies take
+    # it, and included in L(G), so only K ⊆ C is left to check
     k, *c = [intersect(prefix_close(conform_spec(x, g.alphabet)), g)
              for x in specs]
     if args.kind == "supn":

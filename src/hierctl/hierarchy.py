@@ -753,10 +753,10 @@ def _lifted_spec(g: Automaton, k: Automaton) -> tuple:
     the abstraction and to the plant.
 
     By construction each lift is over the alphabet of its plant, Q(L) or
-    L, is included in it, and is prefix-closed, as Q(L) and L are: each is
-    a reachable product of automata whose states are all marked. So the
-    pipelines call the checks and syntheses of `checks` without their
-    validating shells, which would only prove these again."""
+    L, is included in it, and is trim and all marked, as Q(L) and L are:
+    each is a reachable product of all-marked automata. So the pipelines
+    pass the lifts as K̄ and C̄ to the bodies of `checks`, not to the
+    shells, which would only prove these again and close them again."""
     ctx = build_context(g)
     kbar = prefix_close(conform_spec(k, ctx.q.target_alphabet))
     return (ctx, parallel_compose(ctx.abstraction, kbar),

@@ -23,6 +23,7 @@ from hierctl.oracle import (oracle_controllability, oracle_normality,
 
 from conftest import (cli_big_inputs, load, make_alphabet, record_built,
                       ref_includes, tree)
+from test_search import ref_check_controllability, ref_observability
 
 
 def _spec(plant, words, alphabet):
@@ -329,23 +330,12 @@ class TestSupRelobs:
             cases += 1
         assert cases >= 10
 
-    def test_self_inclusion_is_not_searched(self, monkeypatch):
-        # With `c is k` only C ⊆ L(G) is searched; a distinct but equal C
-        # takes the general path, K ⊆ C included, to the same result.
-        calls = []
-
-        def counting(a, b, **kwargs):
-            calls.append((a, b))
-            return automata.includes(a, b, **kwargs)
-
-        monkeypatch.setattr(checks, "includes", counting)
+    def test_k_as_its_own_ambient_is_an_equal_copy(self):
+        # C given as K itself and C given as a distinct but equal copy of
+        # K lead to the same result.
         for name, k, c, g in [*_odd_instances(), *_sup_relobs_instances()]:
-            calls.clear()
             want, want_rep = sup_relobs_closed(k, copy.copy(k), g)
-            assert len(calls) == 2, name
-            calls.clear()
             got, rep = sup_relobs_closed(k, k, g)
-            assert calls == [(k, g)], name
             assert (got.states, got.transitions, got.initial, got.marked,
                     rep) == (want.states, want.transitions, want.initial,
                              want.marked, want_rep), name
@@ -412,6 +402,78 @@ class TestSupRelobs:
         monkeypatch.setattr(checks, "explore", recording, raising=False)
         sup_relobs_closed(k, c, g)
         assert sum(sizes) <= 1500
+
+
+AU = make_alphabet("au", controllable="a", observable="a")
+
+
+def _au(moves, marked) -> Automaton:
+    """An automaton over {a, u}, a controllable and observable and u
+    neither, from "source event target" moves, started at the first
+    source."""
+    moves = [tuple(m.split()) for m in moves]
+    states = sorted({q for m in moves for q in (m[0], m[2])})
+    return Automaton.make(AU, states, moves, moves[0][0], marked)
+
+
+def _dead_branch_cases():
+    """(name, shell, reference, body, inputs): a K, or a C, with a dead
+    branch, a reachable state that reaches no marked one. The shell and
+    the reference close it; the body handed it raw reads the branch as
+    part of K̄ (or C̄) and gives another answer."""
+    g1 = _au(["p a q", "p u r"], "pqr")
+    g2 = _au(["p u q", "q a s", "p a r"], "pqrs")
+    g3 = _au(["p a q", "q u r", "p u s"], "pqrs")
+    # K̄ = {ε, a}, which u leaves for L(G), but the raw u-branch does not
+    k1 = _au(["x a y", "x u d"], "y")
+    # K̄ = {ε, a, u}: a follows ε in K̄ but not the look-alike u, which
+    # the raw branch "u a" hides
+    k2 = _au(["x a y", "x u z", "z a d"], "xyz")
+    # K̄ = {ε, a, au} misses u, a look-alike of ε; normality reads K's
+    # marks too, and the raw K, with ε unmarked, is {a, au}, normal
+    k3 = _au(["x a y", "y u z", "x u d"], "yz")
+    # K = C̄ = {ε, a}; the raw u-branch of C makes u a look-alike s' of ε
+    ka, ca = _au(["x a y"], "xy"), _au(["x a y", "x u d"], "xy")
+    events = g2.alphabet.names
+    yield ("controllability", check_controllability,
+           ref_check_controllability, checks._controllability, (k1, g1))
+    yield ("observability", check_observability,
+           lambda k, g: ref_observability(k, k, g, g.alphabet.controllable,
+                                          "observability"),
+           checks._observability, (k2, g2))
+    for name, inputs in (("relobs-k", (k2, g2, g2)), ("relobs-c", (ka, ca, g2))):
+        yield (name, check_relative_observability,
+               lambda k, c, g: ref_observability(k, c, g, events,
+                                                 "relative-observability"),
+               lambda k, c, g: checks._observability_engine(
+                   k, c, g, events, "relative-observability"), inputs)
+    yield ("normality", check_normality, ref_check_normality,
+           checks._normality, (k3, g3))
+    for name, inputs in (("sup-relobs-k", (ca, ca, g2)),
+                         ("sup-relobs-c", (ka, ca, g2))):
+        yield (name, sup_relobs_closed, _reference_sup_relobs,
+               checks._sup_relobs, inputs)
+
+
+def _answer(out):
+    """A verdict's outcome and witness strings (the normality reference is
+    an inclusion, of another witness kind), or a synthesis result's fields
+    and report."""
+    if isinstance(out, tuple):
+        a, rep = out
+        return a.states, a.transitions, a.initial, a.marked, rep
+    return out.outcome, out.witness and out.witness.strings
+
+
+class TestShellsCloseTheSpecification:
+    def test_a_dead_branch_is_closed_away(self):
+        shells = set()
+        for name, shell, reference, body, inputs in _dead_branch_cases():
+            got = _answer(shell(*inputs))
+            assert got == _answer(reference(*inputs)), name
+            assert got != _answer(body(*inputs)), name
+            shells.add(shell)
+        assert len(shells) == 5
 
 
 def _normality_operands(k, g):

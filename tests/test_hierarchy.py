@@ -16,15 +16,16 @@ from pathlib import Path
 
 import pytest
 
-from hierctl import automata, checks, hierarchy, oracle
+from hierctl import automata, checks, cli, hierarchy, oracle
 from hierctl.automata import (Alphabet, Automaton, Event, Implicit,
                               all_marked, closure, determinize,
                               enumerate_bounded, explore, includes,
                               intersect, inverse_project, is_empty,
                               is_prefix_closed,
                               iter_difference_words, language_equal,
-                              merge_alphabets, parallel_compose, project,
-                              right_quotient, widen_alphabet,
+                              merge_alphabets, parallel_compose,
+                              prefix_close, project, right_quotient,
+                              widen_alphabet,
                               word_automaton)
 from hierctl.gadgets import (GeneratorParams, gadget_loc, gadget_moc,
                              gadget_oc, is_universal, random_nfa,
@@ -43,7 +44,7 @@ from hierctl.relations import (build_quad, decompose_sequence, label_name,
                                normal_forms, pair_alphabet, quad_alphabet)
 from hierctl.verdicts import Verdict
 
-from conftest import (agreement_plants, cli_small_inputs, loc_plants,
+from conftest import (DATA, agreement_plants, cli_small_inputs, loc_plants,
                       make_alphabet, pair_operands, record_built,
                       replays_violation, searched, tree)
 
@@ -1698,7 +1699,10 @@ class TestSynthesis:
 class TestPipelinePreconditions:
     """The two-level pipelines call the checks and syntheses of `checks`
     without their validating shells, since the lifts K̄ ∥ Q(L) and K̄ ∥ L
-    meet every precondition by construction."""
+    meet every precondition by construction: they are trim and all
+    marked, so the bodies take them as the closed K̄ and C̄. The shells
+    close K and C once, after their proofs, and no body restricts its
+    operands again."""
 
     @staticmethod
     def inputs():
@@ -1727,7 +1731,32 @@ class TestPipelinePreconditions:
         checks.check_controllability(k_hi, ctx.abstraction)
         checks.sup_relobs_closed(k_hi, k_hi, ctx.abstraction)
         assert calls == ["_require_inclusion", "is_prefix_closed",
+                         "is_prefix_closed", "_require_inclusion",
                          "_require_inclusion"]
+
+    def test_each_input_is_restricted_once(self, monkeypatch, capsys,
+                                           ex1_plant, ex1_spec):
+        # `hier verify` and `hier synth relobs` restrict the plant once
+        # (`build_context`) and K once (`_lifted_spec`); `synth suprelobs`
+        # restricts G, K and C once each, where the CLI reads them.
+        calls, real = [], automata._restrict
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(automata, "_restrict", spy)
+        counts = []
+        for pipeline in (hier_verify, hier_synth_relobs):
+            calls.clear()
+            pipeline(ex1_plant, ex1_spec, 300)
+            counts.append(len(calls))
+        calls.clear()
+        assert cli.main(["synth", "suprelobs",
+                         *(str(DATA / f"relobs-{name}.saut")
+                           for name in ("spec", "ambient", "plant"))]) == 0
+        capsys.readouterr()
+        assert counts + [len(calls)] == [2, 2, 3]
 
     def test_lifted_specifications_meet_the_preconditions(self):
         bodies = ((checks.check_controllability, checks._controllability),
@@ -1740,6 +1769,8 @@ class TestPipelinePreconditions:
             for spec, plant in ((k_hi, ctx.abstraction), (k_lo, ctx.plant)):
                 assert spec.alphabet == plant.alphabet
                 assert is_prefix_closed(spec) and is_prefix_closed(plant)
+                # trim and all marked: the closed K̄ that the bodies take
+                assert prefix_close(spec) is spec
                 assert includes(spec, plant).holds
                 # so the shells accept them and give what the bodies give
                 for shell, body in bodies:

@@ -491,6 +491,30 @@ def test_closed_specifications_take_one_pass():
         assert nested_calls(source, "trim", "prefix_close") == [], path.name
 
 
+def identity_tests(source: str) -> list:
+    """Lines of the `is` and `is not` comparisons with anything but None."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+            and not all(isinstance(c, ast.Constant) and c.value is None
+                        for c in node.comparators)]
+
+
+def test_identity_tests_are_found():
+    module = "a = c is k\nb = x is None\nd = y is not z\ne = u is not None\n"
+    assert identity_tests(module) == [1, 3]
+
+
+def test_check_bodies_take_closed_specifications():
+    # The shells close K and C once, where they enter; the bodies restrict
+    # no operand, and nothing tells a C given as K itself apart.
+    for name in ("_controllability", "_observability",
+                 "_observability_engine", "_normality", "_sup_relobs"):
+        assert used_names(top_level("checks.py", name)) & {
+            "prefix_close", "trim", "all_marked"} == set(), name
+    assert identity_tests((SRC / "checks.py").read_text(encoding="utf-8")) == []
+
+
 def predecessor_maps(source: str) -> list:
     """Names of the functions with a loop `for (src, lbl, dst) in ...` that
     files a transition's source under its target, as `m[dst].add(src)` or
